@@ -32,7 +32,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, BudgetExceeded, RackalgError, SchemaError
@@ -45,9 +45,11 @@ from rackalg.exact_core import (
     Label,
     SeriesScalar,
     SpanSolver,
+    linear_sum,
     nullspace,
     span_basis,
     tensor_basis,
+    tensor_sum,
 )
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import CheckReport, RackBialgebra, trivial
@@ -106,8 +108,8 @@ class _Faces:
         if rb.basis.factors:
             raise SchemaError("the deformation complex needs an atomic carrier basis")
         self.rb = rb
+        self.legs = rb.carrier.legs
         self._mu: dict[int, FinMap] = {}
-        self._legs: dict[Label, list[tuple[Label, Label, Coeff]]] = {}
         self._klegs: dict[tuple[Label, int], list[tuple[tuple[Label, ...], Coeff]]] = {}
 
     def mu(self, n: int) -> FinMap:
@@ -115,11 +117,14 @@ class _Faces:
             self._mu[n] = mu_n(self.rb, n)
         return self._mu[n]
 
-    def legs(self, lab: Label) -> list[tuple[Label, Label, Coeff]]:
-        if lab not in self._legs:
-            c = self.rb.carrier
-            self._legs[lab] = c.sweedler(FinVec.unit(c.basis, lab))
-        return self._legs[lab]
+    def split(self, labels: Sequence[Label]
+              ) -> Iterator[tuple[tuple[Label, ...], tuple[Label, ...], Coeff]]:
+        """(first legs, second legs, weight), one Sweedler term chosen per label."""
+        for combo in itertools.product(*[self.legs(l) for l in labels]):
+            w: Coeff = ONE
+            for _, _, lw in combo:
+                w = w * lw
+            yield tuple(l1 for l1, _, _ in combo), tuple(l2 for _, l2, _ in combo), w
 
     def klegs(self, lab: Label, k: int) -> list[tuple[tuple[Label, ...], Coeff]]:
         """Legs of the (k-1)-iterated comultiplication of a basis label."""
@@ -148,31 +153,18 @@ class _Faces:
 
         def col_1(t: Label) -> FinVec:
             parts = _tparts(n + 1, t)
-            out = FinVec.zero(basis)
-            for combo in itertools.product(*[self.legs(l) for l in parts[:i - 1]]):
-                w: Coeff = ONE
-                lefts, rights = [], []
-                for l1, l2, lw in combo:
-                    lefts.append(l1)
-                    rights.append(l2)
-                    w = w * lw
-                u = mu_i.column(_tlabel(tuple(lefts) + (parts[i - 1],)))
-                v = omega.column(_tlabel(tuple(rights) + parts[i:]))
-                if not (u.is_zero or v.is_zero):
-                    out = out + rb.apply(u, v).scale(w)
-            return out
+            return linear_sum(basis, (
+                (rb.apply(mu_i.column(_tlabel(lefts + (parts[i - 1],))),
+                          omega.column(_tlabel(rights + parts[i:]))), w)
+                for lefts, rights, w in self.split(parts[:i - 1])))
 
         def col_0(t: Label) -> FinVec:
             parts = _tparts(n + 1, t)
             k = n + 1 - i
-            out = FinVec.zero(basis)
-            for legs, w in self.klegs(parts[i - 1], k):
-                vecs = [FinVec.unit(basis, l) for l in parts[:i - 1]]
-                vecs += [rb.apply(FinVec.unit(basis, legs[m]),
-                                  FinVec.unit(basis, parts[i + m]))
-                         for m in range(k)]
-                out = out + _eval_multi(omega, vecs).scale(w)
-            return out
+            heads = [FinVec.unit(basis, l) for l in parts[:i - 1]]
+            return linear_sum(basis, (
+                (_eval_multi(omega, heads + [rb.pair(legs[m], parts[i + m]) for m in range(k)]), w)
+                for legs, w in self.klegs(parts[i - 1], k)))
 
         return FinMap.from_function(tensor_power(basis, n + 1), basis,
                                     col_1 if eps == 1 else col_0)
@@ -184,44 +176,37 @@ class _Faces:
 
         def col(t: Label) -> FinVec:
             parts = _tparts(n + 1, t)
-            out = FinVec.zero(basis)
-            for combo in itertools.product(*[self.legs(l) for l in parts[:n - 1]]):
-                w: Coeff = ONE
-                lefts, rights = [], []
-                for l1, l2, lw in combo:
-                    lefts.append(l1)
-                    rights.append(l2)
-                    w = w * lw
-                u = omega.column(_tlabel(tuple(lefts) + (parts[n - 1],)))
-                v = mu_nn.column(_tlabel(tuple(rights) + (parts[n],)))
-                if not (u.is_zero or v.is_zero):
-                    out = out + rb.apply(u, v).scale(w)
-            return out
+            return linear_sum(basis, (
+                (rb.apply(omega.column(_tlabel(lefts + (parts[n - 1],))),
+                          mu_nn.column(_tlabel(rights + (parts[n],)))), w)
+                for lefts, rights, w in self.split(parts[:n - 1])))
 
         return FinMap.from_function(tensor_power(basis, n + 1), basis, col)
 
     def differential(self, omega: FinMap) -> FinMap:
         n = self.degree_of(omega)
-        out = FinMap.zero(tensor_power(self.rb.basis, n + 1), self.rb.basis)
+        basis = self.rb.basis
+        terms = [(self.extra_face(omega), Fraction(-1) ** (n + 1))]
         for i in range(1, n + 1):
             sign = Fraction(-1) ** (i + 1)
-            out = out + (self.face(omega, i, 1) - self.face(omega, i, 0)).scale(sign)
-        return out + self.extra_face(omega).scale(Fraction(-1) ** (n + 1))
+            terms += [(self.face(omega, i, 1), sign), (self.face(omega, i, 0), -sign)]
+        return FinMap.from_function(tensor_power(basis, n + 1), basis, lambda t: linear_sum(
+            basis, ((f.column(t), c) for f, c in terms)))
 
 
 def _eval_multi(omega: FinMap, vecs: Sequence[FinVec]) -> FinVec:
     """Evaluate a map stored on a tensor-power basis on a tuple of vectors."""
     if len(vecs) == 1:
         return omega(vecs[0])
-    out = FinVec.zero(omega.codomain)
-    for combo in itertools.product(*[list(v.entries.items()) for v in vecs]):
-        w: Coeff = ONE
-        for _, c in combo:
-            w = w * c
-        col = omega.column(tuple(lab for lab, _ in combo))
-        if not col.is_zero:
-            out = out + col.scale(w)
-    return out
+
+    def terms() -> Iterator[tuple[FinVec, Coeff]]:
+        for combo in itertools.product(*[list(v.entries.items()) for v in vecs]):
+            w: Coeff = ONE
+            for _, c in combo:
+                w = w * c
+            yield omega.column(tuple(lab for lab, _ in combo)), w
+
+    return linear_sum(omega.codomain, terms())
 
 
 def face_map(rb: RackBialgebra, omega: FinMap, i: int, eps: int) -> FinMap:
@@ -243,21 +228,11 @@ def coderivation_report(rb: RackBialgebra, n: int, omega: FinMap) -> CheckReport
     mu = faces.mu(n)
     checked = 0
     for t in tensor_power(rb.basis, n).labels:
-        parts = _tparts(n, t)
         lhs = c.delta(omega.column(t))
-        rhs = FinVec.zero(c.square)
-        for combo in itertools.product(*[faces.legs(l) for l in parts]):
-            w: Coeff = ONE
-            lefts, rights = [], []
-            for l1, l2, lw in combo:
-                lefts.append(l1)
-                rights.append(l2)
-                w = w * lw
-            f1 = omega.column(_tlabel(tuple(lefts)))
-            f2 = omega.column(_tlabel(tuple(rights)))
-            m1 = mu.column(_tlabel(tuple(lefts)))
-            m2 = mu.column(_tlabel(tuple(rights)))
-            rhs = rhs + (f1.tensor(m2, c.square) + m1.tensor(f2, c.square)).scale(w)
+        rhs = tensor_sum(c.square, (
+            term for lefts, rights, w in faces.split(_tparts(n, t))
+            for term in ((omega.column(_tlabel(lefts)), mu.column(_tlabel(rights)), w),
+                         (mu.column(_tlabel(lefts)), omega.column(_tlabel(rights)), w))))
         if lhs != rhs:
             return CheckReport(False, checked, axiom=f"coderivation along mu^{n}",
                                witness=(t,))
@@ -296,14 +271,7 @@ def coderivation_space(rb: RackBialgebra, n: int) -> list[Cochain]:
         for l in basis.labels:
             for pair, c in delta_of[l].items():
                 add(pair, var[(t, l)], c)
-        for combo in itertools.product(*[faces.legs(l) for l in parts]):
-            w = ONE
-            lefts, rights = [], []
-            for l1, l2, lw in combo:
-                lefts.append(l1)
-                rights.append(l2)
-                w = w * lw
-            lt, rt = tuple(lefts), tuple(rights)
+        for lt, rt, w in faces.split(parts):
             for mlab, mc in mu.column(_tlabel(rt)).entries.items():
                 for l in basis.labels:
                     add((l, mlab), var[(_tlabel(lt), l)], -w * mc)
@@ -513,17 +481,16 @@ def infinitesimal_selfdist(rb: RackBialgebra, mu1: Cochain | FinMap) -> CheckRep
     checked = 0
     for la in c.basis.labels:
         a = _lift(FinVec.unit(c.basis, la), 2)
-        legs = [(l1, l2, w) for l1, l2, w in c.sweedler(FinVec.unit(c.basis, la))]
+        legs = c.legs(la)
         for lb in c.basis.labels:
             b = _lift(FinVec.unit(c.basis, lb), 2)
             for lc in c.basis.labels:
                 cc = _lift(FinVec.unit(c.basis, lc), 2)
                 lhs = apply_h(a, apply_h(b, cc))
-                rhs = FinVec.zero(c.basis)
-                for l1, l2, w in legs:
-                    rhs = rhs + apply_h(
-                        apply_h(_lift(FinVec.unit(c.basis, l1), 2), b),
-                        apply_h(_lift(FinVec.unit(c.basis, l2), 2), cc)).scale(w)
+                rhs = linear_sum(c.basis, (
+                    (apply_h(apply_h(_lift(FinVec.unit(c.basis, l1), 2), b),
+                             apply_h(_lift(FinVec.unit(c.basis, l2), 2), cc)), w)
+                    for l1, l2, w in legs))
                 if lhs != rhs:
                     return CheckReport(False, checked, axiom="self-distributivity mod hbar^2",
                                        witness=(la, lb, lc))

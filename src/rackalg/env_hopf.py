@@ -30,17 +30,16 @@ from typing import Callable, Iterable
 from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import (
     Basis,
-    Coeff,
     FinMap,
     FinVec,
     Label,
+    bilinear,
+    linear_sum,
     split_label,
-    tensor_basis,
 )
 from rackalg.leibniz import LeibnizAlgebra, QuotientLie, check_leibniz, is_lie
-from rackalg.symcoalg import Coalgebra, sort_monomial, symmetric_coalgebra
+from rackalg.symcoalg import Coalgebra, check_multiplicative, sort_monomial, symmetric_coalgebra
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -60,6 +59,14 @@ class EnvelopingHopf:
     @property
     def unit(self) -> FinVec:
         return self.coalgebra.unit
+
+    def degree(self, label: Label) -> int:
+        """Filtration degree of a PBW word: its length."""
+        return len(label)
+
+    def fits(self, degree: int) -> bool:
+        """Whether an element of this degree lies under the cap."""
+        return degree <= self.cap
 
     def embed(self, x: FinVec) -> FinVec:
         """Inclusion g -> U(g) as length-one words."""
@@ -82,20 +89,21 @@ class EnvelopingHopf:
             self._memo[word] = result
             return result
         x, y = word[i], word[i + 1]
-        result = self.straighten(word[:i] + (y, x) + word[i + 2:])
-        for lab, c in self.lie.bracket_of_labels(x, y).entries.items():
-            result = result + self.straighten(word[:i] + (lab,) + word[i + 2:]).scale(c)
+        head, tail = word[:i], word[i + 2:]
+        result = linear_sum(self.basis, [(self.straighten(head + (y, x) + tail), ONE)] + [
+            (self.straighten(head + (lab,) + tail), c)
+            for lab, c in self.lie.bracket_of_labels(x, y).entries.items()])
         self._memo[word] = result
         return result
 
+    def pair(self, wa: Label, wb: Label) -> FinVec:
+        """Product of two PBW words; refuses pairs beyond the cap."""
+        if not self.fits(len(wa) + len(wb)):
+            raise DegreeCapExceeded(len(wa) + len(wb), self.cap, "product")
+        return self.straighten(wa + wb)
+
     def product(self, a: FinVec, b: FinVec) -> FinVec:
-        out = FinVec.zero(self.basis)
-        for wa, ca in a.entries.items():
-            for wb, cb in b.entries.items():
-                if len(wa) + len(wb) > self.cap:
-                    raise DegreeCapExceeded(len(wa) + len(wb), self.cap, "product")
-                out = out + self.straighten(wa + wb).scale(ca * cb)
-        return out
+        return bilinear(self.basis, self.pair, a, b)
 
     def product_many(self, factors: Iterable[FinVec]) -> FinVec:
         acc = self.unit
@@ -119,7 +127,7 @@ class EnvelopingHopf:
 
         def col(pair: Label) -> FinVec:
             wa, wb = split_label(self.basis, pair)
-            if len(wa) + len(wb) > self.cap:
+            if not self.fits(len(wa) + len(wb)):
                 return FinVec.zero(self.basis)
             return self.straighten(wa + wb)
 
@@ -173,29 +181,14 @@ def check_hopf(coalg: Coalgebra, product: Callable[[FinVec, FinVec], FinVec],
             rhs = product(e(a), product(e(b), e(c)))
             if lhs != rhs:
                 raise AxiomViolation("associativity", (a, b, c), lhs, rhs)
-    square = coalg.square
-    for a, b in itertools.product(basis.labels, repeat=2):
-        if not fits(a, b):
-            continue
-        # delta(ab) = delta(a) delta(b) with the componentwise square product
-        lhs = coalg.delta(product(e(a), e(b)))
-        rhs = FinVec.zero(square)
-        for a1, a2, ca in coalg.sweedler(e(a)):
-            for b1, b2, cb in coalg.sweedler(e(b)):
-                term = product(e(a1), e(b1)).tensor(product(e(a2), e(b2)), square)
-                rhs = rhs + term.scale(ca * cb)
-        if lhs != rhs:
-            raise AxiomViolation("coproduct multiplicativity", (a, b), lhs, rhs)
-        ea = coalg.eps_of(product(e(a), e(b)))
-        eb = coalg.eps_of(e(a)) * coalg.eps_of(e(b))
-        if ea != eb:
-            raise AxiomViolation("counit multiplicativity", (a, b), ea, eb)
+    check_multiplicative(coalg, lambda a, b: product(e(a), e(b)),
+                         [(a, b) for a, b in itertools.product(basis.labels, repeat=2)
+                          if fits(a, b)],
+                         "coproduct multiplicativity", "counit multiplicativity")
     for a in basis.labels:
-        left = FinVec.zero(basis)
-        right = FinVec.zero(basis)
-        for a1, a2, c in coalg.sweedler(e(a)):
-            left = left + product(antipode(e(a1)), e(a2)).scale(c)
-            right = right + product(e(a1), antipode(e(a2))).scale(c)
+        legs = coalg.legs(a)
+        left = linear_sum(basis, ((product(antipode.column(a1), e(a2)), c) for a1, a2, c in legs))
+        right = linear_sum(basis, ((product(e(a1), antipode.column(a2)), c) for a1, a2, c in legs))
         target = unit.scale(coalg.eps_of(e(a)))
         if left != target:
             raise AxiomViolation("left antipode", a, left, target)
@@ -213,15 +206,11 @@ def derivation_action(h: LeibnizAlgebra, sym: Coalgebra, x: FinVec, m: FinVec) -
 
     Degree is preserved, so the truncated S(h) is closed under the action.
     """
-    out = FinVec.zero(sym.basis)
-    for mono, cm in m.entries.items():
-        assert isinstance(mono, tuple)
-        for i, letter in enumerate(mono):
-            img = h.bracket_of(x, FinVec.unit(h.basis, letter))
-            for lab, c in img.entries.items():
-                new = sort_monomial(h.basis, mono[:i] + (lab,) + mono[i + 1:])
-                out = out + FinVec.unit(sym.basis, new).scale(cm * c)
-    return out
+    return FinVec.build(sym.basis, (
+        (sort_monomial(h.basis, mono[:i] + (lab,) + mono[i + 1:]), cm * c)
+        for mono, cm in m.entries.items()
+        for i, letter in enumerate(mono)
+        for lab, c in h.bracket_of(x, FinVec.unit(h.basis, letter)).entries.items()))
 
 
 def module_action(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra,
@@ -232,15 +221,14 @@ def module_action(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra,
     representative in h, which is independent of the choice because the
     quotient kernel sits inside the left center.
     """
-    out = FinVec.zero(sym.basis)
-    for word, cu in u.entries.items():
-        assert isinstance(word, tuple)
+    def act_word(word: tuple[Label, ...]) -> FinVec:
         acc = m
         for letter in reversed(word):
             rep = q.section(FinVec.unit(q.algebra.basis, letter))
             acc = derivation_action(q.source, sym, rep, acc)
-        out = out + acc.scale(cu)
-    return out
+        return acc
+
+    return linear_sum(sym.basis, ((act_word(word), cu) for word, cu in u.entries.items()))
 
 
 def symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
@@ -248,34 +236,28 @@ def symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
     k = len(word)
     if k == 0:
         return env.unit
-    out = FinVec.zero(env.basis)
-    for perm in itertools.permutations(word):
-        out = out + env.straighten(perm)
-    return out.scale(Fraction(1, math.factorial(k)))
+    weight = Fraction(1, math.factorial(k))
+    return linear_sum(env.basis, ((env.straighten(perm), weight)
+                                  for perm in itertools.permutations(word)))
 
 
 def symmetrize(env: EnvelopingHopf, v: FinVec) -> FinVec:
     """Coalgebra isomorphism S(g) -> U(g) on the shared monomial labels."""
-    out = FinVec.zero(env.basis)
-    for mono, c in v.entries.items():
-        assert isinstance(mono, tuple)
-        out = out + symmetrize_word(env, mono).scale(c)
-    return out
+    return linear_sum(env.basis, ((symmetrize_word(env, mono), c) for mono, c in v.entries.items()))
 
 
 def phi(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra, a: FinVec) -> FinVec:
     """S(h) -> U(g): push letters through the projection, then symmetrize."""
-    out = FinVec.zero(env.basis)
-    for mono, cm in a.entries.items():
-        assert isinstance(mono, tuple)
-        images = [q.p(FinVec.unit(q.source.basis, letter)) for letter in mono]
-        for combo in itertools.product(*(list(img.entries.items()) for img in images)):
-            coeff = cm
-            for _, c in combo:
-                coeff = coeff * c
-            word = tuple(lab for lab, _ in combo)
-            out = out + symmetrize_word(env, word).scale(coeff)
-    return out
+    def terms():
+        for mono, cm in a.entries.items():
+            images = [q.p(FinVec.unit(q.source.basis, letter)) for letter in mono]
+            for combo in itertools.product(*(list(img.entries.items()) for img in images)):
+                coeff = cm
+                for _, c in combo:
+                    coeff = coeff * c
+                yield symmetrize_word(env, tuple(lab for lab, _ in combo)), coeff
+
+    return linear_sum(env.basis, terms())
 
 
 def phi_map(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra) -> FinMap:

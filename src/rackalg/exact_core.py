@@ -9,14 +9,20 @@ Vectors and maps are sparse and keyed by basis *labels* (arbitrary hashable
 values: ints, strings, tuples of labels for tensor factors).  Tensor-product
 bases flatten their labels, so ``(A (x) B) (x) C`` and ``A (x) (B (x) C)``
 agree on the nose.
+
+Every product of the package is given on pairs of basis labels and extended
+by :func:`bilinear`, the one place that does so.  Sums are built in one pass,
+never by repeated copies: :func:`linear_sum` for sum c v and
+:func:`tensor_sum` for Sweedler-type sums sum c (x (x) y).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 Label = Hashable
 Coeff = Union[Fraction, "SeriesScalar"]
@@ -233,7 +239,7 @@ def merge_labels(basis: Basis, *labels: Label) -> Label:
     Flattens component labels the same way :func:`tensor_basis` does, so the
     result indexes the tensor-square (or higher power) basis directly.
     """
-    return tuple(itertools.chain.from_iterable(_label_parts(basis, lab) for lab in labels))
+    return tuple(itertools.chain.from_iterable(labels)) if basis.factors else labels
 
 
 def tensor_basis(*bases: Basis) -> Basis:
@@ -426,6 +432,57 @@ class FinMap:
 
     def __repr__(self) -> str:
         return f"FinMap({self.domain.name} -> {self.codomain.name})"
+
+
+def bilinear(basis: Basis, pair: Callable[[Label, Label], FinVec],
+             a: FinVec, b: FinVec) -> FinVec:
+    """The product of a and b, extended bilinearly from ``pair``.
+
+    ``pair(la, lb)`` is the product of two basis vectors, in ``basis``; it may
+    raise (for example :class:`~rackalg.errors.DegreeCapExceeded`) to refuse
+    a pair.
+    """
+    items: list[tuple[Label, Coeff]] = []
+    for la, ca in a.entries.items():
+        for lb, cb in b.entries.items():
+            v = pair(la, lb)
+            if not v.entries:
+                continue
+            _require_basis(basis, v.basis)
+            c = ca * cb
+            items.extend((lab, c * cv) for lab, cv in v.entries.items())
+    return FinVec.build(basis, items)
+
+
+def linear_sum(basis: Basis, terms: Iterable[tuple[FinVec, Coeff]]) -> FinVec:
+    """sum c v over the (v, c) terms, in ``basis``."""
+    items: list[tuple[Label, Coeff]] = []
+    for v, c in terms:
+        _require_basis(basis, v.basis)
+        items.extend((lab, c * cv) for lab, cv in v.entries.items())
+    return FinVec.build(basis, items)
+
+
+def tensor_sum(product: Basis, terms: Iterable[tuple[FinVec, FinVec, Coeff]]) -> FinVec:
+    """sum c (x (x) y) over the (x, y, c) terms, in ``product`` = x.basis (x) y.basis."""
+    items: list[tuple[Label, Coeff]] = []
+    for x, y, c in terms:
+        _require_basis(product.factors, _flat_factors(x.basis) + _flat_factors(y.basis))
+        for la, ca in x.entries.items():
+            pa = _label_parts(x.basis, la)
+            items.extend((pa + _label_parts(y.basis, lb), c * ca * cb)
+                         for lb, cb in y.entries.items())
+    return FinVec.build(product, items)
+
+
+def _flat_factors(basis: Basis) -> tuple[Basis, ...]:
+    return basis.factors or (basis,)
+
+
+def _require_basis(want: Basis | tuple[Basis, ...], got: Basis | tuple[Basis, ...]) -> None:
+    """Refuse a term from another space: labels alone may collide."""
+    if got is not want and got != want:
+        raise ValueError(f"basis mismatch: expected {want!r}, got {got!r}")
 
 
 def tensor_product_map(f: FinMap, g: FinMap,
@@ -703,7 +760,7 @@ def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
 
 __all__ = [
     "Basis", "Coeff", "FinMap", "FinVec", "Label", "SeriesScalar", "SpanSolver",
-    "flip_map", "format_rational", "kernel_basis", "merge_labels", "nullspace", "rank", "rank_of",
-    "rational", "series_exp", "span_basis", "split_label", "tensor_basis",
-    "tensor_product_map",
+    "bilinear", "flip_map", "format_rational", "kernel_basis", "linear_sum", "merge_labels",
+    "nullspace", "rank", "rank_of", "rational", "series_exp", "span_basis", "split_label",
+    "tensor_basis", "tensor_product_map", "tensor_sum",
 ]

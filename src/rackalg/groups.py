@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from rackalg.errors import AxiomViolation, SchemaError
-from rackalg.exact_core import Basis, FinMap, FinVec, Label, tensor_basis
+from rackalg.exact_core import Basis, FinMap, FinVec, Label, bilinear, tensor_basis
 from rackalg.symcoalg import Coalgebra
 
 __all__ = [
@@ -127,10 +127,14 @@ def group_like_coalgebra(name: str, labels: tuple[Label, ...], unit_label: Label
 
 @dataclass(frozen=True)
 class GroupHopf:
-    """The group algebra K[G] with its Hopf structure."""
+    """The group algebra K[G] with its Hopf structure.
+
+    Every element has degree 0 and there is no degree cap.
+    """
 
     group: FiniteGroup
     coalgebra: Coalgebra
+    cap = None
 
     @property
     def basis(self) -> Basis:
@@ -140,18 +144,21 @@ class GroupHopf:
     def unit(self) -> FinVec:
         return self.coalgebra.unit
 
+    def degree(self, label: Label) -> int:
+        return 0
+
+    def fits(self, degree: int) -> bool:
+        return True
+
+    def pair(self, x: Label, y: Label) -> FinVec:
+        return FinVec.unit(self.basis, self.group.mul(x, y))
+
     def product(self, a: FinVec, b: FinVec) -> FinVec:
-        out = FinVec.zero(self.basis)
-        for x, cx in a.entries.items():
-            for y, cy in b.entries.items():
-                out = out + FinVec.unit(self.basis, self.group.mul(x, y), cx * cy)
-        return out
+        return bilinear(self.basis, self.pair, a, b)
 
     def mul_map(self) -> FinMap:
-        square = self.coalgebra.square
-        return FinMap.from_function(
-            square, self.basis,
-            lambda pair: FinVec.unit(self.basis, self.group.mul(pair[0], pair[1])))
+        return FinMap.from_function(self.coalgebra.square, self.basis,
+                                    lambda xy: self.pair(*xy))
 
     def antipode_map(self) -> FinMap:
         return FinMap.from_function(

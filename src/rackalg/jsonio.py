@@ -8,11 +8,12 @@ indices are 1-based and all scalars are exact rationals serialized as "p" or
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
 from rackalg.errors import SchemaError
-from rackalg.exact_core import format_rational, rational
+from rackalg.exact_core import format_rational
 from rackalg.groups import FiniteGroup
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import FiniteRack
@@ -29,13 +30,22 @@ def _require(doc: Mapping[str, Any], key: str, kind: str) -> Any:
     return doc[key]
 
 
+# Longer strings are refused before parsing, so oversized input fails fast.
+MAX_RATIONAL_CHARS = 200
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _as_rational(value: Any, where: str) -> Fraction:
-    if not isinstance(value, (str, int)):
-        raise SchemaError(f"{where}: expected a rational 'p/q' string, got {value!r}")
+    """An int (not a bool) or a "p" / "p/q" string of at most MAX_RATIONAL_CHARS."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or len(value) > MAX_RATIONAL_CHARS \
+            or not _RATIONAL.fullmatch(value):
+        raise SchemaError(f"{where}: expected an int or a 'p/q' string, got {value!r:.80}")
     try:
-        return rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: bad rational {value!r}") from exc
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise SchemaError(f"{where}: zero denominator in {value!r}") from exc
 
 
 def document_kind(doc: Mapping[str, Any]) -> str:
@@ -65,7 +75,7 @@ def leibniz_from_json(doc: Mapping[str, Any]) -> LeibnizAlgebra:
     if document_kind(doc) != KIND_LEIBNIZ:
         raise SchemaError(f"expected kind {KIND_LEIBNIZ!r}, got {doc.get('kind')!r}")
     dim = _require(doc, "dim", KIND_LEIBNIZ)
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SchemaError(f"'dim' must be a positive integer, got {dim!r}")
     name = doc.get("name", "h")
     if not isinstance(name, str):

@@ -24,6 +24,7 @@ from rackalg.exact_core import (
     FinVec,
     Label,
     SpanSolver,
+    bilinear,
     kernel_basis,
     rational,
     span_basis,
@@ -49,6 +50,7 @@ class LeibnizAlgebra:
                 raise ValueError(f"bracket key ({j!r}, {k!r}) not in basis {self.basis.name}")
             if v.basis is not self.basis and v.basis != self.basis:
                 raise ValueError(f"bracket value for ({j!r}, {k!r}) lives in the wrong space")
+        object.__setattr__(self, "_zero", FinVec.zero(self.basis))
 
     @staticmethod
     def from_table(dim: int,
@@ -68,19 +70,11 @@ class LeibnizAlgebra:
         return self.basis.dim
 
     def bracket_of_labels(self, j: Label, k: Label) -> FinVec:
-        return self.bracket.get((j, k)) or FinVec.zero(self.basis)
+        return self.bracket.get((j, k)) or self._zero
 
     def bracket_of(self, x: FinVec, y: FinVec) -> FinVec:
         """Bilinear extension of the bracket table."""
-        items = []
-        for j, cj in x.entries.items():
-            for k, ck in y.entries.items():
-                w = self.bracket.get((j, k))
-                if w is None:
-                    continue
-                c = cj * ck
-                items.extend((lab, c * cv) for lab, cv in w.entries.items())
-        return FinVec.build(self.basis, items)
+        return bilinear(self.basis, self.bracket_of_labels, x, y)
 
     def ad(self, x: FinVec) -> FinMap:
         """Left adjoint map ad_x = [x, -]."""

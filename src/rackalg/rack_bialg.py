@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from rackalg.env_hopf import EnvelopingHopf, enveloping_hopf, module_action, phi_map
+from rackalg.env_hopf import enveloping_hopf, module_action, phi_map
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
@@ -37,16 +37,21 @@ from rackalg.exact_core import (
     FinVec,
     Label,
     SpanSolver,
+    bilinear,
+    linear_sum,
     merge_labels,
     split_label,
     tensor_basis,
     tensor_product_map,
+    tensor_sum,
 )
 from rackalg.groups import FiniteGroup, GroupHopf, group_hopf, group_like_coalgebra
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz, left_center, quotient_lie
 from rackalg.symcoalg import (
     Coalgebra,
     check_coalgebra,
+    check_coalgebra_map,
+    check_multiplicative,
     coalgebra_filtration,
     is_cocommutative,
     primitives,
@@ -162,8 +167,12 @@ class RackBialgebra:
     def basis(self) -> Basis:
         return self.carrier.basis
 
+    def pair(self, la: Label, lb: Label) -> FinVec:
+        """Product of two basis labels: a column of ``mu``."""
+        return self.mu.column(merge_labels(self.basis, la, lb))
+
     def apply(self, a: FinVec, b: FinVec) -> FinVec:
-        return self.mu(a.tensor(b, self.mu.domain))
+        return bilinear(self.basis, self.pair, a, b)
 
 
 def certify(rb: RackBialgebra) -> RackBialgebra:
@@ -176,59 +185,39 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
     """
     c = rb.carrier
     basis = c.basis
-    square = c.square
-    if rb.mu.domain != square or rb.mu.codomain != basis:
+    labels = basis.labels
+    if rb.mu.domain != c.square or rb.mu.codomain != basis:
         raise SchemaError(f"product of {basis.name} must map its tensor square to itself")
     check_coalgebra(c)
 
-    prod: dict[tuple[Label, Label], FinVec] = {}
-    for la in basis.labels:
-        for lb in basis.labels:
-            prod[(la, lb)] = rb.mu.column(merge_labels(basis, la, lb))
-    sweedlers = {lab: c.sweedler(FinVec.unit(basis, lab)) for lab in basis.labels}
-    eps = {lab: c.counit.get(lab, ZERO) for lab in basis.labels}
+    prod = {(la, lb): rb.pair(la, lb) for la in labels for lb in labels}
 
-    def prod_vec(a: FinVec, b: FinVec) -> FinVec:
-        out = FinVec.zero(basis)
-        for la, ca in a.entries.items():
-            for lb, cb in b.entries.items():
-                out = out + prod[(la, lb)].scale(ca * cb)
-        return out
+    def pair(la: Label, lb: Label) -> FinVec:
+        return prod[la, lb]
 
     one = c.unit
-    got = prod_vec(one, one)
+    got = bilinear(basis, pair, one, one)
     if got != one:
         raise AxiomViolation("unit square", "1", got, one)
-    for lab in basis.labels:
+    for lab in labels:
         a = FinVec.unit(basis, lab)
-        lhs = prod_vec(one, a)
+        lhs = bilinear(basis, pair, one, a)
         if lhs != a:
             raise AxiomViolation("left unit", lab, lhs, a)
-        lhs = prod_vec(a, one)
-        rhs = one.scale(eps[lab])
+        lhs = bilinear(basis, pair, a, one)
+        rhs = one.scale(c.counit.get(lab, ZERO))
         if lhs != rhs:
             raise AxiomViolation("unit absorption", lab, lhs, rhs)
-    for la in basis.labels:
-        for lb in basis.labels:
-            got_eps = c.eps_of(prod[(la, lb)])
-            want_eps = eps[la] * eps[lb]
-            if got_eps != want_eps:
-                raise AxiomViolation("counit multiplicativity", (la, lb), got_eps, want_eps)
-            lhs2 = c.delta(prod[(la, lb)])
-            rhs2 = FinVec.zero(square)
-            for a1, a2, ca in sweedlers[la]:
-                for b1, b2, cb in sweedlers[lb]:
-                    rhs2 = rhs2 + prod[(a1, b1)].tensor(prod[(a2, b2)], square).scale(ca * cb)
-            if lhs2 != rhs2:
-                raise AxiomViolation("coproduct multiplicativity", (la, lb), lhs2, rhs2)
-    for la in basis.labels:
+    check_multiplicative(c, pair, itertools.product(labels, repeat=2),
+                         "coproduct multiplicativity", "counit multiplicativity")
+    for la in labels:
         ea = FinVec.unit(basis, la)
-        for lb in basis.labels:
-            for lc in basis.labels:
-                lhs = prod_vec(ea, prod[(lb, lc)])
-                rhs = FinVec.zero(basis)
-                for a1, a2, ca in sweedlers[la]:
-                    rhs = rhs + prod_vec(prod[(a1, lb)], prod[(a2, lc)]).scale(ca)
+        legs = c.legs(la)
+        for lb in labels:
+            for lc in labels:
+                lhs = bilinear(basis, pair, ea, prod[lb, lc])
+                rhs = linear_sum(basis, ((bilinear(basis, pair, prod[a1, lb], prod[a2, lc]), ca)
+                                         for a1, a2, ca in legs))
                 if lhs != rhs:
                     raise AxiomViolation("self-distributivity", (la, lb, lc), lhs, rhs)
     return dataclasses.replace(rb, certified=True)
@@ -302,19 +291,11 @@ def gauge(rb: RackBialgebra, f: FinMap) -> RackBialgebra:
         raise SchemaError("gauge map must be an endomorphism of the carrier")
     if f(c.unit) != c.unit:
         raise AxiomViolation("gauge fixes coaugmentation", "1", f(c.unit), c.unit)
-    lhs_map = c.delta.compose(f)
-    rhs_map = tensor_product_map(f, f).compose(c.delta)
-    for lab in basis.labels:
-        if lhs_map.column(lab) != rhs_map.column(lab):
-            raise AxiomViolation("gauge comultiplicativity", lab,
-                                 lhs_map.column(lab), rhs_map.column(lab))
-        if c.eps_of(f.column(lab)) != c.counit.get(lab, ZERO):
-            raise AxiomViolation("gauge counit", lab,
-                                 c.eps_of(f.column(lab)), c.counit.get(lab, ZERO))
+    check_coalgebra_map(c, c, f.column, basis.labels, "gauge")
     for la in basis.labels:
         ea = FinVec.unit(basis, la)
         for lb in basis.labels:
-            lhs = f(rb.mu.column(merge_labels(basis, la, lb)))
+            lhs = f(rb.pair(la, lb))
             rhs = rb.apply(ea, f.column(lb))
             if lhs != rhs:
                 raise GaugeEquivarianceViolation(
@@ -331,20 +312,17 @@ def adjoint_action(hopf, u: FinVec, v: FinVec) -> FinVec:
     one degree of headroom because commutators preserve filtration degree.
     """
     if isinstance(hopf, GroupHopf):
-        out = FinVec.zero(hopf.basis)
-        for g, cg in u.entries.items():
-            for x, cx in v.entries.items():
-                out = out + FinVec.unit(hopf.basis, hopf.group.conjugate(g, x)).scale(cg * cx)
-        return out
-    out = FinVec.zero(hopf.basis)
-    for word, cu in u.entries.items():
-        assert isinstance(word, tuple)
+        return bilinear(hopf.basis, lambda g, x: FinVec.unit(
+            hopf.basis, hopf.group.conjugate(g, x)), u, v)
+
+    def fold(word: tuple[Label, ...]) -> FinVec:
         acc = v
         for lab in reversed(word):
             letter = FinVec.unit(hopf.basis, (lab,))
             acc = hopf.product(letter, acc) - hopf.product(acc, letter)
-        out = out + acc.scale(cu)
-    return out
+        return acc
+
+    return linear_sum(hopf.basis, ((fold(word), cu) for word, cu in u.entries.items()))
 
 
 def hopf_adjoint(hopf, degree: int | None = None) -> RackBialgebra:
@@ -404,21 +382,9 @@ class AugmentedRackBialgebra:
         return self.rack.carrier
 
     def act(self, u: FinVec, a: FinVec) -> FinVec:
-        return self.action(u.tensor(a, self.action.domain))
-
-
-def _h_deg(hopf, lab: Label) -> int:
-    return len(lab) if isinstance(hopf, EnvelopingHopf) else 0
-
-
-def _value_degree(hopf, v: FinVec) -> int:
-    if isinstance(hopf, EnvelopingHopf):
-        return max((len(w) for w in v.entries), default=0)
-    return 0
-
-
-def _fits(hopf, degree: int) -> bool:
-    return degree <= hopf.cap if isinstance(hopf, EnvelopingHopf) else True
+        hb, cb = u.basis, self.action.codomain
+        return bilinear(cb, lambda lu, la: self.action.column(
+            merge_labels(hb, lu) + merge_labels(cb, la)), u, a)
 
 
 def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
@@ -446,16 +412,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     def unit_b(lab: Label) -> FinVec:
         return FinVec.unit(bc.basis, lab)
 
-    lhs_map = hc.delta.compose(phi)
-    rhs_map = tensor_product_map(phi, phi).compose(bc.delta)
-    for lab in bc.basis.labels:
-        if lhs_map.column(lab) != rhs_map.column(lab):
-            raise AxiomViolation("augmentation comultiplicativity", lab,
-                                 lhs_map.column(lab), rhs_map.column(lab))
-        got_eps = hc.eps_of(phi.column(lab))
-        want_eps = bc.counit.get(lab, ZERO)
-        if got_eps != want_eps:
-            raise AxiomViolation("augmentation counit", lab, got_eps, want_eps)
+    check_coalgebra_map(bc, hc, phi.column, bc.basis.labels, "augmentation")
     if phi(bc.unit) != hc.unit:
         raise AxiomViolation("augmentation coaugmentation", "1", phi(bc.unit), hc.unit)
 
@@ -472,9 +429,9 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
 
     for lu in hc.basis.labels:
         for lv in hc.basis.labels:
-            if not _fits(hopf, _h_deg(hopf, lu) + _h_deg(hopf, lv)):
+            if not hopf.fits(hopf.degree(lu) + hopf.degree(lv)):
                 continue
-            uv = hopf.product(unit_h(lu), unit_h(lv))
+            uv = hopf.pair(lu, lv)
             for la in bc.basis.labels:
                 a = unit_b(la)
                 lhs = arb.act(uv, a)
@@ -484,16 +441,13 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
 
     square_b = bc.square
     for lh in hc.basis.labels:
-        hsw = hc.sweedler(unit_h(lh))
         eps_h = hc.counit.get(lh, ZERO)
         for la in bc.basis.labels:
             v = arb.act(unit_h(lh), unit_b(la))
             lhs = bc.delta(v)
-            rhs = FinVec.zero(square_b)
-            for h1, h2, ch in hsw:
-                for a1, a2, ca in bc.sweedler(unit_b(la)):
-                    rhs = rhs + arb.act(unit_h(h1), unit_b(a1)).tensor(
-                        arb.act(unit_h(h2), unit_b(a2)), square_b).scale(ch * ca)
+            rhs = tensor_sum(square_b, (
+                (arb.act(unit_h(h1), unit_b(a1)), arb.act(unit_h(h2), unit_b(a2)), ch * ca)
+                for h1, h2, ch in hc.legs(lh) for a1, a2, ca in bc.legs(la)))
             if lhs != rhs:
                 raise AxiomViolation("action comultiplicativity", (lh, la), lhs, rhs)
             got_eps = bc.eps_of(v)
@@ -505,7 +459,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
         u = unit_h(lh)
         for la in bc.basis.labels:
             pa = phi.column(la)
-            if not _fits(hopf, _value_degree(hopf, pa) + 1):
+            if not hopf.fits(max((hopf.degree(w) for w in pa.entries), default=0) + 1):
                 continue
             lhs = phi(arb.act(u, unit_b(la)))
             rhs = adjoint_action(hopf, u, pa)
@@ -516,24 +470,21 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
         pa = phi.column(la)
         for lb in bc.basis.labels:
             want = arb.act(pa, unit_b(lb))
-            got = arb.rack.mu.column(merge_labels(bc.basis, la, lb))
+            got = arb.rack.pair(la, lb)
             if got != want:
                 raise AxiomViolation("induced product", (la, lb), got, want)
 
     anti = hopf.antipode_map()
     for la in bc.basis.labels:
-        asw = bc.sweedler(unit_b(la))
+        legs = bc.legs(la)
         eps_a = bc.counit.get(la, ZERO)
         for lb in bc.basis.labels:
             b = unit_b(lb)
             want = b.scale(eps_a)
-            acc1 = FinVec.zero(bc.basis)
-            acc2 = FinVec.zero(bc.basis)
-            for a1, a2, ca in asw:
-                acc1 = acc1 + arb.rack.apply(
-                    unit_b(a1), arb.act(anti(phi.column(a2)), b)).scale(ca)
-                acc2 = acc2 + arb.act(
-                    anti(phi.column(a1)), arb.rack.apply(unit_b(a2), b)).scale(ca)
+            acc1 = linear_sum(bc.basis, ((arb.rack.apply(
+                unit_b(a1), arb.act(anti(phi.column(a2)), b)), ca) for a1, a2, ca in legs))
+            acc2 = linear_sum(bc.basis, ((arb.act(
+                anti(phi.column(a1)), arb.rack.apply(unit_b(a2), b)), ca) for a1, a2, ca in legs))
             if acc1 != want:
                 raise AxiomViolation("left regularity", (la, lb), acc1, want)
             if acc2 != want:
@@ -785,11 +736,8 @@ def yang_baxter_check(rb: RackBialgebra) -> CheckReport:
 
     def r_col(pair: Label) -> FinVec:
         la, lb = split_label(basis, pair)
-        out = FinVec.zero(square)
-        for b1, b2, cb in c.sweedler(FinVec.unit(basis, lb)):
-            out = out + FinVec.unit(basis, b1).tensor(
-                rb.mu.column(merge_labels(basis, b2, la)), square).scale(cb)
-        return out
+        return tensor_sum(square, ((FinVec.unit(basis, b1), rb.pair(b2, la), cb)
+                                   for b1, b2, cb in c.legs(lb)))
 
     r = FinMap.from_function(square, square, r_col)
     ident = FinMap.identity(basis)
@@ -830,22 +778,19 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
         hsw3 = hc.sweedler3(u)
         for la in bc.basis.labels:
             a = FinVec.unit(bc.basis, la)
-            bsw = bc.sweedler(a)
-            worst = max((_value_degree(hopf, arb.phi.column(b1)) for b1, _, _ in bsw),
+            bsw = bc.legs(la)
+            worst = max((hopf.degree(w) for b1, _, _ in bsw for w in arb.phi.column(b1).entries),
                         default=0)
-            if not _fits(hopf, _h_deg(hopf, lh) + worst):
+            if not hopf.fits(hopf.degree(lh) + worst):
                 skipped += 1
                 continue
             checked += 1
             lhs = rho(arb.act(u, a))
-            rhs = FinVec.zero(mixed)
-            for h1, h2, h3, ch in hsw3:
-                sh3 = anti.column(h3)
-                for b1, b2, cb in bsw:
-                    left = hopf.product(hopf.product(
-                        FinVec.unit(hc.basis, h1), arb.phi.column(b1)), sh3)
-                    right = arb.act(FinVec.unit(hc.basis, h2), FinVec.unit(bc.basis, b2))
-                    rhs = rhs + left.tensor(right, mixed).scale(ch * cb)
+            rhs = tensor_sum(mixed, (
+                (hopf.product(hopf.product(FinVec.unit(hc.basis, h1), arb.phi.column(b1)),
+                              anti.column(h3)),
+                 arb.act(FinVec.unit(hc.basis, h2), FinVec.unit(bc.basis, b2)), ch * cb)
+                for h1, h2, h3, ch in hsw3 for b1, b2, cb in bsw))
             if lhs != rhs:
                 return CheckReport(False, checked, axiom="yetter-drinfeld compatibility",
                                    witness=(lh, la),

@@ -56,13 +56,17 @@ from rackalg.exact_core import (
     FinVec,
     Label,
     SpanSolver,
+    bilinear,
     flip_map,
     kernel_basis,
+    linear_sum,
     merge_labels,
     nullspace,
     span_basis,
     split_label,
     tensor_basis,
+    tensor_product_map,
+    tensor_sum,
 )
 from rackalg.groups import FiniteGroup, GroupHopf, group_like_coalgebra
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz, quotient_lie
@@ -76,6 +80,8 @@ from rackalg.rack_bialg import (
 from rackalg.symcoalg import (
     Coalgebra,
     check_coalgebra,
+    check_coalgebra_map,
+    check_multiplicative,
     primitives,
     tensor_coalgebra,
 )
@@ -136,14 +142,12 @@ class RightHopfAlgebra:
     def unit(self) -> FinVec:
         return self.coalgebra.unit
 
+    def pair(self, la: Label, lb: Label) -> FinVec:
+        """Product of two basis labels: a column of ``mul``."""
+        return self.mul.column(merge_labels(self.basis, la, lb))
+
     def product(self, a: FinVec, b: FinVec) -> FinVec:
-        return self.mul(a.tensor(b, self.mul.domain))
-
-
-def _pair_products(h: RightHopfAlgebra) -> dict[tuple[Label, Label], FinVec]:
-    basis = h.basis
-    return {(la, lb): h.mul.column(merge_labels(basis, la, lb))
-            for la in basis.labels for lb in basis.labels}
+        return bilinear(self.basis, self.pair, a, b)
 
 
 def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
@@ -172,100 +176,72 @@ def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
         if flip(col) != col:
             raise AxiomViolation("cocommutativity", lab, flip(col), col)
 
-    prod = _pair_products(h)
+    labels = basis.labels
     one = c.unit
-    sw = {lab: c.sweedler(FinVec.unit(basis, lab)) for lab in basis.labels}
-    eps = {lab: c.counit.get(lab, ZERO) for lab in basis.labels}
     s = h.antipode
-
-    def mul_vec(a: FinVec, b: FinVec) -> FinVec:
-        items: list[tuple[Label, Fraction]] = []
-        for la, ca in a.entries.items():
-            for lb, cb in b.entries.items():
-                items.extend((lt, ca * cb * ct) for lt, ct in prod[(la, lb)].entries.items())
-        return FinVec.build(basis, items)
-
-    for la, lb, lc in itertools.product(basis.labels, repeat=3):
-        lhs = mul_vec(prod[(la, lb)], FinVec.unit(basis, lc))
-        rhs = mul_vec(FinVec.unit(basis, la), prod[(lb, lc)])
+    for la, lb, lc in itertools.product(labels, repeat=3):
+        lhs = h.product(h.pair(la, lb), FinVec.unit(basis, lc))
+        rhs = h.product(FinVec.unit(basis, la), h.pair(lb, lc))
         if lhs != rhs:
             raise AxiomViolation("associativity", (la, lb, lc), lhs, rhs)
 
-    for lab in basis.labels:
+    for lab in labels:
         a = FinVec.unit(basis, lab)
-        got = mul_vec(one, a) if h.side == "right" else mul_vec(a, one)
+        got = h.product(one, a) if h.side == "right" else h.product(a, one)
         if got != a:
             raise AxiomViolation("one-sided unit", lab, got, a)
 
-    ident = FinMap.identity(basis)
-    for la, lb in itertools.product(basis.labels, repeat=2):
-        ab = prod[(la, lb)]
-        rhs = FinVec.zero(square)
-        for a1, a2, ca in sw[la]:
-            for b1, b2, cb in sw[lb]:
-                rhs = rhs + prod[(a1, b1)].tensor(prod[(a2, b2)], square).scale(ca * cb)
-        if c.delta(ab) != rhs:
-            raise AxiomViolation("product comultiplicativity", (la, lb), c.delta(ab), rhs)
-        if c.eps_of(ab) != eps[la] * eps[lb]:
-            raise AxiomViolation("product counit", (la, lb), c.eps_of(ab), eps[la] * eps[lb])
-    if mul_vec(one, one) != one:
-        raise AxiomViolation("unit idempotent", "1", mul_vec(one, one), one)
+    check_multiplicative(c, h.pair, itertools.product(labels, repeat=2),
+                         "product comultiplicativity", "product counit")
+    if h.product(one, one) != one:
+        raise AxiomViolation("unit idempotent", "1", h.product(one, one), one)
 
-    for lab in basis.labels:
-        sa = s.column(lab)
-        rhs = FinVec.zero(square)
-        for l1, l2, cw in sw[lab]:
-            rhs = rhs + s.column(l1).tensor(s.column(l2), square).scale(cw)
-        if c.delta(sa) != rhs:
-            raise AxiomViolation("antipode comultiplicativity", lab, c.delta(sa), rhs)
-        if c.eps_of(sa) != eps[lab]:
-            raise AxiomViolation("antipode counit", lab, c.eps_of(sa), eps[lab])
+    check_coalgebra_map(c, c, s.column, labels, "antipode")
     if s(one) != one:
         raise AxiomViolation("antipode unit", "1", s(one), one)
 
-    for lab in basis.labels:
+    ident = FinMap.identity(basis)
+    ss = s.compose(s)
+    for lab in labels:
         a = FinVec.unit(basis, lab)
-        want = one.scale(eps[lab])
+        want = one.scale(c.counit.get(lab, ZERO))
 
         def conv(f: FinMap, g: FinMap) -> FinVec:
-            acc = FinVec.zero(basis)
-            for l1, l2, cw in sw[lab]:
-                acc = acc + mul_vec(f.column(l1), g.column(l2)).scale(cw)
-            return acc
+            return linear_sum(basis, ((h.product(f.column(l1), g.column(l2)), cw)
+                                      for l1, l2, cw in c.legs(lab)))
 
-        ss = s.compose(s)
         if h.side == "right":
             if conv(ident, s) != want:
                 raise AxiomViolation("defining antipode", lab, conv(ident, s), want)
-            got = mul_vec(conv(s, ident), one)
+            got = h.product(conv(s, ident), one)
             if got != want:
                 raise AxiomViolation("antipode flip identity", lab, got, want)
-            if ss.column(lab) != mul_vec(a, one):
-                raise AxiomViolation("double antipode", lab, ss.column(lab), mul_vec(a, one))
+            if ss.column(lab) != h.product(a, one):
+                raise AxiomViolation("double antipode", lab, ss.column(lab), h.product(a, one))
             if conv(s, ss) != want:
                 raise AxiomViolation("antipode convolution square", lab, conv(s, ss), want)
-            if mul_vec(s.column(lab), one) != s.column(lab):
+            if h.product(s.column(lab), one) != s.column(lab):
                 raise AxiomViolation("antipode unit absorption", lab,
-                                     mul_vec(s.column(lab), one), s.column(lab))
+                                     h.product(s.column(lab), one), s.column(lab))
         else:
             if conv(s, ident) != want:
                 raise AxiomViolation("defining antipode", lab, conv(s, ident), want)
-            got = mul_vec(one, conv(ident, s))
+            got = h.product(one, conv(ident, s))
             if got != want:
                 raise AxiomViolation("antipode flip identity", lab, got, want)
-            if ss.column(lab) != mul_vec(one, a):
-                raise AxiomViolation("double antipode", lab, ss.column(lab), mul_vec(one, a))
+            if ss.column(lab) != h.product(one, a):
+                raise AxiomViolation("double antipode", lab, ss.column(lab), h.product(one, a))
             if conv(ss, s) != want:
                 raise AxiomViolation("antipode convolution square", lab, conv(ss, s), want)
-            if mul_vec(one, s.column(lab)) != s.column(lab):
+            if h.product(one, s.column(lab)) != s.column(lab):
                 raise AxiomViolation("antipode unit absorption", lab,
-                                     mul_vec(one, s.column(lab)), s.column(lab))
+                                     h.product(one, s.column(lab)), s.column(lab))
         if s(s(s(a))) != s(a):
             raise AxiomViolation("triple antipode", lab, s(s(s(a))), s(a))
 
-    for la, lb in itertools.product(basis.labels, repeat=2):
-        lhs = s(prod[(la, lb)])
-        rhs = mul_vec(s.column(lb), s.column(la))
+    for la, lb in itertools.product(labels, repeat=2):
+        lhs = s(h.pair(la, lb))
+        rhs = h.product(s.column(lb), s.column(la))
         if lhs != rhs:
             raise AxiomViolation("antipode antihomomorphism", (la, lb), lhs, rhs)
 
@@ -335,14 +311,13 @@ def idempotent_projector(h: RightHopfAlgebra) -> FinMap:
     c = h.coalgebra
     s = h.antipode
 
+    def term(l1: Label, l2: Label) -> FinVec:
+        if h.side == "right":
+            return h.product(s.column(l1), FinVec.unit(c.basis, l2))
+        return h.product(FinVec.unit(c.basis, l1), s.column(l2))
+
     def col(lab: Label) -> FinVec:
-        acc = FinVec.zero(c.basis)
-        for l1, l2, cw in c.sweedler(FinVec.unit(c.basis, lab)):
-            if h.side == "right":
-                acc = acc + h.product(s.column(l1), FinVec.unit(c.basis, l2)).scale(cw)
-            else:
-                acc = acc + h.product(FinVec.unit(c.basis, l1), s.column(l2)).scale(cw)
-        return acc
+        return linear_sum(c.basis, ((term(l1, l2), cw) for l1, l2, cw in c.legs(lab)))
 
     return FinMap.from_function(c.basis, c.basis, col)
 
@@ -397,17 +372,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     iota = idempotent_projector(h)
     if iota.compose(iota) != iota:
         raise DecompositionFailure("idempotent projector", "iota", iota.compose(iota), iota)
-    lhs_d = c.delta.compose(iota)
-    for lab in basis.labels:
-        rhs = FinVec.zero(square)
-        for l1, l2, cw in c.sweedler(u(lab)):
-            rhs = rhs + iota.column(l1).tensor(iota.column(l2), square).scale(cw)
-        if lhs_d.column(lab) != rhs:
-            raise DecompositionFailure("idempotent comultiplicativity", lab,
-                                       lhs_d.column(lab), rhs)
-        if eps(iota.column(lab)) != c.counit.get(lab, ZERO):
-            raise DecompositionFailure("idempotent counit", lab,
-                                       eps(iota.column(lab)), c.counit.get(lab, ZERO))
+    check_coalgebra_map(c, c, iota.column, basis.labels, "idempotent", DecompositionFailure)
 
     e_basis = span_basis([iota.column(lab) for lab in basis.labels])
     fixed = kernel_basis(iota - FinMap.identity(basis))
@@ -445,9 +410,8 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
                                            h.product(uv, vv), None)
         for which, fv, gv in (("right", FinMap.identity(basis), s),
                               ("left", s, FinMap.identity(basis))):
-            acc = FinVec.zero(basis)
-            for l1, l2, cw in c.sweedler(uv):
-                acc = acc + h.product(fv(u(l1)), gv(u(l2))).scale(cw)
+            acc = linear_sum(basis, ((h.product(fv.column(l1), gv.column(l2)), cw)
+                                     for l1, l2, cw in c.sweedler(uv)))
             if acc != one.scale(eps(uv)):
                 raise DecompositionFailure(f"hopf part {which} antipode", i, acc,
                                            one.scale(eps(uv)))
@@ -459,20 +423,16 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         raise DecompositionFailure("dimension product", basis.name,
                                    basis.dim, len(h1_basis) * len(e_basis))
 
+    def psi_term(l1: Label, l2: Label, l3: Label, cw: Fraction
+                 ) -> tuple[FinVec, FinVec, Fraction]:
+        if h.side == "right":
+            return h.product(u(l1), one), h.product(s.column(l2), u(l3)), cw
+        return h.product(u(l1), s.column(l2)), h.product(one, u(l3)), cw
+
     def psi_col(lab: Label) -> FinVec:
-        out = FinVec.zero(square)
-        alt = FinVec.zero(square)
-        for l1, l2, l3, cw in c.sweedler3(u(lab)):
-            if h.side == "right":
-                out = out + h.product(u(l1), one).tensor(
-                    h.product(s.column(l2), u(l3)), square).scale(cw)
-                alt = alt + h.product(u(l1), one).tensor(
-                    h.product(s.column(l3), u(l2)), square).scale(cw)
-            else:
-                out = out + h.product(u(l1), s.column(l2)).tensor(
-                    h.product(one, u(l3)), square).scale(cw)
-                alt = alt + h.product(u(l1), s.column(l3)).tensor(
-                    h.product(one, u(l2)), square).scale(cw)
+        legs = c.sweedler3(u(lab))
+        out = tensor_sum(square, (psi_term(l1, l2, l3, cw) for l1, l2, l3, cw in legs))
+        alt = tensor_sum(square, (psi_term(l1, l3, l2, cw) for l1, l2, l3, cw in legs))
         if out != alt:
             raise DecompositionFailure("coproduct ordering", lab, out, alt)
         return out
@@ -497,35 +457,30 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
                               lambda lab: one.scale(c.counit.get(lab, ZERO)))
 
     def transfer(va: FinVec, vb: FinVec) -> FinVec:
-        out = FinVec.zero(square)
-        for pa, ca in va.entries.items():
-            a1, a2 = split_label(basis, pa)
-            for pb, cb in vb.entries.items():
-                b1, b2 = split_label(basis, pb)
-                if h.side == "right":
-                    # (u (x) c)(u' (x) c') = u u' (x) eps(c) c'
-                    coeff = ca * cb * c.counit.get(a2, ZERO)
-                    out = out + h.product(u(a1), u(b1)).tensor(u(b2), square).scale(coeff)
-                else:
-                    # (c (x) u)(c' (x) u') = eps(c') c (x) u u'
-                    coeff = ca * cb * c.counit.get(b1, ZERO)
-                    out = out + u(a1).tensor(h.product(u(a2), u(b2)), square).scale(coeff)
-        return out
+        def terms():
+            for pa, ca in va.entries.items():
+                a1, a2 = split_label(basis, pa)
+                for pb, cb in vb.entries.items():
+                    b1, b2 = split_label(basis, pb)
+                    if h.side == "right":
+                        # (u (x) c)(u' (x) c') = u u' (x) eps(c) c'
+                        yield h.pair(a1, b1), u(b2), ca * cb * c.counit.get(a2, ZERO)
+                    else:
+                        # (c (x) u)(c' (x) u') = eps(c') c (x) u u'
+                        yield u(a1), h.pair(a2, b2), ca * cb * c.counit.get(b1, ZERO)
+
+        return tensor_sum(square, terms())
 
     for la, lb in itertools.product(basis.labels, repeat=2):
-        lhs = psi(h.product(u(la), u(lb)))
+        lhs = psi(h.pair(la, lb))
         rhs = transfer(psi.column(la), psi.column(lb))
         if lhs != rhs:
             raise DecompositionFailure("psi multiplicative", (la, lb), lhs, rhs)
+    s_pair = tensor_product_map(s, s0, square, square) if h.side == "right" \
+        else tensor_product_map(s0, s, square, square)
     for lab in basis.labels:
-        lhs = psi(s(u(lab)))
-        rhs = FinVec.zero(square)
-        for pa, ca in psi.column(lab).entries.items():
-            l1, l2 = split_label(basis, pa)
-            if h.side == "right":
-                rhs = rhs + s.column(l1).tensor(s0.column(l2), square).scale(ca)
-            else:
-                rhs = rhs + s0.column(l1).tensor(s.column(l2), square).scale(ca)
+        lhs = psi(s.column(lab))
+        rhs = s_pair(psi.column(lab))
         if lhs != rhs:
             raise DecompositionFailure("psi antipode", lab, lhs, rhs)
 
@@ -556,6 +511,9 @@ class HopfDialgebra:
     certified: bool = False
     report: CheckReport | None = dataclasses.field(default=None, compare=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_zero", FinVec.zero(self.basis))
+
     @property
     def basis(self) -> Basis:
         return self.coalgebra.basis
@@ -570,26 +528,29 @@ class HopfDialgebra:
     def fits(self, degree: int) -> bool:
         return self.cap is None or degree <= self.cap
 
-    def _bilinear(self, table: Mapping[tuple[Label, Label], FinVec],
-                  a: FinVec, b: FinVec, context: str) -> FinVec:
-        items: list[tuple[Label, Fraction]] = []
-        for la, ca in a.entries.items():
-            for lb, cb in b.entries.items():
-                need = self.degree(la) + self.degree(lb)
-                if not self.fits(need):
-                    raise DegreeCapExceeded(need, self.cap, context)
-                col = table.get((la, lb))
-                if col is not None:
-                    items.extend((lt, ca * cb * ct) for lt, ct in col.entries.items())
-        return FinVec.build(self.basis, items)
+    def _entry(self, table: Mapping[tuple[Label, Label], FinVec],
+               la: Label, lb: Label, context: str) -> FinVec:
+        need = self.degree(la) + self.degree(lb)
+        if not self.fits(need):
+            raise DegreeCapExceeded(need, self.cap, context)
+        col = table.get((la, lb))
+        return self._zero if col is None else col
+
+    def vpair(self, la: Label, lb: Label) -> FinVec:
+        """la |- lb on basis labels."""
+        return self._entry(self.vdash, la, lb, "product |-")
+
+    def dpair(self, la: Label, lb: Label) -> FinVec:
+        """la -| lb on basis labels."""
+        return self._entry(self.dashv, la, lb, "product -|")
 
     def vprod(self, a: FinVec, b: FinVec) -> FinVec:
         """a |- b."""
-        return self._bilinear(self.vdash, a, b, "product |-")
+        return bilinear(self.basis, self.vpair, a, b)
 
     def dprod(self, a: FinVec, b: FinVec) -> FinVec:
         """a -| b."""
-        return self._bilinear(self.dashv, a, b, "product -|")
+        return bilinear(self.basis, self.dpair, a, b)
 
     def s(self, a: FinVec) -> FinVec:
         """Antipode, guarded: undefined beyond the cap rather than zero."""
@@ -611,7 +572,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     """
     c = d.coalgebra
     basis = c.basis
-    square = c.square
     if d.antipode.domain != basis or d.antipode.codomain != basis:
         raise SchemaError("antipode must be an endomorphism of the carrier")
     if d.cap is not None and d.cap < 0:
@@ -642,8 +602,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     labs = basis.labels
     deg = {lab: d.degree(lab) for lab in labs}
     one = c.unit
-    sw = {lab: c.sweedler(FinVec.unit(basis, lab)) for lab in labs}
-    eps = {lab: c.counit.get(lab, ZERO) for lab in labs}
     s = d.antipode
 
     def u(lab: Label) -> FinVec:
@@ -659,7 +617,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
             skipped_labels += 1
             continue
         a = u(lab)
-        want = one.scale(eps[lab])
+        want = one.scale(c.counit.get(lab, ZERO))
         got = d.vprod(one, a)
         if got != a:
             raise AxiomViolation("bar-unit left", lab, got, a)
@@ -670,27 +628,19 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         rhs = d.dprod(one, a)
         if lhs != rhs:
             raise AxiomViolation("balanced", lab, lhs, rhs)
+        check_coalgebra_map(c, c, s.column, (lab,), "antipode")
         sa = s.column(lab)
-        srhs = FinVec.zero(square)
-        for l1, l2, cw in sw[lab]:
-            srhs = srhs + s.column(l1).tensor(s.column(l2), square).scale(cw)
-        if c.delta(sa) != srhs:
-            raise AxiomViolation("antipode comultiplicativity", lab, c.delta(sa), srhs)
-        if c.eps_of(sa) != eps[lab]:
-            raise AxiomViolation("antipode counit", lab, c.eps_of(sa), eps[lab])
-        acc_r = FinVec.zero(basis)
-        acc_l = FinVec.zero(basis)
-        flip_r = FinVec.zero(basis)
-        flip_l = FinVec.zero(basis)
-        conv_r = FinVec.zero(basis)
-        conv_l = FinVec.zero(basis)
-        for l1, l2, cw in sw[lab]:
-            acc_r = acc_r + d.vprod(u(l1), s.column(l2)).scale(cw)
-            acc_l = acc_l + d.dprod(s.column(l1), u(l2)).scale(cw)
-            flip_r = flip_r + d.vprod(d.vprod(s.column(l1), u(l2)), one).scale(cw)
-            flip_l = flip_l + d.dprod(one, d.dprod(u(l1), s.column(l2))).scale(cw)
-            conv_r = conv_r + d.vprod(s.column(l1), s(s.column(l2))).scale(cw)
-            conv_l = conv_l + d.dprod(s(s.column(l1)), s.column(l2)).scale(cw)
+        legs = c.legs(lab)
+
+        def conv(term) -> FinVec:
+            return linear_sum(basis, ((term(l1, l2), cw) for l1, l2, cw in legs))
+
+        acc_r = conv(lambda l1, l2: d.vprod(u(l1), s.column(l2)))
+        acc_l = conv(lambda l1, l2: d.dprod(s.column(l1), u(l2)))
+        flip_r = conv(lambda l1, l2: d.vprod(d.vprod(s.column(l1), u(l2)), one))
+        flip_l = conv(lambda l1, l2: d.dprod(one, d.dprod(u(l1), s.column(l2))))
+        conv_r = conv(lambda l1, l2: d.vprod(s.column(l1), s(s.column(l2))))
+        conv_l = conv(lambda l1, l2: d.dprod(s(s.column(l1)), s.column(l2)))
         if acc_r != want:
             raise AxiomViolation("right antipode for |-", lab, acc_r, want)
         if acc_l != want:
@@ -722,24 +672,14 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         if not d.fits(deg[la] + deg[lb]):
             skipped_pairs += 1
             continue
-        a, b = u(la), u(lb)
-        for name, pr in (("|-", d.vprod), ("-|", d.dprod)):
-            ab = pr(a, b)
-            rhs = FinVec.zero(square)
-            for a1, a2, ca in sw[la]:
-                for b1, b2, cb in sw[lb]:
-                    rhs = rhs + pr(u(a1), u(b1)).tensor(pr(u(a2), u(b2)), square).scale(ca * cb)
-            if c.delta(ab) != rhs:
-                raise AxiomViolation(f"product comultiplicativity ({name})", (la, lb),
-                                     c.delta(ab), rhs)
-            if c.eps_of(ab) != eps[la] * eps[lb]:
-                raise AxiomViolation(f"product counit ({name})", (la, lb),
-                                     c.eps_of(ab), eps[la] * eps[lb])
-        lhs = s(d.vprod(a, b))
+        for name, pair in (("|-", d.vpair), ("-|", d.dpair)):
+            check_multiplicative(c, pair, ((la, lb),), f"product comultiplicativity ({name})",
+                                 f"product counit ({name})")
+        lhs = s(d.vpair(la, lb))
         rhs = d.vprod(s.column(lb), s.column(la))
         if lhs != rhs:
             raise AxiomViolation("antipode antihomomorphism (|-)", (la, lb), lhs, rhs)
-        lhs = s(d.dprod(a, b))
+        lhs = s(d.dpair(la, lb))
         rhs = d.dprod(s.column(lb), s.column(la))
         if lhs != rhs:
             raise AxiomViolation("antipode antihomomorphism (-|)", (la, lb), lhs, rhs)
@@ -749,11 +689,11 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         if not d.fits(deg[la] + deg[lb] + deg[lc]):
             skipped_triples += 1
             continue
-        a, b, cc = u(la), u(lb), u(lc)
-        ab_v = d.vprod(a, b)
-        ab_d = d.dprod(a, b)
-        bc_v = d.vprod(b, cc)
-        bc_d = d.dprod(b, cc)
+        a, cc = u(la), u(lc)
+        ab_v = d.vpair(la, lb)
+        ab_d = d.dpair(la, lb)
+        bc_v = d.vpair(lb, lc)
+        bc_d = d.dpair(lb, lc)
         lhs = d.vprod(ab_v, cc)
         rhs = d.vprod(a, bc_v)
         if lhs != rhs:
@@ -795,7 +735,7 @@ def hopf_as_dialgebra(hopf) -> HopfDialgebra:
         table: dict[tuple[Label, Label], FinVec] = {}
         for wa in basis.labels:
             for wb in basis.labels:
-                if len(wa) + len(wb) <= hopf.cap:
+                if hopf.fits(len(wa) + len(wb)):
                     val = hopf.straighten(wa + wb)
                     if not val.is_zero:
                         table[(wa, wb)] = val
@@ -806,10 +746,7 @@ def hopf_as_dialgebra(hopf) -> HopfDialgebra:
 
 def _carrier_degree(hopf, lab: Label) -> int:
     bl, hl = lab
-    dgr = len(bl) if isinstance(bl, tuple) else 0
-    if isinstance(hopf, EnvelopingHopf):
-        dgr += len(hl)
-    return dgr
+    return (len(bl) if isinstance(bl, tuple) else 0) + hopf.degree(hl)
 
 
 def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
@@ -831,11 +768,6 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     basis = carrier.basis
     degrees = {lab: _carrier_degree(hopf, lab) for lab in basis.labels
                if _carrier_degree(hopf, lab)}
-    cap = hopf.cap if isinstance(hopf, EnvelopingHopf) else None
-
-    def fits(dgr: int) -> bool:
-        return cap is None or dgr <= cap
-
     phi_cache: dict[Label, FinVec] = {}
 
     def phi_full(lab: Label) -> FinVec:
@@ -851,26 +783,23 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     dashv: dict[tuple[Label, Label], FinVec] = {}
     for x in basis.labels:
         dx = degrees.get(x, 0)
-        if not fits(dx):
+        if not hopf.fits(dx):
             continue
         ux = phi_full(x)
         sw_x = hc.sweedler(ux)
         for y in basis.labels:
-            if not fits(dx + degrees.get(y, 0)):
+            if not hopf.fits(dx + degrees.get(y, 0)):
                 continue
             by, hy = y
-            acc = FinVec.zero(basis)
-            for u1, u2, cw in sw_x:
-                acted = arb.act(FinVec.unit(hc.basis, u1), FinVec.unit(bc.basis, by))
-                mult = hopf.product(FinVec.unit(hc.basis, u2), FinVec.unit(hc.basis, hy))
-                acc = acc + acted.tensor(mult, basis).scale(cw)
+            acc = tensor_sum(basis, ((arb.act(FinVec.unit(hc.basis, u1), FinVec.unit(bc.basis, by)),
+                                      hopf.pair(u2, hy), cw) for u1, u2, cw in sw_x))
             if not acc.is_zero:
                 vdash[(x, y)] = acc
     for x in basis.labels:
         dx = degrees.get(x, 0)
         bx, hx = x
         for y in basis.labels:
-            if not fits(dx + degrees.get(y, 0)):
+            if not hopf.fits(dx + degrees.get(y, 0)):
                 continue
             val = FinVec.unit(bc.basis, bx).tensor(
                 hopf.product(FinVec.unit(hc.basis, hx), phi_full(y)), basis)
@@ -879,20 +808,20 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
 
     s_cols: dict[Label, FinVec] = {}
     for lab in basis.labels:
-        if not fits(degrees.get(lab, 0)):
+        if not hopf.fits(degrees.get(lab, 0)):
             continue
         val = bc.unit.tensor(s_hopf(phi_full(lab)), basis)
         if not val.is_zero:
             s_cols[lab] = val
     antipode = FinMap(basis, basis, s_cols)
 
-    d = certify_dialgebra(HopfDialgebra(carrier, vdash, dashv, antipode, degrees, cap))
+    d = certify_dialgebra(HopfDialgebra(carrier, vdash, dashv, antipode, degrees, hopf.cap))
 
     prim_b = primitives(bc)
     prim_h = primitives(hc)
     unit_b = bc.unit
     unit_h = hc.unit
-    if fits(2):
+    if hopf.fits(2):
         def emb_b(x: FinVec) -> FinVec:
             return x.tensor(unit_h, basis)
 
@@ -935,12 +864,9 @@ def dialgebra_rack_product(d: HopfDialgebra, a: FinVec, b: FinVec) -> FinVec:
     """a |> b = sum (a1 |- b) -| S(a2)."""
     c = d.coalgebra
     basis = c.basis
-    out = FinVec.zero(basis)
-    for la, ca in a.entries.items():
-        for l1, l2, cw in c.sweedler(FinVec.unit(basis, la)):
-            left = d.vprod(FinVec.unit(basis, l1), b)
-            out = out + d.dprod(left, d.s(FinVec.unit(basis, l2))).scale(ca * cw)
-    return out
+    return linear_sum(basis, (
+        (d.dprod(d.vprod(FinVec.unit(basis, l1), b), d.s(FinVec.unit(basis, l2))), ca * cw)
+        for la, ca in a.entries.items() for l1, l2, cw in c.legs(la)))
 
 
 def dialgebra_leibniz(d: HopfDialgebra) -> LeibnizAlgebra:
@@ -973,7 +899,7 @@ def _restrict_coalgebra(c: Coalgebra, keep: Sequence[Label], name: str) -> Coalg
 
     def col(lab: Label) -> FinVec:
         items = []
-        for l1, l2, cw in c.sweedler(FinVec.unit(c.basis, lab)):
+        for l1, l2, cw in c.legs(lab):
             if l1 not in sub or l2 not in sub:
                 raise RackalgError(f"label set is not a subcoalgebra at {lab!r}")
             items.append(((l1, l2), cw))
@@ -1017,13 +943,6 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
             rack_tab[(la, lb)] = col
         return col
 
-    def rack_apply(a: FinVec, b: FinVec) -> FinVec:
-        out = FinVec.zero(c.basis)
-        for la, ca in a.entries.items():
-            for lb, cb in b.entries.items():
-                out = out + rack_units(la, lb).scale(ca * cb)
-        return out
-
     def mu_col(pair: Label) -> FinVec:
         la, lb = split_label(basis, pair)
         val = rack_units(la, lb)
@@ -1043,18 +962,17 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
         a = FinVec.unit(c.basis, la)
         b = FinVec.unit(c.basis, lb)
         cc = FinVec.unit(c.basis, lc)
-        lhs = rack_apply(a, rack_units(lb, lc))
-        r1 = rack_apply(d.vprod(a, b), cc)
+        lhs = bilinear(c.basis, rack_units, a, rack_units(lb, lc))
+        r1 = bilinear(c.basis, rack_units, d.vprod(a, b), cc)
         if lhs != r1:
             raise AxiomViolation("module identity (|-)", (la, lb, lc), lhs, r1)
-        r2 = rack_apply(d.dprod(a, b), cc)
+        r2 = bilinear(c.basis, rack_units, d.dprod(a, b), cc)
         if lhs != r2:
             raise AxiomViolation("module identity (-|)", (la, lb, lc), lhs, r2)
         for name, pr in (("|-", d.vprod), ("-|", d.dprod)):
-            lhs2 = rack_apply(a, pr(b, cc))
-            rhs2 = FinVec.zero(c.basis)
-            for l1, l2, cw in c.sweedler(a):
-                rhs2 = rhs2 + pr(rack_units(l1, lb), rack_units(l2, lc)).scale(cw)
+            lhs2 = bilinear(c.basis, rack_units, a, pr(b, cc))
+            rhs2 = linear_sum(c.basis, ((pr(rack_units(l1, lb), rack_units(l2, lc)), cw)
+                                        for l1, l2, cw in c.legs(la)))
             if lhs2 != rhs2:
                 raise AxiomViolation(f"module algebra ({name})", (la, lb, lc), lhs2, rhs2)
     return rb
@@ -1104,21 +1022,22 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     def eps(v: FinVec) -> Fraction:
         return c.eps_of(v)
 
-    iota_cols: dict[Label, FinVec] = {}
-    for lab in fit_labels:
-        acc = FinVec.zero(basis)
-        for l1, l2, cw in c.sweedler(u(lab)):
-            acc = acc + d.dprod(u(l1), d.s(u(l2))).scale(cw)
-        iota_cols[lab] = acc
+    def apply_cols(cols: dict[Label, FinVec], v: FinVec, target: Basis, context: str) -> FinVec:
+        """The linear map given by ``cols`` on the labels within the cap."""
+        def col(lab: Label) -> FinVec:
+            got = cols.get(lab)
+            if got is None:
+                raise DegreeCapExceeded(d.degree(lab), d.cap, context)
+            return got
+
+        return linear_sum(target, ((col(lab), cv) for lab, cv in v.entries.items()))
+
+    iota_cols = {lab: linear_sum(basis, ((d.dprod(u(l1), d.s(u(l2))), cw)
+                                         for l1, l2, cw in c.legs(lab)))
+                 for lab in fit_labels}
 
     def iota(v: FinVec) -> FinVec:
-        out = FinVec.zero(basis)
-        for lab, cv in v.entries.items():
-            col = iota_cols.get(lab)
-            if col is None:
-                raise DegreeCapExceeded(d.degree(lab), d.cap, "idempotent projector")
-            out = out + col.scale(cv)
-        return out
+        return apply_cols(iota_cols, v, basis, "idempotent projector")
 
     for lab in fit_labels:
         v = iota_cols[lab]
@@ -1136,9 +1055,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         raise DecompositionFailure("idempotent part", "fixed space",
                                    len(fixed), len(e_basis))
     for i, ev in enumerate(e_basis):
-        sweedler_sums = FinVec.zero(basis)
-        for l1, l2, cw in c.sweedler(ev):
-            sweedler_sums = sweedler_sums + d.dprod(u(l1), u(l2)).scale(cw)
+        sweedler_sums = linear_sum(basis, ((d.dpair(l1, l2), cw) for l1, l2, cw in c.sweedler(ev)))
         if sweedler_sums != ev:
             raise DecompositionFailure("generalized idempotent (-|)", i, sweedler_sums, ev)
         if d.s(ev) != one.scale(eps(ev)):
@@ -1162,13 +1079,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     pi_cols = {lab: d.dprod(one, u(lab)) for lab in fit_labels}
 
     def pi(v: FinVec) -> FinVec:
-        out = FinVec.zero(basis)
-        for lab, cv in v.entries.items():
-            col = pi_cols.get(lab)
-            if col is None:
-                raise DegreeCapExceeded(d.degree(lab), d.cap, "hopf part projector")
-            out = out + col.scale(cv)
-        return out
+        return apply_cols(pi_cols, v, basis, "hopf part projector")
 
     for lab in fit_labels:
         if pi(pi_cols[lab]) != pi_cols[lab]:
@@ -1228,30 +1139,20 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         raise DecompositionFailure("associativity ideal", "kernel",
                                    len(pi_kernel), len(ideal))
 
-    psi_cols: dict[Label, FinVec] = {}
-    for lab in fit_labels:
-        acc = FinVec.zero(square)
-        for l1, l2, l3, cw in c.sweedler3(u(lab)):
-            left = d.dprod(u(l1), d.s(u(l2)))
-            right = d.dprod(one, u(l3))
-            acc = acc + left.tensor(right, square).scale(cw)
-        psi_cols[lab] = acc
+    psi_cols = {lab: tensor_sum(square, ((d.dprod(u(l1), d.s(u(l2))), d.dprod(one, u(l3)), cw)
+                                         for l1, l2, l3, cw in c.sweedler3(u(lab))))
+                for lab in fit_labels}
     psi = FinMap(basis, square, {lab: v for lab, v in psi_cols.items() if not v.is_zero})
 
     def psi_apply(v: FinVec) -> FinVec:
-        out = FinVec.zero(square)
-        for lab, cv in v.entries.items():
-            col = psi_cols.get(lab)
-            if col is None:
-                raise DegreeCapExceeded(d.degree(lab), d.cap, "psi")
-            out = out + col.scale(cv)
-        return out
+        return apply_cols(psi_cols, v, square, "psi")
+
+    def legs(w: FinVec) -> list[tuple[Label, Label, Fraction]]:
+        """Terms (l1, l2, coefficient) of a vector of the tensor square."""
+        return [split_label(basis, pair) + (cw,) for pair, cw in w.entries.items()]
 
     for lab in fit_labels:
-        acc = FinVec.zero(basis)
-        for pair, cw in psi_cols[lab].entries.items():
-            l1, l2 = split_label(basis, pair)
-            acc = acc + d.dprod(u(l1), u(l2)).scale(cw)
+        acc = linear_sum(basis, ((d.dpair(l1, l2), cw) for l1, l2, cw in legs(psi_cols[lab])))
         if acc != u(lab):
             raise DecompositionFailure("psi left inverse", lab, acc, u(lab))
         checked += 1
@@ -1279,32 +1180,22 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             continue
         try:
             # transferred |-: (c (x) h)(c' (x) h') = eps(c) sum (h1 |> c') (x) (h2 -| h')
-            lhs = psi_apply(d.vprod(u(la), u(lb)))
-            rhs = FinVec.zero(square)
-            for pa, ca in psi_cols[la].entries.items():
-                a1, a2 = split_label(basis, pa)
-                if not eps_lab[a1]:
-                    continue
-                for pb, cb in psi_cols[lb].entries.items():
-                    b1, b2 = split_label(basis, pb)
-                    coeff = ca * cb * eps_lab[a1]
-                    for h1, h2, cw in c.sweedler(u(a2)):
-                        acted = dialgebra_rack_product(d, u(h1), u(b1))
-                        tail = d.dprod(u(h2), u(b2))
-                        rhs = rhs + acted.tensor(tail, square).scale(coeff * cw)
+            lhs = psi_apply(d.vpair(la, lb))
+            legs_a = legs(psi_cols[la])
+            legs_b = legs(psi_cols[lb])
+            rhs = tensor_sum(square, (
+                (dialgebra_rack_product(d, u(h1), u(b1)), d.dpair(h2, b2),
+                 ca * cb * eps_lab[a1] * cw)
+                for a1, a2, ca in legs_a if eps_lab[a1]
+                for b1, b2, cb in legs_b
+                for h1, h2, cw in c.legs(a2)))
             if lhs != rhs:
                 raise DecompositionFailure("psi multiplicative (|-)", (la, lb), lhs, rhs)
             # transferred -|: (c (x) h)(c' (x) h') = eps(c') c (x) (h -| h')
-            lhs = psi_apply(d.dprod(u(la), u(lb)))
-            rhs = FinVec.zero(square)
-            for pa, ca in psi_cols[la].entries.items():
-                a1, a2 = split_label(basis, pa)
-                for pb, cb in psi_cols[lb].entries.items():
-                    b1, b2 = split_label(basis, pb)
-                    if not eps_lab[b1]:
-                        continue
-                    coeff = ca * cb * eps_lab[b1]
-                    rhs = rhs + u(a1).tensor(d.dprod(u(a2), u(b2)), square).scale(coeff)
+            lhs = psi_apply(d.dpair(la, lb))
+            rhs = tensor_sum(square, ((u(a1), d.dpair(a2, b2), ca * cb * eps_lab[b1])
+                                      for a1, a2, ca in legs_a
+                                      for b1, b2, cb in legs_b if eps_lab[b1]))
             if lhs != rhs:
                 raise DecompositionFailure("psi multiplicative (-|)", (la, lb), lhs, rhs)
             checked += 1
@@ -1313,10 +1204,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     for lab in fit_labels:
         try:
             lhs = psi_apply(d.s(u(lab)))
-            rhs = FinVec.zero(square)
-            for pa, ca in psi_cols[lab].entries.items():
-                l1, l2 = split_label(basis, pa)
-                rhs = rhs + one.scale(eps_lab[l1]).tensor(d.s(u(l2)), square).scale(ca)
+            rhs = tensor_sum(square, ((one, d.s(u(l2)), ca * eps_lab[l1])
+                                      for l1, l2, ca in legs(psi_cols[lab])))
             if lhs != rhs:
                 raise DecompositionFailure("psi antipode", lab, lhs, rhs)
             checked += 1
@@ -1332,13 +1221,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             for lab, cv in solver.residue(p).entries.items():
                 rows.setdefault(lab, {})[i] = cv
         combos = nullspace(rows.values(), len(prims))
-        out = []
-        for combo in combos:
-            v = FinVec.zero(basis)
-            for i, cv in combo.items():
-                v = v + prims[i].scale(cv)
-            out.append(v)
-        return out
+        return [linear_sum(basis, ((prims[i], cv) for i, cv in combo.items())) for combo in combos]
 
     pe = intersect(e_basis)
     ph = intersect(h_basis)
@@ -1391,14 +1274,9 @@ def augmented_idempotent_basis(arb: AugmentedRackBialgebra) -> list[FinVec]:
     hc = hopf.coalgebra
     carrier = tensor_coalgebra(bc, hc)
     s_hopf = hopf.antipode_map()
-    out = []
-    for bl in bc.basis.labels:
-        acc = FinVec.zero(carrier.basis)
-        for b1, b2, cw in bc.sweedler(FinVec.unit(bc.basis, bl)):
-            acc = acc + FinVec.unit(bc.basis, b1).tensor(
-                s_hopf(arb.phi.column(b2)), carrier.basis).scale(cw)
-        out.append(acc)
-    return out
+    return [tensor_sum(carrier.basis, ((FinVec.unit(bc.basis, b1), s_hopf(arb.phi.column(b2)), cw)
+                                       for b1, b2, cw in bc.legs(bl)))
+            for bl in bc.basis.labels]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from sympy.utilities.iterables import multiset_permutations
 
@@ -88,6 +88,13 @@ class PolyFunction:
             else:
                 acc.pop(m, None)
         return PolyFunction(nvars, order, acc)
+
+    @staticmethod
+    def linear_sum(nvars: int, order: int,
+                   terms: Iterable[tuple["PolyFunction", Coeff]]) -> "PolyFunction":
+        """sum w p over the (p, w) terms, built in one pass."""
+        return PolyFunction.build(nvars, order, ((m, v * w) for p, w in terms
+                                                 for m, v in p.terms.items()))
 
     @staticmethod
     def constant(value: Coeff, nvars: int, order: int) -> "PolyFunction":
@@ -229,11 +236,8 @@ def monomial_function(h: LeibnizAlgebra, mono: tuple[Label, ...], order: int) ->
 
 def psi_function(h: LeibnizAlgebra, a: FinVec, order: int) -> PolyFunction:
     """Symmetric-algebra elements as functions: x_1 ... x_k -> hat(x_1) ... hat(x_k)."""
-    out = PolyFunction.zero(h.dim, order)
-    for mono, c in a.entries.items():
-        assert isinstance(mono, tuple)
-        out = out + monomial_function(h, mono, order).scale(c)
-    return out
+    return PolyFunction.linear_sum(h.dim, order, ((monomial_function(h, mono, order), c)
+                                                  for mono, c in a.entries.items()))
 
 
 def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFunction:
@@ -244,14 +248,17 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
     is only ever hit by degree-preserving operators.
     """
     base = hat_function(h, x, order)
-    out = PolyFunction.constant(1, h.dim, order)
-    power = out
-    for r in range(1, degree + 1):
-        power = power * base
-        if power.is_zero:
-            break
-        out = out + power.scale(Fraction(1, math.factorial(r)))
-    return out
+
+    def powers() -> Iterator[tuple[PolyFunction, Fraction]]:
+        power = PolyFunction.constant(1, h.dim, order)
+        yield power, Fraction(1)
+        for r in range(1, degree + 1):
+            power = power * base
+            if power.is_zero:
+                return
+            yield power, Fraction(1, math.factorial(r))
+
+    return PolyFunction.linear_sum(h.dim, order, powers())
 
 
 def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
@@ -262,13 +269,10 @@ def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
     """
     if f.nvars != h.dim:
         raise SchemaError("polynomial does not live on the dual of the algebra")
-    out = PolyFunction.zero(f.nvars, f.order)
-    for j in h.basis.labels:
-        df = f.partial(h.basis.index(j))
-        if df.is_zero:
-            continue
-        out = out + hat_function(h, h.bracket_of_labels(i, j), f.order) * df
-    return out
+    partials = ((j, f.partial(h.basis.index(j))) for j in h.basis.labels)
+    return PolyFunction.build(f.nvars, f.order, (
+        term for j, df in partials if not df.is_zero
+        for term in (hat_function(h, h.bracket_of_labels(i, j), f.order) * df).terms.items()))
 
 
 def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
@@ -291,25 +295,26 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
             chains[seq] = got
         return got
 
-    out = PolyFunction.zero(h.dim, order)
-    for m, c in f.terms.items():
-        r = sum(m)
-        if r >= order:
-            continue
-        weight = c.shift(r)
-        if not weight:
-            continue
-        if r == 0:
-            out = out + g.scale(weight)
-            continue
-        letters = [p for p in range(h.dim) for _ in range(m[p])]
-        acc = PolyFunction.zero(h.dim, order)
-        for seq in multiset_permutations(letters):
-            acc = acc + chain(tuple(h.basis.labels[p] for p in seq))
-        # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
-        norm = Fraction(math.prod(math.factorial(e) for e in m), math.factorial(r))
-        out = out + acc.scale(weight * norm)
-    return out
+    def terms() -> Iterator[tuple[PolyFunction, Coeff]]:
+        for m, c in f.terms.items():
+            r = sum(m)
+            if r >= order:
+                continue
+            weight = c.shift(r)
+            if not weight:
+                continue
+            if r == 0:
+                yield g, weight
+                continue
+            letters = [p for p in range(h.dim) for _ in range(m[p])]
+            acc = PolyFunction.build(h.dim, order, (
+                term for seq in multiset_permutations(letters)
+                for term in chain(tuple(h.basis.labels[p] for p in seq)).terms.items()))
+            # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
+            norm = Fraction(math.prod(math.factorial(e) for e in m), math.factorial(r))
+            yield acc, weight * norm
+
+    return PolyFunction.linear_sum(h.dim, order, terms())
 
 
 def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> FinVec:
@@ -319,14 +324,14 @@ def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> Fin
         return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(Fraction(c), order)
 
     term = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in y.entries.items()))
-    out = term
+    terms = [term]
     hbar = SeriesScalar.hbar(order)
     for r in range(1, order):
         term = h.bracket_of(x, term).scale(hbar * Fraction(1, r))
         if term.is_zero:
             break
-        out = out + term
-    return out
+        terms.append(term)
+    return FinVec.build(h.basis, (item for t in terms for item in t.entries.items()))
 
 
 def _first_hbar_difference(a: PolyFunction, b: PolyFunction,

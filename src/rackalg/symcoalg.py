@@ -9,6 +9,11 @@ module provides the axiom checker, the primitive filtration
 convolution of linear maps into an algebra, the geometric-series convolution
 inverse (which terminates exactly on connected coalgebras), and the truncated
 symmetric coalgebra S(V) with its binomial coproduct.
+
+It is also the one place that checks the two compatibilities every
+certifier needs: :func:`check_multiplicative` (a product given on label
+pairs is a coalgebra morphism C (x) C -> C) and :func:`check_coalgebra_map`
+(a linear map given on labels is a coalgebra map).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from rackalg.errors import AxiomViolation, RackalgError
 from rackalg.exact_core import (
@@ -33,6 +38,7 @@ from rackalg.exact_core import (
     split_label,
     tensor_basis,
     tensor_product_map,
+    tensor_sum,
 )
 
 ZERO = Fraction(0)
@@ -53,9 +59,23 @@ class Coalgebra:
     counit: Mapping[Label, Fraction]
     unit: FinVec
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_square", None)
+        object.__setattr__(self, "_legs", {})
+
     @property
     def square(self) -> Basis:
-        return tensor_basis(self.basis, self.basis)
+        """The tensor square of the basis, built on first use."""
+        if self._square is None:
+            object.__setattr__(self, "_square", tensor_basis(self.basis, self.basis))
+        return self._square
+
+    def legs(self, label: Label) -> list[tuple[Label, Label, Coeff]]:
+        """Sweedler terms of a basis vector, computed once per label."""
+        legs = self._legs.get(label)
+        if legs is None:
+            legs = self._legs[label] = self.sweedler(FinVec.unit(self.basis, label))
+        return legs
 
     def eps_of(self, v: FinVec) -> Coeff:
         acc: Coeff = ZERO
@@ -77,7 +97,7 @@ class Coalgebra:
         """Terms (v1, v2, v3, coefficient) of the iterated coproduct."""
         out = []
         for l12, l3, c in self.sweedler(v):
-            for l1, l2, c2 in self.sweedler(FinVec.unit(self.basis, l12)):
+            for l1, l2, c2 in self.legs(l12):
                 out.append((l1, l2, l3, c * c2))
         return out
 
@@ -92,15 +112,9 @@ def check_coalgebra(c: Coalgebra) -> None:
             raise AxiomViolation("coassociativity", lab, left.column(lab), right.column(lab))
     for lab in c.basis.labels:
         b = FinVec.unit(c.basis, lab)
-        eps_id = FinVec.zero(c.basis)
-        id_eps = FinVec.zero(c.basis)
-        for l1, l2, coeff in c.sweedler(b):
-            e1 = c.counit.get(l1)
-            if e1:
-                eps_id = eps_id + FinVec.unit(c.basis, l2).scale(coeff * e1)
-            e2 = c.counit.get(l2)
-            if e2:
-                id_eps = id_eps + FinVec.unit(c.basis, l1).scale(coeff * e2)
+        legs = c.legs(lab)
+        eps_id = FinVec.build(c.basis, ((l2, w * c.counit.get(l1, ZERO)) for l1, l2, w in legs))
+        id_eps = FinVec.build(c.basis, ((l1, w * c.counit.get(l2, ZERO)) for l1, l2, w in legs))
         if eps_id != b:
             raise AxiomViolation("left counit", lab, eps_id, b)
         if id_eps != b:
@@ -110,6 +124,52 @@ def check_coalgebra(c: Coalgebra) -> None:
     if c.delta(c.unit) != c.unit.tensor(c.unit, c.square):
         raise AxiomViolation("unit group-like", "1", c.delta(c.unit),
                              c.unit.tensor(c.unit, c.square))
+
+
+def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
+                         pairs: Iterable[tuple[Label, Label]],
+                         coproduct: str, counit: str) -> None:
+    """The product given by ``pair`` on basis labels is a coalgebra morphism.
+
+    For each label pair (a, b), first eps(ab) = eps(a) eps(b), then
+    delta(ab) = sum a1 b1 (x) a2 b2.  Raises :class:`AxiomViolation` named
+    ``counit`` or ``coproduct`` with the pair as witness.
+    """
+    square = c.delta.codomain
+    for la, lb in pairs:
+        ab = pair(la, lb)
+        got = c.eps_of(ab)
+        want = c.counit.get(la, ZERO) * c.counit.get(lb, ZERO)
+        if got != want:
+            raise AxiomViolation(counit, (la, lb), got, want)
+        lhs = c.delta(ab)
+        rhs = tensor_sum(square, ((pair(a1, b1), pair(a2, b2), ca * cb)
+                                  for a1, a2, ca in c.legs(la) for b1, b2, cb in c.legs(lb)))
+        if lhs != rhs:
+            raise AxiomViolation(coproduct, (la, lb), lhs, rhs)
+
+
+def check_coalgebra_map(source: Coalgebra, target: Coalgebra, f: Callable[[Label], FinVec],
+                        labels: Iterable[Label], name: str,
+                        error: type = AxiomViolation) -> None:
+    """The linear map given by ``f`` on basis labels of ``source`` is a
+    coalgebra map into ``target``.
+
+    For each label a, first delta(f(a)) = sum f(a1) (x) f(a2), then
+    eps(f(a)) = eps(a).  Raises ``error`` named "<name> comultiplicativity"
+    or "<name> counit" with the label as witness.
+    """
+    square = target.delta.codomain
+    for lab in labels:
+        fa = f(lab)
+        lhs = target.delta(fa)
+        rhs = tensor_sum(square, ((f(l1), f(l2), w) for l1, l2, w in source.legs(lab)))
+        if lhs != rhs:
+            raise error(f"{name} comultiplicativity", lab, lhs, rhs)
+        got = target.eps_of(fa)
+        want = source.counit.get(lab, ZERO)
+        if got != want:
+            raise error(f"{name} counit", lab, got, want)
 
 
 def is_cocommutative(c: Coalgebra) -> bool:
@@ -230,8 +290,8 @@ def tensor_coalgebra(left: Coalgebra, right: Coalgebra, name: str | None = None)
     def delta_col(pair: Label) -> FinVec:
         lab_l, lab_r = pair
         items = []
-        for l1, l2, cl in left.sweedler(FinVec.unit(left.basis, lab_l)):
-            for r1, r2, cr in right.sweedler(FinVec.unit(right.basis, lab_r)):
+        for l1, l2, cl in left.legs(lab_l):
+            for r1, r2, cr in right.legs(lab_r):
                 items.append((merge_labels(basis, (l1, r1), (l2, r2)), cl * cr))
         return FinVec.build(square, items)
 
@@ -337,7 +397,8 @@ def sym_algebra_map(f: FinMap, dom_sym: Coalgebra, cod_sym: Coalgebra) -> FinMap
 
 
 __all__ = [
-    "Coalgebra", "check_coalgebra", "coalgebra_filtration", "convolution",
+    "Coalgebra", "check_coalgebra", "check_coalgebra_map", "check_multiplicative",
+    "coalgebra_filtration", "convolution",
     "convolution_inverse", "convolution_unit", "filtration_order",
     "is_cocommutative", "is_connected", "is_group_like", "primitives",
     "reduced_delta_map", "sort_monomial", "sym_algebra_map", "sym_monomials",

@@ -94,6 +94,9 @@ def test_degree_cap_enforced(env_sl2):
     x = FinVec.unit(env_sl2.basis, (1, 1))
     with pytest.raises(DegreeCapExceeded):
         env_sl2.product(x, x)
+    with pytest.raises(DegreeCapExceeded):
+        env_sl2.pair((1, 1), (1, 1))
+    assert [env_sl2.degree(w) for w in ((), (2,), (1, 3))] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rackalg.errors import DegreeCapExceeded
 from rackalg.exact_core import (
     Basis,
     FinMap,
     FinVec,
     SeriesScalar,
     SpanSolver,
+    bilinear,
     flip_map,
     format_rational,
     kernel_basis,
+    linear_sum,
     rank,
     rational,
     series_exp,
     tensor_basis,
     tensor_product_map,
+    tensor_sum,
 )
 
 F = Fraction
@@ -234,11 +238,55 @@ def test_vector_arithmetic_and_sparsity():
     assert u == FinVec.build(b, [("y", F(2)), ("x", F(1))])
 
 
+def test_one_pass_sums_match_repeated_addition():
+    b = Basis("V", ("x", "y", "z"))
+    sq = tensor_basis(b, b)
+    table = {(p, q): FinVec.build(b, {p: F(1), q: F(-2)}) for p in b.labels for q in b.labels}
+    u = FinVec.build(b, {"x": F(1, 2), "y": F(-3)})
+    v = FinVec.build(b, {"y": F(5), "z": F(2, 3)})
+    want = FinVec.zero(b)
+    for la, ca in u:
+        for lb, cb in v:
+            want = want + table[la, lb].scale(ca * cb)
+    assert bilinear(b, lambda p, q: table[p, q], u, v) == want
+    assert linear_sum(b, [(u, F(2)), (v, F(-1)), (u, F(-2))]) == -v
+    assert tensor_sum(sq, [(u, v, F(3)), (v, u, F(-1))]) == \
+        u.tensor(v, sq).scale(F(3)) - v.tensor(u, sq)
+    assert tensor_sum(sq, []).is_zero
+
+
+def test_bilinear_passes_refusals_through():
+    b = Basis("V", ("x", "y"))
+
+    def pair(p, q):
+        if p == q == "y":
+            raise DegreeCapExceeded(2, 1, "test")
+        return FinVec.unit(b, "x")
+
+    assert bilinear(b, pair, FinVec.unit(b, "x"), FinVec.unit(b, "y")) == FinVec.unit(b, "x")
+    with pytest.raises(DegreeCapExceeded):
+        bilinear(b, pair, FinVec.unit(b, "y"), FinVec.unit(b, "y"))
+
+
 def test_vector_basis_mismatch_raises():
     u = FinVec.unit(Basis("A", ("a",)), "a")
     v = FinVec.unit(Basis("B", ("b",)), "b")
     with pytest.raises(ValueError):
         u + v
+
+
+def test_one_pass_sums_reject_terms_from_another_basis():
+    # Both bases use the labels 1, 2: only the basis check tells them apart.
+    a = Basis("A", (1, 2))
+    b = Basis("B", (1, 2))
+    ua, ub = FinVec.unit(a, 1), FinVec.unit(b, 1)
+    with pytest.raises(ValueError):
+        linear_sum(a, [(ua, F(1)), (ub, F(1))])
+    with pytest.raises(ValueError):
+        tensor_sum(tensor_basis(a, a), [(ua, ub, F(1))])
+    with pytest.raises(ValueError):
+        bilinear(a, lambda p, q: FinVec.unit(b, p), ua, ua)
+    assert tensor_sum(tensor_basis(a, b), [(ua, ub, F(1))]) == ua.tensor(ub)
 
 
 def test_rebuilt_tensor_bases_interoperate():

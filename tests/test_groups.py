@@ -135,3 +135,10 @@ def test_group_hopf_product_bilinear():
     a = FinVec.build(h.basis, {"r0": F(2), "r1": F(1)})
     b = FinVec.build(h.basis, {"r2": F(3)})
     assert h.product(a, b) == FinVec.build(h.basis, {"r2": F(6), "r0": F(3)})
+
+
+def test_group_hopf_degrees_are_zero_and_uncapped():
+    h = group_hopf(cyclic_group(3))
+    assert h.cap is None
+    assert all(h.degree(x) == 0 for x in h.basis.labels)
+    assert h.pair("r1", "r2") == FinVec.unit(h.basis, "r0")

@@ -39,6 +39,7 @@ from rackalg.rack_bialg import (
     augmented_conjugation,
     augmented_rack_algebra,
     certify,
+    certify_augmented,
     check_rack,
     conjugation_rack,
     filtration_stable,
@@ -181,6 +182,55 @@ def test_corrupted_rack_table_rejected_at_certify():
     bad = load("corrupt_rack_s3")
     with pytest.raises(AxiomViolation):
         rack_group_algebra(bad)
+
+
+def _with_column(m, key, v):
+    cols = dict(m.columns)
+    cols[key] = v
+    return FinMap(m.domain, m.codomain, cols)
+
+
+@pytest.mark.parametrize("source,la,lb,value,axiom,witness", [
+    ("ur", (), (), {(): 2}, "unit square", "1"),
+    ("ur", (), (1,), {(2,): 1}, "left unit", (1,)),
+    ("ur", (1,), (), {(): 1}, "unit absorption", (1,)),
+    ("ur", (1,), (1,), {(): 1}, "counit multiplicativity", ((1,), (1,))),
+    ("ur", (1,), (2,), {(1,): 1}, "self-distributivity", ((1,), (2,), (1,))),
+    ("kx", "s213", "s132", {"s132": 1, "s123": 1, "s213": -1},
+     "coproduct multiplicativity", ("s213", "s132")),
+    ("kx", "s213", "s132", {"s123": 1}, "self-distributivity", ("s132", "s213", "s132")),
+])
+def test_certify_names_the_perturbed_identity(kx_s3, source, la, lb, value, axiom, witness):
+    rb = ur(load("sq2")) if source == "ur" else kx_s3
+    v = FinVec.build(rb.basis, {lab: F(c) for lab, c in value.items()})
+    bad = _with_column(rb.mu, merge_labels(rb.basis, la, lb), v)
+    with pytest.raises(AxiomViolation) as exc:
+        certify(RackBialgebra(rb.carrier, bad))
+    assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+
+@pytest.mark.parametrize("table,key,value,axiom,witness", [
+    ("phi", (), {}, "augmentation counit", ()),
+    ("phi", (1,), {(1,): 1, (): 1}, "augmentation comultiplicativity", (1,)),
+    ("phi", (1,), {(1,): 2}, "induced product", ((1,), (1,))),
+    ("phi", (2,), {(1,): 1}, "augmentation intertwines adjoint", ((1,), (1,))),
+    ("action", ((), (1,)), {(2,): 1}, "action unit", (1,)),
+    ("action", ((1,), ()), {(1,): 1}, "action fixes coaugmentation", (1,)),
+    ("action", ((1,), (1,)), {(1,): 1}, "action associativity", ((1,), (1,), (1,))),
+    ("mu", ((1,), (1,)), {(2,): 3}, "induced product", ((1,), (1,))),
+])
+def test_certify_augmented_names_the_perturbed_identity(table, key, value, axiom, witness):
+    arb = uar_infinity(load("sq2"), 1)
+    fmap = arb.rack.mu if table == "mu" else getattr(arb, table)
+    v = FinVec.build(fmap.codomain, {lab: F(c) for lab, c in value.items()})
+    bad = _with_column(fmap, key, v)
+    if table == "mu":
+        bad_arb = dataclasses.replace(arb, rack=RackBialgebra(arb.carrier, bad), certified=False)
+    else:
+        bad_arb = dataclasses.replace(arb, certified=False, **{table: bad})
+    with pytest.raises(AxiomViolation) as exc:
+        certify_augmented(bad_arb)
+    assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
 
 
 # ---------------------------------------------------------------------------

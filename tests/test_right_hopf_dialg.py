@@ -115,6 +115,24 @@ class TestOneSided:
             certify_one_sided(dataclasses.replace(h, antipode=bad, certified=False))
         assert exc.value.axiom in ("defining antipode", "double antipode")
 
+    @pytest.mark.parametrize("table,key,value,axiom,witness", [
+        ("mul", (("r1", "p"), ("r1", "q")), {("r0", "p"): 1},
+         "associativity", (("r1", "p"), ("r0", "q"), ("r1", "q"))),
+        ("antipode", ("r1", "q"), {("r1", "p"): 2}, "antipode comultiplicativity", ("r1", "q")),
+        ("antipode", ("r1", "q"), {}, "antipode counit", ("r1", "q")),
+        ("antipode", ("r1", "q"), {("r1", "q"): 1}, "defining antipode", ("r1", "q")),
+        ("antipode", ("r0", "p"), {("r0", "q"): 1}, "antipode unit", "1"),
+    ])
+    def test_perturbed_entry_names_the_identity(self, rg_z2, table, key, value, axiom, witness):
+        fmap = getattr(rg_z2, table)
+        cols = dict(fmap.columns)
+        cols[key] = FinVec.build(fmap.codomain, {lab: F(c) for lab, c in value.items()})
+        bad = dataclasses.replace(rg_z2, certified=False,
+                                  **{table: FinMap(fmap.domain, fmap.codomain, cols)})
+        with pytest.raises(AxiomViolation) as exc:
+            certify_one_sided(bad)
+        assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
     def test_right_group_unit_is_one_sided_only(self, rg_z2):
         one = rg_z2.unit
         a = FinVec.unit(rg_z2.basis, ("r1", "q"))
@@ -303,6 +321,39 @@ class TestHopfDialgebra:
             certify_dialgebra(HopfDialgebra(c, vdash, dashv, s, {}, None))
         assert exc.value.axiom == "balanced"
         assert exc.value.witness == ("r0", "r1")
+
+    @pytest.mark.parametrize("table,key,value,axiom,witness", [
+        ("vdash", ("r0", "r1"), {"r2": 1}, "bar-unit left", "r1"),
+        ("dashv", ("r1", "r0"), {"r2": 1}, "bar-unit right", "r1"),
+        ("vdash", ("r1", "r0"), {"r2": 1}, "balanced", "r1"),
+        ("vdash", ("r1", "r2"), {"r1": 1}, "right antipode for |-", "r1"),
+        ("dashv", ("r1", "r2"), {"r1": 1}, "antipode flip identity (-|)", "r1"),
+        ("vdash", ("r1", "r1"), {}, "product counit (|-)", ("r1", "r1")),
+        ("dashv", ("r1", "r1"), {}, "product counit (-|)", ("r1", "r1")),
+        ("vdash", ("r1", "r1"), {"r2": 1, "r0": 1, "r1": -1},
+         "product comultiplicativity (|-)", ("r1", "r1")),
+        ("dashv", ("r1", "r1"), {"r2": 1, "r0": 1, "r1": -1},
+         "product comultiplicativity (-|)", ("r1", "r1")),
+        ("vdash", ("r1", "r1"), {"r0": 1}, "antipode antihomomorphism (|-)", ("r1", "r1")),
+        ("dashv", ("r1", "r1"), {"r0": 1}, "antipode antihomomorphism (-|)", ("r1", "r1")),
+        ("antipode", "r1", {"r2": 2}, "antipode comultiplicativity", "r1"),
+        ("antipode", "r1", {}, "antipode counit", "r1"),
+        ("antipode", "r1", {"r1": 1}, "right antipode for |-", "r1"),
+    ])
+    def test_perturbed_entry_names_the_identity(self, table, key, value, axiom, witness):
+        d = hopf_as_dialgebra(group_hopf(cyclic_group(3)))
+        v = FinVec.build(d.basis, {lab: F(c) for lab, c in value.items()})
+        if table == "antipode":
+            cols = dict(d.antipode.columns)
+            cols[key] = v
+            changed = FinMap(d.basis, d.basis, cols)
+        else:
+            changed = dict(getattr(d, table))
+            changed[key] = v
+        bad = dataclasses.replace(d, certified=False, report=None, **{table: changed})
+        with pytest.raises(AxiomViolation) as exc:
+            certify_dialgebra(bad)
+        assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
 
     def test_schema_rejections(self, ks3):
         d = hopf_as_dialgebra(ks3)

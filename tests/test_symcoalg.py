@@ -17,6 +17,8 @@ from rackalg.exact_core import Basis, FinMap, FinVec, SpanSolver, tensor_basis
 from rackalg.symcoalg import (
     Coalgebra,
     check_coalgebra,
+    check_coalgebra_map,
+    check_multiplicative,
     coalgebra_filtration,
     convolution,
     convolution_inverse,
@@ -107,6 +109,50 @@ def test_non_group_like_unit_is_caught():
 # ---------------------------------------------------------------------------
 # binomial coproduct values
 # ---------------------------------------------------------------------------
+
+
+def test_square_and_legs_are_built_once():
+    c = symmetric_coalgebra(Basis("V", ("x", "y")), 2)
+    assert c.square is c.square
+    assert c.square == tensor_basis(c.basis, c.basis)
+    assert c.legs(("x", "y")) is c.legs(("x", "y"))
+    assert c.legs(("x", "y")) == c.sweedler(FinVec.unit(c.basis, ("x", "y")))
+
+
+def test_coalgebra_map_checker_names_the_failing_identity():
+    c = symmetric_coalgebra(Basis("V", ("x", "y")), 2)
+    labels = c.basis.labels
+    check_coalgebra_map(c, c, FinMap.identity(c.basis).column, labels, "identity")
+    doubled = FinMap.identity(c.basis).scale(F(2))
+    with pytest.raises(AxiomViolation) as exc:
+        check_coalgebra_map(c, c, doubled.column, labels, "doubling")
+    assert (exc.value.axiom, exc.value.witness) == ("doubling comultiplicativity", ())
+    # letters go to zero, so the coproduct of x^2 loses its middle term x (x) x
+    kill = FinMap.from_function(c.basis, c.basis, lambda m: FinVec.unit(c.basis, m)
+                                if len(m) != 1 else FinVec.zero(c.basis))
+    with pytest.raises(RackalgError) as exc:
+        check_coalgebra_map(c, c, kill.column, labels, "kill", RackalgError)
+    assert type(exc.value) is RackalgError
+
+
+def test_multiplicative_checker_names_the_failing_identity():
+    c = group_like_coalgebra(("e", "a"), "e")
+    table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
+
+    def pair(p, q):
+        return FinVec.unit(c.basis, table[p, q])
+
+    pairs = [(p, q) for p in c.basis.labels for q in c.basis.labels]
+    check_multiplicative(c, pair, pairs, "coproduct", "counit")
+    with pytest.raises(AxiomViolation) as exc:
+        check_multiplicative(c, lambda p, q: pair(p, q).scale(F(2)), pairs,
+                             "coproduct", "counit")
+    assert (exc.value.axiom, exc.value.witness) == ("counit", ("e", "e"))
+    with pytest.raises(AxiomViolation) as exc:
+        check_multiplicative(c, lambda p, q: pair(p, q) + FinVec.unit(c.basis, "a")
+                             - FinVec.unit(c.basis, "e"), pairs, "coproduct", "counit")
+    # e e = a is still group-like; e a = 2a - e is not
+    assert (exc.value.axiom, exc.value.witness) == ("coproduct", ("e", "a"))
 
 
 def test_delta_of_square_monomial():

@@ -14,6 +14,14 @@ Every product of the package is given on pairs of basis labels and extended
 by :func:`bilinear`, the one place that does so.  Sums are built in one pass,
 never by repeated copies: :func:`linear_sum` for sum c v and
 :func:`tensor_sum` for Sweedler-type sums sum c (x (x) y).
+
+All elimination goes through one private kernel, ``_Echelon``: sparse rows in
+reduced row-echelon form, each keyed by its pivot, the smallest column of the
+row, normalized to 1 there, and zero at every other pivot.  :func:`nullspace`,
+:func:`rank_of`, :func:`kernel_basis`, :func:`rank`, :func:`span_basis` and
+:class:`SpanSolver` read from it.  With one pivot rule the reduced form of a
+span is unique, so every basis they return is the same for every order (and,
+for spans, every nonzero rescaling) of their input.
 """
 
 from __future__ import annotations
@@ -325,7 +333,14 @@ class FinVec:
             return NotImplemented
         if self.basis is not other.basis and self.basis != other.basis:
             return False
-        return (self - other).is_zero
+        a, b = self.entries, other.entries
+        # a Fraction and a SeriesScalar are never ==, so a mismatch is
+        # confirmed by their difference, which is zero when they are equal
+        for lab, x in a.items():
+            y = b.get(lab, ZERO)
+            if x != y and x - y:
+                return False
+        return not any(y for lab, y in b.items() if lab not in a)
 
     def __hash__(self) -> int:  # pragma: no cover - vectors are not dict keys
         raise TypeError("FinVec is not hashable")
@@ -421,7 +436,7 @@ class FinMap:
         if (self.domain is not other.domain and self.domain != other.domain) or (
                 self.codomain is not other.codomain and self.codomain != other.codomain):
             return False
-        return all((self.column(l) - other.column(l)).is_zero for l in self.domain.labels)
+        return all(self.column(l) == other.column(l) for l in self.domain.labels)
 
     def __hash__(self) -> int:  # pragma: no cover
         raise TypeError("FinMap is not hashable")
@@ -539,77 +554,85 @@ def flip_map(a: Basis, b: Basis) -> FinMap:
 # ---------------------------------------------------------------------------
 
 
-def _bit_size(q: Fraction) -> int:
-    return q.numerator.bit_length() + q.denominator.bit_length()
+Row = dict[int, Fraction]
 
 
-class _SparseEliminator:
-    """Row-echelon reduction of sparse rational rows.
+def _sub_multiple(row: Row, f: Fraction, other: Row) -> None:
+    """row -= f * other, in place, dropping the entries that cancel."""
+    for col, val in other.items():
+        s = row.get(col, ZERO) - f * val
+        if s:
+            row[col] = s
+        else:
+            del row[col]
 
-    Pivots are chosen per column among eligible rows by smallest coefficient
-    bit length, which keeps intermediate fractions small.
+
+class _Echelon:
+    """Reduced row-echelon form of sparse rows: the one eliminator.
+
+    ``rows`` maps each pivot column, the smallest column of its row, to that
+    row, normalized to 1 at the pivot and zero at every other pivot column.
+    With ``combos`` each row also keeps its sparse combination of the
+    inserted rows, keyed by the tag each was inserted with.
     """
 
-    def __init__(self, ncols: int) -> None:
-        self.ncols = ncols
-        self.pivot_rows: dict[int, dict[int, Fraction]] = {}  # pivot col -> row
+    def __init__(self, rows: Iterable[Row] = (), combos: bool = False) -> None:
+        self.rows: dict[int, Row] = {}
+        self.combos: dict[int, Row] | None = {} if combos else None
+        # rows with the smallest support first: cheap heuristic against fill-in
+        for row in sorted(rows, key=len):
+            self.insert(row)
 
-    def reduce_row(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
-        row = dict(row)
-        # stored rows are mutually reduced, so one ascending sweep suffices
-        for j in sorted(c for c in row if c in self.pivot_rows):
-            factor = row.get(j)
-            if not factor:
-                continue
-            for col, val in self.pivot_rows[j].items():
-                s = row.get(col, ZERO) - factor * val
-                if s:
-                    row[col] = s
-                elif col in row:
-                    del row[col]
-        return row
+    def reduce(self, row: Row) -> tuple[Row, list[tuple[int, Fraction]]]:
+        """row minus multiples of the stored rows, and the multiples taken.
 
-    def add_row(self, row: dict[int, Fraction]) -> bool:
-        """Reduce and, if independent, normalize and store.  True if added."""
-        row = self.reduce_row(row)
+        The stored rows vanish on each other's pivots, so subtracting one
+        never changes the row at another pivot: one sweep over the pivot
+        columns of the row clears them all.
+        """
+        row = {c: v for c, v in row.items() if v}
+        taken = [(j, row[j]) for j in row if j in self.rows]
+        for j, f in taken:
+            _sub_multiple(row, f, self.rows[j])
+        return row, taken
+
+    def insert(self, row: Row, tag: int = 0) -> bool:
+        """Reduce, and store the row if it is independent.  True if stored."""
+        row, taken = self.reduce(row)
         if not row:
             return False
-        j = min(row, key=lambda c: (_bit_size(row[c]), c))
+        j = min(row)
         inv = ONE / row[j]
         row = {c: v * inv for c, v in row.items()}
-        # back-substitute into existing pivot rows to keep reduced form
-        for pj, prow in self.pivot_rows.items():
-            if j in prow:
-                f = prow[j]
-                for col, val in row.items():
-                    s = prow.get(col, ZERO) - f * val
-                    if s:
-                        prow[col] = s
-                    elif col in prow:
-                        del prow[col]
-        self.pivot_rows[j] = row
+        combo = None
+        if self.combos is not None:
+            combo = {tag: ONE}
+            for pj, f in taken:
+                _sub_multiple(combo, f, self.combos[pj])
+            self.combos[j] = combo = {t: v * inv for t, v in combo.items()}
+        # back-substitute, so every stored row vanishes on the new pivot
+        for pj, prow in self.rows.items():
+            f = prow.get(j)
+            if f:
+                _sub_multiple(prow, f, row)
+                if combo is not None:
+                    _sub_multiple(self.combos[pj], f, combo)
+        self.rows[j] = row
         return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
 
+def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
+    """Exact basis of the right kernel of the sparse row system.
 
-def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
-    """Exact basis of the right kernel of the sparse row system."""
-    elim = _SparseEliminator(ncols)
-    ordered: list[dict[int, Fraction]] = []
-    for row in rows:
-        ordered.append(row)
-    # rows with the smallest support first: cheap heuristic against fill-in
-    ordered.sort(key=len)
-    for row in ordered:
-        elim.add_row(row)
-    pivots = elim.pivot_rows
-    free = [j for j in range(ncols) if j not in pivots]
-    basis: list[dict[int, Fraction]] = []
-    for f in free:
-        vec: dict[int, Fraction] = {f: ONE}
+    One vector per free column f, equal to 1 at f and 0 at the other free
+    columns; the basis is the same for every order of the rows.
+    """
+    pivots = _Echelon(rows).rows
+    basis: list[Row] = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec: Row = {f: ONE}
         for pj, prow in pivots.items():
             c = prow.get(f)
             if c:
@@ -618,41 +641,39 @@ def nullspace(rows: Iterable[dict[int, Fraction]], ncols: int) -> list[dict[int,
     return basis
 
 
-def rank_of(rows: Iterable[dict[int, Fraction]], ncols: int) -> int:
-    elim = _SparseEliminator(ncols)
-    for row in sorted((dict(r) for r in rows), key=len):
-        elim.add_row(row)
-    return elim.rank
+def rank_of(rows: Iterable[Row], ncols: int) -> int:
+    return len(_Echelon(rows).rows)
 
 
-def kernel_basis(m: FinMap) -> list[FinVec]:
-    """Exact basis of the kernel of a linear map between finite bases."""
-    dom = m.domain
-    rows: dict[Label, dict[int, Fraction]] = {}
-    for j, lab in enumerate(dom.labels):
-        col = m.columns.get(lab)
-        if col is None:
-            continue
-        for out_lab, c in col.entries.items():
-            if not isinstance(c, Fraction):
-                raise TypeError("kernel_basis needs Fraction entries")
-            rows.setdefault(out_lab, {})[j] = c
-    vecs = nullspace(rows.values(), dom.dim)
-    out = []
-    for vec in vecs:
-        out.append(FinVec(dom, {dom.labels[j]: c for j, c in sorted(vec.items())}))
-    return out
-
-
-def rank(m: FinMap) -> int:
-    rows: dict[Label, dict[int, Fraction]] = {}
+def _map_rows(m: FinMap) -> list[Row]:
+    """The rows of the matrix of m, over the domain indices."""
+    rows: dict[Label, Row] = {}
     for j, lab in enumerate(m.domain.labels):
         col = m.columns.get(lab)
         if col is None:
             continue
         for out_lab, c in col.entries.items():
+            if not isinstance(c, Fraction):
+                raise TypeError("exact elimination needs Fraction entries")
             rows.setdefault(out_lab, {})[j] = c
-    return rank_of(rows.values(), m.domain.dim)
+    return list(rows.values())
+
+
+def kernel_basis(m: FinMap) -> list[FinVec]:
+    """Exact basis of the kernel of a linear map between finite bases."""
+    return [_vector(m.domain, vec) for vec in nullspace(_map_rows(m), m.domain.dim)]
+
+
+def rank(m: FinMap) -> int:
+    return rank_of(_map_rows(m), m.domain.dim)
+
+
+def _row(basis: Basis, v: FinVec) -> Row:
+    return {basis.index(lab): c for lab, c in v.entries.items()}
+
+
+def _vector(basis: Basis, row: Row) -> FinVec:
+    return FinVec(basis, {basis.labels[j]: c for j, c in sorted(row.items())})
 
 
 class SpanSolver:
@@ -663,72 +684,38 @@ class SpanSolver:
     """
 
     def __init__(self, vectors: Sequence[FinVec]) -> None:
-        if not vectors:
-            self.basis: Basis | None = None
-        else:
-            self.basis = vectors[0].basis
+        self.basis: Basis | None = vectors[0].basis if vectors else None
         self.generators = list(vectors)
-        n = len(self.generators)
-        # each stored row: (sparse vector over codomain indices, combination coeffs)
-        self.rows: list[tuple[dict[int, Fraction], list[Fraction]]] = []
-        for g_idx, v in enumerate(self.generators):
-            row = {self.basis.index(lab): c for lab, c in v.entries.items()}
-            comb = [ONE if i == g_idx else ZERO for i in range(n)]
-            self._insert(row, comb)
-
-    def _reduce(self, row: dict[int, Fraction], comb: list[Fraction]) -> None:
-        for prow, pcomb in self.rows:
-            j = min(prow)
-            if j in row:
-                f = row[j]
-                for col, val in prow.items():
-                    s = row.get(col, ZERO) - f * val
-                    if s:
-                        row[col] = s
-                    elif col in row:
-                        del row[col]
-                for i, val in enumerate(pcomb):
-                    comb[i] -= f * val
-
-    def _insert(self, row: dict[int, Fraction], comb: list[Fraction]) -> None:
-        self._reduce(row, comb)
-        if not row:
-            return
-        j = min(row)
-        inv = ONE / row[j]
-        row = {c: v * inv for c, v in row.items()}
-        comb = [v * inv for v in comb]
-        for prow, pcomb in self.rows:
-            f = prow.get(j)
-            if not f:
-                continue
-            for col, val in row.items():
-                s = prow.get(col, ZERO) - f * val
-                if s:
-                    prow[col] = s
-                elif col in prow:
-                    del prow[col]
-            for i, val in enumerate(comb):
-                pcomb[i] -= f * val
-        self.rows.append((row, comb))
-        self.rows.sort(key=lambda rc: min(rc[0]))
+        self._echelon = _Echelon(combos=True)
+        for i, v in enumerate(self.generators):
+            self._echelon.insert(_row(self.basis, v), i)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._echelon.rows)
+
+    @property
+    def vectors(self) -> list[FinVec]:
+        """The reduced echelon basis of the span, equal to ``span_basis``."""
+        return [_vector(self.basis, self._echelon.rows[j]) for j in self.pivot_indices]
+
+    @property
+    def pivot_indices(self) -> list[int]:
+        return sorted(self._echelon.rows)
 
     def contains(self, v: FinVec) -> bool:
-        return self.coordinates(v) is not None
+        return self.residue(v).is_zero
 
     def coordinates(self, v: FinVec) -> list[Fraction] | None:
         if self.basis is None:
             return None if not v.is_zero else []
-        row = {self.basis.index(lab): c for lab, c in v.entries.items()}
-        comb = [ZERO] * len(self.generators)
-        self._reduce(row, comb)
+        row, taken = self._echelon.reduce(_row(self.basis, v))
         if row:
             return None
-        return [-c for c in comb]
+        coords: Row = {}
+        for j, f in taken:
+            _sub_multiple(coords, -f, self._echelon.combos[j])
+        return [coords.get(i, ZERO) for i in range(len(self.generators))]
 
     def residue(self, v: FinVec) -> FinVec:
         """Canonical representative of v modulo the span.
@@ -738,24 +725,19 @@ class SpanSolver:
         """
         if self.basis is None:
             return v
-        row = {self.basis.index(lab): c for lab, c in v.entries.items()}
-        comb = [ZERO] * len(self.generators)
-        self._reduce(row, comb)
-        return FinVec(self.basis, {self.basis.labels[j]: c for j, c in sorted(row.items())})
-
-    @property
-    def pivot_indices(self) -> list[int]:
-        return [min(row) for row, _ in self.rows]
+        return _vector(self.basis, self._echelon.reduce(_row(self.basis, v))[0])
 
 
 def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
-    """Echelonized basis of the span of the given vectors."""
+    """The reduced echelon basis of the span of the given vectors.
+
+    It is the same for every order and every nonzero rescaling of the vectors.
+    """
     if not vectors:
         return []
     basis = vectors[0].basis
-    solver = SpanSolver(vectors)
-    return [FinVec(basis, {basis.labels[j]: c for j, c in sorted(row.items())})
-            for row, _ in solver.rows]
+    rows = _Echelon(_row(basis, v) for v in vectors).rows
+    return [_vector(basis, rows[j]) for j in sorted(rows)]
 
 
 __all__ = [

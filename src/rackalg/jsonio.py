@@ -30,9 +30,12 @@ def _require(doc: Mapping[str, Any], key: str, kind: str) -> Any:
     return doc[key]
 
 
-# Longer strings are refused before parsing, so oversized input fails fast.
+# Longer strings and larger dimensions are refused before parsing, so
+# oversized input fails fast.
 MAX_RATIONAL_CHARS = 200
+MAX_DIM = 10_000
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"[0-9]{1,%d}" % len(str(MAX_DIM)))
 
 
 def _as_rational(value: Any, where: str) -> Fraction:
@@ -56,10 +59,10 @@ def document_kind(doc: Mapping[str, Any]) -> str:
 
 
 def _parse_index(text: str, dim: int, where: str) -> int:
-    try:
-        i = int(text)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: index {text!r} is not an integer") from exc
+    """A 1-based index: ASCII digits only, around optional whitespace."""
+    if not _INDEX.fullmatch(text.strip()):
+        raise SchemaError(f"{where}: index {text!r:.80} is not a decimal integer")
+    i = int(text)
     if not 1 <= i <= dim:
         raise SchemaError(f"{where}: index {i} out of range 1..{dim}")
     return i
@@ -76,7 +79,9 @@ def leibniz_from_json(doc: Mapping[str, Any]) -> LeibnizAlgebra:
         raise SchemaError(f"expected kind {KIND_LEIBNIZ!r}, got {doc.get('kind')!r}")
     dim = _require(doc, "dim", KIND_LEIBNIZ)
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise SchemaError(f"'dim' must be a positive integer, got {dim!r}")
+        raise SchemaError(f"'dim' must be a positive integer, got {dim!r:.80}")
+    if dim > MAX_DIM:
+        raise SchemaError(f"'dim' is larger than {MAX_DIM}")
     name = doc.get("name", "h")
     if not isinstance(name, str):
         raise SchemaError(f"'name' must be a string, got {name!r}")
@@ -88,8 +93,8 @@ def leibniz_from_json(doc: Mapping[str, Any]) -> LeibnizAlgebra:
         parts = str(key).split(",")
         if len(parts) != 2:
             raise SchemaError(f"bracket key {key!r} is not of the form 'j,k'")
-        j = _parse_index(parts[0].strip(), dim, f"bracket key {key!r}")
-        k = _parse_index(parts[1].strip(), dim, f"bracket key {key!r}")
+        j = _parse_index(parts[0], dim, f"bracket key {key!r}")
+        k = _parse_index(parts[1], dim, f"bracket key {key!r}")
         if (j, k) in table:
             raise SchemaError(f"duplicate bracket key for pair ({j},{k})")
         if not isinstance(coeffs, Mapping):

@@ -181,7 +181,7 @@ def quotient_lie(h: LeibnizAlgebra, z: Sequence[FinVec] | None = None,
         if not center_span.contains(v):
             raise IdealSandwichViolation(
                 f"requested ideal is not inside the left center: offending vector {v!r}")
-    z_span = SpanSolver(span_basis([v for v in z if not v.is_zero]))
+    z_span = SpanSolver([v for v in z if not v.is_zero])
     for q in squares:
         if not z_span.contains(q):
             raise IdealSandwichViolation(
@@ -208,7 +208,7 @@ def quotient_lie(h: LeibnizAlgebra, z: Sequence[FinVec] | None = None,
     check_leibniz(g)
     if not is_lie(g):
         raise IdealSandwichViolation("quotient bracket is not antisymmetric")
-    return QuotientLie(source=h, algebra=g, z_basis=tuple(span_basis(z)),
+    return QuotientLie(source=h, algebra=g, z_basis=tuple(z_span.vectors),
                        p=p, section=section)
 
 

@@ -376,8 +376,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
 
     e_basis = span_basis([iota.column(lab) for lab in basis.labels])
     fixed = kernel_basis(iota - FinMap.identity(basis))
-    e_solver = SpanSolver(e_basis)
-    if len(fixed) != len(e_basis) or not all(e_solver.contains(v) for v in fixed):
+    if span_basis(fixed) != e_basis:
         raise DecompositionFailure("idempotent part", "fixed space",
                                    len(fixed), len(e_basis))
     for i, ev in enumerate(e_basis):
@@ -397,8 +396,8 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     rho = hopf_part_projector(h)
     if rho.compose(rho) != rho:
         raise DecompositionFailure("hopf part projector", "rho", rho.compose(rho), rho)
-    h1_basis = span_basis([rho.column(lab) for lab in basis.labels])
-    h1_solver = SpanSolver(h1_basis)
+    h1_solver = SpanSolver([rho.column(lab) for lab in basis.labels])
+    h1_basis = h1_solver.vectors
     if not h1_solver.contains(one):
         raise DecompositionFailure("hopf part unit", "1", one, None)
     for i, uv in enumerate(h1_basis):
@@ -1044,14 +1043,14 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         if iota(v) != v:
             raise DecompositionFailure("idempotent projector", lab, iota(v), v)
         checked += 1
-    e_basis = span_basis(list(iota_cols.values()))
+    e_solver = SpanSolver(list(iota_cols.values()))
+    e_basis = e_solver.vectors
     fit_basis = Basis(f"{basis.name} (within cap)", tuple(fit_labels))
     delta_map = FinMap(fit_basis, basis,
                        {lab: iota_cols[lab] - u(lab) for lab in fit_labels
                         if not (iota_cols[lab] - u(lab)).is_zero})
     fixed = [FinVec.build(basis, v.entries) for v in kernel_basis(delta_map)]
-    e_solver = SpanSolver(e_basis)
-    if len(fixed) != len(e_basis) or not all(e_solver.contains(v) for v in fixed):
+    if span_basis(fixed) != e_basis:
         raise DecompositionFailure("idempotent part", "fixed space",
                                    len(fixed), len(e_basis))
     for i, ev in enumerate(e_basis):
@@ -1085,8 +1084,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         if pi(pi_cols[lab]) != pi_cols[lab]:
             raise DecompositionFailure("hopf part projector", lab,
                                        pi(pi_cols[lab]), pi_cols[lab])
-    h_basis = span_basis(list(pi_cols.values()))
-    h_solver = SpanSolver(h_basis)
+    h_solver = SpanSolver(list(pi_cols.values()))
+    h_basis = h_solver.vectors
     if not h_solver.contains(one):
         raise DecompositionFailure("hopf part unit", "1", one, None)
 
@@ -1134,8 +1133,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         if not g.is_zero:
             ideal_gens.append(g)
     ideal = span_basis(ideal_gens)
-    ideal_solver = SpanSolver(ideal)
-    if len(pi_kernel) != len(ideal) or not all(ideal_solver.contains(v) for v in pi_kernel):
+    if span_basis(pi_kernel) != ideal:
         raise DecompositionFailure("associativity ideal", "kernel",
                                    len(pi_kernel), len(ideal))
 
@@ -1214,8 +1212,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
 
     prims = primitives(c)
 
-    def intersect(space: Sequence[FinVec]) -> list[FinVec]:
-        solver = SpanSolver(list(space))
+    def intersect(solver: SpanSolver) -> list[FinVec]:
         rows: dict[Label, dict[int, Fraction]] = {}
         for i, p in enumerate(prims):
             for lab, cv in solver.residue(p).entries.items():
@@ -1223,8 +1220,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         combos = nullspace(rows.values(), len(prims))
         return [linear_sum(basis, ((prims[i], cv) for i, cv in combo.items())) for combo in combos]
 
-    pe = intersect(e_basis)
-    ph = intersect(h_basis)
+    pe = intersect(e_solver)
+    ph = intersect(h_solver)
     prim_solver = SpanSolver(pe + ph)
     if len(pe) + len(ph) != len(prims) or not all(prim_solver.contains(p) for p in prims):
         raise DecompositionFailure("primitive splitting", "dimension",

@@ -211,7 +211,8 @@ def coalgebra_filtration(c: Coalgebra) -> list[list[FinVec]]:
         residue_map = FinMap.from_function(
             c.basis, c.square, lambda lab: span.residue(reduced.column(lab)))
         nxt = kernel_basis(residue_map)
-        if len(nxt) <= SpanSolver(current).dim:
+        # every level is a kernel basis (or [unit]), so its length is its dimension
+        if len(nxt) <= len(current):
             return levels
         levels.append(nxt)
         if len(nxt) == c.basis.dim:

@@ -23,9 +23,12 @@ from rackalg.exact_core import (
     format_rational,
     kernel_basis,
     linear_sum,
+    nullspace,
     rank,
+    rank_of,
     rational,
     series_exp,
+    span_basis,
     tensor_basis,
     tensor_product_map,
     tensor_sum,
@@ -275,6 +278,20 @@ def test_vector_basis_mismatch_raises():
         u + v
 
 
+def test_equality_across_scalar_types_and_bases():
+    b = Basis("V", ("x", "y"))
+    frac = FinVec(b, {"x": F(2)})
+    series = FinVec(b, {"x": SeriesScalar.constant(2, 3)})
+    assert frac == series and series == frac
+    assert frac != FinVec(b, {"x": SeriesScalar.make([2, 1], 3)})
+    assert frac != FinVec(b, {"x": F(2), "y": SeriesScalar.make([0, 1], 3)})
+    stored_zero = FinVec(b, {"y": SeriesScalar.zero(3)})
+    assert stored_zero == FinVec.zero(b) and FinVec.zero(b) == stored_zero
+    assert frac != FinVec(Basis("W", ("x", "y")), {"x": F(2)})  # another basis
+    m = FinMap(b, b, {"x": frac})
+    assert m == FinMap(b, b, {"x": series}) and m != FinMap(b, b, {"y": frac})
+
+
 def test_one_pass_sums_reject_terms_from_another_basis():
     # Both bases use the labels 1, 2: only the basis check tells them apart.
     a = Basis("A", (1, 2))
@@ -459,3 +476,78 @@ def test_span_solver_random_recombination(n, data):
     for c, g in zip(coords, gens):
         got = got + g.scale(c)
     assert got == target
+
+
+# ---------------------------------------------------------------------------
+# one canonical output: reduced echelon form with the leftmost pivot
+# ---------------------------------------------------------------------------
+
+nonzero_fracs = small_fracs.filter(bool)
+
+
+def sparse_rows(ncols):
+    return st.lists(st.dictionaries(st.integers(0, ncols - 1), nonzero_fracs, max_size=ncols),
+                    min_size=1, max_size=5)
+
+
+def test_kernel_basis_is_the_reduced_echelon_one():
+    # 2 x0 + 3 x2 = 0 and -x0 + 2 x1 = 0: pivots x0, x1, free x2, in either order
+    rows = [{0: F(2), 2: F(3)}, {0: F(-1), 1: F(2)}]
+    want = [{0: F(-3, 2), 1: F(-3, 4), 2: F(1)}]
+    assert nullspace(rows, 3) == want
+    assert nullspace(rows[::-1], 3) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_kernel_and_rank_do_not_depend_on_row_order(nc, data):
+    rows = data.draw(sparse_rows(nc))
+    order = data.draw(st.permutations(range(len(rows))))
+    permuted = [rows[i] for i in order]
+    ker = nullspace(rows, nc)
+    assert nullspace(permuted, nc) == ker
+    assert nullspace(list(reversed(rows)), nc) == ker
+    assert rank_of(permuted, nc) == rank_of(rows, nc) == nc - len(ker)
+    # the same system as a map: the codomain label of a row is its position,
+    # and the entries of each column are listed in permuted row order
+    dom = Basis("D", tuple(range(nc)))
+    cod = Basis("C", tuple(range(len(rows))))
+
+    def as_map(row_order):
+        return FinMap.from_function(dom, cod, lambda j: FinVec.build(
+            cod, [(i, rows[i][j]) for i in row_order if j in rows[i]]))
+
+    m, m_permuted = as_map(range(len(rows))), as_map(order)
+    assert kernel_basis(m_permuted) == kernel_basis(m)
+    assert [dict(v.entries) for v in kernel_basis(m)] == ker
+    assert rank(m_permuted) == rank(m) == nc - len(ker)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.data())
+def test_span_basis_does_not_depend_on_generator_order_or_scale(nc, data):
+    b = Basis("V", tuple(f"v{j}" for j in range(nc)))
+    gens = [FinVec.build(b, {b.labels[j]: c for j, c in row.items()})
+            for row in data.draw(sparse_rows(nc))]
+    order = data.draw(st.permutations(range(len(gens))))
+    scales = data.draw(st.lists(nonzero_fracs, min_size=len(gens), max_size=len(gens)))
+    want = span_basis(gens)
+    assert span_basis([gens[i].scale(scales[i]) for i in order]) == want
+    # reduced echelon form: leading entry 1 at a pivot where every other row vanishes
+    leads = [b.index(min(v.entries, key=b.index)) for v in want]
+    assert leads == sorted(set(leads))
+    for v, lead in zip(want, leads):
+        assert v[b.labels[lead]] == 1
+        assert all(not w[b.labels[lead]] for w in want if w is not v)
+
+
+def test_span_solver_vectors_are_the_span_basis():
+    b = Basis("V", ("1", "2", "3"))
+    gens = [FinVec.build(b, {"2": F(2), "3": F(1)}), FinVec.build(b, {"1": F(3), "2": F(1)}),
+            FinVec.build(b, {"1": F(3), "2": F(3), "3": F(1)})]
+    sp = SpanSolver(gens)
+    assert sp.vectors == span_basis(gens) == span_basis(gens[::-1])
+    assert [dict(v.entries) for v in sp.vectors] == [{"1": F(1), "3": F(-1, 6)},
+                                                     {"2": F(1), "3": F(1, 2)}]
+    assert sp.pivot_indices == [0, 1] and sp.dim == 2
+    assert SpanSolver([]).vectors == []

@@ -422,6 +422,40 @@ class TestAugmentedDialgebra:
         solh = SpanSolver(expect_h)
         assert all(solh.contains(v) for v in dec.hopf_part)
 
+    R00, R01, R10, R11 = ("r0", "r0"), ("r0", "r1"), ("r1", "r0"), ("r1", "r1")
+
+    @pytest.mark.parametrize("source,table,key,value,identity,witness", [
+        ("z2", "vdash", (R00, R00), {}, "generalized bar-unit (|-)", (0, R00)),
+        ("z2", "vdash", (R01, R00), {}, "hopf part products agree", (1, 0)),
+        ("z2", "vdash", (R01, R10), {}, "projection merges products", (R01, R10)),
+        ("z2", "vdash", (R01, R10), {R00: 1}, "psi multiplicative (|-)", (R01, R10)),
+        ("z2", "dashv", (R00, R00), {}, "idempotent projector", R01),
+        ("z2", "dashv", (R00, R01), {}, "hopf part projector", R10),
+        ("z2", "dashv", (R00, R10), {}, "projection multiplicative", (R01, R10)),
+        ("z2", "dashv", (R01, R01), {R01: 1}, "idempotent antipode", 1),
+        ("z2", "dashv", (R10, R01), {R10: 1}, "generalized idempotent (-|)", 1),
+        ("z2", "dashv", (R10, R01), {R00: 1}, "psi left inverse", R10),
+        ("z2", "dashv", (R01, R10), {R11: 1}, "psi multiplicative (-|)", (R01, R10)),
+        ("sq2", "dashv", (((), ()), ((), ())), {}, "hopf part unit", "1"),
+        ("sq2", "vdash", (((), ()), ((), ())), {((1,), ()): 1},
+         "generalized bar-unit (|-)", (0, ((), ()))),
+        ("z3", "dashv", ("r0", "r1"), {}, "hopf part antipode closure", 1),
+    ])
+    def test_perturbed_entry_fails_decomposition(self, ud_sq2, source, table, key, value,
+                                                 identity, witness):
+        d = {"z2": lambda: dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))),
+             "sq2": lambda: ud_sq2,
+             "z3": lambda: hopf_as_dialgebra(group_hopf(cyclic_group(3)))}[source]()
+        structure_decomposition(d)
+        changed = dict(getattr(d, table))
+        changed[key] = FinVec.build(d.basis, {lab: F(c) for lab, c in value.items()})
+        # still marked certified: the decomposition's own checks must catch it
+        bad = dataclasses.replace(d, **{table: changed})
+        assert bad.certified
+        with pytest.raises(DecompositionFailure) as exc:
+            structure_decomposition(bad)
+        assert (exc.value.identity, exc.value.witness) == (identity, witness)
+
     def test_dialgebra_needs_certified_augmented_structure(self, s3):
         arb = augmented_conjugation(s3)
         with pytest.raises(RackalgError):

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from rackalg.env_hopf import derivation_action
@@ -43,6 +42,7 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    Rational,
     SeriesScalar,
     SpanSolver,
     linear_sum,
@@ -186,9 +186,9 @@ class _Faces:
     def differential(self, omega: FinMap) -> FinMap:
         n = self.degree_of(omega)
         basis = self.rb.basis
-        terms = [(self.extra_face(omega), Fraction(-1) ** (n + 1))]
+        terms = [(self.extra_face(omega), (-1) ** (n + 1))]
         for i in range(1, n + 1):
-            sign = Fraction(-1) ** (i + 1)
+            sign = (-1) ** (i + 1)
             terms += [(self.face(omega, i, 1), sign), (self.face(omega, i, 0), -sign)]
         return FinMap.from_function(tensor_power(basis, n + 1), basis, lambda t: linear_sum(
             basis, ((f.column(t), c) for f, c in terms)))
@@ -255,14 +255,14 @@ def coderivation_space(rb: RackBialgebra, n: int) -> list[Cochain]:
     delta_of = {l: {_tparts(2, sq): c
                     for sq, c in rb.carrier.delta.column(l).entries.items()}
                 for l in basis.labels}
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, Rational]] = []
     for t in dom.labels:
         parts = _tparts(n, t)
-        acc: dict[tuple[Label, Label], dict[int, Fraction]] = {}
+        acc: dict[tuple[Label, Label], dict[int, Rational]] = {}
 
-        def add(pair: tuple[Label, Label], idx: int, val: Fraction) -> None:
+        def add(pair: tuple[Label, Label], idx: int, val: Rational) -> None:
             row = acc.setdefault(pair, {})
-            got = row.get(idx, Fraction(0)) + val
+            got = row.get(idx, 0) + val
             if got:
                 row[idx] = got
             else:
@@ -281,7 +281,7 @@ def coderivation_space(rb: RackBialgebra, n: int) -> list[Cochain]:
         rows.extend(row for row in acc.values() if row)
     out = []
     for combo in nullspace(rows, unknowns):
-        cols: dict[Label, dict[Label, Fraction]] = {}
+        cols: dict[Label, dict[Label, Rational]] = {}
         for idx, val in combo.items():
             t = dom.labels[idx // basis.dim]
             l = basis.labels[idx % basis.dim]
@@ -460,7 +460,7 @@ def star_mu1(h: LeibnizAlgebra, k: int) -> tuple[RackBialgebra, Cochain]:
 
 
 def _lift(v: FinVec, order: int) -> FinVec:
-    return FinVec.build(v.basis, ((lab, SeriesScalar.constant(Fraction(c), order)
+    return FinVec.build(v.basis, ((lab, SeriesScalar.constant(c, order)
                                    if not isinstance(c, SeriesScalar) else c)
                                   for lab, c in v.entries.items()))
 

@@ -24,23 +24,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import (
+    ONE,
     Basis,
     FinMap,
     FinVec,
     Label,
     bilinear,
+    div,
     linear_sum,
     split_label,
 )
 from rackalg.leibniz import LeibnizAlgebra, QuotientLie, check_leibniz, is_lie
 from rackalg.symcoalg import Coalgebra, check_multiplicative, sort_monomial, symmetric_coalgebra
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class EnvelopingHopf:
         """Words reverse with a parity sign; reversal then straightens."""
         return FinMap.from_function(
             self.basis, self.basis,
-            lambda w: self.straighten(tuple(reversed(w))).scale(Fraction((-1) ** len(w))))
+            lambda w: self.straighten(tuple(reversed(w))).scale((-1) ** len(w)))
 
     def truncating_mul_map(self) -> FinMap:
         """Multiplication as a map on the tensor square, overflow quotiented.
@@ -236,7 +235,7 @@ def symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
     k = len(word)
     if k == 0:
         return env.unit
-    weight = Fraction(1, math.factorial(k))
+    weight = div(ONE, math.factorial(k))
     return linear_sum(env.basis, ((env.straighten(perm), weight)
                                   for perm in itertools.permutations(word)))
 

@@ -1,8 +1,12 @@
 """Exact scalars, sparse vectors over labelled bases, and rational linear algebra.
 
-Coefficients are either ``fractions.Fraction`` or :class:`SeriesScalar`
-(truncated formal power series in the deformation parameter with Fraction
-coefficients).  No floating point is used anywhere; every equality test in the
+Coefficients are rationals or :class:`SeriesScalar` (truncated formal power
+series in the deformation parameter with rational coefficients).  A rational
+is an ``int`` first: structure constants, units, counits and signs are ints,
+and ``fractions.Fraction`` appears only where a real denominator does
+(elimination pivots, 1/r! weights, inverted series).  :func:`div` is the one
+division on scalars; it returns an ``int`` when the quotient is integral and
+never a float.  No floating point is used anywhere; every equality test in the
 package is exact.
 
 Vectors and maps are sparse and keyed by basis *labels* (arbitrary hashable
@@ -33,22 +37,32 @@ from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, Union
 
 Label = Hashable
-Coeff = Union[Fraction, "SeriesScalar"]
+Rational = Union[int, Fraction]
+Coeff = Union[int, Fraction, "SeriesScalar"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def rational(text: str | int | Fraction) -> Fraction:
-    """Parse a rational from an int, a Fraction or a "p/q" string."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(text.strip())
+ZERO = 0
+ONE = 1
 
 
-def format_rational(q: Fraction) -> str:
+def _integral(q: Rational) -> Rational:
+    return q.numerator if q.denominator == 1 else q
+
+
+def div(a: Rational, b: Rational) -> Rational:
+    """a / b, exactly: an int when the quotient is integral, else a Fraction."""
+    return _integral(Fraction(a) / b)
+
+
+def rational(text: str | Rational) -> Rational:
+    """Parse a rational from an int, a Fraction or a "p/q" string; an int if integral."""
+    if isinstance(text, str):
+        text = Fraction(text.strip())
+    elif not isinstance(text, (int, Fraction)):
+        raise TypeError(f"not an exact rational: {text!r}")
+    return _integral(text)
+
+
+def format_rational(q: Rational) -> str:
     """Serialize a rational as "p" or "p/q" (lowest terms, positive denominator)."""
     if q.denominator == 1:
         return str(q.numerator)
@@ -60,7 +74,7 @@ def format_rational(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_coeffs(values: Iterable[Fraction | int | str], order: int) -> tuple[Fraction, ...]:
+def _coerce_coeffs(values: Iterable[Rational | str], order: int) -> tuple[Rational, ...]:
     out = [rational(v) for v in values]
     if len(out) > order:
         raise ValueError(f"{len(out)} coefficients exceed truncation order {order}")
@@ -74,22 +88,22 @@ class SeriesScalar:
 
     ``coeffs[i]`` is the coefficient of hbar^i.  All ring operations truncate
     at the common order; mixing different orders is an error, mixing with
-    Fraction or int coerces the scalar into degree zero.
+    an int or a Fraction coerces the scalar into degree zero.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series needs truncation order >= 1")
 
     @staticmethod
-    def make(values: Iterable[Fraction | int | str], order: int) -> "SeriesScalar":
+    def make(values: Iterable[Rational | str], order: int) -> "SeriesScalar":
         return SeriesScalar(_coerce_coeffs(values, order))
 
     @staticmethod
-    def constant(value: Fraction | int, order: int) -> "SeriesScalar":
-        return SeriesScalar.make([rational(value)], order)
+    def constant(value: Rational, order: int) -> "SeriesScalar":
+        return SeriesScalar.make([value], order)
 
     @staticmethod
     def zero(order: int) -> "SeriesScalar":
@@ -165,13 +179,13 @@ class SeriesScalar:
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         n = self.order
-        inv = [ONE / c0] + [ZERO] * (n - 1)
+        inv = [div(ONE, c0)] + [ZERO] * (n - 1)
         # recursively solve (sum_i a_i h^i)(sum_j b_j h^j) = 1
         for m in range(1, n):
             acc = ZERO
             for i in range(1, m + 1):
                 acc += self.coeffs[i] * inv[m - i]
-            inv[m] = -acc / c0
+            inv[m] = div(-acc, c0)
         return SeriesScalar(tuple(inv))
 
     def __truediv__(self, other: Any) -> "SeriesScalar":
@@ -195,7 +209,7 @@ def series_exp(s: SeriesScalar) -> SeriesScalar:
     result = SeriesScalar.one(s.order)
     term = SeriesScalar.one(s.order)
     for r in range(1, s.order):
-        term = term * s / Fraction(r)
+        term = term * s * div(ONE, r)
         result = result + term
     return result
 
@@ -334,7 +348,7 @@ class FinVec:
         if self.basis is not other.basis and self.basis != other.basis:
             return False
         a, b = self.entries, other.entries
-        # a Fraction and a SeriesScalar are never ==, so a mismatch is
+        # a rational and a SeriesScalar are never ==, so a mismatch is
         # confirmed by their difference, which is zero when they are equal
         for lab, x in a.items():
             y = b.get(lab, ZERO)
@@ -424,7 +438,7 @@ class FinMap:
                                     lambda lab: self.column(lab) + other.column(lab))
 
     def __sub__(self, other: "FinMap") -> "FinMap":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c: Coeff) -> "FinMap":
         return FinMap.from_function(self.domain, self.codomain,
@@ -554,10 +568,10 @@ def flip_map(a: Basis, b: Basis) -> FinMap:
 # ---------------------------------------------------------------------------
 
 
-Row = dict[int, Fraction]
+Row = dict[int, Rational]
 
 
-def _sub_multiple(row: Row, f: Fraction, other: Row) -> None:
+def _sub_multiple(row: Row, f: Rational, other: Row) -> None:
     """row -= f * other, in place, dropping the entries that cancel."""
     for col, val in other.items():
         s = row.get(col, ZERO) - f * val
@@ -583,7 +597,7 @@ class _Echelon:
         for row in sorted(rows, key=len):
             self.insert(row)
 
-    def reduce(self, row: Row) -> tuple[Row, list[tuple[int, Fraction]]]:
+    def reduce(self, row: Row) -> tuple[Row, list[tuple[int, Rational]]]:
         """row minus multiples of the stored rows, and the multiples taken.
 
         The stored rows vanish on each other's pivots, so subtracting one
@@ -602,14 +616,17 @@ class _Echelon:
         if not row:
             return False
         j = min(row)
-        inv = ONE / row[j]
-        row = {c: v * inv for c, v in row.items()}
+        p = row[j]
+        if p != ONE:
+            row = {c: div(v, p) for c, v in row.items()}
         combo = None
         if self.combos is not None:
             combo = {tag: ONE}
             for pj, f in taken:
                 _sub_multiple(combo, f, self.combos[pj])
-            self.combos[j] = combo = {t: v * inv for t, v in combo.items()}
+            if p != ONE:
+                combo = {t: div(v, p) for t, v in combo.items()}
+            self.combos[j] = combo
         # back-substitute, so every stored row vanishes on the new pivot
         for pj, prow in self.rows.items():
             f = prow.get(j)
@@ -653,8 +670,8 @@ def _map_rows(m: FinMap) -> list[Row]:
         if col is None:
             continue
         for out_lab, c in col.entries.items():
-            if not isinstance(c, Fraction):
-                raise TypeError("exact elimination needs Fraction entries")
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact elimination needs int or Fraction entries, got {c!r}")
             rows.setdefault(out_lab, {})[j] = c
     return list(rows.values())
 
@@ -706,7 +723,7 @@ class SpanSolver:
     def contains(self, v: FinVec) -> bool:
         return self.residue(v).is_zero
 
-    def coordinates(self, v: FinVec) -> list[Fraction] | None:
+    def coordinates(self, v: FinVec) -> list[Rational] | None:
         if self.basis is None:
             return None if not v.is_zero else []
         row, taken = self._echelon.reduce(_row(self.basis, v))
@@ -741,8 +758,8 @@ def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
 
 
 __all__ = [
-    "Basis", "Coeff", "FinMap", "FinVec", "Label", "SeriesScalar", "SpanSolver",
-    "bilinear", "flip_map", "format_rational", "kernel_basis", "linear_sum", "merge_labels",
-    "nullspace", "rank", "rank_of", "rational", "series_exp", "span_basis", "split_label",
-    "tensor_basis", "tensor_product_map", "tensor_sum",
+    "Basis", "Coeff", "FinMap", "FinVec", "Label", "Rational", "SeriesScalar", "SpanSolver",
+    "bilinear", "div", "flip_map", "format_rational", "kernel_basis", "linear_sum",
+    "merge_labels", "nullspace", "rank", "rank_of", "rational", "series_exp", "span_basis",
+    "split_label", "tensor_basis", "tensor_product_map", "tensor_sum",
 ]

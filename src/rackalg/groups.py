@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from rackalg.errors import AxiomViolation, SchemaError
@@ -121,7 +120,7 @@ def group_like_coalgebra(name: str, labels: tuple[Label, ...], unit_label: Label
         raise SchemaError(f"coalgebra {name}: unit {unit_label!r} not a basis label")
     square = tensor_basis(basis, basis)
     delta = FinMap.from_function(basis, square, lambda lab: FinVec.unit(square, (lab, lab)))
-    counit = {lab: Fraction(1) for lab in labels}
+    counit = {lab: 1 for lab in labels}
     return Coalgebra(basis, delta, counit, FinVec.unit(basis, unit_label))
 
 

@@ -9,11 +9,10 @@ indices are 1-based and all scalars are exact rationals serialized as "p" or
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Any, Mapping
 
 from rackalg.errors import SchemaError
-from rackalg.exact_core import format_rational
+from rackalg.exact_core import Rational, format_rational, rational
 from rackalg.groups import FiniteGroup
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import FiniteRack
@@ -38,15 +37,15 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX = re.compile(r"[0-9]{1,%d}" % len(str(MAX_DIM)))
 
 
-def _as_rational(value: Any, where: str) -> Fraction:
+def _as_rational(value: Any, where: str) -> Rational:
     """An int (not a bool) or a "p" / "p/q" string of at most MAX_RATIONAL_CHARS."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     if not isinstance(value, str) or len(value) > MAX_RATIONAL_CHARS \
             or not _RATIONAL.fullmatch(value):
         raise SchemaError(f"{where}: expected an int or a 'p/q' string, got {value!r:.80}")
     try:
-        return Fraction(value)
+        return rational(value)
     except ZeroDivisionError as exc:
         raise SchemaError(f"{where}: zero denominator in {value!r}") from exc
 
@@ -88,7 +87,7 @@ def leibniz_from_json(doc: Mapping[str, Any]) -> LeibnizAlgebra:
     raw = _require(doc, "bracket", KIND_LEIBNIZ)
     if not isinstance(raw, Mapping):
         raise SchemaError("'bracket' must be an object keyed by 'j,k' pairs")
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Rational]] = {}
     for key, coeffs in raw.items():
         parts = str(key).split(",")
         if len(parts) != 2:
@@ -99,7 +98,7 @@ def leibniz_from_json(doc: Mapping[str, Any]) -> LeibnizAlgebra:
             raise SchemaError(f"duplicate bracket key for pair ({j},{k})")
         if not isinstance(coeffs, Mapping):
             raise SchemaError(f"bracket[{key!r}] must be an object keyed by basis index")
-        vec: dict[int, Fraction] = {}
+        vec: dict[int, Rational] = {}
         for i_text, c in coeffs.items():
             i = _parse_index(str(i_text), dim, f"bracket[{key!r}]")
             vec[i] = _as_rational(c, f"bracket[{key!r}][{i_text!r}]")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from rackalg.errors import IdealSandwichViolation, LeibnizViolation
@@ -23,6 +22,7 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    Rational,
     SpanSolver,
     bilinear,
     kernel_basis,
@@ -54,7 +54,7 @@ class LeibnizAlgebra:
 
     @staticmethod
     def from_table(dim: int,
-                   entries: Mapping[tuple[int, int], Mapping[int, Fraction | int | str]],
+                   entries: Mapping[tuple[int, int], Mapping[int, Rational | str]],
                    name: str = "h") -> "LeibnizAlgebra":
         """Build from 1-based index data: entries[(j, k)][i] = coeff of e_i in [e_j, e_k]."""
         basis = Basis(name, tuple(range(1, dim + 1)))

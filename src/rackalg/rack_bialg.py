@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from rackalg.env_hopf import enveloping_hopf, module_action, phi_map
@@ -32,12 +31,16 @@ from rackalg.errors import (
     SchemaError,
 )
 from rackalg.exact_core import (
+    ONE,
+    ZERO,
     Basis,
     FinMap,
     FinVec,
     Label,
+    Rational,
     SpanSolver,
     bilinear,
+    div,
     linear_sum,
     merge_labels,
     split_label,
@@ -57,9 +60,6 @@ from rackalg.symcoalg import (
     primitives,
     symmetric_coalgebra,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -605,7 +605,7 @@ def primitives_leibniz(rb: RackBialgebra) -> LeibnizAlgebra:
         raise RackalgError("primitives_leibniz needs a certified rack bialgebra")
     prims = primitives(rb.carrier)
     solver = SpanSolver(prims)
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    entries: dict[tuple[int, int], dict[int, Rational]] = {}
     for j, x in enumerate(prims, start=1):
         for k, y in enumerate(prims, start=1):
             v = rb.apply(x, y)
@@ -626,7 +626,7 @@ def _solve_set_like_system(c: Coalgebra) -> list[FinVec]:
     n = c.basis.dim
     syms = list(sympy.symbols(f"c0:{n}"))
 
-    def to_sym(q: Fraction):
+    def to_sym(q: Rational):
         return sympy.Rational(q.numerator, q.denominator)
 
     delta_rows: dict[Label, object] = {}
@@ -653,7 +653,7 @@ def _solve_set_like_system(c: Coalgebra) -> list[FinVec]:
         if any(getattr(v, "free_symbols", None) for v in vals):
             continue
         try:
-            fracs = [Fraction(int(sympy.Rational(v).p), int(sympy.Rational(v).q)) for v in vals]
+            fracs = [div(int(sympy.Rational(v).p), int(sympy.Rational(v).q)) for v in vals]
         except (TypeError, ValueError):
             continue
         v = FinVec.build(c.basis, zip(c.basis.labels, fracs))

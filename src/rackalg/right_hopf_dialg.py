@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from rackalg.env_hopf import EnvelopingHopf
@@ -51,10 +50,12 @@ from rackalg.errors import (
     SchemaError,
 )
 from rackalg.exact_core import (
+    ZERO,
     Basis,
     FinMap,
     FinVec,
     Label,
+    Rational,
     SpanSolver,
     bilinear,
     flip_map,
@@ -86,8 +87,6 @@ from rackalg.symcoalg import (
     tensor_coalgebra,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 __all__ = [
     "DialgebraDecomposition",
@@ -366,7 +365,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     def u(lab: Label) -> FinVec:
         return FinVec.unit(basis, lab)
 
-    def eps(v: FinVec) -> Fraction:
+    def eps(v: FinVec) -> Rational:
         return c.eps_of(v)
 
     iota = idempotent_projector(h)
@@ -422,8 +421,8 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         raise DecompositionFailure("dimension product", basis.name,
                                    basis.dim, len(h1_basis) * len(e_basis))
 
-    def psi_term(l1: Label, l2: Label, l3: Label, cw: Fraction
-                 ) -> tuple[FinVec, FinVec, Fraction]:
+    def psi_term(l1: Label, l2: Label, l3: Label, cw: Rational
+                 ) -> tuple[FinVec, FinVec, Rational]:
         if h.side == "right":
             return h.product(u(l1), one), h.product(s.column(l2), u(l3)), cw
         return h.product(u(l1), s.column(l2)), h.product(one, u(l3)), cw
@@ -529,9 +528,10 @@ class HopfDialgebra:
 
     def _entry(self, table: Mapping[tuple[Label, Label], FinVec],
                la: Label, lb: Label, context: str) -> FinVec:
-        need = self.degree(la) + self.degree(lb)
-        if not self.fits(need):
-            raise DegreeCapExceeded(need, self.cap, context)
+        if self.cap is not None:
+            need = self.degree(la) + self.degree(lb)
+            if not self.fits(need):
+                raise DegreeCapExceeded(need, self.cap, context)
         col = table.get((la, lb))
         return self._zero if col is None else col
 
@@ -553,9 +553,10 @@ class HopfDialgebra:
 
     def s(self, a: FinVec) -> FinVec:
         """Antipode, guarded: undefined beyond the cap rather than zero."""
-        for lab in a.entries:
-            if not self.fits(self.degree(lab)):
-                raise DegreeCapExceeded(self.degree(lab), self.cap, "antipode")
+        if self.cap is not None:
+            for lab in a.entries:
+                if not self.fits(self.degree(lab)):
+                    raise DegreeCapExceeded(self.degree(lab), self.cap, "antipode")
         return self.antipode(a)
 
 
@@ -878,7 +879,7 @@ def dialgebra_leibniz(d: HopfDialgebra) -> LeibnizAlgebra:
         raise RackalgError("dialgebra_leibniz needs a certified dialgebra")
     prims = primitives(d.coalgebra)
     solver = SpanSolver(prims)
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    entries: dict[tuple[int, int], dict[int, Rational]] = {}
     for j, x in enumerate(prims, start=1):
         for k, y in enumerate(prims, start=1):
             v = d.vprod(x, y) - d.dprod(y, x)
@@ -1018,7 +1019,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     def u(lab: Label) -> FinVec:
         return FinVec.unit(basis, lab)
 
-    def eps(v: FinVec) -> Fraction:
+    def eps(v: FinVec) -> Rational:
         return c.eps_of(v)
 
     def apply_cols(cols: dict[Label, FinVec], v: FinVec, target: Basis, context: str) -> FinVec:
@@ -1145,7 +1146,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     def psi_apply(v: FinVec) -> FinVec:
         return apply_cols(psi_cols, v, square, "psi")
 
-    def legs(w: FinVec) -> list[tuple[Label, Label, Fraction]]:
+    def legs(w: FinVec) -> list[tuple[Label, Label, Rational]]:
         """Terms (l1, l2, coefficient) of a vector of the tensor square."""
         return [split_label(basis, pair) + (cw,) for pair, cw in w.entries.items()]
 
@@ -1213,7 +1214,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     prims = primitives(c)
 
     def intersect(solver: SpanSolver) -> list[FinVec]:
-        rows: dict[Label, dict[int, Fraction]] = {}
+        rows: dict[Label, dict[int, Rational]] = {}
         for i, p in enumerate(prims):
             for lab, cv in solver.residue(p).entries.items():
                 rows.setdefault(lab, {})[i] = cv

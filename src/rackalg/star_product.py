@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from sympy.utilities.iterables import multiset_permutations
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, DecompositionFailure, SchemaError
-from rackalg.exact_core import Coeff, FinVec, Label, SeriesScalar
+from rackalg.exact_core import Coeff, FinVec, Label, Rational, SeriesScalar, div
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import CheckReport, uar_infinity
 
@@ -80,7 +79,7 @@ class PolyFunction:
         acc: dict[Exponents, SeriesScalar] = {}
         for m, c in items:
             m = tuple(m)
-            s = c if isinstance(c, SeriesScalar) else SeriesScalar.constant(Fraction(c), order)
+            s = c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
             prev = acc.get(m)
             s = s if prev is None else prev + s
             if s:
@@ -133,7 +132,7 @@ class PolyFunction:
         return self + (-other)
 
     def scale(self, c: Coeff) -> "PolyFunction":
-        s = c if isinstance(c, SeriesScalar) else SeriesScalar.constant(Fraction(c), self.order)
+        s = c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, self.order)
         # hbar-multiples can annihilate top coefficients, so prune again.
         return PolyFunction.build(self.nvars, self.order,
                                   ((m, v * s) for m, v in self.terms.items()))
@@ -159,7 +158,7 @@ class PolyFunction:
         for m, c in self.terms.items():
             e = m[pos]
             if e:
-                acc[m[:pos] + (e - 1,) + m[pos + 1:]] = c * Fraction(e)
+                acc[m[:pos] + (e - 1,) + m[pos + 1:]] = c * e
         return PolyFunction(self.nvars, self.order, acc)
 
     def at_zero(self) -> SeriesScalar:
@@ -249,14 +248,14 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
     """
     base = hat_function(h, x, order)
 
-    def powers() -> Iterator[tuple[PolyFunction, Fraction]]:
+    def powers() -> Iterator[tuple[PolyFunction, Rational]]:
         power = PolyFunction.constant(1, h.dim, order)
-        yield power, Fraction(1)
+        yield power, 1
         for r in range(1, degree + 1):
             power = power * base
             if power.is_zero:
                 return
-            yield power, Fraction(1, math.factorial(r))
+            yield power, div(1, math.factorial(r))
 
     return PolyFunction.linear_sum(h.dim, order, powers())
 
@@ -311,7 +310,7 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
                 term for seq in multiset_permutations(letters)
                 for term in chain(tuple(h.basis.labels[p] for p in seq)).terms.items()))
             # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
-            norm = Fraction(math.prod(math.factorial(e) for e in m), math.factorial(r))
+            norm = div(math.prod(math.factorial(e) for e in m), math.factorial(r))
             yield acc, weight * norm
 
     return PolyFunction.linear_sum(h.dim, order, terms())
@@ -321,13 +320,13 @@ def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> Fin
     """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order)."""
 
     def lift(c: Coeff) -> SeriesScalar:
-        return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(Fraction(c), order)
+        return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
 
     term = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in y.entries.items()))
     terms = [term]
     hbar = SeriesScalar.hbar(order)
     for r in range(1, order):
-        term = h.bracket_of(x, term).scale(hbar * Fraction(1, r))
+        term = h.bracket_of(x, term).scale(hbar * div(1, r))
         if term.is_zero:
             break
         terms.append(term)
@@ -335,7 +334,7 @@ def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> Fin
 
 
 def _first_hbar_difference(a: PolyFunction, b: PolyFunction,
-                           ) -> tuple[int, dict[Exponents, Fraction], dict[Exponents, Fraction]]:
+                           ) -> tuple[int, dict[Exponents, Rational], dict[Exponents, Rational]]:
     """Lowest hbar power whose coefficient polynomials differ, with both rows."""
     for p in range(a.order):
         row_a = {m: c.coeffs[p] for m, c in a.terms.items() if c.coeffs[p]}

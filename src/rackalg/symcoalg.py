@@ -21,16 +21,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from rackalg.errors import AxiomViolation, RackalgError
 from rackalg.exact_core import (
+    ONE,
+    ZERO,
     Basis,
     Coeff,
     FinMap,
     FinVec,
     Label,
+    Rational,
     SpanSolver,
     flip_map,
     kernel_basis,
@@ -40,9 +42,6 @@ from rackalg.exact_core import (
     tensor_product_map,
     tensor_sum,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class Coalgebra:
 
     basis: Basis
     delta: FinMap
-    counit: Mapping[Label, Fraction]
+    counit: Mapping[Label, Rational]
     unit: FinVec
 
     def __post_init__(self) -> None:
@@ -296,7 +295,7 @@ def tensor_coalgebra(left: Coalgebra, right: Coalgebra, name: str | None = None)
                 items.append((merge_labels(basis, (l1, r1), (l2, r2)), cl * cr))
         return FinVec.build(square, items)
 
-    counit: dict[Label, Fraction] = {}
+    counit: dict[Label, Rational] = {}
     for lab_l, el in left.counit.items():
         for lab_r, er in right.counit.items():
             if el * er:

@@ -49,6 +49,7 @@ def complex_lie2(ur_lie2):
     ("abelian1", {"z2": 2, "b2": 0, "h2": 2}),
     ("sq2", {"z2": 4, "b2": 2, "h2": 2}),
     ("lie2", {"z2": 2, "b2": 2, "h2": 0}),
+    ("heis3", {"z2": 13, "b2": 3, "h2": 10}),
 ])
 def test_h2_dimensions(name, want):
     assert h2(ur(load(name))) == want
@@ -69,6 +70,12 @@ def test_verify_complex_lie2(ur_lie2):
     rep = verify_complex(ur_lie2, 1)
     assert rep.passed and rep.checked == 32
     assert rep.detail == "dim C^1=4, dim C^2=12; cubical=16, extra=12"
+
+
+def test_verify_complex_heis3():
+    rep = verify_complex(ur(load("heis3")), 1)
+    assert rep.passed and rep.checked == 72
+    assert rep.detail == "dim C^1=9, dim C^2=36; cubical=36, extra=27"
 
 
 def test_cochain_space_dimensions(complex_sq2):

@@ -5,12 +5,15 @@ Gauss-Jordan over Fraction matrices, independently of the sparse eliminator
 under test.
 """
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rackalg
 from rackalg.errors import DegreeCapExceeded
 from rackalg.exact_core import (
     Basis,
@@ -19,6 +22,7 @@ from rackalg.exact_core import (
     SeriesScalar,
     SpanSolver,
     bilinear,
+    div,
     flip_map,
     format_rational,
     kernel_basis,
@@ -551,3 +555,114 @@ def test_span_solver_vectors_are_the_span_basis():
                                                      {"2": F(1), "3": F(1, 2)}]
     assert sp.pivot_indices == [0, 1] and sp.dim == 2
     assert SpanSolver([]).vectors == []
+
+
+# ---------------------------------------------------------------------------
+# integer-first scalars
+# ---------------------------------------------------------------------------
+
+
+def _exact(c):
+    """True for an exact rational: an int or a Fraction, never a float or a bool."""
+    return type(c) in (int, Fraction)
+
+
+def test_div_is_exact_and_integer_first():
+    assert div(4, 2) == 2 and type(div(4, 2)) is int
+    assert div(F(3, 2), F(3, 4)) == 2 and type(div(F(3, 2), F(3, 4))) is int
+    assert div(1, 2) == F(1, 2) and type(div(1, 2)) is Fraction
+    assert div(-3, 6) == F(-1, 2)
+    with pytest.raises(ZeroDivisionError):
+        div(1, 0)
+
+
+def test_rational_is_integer_first():
+    assert rational("4/2") == 2 and type(rational("4/2")) is int
+    assert type(rational(F(6, 3))) is int and type(rational(7)) is int
+    assert rational("1/2") == F(1, 2) and type(rational("1/2")) is Fraction
+    with pytest.raises(TypeError):
+        rational(1.5)
+
+
+def test_structure_constants_stay_int():
+    b = Basis("V", ("x", "y"))
+    v = FinVec.unit(b, "x") - FinVec.unit(b, "y").scale(3)
+    assert all(type(c) is int for _, c in v)
+    assert type(SeriesScalar.one(3).coeffs[0]) is int
+
+
+def _true_divisions(tree, allowed):
+    """Line numbers of the `/` and `/=` nodes of ``tree`` outside ``allowed``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+            and id(node) not in allowed]
+
+
+def test_div_is_the_only_division_in_the_package():
+    found = []
+    for path in sorted(pathlib.Path(rackalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "exact_core.py":
+            div_defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "div"]
+            assert len(div_defs) == 1
+            allowed = {id(n) for n in ast.walk(div_defs[0])}
+            assert _true_divisions(div_defs[0], set()), "div must divide"
+        found += [f"{path.name}:{line}" for line in _true_divisions(tree, allowed)]
+    assert found == []
+
+
+int_rows = st.lists(st.dictionaries(st.integers(0, 4), st.integers(-6, 6).filter(bool),
+                                    max_size=5), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_rows)
+def test_elimination_of_int_rows_stays_exact(rows):
+    nc = 5
+    for vec in nullspace(rows, nc):
+        assert all(_exact(c) for c in vec.values())
+    b = Basis("V", tuple(range(nc)))
+    gens = [FinVec.build(b, row) for row in rows]
+    for v in span_basis(gens):
+        assert all(_exact(c) for _, c in v)
+    solver = SpanSolver(gens)
+    for v in gens:
+        coords = solver.coordinates(v)
+        assert all(_exact(c) for c in coords)
+        assert linear_sum(b, zip(gens, coords)) == v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=5, max_size=5))
+def test_series_of_ints_stay_exact(coeffs):
+    s = SeriesScalar.make(coeffs, 5)
+    assert all(_exact(c) for c in series_exp(s - s.coeffs[0]).coeffs)
+    if coeffs[0]:
+        assert all(_exact(c) for c in s.inverse().coeffs)
+        assert s * s.inverse() == SeriesScalar.one(5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_rows)
+def test_int_and_fraction_entries_eliminate_alike(rows):
+    dom = Basis("D", tuple(range(5)))
+    cod = Basis("C", tuple(range(len(rows))))
+
+    def as_map(scalar):
+        return FinMap.from_function(dom, cod, lambda j: FinVec.build(
+            cod, [(i, scalar(row[j])) for i, row in enumerate(rows) if j in row]))
+
+    m_int, m_frac = as_map(int), as_map(Fraction)
+    assert rank(m_int) == rank(m_frac)
+    assert kernel_basis(m_int) == kernel_basis(m_frac)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, True])
+def test_elimination_refuses_float_and_bool_entries(bad):
+    b = Basis("V", ("x", "y"))
+    m = FinMap(b, b, {"x": FinVec(b, {"x": bad}), "y": FinVec.unit(b, "y")})
+    with pytest.raises(TypeError):
+        rank(m)
+    with pytest.raises(TypeError):
+        kernel_basis(m)

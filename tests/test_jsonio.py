@@ -75,3 +75,11 @@ def test_accepted_indices():
 def test_fixture_round_trip(name):
     doc = load_raw(name)
     assert leibniz_to_json(leibniz_from_json(doc)) == doc
+
+
+@pytest.mark.parametrize("coeff,want,kind", [
+    (2, 2, int), ("4/2", 2, int), ("-6", -6, int), ("1/2", Fraction(1, 2), Fraction),
+])
+def test_integral_rationals_load_as_int(coeff, want, kind):
+    got = leibniz_from_json(_doc(coeff)).bracket_of_labels(1, 1)[2]
+    assert got == want and type(got) is kind

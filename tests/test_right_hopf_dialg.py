@@ -9,6 +9,7 @@ the universal dialgebra of the one-relation Leibniz algebra sq2 has
 e1 |- e1 = e2 (x) 1 + e1 (x) xi and e1 -| e1 = e1 (x) xi.
 """
 
+import collections
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -468,6 +469,40 @@ class TestAugmentedDialgebra:
         assert rb.carrier.basis.labels == ad.carrier.basis.labels
         for pair in rb.mu.domain.labels:
             assert dict(rb.mu.column(pair).entries) == dict(ad.mu.column(pair).entries)
+
+    @staticmethod
+    def _perturbed_z3(table, key, target):
+        # still marked certified: the rack's own certification must catch it
+        d = hopf_as_dialgebra(group_hopf(cyclic_group(3)))
+        changed = dict(getattr(d, table))
+        changed[key] = changed[key] + FinVec.unit(d.basis, target)
+        bad = dataclasses.replace(d, **{table: changed})
+        assert bad.certified
+        return bad
+
+    @pytest.mark.parametrize("table,key,target,axiom,witness", [
+        ("vdash", ("r1", "r1"), "r0", "counit multiplicativity", ("r1", "r1")),
+        ("dashv", ("r0", "r1"), "r2", "counit multiplicativity", ("r2", "r1")),
+        ("vdash", ("r0", "r2"), "r1", "left unit", "r2"),
+        ("dashv", ("r1", "r2"), "r0", "unit absorption", "r1"),
+        ("vdash", ("r0", "r0"), "r2", "unit square", "1"),
+    ])
+    def test_perturbed_entry_fails_the_dialgebra_rack(self, table, key, target, axiom, witness):
+        with pytest.raises(AxiomViolation) as exc:
+            hopf_dialgebra_rack(self._perturbed_z3(table, key, target))
+        assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+    def test_every_single_entry_perturbation_fails_the_dialgebra_rack(self):
+        labels = ("r0", "r1", "r2")
+        fired = collections.Counter()
+        for table in ("vdash", "dashv"):
+            for key in itertools.product(labels, repeat=2):
+                for target in labels:
+                    with pytest.raises(AxiomViolation) as exc:
+                        hopf_dialgebra_rack(self._perturbed_z3(table, key, target))
+                    fired[exc.value.axiom] += 1
+        assert fired == {"counit multiplicativity": 24, "left unit": 12,
+                         "unit absorption": 12, "unit square": 6}
 
 
 # ---------------------------------------------------------------------------

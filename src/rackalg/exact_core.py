@@ -157,6 +157,11 @@ class SeriesScalar:
         return o + (-self)
 
     def __mul__(self, other: Any) -> "SeriesScalar":
+        if isinstance(other, (int, Fraction)):
+            # A scalar scales each coefficient; no lift to a series and no
+            # O(n^2) product.  Zeros stay the int 0, as in the product.
+            a = rational(other)
+            return SeriesScalar(tuple(a * c if a and c else ZERO for c in self.coeffs))
         o = self._lift(other)
         if o is None:
             return NotImplemented

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from sympy.utilities.iterables import multiset_permutations
-
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, DecompositionFailure, SchemaError
 from rackalg.exact_core import Coeff, FinVec, Label, Rational, SeriesScalar, div
@@ -132,10 +130,9 @@ class PolyFunction:
         return self + (-other)
 
     def scale(self, c: Coeff) -> "PolyFunction":
-        s = c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, self.order)
         # hbar-multiples can annihilate top coefficients, so prune again.
         return PolyFunction.build(self.nvars, self.order,
-                                  ((m, v * s) for m, v in self.terms.items()))
+                                  ((m, v * c) for m, v in self.terms.items()))
 
     def __mul__(self, other: "PolyFunction") -> "PolyFunction":
         self._check(other)
@@ -278,20 +275,29 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
     """Deformed product f |> g of polynomial functions on h*.
 
     The jet sum stops at deg f, and r >= order contributes nothing since it
-    carries hbar^r.  Chains of ad~ operators into g are shared between the
-    orderings of each monomial through suffix memoization.
+    carries hbar^r.  For an exponent tuple m, S(m) is the sum of the ad~
+    chains into g over the distinct orderings of the letters of m.  Every
+    ordering starts with one letter p followed by an ordering of m - e_p, so
+
+        S(0) = g,    S(m) = sum_{p: m_p > 0} ad~_p(S(m - e_p)),
+
+    memoized over sub-multisets: ad~ runs once per (sub-multiset, letter)
+    pair, polynomially many in the jet degree.
     """
     if f.nvars != h.dim or g.nvars != h.dim:
         raise SchemaError("polynomials do not live on the dual of the algebra")
     f._check(g)
     order = f.order
-    chains: dict[tuple[Label, ...], PolyFunction] = {(): g}
+    chains: dict[Exponents, PolyFunction] = {(0,) * h.dim: g}
 
-    def chain(seq: tuple[Label, ...]) -> PolyFunction:
-        got = chains.get(seq)
+    def chain(m: Exponents) -> PolyFunction:
+        got = chains.get(m)
         if got is None:
-            got = ad_tilde(h, seq[0], chain(seq[1:]))
-            chains[seq] = got
+            got = PolyFunction.build(h.dim, order, (
+                term for p, e in enumerate(m) if e
+                for term in ad_tilde(h, h.basis.labels[p],
+                                     chain(m[:p] + (e - 1,) + m[p + 1:])).terms.items()))
+            chains[m] = got
         return got
 
     def terms() -> Iterator[tuple[PolyFunction, Coeff]]:
@@ -302,16 +308,9 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
             weight = c.shift(r)
             if not weight:
                 continue
-            if r == 0:
-                yield g, weight
-                continue
-            letters = [p for p in range(h.dim) for _ in range(m[p])]
-            acc = PolyFunction.build(h.dim, order, (
-                term for seq in multiset_permutations(letters)
-                for term in chain(tuple(h.basis.labels[p] for p in seq)).terms.items()))
             # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
             norm = div(math.prod(math.factorial(e) for e in m), math.factorial(r))
-            yield acc, weight * norm
+            yield chain(m), weight * norm
 
     return PolyFunction.linear_sum(h.dim, order, terms())
 

@@ -45,6 +45,16 @@ def complex_lie2(ur_lie2):
     return deformation_complex(ur_lie2, 2)
 
 
+@pytest.fixture(scope="module")
+def ur_heis3():
+    return ur(load("heis3"))
+
+
+@pytest.fixture(scope="module")
+def complex_heis3(ur_heis3):
+    return deformation_complex(ur_heis3, 2)
+
+
 @pytest.mark.parametrize("name,want", [
     ("abelian1", {"z2": 2, "b2": 0, "h2": 2}),
     ("sq2", {"z2": 4, "b2": 2, "h2": 2}),
@@ -104,23 +114,27 @@ def _combination(space, coords, basis):
 
 
 def _check_cocycles_deform(rb, cx, n_cocycles):
+    """Returns the number of basis C^2 cochains that fail to deform."""
     d2 = cx.differentials[1]
     c2 = cx.spaces[1]
     cocycles = kernel_basis(d2)
     assert len(cocycles) == n_cocycles
     for v in cocycles:
         assert infinitesimal_selfdist(rb, _combination(c2, v, rb.basis)).passed
+    failed = 0
     for j, f in enumerate(c2):
         rep = infinitesimal_selfdist(rb, f)
         assert rep.passed == d2.column(j).is_zero
         if not rep.passed:
             assert rep.axiom == "self-distributivity mod hbar^2"
+            failed += 1
+    return failed
 
 
-def _check_coboundaries_integrate(rb, cx):
+def _check_coboundaries_integrate(rb, cx, n_checked):
     for f in cx.spaces[0]:
         rep = equivalence_check(rb, f.map)
-        assert rep.passed and rep.checked == 12
+        assert rep.passed and rep.checked == n_checked
 
 
 def test_cocycles_deform_and_the_rest_do_not(ur_sq2, complex_sq2):
@@ -131,12 +145,22 @@ def test_cocycles_deform_and_the_rest_do_not_on_lie2(ur_lie2, complex_lie2):
     _check_cocycles_deform(ur_lie2, complex_lie2, 2)
 
 
+def test_cocycles_deform_and_the_rest_do_not_on_heis3(ur_heis3, complex_heis3):
+    assert len(complex_heis3.spaces[1]) == 36
+    assert _check_cocycles_deform(ur_heis3, complex_heis3, 13) == 30
+
+
 def test_coboundaries_integrate(ur_sq2, complex_sq2):
-    _check_coboundaries_integrate(ur_sq2, complex_sq2)
+    _check_coboundaries_integrate(ur_sq2, complex_sq2, 12)
 
 
 def test_coboundaries_integrate_on_lie2(ur_lie2, complex_lie2):
-    _check_coboundaries_integrate(ur_lie2, complex_lie2)
+    _check_coboundaries_integrate(ur_lie2, complex_lie2, 12)
+
+
+def test_coboundaries_integrate_on_heis3(ur_heis3, complex_heis3):
+    assert len(complex_heis3.spaces[0]) == 9
+    _check_coboundaries_integrate(ur_heis3, complex_heis3, 20)
 
 
 def test_differential_rejects_wrong_degree(ur_sq2, complex_sq2):

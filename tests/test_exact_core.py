@@ -643,6 +643,28 @@ def test_series_of_ints_stay_exact(coeffs):
         assert s * s.inverse() == SeriesScalar.one(5)
 
 
+@settings(max_examples=60, deadline=None)
+@given(series(order=5), st.one_of(st.integers(-5, 5), small_fracs, st.booleans()))
+def test_scalar_times_series_is_the_lifted_product(s, c):
+    # Mix int and Fraction coefficients, Fraction(0) among them, to pin result types.
+    s = SeriesScalar(tuple(int(q) if q.denominator == 1 and q % 2 else q for q in s.coeffs))
+    lifted = s * SeriesScalar.constant(c, 5)
+    for got in (c * s, s * c):
+        assert got == lifted
+        assert [type(q) for q in got.coeffs] == [type(q) for q in lifted.coeffs]
+        assert all(_exact(q) for q in got.coeffs)
+
+
+def test_scalar_times_series_keeps_its_errors():
+    s = SeriesScalar.make([1, 2], 3)
+    with pytest.raises(TypeError):
+        2.0 * s
+    with pytest.raises(TypeError):
+        s * 0.5
+    with pytest.raises(ValueError):
+        s * SeriesScalar.one(4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(int_rows)
 def test_int_and_fraction_entries_eliminate_alike(rows):

@@ -1,6 +1,11 @@
 """Deformed products on polynomial functions and the exponential rack identities."""
 
+import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 from rackalg.errors import DecompositionFailure, LeibnizViolation, SchemaError
 from rackalg.exact_core import FinVec, SeriesScalar, series_exp
+import rackalg.star_product as star_product
 from rackalg.fixtures import load
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz
 from rackalg.star_product import (
@@ -222,6 +228,70 @@ class TestStar:
             star(h, f, PolyFunction.constant(1, 2, N + 1))
         with pytest.raises(SchemaError):
             star(load("sl2"), f, f)
+
+
+def star_by_orderings(h, f, g):
+    """The jet sum of the module docstring, term by term: (1/r!) sum over all r! orderings.
+
+    A monomial c alpha^m has r-th derivatives at 0 only along orderings of
+    the letters of m, so each of the r! permutations of those letters
+    contributes c times its ad~ chain into g.
+    """
+    terms = []
+    for m, c in f.terms.items():
+        r = sum(m)
+        if r >= f.order:
+            continue
+        letters = [h.basis.labels[p] for p in range(h.dim) for _ in range(m[p])]
+        for seq in itertools.permutations(letters):
+            chain = g
+            for i in reversed(seq):
+                chain = ad_tilde(h, i, chain)
+            terms.append((chain, c.shift(r) * Fraction(1, math.factorial(r))))
+    return PolyFunction.linear_sum(h.dim, f.order, terms)
+
+
+class TestStarRecursion:
+    @pytest.mark.parametrize("name", ["lie2", "heis3", "sl2"])
+    def test_matches_the_sum_over_all_orderings(self, name):
+        h = load(name)
+
+        @given(poly_strategy(h.dim, 4), poly_strategy(h.dim, 4))
+        @settings(max_examples=25, deadline=None)
+        def check(f, g):
+            assert star(h, f, g) == star_by_orderings(h, f, g)
+
+        check()
+
+    def test_ad_tilde_runs_once_per_sub_multiset_and_letter(self, monkeypatch):
+        h = load("sl2")
+        order = 6
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return ad_tilde(*args)
+
+        monkeypatch.setattr(star_product, "ad_tilde", counting)
+        star_exp(h, vec(h, {1: 1, 2: -2, 3: 1}), vec(h, {1: 2, 2: 1, 3: -1}), order)
+        # Non-empty sub-multisets of at most order - 1 letters, times their distinct letters.
+        pairs = sum(sum(1 for e in m if e)
+                    for m in itertools.product(range(order), repeat=h.dim) if 0 < sum(m) < order)
+        assert pairs == 105
+        assert len(calls) <= pairs
+
+
+def test_importing_the_package_loads_no_sympy():
+    src = pathlib.Path(star_product.__file__).resolve().parents[1]
+    modules = ["star_product", "deformation", "rack_bialg", "right_hopf_dialg",
+               "env_hopf", "groups", "leibniz", "jsonio", "fixtures"]
+    code = ("import sys\n"
+            + "".join(f"import rackalg.{name}\n" for name in modules)
+            + "assert 'sympy' not in sys.modules, sorted(m for m in sys.modules if 'sympy' in m)[:5]\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestLieRackProduct:

@@ -207,6 +207,28 @@ class SeriesScalar:
         return "series[" + ", ".join(format_rational(c) for c in self.coeffs) + "]"
 
 
+def scalar_eq(x: Coeff, y: Coeff) -> bool:
+    """x == y for exact scalars of any kind.
+
+    A rational and a :class:`SeriesScalar` are never ``==``, so a mismatch
+    is confirmed by their difference, which is zero when they are equal.
+    Every scalar comparison of a certifier goes through here, directly or
+    through :class:`FinVec` equality.
+    """
+    return x == y or not (x - y)
+
+
+def same_entries(a: Mapping[Label, Coeff], b: Mapping[Label, Coeff]) -> bool:
+    """Two coefficient dicts agree label by label (a missing label reads as 0),
+    by :func:`scalar_eq`."""
+    if a == b:
+        return True
+    for lab, x in a.items():
+        if not scalar_eq(x, b.get(lab, ZERO)):
+            return False
+    return not any(y for lab, y in b.items() if lab not in a)
+
+
 def series_exp(s: SeriesScalar) -> SeriesScalar:
     """exp of a series with zero constant term, truncated at its order."""
     if s.coeffs[0]:
@@ -352,14 +374,7 @@ class FinVec:
             return NotImplemented
         if self.basis is not other.basis and self.basis != other.basis:
             return False
-        a, b = self.entries, other.entries
-        # a rational and a SeriesScalar are never ==, so a mismatch is
-        # confirmed by their difference, which is zero when they are equal
-        for lab, x in a.items():
-            y = b.get(lab, ZERO)
-            if x != y and x - y:
-                return False
-        return not any(y for lab, y in b.items() if lab not in a)
+        return same_entries(self.entries, other.entries)
 
     def __hash__(self) -> int:  # pragma: no cover - vectors are not dict keys
         raise TypeError("FinVec is not hashable")
@@ -765,6 +780,7 @@ def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
 __all__ = [
     "Basis", "Coeff", "FinMap", "FinVec", "Label", "Rational", "SeriesScalar", "SpanSolver",
     "bilinear", "div", "flip_map", "format_rational", "kernel_basis", "linear_sum",
-    "merge_labels", "nullspace", "rank", "rank_of", "rational", "series_exp", "span_basis",
+    "merge_labels", "nullspace", "rank", "rank_of", "rational", "same_entries", "scalar_eq",
+    "series_exp", "span_basis",
     "split_label", "tensor_basis", "tensor_product_map", "tensor_sum",
 ]

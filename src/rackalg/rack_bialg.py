@@ -43,6 +43,7 @@ from rackalg.exact_core import (
     div,
     linear_sum,
     merge_labels,
+    scalar_eq,
     split_label,
     tensor_basis,
     tensor_product_map,
@@ -452,7 +453,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
                 raise AxiomViolation("action comultiplicativity", (lh, la), lhs, rhs)
             got_eps = bc.eps_of(v)
             want_eps = eps_h * bc.counit.get(la, ZERO)
-            if got_eps != want_eps:
+            if not scalar_eq(got_eps, want_eps):
                 raise AxiomViolation("action counit", (lh, la), got_eps, want_eps)
 
     for lh in hc.basis.labels:

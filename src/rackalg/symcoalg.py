@@ -10,10 +10,16 @@ convolution of linear maps into an algebra, the geometric-series convolution
 inverse (which terminates exactly on connected coalgebras), and the truncated
 symmetric coalgebra S(V) with its binomial coproduct.
 
-It is also the one place that checks the two compatibilities every
-certifier needs: :func:`check_multiplicative` (a product given on label
-pairs is a coalgebra morphism C (x) C -> C) and :func:`check_coalgebra_map`
-(a linear map given on labels is a coalgebra map).
+It holds the one copy of each coalgebra identity the certifiers check.
+:func:`check_coalgebra` (coassociativity, counit laws, group-like unit) and
+:func:`check_cocommutative` compare Sweedler legs label by label and build
+no tensor cube or flip map; the cube appears only in a coassociativity
+failure report.
+:func:`check_multiplicative` (a product given on label pairs is a coalgebra
+morphism C (x) C -> C) and :func:`check_coalgebra_map` (a linear map given
+on labels is a coalgebra map) are the two compatibilities every certifier
+needs.  Scalars are compared with :func:`~rackalg.exact_core.scalar_eq`, so
+rational and series coefficients mix.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from rackalg.errors import AxiomViolation, RackalgError
+from rackalg.errors import AxiomViolation, RackalgError, SchemaError
 from rackalg.exact_core import (
     ONE,
     ZERO,
@@ -34,9 +40,10 @@ from rackalg.exact_core import (
     Label,
     Rational,
     SpanSolver,
-    flip_map,
     kernel_basis,
     merge_labels,
+    same_entries,
+    scalar_eq,
     split_label,
     tensor_basis,
     tensor_product_map,
@@ -101,28 +108,67 @@ class Coalgebra:
         return out
 
 
+def _require_square(c: Coalgebra) -> None:
+    if c.delta.domain != c.basis or c.delta.codomain != c.square:
+        raise SchemaError(f"coproduct of {c.basis.name} must map it into its tensor square")
+
+
 def check_coalgebra(c: Coalgebra) -> None:
-    """Coassociativity, both counit laws, and group-likeness of the unit."""
-    ident = FinMap.identity(c.basis)
-    left = tensor_product_map(c.delta, ident).compose(c.delta)
-    right = tensor_product_map(ident, c.delta).compose(c.delta)
-    for lab in c.basis.labels:
-        if left.column(lab) != right.column(lab):
-            raise AxiomViolation("coassociativity", lab, left.column(lab), right.column(lab))
-    for lab in c.basis.labels:
-        b = FinVec.unit(c.basis, lab)
+    """Coassociativity, both counit laws, and group-likeness of the unit.
+
+    Coassociativity is compared label by label on the Sweedler legs:
+    sum a11 (x) a12 (x) a2 against sum a1 (x) a21 (x) a22, as dicts
+    keyed by label triples.  The tensor cube is built only to report a
+    failure.
+    """
+    _require_square(c)
+    basis = c.basis
+    for lab in basis.labels:
         legs = c.legs(lab)
-        eps_id = FinVec.build(c.basis, ((l2, w * c.counit.get(l1, ZERO)) for l1, l2, w in legs))
-        id_eps = FinVec.build(c.basis, ((l1, w * c.counit.get(l2, ZERO)) for l1, l2, w in legs))
+        left: dict[tuple[Label, Label, Label], Coeff] = {}
+        right: dict[tuple[Label, Label, Label], Coeff] = {}
+        for l1, l2, w in legs:
+            for l11, l12, w1 in c.legs(l1):
+                key = (l11, l12, l2)
+                left[key] = left.get(key, ZERO) + w * w1
+            for l21, l22, w2 in c.legs(l2):
+                key = (l1, l21, l22)
+                right[key] = right.get(key, ZERO) + w * w2
+        if not same_entries(left, right):
+            cube = tensor_basis(basis, basis, basis)
+            raise AxiomViolation("coassociativity", lab, _tensor_vec(cube, basis, left),
+                                 _tensor_vec(cube, basis, right))
+    for lab in basis.labels:
+        b = FinVec.unit(basis, lab)
+        legs = c.legs(lab)
+        eps_id = FinVec.build(basis, ((l2, w * c.counit.get(l1, ZERO)) for l1, l2, w in legs))
+        id_eps = FinVec.build(basis, ((l1, w * c.counit.get(l2, ZERO)) for l1, l2, w in legs))
         if eps_id != b:
             raise AxiomViolation("left counit", lab, eps_id, b)
         if id_eps != b:
             raise AxiomViolation("right counit", lab, id_eps, b)
-    if c.eps_of(c.unit) != ONE:
+    if not scalar_eq(c.eps_of(c.unit), ONE):
         raise AxiomViolation("counit of unit", "1", c.eps_of(c.unit), ONE)
     if c.delta(c.unit) != c.unit.tensor(c.unit, c.square):
         raise AxiomViolation("unit group-like", "1", c.delta(c.unit),
                              c.unit.tensor(c.unit, c.square))
+
+
+def _tensor_vec(power: Basis, basis: Basis, terms: Mapping[tuple, Coeff]) -> FinVec:
+    """The vector in a tensor power of ``basis`` with coefficients keyed by label tuples."""
+    return FinVec.build(power, ((merge_labels(basis, *key), w) for key, w in terms.items()))
+
+
+def check_cocommutative(c: Coalgebra) -> None:
+    """delta = tau o delta, compared leg by leg: each (a1, a2) against (a2, a1)."""
+    _require_square(c)
+    basis = c.basis
+    for lab in basis.labels:
+        legs = c.legs(lab)
+        flipped = {(l2, l1): w for l1, l2, w in legs}
+        if not same_entries(flipped, {(l1, l2): w for l1, l2, w in legs}):
+            raise AxiomViolation("cocommutativity", lab, _tensor_vec(c.square, basis, flipped),
+                                 c.delta.column(lab))
 
 
 def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
@@ -139,7 +185,7 @@ def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
         ab = pair(la, lb)
         got = c.eps_of(ab)
         want = c.counit.get(la, ZERO) * c.counit.get(lb, ZERO)
-        if got != want:
+        if not scalar_eq(got, want):
             raise AxiomViolation(counit, (la, lb), got, want)
         lhs = c.delta(ab)
         rhs = tensor_sum(square, ((pair(a1, b1), pair(a2, b2), ca * cb)
@@ -167,17 +213,20 @@ def check_coalgebra_map(source: Coalgebra, target: Coalgebra, f: Callable[[Label
             raise error(f"{name} comultiplicativity", lab, lhs, rhs)
         got = target.eps_of(fa)
         want = source.counit.get(lab, ZERO)
-        if got != want:
+        if not scalar_eq(got, want):
             raise error(f"{name} counit", lab, got, want)
 
 
 def is_cocommutative(c: Coalgebra) -> bool:
-    tau = flip_map(c.basis, c.basis)
-    return tau.compose(c.delta) == c.delta
+    try:
+        check_cocommutative(c)
+    except AxiomViolation:
+        return False
+    return True
 
 
 def is_group_like(c: Coalgebra, v: FinVec) -> bool:
-    return not v.is_zero and c.delta(v) == v.tensor(v, c.square) and c.eps_of(v) == ONE
+    return not v.is_zero and c.delta(v) == v.tensor(v, c.square) and scalar_eq(c.eps_of(v), ONE)
 
 
 def reduced_delta_map(c: Coalgebra) -> FinMap:
@@ -397,8 +446,8 @@ def sym_algebra_map(f: FinMap, dom_sym: Coalgebra, cod_sym: Coalgebra) -> FinMap
 
 
 __all__ = [
-    "Coalgebra", "check_coalgebra", "check_coalgebra_map", "check_multiplicative",
-    "coalgebra_filtration", "convolution",
+    "Coalgebra", "check_coalgebra", "check_coalgebra_map", "check_cocommutative",
+    "check_multiplicative", "coalgebra_filtration", "convolution",
     "convolution_inverse", "convolution_unit", "filtration_order",
     "is_cocommutative", "is_connected", "is_group_like", "primitives",
     "reduced_delta_map", "sort_monomial", "sym_algebra_map", "sym_monomials",

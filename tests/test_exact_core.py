@@ -31,6 +31,8 @@ from rackalg.exact_core import (
     rank,
     rank_of,
     rational,
+    same_entries,
+    scalar_eq,
     series_exp,
     span_basis,
     tensor_basis,
@@ -294,6 +296,16 @@ def test_equality_across_scalar_types_and_bases():
     assert frac != FinVec(Basis("W", ("x", "y")), {"x": F(2)})  # another basis
     m = FinMap(b, b, {"x": frac})
     assert m == FinMap(b, b, {"x": series}) and m != FinMap(b, b, {"y": frac})
+
+
+def test_scalar_eq_compares_rationals_with_series():
+    one = SeriesScalar.one(3)
+    assert scalar_eq(one, 1) and scalar_eq(1, one) and scalar_eq(F(2), 2 * one)
+    assert one != 1  # plain == never matches a rational against a series
+    assert not scalar_eq(one, 2) and not scalar_eq(1, one + SeriesScalar.hbar(3))
+    assert scalar_eq(SeriesScalar.zero(3), 0)
+    assert same_entries({"x": one}, {"x": 1}) and same_entries({"y": 0}, {})
+    assert not same_entries({"x": one}, {"x": 1, "y": SeriesScalar.hbar(3)})
 
 
 def test_one_pass_sums_reject_terms_from_another_basis():

@@ -24,6 +24,7 @@ from rackalg.errors import (
 from rackalg.exact_core import (
     FinMap,
     FinVec,
+    SeriesScalar,
     merge_labels,
     tensor_basis,
     tensor_product_map,
@@ -601,9 +602,39 @@ def test_yang_baxter_s3(kx_s3):
     assert yang_baxter_check(kx_s3).passed
 
 
+def series_ur(name):
+    """ur(name) with every product coefficient c rewritten as the series 1 * c."""
+    rb = ur(load(name))
+    one = SeriesScalar.one(3)
+    cols = {k: FinVec(v.basis, {lab: one * c for lab, c in v.entries.items()})
+            for k, v in rb.mu.columns.items()}
+    return RackBialgebra(rb.carrier, FinMap(rb.mu.domain, rb.mu.codomain, cols))
+
+
+@pytest.mark.parametrize("name", ["lie2", "sq2", "heis3"])
+def test_series_coefficients_certify(name):
+    rb = series_ur(name)
+    assert certify(rb).certified
+    # an hbar term on the unit in the product of two primitives breaks the
+    # counit law eps(ab) = eps(a) eps(b) = 0 and nothing before it
+    x = merge_labels(rb.basis, (rb.basis.labels[1][0],), (rb.basis.labels[-1][0],))
+    cols = dict(rb.mu.columns)
+    cols[x] = rb.mu.column(x) + FinVec.unit(rb.basis, (), SeriesScalar.hbar(3))
+    with pytest.raises(AxiomViolation) as exc:
+        certify(dataclasses.replace(rb, mu=FinMap(rb.mu.domain, rb.mu.codomain, cols)))
+    assert exc.value.axiom == "counit multiplicativity"
+
+
 @pytest.mark.parametrize("name", ["sq2", "heis3", "lie2"])
 def test_yang_baxter_ur(name):
     assert yang_baxter_check(ur(load(name))).passed
+
+
+def test_yang_baxter_needs_a_cocommutative_carrier(function_coalgebra_s3):
+    rb = trivial(function_coalgebra_s3)
+    assert rb.certified
+    with pytest.raises(RackalgError, match="cocommutative"):
+        yang_baxter_check(rb)
 
 
 def test_yang_baxter_reports_violation():

@@ -149,6 +149,12 @@ class TestOneSided:
         with pytest.raises(SchemaError):
             right_group_hopf(z2, ("p", "q"), "x")
 
+    def test_non_cocommutative_carrier_is_rejected(self, ks3, function_coalgebra_s3):
+        h = RightHopfAlgebra(function_coalgebra_s3, ks3.mul_map(), ks3.antipode_map())
+        with pytest.raises(AxiomViolation) as exc:
+            certify_one_sided(h)
+        assert (exc.value.axiom, exc.value.witness) == ("cocommutativity", "s132")
+
     def test_suschkewitsch_requires_certification(self, ks3):
         raw = RightHopfAlgebra(ks3.coalgebra, ks3.mul_map(), ks3.antipode_map())
         with pytest.raises(RackalgError):
@@ -299,6 +305,13 @@ class TestHopfDialgebra:
                 want = h.bracket_of_labels(j, k)
                 got = lz.bracket_of_labels(j, k)
                 assert dict(got.entries) == dict(want.entries)
+
+    def test_non_cocommutative_carrier_is_rejected(self, function_coalgebra_s3):
+        d = hopf_as_dialgebra(group_hopf(symmetric_group(3)))
+        bad = dataclasses.replace(d, coalgebra=function_coalgebra_s3, certified=False)
+        with pytest.raises(AxiomViolation) as exc:
+            certify_dialgebra(bad)
+        assert (exc.value.axiom, exc.value.witness) == ("cocommutativity", "s132")
 
     def test_unbalanced_products_are_rejected(self):
         # K[Z2] (x) K[Z2] with b(b1 (x) b2)b' = bb1 (x) b2b' is a dialgebra

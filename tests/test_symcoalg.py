@@ -12,12 +12,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackalg.errors import AxiomViolation, RackalgError
-from rackalg.exact_core import Basis, FinMap, FinVec, SpanSolver, tensor_basis
+import rackalg.exact_core as exact_core
+import rackalg.symcoalg as symcoalg
+from rackalg.errors import AxiomViolation, RackalgError, SchemaError
+from rackalg.exact_core import (
+    Basis,
+    FinMap,
+    FinVec,
+    SeriesScalar,
+    SpanSolver,
+    flip_map,
+    split_label,
+    tensor_basis,
+    tensor_product_map,
+)
 from rackalg.symcoalg import (
     Coalgebra,
     check_coalgebra,
     check_coalgebra_map,
+    check_cocommutative,
     check_multiplicative,
     coalgebra_filtration,
     convolution,
@@ -30,6 +43,7 @@ from rackalg.symcoalg import (
     primitives,
     sym_product_map,
     symmetric_coalgebra,
+    tensor_coalgebra,
 )
 
 F = Fraction
@@ -64,6 +78,7 @@ def test_group_like_coalgebra_passes_axioms():
     check_coalgebra(c)
     assert is_cocommutative(c)
     assert is_group_like(c, FinVec.unit(c.basis, "g"))
+    assert is_group_like(c, FinVec.unit(c.basis, "g", SeriesScalar.one(3)))
     assert not is_group_like(c, FinVec.unit(c.basis, "g").scale(F(2)))
 
 
@@ -104,6 +119,114 @@ def test_non_group_like_unit_is_caught():
     with pytest.raises(AxiomViolation) as exc:
         check_coalgebra(bad)
     assert exc.value.axiom == "counit of unit"
+
+
+def test_coproduct_into_another_square_is_refused():
+    # the same labels, but the coproduct lands in the square of basis D
+    basis = Basis("C", ("e", "g"))
+    other = tensor_basis(Basis("D", ("e", "g")), Basis("D", ("e", "g")))
+    delta = FinMap.from_function(basis, other, lambda l: FinVec.unit(other, (l, l)))
+    bad = Coalgebra(basis, delta, {"e": 1, "g": 1}, FinVec.unit(basis, "e"))
+    with pytest.raises(SchemaError):
+        check_coalgebra(bad)
+    with pytest.raises(SchemaError):
+        check_cocommutative(bad)
+
+
+def test_function_coalgebra_is_not_cocommutative(function_coalgebra_s3):
+    c = function_coalgebra_s3
+    check_coalgebra(c)
+    assert not is_cocommutative(c)
+    with pytest.raises(AxiomViolation) as exc:
+        check_cocommutative(c)
+    assert exc.value.axiom == "cocommutativity"
+    col = c.delta.column(exc.value.witness)
+    assert (exc.value.lhs, exc.value.rhs) == (flip_map(c.basis, c.basis)(col), col)
+
+
+# ---------------------------------------------------------------------------
+# the leg-wise checks against the composed-map formulas
+# ---------------------------------------------------------------------------
+
+
+def reference_coalgebra_failure(c):
+    """First failing axiom of check_coalgebra, from composed maps: (axiom, witness, lhs, rhs)."""
+    ident = FinMap.identity(c.basis)
+    left = tensor_product_map(c.delta, ident).compose(c.delta)
+    right = tensor_product_map(ident, c.delta).compose(c.delta)
+    for lab in c.basis.labels:
+        if left.column(lab) != right.column(lab):
+            return "coassociativity", lab, left.column(lab), right.column(lab)
+    for lab in c.basis.labels:
+        b = FinVec.unit(c.basis, lab)
+        terms = [(*split_label(c.basis, pair), w) for pair, w in c.delta.column(lab)]
+        eps_id = FinVec.build(c.basis, ((l2, w * c.counit.get(l1, 0)) for l1, l2, w in terms))
+        id_eps = FinVec.build(c.basis, ((l1, w * c.counit.get(l2, 0)) for l1, l2, w in terms))
+        if eps_id != b:
+            return "left counit", lab, eps_id, b
+        if id_eps != b:
+            return "right counit", lab, id_eps, b
+    if c.eps_of(c.unit) != 1:
+        return "counit of unit", "1", c.eps_of(c.unit), 1
+    if c.delta(c.unit) != c.unit.tensor(c.unit, c.square):
+        return "unit group-like", "1", c.delta(c.unit), c.unit.tensor(c.unit, c.square)
+    return None
+
+
+def reference_cocommutativity_failure(c):
+    tau = flip_map(c.basis, c.basis)
+    for lab in c.basis.labels:
+        col = c.delta.column(lab)
+        if tau(col) != col:
+            return "cocommutativity", lab, tau(col), col
+    return None
+
+
+def failure_of(check, c):
+    try:
+        check(c)
+    except AxiomViolation as exc:
+        return exc.axiom, exc.witness, exc.lhs, exc.rhs
+    return None
+
+
+PERTURBED = (
+    symmetric_coalgebra(Basis("V", (1, 2)), 3),
+    group_like_coalgebra(("e", "g", "h"), "e"),
+    tensor_coalgebra(symmetric_coalgebra(Basis("W", ("x",)), 2),
+                     group_like_coalgebra(("e", "g"), "e")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PERTURBED), st.integers(min_value=0), st.integers(min_value=0),
+       st.integers(min_value=-3, max_value=3))
+def test_leg_checks_match_composed_maps(base, label_pick, target_pick, coeff):
+    # add coeff times one target of the square to one delta column
+    lab = base.basis.labels[label_pick % base.basis.dim]
+    square = base.delta.codomain
+    target = square.labels[target_pick % square.dim]
+    cols = dict(base.delta.columns)
+    cols[lab] = base.delta.column(lab) + FinVec.unit(square, target, coeff)
+    c = Coalgebra(base.basis, FinMap(base.basis, square, cols), base.counit, base.unit)
+    assert failure_of(check_coalgebra, c) == reference_coalgebra_failure(c)
+    assert failure_of(check_cocommutative, c) == reference_cocommutativity_failure(c)
+
+
+def test_coalgebra_checks_build_no_tensor_cube(monkeypatch):
+    c = symmetric_coalgebra(Basis("V", (1, 2, 3)), 4)
+    sizes = []
+
+    def counting(*bases):
+        out = tensor_basis(*bases)
+        sizes.append(out.dim)
+        return out
+
+    monkeypatch.setattr(exact_core, "tensor_basis", counting)
+    monkeypatch.setattr(symcoalg, "tensor_basis", counting)
+    check_coalgebra(c)
+    check_cocommutative(c)
+    assert max(sizes, default=0) <= c.basis.dim ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ symmetric coalgebra (subwords of sorted words are sorted), so the coalgebra
 is shared with :mod:`rackalg.symcoalg`.  The antipode reverses words with a
 parity sign.
 
+:class:`HopfBackend` is the interface the rack and dialgebra constructions
+use for a cocommutative Hopf algebra.  :class:`EnvelopingHopf` implements it
+here and :class:`~rackalg.groups.GroupHopf` in :mod:`rackalg.groups`; no
+caller dispatches on the concrete type.
+
 The second half of the module is the adjoint machinery for a Leibniz algebra
 h with Lie quotient g = h/z: U(g) acts on the truncated S(h) by bracket
 derivations, S(g) maps into U(g) by symmetrization, and phi is the composite
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import (
@@ -42,14 +47,18 @@ from rackalg.leibniz import LeibnizAlgebra, QuotientLie, check_leibniz, is_lie
 from rackalg.symcoalg import Coalgebra, check_multiplicative, sort_monomial, symmetric_coalgebra
 
 
-@dataclass(frozen=True)
-class EnvelopingHopf:
-    """U(g) up to filtration degree ``cap`` in the PBW monomial basis."""
+@runtime_checkable
+class HopfBackend(Protocol):
+    """A cocommutative Hopf algebra on a labelled basis.
 
-    lie: LeibnizAlgebra
-    cap: int
+    Every label has a filtration ``degree``; ``fits`` says whether a degree
+    lies under ``cap`` (``None`` when uncapped), and ``pair`` multiplies two
+    basis labels, refusing pairs that do not fit.  ``adjoint(u, v)`` is
+    ad_u(v) = sum u1 v S(u2).  The basis and unit are the coalgebra's.
+    """
+
     coalgebra: Coalgebra
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    cap: int | None
 
     @property
     def basis(self) -> Basis:
@@ -58,6 +67,23 @@ class EnvelopingHopf:
     @property
     def unit(self) -> FinVec:
         return self.coalgebra.unit
+
+    def degree(self, label: Label) -> int: ...
+    def fits(self, degree: int) -> bool: ...
+    def pair(self, x: Label, y: Label) -> FinVec: ...
+    def product(self, a: FinVec, b: FinVec) -> FinVec: ...
+    def antipode_map(self) -> FinMap: ...
+    def adjoint(self, u: FinVec, v: FinVec) -> FinVec: ...
+
+
+@dataclass(frozen=True)
+class EnvelopingHopf(HopfBackend):
+    """U(g) up to filtration degree ``cap`` in the PBW monomial basis."""
+
+    lie: LeibnizAlgebra
+    cap: int
+    coalgebra: Coalgebra
+    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def degree(self, label: Label) -> int:
         """Filtration degree of a PBW word: its length."""
@@ -104,17 +130,23 @@ class EnvelopingHopf:
     def product(self, a: FinVec, b: FinVec) -> FinVec:
         return bilinear(self.basis, self.pair, a, b)
 
-    def product_many(self, factors: Iterable[FinVec]) -> FinVec:
-        acc = self.unit
-        for f in factors:
-            acc = self.product(acc, f)
-        return acc
-
     def antipode_map(self) -> FinMap:
         """Words reverse with a parity sign; reversal then straightens."""
         return FinMap.from_function(
             self.basis, self.basis,
             lambda w: self.straighten(tuple(reversed(w))).scale((-1) ** len(w)))
+
+    def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
+        """A PBW word folds its letters as commutators, rightmost first; each
+        letter needs one degree of headroom, as commutators keep the degree."""
+        def fold(word: tuple[Label, ...]) -> FinVec:
+            acc = v
+            for lab in reversed(word):
+                letter = FinVec.unit(self.basis, (lab,))
+                acc = self.product(letter, acc) - self.product(acc, letter)
+            return acc
+
+        return linear_sum(self.basis, ((fold(word), cu) for word, cu in u.entries.items()))
 
     def truncating_mul_map(self) -> FinMap:
         """Multiplication as a map on the tensor square, overflow quotiented.
@@ -266,6 +298,6 @@ def phi_map(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra) -> FinMap:
 
 
 __all__ = [
-    "EnvelopingHopf", "check_hopf", "derivation_action", "enveloping_hopf",
+    "EnvelopingHopf", "HopfBackend", "check_hopf", "derivation_action", "enveloping_hopf",
     "module_action", "phi", "phi_map", "symmetrize", "symmetrize_word",
 ]

@@ -1,8 +1,10 @@
 """Finite groups and their group algebras.
 
 K[G] carries the group-like coalgebra, the multiplication table product and
-the inversion antipode.  Together with the capped enveloping algebra this is
-the second Hopf backend the rack and dialgebra constructions run on.
+the inversion antipode.  :class:`GroupHopf` implements the
+:class:`~rackalg.env_hopf.HopfBackend` protocol: with the capped enveloping
+algebra it is one of the two Hopf backends the rack and dialgebra
+constructions run on.
 """
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
+from rackalg.env_hopf import HopfBackend
 from rackalg.errors import AxiomViolation, SchemaError
 from rackalg.exact_core import Basis, FinMap, FinVec, Label, bilinear, tensor_basis
 from rackalg.symcoalg import Coalgebra
@@ -125,23 +128,16 @@ def group_like_coalgebra(name: str, labels: tuple[Label, ...], unit_label: Label
 
 
 @dataclass(frozen=True)
-class GroupHopf:
+class GroupHopf(HopfBackend):
     """The group algebra K[G] with its Hopf structure.
 
-    Every element has degree 0 and there is no degree cap.
+    Every element has degree 0 and there is no degree cap; group elements
+    act adjointly by conjugation.
     """
 
     group: FiniteGroup
     coalgebra: Coalgebra
     cap = None
-
-    @property
-    def basis(self) -> Basis:
-        return self.coalgebra.basis
-
-    @property
-    def unit(self) -> FinVec:
-        return self.coalgebra.unit
 
     def degree(self, label: Label) -> int:
         return 0
@@ -154,6 +150,10 @@ class GroupHopf:
 
     def product(self, a: FinVec, b: FinVec) -> FinVec:
         return bilinear(self.basis, self.pair, a, b)
+
+    def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
+        return bilinear(self.basis, lambda g, x: FinVec.unit(
+            self.basis, self.group.conjugate(g, x)), u, v)
 
     def mul_map(self) -> FinMap:
         return FinMap.from_function(self.coalgebra.square, self.basis,

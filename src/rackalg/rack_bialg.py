@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from rackalg.env_hopf import enveloping_hopf, module_action, phi_map
+from rackalg.env_hopf import HopfBackend, enveloping_hopf, module_action, phi_map
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
@@ -43,13 +43,12 @@ from rackalg.exact_core import (
     div,
     linear_sum,
     merge_labels,
-    scalar_eq,
     split_label,
     tensor_basis,
     tensor_product_map,
     tensor_sum,
 )
-from rackalg.groups import FiniteGroup, GroupHopf, group_hopf, group_like_coalgebra
+from rackalg.groups import FiniteGroup, group_hopf, group_like_coalgebra
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz, left_center, quotient_lie
 from rackalg.symcoalg import (
     Coalgebra,
@@ -59,6 +58,7 @@ from rackalg.symcoalg import (
     coalgebra_filtration,
     is_cocommutative,
     primitives,
+    restrict_coalgebra,
     symmetric_coalgebra,
 )
 
@@ -184,13 +184,18 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
     collapse it from the right, and to be self-distributive on every basis
     triple.
     """
+    check_coalgebra(rb.carrier)
+    _check_product(rb)
+    return dataclasses.replace(rb, certified=True)
+
+
+def _check_product(rb: RackBialgebra) -> None:
+    """The product checks of :func:`certify`, on a carrier already checked."""
     c = rb.carrier
     basis = c.basis
     labels = basis.labels
     if rb.mu.domain != c.square or rb.mu.codomain != basis:
         raise SchemaError(f"product of {basis.name} must map its tensor square to itself")
-    check_coalgebra(c)
-
     prod = {(la, lb): rb.pair(la, lb) for la in labels for lb in labels}
 
     def pair(la: Label, lb: Label) -> FinVec:
@@ -221,7 +226,6 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
                                          for a1, a2, ca in legs))
                 if lhs != rhs:
                     raise AxiomViolation("self-distributivity", (la, lb, lc), lhs, rhs)
-    return dataclasses.replace(rb, certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -305,57 +309,35 @@ def gauge(rb: RackBialgebra, f: FinMap) -> RackBialgebra:
     return certify(RackBialgebra(c, mu_f))
 
 
-def adjoint_action(hopf, u: FinVec, v: FinVec) -> FinVec:
-    """ad_u(v) = sum u1 v S(u2) in a cocommutative Hopf algebra.
-
-    Group elements act by conjugation.  A PBW word acts by folding its
-    letters as commutators, rightmost letter first; each letter only needs
-    one degree of headroom because commutators preserve filtration degree.
-    """
-    if isinstance(hopf, GroupHopf):
-        return bilinear(hopf.basis, lambda g, x: FinVec.unit(
-            hopf.basis, hopf.group.conjugate(g, x)), u, v)
-
-    def fold(word: tuple[Label, ...]) -> FinVec:
-        acc = v
-        for lab in reversed(word):
-            letter = FinVec.unit(hopf.basis, (lab,))
-            acc = hopf.product(letter, acc) - hopf.product(acc, letter)
-        return acc
-
-    return linear_sum(hopf.basis, ((fold(word), cu) for word, cu in u.entries.items()))
+def adjoint_action(hopf: HopfBackend, u: FinVec, v: FinVec) -> FinVec:
+    """ad_u(v) = sum u1 v S(u2) in a cocommutative Hopf algebra."""
+    return hopf.adjoint(u, v)
 
 
-def hopf_adjoint(hopf, degree: int | None = None) -> RackBialgebra:
+def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
     """The adjoint rack bialgebra h |> h' = sum h1 h' S(h2) on a
     cocommutative Hopf algebra.
 
-    For a capped enveloping algebra the carrier is truncated one degree
-    below the cap so that every commutator stays representable.
+    The carrier is the subcoalgebra on labels of degree <= k, where k is
+    ``degree`` or one below the cap, so that every commutator stays
+    representable; an uncapped algebra keeps every label.
     """
-    if isinstance(hopf, GroupHopf):
-        c = hopf.coalgebra
-        basis = c.basis
-
-        def gcol(pair: Label) -> FinVec:
-            la, lb = split_label(basis, pair)
-            return FinVec.unit(basis, hopf.group.conjugate(la, lb))
-
-        return certify(RackBialgebra(c, FinMap.from_function(c.square, basis, gcol)))
-
-    k = hopf.cap - 1 if degree is None else degree
-    if k + 1 > hopf.cap:
-        raise DegreeCapExceeded(k + 1, hopf.cap, "adjoint rack needs one degree of headroom")
-    carrier = symmetric_coalgebra(hopf.lie.basis, k, name=f"Ad({hopf.basis.name})<={k}")
-    basis = carrier.basis
+    c = hopf.coalgebra
+    if hopf.cap is not None:
+        k = hopf.cap - 1 if degree is None else degree
+        if k + 1 > hopf.cap:
+            raise DegreeCapExceeded(k + 1, hopf.cap, "adjoint rack needs one degree of headroom")
+        c = restrict_coalgebra(c, [lab for lab in c.basis.labels if hopf.degree(lab) <= k],
+                               f"Ad({hopf.basis.name})<={k}")
+    basis = c.basis
 
     def col(pair: Label) -> FinVec:
         wa, wb = split_label(basis, pair)
-        v = adjoint_action(hopf, FinVec.unit(hopf.basis, wa), FinVec.unit(hopf.basis, wb))
+        v = hopf.adjoint(FinVec.unit(hopf.basis, wa), FinVec.unit(hopf.basis, wb))
         assert all(lab in basis for lab in v.entries)
         return FinVec.build(basis, v.entries)
 
-    return certify(RackBialgebra(carrier, FinMap.from_function(carrier.square, basis, col)))
+    return certify(RackBialgebra(c, FinMap.from_function(c.square, basis, col)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +355,7 @@ class AugmentedRackBialgebra:
     """
 
     rack: RackBialgebra
-    hopf: object
+    hopf: HopfBackend
     phi: FinMap
     action: FinMap
     certified: bool = False
@@ -440,21 +422,9 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
                 if lhs != rhs:
                     raise AxiomViolation("action associativity", (lu, lv, la), lhs, rhs)
 
-    square_b = bc.square
-    for lh in hc.basis.labels:
-        eps_h = hc.counit.get(lh, ZERO)
-        for la in bc.basis.labels:
-            v = arb.act(unit_h(lh), unit_b(la))
-            lhs = bc.delta(v)
-            rhs = tensor_sum(square_b, (
-                (arb.act(unit_h(h1), unit_b(a1)), arb.act(unit_h(h2), unit_b(a2)), ch * ca)
-                for h1, h2, ch in hc.legs(lh) for a1, a2, ca in bc.legs(la)))
-            if lhs != rhs:
-                raise AxiomViolation("action comultiplicativity", (lh, la), lhs, rhs)
-            got_eps = bc.eps_of(v)
-            want_eps = eps_h * bc.counit.get(la, ZERO)
-            if not scalar_eq(got_eps, want_eps):
-                raise AxiomViolation("action counit", (lh, la), got_eps, want_eps)
+    check_multiplicative(bc, lambda lh, la: arb.act(unit_h(lh), unit_b(la)),
+                         itertools.product(hc.basis.labels, bc.basis.labels),
+                         "action comultiplicativity", "action counit", left=hc)
 
     for lh in hc.basis.labels:
         u = unit_h(lh)
@@ -463,7 +433,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
             if not hopf.fits(max((hopf.degree(w) for w in pa.entries), default=0) + 1):
                 continue
             lhs = phi(arb.act(u, unit_b(la)))
-            rhs = adjoint_action(hopf, u, pa)
+            rhs = hopf.adjoint(u, pa)
             if lhs != rhs:
                 raise AxiomViolation("augmentation intertwines adjoint", (lh, la), lhs, rhs)
 
@@ -491,19 +461,32 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
             if acc2 != want:
                 raise AxiomViolation("left regularity flipped", (la, lb), acc2, want)
 
-    rack = certify(arb.rack)
+    _check_product(arb.rack)
+    rack = dataclasses.replace(arb.rack, certified=True)
     return dataclasses.replace(arb, rack=rack, certified=True)
 
 
-def augmented_from_action(carrier: Coalgebra, hopf, phi: FinMap,
+def augmented_from_action(carrier: Coalgebra, hopf: HopfBackend, phi: FinMap,
                           action: FinMap) -> AugmentedRackBialgebra:
-    """Assemble and certify the augmented structure with mu = action o (phi (x) id)."""
-    mu = action.compose(tensor_product_map(phi, FinMap.identity(carrier.basis)))
-    return certify_augmented(AugmentedRackBialgebra(
-        RackBialgebra(carrier, mu), hopf, phi, action))
+    """Assemble and certify the augmented structure with a |> b = phi(a).b."""
+    return certify_augmented(_assemble(carrier, hopf, phi, action))
 
 
-def trivial_augmented(carrier: Coalgebra, hopf, action: FinMap) -> AugmentedRackBialgebra:
+def _assemble(carrier: Coalgebra, hopf: HopfBackend, phi: FinMap,
+              action: FinMap) -> AugmentedRackBialgebra:
+    """The uncertified structure; mu is built column by column as phi(a).b."""
+    basis = carrier.basis
+
+    def col(pair: Label) -> FinVec:
+        la, lb = split_label(basis, pair)
+        return action(phi.column(la).tensor(FinVec.unit(basis, lb), action.domain))
+
+    mu = FinMap.from_function(carrier.square, basis, col)
+    return AugmentedRackBialgebra(RackBialgebra(carrier, mu), hopf, phi, action)
+
+
+def trivial_augmented(carrier: Coalgebra, hopf: HopfBackend,
+                      action: FinMap) -> AugmentedRackBialgebra:
     """Augmentation through phi = eps * 1; the induced product is left-trivial."""
     hc = hopf.coalgebra
     phi = FinMap.from_function(
@@ -558,7 +541,7 @@ def _uar_build(h: LeibnizAlgebra, k: int, z: Sequence[FinVec] | None,
                              FinVec.unit(env.basis, word), FinVec.unit(sym.basis, mono))
 
     action = FinMap.from_function(domain, sym.basis, col)
-    return augmented_from_action(sym, env, ph, action)
+    return _assemble(sym, env, ph, action)
 
 
 def uar_infinity(h: LeibnizAlgebra, k: int,
@@ -573,8 +556,13 @@ def uar_infinity(h: LeibnizAlgebra, k: int,
     and phi symmetrizes monomials into the envelope.
 
     With ``z`` unspecified the construction runs twice, over the squares
-    ideal and over the left center, and the two products are compared; the
-    result is independent of the choice, so a mismatch means a bug.
+    ideal and over the left center, and the two products are compared
+    column by column; the result is independent of the choice, so a
+    mismatch means a bug.  Only the squares-ideal build is certified and
+    returned.  The left-center build is a guard, not a result: its product
+    must equal the certified one entry for entry, which carries every rack
+    identity over, and its envelope, phi and action are discarded, so
+    certifying it would check the same table a second time.
     """
     check_leibniz(h)
     if k < 0:
@@ -582,11 +570,10 @@ def uar_infinity(h: LeibnizAlgebra, k: int,
     if env_cap is not None and env_cap < k + 1:
         raise SchemaError("envelope cap must leave commutator headroom")
     if z is not None:
-        return _uar_build(h, k, list(z), env_cap)
-    built_sq = _uar_build(h, k, None, env_cap)
-    built_zc = _uar_build(h, k, left_center(h), env_cap)
+        return certify_augmented(_uar_build(h, k, list(z), env_cap))
+    built_sq = certify_augmented(_uar_build(h, k, None, env_cap))
     mu_sq = built_sq.rack.mu
-    mu_zc = built_zc.rack.mu
+    mu_zc = _uar_build(h, k, left_center(h), env_cap).rack.mu
     for pair in mu_sq.domain.labels:
         if mu_sq.column(pair) != mu_zc.column(pair):
             raise DecompositionFailure("sandwich ideal independence", pair,

@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from rackalg.env_hopf import EnvelopingHopf
+from rackalg.env_hopf import HopfBackend
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
@@ -64,7 +64,6 @@ from rackalg.exact_core import (
     nullspace,
     span_basis,
     split_label,
-    tensor_basis,
     tensor_product_map,
     tensor_sum,
 )
@@ -84,6 +83,7 @@ from rackalg.symcoalg import (
     check_cocommutative,
     check_multiplicative,
     primitives,
+    restrict_coalgebra,
     tensor_coalgebra,
 )
 
@@ -713,30 +713,25 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     return dataclasses.replace(d, certified=True, report=report)
 
 
-def hopf_as_dialgebra(hopf) -> HopfDialgebra:
-    """A cocommutative Hopf algebra as the dialgebra with |- = -| = product."""
-    if isinstance(hopf, GroupHopf):
-        basis = hopf.basis
-        table = {(x, y): FinVec.unit(basis, hopf.group.mul(x, y))
-                 for x in hopf.group.elements for y in hopf.group.elements}
-        return certify_dialgebra(HopfDialgebra(
-            hopf.coalgebra, table, table, hopf.antipode_map(), {}, None))
-    if isinstance(hopf, EnvelopingHopf):
-        basis = hopf.basis
-        degrees = {w: len(w) for w in basis.labels if len(w)}
-        table: dict[tuple[Label, Label], FinVec] = {}
-        for wa in basis.labels:
-            for wb in basis.labels:
-                if hopf.fits(len(wa) + len(wb)):
-                    val = hopf.straighten(wa + wb)
-                    if not val.is_zero:
-                        table[(wa, wb)] = val
-        return certify_dialgebra(HopfDialgebra(
-            hopf.coalgebra, table, table, hopf.antipode_map(), degrees, hopf.cap))
-    raise SchemaError(f"no dialgebra structure for {type(hopf).__name__}")
+def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
+    """A cocommutative Hopf algebra as the dialgebra with |- = -| = product,
+    tabulated on every label pair whose degrees fit the cap."""
+    if not isinstance(hopf, HopfBackend):
+        raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
+    labels = hopf.basis.labels
+    degrees = {lab: hopf.degree(lab) for lab in labels if hopf.degree(lab)}
+    table: dict[tuple[Label, Label], FinVec] = {}
+    for x in labels:
+        for y in labels:
+            if hopf.fits(degrees.get(x, 0) + degrees.get(y, 0)):
+                val = hopf.pair(x, y)
+                if not val.is_zero:
+                    table[(x, y)] = val
+    return certify_dialgebra(HopfDialgebra(
+        hopf.coalgebra, table, table, hopf.antipode_map(), degrees, hopf.cap))
 
 
-def _carrier_degree(hopf, lab: Label) -> int:
+def _carrier_degree(hopf: HopfBackend, lab: Label) -> int:
     bl, hl = lab
     return (len(bl) if isinstance(bl, tuple) else 0) + hopf.degree(hl)
 
@@ -809,46 +804,31 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
 
     d = certify_dialgebra(HopfDialgebra(carrier, vdash, dashv, antipode, degrees, hopf.cap))
 
-    prim_b = primitives(bc)
-    prim_h = primitives(hc)
-    unit_b = bc.unit
-    unit_h = hc.unit
     if hopf.fits(2):
-        def emb_b(x: FinVec) -> FinVec:
-            return x.tensor(unit_h, basis)
+        def emb_b(y: FinVec) -> FinVec:
+            return y.tensor(hc.unit, basis)
 
-        def emb_h(x: FinVec) -> FinVec:
-            return unit_b.tensor(x, basis)
+        def emb_h(y: FinVec) -> FinVec:
+            return bc.unit.tensor(y, basis)
 
-        def bracket(a: FinVec, b: FinVec) -> FinVec:
-            return d.vprod(a, b) - d.dprod(b, a)
+        def comm(u: FinVec, y: FinVec) -> FinVec:
+            return hopf.product(u, y) - hopf.product(y, u)
 
-        def comm(x: FinVec, y: FinVec) -> FinVec:
-            return hopf.product(x, y) - hopf.product(y, x)
-
-        for i, x in enumerate(prim_b):
-            px = arb.phi(x)
-            for j, y in enumerate(prim_b):
-                lhs = bracket(emb_b(x), emb_b(y))
-                rhs = emb_b(arb.act(px, y))
-                if lhs != rhs:
-                    raise AxiomViolation("primitive bracket", ("carrier", i, j), lhs, rhs)
-            for j, eta in enumerate(prim_h):
-                lhs = bracket(emb_b(x), emb_h(eta))
-                rhs = emb_h(comm(px, eta))
-                if lhs != rhs:
-                    raise AxiomViolation("primitive bracket", ("mixed", i, j), lhs, rhs)
-        for i, xi in enumerate(prim_h):
-            for j, y in enumerate(prim_b):
-                lhs = bracket(emb_h(xi), emb_b(y))
-                rhs = emb_b(arb.act(xi, y))
-                if lhs != rhs:
-                    raise AxiomViolation("primitive bracket", ("action", i, j), lhs, rhs)
-            for j, eta in enumerate(prim_h):
-                lhs = bracket(emb_h(xi), emb_h(eta))
-                rhs = emb_h(comm(xi, eta))
-                if lhs != rhs:
-                    raise AxiomViolation("primitive bracket", ("hopf", i, j), lhs, rhs)
+        # [x, y] = x |- y - y -| x on primitives of either leg is y acted on by
+        # x's image in the Hopf algebra: phi(x) on the carrier leg, x on its own
+        prim_b, prim_h = primitives(bc), primitives(hc)
+        phi_b = [arb.phi(x) for x in prim_b]
+        for family, xs, images, emb_x, ys, emb_y, act in (
+                ("carrier", prim_b, phi_b, emb_b, prim_b, emb_b, arb.act),
+                ("mixed", prim_b, phi_b, emb_b, prim_h, emb_h, comm),
+                ("action", prim_h, prim_h, emb_h, prim_b, emb_b, arb.act),
+                ("hopf", prim_h, prim_h, emb_h, prim_h, emb_h, comm)):
+            for i, (x, u) in enumerate(zip(xs, images)):
+                for j, y in enumerate(ys):
+                    lhs = d.vprod(emb_x(x), emb_y(y)) - d.dprod(emb_y(y), emb_x(x))
+                    rhs = emb_y(act(u, y))
+                    if lhs != rhs:
+                        raise AxiomViolation("primitive bracket", (family, i, j), lhs, rhs)
     return d
 
 
@@ -884,25 +864,6 @@ def dialgebra_leibniz(d: HopfDialgebra) -> LeibnizAlgebra:
     return h
 
 
-def _restrict_coalgebra(c: Coalgebra, keep: Sequence[Label], name: str) -> Coalgebra:
-    """Subcoalgebra spanned by a degree-closed subset of basis labels."""
-    sub = Basis(name, tuple(keep))
-    square = tensor_basis(sub, sub)
-
-    def col(lab: Label) -> FinVec:
-        items = []
-        for l1, l2, cw in c.legs(lab):
-            if l1 not in sub or l2 not in sub:
-                raise RackalgError(f"label set is not a subcoalgebra at {lab!r}")
-            items.append(((l1, l2), cw))
-        return FinVec.build(square, items)
-
-    delta = FinMap.from_function(sub, square, col)
-    counit = {lab: c.counit[lab] for lab in keep if lab in c.counit}
-    unit = FinVec.build(sub, c.unit.entries)
-    return Coalgebra(sub, delta, counit, unit)
-
-
 def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBialgebra:
     """The rack bialgebra a |> b = sum (a1 |- b) -| S(a2) of a Hopf dialgebra.
 
@@ -922,7 +883,7 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
         if 2 * t > d.cap:
             raise DegreeCapExceeded(2 * t, d.cap, "rack products need pairs inside the cap")
         keep = [lab for lab in c.basis.labels if d.degree(lab) <= t]
-        carrier = _restrict_coalgebra(c, keep, f"{c.basis.name} (deg<={t})")
+        carrier = restrict_coalgebra(c, keep, f"{c.basis.name} (deg<={t})")
     basis = carrier.basis
 
     rack_tab: dict[tuple[Label, Label], FinVec] = {}

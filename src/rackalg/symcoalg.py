@@ -173,23 +173,25 @@ def check_cocommutative(c: Coalgebra) -> None:
 
 def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
                          pairs: Iterable[tuple[Label, Label]],
-                         coproduct: str, counit: str) -> None:
-    """The product given by ``pair`` on basis labels is a coalgebra morphism.
+                         coproduct: str, counit: str, left: Coalgebra | None = None) -> None:
+    """The product given by ``pair`` on basis labels is a coalgebra morphism
+    ``left`` (x) C -> C; ``left`` defaults to C itself.
 
     For each label pair (a, b), first eps(ab) = eps(a) eps(b), then
     delta(ab) = sum a1 b1 (x) a2 b2.  Raises :class:`AxiomViolation` named
     ``counit`` or ``coproduct`` with the pair as witness.
     """
+    left = c if left is None else left
     square = c.delta.codomain
     for la, lb in pairs:
         ab = pair(la, lb)
         got = c.eps_of(ab)
-        want = c.counit.get(la, ZERO) * c.counit.get(lb, ZERO)
+        want = left.counit.get(la, ZERO) * c.counit.get(lb, ZERO)
         if not scalar_eq(got, want):
             raise AxiomViolation(counit, (la, lb), got, want)
         lhs = c.delta(ab)
         rhs = tensor_sum(square, ((pair(a1, b1), pair(a2, b2), ca * cb)
-                                  for a1, a2, ca in c.legs(la) for b1, b2, cb in c.legs(lb)))
+                                  for a1, a2, ca in left.legs(la) for b1, b2, cb in c.legs(lb)))
         if lhs != rhs:
             raise AxiomViolation(coproduct, (la, lb), lhs, rhs)
 
@@ -215,6 +217,22 @@ def check_coalgebra_map(source: Coalgebra, target: Coalgebra, f: Callable[[Label
         want = source.counit.get(lab, ZERO)
         if not scalar_eq(got, want):
             raise error(f"{name} counit", lab, got, want)
+
+
+def restrict_coalgebra(c: Coalgebra, keep: Sequence[Label], name: str) -> Coalgebra:
+    """Subcoalgebra spanned by a subset of basis labels closed under the coproduct."""
+    sub = Basis(name, tuple(keep))
+    square = tensor_basis(sub, sub)
+
+    def col(lab: Label) -> FinVec:
+        legs = c.legs(lab)
+        if any(l1 not in sub or l2 not in sub for l1, l2, _ in legs):
+            raise RackalgError(f"label set is not a subcoalgebra at {lab!r}")
+        return FinVec.build(square, (((l1, l2), cw) for l1, l2, cw in legs))
+
+    counit = {lab: c.counit[lab] for lab in keep if lab in c.counit}
+    return Coalgebra(sub, FinMap.from_function(sub, square, col), counit,
+                     FinVec.build(sub, c.unit.entries))
 
 
 def is_cocommutative(c: Coalgebra) -> bool:
@@ -450,6 +468,6 @@ __all__ = [
     "check_multiplicative", "coalgebra_filtration", "convolution",
     "convolution_inverse", "convolution_unit", "filtration_order",
     "is_cocommutative", "is_connected", "is_group_like", "primitives",
-    "reduced_delta_map", "sort_monomial", "sym_algebra_map", "sym_monomials",
-    "sym_product_map", "symmetric_coalgebra", "tensor_coalgebra",
+    "reduced_delta_map", "restrict_coalgebra", "sort_monomial", "sym_algebra_map",
+    "sym_monomials", "sym_product_map", "symmetric_coalgebra", "tensor_coalgebra",
 ]

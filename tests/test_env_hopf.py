@@ -5,16 +5,20 @@ scheduling strategy (rightmost inversion first, no memo); diamond-lemma
 confluence says both must give the same normal form.
 """
 
+import ast
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rackalg
 from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import FinMap, FinVec, tensor_product_map
 from rackalg.env_hopf import (
+    HopfBackend,
     check_hopf,
     derivation_action,
     enveloping_hopf,
@@ -25,6 +29,7 @@ from rackalg.env_hopf import (
     symmetrize_word,
 )
 from rackalg.fixtures import load
+from rackalg.groups import group_hopf, symmetric_group
 from rackalg.leibniz import quotient_lie
 from rackalg.symcoalg import (
     check_coalgebra,
@@ -267,3 +272,28 @@ def test_phi_is_coalgebra_morphism():
 def test_straighten_agrees_with_oracle_on_heis3_words(word):
     env = enveloping_hopf(load("heis3"), 4)
     assert env.straighten(tuple(word)) == oracle_straighten(env, tuple(word))
+
+
+def _backend_type_checks(tree):
+    """Line numbers of the isinstance calls of ``tree`` that name a concrete Hopf backend."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if names & {"GroupHopf", "EnvelopingHopf"}:
+                found.append(node.lineno)
+    return found
+
+
+def test_hopf_backends_are_used_through_the_protocol():
+    found = []
+    for path in sorted(pathlib.Path(rackalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line}" for line in _backend_type_checks(tree)]
+    assert found == []
+    assert _backend_type_checks(ast.parse("isinstance(h, (GroupHopf, m.EnvelopingHopf))"))
+    assert isinstance(group_hopf(symmetric_group(3)), HopfBackend)
+    assert isinstance(enveloping_hopf(load("heis3"), 3), HopfBackend)
+    assert not isinstance(object(), HopfBackend)

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rackalg.rack_bialg as rack_bialg
 from rackalg.env_hopf import derivation_action, enveloping_hopf
 from rackalg.errors import (
     AxiomViolation,
+    DecompositionFailure,
     DegreeCapExceeded,
     GaugeEquivarianceViolation,
     RackalgError,
@@ -219,6 +221,11 @@ def test_certify_names_the_perturbed_identity(kx_s3, source, la, lb, value, axio
     ("action", ((1,), ()), {(1,): 1}, "action fixes coaugmentation", (1,)),
     ("action", ((1,), (1,)), {(1,): 1}, "action associativity", ((1,), (1,), (1,))),
     ("mu", ((1,), (1,)), {(2,): 3}, "induced product", ((1,), (1,))),
+    # No row reaches "action comultiplicativity" or "action counit" under both
+    # check orders: the unit, coaugmentation and associativity checks catch a
+    # change to any action column but x.e for primitive x and e.  There a value
+    # of degree <= 1 without counit is primitive and keeps both identities, and
+    # a unit term breaks both at the same pair.  The tests below reach them.
 ])
 def test_certify_augmented_names_the_perturbed_identity(table, key, value, axiom, witness):
     arb = uar_infinity(load("sq2"), 1)
@@ -232,6 +239,34 @@ def test_certify_augmented_names_the_perturbed_identity(table, key, value, axiom
     with pytest.raises(AxiomViolation) as exc:
         certify_augmented(bad_arb)
     assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+
+def test_certify_augmented_names_action_comultiplicativity(uar_sq2):
+    # x.e1 = e2 + e2 e2 keeps the counit and action associativity (x acts on
+    # e2 e2 by zero) but e2 e2 is not primitive.  With comultiplicativity
+    # checked first no single action column reached "action counit": eps (x)
+    # eps of comultiplicativity at (h, a) fixes eps(h.a), which enters its
+    # right side twice, through the unit legs of h and of a.
+    cols = dict(uar_sq2.action.columns)
+    cols[(1,), (1,)] = FinVec.build(uar_sq2.carrier.basis, {(2,): F(1), (2, 2): F(1)})
+    bad = dataclasses.replace(uar_sq2, certified=False, action=FinMap(
+        uar_sq2.action.domain, uar_sq2.action.codomain, cols))
+    with pytest.raises(AxiomViolation) as exc:
+        certify_augmented(bad)
+    assert (exc.value.axiom, exc.value.witness) == ("action comultiplicativity", ((1,), (1,)))
+
+
+def test_action_counit_is_checked_before_comultiplicativity():
+    # a unit term on x.e1 breaks both identities at ((1,), (1,)); the counit
+    # is checked first within a pair, as in every check_multiplicative call
+    arb = uar_infinity(load("sq2"), 1)
+    cols = dict(arb.action.columns)
+    cols[(1,), (1,)] = FinVec.build(arb.carrier.basis, {(2,): F(1), (): F(1)})
+    bad = dataclasses.replace(arb, certified=False, action=FinMap(
+        arb.action.domain, arb.action.codomain, cols))
+    with pytest.raises(AxiomViolation) as exc:
+        certify_augmented(bad)
+    assert (exc.value.axiom, exc.value.witness) == ("action counit", ((1,), (1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +379,39 @@ def test_uar_ideal_choice_is_immaterial():
         assert via_squares.rack.mu.column(pair) == via_center.rack.mu.column(pair)
 
 
+def test_uar_certifies_only_the_squares_ideal_build(monkeypatch):
+    calls = []
+
+    def counting(arb):
+        calls.append(arb)
+        return certify_augmented(arb)
+
+    monkeypatch.setattr(rack_bialg, "certify_augmented", counting)
+    arb = uar_infinity(load("heis3"), 1)
+    assert arb.certified and len(calls) == 1
+    assert calls[0].rack.mu == arb.rack.mu
+
+
+def test_uar_ideal_independence_is_guarded(monkeypatch):
+    build = rack_bialg._uar_build
+    key = ((1,), (1,))
+
+    def left_center_build_off_by_one_column(h, k, z, env_cap=None):
+        arb = build(h, k, z, env_cap)
+        if z is None:
+            return arb
+        mu = arb.rack.mu
+        cols = dict(mu.columns)
+        cols[key] = mu.column(key) + FinVec.unit(mu.codomain, (2,))
+        return dataclasses.replace(arb, rack=RackBialgebra(
+            arb.carrier, FinMap(mu.domain, mu.codomain, cols)))
+
+    monkeypatch.setattr(rack_bialg, "_uar_build", left_center_build_off_by_one_column)
+    with pytest.raises(DecompositionFailure) as exc:
+        uar_infinity(load("sq2"), 1)
+    assert (exc.value.identity, exc.value.witness) == ("sandwich ideal independence", key)
+
+
 def test_uar_left_regularity_probe(uar_sq2):
     # mu'(a (x) b) = S(phi(a)).b ; for primitive a this is -[a, -]
     sym = uar_sq2.carrier
@@ -407,6 +475,15 @@ def test_adjoint_letter_fold_matches_convolution_formula():
             conv = conv + env.product(
                 env.product(FinVec.unit(env.basis, h1), v), anti.column(h2)).scale(ch)
         assert direct == conv
+
+
+def test_adjoint_carrier_is_the_symmetric_truncation():
+    h = load("heis3")
+    env = enveloping_hopf(h, 3)
+    got = hopf_adjoint(env).carrier
+    want = symmetric_coalgebra(h.basis, 2, name=f"Ad({env.basis.name})<=2")
+    assert got.basis == want.basis and got.delta == want.delta
+    assert dict(got.counit) == dict(want.counit) and got.unit == want.unit
 
 
 def test_adjoint_needs_headroom():

@@ -41,6 +41,7 @@ from rackalg.symcoalg import (
     is_connected,
     is_group_like,
     primitives,
+    restrict_coalgebra,
     sym_product_map,
     symmetric_coalgebra,
     tensor_coalgebra,
@@ -276,6 +277,29 @@ def test_multiplicative_checker_names_the_failing_identity():
                              - FinVec.unit(c.basis, "e"), pairs, "coproduct", "counit")
     # e e = a is still group-like; e a = 2a - e is not
     assert (exc.value.axiom, exc.value.witness) == ("coproduct", ("e", "a"))
+
+
+def test_multiplicative_checker_takes_the_acting_coalgebra():
+    # K[Z2] acting trivially on S(V)<=1 is a module coalgebra: g.x = x
+    g = group_like_coalgebra(("e", "a"), "e")
+    c = symmetric_coalgebra(Basis("V", (1,)), 1)
+    pairs = [(p, q) for p in g.basis.labels for q in c.basis.labels]
+    check_multiplicative(c, lambda p, q: FinVec.unit(c.basis, q), pairs,
+                         "coproduct", "counit", left=g)
+    with pytest.raises(AxiomViolation) as exc:
+        check_multiplicative(c, lambda p, q: FinVec.unit(c.basis, q).scale(1 if p == "e" else 0),
+                             pairs, "coproduct", "counit", left=g)
+    assert (exc.value.axiom, exc.value.witness) == ("counit", ("a", ()))
+
+
+def test_restriction_needs_a_label_set_closed_under_the_coproduct():
+    s = symmetric_coalgebra(Basis("V", (1, 2)), 2)
+    sub = restrict_coalgebra(s, [(), (1,), (1, 1)], "S(x)<=2")
+    check_coalgebra(sub)
+    assert dict(sub.delta.column((1, 1)).entries) == {
+        ((), (1, 1)): 1, ((1,), (1,)): 2, ((1, 1), ()): 1}
+    with pytest.raises(RackalgError):
+        restrict_coalgebra(s, [(), (1, 1)], "bad")
 
 
 def test_delta_of_square_monomial():

@@ -145,6 +145,7 @@ class _Faces:
         return n
 
     def face(self, omega: FinMap, i: int, eps: int) -> FinMap:
+        """The cubical face d_{i,eps} of a cochain (degree read off the domain)."""
         n = self.degree_of(omega)
         if not 1 <= i <= n or eps not in (0, 1):
             raise SchemaError(f"face index ({i},{eps}) out of range for degree {n}")
@@ -170,6 +171,7 @@ class _Faces:
                                     col_1 if eps == 1 else col_0)
 
     def extra_face(self, omega: FinMap) -> FinMap:
+        """The extra face d_{n+1} pairing the cochain with mu^n."""
         n = self.degree_of(omega)
         rb, basis = self.rb, self.rb.basis
         mu_nn = self.mu(n)
@@ -207,16 +209,6 @@ def _eval_multi(omega: FinMap, vecs: Sequence[FinVec]) -> FinVec:
             yield omega.column(tuple(lab for lab, _ in combo)), w
 
     return linear_sum(omega.codomain, terms())
-
-
-def face_map(rb: RackBialgebra, omega: FinMap, i: int, eps: int) -> FinMap:
-    """The cubical face d_{i,eps} of a cochain (degree read off the domain)."""
-    return _Faces(rb).face(omega, i, eps)
-
-
-def extra_face(rb: RackBialgebra, omega: FinMap) -> FinMap:
-    """The extra face d_{n+1} pairing the cochain with mu^n."""
-    return _Faces(rb).extra_face(omega)
 
 
 def coderivation_report(rb: RackBialgebra, n: int, omega: FinMap) -> CheckReport:
@@ -538,8 +530,6 @@ __all__ = [
     "deformation_complex",
     "differential",
     "equivalence_check",
-    "extra_face",
-    "face_map",
     "h2",
     "infinitesimal_selfdist",
     "mu_n",

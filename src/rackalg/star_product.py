@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, DecompositionFailure, SchemaError
-from rackalg.exact_core import Coeff, FinVec, Label, Rational, SeriesScalar, div
+from rackalg.exact_core import Coeff, FinVec, Label, Rational, SeriesScalar, div, rational
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import CheckReport, uar_infinity
 
@@ -63,6 +63,21 @@ class PolyFunction:
                 raise SchemaError(f"exponent tuple {m!r} does not fit {self.nvars} variables")
             if not isinstance(c, SeriesScalar) or c.order != self.order:
                 raise SchemaError(f"coefficient of {m!r} is not a series of order {self.order}")
+
+    @staticmethod
+    def _trusted(nvars: int, order: int, terms: dict[Exponents, SeriesScalar]) -> "PolyFunction":
+        """Wrap terms built in this module from valid ones, without re-validation.
+
+        Only for results of the module's own operations: every exponent tuple
+        already fits ``nvars`` and every coefficient is a nonzero series of
+        ``order``.  Outside input goes through the public constructor or
+        ``build``, which validate.
+        """
+        p = object.__new__(PolyFunction)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "order", order)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     @staticmethod
     def zero(nvars: int, order: int) -> "PolyFunction":
@@ -121,10 +136,11 @@ class PolyFunction:
                 acc[m] = s
             else:
                 acc.pop(m, None)
-        return PolyFunction(self.nvars, self.order, acc)
+        return PolyFunction._trusted(self.nvars, self.order, acc)
 
     def __neg__(self) -> "PolyFunction":
-        return PolyFunction(self.nvars, self.order, {m: -c for m, c in self.terms.items()})
+        return PolyFunction._trusted(self.nvars, self.order,
+                                     {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "PolyFunction") -> "PolyFunction":
         return self + (-other)
@@ -147,7 +163,7 @@ class PolyFunction:
                     acc[m] = v
                 else:
                     acc.pop(m, None)
-        return PolyFunction(self.nvars, self.order, acc)
+        return PolyFunction._trusted(self.nvars, self.order, acc)
 
     def partial(self, pos: int) -> "PolyFunction":
         """Derivative with respect to the coordinate at 0-based position ``pos``."""
@@ -156,14 +172,14 @@ class PolyFunction:
             e = m[pos]
             if e:
                 acc[m[:pos] + (e - 1,) + m[pos + 1:]] = c * e
-        return PolyFunction(self.nvars, self.order, acc)
+        return PolyFunction._trusted(self.nvars, self.order, acc)
 
     def at_zero(self) -> SeriesScalar:
         return self.terms.get((0,) * self.nvars, SeriesScalar.zero(self.order))
 
     def truncate(self, degree: int) -> "PolyFunction":
-        return PolyFunction(self.nvars, self.order,
-                            {m: c for m, c in self.terms.items() if sum(m) <= degree})
+        return PolyFunction._trusted(self.nvars, self.order,
+                                     {m: c for m, c in self.terms.items() if sum(m) <= degree})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -237,38 +253,102 @@ def psi_function(h: LeibnizAlgebra, a: FinVec, order: int) -> PolyFunction:
 
 
 def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFunction:
-    """exp(hat(x)) cut at polynomial degree ``degree``.
+    """exp(hat(x)) cut at polynomial degree ``degree``, in closed form.
 
-    Degree N - 1 is lossless modulo hbar^N against the deformed product:
-    the dropped jets of the left factor carry hbar^N, and the right factor
-    is only ever hit by degree-preserving operators.
+    exp(hat x) = prod_p exp(x_p alpha_p), so the multinomial expansion gives
+    the coefficient of alpha^m as
+
+        prod_p x_p^(m_p) / m_p!        for |m| <= degree.
+
+    The coordinates x_p are rationals or series of the same ``order`` (such
+    as the output of ``lie_rack_product``); a power that vanishes modulo
+    hbar^order ends its variable's expansion.  Degree N - 1 is lossless
+    modulo hbar^N against the deformed product: the dropped jets of the left
+    factor carry hbar^N, and the right factor is only ever hit by
+    degree-preserving operators.
     """
-    base = hat_function(h, x, order)
+    if x.basis != h.basis:
+        raise SchemaError("vector does not live in the given algebra")
+    terms: dict[Exponents, Coeff] = {(0,) * h.dim: 1}
+    for lab, c in x.entries.items():
+        if not isinstance(c, SeriesScalar):
+            c = rational(c)
+        elif c.order != order:
+            raise SchemaError(f"coordinate {lab!r} is not a series of order {order}")
+        powers: list[Coeff] = [1]  # x_p^e / e!
+        for e in range(1, degree + 1):
+            power = powers[-1] * c * div(1, e)
+            if not power:
+                break
+            powers.append(power)
+        p = h.basis.index(lab)
+        grown: dict[Exponents, Coeff] = {}
+        for m, v in terms.items():
+            for e, w in enumerate(powers[:max(degree - sum(m), 0) + 1]):
+                vw = v * w
+                if vw:
+                    grown[m[:p] + (e,) + m[p + 1:]] = vw
+        terms = grown
+    pad = (0,) * (order - 1)
+    return PolyFunction._trusted(h.dim, order, {
+        m: v if isinstance(v, SeriesScalar) else SeriesScalar((v,) + pad)
+        for m, v in terms.items()})
 
-    def powers() -> Iterator[tuple[PolyFunction, Rational]]:
-        power = PolyFunction.constant(1, h.dim, order)
-        yield power, 1
-        for r in range(1, degree + 1):
-            power = power * base
-            if power.is_zero:
-                return
-            yield power, div(1, math.factorial(r))
 
-    return PolyFunction.linear_sum(h.dim, order, powers())
+Row = list[Rational]
+
+
+def _accumulate(rows: dict[Exponents, Row], m: Exponents, coeffs: Sequence[Rational],
+                w: Rational, shift: int = 0) -> None:
+    """rows[m] += w hbar^shift coeffs, coefficient by coefficient, cut at the order."""
+    row = rows.get(m)
+    if row is None:
+        rows[m] = [0] * shift + [w * c if c else 0 for c in coeffs[:len(coeffs) - shift]]
+        return
+    for t in range(len(coeffs) - shift):
+        c = coeffs[t]
+        if c:
+            row[t + shift] += w * c
+
+
+def _poly(nvars: int, order: int, rows: Mapping[Exponents, Row]) -> PolyFunction:
+    """The polynomial of accumulated coefficient rows; rows that cancelled are dropped."""
+    return PolyFunction._trusted(nvars, order, {m: SeriesScalar(tuple(r))
+                                                for m, r in rows.items() if any(r)})
 
 
 def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
     """The vector field sum_j hat([e_i, e_j]) d/dalpha_j applied to f.
 
     This is the unique degree-preserving derivation with
-    ad~_i(hat(y)) = hat([e_i, y]).
+    ad~_i(hat(y)) = hat([e_i, y]).  Its coefficients are constant, so with
+    [e_i, e_j] = sum_k c_ij^k e_k it acts on monomials through the
+    structure constants alone:
+
+        ad~_i(alpha^m) = sum_j m_j sum_k c_ij^k alpha^(m - e_j + e_k).
+
+    The row of the bracket table at i is read once per call; every series
+    coefficient of f is only scaled by the rational m_j c_ij^k.
     """
     if f.nvars != h.dim:
         raise SchemaError("polynomial does not live on the dual of the algebra")
-    partials = ((j, f.partial(h.basis.index(j))) for j in h.basis.labels)
-    return PolyFunction.build(f.nvars, f.order, (
-        term for j, df in partials if not df.is_zero
-        for term in (hat_function(h, h.bracket_of_labels(i, j), f.order) * df).terms.items()))
+    index = h.basis.index
+    row = []
+    for j in h.basis.labels:
+        v = h.bracket.get((i, j))
+        if v is not None and v.entries:
+            row.append((index(j), [(index(k), c) for k, c in v.entries.items()]))
+    rows: dict[Exponents, Row] = {}
+    for m, s in f.terms.items():
+        for pj, column in row:
+            e = m[pj]
+            if not e:
+                continue
+            lowered = m[:pj] + (e - 1,) + m[pj + 1:]
+            for pk, c in column:
+                _accumulate(rows, lowered[:pk] + (lowered[pk] + 1,) + lowered[pk + 1:],
+                            s.coeffs, e * c)
+    return _poly(f.nvars, f.order, rows)
 
 
 def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
@@ -282,7 +362,9 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
         S(0) = g,    S(m) = sum_{p: m_p > 0} ad~_p(S(m - e_p)),
 
     memoized over sub-multisets: ad~ runs once per (sub-multiset, letter)
-    pair, polynomially many in the jet degree.
+    pair, polynomially many in the jet degree.  Each S(m) and the jet sum are
+    accumulated as coefficient rows, and the hbar^r weight of a jet is a
+    shift of those rows.
     """
     if f.nvars != h.dim or g.nvars != h.dim:
         raise SchemaError("polynomials do not live on the dual of the algebra")
@@ -293,39 +375,46 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
     def chain(m: Exponents) -> PolyFunction:
         got = chains.get(m)
         if got is None:
-            got = PolyFunction.build(h.dim, order, (
-                term for p, e in enumerate(m) if e
-                for term in ad_tilde(h, h.basis.labels[p],
-                                     chain(m[:p] + (e - 1,) + m[p + 1:])).terms.items()))
-            chains[m] = got
+            rows: dict[Exponents, Row] = {}
+            for p, e in enumerate(m):
+                if e:
+                    sub = chain(m[:p] + (e - 1,) + m[p + 1:])
+                    for mm, s in ad_tilde(h, h.basis.labels[p], sub).terms.items():
+                        _accumulate(rows, mm, s.coeffs, 1)
+            got = chains[m] = _poly(h.dim, order, rows)
         return got
 
-    def terms() -> Iterator[tuple[PolyFunction, Coeff]]:
-        for m, c in f.terms.items():
-            r = sum(m)
-            if r >= order:
-                continue
-            weight = c.shift(r)
-            if not weight:
-                continue
-            # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
-            norm = div(math.prod(math.factorial(e) for e in m), math.factorial(r))
-            yield chain(m), weight * norm
-
-    return PolyFunction.linear_sum(h.dim, order, terms())
+    rows: dict[Exponents, Row] = {}
+    for m, c in f.terms.items():
+        r = sum(m)
+        if r >= order:
+            continue
+        weights = [(r + s, w) for s, w in enumerate(c.coeffs[:order - r]) if w]
+        if not weights:
+            continue
+        # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
+        norm = div(math.prod(math.factorial(e) for e in m), math.factorial(r))
+        for mm, v in chain(m).terms.items():
+            for shift, w in weights:
+                _accumulate(rows, mm, v.coeffs, w * norm, shift)
+    return _poly(h.dim, order, rows)
 
 
 def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> FinVec:
-    """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order)."""
+    """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order).
+
+    The r-th term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale.
+    """
 
     def lift(c: Coeff) -> SeriesScalar:
         return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
 
     term = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in y.entries.items()))
     terms = [term]
-    hbar = SeriesScalar.hbar(order)
     for r in range(1, order):
-        term = h.bracket_of(x, term).scale(hbar * div(1, r))
+        step = div(1, r)
+        term = FinVec.build(h.basis, ((lab, c.shift(1) * step)
+                                      for lab, c in h.bracket_of(x, term).entries.items()))
         if term.is_zero:
             break
         terms.append(term)

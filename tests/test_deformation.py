@@ -16,6 +16,7 @@ from rackalg.deformation import (
     equivalence_check,
     h2,
     infinitesimal_selfdist,
+    star_mu1,
     verify_complex,
 )
 from rackalg.errors import SchemaError
@@ -23,6 +24,7 @@ from rackalg.exact_core import FinMap, FinVec, kernel_basis
 from rackalg.fixtures import load
 from rackalg.groups import symmetric_group
 from rackalg.rack_bialg import conjugation_rack, rack_group_algebra, ur
+from rackalg.star_product import monomial_function, psi_function, star
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +168,22 @@ def test_coboundaries_integrate_on_heis3(ur_heis3, complex_heis3):
 def test_differential_rejects_wrong_degree(ur_sq2, complex_sq2):
     with pytest.raises(SchemaError):
         differential(ur_sq2, 2, complex_sq2.spaces[0][0])
+
+
+@pytest.mark.parametrize("name,pairs,nonzero,triples", [("lie2", 36, 6, 216),
+                                                        ("heis3", 100, 8, 1000)])
+def test_star_mu1_is_the_first_order_term_of_the_star_product(name, pairs, nonzero, triples):
+    """star_mu1 is the hbar^1 coefficient of the star product on S(h)<=2, and a cocycle."""
+    h = load(name)
+    rb, mu1 = star_mu1(h, 2)
+    labels = rb.carrier.basis.labels
+    assert len(labels) ** 2 == pairs and len(mu1.map.columns) == nonzero
+    for a in labels:
+        for b in labels:
+            product = star(h, monomial_function(h, a, 3), monomial_function(h, b, 3))
+            first = {m: c.coeffs[1] for m, c in product.terms.items() if c.coeffs[1]}
+            want = psi_function(h, mu1.map.column((a, b)), 3)
+            assert first == {m: c.coeffs[0] for m, c in want.terms.items()}, (a, b)
+    assert differential(rb, 2, mu1).map.columns == {}
+    rep = infinitesimal_selfdist(rb, mu1)
+    assert rep.passed and rep.checked == triples

@@ -281,6 +281,120 @@ class TestStarRecursion:
         assert len(calls) <= pairs
 
 
+def ad_tilde_by_partials(h, i, f):
+    """Reference oracle: sum_j hat([e_i, e_j]) * df/dalpha_j with the polynomial product."""
+    out = PolyFunction.zero(h.dim, f.order)
+    for j in h.basis.labels:
+        out = out + hat_function(h, h.bracket_of_labels(i, j), f.order) * f.partial(
+            h.basis.index(j))
+    return out
+
+
+def exp_hat_by_powers(h, x, order, degree):
+    """Reference oracle: sum_{r <= degree} hat(x)^r / r! with the polynomial product."""
+    base = hat_function(h, x, order)
+    power = out = PolyFunction.constant(1, h.dim, order)
+    for r in range(1, degree + 1):
+        power = power * base
+        out = out + power.scale(Fraction(1, math.factorial(r)))
+    return out
+
+
+nonzero_coeff = st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+
+def series_poly_strategy(nvars, order, max_degree=3):
+    """Polynomials whose every coefficient has nonzero hbar^1 and hbar^2 terms."""
+    expts = st.tuples(*[st.integers(min_value=0, max_value=max_degree)] * nvars)
+    coeff = st.tuples(small_coeff, nonzero_coeff, nonzero_coeff).map(
+        lambda cs: SeriesScalar.make(cs, order))
+    return st.dictionaries(expts, coeff, max_size=4).map(
+        lambda d: PolyFunction.build(nvars, order, d))
+
+
+def assert_trusted(p):
+    """A result built without validation passes the public constructor and stores no zero."""
+    assert PolyFunction(p.nvars, p.order, dict(p.terms)) == p
+    assert all(p.terms.values())
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_ad_tilde_matches_the_partials_formula(self, name):
+        h = load(name)
+
+        @given(st.one_of(poly_strategy(h.dim, 4), series_poly_strategy(h.dim, 4)))
+        @settings(max_examples=15, deadline=None)
+        def check(f):
+            for i in h.basis.labels:
+                got = ad_tilde(h, i, f)
+                assert got == ad_tilde_by_partials(h, i, f)
+                assert_trusted(got)
+
+        check()
+
+    @pytest.mark.parametrize("name", ["lie2", "sq2", "heis3", "sl2"])
+    def test_exp_hat_matches_the_power_series(self, name):
+        h = load(name)
+        coords = st.lists(small_coeff, min_size=h.dim, max_size=h.dim)
+
+        @given(coords, coords, st.integers(min_value=2, max_value=4),
+               st.sampled_from(["int", "fraction", "series"]), st.integers(min_value=2, max_value=5),
+               st.integers(min_value=0, max_value=4))
+        @settings(max_examples=30, deadline=None)
+        def check(a, b, den, kind, order, degree):
+            x = FinVec.build(h.basis, dict(zip(h.basis.labels, a)))
+            if kind == "fraction":
+                x = x.scale(Fraction(1, den))
+            elif kind == "series":
+                x = lie_rack_product(h, x, FinVec.build(h.basis, dict(zip(h.basis.labels, b))),
+                                     order)
+            got = exp_hat(h, x, order, degree)
+            assert got == exp_hat_by_powers(h, x, order, degree)
+            assert_trusted(got)
+
+        check()
+
+    def test_exp_hat_below_the_lossless_degree_is_a_truncation(self):
+        h = load("sl2")
+        x = lie_rack_product(h, small_vec(h, 5), small_vec(h, 12), N)
+        assert x.entries and all(isinstance(c, SeriesScalar) for _, c in x)
+        full = exp_hat(h, x, N, N - 1)
+        for degree in range(N - 1):
+            assert exp_hat(h, x, N, degree) == full.truncate(degree)
+
+    def test_exp_hat_schema_rejections(self):
+        h = load("sl2")
+        with pytest.raises(SchemaError):
+            exp_hat(h, small_vec(load("lie2"), 1), N, 2)
+        with pytest.raises(SchemaError):
+            exp_hat(h, lie_rack_product(h, small_vec(h, 1), small_vec(h, 2), N + 1), N, 2)
+
+
+class TestTrustedResults:
+    def test_outputs_revalidate_and_store_no_zero_term(self):
+        h = load("sl2")
+        x, y, z = small_vec(h, 2), small_vec(h, 6), small_vec(h, 14)
+        f, g = exp_hat(h, x, N, N - 1), exp_hat(h, y, N, N - 1)
+        for out in (f, ad_tilde(h, 2, g), star(h, f, g), star_exp(h, x, y, N),
+                    exp_hat(h, lie_rack_product(h, x, z, N), N, N - 1),
+                    star(h, f, star(h, g, exp_hat(h, z, N, 2)))):
+            assert not out.is_zero
+            assert_trusted(out)
+
+    def test_cancelled_terms_are_dropped(self):
+        # The Casimir a3^2 + 4 a1 a2 of sl2 is ad-invariant, so every ad~ of it
+        # and every jet of a linear left factor against it cancel to zero.
+        h = load("sl2")
+        casimir = PolyFunction.build(3, N, {(0, 0, 2): 1, (1, 1, 0): 4})
+        for i in h.basis.labels:
+            assert ad_tilde(h, i, casimir).terms == {}
+            assert star(h, hat_function(h, FinVec.unit(h.basis, i), N), casimir).terms == {}
+        out = star(h, exp_hat(h, small_vec(h, 8), N, N - 1), casimir)
+        assert out == casimir
+        assert_trusted(out)
+
+
 def test_importing_the_package_loads_no_sympy():
     src = pathlib.Path(star_product.__file__).resolve().parents[1]
     modules = ["star_product", "deformation", "rack_bialg", "right_hopf_dialg",

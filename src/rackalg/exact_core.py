@@ -159,9 +159,10 @@ class SeriesScalar:
     def __mul__(self, other: Any) -> "SeriesScalar":
         if isinstance(other, (int, Fraction)):
             # A scalar scales each coefficient; no lift to a series and no
-            # O(n^2) product.  Zeros stay the int 0, as in the product.
+            # O(n^2) product.  As in the product, zeros stay the int 0 and an
+            # integral coefficient is an int.
             a = rational(other)
-            return SeriesScalar(tuple(a * c if a and c else ZERO for c in self.coeffs))
+            return SeriesScalar(tuple(_integral(a * c) if a and c else ZERO for c in self.coeffs))
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -174,7 +175,7 @@ class SeriesScalar:
                 b = o.coeffs[j]
                 if b:
                     out[i + j] += a * b
-        return SeriesScalar(tuple(out))
+        return SeriesScalar(tuple(map(_integral, out)))
 
     __rmul__ = __mul__
 

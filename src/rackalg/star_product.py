@@ -291,7 +291,7 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
         terms = grown
     pad = (0,) * (order - 1)
     return PolyFunction._trusted(h.dim, order, {
-        m: v if isinstance(v, SeriesScalar) else SeriesScalar((v,) + pad)
+        m: v if isinstance(v, SeriesScalar) else SeriesScalar((rational(v),) + pad)
         for m, v in terms.items()})
 
 
@@ -312,8 +312,9 @@ def _accumulate(rows: dict[Exponents, Row], m: Exponents, coeffs: Sequence[Ratio
 
 
 def _poly(nvars: int, order: int, rows: Mapping[Exponents, Row]) -> PolyFunction:
-    """The polynomial of accumulated coefficient rows; rows that cancelled are dropped."""
-    return PolyFunction._trusted(nvars, order, {m: SeriesScalar(tuple(r))
+    """The polynomial of accumulated coefficient rows; rows that cancelled are
+    dropped, and an integral coefficient is stored as an int."""
+    return PolyFunction._trusted(nvars, order, {m: SeriesScalar(tuple(map(rational, r)))
                                                 for m, r in rows.items() if any(r)})
 
 

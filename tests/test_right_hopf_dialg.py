@@ -9,9 +9,11 @@ the universal dialgebra of the one-relation Leibniz algebra sq2 has
 e1 |- e1 = e2 (x) 1 + e1 (x) xi and e1 -| e1 = e1 (x) xi.
 """
 
+import ast
 import collections
 import dataclasses
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,16 @@ from rackalg.errors import (
     RackalgError,
     SchemaError,
 )
-from rackalg.exact_core import FinMap, FinVec, SpanSolver, kernel_basis, span_basis
+import rackalg.right_hopf_dialg as right_hopf_dialg
+from rackalg.exact_core import (
+    FinMap,
+    FinVec,
+    SpanSolver,
+    flip_map,
+    kernel_basis,
+    span_basis,
+    split_label,
+)
 from rackalg.fixtures import load
 from rackalg.groups import cyclic_group, group_hopf, symmetric_group
 from rackalg.rack_bialg import augmented_conjugation, hopf_adjoint
@@ -91,6 +102,35 @@ def ud_sq2():
     return universal_dialgebra(load("sq2"), 2)
 
 
+def perturbation_census(obj, tables, certify):
+    """The identities ``certify`` names, counted over every replacement of one
+    column of one of ``tables`` by a unit vector other than its value.
+
+    A table is a ``FinMap`` or a dict of columns keyed by label pairs.
+    """
+    basis = obj.basis
+    fired = collections.Counter()
+    for table in tables:
+        cols = getattr(obj, table)
+        if isinstance(cols, FinMap):
+            keys, current = cols.domain.labels, dict(cols.columns)
+        else:
+            keys, current = list(itertools.product(basis.labels, repeat=2)), dict(cols)
+        for key in keys:
+            for target in basis.labels:
+                v = FinVec.unit(basis, target)
+                if current.get(key) == v:
+                    continue
+                changed = dict(current)
+                changed[key] = v
+                if isinstance(cols, FinMap):
+                    changed = FinMap(cols.domain, cols.codomain, changed)
+                with pytest.raises(AxiomViolation) as exc:
+                    certify(dataclasses.replace(obj, certified=False, **{table: changed}))
+                fired[exc.value.axiom] += 1
+    return fired
+
+
 # ---------------------------------------------------------------------------
 # one-sided Hopf algebras
 # ---------------------------------------------------------------------------
@@ -133,6 +173,18 @@ class TestOneSided:
         with pytest.raises(AxiomViolation) as exc:
             certify_one_sided(bad)
         assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+    def test_every_single_entry_perturbation_of_a_left_right_group(self):
+        h = right_group_hopf(cyclic_group(2), ("p", "q"), "p", side="left")
+        fired = perturbation_census(h, ("mul", "antipode"), certify_one_sided)
+        assert fired == {"associativity": 48, "defining antipode": 9, "antipode unit": 3}
+
+    @pytest.mark.parametrize("side,relabelled", [("right", "left"), ("left", "right")])
+    def test_right_group_with_the_other_side_fails_the_unit_law(self, side, relabelled):
+        h = right_group_hopf(cyclic_group(2), ("p", "q"), "p", side=side)
+        with pytest.raises(AxiomViolation) as exc:
+            certify_one_sided(dataclasses.replace(h, side=relabelled, certified=False))
+        assert (exc.value.axiom, exc.value.witness) == ("one-sided unit", ("r0", "q"))
 
     def test_right_group_unit_is_one_sided_only(self, rg_z2):
         one = rg_z2.unit
@@ -191,6 +243,31 @@ class TestSuschkewitsch:
                 assert dec.psi.column((g, x)) == want
         assert len(dec.hopf_part) == 6
         assert len(dec.idempotent_part) == 2
+
+    @staticmethod
+    def _opposite(h):
+        """The opposite product of ``h``, certified as a right Hopf algebra."""
+        mul = FinMap.from_function(h.coalgebra.square, h.basis,
+                                   lambda pair: h.pair(*split_label(h.basis, pair)[::-1]))
+        return certify_one_sided(RightHopfAlgebra(h.coalgebra, mul, h.antipode, "right"))
+
+    @pytest.mark.parametrize("make", [
+        lambda: from_group_hopf(group_hopf(symmetric_group(3)), "left"),
+        lambda: trivial_one_sided_hopf(group_hopf(symmetric_group(3)).coalgebra, "left"),
+        lambda: right_group_hopf(symmetric_group(3), ("p", "q"), "p", side="left"),
+        lambda: right_group_hopf(cyclic_group(2), ("p", "q", "r"), "p", side="left"),
+    ], ids=["K[S3]", "trivial", "S3xE2", "Z2xE3"])
+    def test_left_structure_is_its_opposite_right_structure(self, make):
+        h = make()
+        op = self._opposite(h)
+        assert op.certified and h.side == "left"
+        assert idempotent_projector(op) == idempotent_projector(h)
+        assert hopf_part_projector(op) == hopf_part_projector(h)
+        dec, dec_op = suschkewitsch(h), suschkewitsch(op)
+        assert span_basis(list(dec.hopf_part)) == span_basis(list(dec_op.hopf_part))
+        assert span_basis(list(dec.idempotent_part)) == span_basis(list(dec_op.idempotent_part))
+        assert dec.psi == flip_map(h.basis, h.basis).compose(dec_op.psi)
+        assert dec.psi_inv is h.mul
 
     def test_single_point_right_group_is_the_group_algebra(self, s3):
         h = right_group_hopf(s3, ("p",), "p")
@@ -368,6 +445,17 @@ class TestHopfDialgebra:
         with pytest.raises(AxiomViolation) as exc:
             certify_dialgebra(bad)
         assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+
+    def test_every_single_entry_perturbation_names_a_dialgebra_identity(self):
+        d = hopf_as_dialgebra(group_hopf(cyclic_group(3)))
+        fired = perturbation_census(d, ("vdash", "dashv", "antipode"), certify_dialgebra)
+        assert fired == {
+            "antipode antihomomorphism (|-)": 4, "antipode antihomomorphism (-|)": 4,
+            "antipode convolution square (|-)": 2,
+            "antipode flip identity (|-)": 2, "antipode flip identity (-|)": 2,
+            "antipode unit absorption (|-)": 2, "antipode unit absorption (-|)": 2,
+            "balanced": 4, "bar-unit left": 6, "bar-unit right": 6,
+            "left antipode for -|": 2, "right antipode for |-": 6}
 
     def test_schema_rejections(self, ks3):
         d = hopf_as_dialgebra(ks3)
@@ -662,3 +750,25 @@ class TestUniversalProperty:
         raw = dataclasses.replace(ud_sq2, certified=False)
         with pytest.raises(RackalgError):
             universal_property_instance(raw, sq2, phi, ud_sq2)
+
+
+def _side_readers(tree):
+    """Names of the top-level functions and methods of ``tree`` (or "<module>")
+    that read an attribute ``side``."""
+    owners = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            owners += [(f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, ast.FunctionDef)]
+        else:
+            owners.append((getattr(node, "name", "<module>"), node))
+    return {name for name, owner in owners for n in ast.walk(owner)
+            if isinstance(n, ast.Attribute) and n.attr == "side" and isinstance(n.ctx, ast.Load)}
+
+
+def test_the_antipode_side_is_read_in_three_places_only():
+    path = pathlib.Path(right_hopf_dialg.__file__)
+    readers = _side_readers(ast.parse(path.read_text(), str(path)))
+    assert readers == {"RightHopfAlgebra._right_product", "certify_one_sided", "suschkewitsch"}
+    snippet = "class A:\n def f(self):\n  def g(): return self.side\nx = h.side\ny.side = 1"
+    assert _side_readers(ast.parse(snippet)) == {"A.f", "<module>"}

@@ -382,6 +382,18 @@ class TestTrustedResults:
             assert not out.is_zero
             assert_trusted(out)
 
+    def test_integral_coefficients_are_stored_as_ints(self):
+        # 1/r! weights meet integer coordinates: 2^2 / 2! must come out as the int 2
+        h = load("sl2")
+        x, y = vec(h, {1: 2, 2: -2, 3: 1}), vec(h, {1: 2, 2: 1, 3: -1})
+        series = [s for f in (exp_hat(h, vec(h, {1: 2}), 3, 2), star_exp(h, x, y, 4))
+                  for s in f.terms.values()]
+        series += list(lie_rack_product(h, x, y, 6).entries.values())
+        series.append(SeriesScalar.make([1, 2], 2) * Fraction(1, 2))
+        coeffs = [c for s in series for c in s.coeffs]
+        assert sum(type(c) is Fraction for c in coeffs) > 0
+        assert [c for c in coeffs if type(c) is Fraction and c.denominator == 1] == []
+
     def test_cancelled_terms_are_dropped(self):
         # The Casimir a3^2 + 4 a1 a2 of sl2 is ad-invariant, so every ad~ of it
         # and every jet of a linear left factor against it cancel to zero.

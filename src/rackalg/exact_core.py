@@ -17,7 +17,9 @@ agree on the nose.
 Every product of the package is given on pairs of basis labels and extended
 by :func:`bilinear`, the one place that does so.  Sums are built in one pass,
 never by repeated copies: :func:`linear_sum` for sum c v and
-:func:`tensor_sum` for Sweedler-type sums sum c (x (x) y).
+:func:`tensor_sum` for Sweedler-type sums sum c (x (x) y).  Every sum and
+product of vectors is formed in one private in-place accumulator,
+``_accumulate``, which drops zeros and keeps integral sums ints.
 
 All elimination goes through one private kernel, ``_Echelon``: sparse rows in
 reduced row-echelon form, each keyed by its pivot, the smallest column of the
@@ -31,6 +33,7 @@ for spans, every nonzero rescaling) of their input.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,7 +140,8 @@ class SeriesScalar:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return SeriesScalar(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return SeriesScalar(tuple(s.numerator if type(s) is Fraction and s.denominator == 1 else s
+                                  for s in map(operator.add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
@@ -327,15 +331,7 @@ class FinVec:
         if isinstance(items, Mapping):
             items = items.items()
         acc: dict[Label, Coeff] = {}
-        for lab, c in items:
-            if not c:
-                continue
-            prev = acc.get(lab)
-            s = c if prev is None else prev + c
-            if s:
-                acc[lab] = s
-            elif prev is not None:
-                del acc[lab]
+        _accumulate(acc, ONE, items)
         return FinVec(basis, acc)
 
     def __iter__(self) -> Iterator[tuple[Label, Coeff]]:
@@ -349,14 +345,10 @@ class FinVec:
         return not self.entries
 
     def __add__(self, other: "FinVec") -> "FinVec":
-        self._check(other)
+        if other.basis is not self.basis:
+            self._check(other)
         acc = dict(self.entries)
-        for lab, c in other.entries.items():
-            s = acc.get(lab, ZERO) + c
-            if s:
-                acc[lab] = s
-            elif lab in acc:
-                del acc[lab]
+        _accumulate(acc, ONE, other.entries.items())
         return FinVec(self.basis, acc)
 
     def __sub__(self, other: "FinVec") -> "FinVec":
@@ -366,9 +358,7 @@ class FinVec:
         return FinVec(self.basis, {lab: -c for lab, c in self.entries.items()})
 
     def scale(self, c: Coeff) -> "FinVec":
-        if not c:
-            return FinVec.zero(self.basis)
-        return FinVec.build(self.basis, ((lab, c * v) for lab, v in self.entries.items()))
+        return linear_sum(self.basis, ((self, c),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FinVec):
@@ -435,14 +425,12 @@ class FinMap:
             return self.column(v)
         if v.basis is not self.domain and v.basis != self.domain:
             raise ValueError(f"map expects {self.domain.name}, got {v.basis.name}")
-        out = FinVec.zero(self.codomain)
-        items: list[tuple[Label, Coeff]] = []
+        acc: dict[Label, Coeff] = {}
         for lab, c in v.entries.items():
             col = self.columns.get(lab)
-            if col is None:
-                continue
-            items.extend((l2, c * c2) for l2, c2 in col.entries.items())
-        return FinVec.build(self.codomain, items) if items else out
+            if col is not None:
+                _accumulate(acc, c, col.entries.items())
+        return FinVec(self.codomain, acc)
 
     def compose(self, inner: "FinMap") -> "FinMap":
         """self o inner."""
@@ -492,25 +480,45 @@ def bilinear(basis: Basis, pair: Callable[[Label, Label], FinVec],
     raise (for example :class:`~rackalg.errors.DegreeCapExceeded`) to refuse
     a pair.
     """
-    items: list[tuple[Label, Coeff]] = []
+    acc: dict[Label, Coeff] = {}
     for la, ca in a.entries.items():
         for lb, cb in b.entries.items():
             v = pair(la, lb)
             if not v.entries:
                 continue
-            _require_basis(basis, v.basis)
-            c = ca * cb
-            items.extend((lab, c * cv) for lab, cv in v.entries.items())
-    return FinVec.build(basis, items)
+            if v.basis is not basis:
+                _require_basis(basis, v.basis)
+            _accumulate(acc, ca * cb, v.entries.items())
+    return FinVec(basis, acc)
 
 
 def linear_sum(basis: Basis, terms: Iterable[tuple[FinVec, Coeff]]) -> FinVec:
     """sum c v over the (v, c) terms, in ``basis``."""
-    items: list[tuple[Label, Coeff]] = []
+    acc: dict[Label, Coeff] = {}
     for v, c in terms:
-        _require_basis(basis, v.basis)
-        items.extend((lab, c * cv) for lab, cv in v.entries.items())
-    return FinVec.build(basis, items)
+        if v.basis is not basis:
+            _require_basis(basis, v.basis)
+        _accumulate(acc, c, v.entries.items())
+    return FinVec(basis, acc)
+
+
+def _accumulate(acc: dict[Label, Coeff], c: Coeff, items: Iterable[tuple[Label, Coeff]]) -> None:
+    """acc += c * items, in place: the one place where sums and products of
+    vectors are formed.  Zero terms and zero sums are dropped, an integral
+    Fraction is stored as an int, and c = 1 (an int) is not multiplied."""
+    one = type(c) is int and c == 1
+    for lab, v in items:
+        t = v if one else c * v
+        if not t:
+            continue
+        prev = acc.get(lab)
+        s = t if prev is None else prev + t
+        if type(s) is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s:
+            acc[lab] = s
+        elif prev is not None:
+            del acc[lab]
 
 
 def tensor_sum(product: Basis, terms: Iterable[tuple[FinVec, FinVec, Coeff]]) -> FinVec:

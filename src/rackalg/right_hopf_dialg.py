@@ -614,8 +614,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     one = c.unit
     s = d.antipode
 
-    def u(lab: Label) -> FinVec:
-        return FinVec.unit(basis, lab)
+    units = {lab: FinVec.unit(basis, lab) for lab in labs}
 
     def dprod_op(a: FinVec, b: FinVec) -> FinVec:
         """b -| a: S is a right antipode for it."""
@@ -630,7 +629,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         if not d.fits(deg[lab]):
             skipped_labels += 1
             continue
-        a = u(lab)
+        a = units[lab]
         got = d.vprod(one, a)
         if got != a:
             raise AxiomViolation("bar-unit left", lab, got, a)
@@ -672,7 +671,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         if not d.fits(deg[la] + deg[lb] + deg[lc]):
             skipped_triples += 1
             continue
-        a, cc = u(la), u(lc)
+        a, cc = units[la], units[lc]
         ab_v = d.vpair(la, lb)
         ab_d = d.dpair(la, lb)
         bc_v = d.vpair(lb, lc)
@@ -769,8 +768,8 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
             if not hopf.fits(dx + degrees.get(y, 0)):
                 continue
             by, hy = y
-            acc = tensor_sum(basis, ((arb.act(FinVec.unit(hc.basis, u1), FinVec.unit(bc.basis, by)),
-                                      hopf.pair(u2, hy), cw) for u1, u2, cw in sw_x))
+            acc = tensor_sum(basis, ((arb.act_pair(u1, by), hopf.pair(u2, hy), cw)
+                                     for u1, u2, cw in sw_x))
             if not acc.is_zero:
                 vdash[(x, y)] = acc
     for x in basis.labels:

@@ -405,17 +405,19 @@ def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> Fin
     """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order).
 
     The r-th term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale.
+    ad_x is formed once, as its columns j -> [x, e_j].
     """
 
     def lift(c: Coeff) -> SeriesScalar:
         return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
 
+    ad_x = h.ad(x)
     term = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in y.entries.items()))
     terms = [term]
     for r in range(1, order):
         step = div(1, r)
         term = FinVec.build(h.basis, ((lab, c.shift(1) * step)
-                                      for lab, c in h.bracket_of(x, term).entries.items()))
+                                      for lab, c in ad_x(term).entries.items()))
         if term.is_zero:
             break
         terms.append(term)

@@ -700,3 +700,131 @@ def test_elimination_refuses_float_and_bool_entries(bad):
         rank(m)
     with pytest.raises(TypeError):
         kernel_basis(m)
+
+
+# ---------------------------------------------------------------------------
+# one accumulator: the kernel entry points against the items + build formulas
+# ---------------------------------------------------------------------------
+
+
+def _oracle_build(basis, items):
+    """FinVec.build as a plain loop over (label, coefficient) items."""
+    acc = {}
+    for lab, c in items:
+        if not c:
+            continue
+        prev = acc.get(lab)
+        total = c if prev is None else prev + c
+        if total:
+            acc[lab] = total
+        elif prev is not None:
+            del acc[lab]
+    return FinVec(basis, acc)
+
+
+def _oracle_bilinear(basis, pair, a, b):
+    items = []
+    for la, ca in a.entries.items():
+        for lb, cb in b.entries.items():
+            v = pair(la, lb)
+            c = ca * cb
+            items.extend((lab, c * cv) for lab, cv in v.entries.items())
+    return _oracle_build(basis, items)
+
+
+def _oracle_linear_sum(basis, terms):
+    items = []
+    for v, c in terms:
+        items.extend((lab, c * cv) for lab, cv in v.entries.items())
+    return _oracle_build(basis, items)
+
+
+def _oracle_call(m, v):
+    items = []
+    for lab, c in v.entries.items():
+        items.extend((l2, c * c2) for l2, c2 in m.column(lab).entries.items())
+    return _oracle_build(m.codomain, items)
+
+
+def _oracle_add(u, v):
+    return _oracle_build(u.basis, list(u.entries.items()) + list(v.entries.items()))
+
+
+# a few values, so that sums cancel exactly and Fractions add up to integers
+_pool = [1, -1, 2, F(1, 2), F(-1, 2), F(3, 2)]
+_ints = st.sampled_from([1, -1, 2, -2])
+_fracs = st.sampled_from([F(1, 2), F(-1, 2), F(3, 2), F(-3, 2)])
+_series = st.lists(st.sampled_from([0] + _pool), min_size=3, max_size=3).map(
+    lambda cs: SeriesScalar(tuple(cs)))
+_coeff_kinds = {"int": _ints, "fraction": _fracs, "series": _series,
+                "mixed": st.one_of(_ints, _fracs, _series)}
+_V = Basis("V", ("x", "y", "z"))
+
+
+def _sparse_vectors(coeffs):
+    return st.lists(st.tuples(st.sampled_from(_V.labels), coeffs), max_size=4).map(
+        lambda items: FinVec.build(_V, items))
+
+
+def _well_formed(v):
+    """No zero entry is stored, and no rational entry is an integral Fraction."""
+    for c in v.entries.values():
+        assert c, v
+        if isinstance(c, SeriesScalar):
+            assert all(type(q) is int or q.denominator != 1 for q in c.coeffs), v
+        else:
+            assert type(c) is int or c.denominator != 1, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_coeff_kinds)), st.data())
+def test_accumulator_entry_points_match_the_item_oracles(kind, data):
+    coeffs = _coeff_kinds[kind]
+    vectors = _sparse_vectors(coeffs)
+    u, v = data.draw(vectors), data.draw(vectors)
+    table = {(p, q): data.draw(vectors) for p in _V.labels for q in _V.labels}
+    cols = {lab: data.draw(vectors) for lab in _V.labels}
+    terms = data.draw(st.lists(st.tuples(st.sampled_from([u, v, -u, -v]), coeffs), max_size=5))
+    items = data.draw(st.lists(st.tuples(st.sampled_from(_V.labels), coeffs), max_size=6))
+    m = FinMap(_V, _V, {lab: col for lab, col in cols.items() if not col.is_zero})
+
+    def pair(p, q):
+        return table[p, q]
+
+    for got, want in ((FinVec.build(_V, items), _oracle_build(_V, items)),
+                      (bilinear(_V, pair, u, v), _oracle_bilinear(_V, pair, u, v)),
+                      (linear_sum(_V, terms), _oracle_linear_sum(_V, terms)),
+                      (m(u), _oracle_call(m, u)),
+                      (u + v, _oracle_add(u, v)),
+                      (u - u, FinVec.zero(_V))):
+        assert got.basis is _V
+        assert dict(got.entries) == dict(want.entries)
+        _well_formed(got)
+
+
+def test_accumulator_entry_points_refuse_another_basis_with_the_same_labels():
+    a = Basis("A", ("x", "y"))
+    b = Basis("B", ("x", "y"))
+    ua, ub = FinVec.unit(a, "x"), FinVec.unit(b, "x")
+    with pytest.raises(ValueError):
+        bilinear(a, lambda p, q: FinVec.unit(b, p), ua, ua)
+    with pytest.raises(ValueError):
+        linear_sum(a, [(ub, 1)])
+    with pytest.raises(ValueError):
+        FinMap.identity(a)(ub)
+    with pytest.raises(ValueError):
+        ua + ub
+    with pytest.raises(ValueError):
+        ua - ub
+
+
+def test_sums_keep_the_int_first_rule():
+    v = FinVec.build(_V, {"x": F(1, 2)})
+    for got in (FinVec.build(_V, [("x", F(1, 2)), ("x", F(1, 2))]), v + v,
+                linear_sum(_V, [(v, 2)]), bilinear(_V, lambda p, q: v, v, v.scale(8)),
+                FinMap(_V, _V, {"x": v})(v.scale(4)), v.scale(2)):
+        assert dict(got.entries) == {"x": 1} and type(got["x"]) is int
+    s = SeriesScalar.make(["1/2", "3/2"], 2)
+    for total in (s + s, s - (-s)):
+        assert total.coeffs == (1, 3) and [type(q) for q in total.coeffs] == [int, int]
+    assert [type(q) for q in (s + F(1, 2)).coeffs] == [int, Fraction]

@@ -256,6 +256,18 @@ def test_certify_augmented_names_action_comultiplicativity(uar_sq2):
     assert (exc.value.axiom, exc.value.witness) == ("action comultiplicativity", ((1,), (1,)))
 
 
+@pytest.mark.parametrize("build", [lambda: uar_infinity(load("sq2"), 1),
+                                   lambda: augmented_conjugation(symmetric_group(3))])
+def test_act_pair_is_the_action_on_unit_vectors(build):
+    arb = build()
+    hb, cb = arb.hopf.basis, arb.carrier.basis
+    for lh in hb.labels:
+        for la in cb.labels:
+            uh, ua = FinVec.unit(hb, lh), FinVec.unit(cb, la)
+            got = arb.act_pair(lh, la)
+            assert got == arb.act(uh, ua) == arb.action(uh.tensor(ua, arb.action.domain))
+
+
 def test_action_counit_is_checked_before_comultiplicativity():
     # a unit term on x.e1 breaks both identities at ((1,), (1,)); the counit
     # is checked first within a pair, as in every check_multiplicative call

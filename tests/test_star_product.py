@@ -446,6 +446,26 @@ class TestLieRackProduct:
             h.basis, {lab: SeriesScalar.constant(c, N) for lab, c in x.entries.items()})
         assert lie_rack_product(h, x, FinVec.zero(h.basis), N).is_zero
 
+    @pytest.mark.parametrize("name", ["sl2", "heis3"])
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_the_bracket_at_every_step(self, name, order):
+        # oracle: each step brackets x against the previous term directly
+        h = load(name)
+
+        def oracle(x, y):
+            term = FinVec.build(h.basis, ((lab, SeriesScalar.constant(c, order))
+                                          for lab, c in y.entries.items()))
+            total = term
+            for r in range(1, order):
+                term = FinVec.build(h.basis, ((lab, c.shift(1) * Fraction(1, r))
+                                              for lab, c in h.bracket_of(x, term).entries.items()))
+                total = total + term
+            return total
+
+        for seed in (1, 2, 3):
+            x, y = small_vec(h, seed), small_vec(h, seed + 10)
+            assert lie_rack_product(h, x, y, order) == oracle(x, y)
+
 
 class TestStarExp:
     def test_abelian_left_factor_drops_out(self):

@@ -124,7 +124,7 @@ def group_like_coalgebra(name: str, labels: tuple[Label, ...], unit_label: Label
     square = tensor_basis(basis, basis)
     delta = FinMap.from_function(basis, square, lambda lab: FinVec.unit(square, (lab, lab)))
     counit = {lab: 1 for lab in labels}
-    return Coalgebra(basis, delta, counit, FinVec.unit(basis, unit_label))
+    return Coalgebra(basis, delta, counit, FinVec.unit(basis, unit_label), square)
 
 
 @dataclass(frozen=True)

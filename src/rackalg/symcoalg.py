@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from rackalg.errors import AxiomViolation, RackalgError, SchemaError
@@ -57,21 +57,24 @@ class Coalgebra:
 
     ``delta`` maps into the flattened tensor square of ``basis``; ``counit``
     is sparse (missing labels evaluate to zero); ``unit`` is the coaugmentation
-    and must be group-like.
+    and must be group-like.  A constructor that has built
+    ``tensor_basis(basis, basis)`` for its coproduct passes it as
+    ``built_square``; it is taken as the tensor square unchecked.
     """
 
     basis: Basis
     delta: FinMap
     counit: Mapping[Label, Rational]
     unit: FinVec
+    built_square: InitVar[Basis | None] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_square", None)
+    def __post_init__(self, built_square: Basis | None) -> None:
+        object.__setattr__(self, "_square", built_square)
         object.__setattr__(self, "_legs", {})
 
     @property
     def square(self) -> Basis:
-        """The tensor square of the basis, built on first use."""
+        """The tensor square of the basis: ``built_square``, or built on first use."""
         if self._square is None:
             object.__setattr__(self, "_square", tensor_basis(self.basis, self.basis))
         return self._square
@@ -232,7 +235,7 @@ def restrict_coalgebra(c: Coalgebra, keep: Sequence[Label], name: str) -> Coalge
 
     counit = {lab: c.counit[lab] for lab in keep if lab in c.counit}
     return Coalgebra(sub, FinMap.from_function(sub, square, col), counit,
-                     FinVec.build(sub, c.unit.entries))
+                     FinVec.build(sub, c.unit.entries), square)
 
 
 def is_cocommutative(c: Coalgebra) -> bool:
@@ -368,7 +371,7 @@ def tensor_coalgebra(left: Coalgebra, right: Coalgebra, name: str | None = None)
             if el * er:
                 counit[(lab_l, lab_r)] = el * er
     delta = FinMap.from_function(basis, square, delta_col)
-    return Coalgebra(basis, delta, counit, left.unit.tensor(right.unit, basis))
+    return Coalgebra(basis, delta, counit, left.unit.tensor(right.unit, basis), square)
 
 
 def sym_monomials(source: Basis, max_degree: int) -> tuple[tuple[Label, ...], ...]:
@@ -417,7 +420,7 @@ def symmetric_coalgebra(source: Basis, cap: int, name: str | None = None) -> Coa
 
     delta = FinMap.from_function(basis, square, delta_col)
     counit = {(): ONE}
-    return Coalgebra(basis, delta, counit, FinVec.unit(basis, ()))
+    return Coalgebra(basis, delta, counit, FinVec.unit(basis, ()), square)
 
 
 def sym_product_map(sym: Coalgebra, source: Basis) -> FinMap:

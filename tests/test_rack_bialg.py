@@ -38,7 +38,6 @@ from rackalg.leibniz import left_center, squares_ideal
 from rackalg.rack_bialg import (
     FiniteRack,
     RackBialgebra,
-    adjoint_action,
     augmented_conjugation,
     augmented_rack_algebra,
     certify,
@@ -281,6 +280,46 @@ def test_action_counit_is_checked_before_comultiplicativity():
     assert (exc.value.axiom, exc.value.witness) == ("action counit", ((1,), (1,)))
 
 
+@pytest.mark.parametrize("key,value,witness", [
+    (((1,), (1,)), {(1,): 1}, ((1,), (1,), (1,))),
+    (((1,), (1, 1)), {(1,): 1}, ((1,), (1,), (1, 1))),
+    (((1, 1), (2,)), {(): 1}, ((1,), (1,), (2,))),
+    (((1, 1, 1), (1, 1)), {(): 1}, ((1,), (1, 1), (1, 1))),
+])
+def test_action_associativity_witness_is_the_vector_action(uar_sq2, key, value, witness):
+    cols = dict(uar_sq2.action.columns)
+    cols[key] = FinVec.build(uar_sq2.carrier.basis, {lab: F(c) for lab, c in value.items()})
+    bad = dataclasses.replace(uar_sq2, certified=False, action=FinMap(
+        uar_sq2.action.domain, uar_sq2.action.codomain, cols))
+    with pytest.raises(AxiomViolation) as exc:
+        certify_augmented(bad)
+    assert (exc.value.axiom, exc.value.witness) == ("action associativity", witness)
+    lu, lv, la = witness
+    hb, cb = bad.hopf.basis, bad.carrier.basis
+    lhs = bad.act(bad.hopf.pair(lu, lv), FinVec.unit(cb, la))
+    rhs = bad.act(FinVec.unit(hb, lu), bad.act(FinVec.unit(hb, lv), FinVec.unit(cb, la)))
+    assert (exc.value.lhs, exc.value.rhs) == (lhs, rhs)
+    assert exc.value.lhs.basis == exc.value.rhs.basis == cb
+
+
+def test_action_columns_are_built_once_per_structure(uar_sq2):
+    cols = uar_sq2.action_columns
+    assert uar_sq2.action_columns is cols
+    assert set(cols) == {split for split in itertools.product(
+        uar_sq2.hopf.basis.labels, uar_sq2.carrier.basis.labels)
+        if merge_labels(uar_sq2.hopf.basis, split[0]) + merge_labels(
+            uar_sq2.carrier.basis, split[1]) in uar_sq2.action.columns}
+    # a structure with another action reads its own columns
+    key = ((1,), (1,))
+    changed = dict(uar_sq2.action.columns)
+    changed[key] = FinVec.unit(uar_sq2.carrier.basis, (2,))
+    other = dataclasses.replace(uar_sq2, certified=False, action=FinMap(
+        uar_sq2.action.domain, uar_sq2.action.codomain, changed))
+    assert other.act_pair((1,), (1,)) == FinVec.unit(uar_sq2.carrier.basis, (2,))
+    assert uar_sq2.act_pair((1,), (1,)) == uar_sq2.action.column(key)
+    assert uar_sq2.act_pair((1, 1), ()).is_zero
+
+
 # ---------------------------------------------------------------------------
 # ur(h) = K + h
 # ---------------------------------------------------------------------------
@@ -481,7 +520,7 @@ def test_adjoint_letter_fold_matches_convolution_formula():
             continue
         u = FinVec.unit(env.basis, wa)
         v = FinVec.unit(env.basis, wb)
-        direct = adjoint_action(env, u, v)
+        direct = env.adjoint(u, v)
         conv = FinVec.zero(env.basis)
         for h1, h2, ch in env.coalgebra.sweedler(u):
             conv = conv + env.product(
@@ -712,6 +751,49 @@ def test_series_coefficients_certify(name):
     with pytest.raises(AxiomViolation) as exc:
         certify(dataclasses.replace(rb, mu=FinMap(rb.mu.domain, rb.mu.codomain, cols)))
     assert exc.value.axiom == "counit multiplicativity"
+
+
+def series_rack(rb):
+    """``rb`` with every product coefficient c rewritten as the series 1 * c."""
+    one = SeriesScalar.one(3)
+    cols = {k: FinVec(v.basis, {lab: one * c for lab, c in v.entries.items()})
+            for k, v in rb.mu.columns.items()}
+    return RackBialgebra(rb.carrier, FinMap(rb.mu.domain, rb.mu.codomain, cols))
+
+
+def test_series_coefficients_certify_in_degree_two(uar_sq2):
+    # the degree-2 carrier makes self-distributivity sum over nontrivial legs
+    rb = series_rack(uar_sq2.rack)
+    assert any(isinstance(c, SeriesScalar) for v in rb.mu.columns.values()
+               for c in v.entries.values())
+    assert certify(rb).certified
+
+
+@pytest.mark.parametrize("source,la,lb,value,witness", [
+    ("ur", (1,), (2,), {(1,): 1}, ((1,), (2,), (1,))),
+    ("kx", "s213", "s132", {"s123": 1}, ("s132", "s213", "s132")),
+    ("uar", (1,), (2, 2), {(1,): 1}, ((1,), (1, 1), (1, 1))),
+    ("series", (1,), (2, 2), {(2,): SeriesScalar.hbar(3)}, ((1,), (1, 1), (1, 1))),
+    ("series", (1,), (1, 2), {(1,): SeriesScalar.hbar(3)}, ((1,), (1, 2), (1,))),
+])
+def test_self_distributivity_witness_is_the_vector_product(kx_s3, uar_sq2, source, la, lb,
+                                                           value, witness):
+    rb = {"ur": lambda: ur(load("sq2")), "kx": lambda: kx_s3, "uar": lambda: uar_sq2.rack,
+          "series": lambda: series_rack(uar_sq2.rack)}[source]()
+    key = merge_labels(rb.basis, la, lb)
+    extra = FinVec.build(rb.basis, value.items())
+    bad = RackBialgebra(rb.carrier, _with_column(
+        rb.mu, key, extra if source in ("ur", "kx") else rb.mu.column(key) + extra))
+    with pytest.raises(AxiomViolation) as exc:
+        certify(bad)
+    assert (exc.value.axiom, exc.value.witness) == ("self-distributivity", witness)
+    a, b, c = witness
+    lhs = bad.apply(FinVec.unit(rb.basis, a), bad.pair(b, c))
+    rhs = FinVec.zero(rb.basis)
+    for a1, a2, ca in rb.carrier.legs(a):
+        rhs = rhs + bad.apply(bad.pair(a1, b), bad.pair(a2, c)).scale(ca)
+    assert (exc.value.lhs, exc.value.rhs) == (lhs, rhs)
+    assert exc.value.lhs.basis == exc.value.rhs.basis == rb.basis
 
 
 @pytest.mark.parametrize("name", ["sq2", "heis3", "lie2"])

@@ -14,6 +14,7 @@ import collections
 import dataclasses
 import itertools
 import pathlib
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from rackalg.errors import (
     RackalgError,
     SchemaError,
 )
+import rackalg.rack_bialg as rack_bialg
 import rackalg.right_hopf_dialg as right_hopf_dialg
 from rackalg.exact_core import (
     FinMap,
@@ -482,6 +484,68 @@ class TestHopfDialgebra:
         assert ud_sq2.vprod(e2, e2).is_zero
         assert ud_sq2.dprod(e2, e2).is_zero
 
+    def test_ungraded_entry_is_refused_in_the_triple_loop(self):
+        # U(abelian1) regraded so that x x = x^2 lands in degree 3 > 1 + 1:
+        # every label and pair identity stays inside the cap, but the triple
+        # (x, x, x) reads (x x) x = x^2 x, which needs degree 4
+        d = hopf_as_dialgebra(enveloping_hopf(load("abelian1"), 3))
+        degrees = {(1,): 1, (1, 1): 3, (1, 1, 1): 4}
+
+        def deg(lab):
+            return degrees.get(lab, 0)
+
+        table = {k: v for k, v in d.vdash.items() if deg(k[0]) + deg(k[1]) <= 3}
+        anti = FinMap(d.basis, d.basis,
+                      {lab: v for lab, v in d.antipode.columns.items() if deg(lab) <= 3})
+        regraded = HopfDialgebra(d.coalgebra, table, table, anti, degrees, 3)
+        with pytest.raises(DegreeCapExceeded) as exc:
+            certify_dialgebra(regraded)
+        assert (exc.value.needed, exc.value.cap) == (4, 3)
+        assert str(exc.value).endswith("(product |-)")
+        loop, _ = _checked_loop(right_hopf_dialg, "certify_dialgebra", "associativity (|-)")
+        frames = [f for f in traceback.extract_tb(exc.value.__traceback__)
+                  if f.name == "certify_dialgebra"]
+        assert len(frames) == 1 and loop.lineno <= frames[0].lineno <= loop.end_lineno
+
+    Z2 = ("r0", "r0"), ("r0", "r1"), ("r1", "r0"), ("r1", "r1")
+    E, X, Y = ((), ()), ((1,), ()), ((), (1,))
+
+    @pytest.mark.parametrize("source,table,key,value,axiom,witness", [
+        ("z2", "vdash", (Z2[1], Z2[2]), {Z2[0]: 1}, "left products agree", (Z2[0], Z2[2], Z2[2])),
+        ("z2", "vdash", (Z2[1], Z2[3]), {Z2[1]: 1}, "left products agree", (Z2[0], Z2[2], Z2[3])),
+        ("z2", "dashv", (Z2[1], Z2[3]), {Z2[2]: 1}, "associativity (-|)", (Z2[0], Z2[1], Z2[3])),
+        ("z2", "dashv", (Z2[2], Z2[1]), {Z2[0]: 1}, "inner associativity", (Z2[1], Z2[2], Z2[1])),
+        ("sq2", "vdash", (Y, X), {((1,), (1,)): 1}, "left products agree", (E, X, X)),
+        ("sq2", "dashv", (X, Y), {((1,), (1,)): 1, ((2,), ()): 1}, "associativity (-|)",
+         (X, E, X)),
+    ])
+    def test_triple_witness_is_the_vector_product(self, ud_sq2, source, table, key, value,
+                                                  axiom, witness):
+        d = {"z2": lambda: dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))),
+             "sq2": lambda: ud_sq2}[source]()
+        changed = dict(getattr(d, table))
+        changed[key] = FinVec.build(d.basis, {lab: F(c) for lab, c in value.items()})
+        bad = dataclasses.replace(d, certified=False, report=None, **{table: changed})
+        with pytest.raises(AxiomViolation) as exc:
+            certify_dialgebra(bad)
+        assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
+        # the sides as the vector products of the dialgebra give them
+        la, lb, lc = witness
+        a, c = FinVec.unit(d.basis, la), FinVec.unit(d.basis, lc)
+        v, w = bad.vprod, bad.dprod
+        oracle = {
+            "associativity (|-)": (v(bad.vpair(la, lb), c), v(a, bad.vpair(lb, lc))),
+            "left products agree": (v(bad.dpair(la, lb), c), v(bad.vpair(la, lb), c)),
+            "associativity (-|)": (w(bad.dpair(la, lb), c), w(a, bad.dpair(lb, lc))),
+            "right products agree": (w(a, bad.vpair(lb, lc)), w(a, bad.dpair(lb, lc))),
+            "inner associativity": (w(bad.vpair(la, lb), c), v(a, bad.dpair(lb, lc))),
+        }
+        lhs, rhs = oracle[axiom]
+        assert exc.value.lhs.basis == exc.value.rhs.basis == d.basis
+        assert (exc.value.lhs, exc.value.rhs) == (lhs, rhs)
+        assert dict(exc.value.lhs.entries) == dict(lhs.entries)
+        assert dict(exc.value.rhs.entries) == dict(rhs.entries)
+
 
 class TestAugmentedDialgebra:
     def test_conjugation_dialgebra_certifies(self, d36):
@@ -772,3 +836,60 @@ def test_the_antipode_side_is_read_in_three_places_only():
     assert readers == {"RightHopfAlgebra._right_product", "certify_one_sided", "suschkewitsch"}
     snippet = "class A:\n def f(self):\n  def g(): return self.side\nx = h.side\ny.side = 1"
     assert _side_readers(ast.parse(snippet)) == {"A.f", "<module>"}
+
+
+def _checked_loop(module, function, axiom):
+    """The outermost loop of ``module.function`` that raises ``axiom``, and the
+    functions nested in ``function`` by name."""
+    path = pathlib.Path(module.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    return _loop_in(tree, function, axiom)
+
+
+def _loop_in(tree, function, axiom):
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    loop = next(n for n in ast.walk(fn) if isinstance(n, ast.For) and any(
+        isinstance(c, ast.Constant) and c.value == axiom for c in ast.walk(n)))
+    nested = {n.name: n for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn}
+    return loop, nested
+
+
+def _called_names(loop, nested):
+    """Names the loop calls (``FinVec.unit`` spelled out), following the nested
+    functions it calls."""
+    names, todo, seen = set(), [loop], set()
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                names.add(f.id)
+                if f.id in nested and f.id not in seen:
+                    seen.add(f.id)
+                    todo.append(nested[f.id])
+            elif isinstance(f, ast.Attribute):
+                owner = f.value.id + "." if isinstance(f.value, ast.Name) else ""
+                names.update({f.attr, owner + f.attr})
+    return names
+
+
+VECTOR_PRODUCTS = {"bilinear", "vprod", "dprod", "FinVec.unit"}
+
+
+@pytest.mark.parametrize("module,function,axiom", [
+    (right_hopf_dialg, "certify_dialgebra", "associativity (|-)"),
+    (rack_bialg, "_check_product", "self-distributivity"),
+])
+def test_label_product_loops_read_stored_columns(module, function, axiom):
+    assert _called_names(*_checked_loop(module, function, axiom)) & VECTOR_PRODUCTS == set()
+
+
+def test_the_column_read_guard_sees_through_nested_functions():
+    snippet = ("def f(b):\n"
+               " def g(v): return FinVec.unit(b, v)\n"
+               " for x in b:\n"
+               "  if g(x): raise E('name')\n"
+               " bilinear(b, b)\n")
+    names = _called_names(*_loop_in(ast.parse(snippet), "f", "name"))
+    assert names & VECTOR_PRODUCTS == {"FinVec.unit"}

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackalg.exact_core as exact_core
+import rackalg.groups as groups
 import rackalg.symcoalg as symcoalg
 from rackalg.errors import AxiomViolation, RackalgError, SchemaError
 from rackalg.exact_core import (
@@ -128,6 +129,32 @@ def test_coproduct_into_another_square_is_refused():
     other = tensor_basis(Basis("D", ("e", "g")), Basis("D", ("e", "g")))
     delta = FinMap.from_function(basis, other, lambda l: FinVec.unit(other, (l, l)))
     bad = Coalgebra(basis, delta, {"e": 1, "g": 1}, FinVec.unit(basis, "e"))
+    with pytest.raises(SchemaError):
+        check_coalgebra(bad)
+    with pytest.raises(SchemaError):
+        check_cocommutative(bad)
+
+
+def test_constructors_hand_over_their_square():
+    V = Basis("V", (1, 2))
+    S = symmetric_coalgebra(V, 2)
+    K = groups.group_like_coalgebra("KX", ("e", "g"), "e")
+    for c in (S, K, tensor_coalgebra(S, K), restrict_coalgebra(S, [(), (1,)], "S1")):
+        assert c.square is c.delta.codomain
+        check_coalgebra(c)
+
+
+def test_a_hand_built_coproduct_is_not_trusted_for_the_square():
+    # S's own basis, but the coproduct lands in the square of another basis
+    # with the same labels: the square is built from the basis, so the
+    # mismatch is seen although the delta looks like a constructor's
+    S = symmetric_coalgebra(Basis("V", (1,)), 2)
+    W = Basis("W", S.basis.labels)
+    other = tensor_basis(W, W)
+    delta = FinMap(S.basis, other, {lab: FinVec(other, col.entries)
+                                    for lab, col in S.delta.columns.items()})
+    bad = Coalgebra(S.basis, delta, S.counit, S.unit)
+    assert bad.square is not delta.codomain and bad.square != delta.codomain
     with pytest.raises(SchemaError):
         check_coalgebra(bad)
     with pytest.raises(SchemaError):

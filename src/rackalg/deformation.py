@@ -45,6 +45,7 @@ from rackalg.exact_core import (
     Rational,
     SeriesScalar,
     SpanSolver,
+    label_times,
     linear_sum,
     nullspace,
     span_basis,
@@ -87,7 +88,7 @@ def mu_n(rb: RackBialgebra, n: int) -> FinMap:
     def col(t: Label) -> FinVec:
         parts = _tparts(n, t)
         inner = prev.column(_tlabel(parts[1:]))
-        return rb.apply(FinVec.unit(basis, parts[0]), inner)
+        return FinVec(basis, label_times(rb.pair, parts[0], inner.entries))
 
     return FinMap.from_function(tensor_power(basis, n), basis, col)
 

@@ -14,9 +14,10 @@ values: ints, strings, tuples of labels for tensor factors).  Tensor-product
 bases flatten their labels, so ``(A (x) B) (x) C`` and ``A (x) (B (x) C)``
 agree on the nose.
 
-Every product of the package is given on pairs of basis labels and extended
-by :func:`bilinear`, the one place that does so.  Sums are built in one pass,
-never by repeated copies: :func:`linear_sum` for sum c v and
+Every product of the package is given on pairs of basis labels, read with a
+label on one side by :func:`times_label` (v . l) and :func:`label_times`
+(l . v), and extended to two vectors by :func:`bilinear`.  Sums are built
+in one pass, never by repeated copies: :func:`linear_sum` for sum c v and
 :func:`tensor_sum` for Sweedler-type sums sum c (x (x) y).  Every sum and
 product of vectors is formed in one private in-place accumulator,
 ``_accumulate``, which drops zeros and keeps integral sums ints.
@@ -492,6 +493,28 @@ def bilinear(basis: Basis, pair: Callable[[Label, Label], FinVec],
     return FinVec(basis, acc)
 
 
+def times_label(pair: Callable[[Label, Label], FinVec], v: Mapping[Label, Coeff], label: Label,
+                acc: dict[Label, Coeff] | None = None, c: Coeff = ONE) -> dict[Label, Coeff]:
+    """v . label = sum_l v_l pair(l, label) for coefficients ``v``, read from the
+    columns ``pair`` returns; added c times into ``acc`` (a new dict by default)."""
+    acc = {} if acc is None else acc
+    one = type(c) is int and c == 1
+    for lab, cv in v.items():
+        _accumulate(acc, cv if one else c * cv, pair(lab, label).entries.items())
+    return acc
+
+
+def label_times(pair: Callable[[Label, Label], FinVec], label: Label, v: Mapping[Label, Coeff],
+                acc: dict[Label, Coeff] | None = None, c: Coeff = ONE) -> dict[Label, Coeff]:
+    """label . v = sum_m v_m pair(label, m), as a coefficient dict; the mirror
+    of :func:`times_label`."""
+    acc = {} if acc is None else acc
+    one = type(c) is int and c == 1
+    for lab, cv in v.items():
+        _accumulate(acc, cv if one else c * cv, pair(label, lab).entries.items())
+    return acc
+
+
 def linear_sum(basis: Basis, terms: Iterable[tuple[FinVec, Coeff]]) -> FinVec:
     """sum c v over the (v, c) terms, in ``basis``."""
     acc: dict[Label, Coeff] = {}
@@ -788,8 +811,8 @@ def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
 
 __all__ = [
     "Basis", "Coeff", "FinMap", "FinVec", "Label", "Rational", "SeriesScalar", "SpanSolver",
-    "bilinear", "div", "flip_map", "format_rational", "kernel_basis", "linear_sum",
-    "merge_labels", "nullspace", "rank", "rank_of", "rational", "same_entries", "scalar_eq",
-    "series_exp", "span_basis",
-    "split_label", "tensor_basis", "tensor_product_map", "tensor_sum",
+    "bilinear", "div", "flip_map", "format_rational", "kernel_basis", "label_times",
+    "linear_sum", "merge_labels", "nullspace", "rank", "rank_of", "rational", "same_entries",
+    "scalar_eq", "series_exp", "span_basis",
+    "split_label", "tensor_basis", "tensor_product_map", "tensor_sum", "times_label",
 ]

@@ -40,16 +40,16 @@ from rackalg.exact_core import (
     Label,
     Rational,
     SpanSolver,
-    _accumulate,
     bilinear,
     div,
-    linear_sum,
+    label_times,
     merge_labels,
     same_entries,
     split_label,
     tensor_basis,
     tensor_product_map,
     tensor_sum,
+    times_label,
 )
 from rackalg.groups import FiniteGroup, group_hopf, group_like_coalgebra
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz, left_center, quotient_lie
@@ -192,15 +192,21 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
     return dataclasses.replace(rb, certified=True)
 
 
+def _violation(basis: Basis, axiom: str, witness: tuple, lhs: Mapping[Label, Coeff],
+               rhs: Mapping[Label, Coeff]) -> AxiomViolation:
+    """A failed identity whose two sides were read into coefficient dicts."""
+    return AxiomViolation(axiom, witness, FinVec(basis, lhs), FinVec(basis, rhs))
+
+
 def _check_product(rb: RackBialgebra) -> None:
     """The product checks of :func:`certify`, on a carrier already checked.
 
-    Every product of the self-distributivity loop is read from stored
-    columns into a plain dict: a |> (b |> c) = sum_m (b |> c)_m (a |> m),
-    and (a1 |> b) |> (a2 |> c) sums the columns l |> r over the terms of its
-    two factors, with a1 |> b read once per (a, b).  A rack bialgebra has no
-    degree cap, so no pair read needs a guard.  Vectors are built only for a
-    failure's witness.
+    Every product with a basis label on one side is read from the stored
+    columns into a plain dict (:func:`~rackalg.exact_core.label_times`,
+    :func:`~rackalg.exact_core.times_label`); in the self-distributivity loop
+    (a1 |> b) |> (a2 |> c) = sum_l (a1 |> b)_l (l |> (a2 |> c)), with the
+    terms of a1 |> b listed once per (a, b).  Vectors are built only to
+    compare with a unit and for a failure's witness.
     """
     c = rb.carrier
     basis = c.basis
@@ -218,33 +224,27 @@ def _check_product(rb: RackBialgebra) -> None:
         raise AxiomViolation("unit square", "1", got, one)
     for lab in labels:
         a = FinVec.unit(basis, lab)
-        lhs = bilinear(basis, pair, one, a)
+        lhs = FinVec(basis, times_label(pair, one.entries, lab))
         if lhs != a:
             raise AxiomViolation("left unit", lab, lhs, a)
-        lhs = bilinear(basis, pair, a, one)
+        lhs = FinVec(basis, label_times(pair, lab, one.entries))
         rhs = one.scale(c.counit.get(lab, ZERO))
         if lhs != rhs:
             raise AxiomViolation("unit absorption", lab, lhs, rhs)
     check_multiplicative(c, pair, itertools.product(labels, repeat=2),
                          "coproduct multiplicativity", "counit multiplicativity")
-    cols = {key: v.entries for key, v in prod.items()}
     for la in labels:
         legs = c.legs(la)
         for lb in labels:
-            left = [(cols[a1, lb].items(), a2, ca) for a1, a2, ca in legs]
+            left = [(l, ca * cl, a2) for a1, a2, ca in legs
+                    for l, cl in prod[a1, lb].entries.items()]
             for lc in labels:
-                lhs: dict[Label, Coeff] = {}
-                for m, cm in cols[lb, lc].items():
-                    _accumulate(lhs, cm, cols[la, m].items())
+                lhs = label_times(pair, la, prod[lb, lc].entries)
                 rhs: dict[Label, Coeff] = {}
-                for x, a2, ca in left:
-                    y = cols[a2, lc].items()
-                    for l, cl in x:
-                        for r, cr in y:
-                            _accumulate(rhs, ca * cl * cr, cols[l, r].items())
+                for l, w, a2 in left:
+                    label_times(pair, l, prod[a2, lc].entries, rhs, w)
                 if not same_entries(lhs, rhs):
-                    raise AxiomViolation("self-distributivity", (la, lb, lc),
-                                         FinVec(basis, lhs), FinVec(basis, rhs))
+                    raise _violation(basis, "self-distributivity", (la, lb, lc), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +317,15 @@ def gauge(rb: RackBialgebra, f: FinMap) -> RackBialgebra:
         raise AxiomViolation("gauge fixes coaugmentation", "1", f(c.unit), c.unit)
     check_coalgebra_map(c, c, f.column, basis.labels, "gauge")
     for la in basis.labels:
-        ea = FinVec.unit(basis, la)
         for lb in basis.labels:
             lhs = f(rb.pair(la, lb))
-            rhs = rb.apply(ea, f.column(lb))
+            rhs = FinVec(basis, label_times(rb.pair, la, f.column(lb).entries))
             if lhs != rhs:
                 raise GaugeEquivarianceViolation(
                     f"f(a |> b) != a |> f(b) at basis pair ({la!r}, {lb!r})")
     def col(pair: Label) -> FinVec:
         la, lb = split_label(basis, pair)
-        return rb.apply(f.column(la), FinVec.unit(basis, lb))
+        return FinVec(basis, times_label(rb.pair, f.column(la).entries, lb))
 
     return certify(RackBialgebra(c, FinMap.from_function(c.square, basis, col)))
 
@@ -339,6 +338,7 @@ def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
     ``degree`` or one below the cap, so that every commutator stays
     representable; an uncapped algebra keeps every label.
     """
+    _require_degree(degree)
     c = hopf.coalgebra
     if hopf.cap is not None:
         k = hopf.cap - 1 if degree is None else degree
@@ -355,6 +355,12 @@ def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
         return FinVec.build(basis, v.entries)
 
     return certify(RackBialgebra(c, FinMap.from_function(c.square, basis, col)))
+
+
+def _require_degree(degree: int | None) -> None:
+    """A carrier truncation degree is None or a nonnegative int (a bool is not)."""
+    if degree is not None and (type(degree) is not int or degree < 0):
+        raise SchemaError(f"truncation degree must be a nonnegative integer, got {degree!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +385,7 @@ class AugmentedRackBialgebra:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_columns", None)
+        object.__setattr__(self, "_zero", FinVec.zero(self.action.codomain))
 
     @property
     def carrier(self) -> Coalgebra:
@@ -401,7 +408,7 @@ class AugmentedRackBialgebra:
         """Action of two basis labels: a column of ``action``, read from
         :attr:`action_columns`."""
         col = self.action_columns.get((lh, la))
-        return FinVec.zero(self.action.codomain) if col is None else col
+        return self._zero if col is None else col
 
     def act(self, u: FinVec, a: FinVec) -> FinVec:
         return bilinear(self.action.codomain, self.act_pair, u, a)
@@ -426,53 +433,39 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     check_coalgebra(bc)
     check_coalgebra(hc)
 
-    def unit_h(lab: Label) -> FinVec:
-        return FinVec.unit(hc.basis, lab)
-
-    def unit_b(lab: Label) -> FinVec:
-        return FinVec.unit(bc.basis, lab)
-
     check_coalgebra_map(bc, hc, phi.column, bc.basis.labels, "augmentation")
     if phi(bc.unit) != hc.unit:
         raise AxiomViolation("augmentation coaugmentation", "1", phi(bc.unit), hc.unit)
 
+    act_pair = arb.act_pair
     for la in bc.basis.labels:
-        a = unit_b(la)
-        got = arb.act(hc.unit, a)
+        a = FinVec.unit(bc.basis, la)
+        got = FinVec(bc.basis, times_label(act_pair, hc.unit.entries, la))
         if got != a:
             raise AxiomViolation("action unit", la, got, a)
     for lh in hc.basis.labels:
-        got = arb.act(unit_h(lh), bc.unit)
+        got = FinVec(bc.basis, label_times(act_pair, lh, bc.unit.entries))
         want = bc.unit.scale(hc.counit.get(lh, ZERO))
         if got != want:
             raise AxiomViolation("action fixes coaugmentation", lh, got, want)
 
-    # (uv).a = sum_w (uv)_w (w.a) and u.(v.a) = sum_m (v.a)_m (u.m), read
-    # from the action's columns by label pair
-    cols = {key: v.entries for key, v in arb.action_columns.items()}
-    empty: Mapping[Label, Coeff] = {}
+    # (uv).a is uv read against a, and u.(v.a) is u read against v.a
     for lu in hc.basis.labels:
         for lv in hc.basis.labels:
             if not hopf.fits(hopf.degree(lu) + hopf.degree(lv)):
                 continue
-            uv = hopf.pair(lu, lv).entries.items()
+            uv = hopf.pair(lu, lv).entries
             for la in bc.basis.labels:
-                lhs: dict[Label, Coeff] = {}
-                for w, cw in uv:
-                    _accumulate(lhs, cw, cols.get((w, la), empty).items())
-                rhs: dict[Label, Coeff] = {}
-                for m, cm in cols.get((lv, la), empty).items():
-                    _accumulate(rhs, cm, cols.get((lu, m), empty).items())
+                lhs = times_label(act_pair, uv, la)
+                rhs = label_times(act_pair, lu, act_pair(lv, la).entries)
                 if not same_entries(lhs, rhs):
-                    raise AxiomViolation("action associativity", (lu, lv, la),
-                                         FinVec(bc.basis, lhs), FinVec(bc.basis, rhs))
+                    raise _violation(bc.basis, "action associativity", (lu, lv, la), lhs, rhs)
 
-    check_multiplicative(bc, arb.act_pair,
-                         itertools.product(hc.basis.labels, bc.basis.labels),
+    check_multiplicative(bc, act_pair, itertools.product(hc.basis.labels, bc.basis.labels),
                          "action comultiplicativity", "action counit", left=hc)
 
     for lh in hc.basis.labels:
-        u = unit_h(lh)
+        u = FinVec.unit(hc.basis, lh)
         for la in bc.basis.labels:
             pa = phi.column(la)
             if not hopf.fits(max((hopf.degree(w) for w in pa.entries), default=0) + 1):
@@ -482,33 +475,37 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
             if lhs != rhs:
                 raise AxiomViolation("augmentation intertwines adjoint", (lh, la), lhs, rhs)
 
+    rack_pair = arb.rack.pair
     for la in bc.basis.labels:
-        pa = phi.column(la)
+        pa = phi.column(la).entries
         for lb in bc.basis.labels:
-            want = arb.act(pa, unit_b(lb))
-            got = arb.rack.pair(la, lb)
+            want = FinVec(bc.basis, times_label(act_pair, pa, lb))
+            got = rack_pair(la, lb)
             if got != want:
                 raise AxiomViolation("induced product", (la, lb), got, want)
 
+    # sum a1 |> (S(phi(a2)).b), and sum S(phi(a1)).(a2 |> b) term by term of S(phi(a1))
     anti = hopf.antipode_map()
+    s_phi = {lab: anti(phi.column(lab)).entries for lab in bc.basis.labels}
     for la in bc.basis.labels:
         legs = bc.legs(la)
         eps_a = bc.counit.get(la, ZERO)
         for lb in bc.basis.labels:
-            b = unit_b(lb)
-            want = b.scale(eps_a)
-            acc1 = linear_sum(bc.basis, ((arb.rack.apply(
-                unit_b(a1), arb.act(anti(phi.column(a2)), b)), ca) for a1, a2, ca in legs))
-            acc2 = linear_sum(bc.basis, ((arb.act(
-                anti(phi.column(a1)), arb.rack.apply(unit_b(a2), b)), ca) for a1, a2, ca in legs))
-            if acc1 != want:
-                raise AxiomViolation("left regularity", (la, lb), acc1, want)
-            if acc2 != want:
-                raise AxiomViolation("left regularity flipped", (la, lb), acc2, want)
+            want = {lb: eps_a} if eps_a else {}
+            acc1: dict[Label, Coeff] = {}
+            acc2: dict[Label, Coeff] = {}
+            for a1, a2, ca in legs:
+                label_times(rack_pair, a1, times_label(act_pair, s_phi[a2], lb), acc1, ca)
+                ab = rack_pair(a2, lb).entries
+                for w, cw in s_phi[a1].items():
+                    label_times(act_pair, w, ab, acc2, ca * cw)
+            for axiom, got in (("left regularity", acc1), ("left regularity flipped", acc2)):
+                if not same_entries(got, want):
+                    raise _violation(bc.basis, axiom, (la, lb), got, want)
 
     _check_product(arb.rack)
-    rack = dataclasses.replace(arb.rack, certified=True)
-    return dataclasses.replace(arb, rack=rack, certified=True)
+    return dataclasses.replace(arb, rack=dataclasses.replace(arb.rack, certified=True),
+                               certified=True)
 
 
 def augmented_from_action(carrier: Coalgebra, hopf: HopfBackend, phi: FinMap,
@@ -819,7 +816,8 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
             checked += 1
             lhs = rho(arb.act_pair(lh, la))
             rhs = tensor_sum(mixed, (
-                (hopf.product(hopf.product(FinVec.unit(hc.basis, h1), arb.phi.column(b1)),
+                (hopf.product(FinVec(hc.basis, label_times(hopf.pair, h1,
+                                                           arb.phi.column(b1).entries)),
                               anti.column(h3)),
                  arb.act_pair(h2, b2), ch * cb)
                 for h1, h2, h3, ch in hsw3 for b1, b2, cb in bsw))
@@ -839,10 +837,9 @@ def filtration_stable(rb: RackBialgebra) -> CheckReport:
     for r, level in enumerate(coalgebra_filtration(rb.carrier)):
         solver = SpanSolver(level)
         for lab in rb.basis.labels:
-            a = FinVec.unit(rb.basis, lab)
             for v in level:
                 checked += 1
-                if not solver.contains(rb.apply(a, v)):
+                if not solver.contains(FinVec(rb.basis, label_times(rb.pair, lab, v.entries))):
                     return CheckReport(False, checked, axiom="filtration stability",
                                        witness=(lab, r))
     return CheckReport(True, checked, axiom="filtration stability")

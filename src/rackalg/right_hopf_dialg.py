@@ -58,15 +58,14 @@ from rackalg.errors import (
 from rackalg.exact_core import (
     ZERO,
     Basis,
-    Coeff,
     FinMap,
     FinVec,
     Label,
     Rational,
     SpanSolver,
-    _accumulate,
     bilinear,
     kernel_basis,
+    label_times,
     linear_sum,
     merge_labels,
     nullspace,
@@ -74,6 +73,7 @@ from rackalg.exact_core import (
     span_basis,
     split_label,
     tensor_sum,
+    times_label,
 )
 from rackalg.groups import FiniteGroup, GroupHopf, group_like_coalgebra
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz, quotient_lie
@@ -81,6 +81,8 @@ from rackalg.rack_bialg import (
     AugmentedRackBialgebra,
     CheckReport,
     RackBialgebra,
+    _require_degree,
+    _violation,
     certify,
     uar_infinity,
 )
@@ -157,15 +159,15 @@ class RightHopfAlgebra:
     def product(self, a: FinVec, b: FinVec) -> FinVec:
         return bilinear(self.basis, self.pair, a, b)
 
-    def _right_product(self, a: FinVec, b: FinVec) -> FinVec:
-        """The product the antipode is a right antipode for: a b for side
-        "right", the opposite product b a for side "left"."""
-        return self.product(a, b) if self.side == "right" else self.product(b, a)
+    def _right_product(self) -> Callable[[Label, Label], FinVec]:
+        """Label pairs of the product the antipode is a right antipode for:
+        la lb for side "right", the opposite product lb la for side "left"."""
+        return self.pair if self.side == "right" else lambda la, lb: self.pair(lb, la)
 
 
-def _check_right_antipode(c: Coalgebra, m: Callable[[FinVec, FinVec], FinVec], s: FinMap,
+def _check_right_antipode(c: Coalgebra, pair: Callable[[Label, Label], FinVec], s: FinMap,
                           lab: Label, defining: str, tag: str) -> None:
-    """The right antipode identities of ``s`` for the product ``m`` at ``lab``.
+    """The right antipode identities of ``s`` for the product m = ``pair`` at ``lab``.
 
     In order: the defining identity sum m(a1, S(a2)) = eps(a) 1, raised as
     ``defining``, then, each name followed by ``tag``, the flip identity
@@ -177,21 +179,24 @@ def _check_right_antipode(c: Coalgebra, m: Callable[[FinVec, FinVec], FinVec], s
     one = c.unit
     legs = c.legs(lab)
     want = one.scale(c.counit.get(lab, ZERO))
-    got = linear_sum(basis, ((m(FinVec.unit(basis, l1), s.column(l2)), cw) for l1, l2, cw in legs))
+    got = linear_sum(basis, ((FinVec(basis, label_times(pair, l1, s.column(l2).entries)), cw)
+                             for l1, l2, cw in legs))
     if got != want:
         raise AxiomViolation(defining, lab, got, want)
-    got = m(linear_sum(basis, ((m(s.column(l1), FinVec.unit(basis, l2)), cw)
-                               for l1, l2, cw in legs)), one)
+    flip = linear_sum(basis, ((FinVec(basis, times_label(pair, s.column(l1).entries, l2)), cw)
+                              for l1, l2, cw in legs))
+    got = bilinear(basis, pair, flip, one)
     if got != want:
         raise AxiomViolation(f"antipode flip identity{tag}", lab, got, want)
-    got = linear_sum(basis, ((m(s.column(l1), s(s.column(l2))), cw) for l1, l2, cw in legs))
+    got = linear_sum(basis, ((bilinear(basis, pair, s.column(l1), s(s.column(l2))), cw)
+                             for l1, l2, cw in legs))
     if got != want:
         raise AxiomViolation(f"antipode convolution square{tag}", lab, got, want)
     sa = s.column(lab)
-    got = m(FinVec.unit(basis, lab), one)
+    got = FinVec(basis, label_times(pair, lab, one.entries))
     if s(sa) != got:
         raise AxiomViolation(f"double antipode{tag}", lab, s(sa), got)
-    got = m(sa, one)
+    got = bilinear(basis, pair, sa, one)
     if got != sa:
         raise AxiomViolation(f"antipode unit absorption{tag}", lab, got, sa)
 
@@ -223,16 +228,16 @@ def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
     labels = basis.labels
     one = c.unit
     s = h.antipode
-    m = h._right_product
+    pair = h._right_product()
     for la, lb, lc in itertools.product(labels, repeat=3):
-        lhs = h.product(h.pair(la, lb), FinVec.unit(basis, lc))
-        rhs = h.product(FinVec.unit(basis, la), h.pair(lb, lc))
-        if lhs != rhs:
-            raise AxiomViolation("associativity", (la, lb, lc), lhs, rhs)
+        lhs = times_label(h.pair, h.pair(la, lb).entries, lc)
+        rhs = label_times(h.pair, la, h.pair(lb, lc).entries)
+        if not same_entries(lhs, rhs):
+            raise _violation(basis, "associativity", (la, lb, lc), lhs, rhs)
 
     for lab in labels:
         a = FinVec.unit(basis, lab)
-        got = m(one, a)
+        got = FinVec(basis, times_label(pair, one.entries, lab))
         if got != a:
             raise AxiomViolation("one-sided unit", lab, got, a)
 
@@ -246,7 +251,7 @@ def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
         raise AxiomViolation("antipode unit", "1", s(one), one)
 
     for lab in labels:
-        _check_right_antipode(c, m, s, lab, "defining antipode", "")
+        _check_right_antipode(c, pair, s, lab, "defining antipode", "")
         sa = s.column(lab)
         if s(s(sa)) != sa:
             raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
@@ -328,10 +333,11 @@ def idempotent_projector(h: RightHopfAlgebra) -> FinMap:
     """
     c = h.coalgebra
     s = h.antipode
+    pair = h._right_product()
 
     def col(lab: Label) -> FinVec:
-        return linear_sum(c.basis, ((h._right_product(s.column(l1), FinVec.unit(c.basis, l2)), cw)
-                                    for l1, l2, cw in c.legs(lab)))
+        return linear_sum(c.basis, ((FinVec(c.basis, times_label(pair, s.column(l1).entries, l2)),
+                                     cw) for l1, l2, cw in c.legs(lab)))
 
     return FinMap.from_function(c.basis, c.basis, col)
 
@@ -344,8 +350,8 @@ def hopf_part_projector(h: RightHopfAlgebra) -> FinMap:
     :func:`certify_one_sided` checks.
     """
     c = h.coalgebra
-    return FinMap.from_function(
-        c.basis, c.basis, lambda lab: h._right_product(FinVec.unit(c.basis, lab), c.unit))
+    return FinMap.from_function(c.basis, c.basis, lambda lab: FinVec(
+        c.basis, label_times(h._right_product(), lab, c.unit.entries)))
 
 
 def _tensor_legs(basis: Basis, w: FinVec) -> list[tuple[Label, Label, Rational]]:
@@ -390,13 +396,8 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     square = c.square
     one = c.unit
     s = h.antipode
-    m = h._right_product
-
-    def u(lab: Label) -> FinVec:
-        return FinVec.unit(basis, lab)
-
-    def eps(v: FinVec) -> Rational:
-        return c.eps_of(v)
+    pair = h._right_product()
+    eps = c.eps_of
 
     iota = idempotent_projector(h)
     if iota.compose(iota) != iota:
@@ -415,10 +416,10 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         if h.mul(c.delta(ev)) != ev:
             raise DecompositionFailure("generalized idempotent", i, h.mul(c.delta(ev)), ev)
         for lab in basis.labels:
-            b = u(lab)
-            got = m(ev, b)
-            if got != b.scale(eps(ev)):
-                raise DecompositionFailure("generalized unit", (i, lab), got, b.scale(eps(ev)))
+            got = FinVec(basis, times_label(pair, ev.entries, lab))
+            want = FinVec.unit(basis, lab, eps(ev))
+            if got != want:
+                raise DecompositionFailure("generalized unit", (i, lab), got, want)
         if s(ev) != one.scale(eps(ev)):
             raise DecompositionFailure("idempotent antipode", i, s(ev), one.scale(eps(ev)))
 
@@ -433,8 +434,9 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         if not h1_solver.contains(s(uv)):
             raise DecompositionFailure("hopf part antipode closure", i, s(uv), None)
         for j, vv in enumerate(h1_basis):
-            if not h1_solver.contains(m(uv, vv)):
-                raise DecompositionFailure("hopf part closure", (i, j), m(uv, vv), None)
+            uvv = bilinear(basis, pair, uv, vv)
+            if not h1_solver.contains(uvv):
+                raise DecompositionFailure("hopf part closure", (i, j), uvv, None)
         for which, fv, gv in (("right", FinMap.identity(basis), s),
                               ("left", s, FinMap.identity(basis))):
             acc = linear_sum(basis, ((h.product(fv.column(l1), gv.column(l2)), cw)
@@ -442,7 +444,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
             if acc != one.scale(eps(uv)):
                 raise DecompositionFailure(f"hopf part {which} antipode", i, acc,
                                            one.scale(eps(uv)))
-        got = m(uv, one)
+        got = bilinear(basis, pair, uv, one)
         if got != uv:
             raise DecompositionFailure("hopf part unit law", i, got, uv)
 
@@ -452,10 +454,10 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
 
     def psi_term(l1: Label, l2: Label, l3: Label, cw: Rational
                  ) -> tuple[FinVec, FinVec, Rational]:
-        return m(u(l1), one), m(s.column(l2), u(l3)), cw
+        return rho.column(l1), FinVec(basis, times_label(pair, s.column(l2).entries, l3)), cw
 
     def psi_col(lab: Label) -> FinVec:
-        legs = c.sweedler3(u(lab))
+        legs = c.sweedler3(FinVec.unit(basis, lab))
         out = tensor_sum(square, (psi_term(l1, l2, l3, cw) for l1, l2, l3, cw in legs))
         alt = tensor_sum(square, (psi_term(l1, l3, l2, cw) for l1, l2, l3, cw in legs))
         if out != alt:
@@ -464,25 +466,26 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
 
     psi = FinMap.from_function(basis, square, psi_col)
     for lab in basis.labels:
-        got = linear_sum(basis, ((m(u(l1), u(l2)), cw)
+        got = linear_sum(basis, ((pair(l1, l2), cw)
                                  for l1, l2, cw in _tensor_legs(basis, psi.column(lab))))
-        if got != u(lab):
-            raise DecompositionFailure("psi left inverse", lab, got, u(lab))
+        if got != FinVec.unit(basis, lab):
+            raise DecompositionFailure("psi left inverse", lab, got, FinVec.unit(basis, lab))
     for i, uv in enumerate(h1_basis):
         for j, ev in enumerate(e_basis):
-            got = psi(m(uv, ev))
+            got = psi(bilinear(basis, pair, uv, ev))
             want = uv.tensor(ev, square)
             if got != want:
                 raise DecompositionFailure("psi factor exchange", (i, j), got, want)
 
     def transfer(va: FinVec, vb: FinVec) -> FinVec:
         # (u (x) c)(u' (x) c') = u.u' (x) eps(c) c'
-        return tensor_sum(square, ((m(u(a1), u(b1)), u(b2), ca * cb * c.counit.get(a2, ZERO))
+        return tensor_sum(square, ((pair(a1, b1), FinVec.unit(basis, b2),
+                                    ca * cb * c.counit.get(a2, ZERO))
                                    for a1, a2, ca in _tensor_legs(basis, va)
                                    for b1, b2, cb in _tensor_legs(basis, vb)))
 
     for la, lb in itertools.product(basis.labels, repeat=2):
-        lhs = psi(m(u(la), u(lb)))
+        lhs = psi(pair(la, lb))
         rhs = transfer(psi.column(la), psi.column(lb))
         if lhs != rhs:
             raise DecompositionFailure("psi multiplicative", (la, lb), lhs, rhs)
@@ -496,7 +499,8 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
 
     if h.side == "left":
         psi = FinMap(basis, square, {
-            lab: tensor_sum(square, ((u(l2), u(l1), cw) for l1, l2, cw in _tensor_legs(basis, col)))
+            lab: FinVec.build(square, ((merge_labels(basis, l2, l1), cw)
+                                       for l1, l2, cw in _tensor_legs(basis, col)))
             for lab, col in psi.columns.items()})
     return SuschkewitschDecomposition(h, tuple(h1_basis), tuple(e_basis), psi, h.mul)
 
@@ -542,22 +546,21 @@ class HopfDialgebra:
     def fits(self, degree: int) -> bool:
         return self.cap is None or degree <= self.cap
 
-    def _entry(self, table: Mapping[tuple[Label, Label], FinVec],
-               la: Label, lb: Label, context: str) -> FinVec:
-        if self.cap is not None:
-            need = self.degree(la) + self.degree(lb)
-            if not self.fits(need):
-                raise DegreeCapExceeded(need, self.cap, context)
-        col = table.get((la, lb))
-        return self._zero if col is None else col
+    def _guard(self, degree: int, context: str) -> None:
+        if not self.fits(degree):
+            raise DegreeCapExceeded(degree, self.cap, context)
 
     def vpair(self, la: Label, lb: Label) -> FinVec:
-        """la |- lb on basis labels."""
-        return self._entry(self.vdash, la, lb, "product |-")
+        """la |- lb on basis labels: a table read, refused beyond the cap."""
+        if self.cap is not None:
+            self._guard(self.degree(la) + self.degree(lb), "product |-")
+        return self.vdash.get((la, lb), self._zero)
 
     def dpair(self, la: Label, lb: Label) -> FinVec:
-        """la -| lb on basis labels."""
-        return self._entry(self.dashv, la, lb, "product -|")
+        """la -| lb on basis labels: a table read, refused beyond the cap."""
+        if self.cap is not None:
+            self._guard(self.degree(la) + self.degree(lb), "product -|")
+        return self.dashv.get((la, lb), self._zero)
 
     def vprod(self, a: FinVec, b: FinVec) -> FinVec:
         """a |- b."""
@@ -571,9 +574,14 @@ class HopfDialgebra:
         """Antipode, guarded: undefined beyond the cap rather than zero."""
         if self.cap is not None:
             for lab in a.entries:
-                if not self.fits(self.degree(lab)):
-                    raise DegreeCapExceeded(self.degree(lab), self.cap, "antipode")
+                self._guard(self.degree(lab), "antipode")
         return self.antipode(a)
+
+    def s_label(self, lab: Label) -> FinVec:
+        """S of one basis label: a column of the antipode, guarded as in :meth:`s`."""
+        if self.cap is not None:
+            self._guard(self.degree(lab), "antipode")
+        return self.antipode.column(lab)
 
 
 def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
@@ -587,12 +595,11 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     right antipode identities of the opposite product b -| a.  Identities
     touching degrees beyond the cap are skipped and counted in the report.
 
-    Every product of the triple loop has a basis label on one side, so it
-    is read from stored columns into a plain dict: (ab)c = sum_l (ab)_l
-    T[(l, c)] and a(bc) = sum_m (bc)_m T[(a, m)].  The cap is still checked
-    on each pair read, so an entry with a term beyond its degree raises
-    :class:`DegreeCapExceeded` as :meth:`HopfDialgebra.vprod` would.  Vectors
-    are built only for a failure's witness.
+    A product with a basis label on one side is read from the stored
+    columns through :meth:`HopfDialgebra.vpair` and :meth:`HopfDialgebra.dpair`
+    (:func:`~rackalg.exact_core.times_label`, :func:`~rackalg.exact_core.label_times`),
+    so under a cap an entry with a term beyond its degree raises
+    :class:`DegreeCapExceeded`; in the triple loop ab is read once per (a, b).
     """
     c = d.coalgebra
     basis = c.basis
@@ -624,12 +631,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     one = c.unit
     s = d.antipode
 
-    units = {lab: FinVec.unit(basis, lab) for lab in labs}
-
-    def dprod_op(a: FinVec, b: FinVec) -> FinVec:
-        """b -| a: S is a right antipode for it."""
-        return d.dprod(b, a)
-
+    vt, dt = d.vpair, d.dpair
     checked = 0
     skipped_labels = 0
     skipped_pairs = 0
@@ -639,20 +641,21 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         if not d.fits(deg[lab]):
             skipped_labels += 1
             continue
-        a = units[lab]
-        got = d.vprod(one, a)
+        a = FinVec.unit(basis, lab)
+        got = FinVec(basis, times_label(vt, one.entries, lab))
         if got != a:
             raise AxiomViolation("bar-unit left", lab, got, a)
-        got = d.dprod(a, one)
+        got = FinVec(basis, label_times(dt, lab, one.entries))
         if got != a:
             raise AxiomViolation("bar-unit right", lab, got, a)
-        lhs = d.vprod(a, one)
-        rhs = d.dprod(one, a)
+        lhs = FinVec(basis, label_times(vt, lab, one.entries))
+        rhs = FinVec(basis, times_label(dt, one.entries, lab))
         if lhs != rhs:
             raise AxiomViolation("balanced", lab, lhs, rhs)
         check_coalgebra_map(c, c, s.column, (lab,), "antipode")
-        _check_right_antipode(c, d.vprod, s, lab, "right antipode for |-", " (|-)")
-        _check_right_antipode(c, dprod_op, s, lab, "left antipode for -|", " (-|)")
+        _check_right_antipode(c, vt, s, lab, "right antipode for |-", " (|-)")
+        # S is a left antipode for -|: a right antipode for the opposite product
+        _check_right_antipode(c, lambda x, y: dt(y, x), s, lab, "left antipode for -|", " (-|)")
         sa = s.column(lab)
         if s(s(sa)) != sa:
             raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
@@ -677,60 +680,39 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
             raise AxiomViolation("antipode antihomomorphism (-|)", (la, lb), lhs, rhs)
         checked += 1
 
-    # under a cap each pair is read through d._entry, which refuses a pair
-    # beyond it; without one the read is a plain dict lookup
-    capped = d.cap is not None
-
-    def times_right(table: Mapping[tuple[Label, Label], FinVec], context: str,
-                    v: Mapping[Label, Coeff], lc: Label) -> dict[Label, Coeff]:
-        acc: dict[Label, Coeff] = {}
-        for lab, cv in v.items():
-            col = d._entry(table, lab, lc, context) if capped else table.get((lab, lc))
-            if col is not None:
-                _accumulate(acc, cv, col.entries.items())
-        return acc
-
-    def times_left(table: Mapping[tuple[Label, Label], FinVec], context: str,
-                   la: Label, v: Mapping[Label, Coeff]) -> dict[Label, Coeff]:
-        acc: dict[Label, Coeff] = {}
-        for lab, cv in v.items():
-            col = d._entry(table, la, lab, context) if capped else table.get((la, lab))
-            if col is not None:
-                _accumulate(acc, cv, col.entries.items())
-        return acc
-
-    def violation(axiom: str, witness: tuple, lhs: dict, rhs: dict) -> AxiomViolation:
-        return AxiomViolation(axiom, witness, FinVec(basis, lhs), FinVec(basis, rhs))
-
-    vt, dt = d.vdash, d.dashv
-    v_ctx, d_ctx = "product |-", "product -|"
-    for la, lb, lc in itertools.product(labs, repeat=3):
-        if not d.fits(deg[la] + deg[lb] + deg[lc]):
-            skipped_triples += 1
-            continue
-        ab_v = d.vpair(la, lb).entries
-        ab_d = d.dpair(la, lb).entries
-        bc_v = d.vpair(lb, lc).entries
-        bc_d = d.dpair(lb, lc).entries
-        lhs = times_right(vt, v_ctx, ab_v, lc)
-        rhs = times_left(vt, v_ctx, la, bc_v)
-        if not same_entries(lhs, rhs):
-            raise violation("associativity (|-)", (la, lb, lc), lhs, rhs)
-        got = times_right(vt, v_ctx, ab_d, lc)
-        if not same_entries(got, lhs):
-            raise violation("left products agree", (la, lb, lc), got, lhs)
-        lhs = times_right(dt, d_ctx, ab_d, lc)
-        rhs = times_left(dt, d_ctx, la, bc_d)
-        if not same_entries(lhs, rhs):
-            raise violation("associativity (-|)", (la, lb, lc), lhs, rhs)
-        got = times_left(dt, d_ctx, la, bc_v)
-        if not same_entries(got, rhs):
-            raise violation("right products agree", (la, lb, lc), got, rhs)
-        lhs = times_right(dt, d_ctx, ab_v, lc)
-        rhs = times_left(vt, v_ctx, la, bc_d)
-        if not same_entries(lhs, rhs):
-            raise violation("inner associativity", (la, lb, lc), lhs, rhs)
-        checked += 1
+    for la in labs:
+        for lb in labs:
+            d_ab = deg[la] + deg[lb]
+            if not d.fits(d_ab):
+                skipped_triples += len(labs)
+                continue
+            ab_v = vt(la, lb).entries
+            ab_d = dt(la, lb).entries
+            for lc in labs:
+                if not d.fits(d_ab + deg[lc]):
+                    skipped_triples += 1
+                    continue
+                bc_v = vt(lb, lc).entries
+                bc_d = dt(lb, lc).entries
+                lhs = times_label(vt, ab_v, lc)
+                rhs = label_times(vt, la, bc_v)
+                if not same_entries(lhs, rhs):
+                    raise _violation(basis, "associativity (|-)", (la, lb, lc), lhs, rhs)
+                got = times_label(vt, ab_d, lc)
+                if not same_entries(got, lhs):
+                    raise _violation(basis, "left products agree", (la, lb, lc), got, lhs)
+                lhs = times_label(dt, ab_d, lc)
+                rhs = label_times(dt, la, bc_d)
+                if not same_entries(lhs, rhs):
+                    raise _violation(basis, "associativity (-|)", (la, lb, lc), lhs, rhs)
+                got = label_times(dt, la, bc_v)
+                if not same_entries(got, rhs):
+                    raise _violation(basis, "right products agree", (la, lb, lc), got, rhs)
+                lhs = times_label(dt, ab_v, lc)
+                rhs = label_times(vt, la, bc_d)
+                if not same_entries(lhs, rhs):
+                    raise _violation(basis, "inner associativity", (la, lb, lc), lhs, rhs)
+                checked += 1
 
     report = CheckReport(
         True, checked,
@@ -781,15 +763,8 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     basis = carrier.basis
     degrees = {lab: _carrier_degree(hopf, lab) for lab in basis.labels
                if _carrier_degree(hopf, lab)}
-    phi_cache: dict[Label, FinVec] = {}
-
-    def phi_full(lab: Label) -> FinVec:
-        v = phi_cache.get(lab)
-        if v is None:
-            bl, hl = lab
-            v = hopf.product(arb.phi.column(bl), FinVec.unit(hc.basis, hl))
-            phi_cache[lab] = v
-        return v
+    phi_full = {(bl, hl): FinVec(hc.basis, times_label(hopf.pair, arb.phi.column(bl).entries, hl))
+                for bl, hl in basis.labels if hopf.fits(degrees.get((bl, hl), 0))}
 
     s_hopf = hopf.antipode_map()
     vdash: dict[tuple[Label, Label], FinVec] = {}
@@ -798,8 +773,7 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
         dx = degrees.get(x, 0)
         if not hopf.fits(dx):
             continue
-        ux = phi_full(x)
-        sw_x = hc.sweedler(ux)
+        sw_x = hc.sweedler(phi_full[x])
         for y in basis.labels:
             if not hopf.fits(dx + degrees.get(y, 0)):
                 continue
@@ -815,7 +789,7 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
             if not hopf.fits(dx + degrees.get(y, 0)):
                 continue
             val = FinVec.unit(bc.basis, bx).tensor(
-                hopf.product(FinVec.unit(hc.basis, hx), phi_full(y)), basis)
+                FinVec(hc.basis, label_times(hopf.pair, hx, phi_full[y].entries)), basis)
             if not val.is_zero:
                 dashv[(x, y)] = val
 
@@ -823,7 +797,7 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     for lab in basis.labels:
         if not hopf.fits(degrees.get(lab, 0)):
             continue
-        val = bc.unit.tensor(s_hopf(phi_full(lab)), basis)
+        val = bc.unit.tensor(s_hopf(phi_full[lab]), basis)
         if not val.is_zero:
             s_cols[lab] = val
     antipode = FinMap(basis, basis, s_cols)
@@ -858,13 +832,16 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     return d
 
 
+def _rack_pair(d: HopfDialgebra, la: Label, lb: Label) -> FinVec:
+    """la |> lb = sum (l1 |- lb) -| S(l2) on basis labels, every read guarded."""
+    basis = d.basis
+    return linear_sum(basis, ((bilinear(basis, d.dpair, d.vpair(l1, lb), d.s_label(l2)), cw)
+                              for l1, l2, cw in d.coalgebra.legs(la)))
+
+
 def dialgebra_rack_product(d: HopfDialgebra, a: FinVec, b: FinVec) -> FinVec:
     """a |> b = sum (a1 |- b) -| S(a2)."""
-    c = d.coalgebra
-    basis = c.basis
-    return linear_sum(basis, (
-        (d.dprod(d.vprod(FinVec.unit(basis, l1), b), d.s(FinVec.unit(basis, l2))), ca * cw)
-        for la, ca in a.entries.items() for l1, l2, cw in c.legs(la)))
+    return bilinear(d.basis, lambda la, lb: _rack_pair(d, la, lb), a, b)
 
 
 def dialgebra_leibniz(d: HopfDialgebra) -> LeibnizAlgebra:
@@ -898,7 +875,11 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     product preserves the degree of its second argument, so the truncation
     is closed.  Module identities tying |> back to both dialgebra products
     are verified on every triple within the cap.
+
+    Label pairs of |> are computed once and read as in :func:`certify_dialgebra`;
+    (a1 |> b) |- (a2 |> c) is read term by term of a1 |> b.
     """
+    _require_degree(degree)
     if not d.certified:
         raise RackalgError("hopf_dialgebra_rack needs a certified dialgebra")
     c = d.coalgebra
@@ -914,17 +895,15 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
 
     rack_tab: dict[tuple[Label, Label], FinVec] = {}
 
-    def rack_units(la: Label, lb: Label) -> FinVec:
+    def rack_pair(la: Label, lb: Label) -> FinVec:
         col = rack_tab.get((la, lb))
         if col is None:
-            col = dialgebra_rack_product(
-                d, FinVec.unit(c.basis, la), FinVec.unit(c.basis, lb))
-            rack_tab[(la, lb)] = col
+            col = rack_tab[la, lb] = _rack_pair(d, la, lb)
         return col
 
     def mu_col(pair: Label) -> FinVec:
         la, lb = split_label(basis, pair)
-        val = rack_units(la, lb)
+        val = rack_pair(la, lb)
         for lab in val.entries:
             if lab not in basis:
                 raise DegreeCapExceeded(d.degree(lab), d.cap,
@@ -938,22 +917,21 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     for la, lb, lc in itertools.product(labs, repeat=3):
         if not d.fits(deg[la] + deg[lb] + deg[lc]):
             continue
-        a = FinVec.unit(c.basis, la)
-        b = FinVec.unit(c.basis, lb)
-        cc = FinVec.unit(c.basis, lc)
-        lhs = bilinear(c.basis, rack_units, a, rack_units(lb, lc))
-        r1 = bilinear(c.basis, rack_units, d.vprod(a, b), cc)
-        if lhs != r1:
-            raise AxiomViolation("module identity (|-)", (la, lb, lc), lhs, r1)
-        r2 = bilinear(c.basis, rack_units, d.dprod(a, b), cc)
-        if lhs != r2:
-            raise AxiomViolation("module identity (-|)", (la, lb, lc), lhs, r2)
-        for name, pr in (("|-", d.vprod), ("-|", d.dprod)):
-            lhs2 = bilinear(c.basis, rack_units, a, pr(b, cc))
-            rhs2 = linear_sum(c.basis, ((pr(rack_units(l1, lb), rack_units(l2, lc)), cw)
-                                        for l1, l2, cw in c.legs(la)))
-            if lhs2 != rhs2:
-                raise AxiomViolation(f"module algebra ({name})", (la, lb, lc), lhs2, rhs2)
+        lhs = label_times(rack_pair, la, rack_pair(lb, lc).entries)
+        for axiom, pair in (("module identity (|-)", d.vpair),
+                            ("module identity (-|)", d.dpair)):
+            rhs = times_label(rack_pair, pair(la, lb).entries, lc)
+            if not same_entries(lhs, rhs):
+                raise _violation(c.basis, axiom, (la, lb, lc), lhs, rhs)
+        for name, pair in (("|-", d.vpair), ("-|", d.dpair)):
+            lhs = label_times(rack_pair, la, pair(lb, lc).entries)
+            rhs = {}
+            for l1, l2, cw in c.legs(la):
+                x, y = rack_pair(l1, lb).entries, rack_pair(l2, lc).entries
+                for l, cl in x.items():
+                    label_times(pair, l, y, rhs, cw * cl)
+            if not same_entries(lhs, rhs):
+                raise _violation(c.basis, f"module algebra ({name})", (la, lb, lc), lhs, rhs)
     return rb
 
 
@@ -983,6 +961,9 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     the differences x |- y - x -| y.  The transferred products on E (x) H,
     the antipode exchange, and the splitting of primitives into a central
     ideal and a Leibniz-closed Hopf summand are all verified.
+
+    Products with a basis label on one side are read from the stored
+    columns, and pi(a) -| pi(b) term by term of pi(a).
     """
     if not d.certified:
         raise RackalgError("structure_decomposition needs a certified dialgebra")
@@ -994,26 +975,21 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     fit_labels = [lab for lab in labs if d.fits(d.degree(lab))]
     checked = 0
     skipped = len(labs) - len(fit_labels)
+    units = {lab: FinVec.unit(basis, lab) for lab in labs}
+    eps = c.eps_of
 
-    def u(lab: Label) -> FinVec:
-        return FinVec.unit(basis, lab)
-
-    def eps(v: FinVec) -> Rational:
-        return c.eps_of(v)
+    def col(cols: dict[Label, FinVec], lab: Label, context: str) -> FinVec:
+        got = cols.get(lab)
+        if got is None:
+            raise DegreeCapExceeded(d.degree(lab), d.cap, context)
+        return got
 
     def apply_cols(cols: dict[Label, FinVec], v: FinVec, target: Basis, context: str) -> FinVec:
-        """The linear map given by ``cols`` on the labels within the cap."""
-        def col(lab: Label) -> FinVec:
-            got = cols.get(lab)
-            if got is None:
-                raise DegreeCapExceeded(d.degree(lab), d.cap, context)
-            return got
+        return linear_sum(target, ((col(cols, lab, context), cv) for lab, cv in v.entries.items()))
 
-        return linear_sum(target, ((col(lab), cv) for lab, cv in v.entries.items()))
-
-    iota_cols = {lab: linear_sum(basis, ((d.dprod(u(l1), d.s(u(l2))), cw)
-                                         for l1, l2, cw in c.legs(lab)))
-                 for lab in fit_labels}
+    iota_cols = {lab: linear_sum(basis, (
+        (FinVec(basis, label_times(d.dpair, l1, d.s_label(l2).entries)), cw)
+        for l1, l2, cw in c.legs(lab))) for lab in fit_labels}
 
     def iota(v: FinVec) -> FinVec:
         return apply_cols(iota_cols, v, basis, "idempotent projector")
@@ -1026,9 +1002,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     e_solver = SpanSolver(list(iota_cols.values()))
     e_basis = e_solver.vectors
     fit_basis = Basis(f"{basis.name} (within cap)", tuple(fit_labels))
-    delta_map = FinMap(fit_basis, basis,
-                       {lab: iota_cols[lab] - u(lab) for lab in fit_labels
-                        if not (iota_cols[lab] - u(lab)).is_zero})
+    moved = {lab: iota_cols[lab] - units[lab] for lab in fit_labels}
+    delta_map = FinMap(fit_basis, basis, {lab: v for lab, v in moved.items() if not v.is_zero})
     fixed = [FinVec.build(basis, v.entries) for v in kernel_basis(delta_map)]
     if span_basis(fixed) != e_basis:
         raise DecompositionFailure("idempotent part", "fixed space",
@@ -1040,22 +1015,21 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         if d.s(ev) != one.scale(eps(ev)):
             raise DecompositionFailure("idempotent antipode", i, d.s(ev), one.scale(eps(ev)))
         ev_deg = max((d.degree(lab) for lab in ev.entries), default=0)
+        e = eps(ev)
         for lab in fit_labels:
             if not d.fits(ev_deg + d.degree(lab)):
                 skipped += 1
                 continue
-            b = u(lab)
-            got = d.vprod(ev, b)
-            if got != b.scale(eps(ev)):
-                raise DecompositionFailure("generalized bar-unit (|-)", (i, lab),
-                                           got, b.scale(eps(ev)))
-            got = d.dprod(b, ev)
-            if got != b.scale(eps(ev)):
-                raise DecompositionFailure("generalized bar-unit (-|)", (i, lab),
-                                           got, b.scale(eps(ev)))
+            want = units[lab].scale(e)
+            got = FinVec(basis, times_label(d.vpair, ev.entries, lab))
+            if got != want:
+                raise DecompositionFailure("generalized bar-unit (|-)", (i, lab), got, want)
+            got = FinVec(basis, label_times(d.dpair, lab, ev.entries))
+            if got != want:
+                raise DecompositionFailure("generalized bar-unit (-|)", (i, lab), got, want)
             checked += 1
 
-    pi_cols = {lab: d.dprod(one, u(lab)) for lab in fit_labels}
+    pi_cols = {lab: FinVec(basis, times_label(d.dpair, one.entries, lab)) for lab in fit_labels}
 
     def pi(v: FinVec) -> FinVec:
         return apply_cols(pi_cols, v, basis, "hopf part projector")
@@ -1091,12 +1065,13 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         if not d.fits(d.degree(la) + d.degree(lb)):
             skipped += 1
             continue
-        merged_v = pi(d.vprod(u(la), u(lb)))
-        merged_d = pi(d.dprod(u(la), u(lb)))
+        merged_v = pi(d.vpair(la, lb))
+        merged_d = pi(d.dpair(la, lb))
         if merged_v != merged_d:
             raise DecompositionFailure("projection merges products", (la, lb),
                                        merged_v, merged_d)
-        split = d.dprod(pi_cols[la], pi_cols[lb])
+        split = linear_sum(basis, ((FinVec(basis, label_times(d.dpair, l, pi_cols[lb].entries)), cl)
+                                   for l, cl in pi_cols[la].entries.items()))
         if merged_d != split:
             raise DecompositionFailure("projection multiplicative", (la, lb),
                                        merged_d, split)
@@ -1109,7 +1084,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     for la, lb in itertools.product(fit_labels, repeat=2):
         if not d.fits(d.degree(la) + d.degree(lb)):
             continue
-        g = d.vprod(u(la), u(lb)) - d.dprod(u(la), u(lb))
+        g = d.vpair(la, lb) - d.dpair(la, lb)
         if not g.is_zero:
             ideal_gens.append(g)
     ideal = span_basis(ideal_gens)
@@ -1117,18 +1092,20 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         raise DecompositionFailure("associativity ideal", "kernel",
                                    len(pi_kernel), len(ideal))
 
-    psi_cols = {lab: tensor_sum(square, ((d.dprod(u(l1), d.s(u(l2))), d.dprod(one, u(l3)), cw)
-                                         for l1, l2, l3, cw in c.sweedler3(u(lab))))
-                for lab in fit_labels}
+    # sum (a1 -| S(a2)) (x) (1 -| a3) = sum iota(a1) (x) pi(a2)
+    psi_cols = {lab: tensor_sum(square, (
+        (col(iota_cols, l1, "idempotent projector"), col(pi_cols, l2, "hopf part projector"), cw)
+        for l1, l2, cw in c.legs(lab))) for lab in fit_labels}
     psi = FinMap(basis, square, {lab: v for lab, v in psi_cols.items() if not v.is_zero})
 
     def psi_apply(v: FinVec) -> FinVec:
         return apply_cols(psi_cols, v, square, "psi")
 
     for lab in fit_labels:
-        acc = linear_sum(basis, ((d.dpair(l1, l2), cw) for l1, l2, cw in _tensor_legs(basis, psi_cols[lab])))
-        if acc != u(lab):
-            raise DecompositionFailure("psi left inverse", lab, acc, u(lab))
+        got = linear_sum(basis, ((d.dpair(l1, l2), cw)
+                                 for l1, l2, cw in _tensor_legs(basis, psi_cols[lab])))
+        if got != units[lab]:
+            raise DecompositionFailure("psi left inverse", lab, got, units[lab])
         checked += 1
 
     for i, ev in enumerate(e_basis):
@@ -1158,7 +1135,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             legs_a = _tensor_legs(basis, psi_cols[la])
             legs_b = _tensor_legs(basis, psi_cols[lb])
             rhs = tensor_sum(square, (
-                (dialgebra_rack_product(d, u(h1), u(b1)), d.dpair(h2, b2),
+                (_rack_pair(d, h1, b1), d.dpair(h2, b2),
                  ca * cb * eps_lab[a1] * cw)
                 for a1, a2, ca in legs_a if eps_lab[a1]
                 for b1, b2, cb in legs_b
@@ -1167,7 +1144,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
                 raise DecompositionFailure("psi multiplicative (|-)", (la, lb), lhs, rhs)
             # transferred -|: (c (x) h)(c' (x) h') = eps(c') c (x) (h -| h')
             lhs = psi_apply(d.dpair(la, lb))
-            rhs = tensor_sum(square, ((u(a1), d.dpair(a2, b2), ca * cb * eps_lab[b1])
+            rhs = tensor_sum(square, ((units[a1], d.dpair(a2, b2), ca * cb * eps_lab[b1])
                                       for a1, a2, ca in legs_a
                                       for b1, b2, cb in legs_b if eps_lab[b1]))
             if lhs != rhs:
@@ -1177,8 +1154,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             skipped += 1
     for lab in fit_labels:
         try:
-            lhs = psi_apply(d.s(u(lab)))
-            rhs = tensor_sum(square, ((one, d.s(u(l2)), ca * eps_lab[l1])
+            lhs = psi_apply(d.s_label(lab))
+            rhs = tensor_sum(square, ((one, d.s_label(l2), ca * eps_lab[l1])
                                       for l1, l2, ca in _tensor_legs(basis, psi_cols[lab])))
             if lhs != rhs:
                 raise DecompositionFailure("psi antipode", lab, lhs, rhs)
@@ -1279,8 +1256,8 @@ def universal_dialgebra(h: LeibnizAlgebra, cap: int) -> HopfDialgebra:
         for x, y in itertools.product(members, repeat=2):
             if not d.fits(d.degree(x) + d.degree(y)):
                 continue
-            for sym, pr in (("|-", d.vprod), ("-|", d.dprod)):
-                val = pr(FinVec.unit(basis, x), FinVec.unit(basis, y))
+            for sym, pair in (("|-", d.vpair), ("-|", d.dpair)):
+                val = pair(x, y)
                 for lab in val.entries:
                     if part(lab) != want:
                         raise DecompositionFailure(
@@ -1351,13 +1328,13 @@ def universal_property_instance(ud: HopfDialgebra, h: LeibnizAlgebra, phi: FinMa
             continue
         hx = hat_col(x)
         hy = hat_col(y)
-        for sym, src, tgt in (("|-", ud.vprod, target.vprod),
-                              ("-|", ud.dprod, target.dprod)):
+        for sym, src, tgt in (("|-", ud.vpair, target.vprod),
+                              ("-|", ud.dpair, target.dprod)):
             try:
                 rhs = tgt(hx, hy)
             except DegreeCapExceeded:
                 continue
-            lhs = hat(src(FinVec.unit(basis, x), FinVec.unit(basis, y)))
+            lhs = hat(src(x, y))
             if lhs != rhs:
                 raise DecompositionFailure("dialgebra morphism", (x, y, sym), lhs, rhs)
     return hat

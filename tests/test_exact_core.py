@@ -26,6 +26,7 @@ from rackalg.exact_core import (
     flip_map,
     format_rational,
     kernel_basis,
+    label_times,
     linear_sum,
     nullspace,
     rank,
@@ -38,6 +39,7 @@ from rackalg.exact_core import (
     tensor_basis,
     tensor_product_map,
     tensor_sum,
+    times_label,
 )
 
 F = Fraction
@@ -798,6 +800,32 @@ def test_accumulator_entry_points_match_the_item_oracles(kind, data):
                       (u + v, _oracle_add(u, v)),
                       (u - u, FinVec.zero(_V))):
         assert got.basis is _V
+        assert dict(got.entries) == dict(want.entries)
+        _well_formed(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_coeff_kinds)), st.data())
+def test_label_readers_match_bilinear_over_a_unit(kind, data):
+    coeffs = _coeff_kinds[kind]
+    vectors = _sparse_vectors(coeffs)
+    u, v = data.draw(vectors), data.draw(vectors)
+    table = {(p, q): data.draw(vectors) for p in _V.labels for q in _V.labels}
+    lab = data.draw(st.sampled_from(_V.labels))
+    c = data.draw(coeffs)
+    e = FinVec.unit(_V, lab)
+
+    def pair(p, q):
+        return table[p, q]
+
+    for got, want in (
+            (times_label(pair, v.entries, lab), _oracle_bilinear(_V, pair, v, e)),
+            (label_times(pair, lab, v.entries), _oracle_bilinear(_V, pair, e, v)),
+            (times_label(pair, v.entries, lab, dict(u.entries), c),
+             _oracle_linear_sum(_V, [(u, 1), (_oracle_bilinear(_V, pair, v, e), c)])),
+            (label_times(pair, lab, v.entries, dict(u.entries), c),
+             _oracle_linear_sum(_V, [(u, 1), (_oracle_bilinear(_V, pair, e, v), c)]))):
+        got = FinVec(_V, got)
         assert dict(got.entries) == dict(want.entries)
         _well_formed(got)
 

@@ -22,6 +22,7 @@ from rackalg.errors import (
     DegreeCapExceeded,
     GaugeEquivarianceViolation,
     RackalgError,
+    SchemaError,
 )
 from rackalg.exact_core import (
     FinMap,
@@ -541,6 +542,12 @@ def test_adjoint_needs_headroom():
     env = enveloping_hopf(load("lie2"), 2)
     with pytest.raises(DegreeCapExceeded):
         hopf_adjoint(env, degree=2)
+
+
+@pytest.mark.parametrize("degree", [-1, 1.5, True])
+def test_adjoint_degree_must_be_a_nonnegative_int(degree):
+    with pytest.raises(SchemaError):
+        hopf_adjoint(enveloping_hopf(load("heis3"), 3), degree=degree)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from rackalg.exact_core import (
     SpanSolver,
     flip_map,
     kernel_basis,
+    linear_sum,
     span_basis,
     split_label,
 )
@@ -627,6 +628,21 @@ class TestAugmentedDialgebra:
         with pytest.raises(RackalgError):
             dialgebra_from_augmented(dataclasses.replace(arb, certified=False))
 
+    @pytest.mark.parametrize("source", ["ks3", "sq2"])
+    def test_rack_table_matches_the_unit_vector_oracle(self, ks3, ud_sq2, source):
+        d = {"ks3": lambda: hopf_as_dialgebra(ks3), "sq2": lambda: ud_sq2}[source]()
+        rb = hopf_dialgebra_rack(d)
+
+        def unit(lab):
+            return FinVec.unit(d.basis, lab)
+
+        for pair in rb.mu.domain.labels:
+            la, lb = split_label(rb.basis, pair)
+            # a |> b = sum (a1 |- b) -| S(a2), every product over unit vectors
+            want = linear_sum(d.basis, ((d.dprod(d.vprod(unit(l1), unit(lb)), d.s(unit(l2))), cw)
+                                        for l1, l2, cw in d.coalgebra.legs(la)))
+            assert dict(rb.mu.column(pair).entries) == dict(want.entries)
+
     def test_group_dialgebra_rack_matches_hopf_adjoint(self, ks3):
         d = hopf_as_dialgebra(ks3)
         rb = hopf_dialgebra_rack(d)
@@ -762,6 +778,18 @@ class TestUniversalDialgebra:
         with pytest.raises(DegreeCapExceeded):
             hopf_dialgebra_rack(ud_sq2, degree=2)
 
+    @pytest.mark.parametrize("degree", [-1, 1.5, True])
+    def test_rack_degree_must_be_a_nonnegative_int(self, ud_sq2, degree):
+        with pytest.raises(SchemaError):
+            hopf_dialgebra_rack(ud_sq2, degree=degree)
+
+    def test_capped_censuses(self, ud_sq2):
+        assert ud_sq2.report.checked == 75
+        assert ud_sq2.report.detail == "labels skipped=2, pairs skipped=59, triples skipped=683"
+        dec = structure_decomposition(ud_sq2)
+        assert (len(dec.idempotent_part), len(dec.hopf_part)) == (3, 3)
+        assert (dec.report.checked, dec.report.detail) == (102, "skipped=67")
+
 
 class TestUniversalProperty:
     def test_identity_extension(self, ud_sq2):
@@ -880,6 +908,11 @@ VECTOR_PRODUCTS = {"bilinear", "vprod", "dprod", "FinVec.unit"}
 @pytest.mark.parametrize("module,function,axiom", [
     (right_hopf_dialg, "certify_dialgebra", "associativity (|-)"),
     (rack_bialg, "_check_product", "self-distributivity"),
+    (right_hopf_dialg, "hopf_dialgebra_rack", "module identity (|-)"),
+    (right_hopf_dialg, "structure_decomposition", "projection merges products"),
+    (right_hopf_dialg, "structure_decomposition", "psi multiplicative (|-)"),
+    (rack_bialg, "certify_augmented", "action associativity"),
+    (rack_bialg, "certify_augmented", "left regularity"),
 ])
 def test_label_product_loops_read_stored_columns(module, function, axiom):
     assert _called_names(*_checked_loop(module, function, axiom)) & VECTOR_PRODUCTS == set()

@@ -877,7 +877,7 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     are verified on every triple within the cap.
 
     Label pairs of |> are computed once and read as in :func:`certify_dialgebra`;
-    (a1 |> b) |- (a2 |> c) is read term by term of a1 |> b.
+    a |- b, a -| b and the terms of a1 |> b are read once per (a, b).
     """
     _require_degree(degree)
     if not d.certified:
@@ -914,24 +914,28 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
 
     labs = c.basis.labels
     deg = {lab: d.degree(lab) for lab in labs}
-    for la, lb, lc in itertools.product(labs, repeat=3):
-        if not d.fits(deg[la] + deg[lb] + deg[lc]):
+    for la, lb in itertools.product(labs, repeat=2):
+        if not d.fits(deg[la] + deg[lb]):  # no c fits, and a |- b is refused
             continue
-        lhs = label_times(rack_pair, la, rack_pair(lb, lc).entries)
-        for axiom, pair in (("module identity (|-)", d.vpair),
-                            ("module identity (-|)", d.dpair)):
-            rhs = times_label(rack_pair, pair(la, lb).entries, lc)
-            if not same_entries(lhs, rhs):
-                raise _violation(c.basis, axiom, (la, lb, lc), lhs, rhs)
-        for name, pair in (("|-", d.vpair), ("-|", d.dpair)):
-            lhs = label_times(rack_pair, la, pair(lb, lc).entries)
-            rhs = {}
-            for l1, l2, cw in c.legs(la):
-                x, y = rack_pair(l1, lb).entries, rack_pair(l2, lc).entries
-                for l, cl in x.items():
-                    label_times(pair, l, y, rhs, cw * cl)
-            if not same_entries(lhs, rhs):
-                raise _violation(c.basis, f"module algebra ({name})", (la, lb, lc), lhs, rhs)
+        ab = (("module identity (|-)", d.vpair(la, lb).entries),
+              ("module identity (-|)", d.dpair(la, lb).entries))
+        left = [(l, cw * cl, l2) for l1, l2, cw in c.legs(la)
+                for l, cl in rack_pair(l1, lb).entries.items()]
+        for lc in labs:
+            if not d.fits(deg[la] + deg[lb] + deg[lc]):
+                continue
+            lhs = label_times(rack_pair, la, rack_pair(lb, lc).entries)
+            for axiom, x in ab:
+                rhs = times_label(rack_pair, x, lc)
+                if not same_entries(lhs, rhs):
+                    raise _violation(c.basis, axiom, (la, lb, lc), lhs, rhs)
+            for name, pair in (("|-", d.vpair), ("-|", d.dpair)):
+                lhs = label_times(rack_pair, la, pair(lb, lc).entries)
+                rhs = {}
+                for l, cl, l2 in left:
+                    label_times(pair, l, rack_pair(l2, lc).entries, rhs, cl)
+                if not same_entries(lhs, rhs):
+                    raise _violation(c.basis, f"module algebra ({name})", (la, lb, lc), lhs, rhs)
     return rb
 
 

@@ -38,7 +38,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, BudgetExceeded, RackalgError, SchemaError
@@ -128,6 +128,7 @@ class _Faces:
         self._powers: dict[int, Basis] = {}
         self._mu: dict[int, FinMap] = {1: FinMap.identity(self.basis)}
         self._klegs: dict[tuple[Label, int], list[tuple[Parts, Coeff]]] = {}
+        self._splits: dict[Parts, list[tuple[Parts, Parts, Coeff]]] = {}
         zero, cols = FinVec.zero(self.basis), rb.mu.columns
         self.pair: Callable[[Label, Label], FinVec] = lambda la, lb: cols.get((la, lb), zero)
 
@@ -156,11 +157,16 @@ class _Faces:
                 cols[t] = FinVec(self.basis, acc)
         return FinMap(self.power(m), self.basis, cols)
 
-    def split(self, labels: Sequence[Label]) -> Iterator[tuple[Parts, Parts, Coeff]]:
-        """(first legs, second legs, weight), one Sweedler term chosen per label."""
-        for combo in itertools.product(*[self.legs(l) for l in labels]):
-            yield (tuple(l1 for l1, _, _ in combo), tuple(l2 for _, l2, _ in combo),
-                   math.prod(w for _, _, w in combo))
+    def split(self, labels: Parts) -> list[tuple[Parts, Parts, Coeff]]:
+        """(first legs, second legs, weight), one Sweedler term chosen per label;
+        listed once per label tuple."""
+        out = self._splits.get(labels)
+        if out is None:
+            out = self._splits[labels] = [
+                (tuple(l1 for l1, _, _ in combo), tuple(l2 for _, l2, _ in combo),
+                 math.prod(w for _, _, w in combo))
+                for combo in itertools.product(*[self.legs(l) for l in labels])]
+        return out
 
     def klegs(self, lab: Label, k: int) -> list[tuple[Parts, Coeff]]:
         """Legs of the (k-1)-iterated comultiplication of a basis label."""
@@ -393,13 +399,16 @@ def verify_complex(rb: RackBialgebra, max_n: int = 2) -> CheckReport:
         if faces.differential(faces.differential(f.map)).columns:
             return CheckReport(False, checked, axiom="d squared zero", witness=("direct", max_n))
         checked += 1
+    # the 2n first faces of each basis cochain of degree n, computed once
+    firsts = [[{(i, b): faces.face(f.map, i, b) for i in range(1, n + 1) for b in (0, 1)}
+               for f in cx.spaces[n - 1]] for n in range(1, max_n + 1)]
     cubical = 0
     for n in range(1, max_n + 1):
-        for f in cx.spaces[n - 1]:
+        for first in firsts[n - 1]:
             for i in range(1, n + 1):
                 for j, a, b in itertools.product(range(1, i + 1), (0, 1), (0, 1)):
-                    lhs = faces.face(faces.face(f.map, i, b), j, a)
-                    rhs = faces.face(faces.face(f.map, j, a), i + 1, b)
+                    lhs = faces.face(first[i, b], j, a)
+                    rhs = faces.face(first[j, a], i + 1, b)
                     if lhs != rhs:
                         return CheckReport(False, checked, axiom="cubical identity",
                                            witness=(n, i, j, a, b))
@@ -407,10 +416,10 @@ def verify_complex(rb: RackBialgebra, max_n: int = 2) -> CheckReport:
                     cubical += 1
     extra = 0
     for n in range(1, max_n + 1):
-        for f in cx.spaces[n - 1]:
+        for f, first in zip(cx.spaces[n - 1], firsts[n - 1]):
             lifted = faces.extra_face(f.map)
             for i, a in itertools.product(range(1, n + 1), (0, 1)):
-                if faces.face(lifted, i, a) != faces.extra_face(faces.face(f.map, i, a)):
+                if faces.face(lifted, i, a) != faces.extra_face(first[i, a]):
                     return CheckReport(False, checked, axiom="extra relation with the faces",
                                        witness=(n, i, a))
                 checked += 1

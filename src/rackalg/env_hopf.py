@@ -35,13 +35,18 @@ from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import (
     ONE,
     Basis,
+    Coeff,
     FinMap,
     FinVec,
     Label,
+    _accumulate,
+    _require_basis,
     bilinear,
     div,
+    label_times,
     linear_sum,
     split_label,
+    times_label,
 )
 from rackalg.leibniz import LeibnizAlgebra, QuotientLie, check_leibniz, is_lie
 from rackalg.symcoalg import Coalgebra, check_multiplicative, sort_monomial, symmetric_coalgebra
@@ -138,15 +143,21 @@ class EnvelopingHopf(HopfBackend):
 
     def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
         """A PBW word folds its letters as commutators, rightmost first; each
-        letter needs one degree of headroom, as commutators keep the degree."""
-        def fold(word: tuple[Label, ...]) -> FinVec:
-            acc = v
-            for lab in reversed(word):
-                letter = FinVec.unit(self.basis, (lab,))
-                acc = self.product(letter, acc) - self.product(acc, letter)
-            return acc
+        letter needs one degree of headroom, as commutators keep the degree.
 
-        return linear_sum(self.basis, ((fold(word), cu) for word, cu in u.entries.items()))
+        Each commutator x acc - acc x is read from the ``pair`` columns into a
+        coefficient dict, so a pair beyond the cap is still refused."""
+        if v.basis is not self.basis:
+            _require_basis(self.basis, v.basis)
+        pair = self.pair
+        out: dict[Label, Coeff] = {}
+        for word, cu in u.entries.items():
+            acc = v.entries
+            for lab in reversed(word):
+                x = (lab,)
+                acc = times_label(pair, acc, x, label_times(pair, x, acc), -1)
+            _accumulate(out, cu, acc.items())
+        return FinVec(self.basis, out)
 
     def truncating_mul_map(self) -> FinMap:
         """Multiplication as a map on the tensor square, overflow quotiented.
@@ -236,12 +247,18 @@ def derivation_action(h: LeibnizAlgebra, sym: Coalgebra, x: FinVec, m: FinVec) -
     """Extend ad_x = [x, -] on h to S(h) as a coalgebra derivation.
 
     Degree is preserved, so the truncated S(h) is closed under the action.
+    Each [x, letter] is read from the bracket columns once per letter.
     """
+    ad: dict[Label, dict[Label, Coeff]] = {}
+    for mono in m.entries:
+        for letter in mono:
+            if letter not in ad:
+                ad[letter] = times_label(h.bracket_of_labels, x.entries, letter)
     return FinVec.build(sym.basis, (
         (sort_monomial(h.basis, mono[:i] + (lab,) + mono[i + 1:]), cm * c)
         for mono, cm in m.entries.items()
         for i, letter in enumerate(mono)
-        for lab, c in h.bracket_of(x, FinVec.unit(h.basis, letter)).entries.items()))
+        for lab, c in ad[letter].items()))
 
 
 def module_action(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra,
@@ -255,8 +272,7 @@ def module_action(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra,
     def act_word(word: tuple[Label, ...]) -> FinVec:
         acc = m
         for letter in reversed(word):
-            rep = q.section(FinVec.unit(q.algebra.basis, letter))
-            acc = derivation_action(q.source, sym, rep, acc)
+            acc = derivation_action(q.source, sym, q.section.column(letter), acc)
         return acc
 
     return linear_sum(sym.basis, ((act_word(word), cu) for word, cu in u.entries.items()))

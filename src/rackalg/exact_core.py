@@ -17,10 +17,12 @@ agree on the nose.
 Every product of the package is given on pairs of basis labels, read with a
 label on one side by :func:`times_label` (v . l) and :func:`label_times`
 (l . v), and extended to two vectors by :func:`bilinear`.  Sums are built
-in one pass, never by repeated copies: :func:`linear_sum` for sum c v and
-:func:`tensor_sum` for Sweedler-type sums sum c (x (x) y).  Every sum and
-product of vectors is formed in one private in-place accumulator,
-``_accumulate``, which drops zeros and keeps integral sums ints.
+in one pass, never by repeated copies: :func:`linear_sum` for sum c v, and
+:func:`tensor_sum` for a Sweedler-type sum sum c (x (x) y) that is wanted as
+a vector (an identity compares such sums as dicts keyed by label pairs, see
+:mod:`rackalg.symcoalg`).  Every sum and product of vectors is formed in one
+private in-place accumulator, ``_accumulate``, which drops zeros and keeps
+integral sums ints.
 
 All elimination goes through one private kernel, ``_Echelon``: sparse rows in
 reduced row-echelon form, each keyed by its pivot, the smallest column of the

@@ -26,8 +26,11 @@ from rackalg.exact_core import (
     SpanSolver,
     bilinear,
     kernel_basis,
+    label_times,
     rational,
+    same_entries,
     span_basis,
+    times_label,
 )
 
 
@@ -90,17 +93,17 @@ def check_leibniz(h: LeibnizAlgebra) -> None:
     """Verify the left Leibniz identity on every basis triple.
 
     Raises :class:`LeibnizViolation` carrying the first offending triple in
-    lexicographic label order, together with both evaluated sides.
+    lexicographic label order, together with both evaluated sides.  Each
+    bracket with a basis label on one side is read from the stored columns
+    into a coefficient dict; vectors are built only for a violation.
     """
-    labs = h.basis.labels
-    for j, k, l in itertools.product(labs, repeat=3):
-        ej = FinVec.unit(h.basis, j)
-        ek = FinVec.unit(h.basis, k)
-        el = FinVec.unit(h.basis, l)
-        lhs = h.bracket_of(ej, h.bracket_of(ek, el))
-        rhs = h.bracket_of(h.bracket_of(ej, ek), el) + h.bracket_of(ek, h.bracket_of(ej, el))
-        if lhs != rhs:
-            raise LeibnizViolation(j, k, l, lhs, rhs)
+    pair = h.bracket_of_labels
+    for j, k, l in itertools.product(h.basis.labels, repeat=3):
+        lhs = label_times(pair, j, pair(k, l).entries)
+        rhs = times_label(pair, pair(j, k).entries, l)
+        label_times(pair, k, pair(j, l).entries, rhs)
+        if not same_entries(lhs, rhs):
+            raise LeibnizViolation(j, k, l, FinVec(h.basis, lhs), FinVec(h.basis, rhs))
 
 
 def is_lie(h: LeibnizAlgebra) -> bool:

@@ -18,8 +18,11 @@ failure report.
 :func:`check_multiplicative` (a product given on label pairs is a coalgebra
 morphism C (x) C -> C) and :func:`check_coalgebra_map` (a linear map given
 on labels is a coalgebra map) are the two compatibilities every certifier
-needs.  Scalars are compared with :func:`~rackalg.exact_core.scalar_eq`, so
-rational and series coefficients mix.
+needs.  They compare the legs of delta(ab) (or of delta(f(a))) with the
+products of legs read on label pairs, as dicts keyed by leg-label pairs,
+and build tensor-square vectors only for a failure report.  Scalars are
+compared with :func:`~rackalg.exact_core.scalar_eq`, so rational and series
+coefficients mix.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ from rackalg.exact_core import (
     Label,
     Rational,
     SpanSolver,
+    _flat_factors,
+    _require_basis,
     kernel_basis,
     merge_labels,
     same_entries,
@@ -47,7 +52,6 @@ from rackalg.exact_core import (
     split_label,
     tensor_basis,
     tensor_product_map,
-    tensor_sum,
 )
 
 
@@ -174,6 +178,34 @@ def check_cocommutative(c: Coalgebra) -> None:
                                  c.delta.column(lab))
 
 
+def _delta_legs(c: Coalgebra, v: FinVec) -> dict[tuple[Label, Label], Coeff]:
+    """delta(v) as a dict keyed by leg-label pairs, read from the cached legs;
+    refuses a vector from another space, as applying ``c.delta`` does."""
+    if v.basis is not c.basis:
+        _require_basis(c.delta.domain, v.basis)
+    out: dict[tuple[Label, Label], Coeff] = {}
+    for lab, cv in v.entries.items():
+        for l1, l2, w in c.legs(lab):
+            key = (l1, l2)
+            out[key] = out.get(key, ZERO) + cv * w
+    return out
+
+
+def _add_tensor(acc: dict[tuple[Label, Label], Coeff], w: Coeff, x: FinVec, y: FinVec,
+                c: Coalgebra) -> None:
+    """acc += w (x (x) y), keyed by label pairs.  x and y must lie in the
+    factors of the codomain of ``c.delta``: a vector over ``c.basis`` is taken
+    as is, any other is checked, since labels alone may collide."""
+    basis = c.basis
+    if x.basis is not basis or y.basis is not basis:
+        _require_basis(c.delta.codomain.factors, _flat_factors(x.basis) + _flat_factors(y.basis))
+    for lx, cx in x.entries.items():
+        wx = w * cx
+        for ly, cy in y.entries.items():
+            key = (lx, ly)
+            acc[key] = acc.get(key, ZERO) + wx * cy
+
+
 def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
                          pairs: Iterable[tuple[Label, Label]],
                          coproduct: str, counit: str, left: Coalgebra | None = None) -> None:
@@ -181,22 +213,28 @@ def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
     ``left`` (x) C -> C; ``left`` defaults to C itself.
 
     For each label pair (a, b), first eps(ab) = eps(a) eps(b), then
-    delta(ab) = sum a1 b1 (x) a2 b2.  Raises :class:`AxiomViolation` named
-    ``counit`` or ``coproduct`` with the pair as witness.
+    delta(ab) = sum a1 b1 (x) a2 b2, both sides as dicts keyed by leg-label
+    pairs: the legs of each label of ab, and the products of the legs of a
+    and b read through ``pair``.  Raises :class:`AxiomViolation` named
+    ``counit`` or ``coproduct`` with the pair as witness; the tensor-square
+    vectors are built only for the report.
     """
     left = c if left is None else left
-    square = c.delta.codomain
     for la, lb in pairs:
         ab = pair(la, lb)
         got = c.eps_of(ab)
         want = left.counit.get(la, ZERO) * c.counit.get(lb, ZERO)
         if not scalar_eq(got, want):
             raise AxiomViolation(counit, (la, lb), got, want)
-        lhs = c.delta(ab)
-        rhs = tensor_sum(square, ((pair(a1, b1), pair(a2, b2), ca * cb)
-                                  for a1, a2, ca in left.legs(la) for b1, b2, cb in c.legs(lb)))
-        if lhs != rhs:
-            raise AxiomViolation(coproduct, (la, lb), lhs, rhs)
+        lhs = _delta_legs(c, ab)
+        rhs: dict[tuple[Label, Label], Coeff] = {}
+        legs_b = c.legs(lb)
+        for a1, a2, ca in left.legs(la):
+            for b1, b2, cb in legs_b:
+                _add_tensor(rhs, ca * cb, pair(a1, b1), pair(a2, b2), c)
+        if not same_entries(lhs, rhs):
+            raise AxiomViolation(coproduct, (la, lb), c.delta(ab),
+                                 _tensor_vec(c.delta.codomain, c.basis, rhs))
 
 
 def check_coalgebra_map(source: Coalgebra, target: Coalgebra, f: Callable[[Label], FinVec],
@@ -205,17 +243,22 @@ def check_coalgebra_map(source: Coalgebra, target: Coalgebra, f: Callable[[Label
     """The linear map given by ``f`` on basis labels of ``source`` is a
     coalgebra map into ``target``.
 
-    For each label a, first delta(f(a)) = sum f(a1) (x) f(a2), then
+    For each label a, first delta(f(a)) = sum f(a1) (x) f(a2), both sides as
+    dicts keyed by leg-label pairs of ``target`` (the legs of each label of
+    f(a), and the terms of f(a1), f(a2) over the legs of a), then
     eps(f(a)) = eps(a).  Raises ``error`` named "<name> comultiplicativity"
-    or "<name> counit" with the label as witness.
+    or "<name> counit" with the label as witness; the tensor-square vectors
+    are built only for the report.
     """
-    square = target.delta.codomain
     for lab in labels:
         fa = f(lab)
-        lhs = target.delta(fa)
-        rhs = tensor_sum(square, ((f(l1), f(l2), w) for l1, l2, w in source.legs(lab)))
-        if lhs != rhs:
-            raise error(f"{name} comultiplicativity", lab, lhs, rhs)
+        lhs = _delta_legs(target, fa)
+        rhs: dict[tuple[Label, Label], Coeff] = {}
+        for l1, l2, w in source.legs(lab):
+            _add_tensor(rhs, w, f(l1), f(l2), target)
+        if not same_entries(lhs, rhs):
+            raise error(f"{name} comultiplicativity", lab, target.delta(fa),
+                        _tensor_vec(target.delta.codomain, target.basis, rhs))
         got = target.eps_of(fa)
         want = source.counit.get(lab, ZERO)
         if not scalar_eq(got, want):

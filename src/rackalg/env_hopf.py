@@ -45,7 +45,6 @@ from rackalg.exact_core import (
     div,
     label_times,
     linear_sum,
-    split_label,
     times_label,
 )
 from rackalg.leibniz import LeibnizAlgebra, QuotientLie, check_leibniz, is_lie
@@ -158,22 +157,6 @@ class EnvelopingHopf(HopfBackend):
                 acc = times_label(pair, acc, x, label_times(pair, x, acc), -1)
             _accumulate(out, cu, acc.items())
         return FinVec(self.basis, out)
-
-    def truncating_mul_map(self) -> FinMap:
-        """Multiplication as a map on the tensor square, overflow quotiented.
-
-        Safe wherever total degree cannot exceed the cap, e.g. inside
-        convolutions against the degree-preserving coproduct.
-        """
-        square = self.coalgebra.square
-
-        def col(pair: Label) -> FinVec:
-            wa, wb = split_label(self.basis, pair)
-            if not self.fits(len(wa) + len(wb)):
-                return FinVec.zero(self.basis)
-            return self.straighten(wa + wb)
-
-        return FinMap.from_function(square, self.basis, col)
 
 
 def enveloping_hopf(lie: LeibnizAlgebra, cap: int, name: str | None = None) -> EnvelopingHopf:

@@ -568,27 +568,6 @@ def _require_basis(want: Basis | tuple[Basis, ...], got: Basis | tuple[Basis, ..
         raise ValueError(f"basis mismatch: expected {want!r}, got {got!r}")
 
 
-def tensor_product_map(f: FinMap, g: FinMap,
-                       domain: Basis | None = None,
-                       codomain: Basis | None = None) -> FinMap:
-    """(f (x) g) on the flattened product bases."""
-    if domain is None:
-        domain = tensor_basis(f.domain, g.domain)
-    if codomain is None:
-        codomain = tensor_basis(f.codomain, g.codomain)
-    nf = len(f.domain.factors) if f.domain.factors else 1
-
-    def col(label: Label) -> FinVec:
-        assert isinstance(label, tuple)
-        la = label[:nf] if f.domain.factors else label[0]
-        lb = label[nf:] if g.domain.factors else label[nf]
-        va = f.column(la)
-        vb = g.column(lb)
-        return va.tensor(vb, codomain)
-
-    return FinMap.from_function(domain, codomain, col)
-
-
 def split_label(basis: Basis, label: Label, parts: int = 2) -> tuple[Label, ...]:
     """Split a label of ``basis`` tensored with itself ``parts`` times.
 
@@ -602,19 +581,6 @@ def split_label(basis: Basis, label: Label, parts: int = 2) -> tuple[Label, ...]
         return tuple(label[i * k:(i + 1) * k] for i in range(parts))
     assert isinstance(label, tuple) and len(label) == parts
     return tuple(label)
-
-
-def flip_map(a: Basis, b: Basis) -> FinMap:
-    """tau: A (x) B -> B (x) A on flattened labels."""
-    dom = tensor_basis(a, b)
-    cod = tensor_basis(b, a)
-    na = len(a.factors) if a.factors else 1
-
-    def col(label: Label) -> FinVec:
-        assert isinstance(label, tuple)
-        return FinVec.unit(cod, label[na:] + label[:na])
-
-    return FinMap.from_function(dom, cod, col)
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +779,8 @@ def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
 
 __all__ = [
     "Basis", "Coeff", "FinMap", "FinVec", "Label", "Rational", "SeriesScalar", "SpanSolver",
-    "bilinear", "div", "flip_map", "format_rational", "kernel_basis", "label_times",
+    "bilinear", "div", "format_rational", "kernel_basis", "label_times",
     "linear_sum", "merge_labels", "nullspace", "rank", "rank_of", "rational", "same_entries",
     "scalar_eq", "series_exp", "span_basis",
-    "split_label", "tensor_basis", "tensor_product_map", "tensor_sum", "times_label",
+    "split_label", "tensor_basis", "tensor_sum", "times_label",
 ]

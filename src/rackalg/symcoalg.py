@@ -1,4 +1,4 @@
-"""Coalgebras on labelled bases: axioms, filtration, convolution, S(V).
+"""Coalgebras on labelled bases: axioms, filtration, tensor products, S(V).
 
 A coalgebra here is always counital and coaugmented: it carries a coproduct,
 a counit functional, and a distinguished group-like element written 1.  The
@@ -6,9 +6,8 @@ module provides the axiom checker, the primitive filtration
 
     C_(0) = K 1,   C_(k+1) = { x : delta(x) - x (x) 1 - 1 (x) x in C_(k) (x) C_(k) },
 
-convolution of linear maps into an algebra, the geometric-series convolution
-inverse (which terminates exactly on connected coalgebras), and the truncated
-symmetric coalgebra S(V) with its binomial coproduct.
+the tensor product of two coalgebras, and the truncated symmetric coalgebra
+S(V) with its binomial coproduct.
 
 It holds the one copy of each coalgebra identity the certifiers check.
 :func:`check_coalgebra` (coassociativity, counit laws, group-like unit) and
@@ -51,7 +50,6 @@ from rackalg.exact_core import (
     scalar_eq,
     split_label,
     tensor_basis,
-    tensor_product_map,
 )
 
 
@@ -344,46 +342,6 @@ def is_connected(c: Coalgebra) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# convolution
-# ---------------------------------------------------------------------------
-
-
-def convolution(c: Coalgebra, mul: FinMap, f: FinMap, g: FinMap) -> FinMap:
-    """f * g = mul o (f (x) g) o delta for maps C -> A and mul: A (x) A -> A."""
-    return mul.compose(tensor_product_map(f, g)).compose(c.delta)
-
-
-def convolution_unit(c: Coalgebra, target_unit: FinVec) -> FinMap:
-    """The convolution identity b -> counit(b) * 1_A."""
-    return FinMap.from_function(
-        c.basis, target_unit.basis,
-        lambda lab: target_unit.scale(c.counit.get(lab, ZERO)))
-
-
-def convolution_inverse(c: Coalgebra, mul: FinMap, target_unit: FinVec,
-                        f: FinMap) -> FinMap:
-    """Inverse of f under convolution via the geometric series.
-
-    With e the convolution unit, sum_r (e - f)^{*r} inverts f whenever the
-    series terminates; on a connected coalgebra with f(1) = 1 the r-th power
-    vanishes on the r-th filtration level, so it always does.
-    """
-    e = convolution_unit(c, target_unit)
-    eta = e - f
-    total = e
-    term = eta
-    steps = 0
-    while not term.is_zero:
-        total = total + term
-        term = convolution(c, mul, term, eta)
-        steps += 1
-        if steps > c.basis.dim + 1:
-            raise RackalgError("convolution series does not terminate; "
-                               "the coalgebra is not connected or f(1) != 1")
-    return total
-
-
-# ---------------------------------------------------------------------------
 # symmetric coalgebra
 # ---------------------------------------------------------------------------
 
@@ -466,54 +424,10 @@ def symmetric_coalgebra(source: Basis, cap: int, name: str | None = None) -> Coa
     return Coalgebra(basis, delta, counit, FinVec.unit(basis, ()), square)
 
 
-def sym_product_map(sym: Coalgebra, source: Basis) -> FinMap:
-    """Commutative product on the truncated S(V), discarding overflow.
-
-    Degrees beyond the cap are quotiented away.  The result is the algebra
-    S(V)/(degree > cap); together with the coproduct this is only a bialgebra
-    below the cap, which is all convolution arguments may rely on.
-    """
-    square = sym.square
-
-    def col(pair: Label) -> FinVec:
-        left, right = split_label(sym.basis, pair)
-        merged = sort_monomial(source, tuple(left) + tuple(right))
-        if merged not in sym.basis:
-            return FinVec.zero(sym.basis)
-        return FinVec.unit(sym.basis, merged)
-
-    return FinMap.from_function(square, sym.basis, col)
-
-
-def sym_algebra_map(f: FinMap, dom_sym: Coalgebra, cod_sym: Coalgebra) -> FinMap:
-    """Functorial extension of a linear map on generators to S(V) monomials.
-
-    A monomial goes to the commutative product of the images of its letters.
-    Degree is preserved, so any codomain cap at least the domain cap keeps
-    every image inside the truncation.
-    """
-    cod_source = f.codomain
-
-    def col(mono: Label) -> FinVec:
-        assert isinstance(mono, tuple)
-        acc = FinVec.unit(cod_sym.basis, ())
-        for lab in mono:
-            image = f.column(lab)
-            items = []
-            for m, c in acc.entries.items():
-                for wl, wc in image.entries.items():
-                    items.append((sort_monomial(cod_source, (*m, wl)), c * wc))
-            acc = FinVec.build(cod_sym.basis, items)
-        return acc
-
-    return FinMap.from_function(dom_sym.basis, cod_sym.basis, col)
-
-
 __all__ = [
     "Coalgebra", "check_coalgebra", "check_coalgebra_map", "check_cocommutative",
-    "check_multiplicative", "coalgebra_filtration", "convolution",
-    "convolution_inverse", "convolution_unit", "filtration_order",
+    "check_multiplicative", "coalgebra_filtration", "filtration_order",
     "is_cocommutative", "is_connected", "is_group_like", "primitives",
-    "reduced_delta_map", "restrict_coalgebra", "sort_monomial", "sym_algebra_map",
-    "sym_monomials", "sym_product_map", "symmetric_coalgebra", "tensor_coalgebra",
+    "reduced_delta_map", "restrict_coalgebra", "sort_monomial",
+    "sym_monomials", "symmetric_coalgebra", "tensor_coalgebra",
 ]

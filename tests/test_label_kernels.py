@@ -1,28 +1,32 @@
-"""The Leibniz identity, the coalgebra-morphism checks and the U(g) adjoint
-against their vector formulas, and a guard that keeps those kernels on label
-reads.
+"""The Leibniz identity, the coalgebra-morphism checks, the U(g) adjoint, the
+braid relation and the Yetter-Drinfeld identity against their vector
+formulas, and guards that keep those kernels on label reads.
 
-The references below are the formulas written with vectors: brackets of unit
-vectors through ``bracket_of``, delta(ab) against a ``tensor_sum`` of pair
-products, and the adjoint as a fold of ``product`` commutators.  Every kernel
-must report the same first failure (name, witness and both sides) or the same
-result as its reference.
+The references below are the formulas written with vectors and maps:
+brackets of unit vectors through ``bracket_of``, delta(ab) against a
+``tensor_sum`` of pair products, the adjoint as a fold of ``product``
+commutators, and the braid and Yetter-Drinfeld sides through composed maps
+built with ``tests/oracles.py``.  Every kernel must report the same first
+failure (name, witness and both sides) or the same result as its reference.
 """
 
 import ast
+import dataclasses
 import itertools
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from rackalg import env_hopf, leibniz, symcoalg
+from oracles import tensor_product_map
+from rackalg import env_hopf, leibniz, rack_bialg, symcoalg
 from rackalg.env_hopf import enveloping_hopf
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
     DegreeCapExceeded,
     LeibnizViolation,
+    RackalgError,
 )
 from rackalg.exact_core import (
     ZERO,
@@ -30,17 +34,32 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     SeriesScalar,
+    label_times,
     linear_sum,
     scalar_eq,
+    split_label,
+    tensor_basis,
     tensor_sum,
 )
 from rackalg.fixtures import fixture_names, load, load_raw
-from rackalg.groups import group_hopf, symmetric_group
+from rackalg.groups import cyclic_group, group_hopf, group_like_coalgebra, symmetric_group
 from rackalg.leibniz import LeibnizAlgebra, check_leibniz, quotient_lie
-from rackalg.rack_bialg import uar_infinity, ur
+from rackalg.rack_bialg import (
+    CheckReport,
+    RackBialgebra,
+    augmented_conjugation,
+    conjugation_rack,
+    rack_group_algebra,
+    trivial,
+    uar_infinity,
+    ur,
+    yang_baxter_check,
+    yetter_drinfeld_check,
+)
 from rackalg.symcoalg import (
     check_coalgebra_map,
     check_multiplicative,
+    is_cocommutative,
     symmetric_coalgebra,
     tensor_coalgebra,
 )
@@ -356,6 +375,162 @@ def test_adjoint_matches_the_product_fold_on_every_label_pair(name):
 
 
 # ---------------------------------------------------------------------------
+# the braid relation and the Yetter-Drinfeld identity
+# ---------------------------------------------------------------------------
+
+
+def reference_yang_baxter(rb):
+    """yang_baxter_check through R12 R23 R12 and R23 R12 R23 composed on the cube."""
+    if not rb.certified:
+        raise RackalgError("yang_baxter_check needs a certified rack bialgebra")
+    c = rb.carrier
+    if not is_cocommutative(c):
+        raise RackalgError("yang_baxter_check needs a cocommutative carrier")
+    basis, square = c.basis, c.square
+
+    def r_col(pair):
+        la, lb = split_label(basis, pair)
+        return tensor_sum(square, ((FinVec.unit(basis, b1), rb.pair(b2, la), cb)
+                                   for b1, b2, cb in c.legs(lb)))
+
+    r = FinMap.from_function(square, square, r_col)
+    ident = FinMap.identity(basis)
+    r12 = tensor_product_map(r, ident)
+    r23 = tensor_product_map(ident, r)
+    lhs = r12.compose(r23).compose(r12)
+    rhs = r23.compose(r12).compose(r23)
+    checked = 0
+    for lab in lhs.domain.labels:
+        checked += 1
+        if lhs.column(lab) != rhs.column(lab):
+            return CheckReport(False, checked, axiom="braid relation", witness=(lab,))
+    return CheckReport(True, checked, axiom="braid relation")
+
+
+def reference_yetter_drinfeld(arb):
+    """yetter_drinfeld_check with the coaction rho = (phi (x) id) o delta composed."""
+    if not arb.certified:
+        raise RackalgError("yetter_drinfeld_check needs a certified structure")
+    bc, hopf = arb.carrier, arb.hopf
+    hc = hopf.coalgebra
+    mixed = arb.action.domain
+    rho = tensor_product_map(arb.phi, FinMap.identity(bc.basis)).compose(bc.delta)
+    anti = hopf.antipode_map()
+    checked = skipped = 0
+    for lh in hc.basis.labels:
+        hsw3 = hc.sweedler3(FinVec.unit(hc.basis, lh))
+        for la in bc.basis.labels:
+            bsw = bc.legs(la)
+            worst = max((hopf.degree(w) for b1, _, _ in bsw for w in arb.phi.column(b1).entries),
+                        default=0)
+            if not hopf.fits(hopf.degree(lh) + worst):
+                skipped += 1
+                continue
+            checked += 1
+            lhs = rho(arb.act_pair(lh, la))
+            rhs = tensor_sum(mixed, (
+                (hopf.product(FinVec(hc.basis, label_times(hopf.pair, h1,
+                                                           arb.phi.column(b1).entries)),
+                              anti.column(h3)),
+                 arb.act_pair(h2, b2), ch * cb)
+                for h1, h2, h3, ch in hsw3 for b1, b2, cb in bsw))
+            if lhs != rhs:
+                return CheckReport(False, checked, axiom="yetter-drinfeld compatibility",
+                                   witness=(lh, la),
+                                   detail=f"{skipped} pairs beyond the degree cap skipped")
+    return CheckReport(True, checked, axiom="yetter-drinfeld compatibility",
+                       detail=f"{skipped} pairs beyond the degree cap skipped")
+
+
+def c2_table():
+    """a |> a = e with a |> e = a: a certified-flagged product that is not
+    self-distributive."""
+    c = group_like_coalgebra("C2", ("e", "a"), "e")
+    table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "e"}
+    mu = FinMap.from_function(tensor_basis(c.basis, c.basis), c.basis,
+                              lambda pair: FinVec.unit(c.basis, table[pair]))
+    return RackBialgebra(c, mu, certified=True)
+
+
+def factored():
+    """The left-trivial product on S(W)<=1 (x) K[C2], whose labels are flat pairs."""
+    return trivial(tensor_coalgebra(symmetric_coalgebra(Basis("W", ("x",)), 1),
+                                    group_like_coalgebra("C2", ("e", "a"), "e")))
+
+
+RACKS = {
+    "ur(sq2)": lambda: ur(load("sq2")),
+    "ur(heis3)": lambda: ur(load("heis3")),
+    "ur(lie2)": lambda: ur(load("lie2")),
+    "K[Conj(S3)]": lambda: rack_group_algebra(conjugation_rack(symmetric_group(3))),
+    "uar(sq2, 2)": lambda: uar_infinity(load("sq2"), 2).rack,
+    "C2 table": c2_table,
+    "trivial on S(W)<=1 (x) K[C2]": factored,
+}
+
+
+@pytest.mark.parametrize("name", list(RACKS))
+def test_braid_check_matches_the_composed_form(name):
+    rb = RACKS[name]()
+    got = yang_baxter_check(rb)
+    assert got == reference_yang_baxter(rb)
+    assert got.passed == (name != "C2 table")
+
+
+def bumped(m, key, lab):
+    """The map ``m`` with 1 added to its column ``key`` at label ``lab``."""
+    cols = dict(m.columns)
+    cols[key] = m.column(key) + FinVec.unit(m.codomain, lab)
+    return FinMap(m.domain, m.codomain, cols)
+
+
+@pytest.mark.parametrize("name", ["ur(sq2)", "C2 table", "trivial on S(W)<=1 (x) K[C2]"])
+def test_braid_check_matches_the_composed_form_on_perturbations(name):
+    rb = RACKS[name]()
+    failing = []
+    for key, lab in itertools.product(rb.mu.domain.labels, rb.basis.labels):
+        bad = RackBialgebra(rb.carrier, bumped(rb.mu, key, lab), certified=True)
+        got = yang_baxter_check(bad)
+        assert got == reference_yang_baxter(bad), (key, lab)
+        failing += [got.witness] if not got.passed else []
+    assert failing
+    # on the factored carrier a witness is a merged cube label of flat pairs
+    assert all(len(w[0]) == (6 if name.startswith("trivial") else 3) for w in failing)
+
+
+def test_braid_check_refuses_what_its_reference_refuses(function_coalgebra_s3):
+    for rb in (dataclasses.replace(c2_table(), certified=False), trivial(function_coalgebra_s3)):
+        with pytest.raises(RackalgError) as exc:
+            yang_baxter_check(rb)
+        with pytest.raises(RackalgError) as ref:
+            reference_yang_baxter(rb)
+        assert str(exc.value) == str(ref.value)
+
+
+AUGMENTED = {
+    "conj(C2)": lambda: augmented_conjugation(cyclic_group(2)),
+    "conj(S3)": lambda: augmented_conjugation(symmetric_group(3)),
+    "uar(sq2, 2)": lambda: uar_infinity(load("sq2"), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(AUGMENTED))
+def test_yetter_drinfeld_check_matches_the_composed_form_on_perturbations(name):
+    arb = AUGMENTED[name]()
+    got = yetter_drinfeld_check(arb)
+    assert got == reference_yetter_drinfeld(arb) and got.passed
+    skipped = int(got.detail.split()[0])
+    assert (skipped > 0) == (name == "uar(sq2, 2)")
+    failing = 0
+    for key, lab in itertools.product(arb.action.domain.labels, arb.carrier.basis.labels):
+        bad = dataclasses.replace(arb, action=bumped(arb.action, key, lab))
+        got = yetter_drinfeld_check(bad)
+        assert got == reference_yetter_drinfeld(bad), (key, lab)
+        failing += not got.passed
+    assert failing
+
+
+# ---------------------------------------------------------------------------
 # the guard
 # ---------------------------------------------------------------------------
 
@@ -412,3 +587,30 @@ def test_the_vector_build_guard_sees_nested_calls():
         "self.product", "FinVec.unit", "bilinear"}
     assert _calls(tree, "check_leibniz") & VECTOR_BUILDS == {"bracket_of", "tensor_sum"}
     assert _calls(tree, "other") & VECTOR_BUILDS == set()
+
+
+MAP_COMPOSITIONS = {"tensor_product_map", "flip_map", "compose"}
+BRAID_AND_YD = ["yang_baxter_check", "yetter_drinfeld_check"]
+
+
+def test_braid_and_yetter_drinfeld_checks_compose_no_maps():
+    path = pathlib.Path(rack_bialg.__file__)
+    tree = ast.parse(path.read_text(), str(path))
+    assert {owner: _calls(tree, owner) & MAP_COMPOSITIONS for owner in BRAID_AND_YD} == {
+        owner: set() for owner in BRAID_AND_YD}
+
+
+def test_the_map_composition_guard_sees_nested_calls():
+    snippet = ("def yang_baxter_check(rb):\n"
+               " r12 = tensor_product_map(r, ident)\n"
+               " return r12.compose(r23).compose(r12)\n"
+               "def yetter_drinfeld_check(arb):\n"
+               " def rho(v): return flip_map(a, b)(v)\n"
+               " return rho\n"
+               "def other(arb):\n"
+               " return composed(arb)\n")
+    tree = ast.parse(snippet)
+    assert _calls(tree, "yang_baxter_check") & MAP_COMPOSITIONS == {
+        "tensor_product_map", "compose"}
+    assert _calls(tree, "yetter_drinfeld_check") & MAP_COMPOSITIONS == {"flip_map"}
+    assert _calls(tree, "other") & MAP_COMPOSITIONS == set()

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import flip_map
 from rackalg.env_hopf import enveloping_hopf
 from rackalg.errors import (
     AxiomViolation,
@@ -35,7 +36,6 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     SpanSolver,
-    flip_map,
     kernel_basis,
     linear_sum,
     span_basis,

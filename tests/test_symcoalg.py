@@ -15,6 +15,14 @@ from hypothesis import strategies as st
 import rackalg.exact_core as exact_core
 import rackalg.groups as groups
 import rackalg.symcoalg as symcoalg
+from oracles import (
+    convolution,
+    convolution_inverse,
+    convolution_unit,
+    flip_map,
+    sym_product_map,
+    tensor_product_map,
+)
 from rackalg.errors import AxiomViolation, RackalgError, SchemaError
 from rackalg.exact_core import (
     Basis,
@@ -22,10 +30,8 @@ from rackalg.exact_core import (
     FinVec,
     SeriesScalar,
     SpanSolver,
-    flip_map,
     split_label,
     tensor_basis,
-    tensor_product_map,
 )
 from rackalg.symcoalg import (
     Coalgebra,
@@ -34,16 +40,12 @@ from rackalg.symcoalg import (
     check_cocommutative,
     check_multiplicative,
     coalgebra_filtration,
-    convolution,
-    convolution_inverse,
-    convolution_unit,
     filtration_order,
     is_cocommutative,
     is_connected,
     is_group_like,
     primitives,
     restrict_coalgebra,
-    sym_product_map,
     symmetric_coalgebra,
     tensor_coalgebra,
 )

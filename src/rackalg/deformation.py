@@ -50,10 +50,12 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    PairTable,
     Rational,
     SeriesScalar,
     SpanSolver,
     _accumulate,
+    _require_degree,
     label_times,
     nullspace,
     same_entries,
@@ -129,8 +131,7 @@ class _Faces:
         self._mu: dict[int, FinMap] = {1: FinMap.identity(self.basis)}
         self._klegs: dict[tuple[Label, int], list[tuple[Parts, Coeff]]] = {}
         self._splits: dict[Parts, list[tuple[Parts, Parts, Coeff]]] = {}
-        zero, cols = FinVec.zero(self.basis), rb.mu.columns
-        self.pair: Callable[[Label, Label], FinVec] = lambda la, lb: cols.get((la, lb), zero)
+        self.table = rb.table
 
     def power(self, n: int) -> Basis:
         if n not in self._powers:
@@ -144,7 +145,7 @@ class _Faces:
         if n not in self._mu:
             prev = self.mu(n - 1)
             self._mu[n] = self._build(n, lambda parts, acc: label_times(
-                self.pair, parts[0], _entries(prev, _tlabel(parts[1:])), acc))
+                self.table, parts[0], _entries(prev, _tlabel(parts[1:])), acc))
         return self._mu[n]
 
     def _build(self, m: int, fill: Callable[[Parts, dict[Label, Coeff]], object]) -> FinMap:
@@ -193,14 +194,14 @@ class _Faces:
             ys = _entries(y, _tlabel(rights + parts[i:]))
             if ys:
                 for l, xl in _entries(x, _tlabel(lefts + (parts[i - 1],))).items():
-                    label_times(self.pair, l, ys, acc, c * w * xl)
+                    label_times(self.table, l, ys, acc, c * w * xl)
 
     def _substitute(self, omega: FinMap, parts: Parts, i: int,
                     acc: dict[Label, Coeff], c: Coeff) -> None:
         """acc += c omega(r_1..r_{i-1}, r_i^(1) |> r_{i+1}, .., r_i^(k) |> r_{i+k})."""
         heads, k = parts[:i - 1], len(parts) - i
         for legs, w in self.klegs(parts[i - 1], k):
-            factors = [self.pair(legs[m], parts[i + m]).entries.items() for m in range(k)]
+            factors = [self.table.entry(legs[m], parts[i + m]).items() for m in range(k)]
             for combo in itertools.product(*factors):
                 col = _entries(omega, _tlabel(heads + tuple(l for l, _ in combo)))
                 _accumulate(acc, c * w * math.prod(cv for _, cv in combo), col.items())
@@ -238,12 +239,13 @@ class _Faces:
 
         return self._build(n + 1, fill)
 
-    def deformed(self, omega: FinMap) -> Callable[[Label, Label], FinVec]:
+    def deformed(self, omega: FinMap) -> PairTable:
         """mu + hbar*omega on label pairs over Q[hbar]/hbar^2, one series
         column per pair."""
-        table = {t: FinVec(self.basis, _series(self.pair(*t).entries, _entries(omega, t)))
-                 for t in self.power(2).labels}
-        return lambda la, lb: table[la, lb]
+        basis = self.basis
+        return PairTable.build(basis, (
+            (la, lb, FinVec(basis, _series(self.table.entry(la, lb), _entries(omega, (la, lb)))))
+            for la, lb in self.power(2).labels))
 
 
 def _report(faces: _Faces, n: int, omega: FinMap) -> CheckReport:
@@ -352,6 +354,7 @@ def _flat_vec(omega: FinMap, flat: Basis) -> FinVec:
 
 
 def _complex(faces: _Faces, max_degree: int) -> DeformationComplex:
+    _require_degree(max_degree, "max degree")
     if max_degree < 1:
         raise SchemaError("the complex needs max_degree >= 1")
     rb = faces.rb
@@ -477,19 +480,19 @@ def infinitesimal_selfdist(rb: RackBialgebra, mu1: Cochain | FinMap) -> CheckRep
     term by term of a1 |> b, listed once per (a, b).
     """
     omega = mu1.map if isinstance(mu1, Cochain) else mu1
-    pair = _Faces(rb).deformed(omega)
+    t = _Faces(rb).deformed(omega)
     labels = rb.basis.labels
     checked = 0
     for la in labels:
         legs = rb.carrier.legs(la)
         for lb in labels:
             left = [(l, w * x, l2) for l1, l2, w in legs
-                    for l, x in pair(l1, lb).entries.items()]
+                    for l, x in t.entry(l1, lb).items()]
             for lc in labels:
-                lhs = label_times(pair, la, pair(lb, lc).entries)
+                lhs = label_times(t, la, t.entry(lb, lc))
                 rhs: dict[Label, Coeff] = {}
                 for l, x, l2 in left:
-                    label_times(pair, l, pair(l2, lc).entries, rhs, x)
+                    label_times(t, l, t.entry(l2, lc), rhs, x)
                 if not same_entries(lhs, rhs):
                     return CheckReport(False, checked, axiom="self-distributivity mod hbar^2",
                                        witness=(la, lb, lc))
@@ -514,11 +517,11 @@ def equivalence_check(rb: RackBialgebra, alpha: FinMap) -> CheckReport:
     for la in labels:
         for lb in labels:
             lhs: dict[Label, Coeff] = {}
-            for l, x in deformed(la, lb).entries.items():
+            for l, x in deformed.entry(la, lb).items():
                 _accumulate(lhs, x, phi[l].items())
             rhs: dict[Label, Coeff] = {}
             for l, x in phi[la].items():
-                label_times(faces.pair, l, phi[lb], rhs, x)
+                label_times(faces.table, l, phi[lb], rhs, x)
             if not same_entries(lhs, rhs):
                 return CheckReport(False, checked, axiom="equivalence of deformations",
                                    witness=(la, lb))

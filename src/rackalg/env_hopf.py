@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Protocol, runtime_checkable
+from functools import cached_property
+from typing import Iterable, Protocol, runtime_checkable
 
 from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import (
@@ -39,12 +40,15 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    PairTable,
     _accumulate,
     _require_basis,
+    _require_degree,
     bilinear,
     div,
     label_times,
     linear_sum,
+    same_entries,
     times_label,
 )
 from rackalg.leibniz import LeibnizAlgebra, QuotientLie, check_leibniz, is_lie
@@ -56,8 +60,8 @@ class HopfBackend(Protocol):
     """A cocommutative Hopf algebra on a labelled basis.
 
     Every label has a filtration ``degree``; ``fits`` says whether a degree
-    lies under ``cap`` (``None`` when uncapped), and ``pair`` multiplies two
-    basis labels, refusing pairs that do not fit.  ``adjoint(u, v)`` is
+    lies under ``cap`` (``None`` when uncapped), and ``table`` is the product
+    on basis labels, refusing pairs that do not fit.  ``adjoint(u, v)`` is
     ad_u(v) = sum u1 v S(u2).  The basis and unit are the coalgebra's.
     """
 
@@ -74,7 +78,8 @@ class HopfBackend(Protocol):
 
     def degree(self, label: Label) -> int: ...
     def fits(self, degree: int) -> bool: ...
-    def pair(self, x: Label, y: Label) -> FinVec: ...
+    @property
+    def table(self) -> PairTable: ...
     def product(self, a: FinVec, b: FinVec) -> FinVec: ...
     def antipode_map(self) -> FinMap: ...
     def adjoint(self, u: FinVec, v: FinVec) -> FinVec: ...
@@ -121,18 +126,22 @@ class EnvelopingHopf(HopfBackend):
         head, tail = word[:i], word[i + 2:]
         result = linear_sum(self.basis, [(self.straighten(head + (y, x) + tail), ONE)] + [
             (self.straighten(head + (lab,) + tail), c)
-            for lab, c in self.lie.bracket_of_labels(x, y).entries.items()])
+            for lab, c in self.lie.table.entry(x, y).items()])
         self._memo[word] = result
         return result
 
-    def pair(self, wa: Label, wb: Label) -> FinVec:
-        """Product of two PBW words; refuses pairs beyond the cap."""
-        if not self.fits(len(wa) + len(wb)):
-            raise DegreeCapExceeded(len(wa) + len(wb), self.cap, "product")
-        return self.straighten(wa + wb)
+    @cached_property
+    def table(self) -> PairTable:
+        """Products of two PBW words, every pair under the cap straightened
+        once; a pair beyond the cap is refused."""
+        words = self.basis.labels
+        return PairTable.build(
+            self.basis, ((wa, wb, self.straighten(wa + wb)) for wa in words for wb in words
+                         if len(wa) + len(wb) <= self.cap),
+            degrees={w: len(w) for w in words if w}, cap=self.cap)
 
     def product(self, a: FinVec, b: FinVec) -> FinVec:
-        return bilinear(self.basis, self.pair, a, b)
+        return bilinear(self.table, a, b)
 
     def antipode_map(self) -> FinMap:
         """Words reverse with a parity sign; reversal then straightens."""
@@ -144,23 +153,24 @@ class EnvelopingHopf(HopfBackend):
         """A PBW word folds its letters as commutators, rightmost first; each
         letter needs one degree of headroom, as commutators keep the degree.
 
-        Each commutator x acc - acc x is read from the ``pair`` columns into a
+        Each commutator x acc - acc x is read from the table into a
         coefficient dict, so a pair beyond the cap is still refused."""
         if v.basis is not self.basis:
             _require_basis(self.basis, v.basis)
-        pair = self.pair
+        t = self.table
         out: dict[Label, Coeff] = {}
         for word, cu in u.entries.items():
             acc = v.entries
             for lab in reversed(word):
                 x = (lab,)
-                acc = times_label(pair, acc, x, label_times(pair, x, acc), -1)
+                acc = times_label(t, acc, x, label_times(t, x, acc), -1)
             _accumulate(out, cu, acc.items())
         return FinVec(self.basis, out)
 
 
 def enveloping_hopf(lie: LeibnizAlgebra, cap: int, name: str | None = None) -> EnvelopingHopf:
     """Build U(g) for a genuine Lie algebra g (Jacobi and antisymmetry checked)."""
+    _require_degree(cap, "envelope cap")
     check_leibniz(lie)
     if not is_lie(lie):
         raise AxiomViolation("antisymmetry", lie.basis.name,
@@ -174,51 +184,46 @@ def enveloping_hopf(lie: LeibnizAlgebra, cap: int, name: str | None = None) -> E
 # ---------------------------------------------------------------------------
 
 
-def check_hopf(coalg: Coalgebra, product: Callable[[FinVec, FinVec], FinVec],
-               antipode: FinMap, degree_of: Callable[[Label], int] | None = None,
-               cap: int | None = None) -> None:
-    """Verify Hopf-algebra axioms on basis elements.
+def check_hopf(coalg: Coalgebra, t: PairTable, antipode: FinMap) -> None:
+    """Verify the Hopf-algebra axioms of the product ``t`` on basis labels.
 
-    ``product`` is called on basis vectors; when ``cap`` is given, checks
-    whose factor degrees (per ``degree_of``) sum beyond it are skipped, which
-    is the correct reading for a degree-capped algebra.  Raises
-    :class:`AxiomViolation` with the offending labels.
+    Under the table's cap, checks whose factor degrees sum beyond it are
+    skipped, which is the correct reading for a degree-capped algebra.
+    Raises :class:`AxiomViolation` with the offending labels.
     """
     basis = coalg.basis
-    deg = degree_of or (lambda lab: 0)
+    unit = coalg.unit
 
     def fits(*labels: Label) -> bool:
-        return cap is None or sum(deg(l) for l in labels) <= cap
+        return t.cap is None or sum(t.degrees.get(l, 0) for l in labels) <= t.cap
 
-    def e(lab: Label) -> FinVec:
-        return FinVec.unit(basis, lab)
-
-    unit = coalg.unit
     for a in basis.labels:
         if fits(a):
-            if product(unit, e(a)) != e(a):
-                raise AxiomViolation("left unit", a, product(unit, e(a)), e(a))
-            if product(e(a), unit) != e(a):
-                raise AxiomViolation("right unit", a, product(e(a), unit), e(a))
+            e = FinVec.unit(basis, a)
+            for axiom, got in (("left unit", times_label(t, unit.entries, a)),
+                               ("right unit", label_times(t, a, unit.entries))):
+                if FinVec(basis, got) != e:
+                    raise AxiomViolation(axiom, a, FinVec(basis, got), e)
     for a, b, c in itertools.product(basis.labels, repeat=3):
         if fits(a, b, c):
-            lhs = product(product(e(a), e(b)), e(c))
-            rhs = product(e(a), product(e(b), e(c)))
-            if lhs != rhs:
-                raise AxiomViolation("associativity", (a, b, c), lhs, rhs)
-    check_multiplicative(coalg, lambda a, b: product(e(a), e(b)),
-                         [(a, b) for a, b in itertools.product(basis.labels, repeat=2)
-                          if fits(a, b)],
+            lhs = times_label(t, t.entry(a, b), c)
+            rhs = label_times(t, a, t.entry(b, c))
+            if not same_entries(lhs, rhs):
+                raise AxiomViolation("associativity", (a, b, c), FinVec(basis, lhs),
+                                     FinVec(basis, rhs))
+    check_multiplicative(coalg, t, [(a, b) for a, b in itertools.product(basis.labels, repeat=2)
+                                    if fits(a, b)],
                          "coproduct multiplicativity", "counit multiplicativity")
     for a in basis.labels:
-        legs = coalg.legs(a)
-        left = linear_sum(basis, ((product(antipode.column(a1), e(a2)), c) for a1, a2, c in legs))
-        right = linear_sum(basis, ((product(e(a1), antipode.column(a2)), c) for a1, a2, c in legs))
-        target = unit.scale(coalg.eps_of(e(a)))
-        if left != target:
-            raise AxiomViolation("left antipode", a, left, target)
-        if right != target:
-            raise AxiomViolation("right antipode", a, right, target)
+        left: dict[Label, Coeff] = {}
+        right: dict[Label, Coeff] = {}
+        for a1, a2, c in coalg.legs(a):
+            times_label(t, antipode.column(a1).entries, a2, left, c)
+            label_times(t, a1, antipode.column(a2).entries, right, c)
+        target = unit.scale(coalg.counit.get(a, 0))
+        for axiom, got in (("left antipode", left), ("right antipode", right)):
+            if FinVec(basis, got) != target:
+                raise AxiomViolation(axiom, a, FinVec(basis, got), target)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def derivation_action(h: LeibnizAlgebra, sym: Coalgebra, x: FinVec, m: FinVec) -
     for mono in m.entries:
         for letter in mono:
             if letter not in ad:
-                ad[letter] = times_label(h.bracket_of_labels, x.entries, letter)
+                ad[letter] = times_label(h.table, x.entries, letter)
     return FinVec.build(sym.basis, (
         (sort_monomial(h.basis, mono[:i] + (lab,) + mono[i + 1:]), cm * c)
         for mono, cm in m.entries.items()

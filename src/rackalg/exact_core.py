@@ -14,15 +14,21 @@ values: ints, strings, tuples of labels for tensor factors).  Tensor-product
 bases flatten their labels, so ``(A (x) B) (x) C`` and ``A (x) (B (x) C)``
 agree on the nose.
 
-Every product of the package is given on pairs of basis labels, read with a
-label on one side by :func:`times_label` (v . l) and :func:`label_times`
-(l . v), and extended to two vectors by :func:`bilinear`.  Sums are built
-in one pass, never by repeated copies: :func:`linear_sum` for sum c v, and
-:func:`tensor_sum` for a Sweedler-type sum sum c (x (x) y) that is wanted as
-a vector (an identity compares such sums as dicts keyed by label pairs, see
-:mod:`rackalg.symcoalg`).  Every sum and product of vectors is formed in one
-private in-place accumulator, ``_accumulate``, which drops zeros and keeps
-integral sums ints.
+Every product of the package is stored once, as a :class:`PairTable`: its
+columns keyed by basis-label pairs, held both as rows {la: {lb: column}} and as
+columns {lb: {la: column}}, validated once when the table is built (exact
+coefficients, keys in the domain, entries in the codomain) and, for a capped
+algebra, refusing the pairs whose degrees sum beyond the cap.  A product with
+a basis label on one side is read by :func:`times_label` (v . l) and
+:func:`label_times` (l . v), and two vectors are multiplied by
+:func:`bilinear`; each adds the stored columns inside its own loop, so a term
+costs one dict lookup.  Sums are built in one pass, never by repeated copies:
+:func:`linear_sum` for sum c v, and :func:`tensor_sum` for a Sweedler-type sum
+sum c (x (x) y) that is wanted as a vector (an identity compares such sums as
+dicts keyed by label pairs, see :mod:`rackalg.symcoalg`).  Every other sum and
+product of vectors is formed in one private in-place accumulator,
+``_accumulate``, which drops zeros and keeps integral sums ints; the table
+readers inline the same rule.
 
 All elimination goes through one private kernel, ``_Echelon``: sparse rows in
 reduced row-echelon form, each keyed by its pivot, the smallest column of the
@@ -38,9 +44,12 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence, Union
+
+from rackalg.errors import DegreeCapExceeded, SchemaError
 
 Label = Hashable
 Rational = Union[int, Fraction]
@@ -304,10 +313,12 @@ def tensor_basis(*bases: Basis) -> Basis:
     flat: list[Basis] = []
     for b in bases:
         flat.extend(b.factors if b.factors else (b,))
-    labels = tuple(
-        tuple(itertools.chain.from_iterable(_label_parts(b, lab) for b, lab in zip(bases, combo)))
-        for combo in itertools.product(*(b.labels for b in bases))
-    )
+    if any(b.factors for b in bases):
+        parts = [[_label_parts(b, lab) for lab in b.labels] for b in bases]
+        labels = tuple(tuple(itertools.chain.from_iterable(combo))
+                       for combo in itertools.product(*parts))
+    else:
+        labels = tuple(itertools.product(*(b.labels for b in bases)))
     name = " (x) ".join(b.name for b in flat)
     return Basis(name, labels, tuple(flat))
 
@@ -420,6 +431,16 @@ class FinMap:
                 cols[lab] = v
         return FinMap(domain, codomain, cols)
 
+    @staticmethod
+    def from_pairs(left: Basis, right: Basis, domain: Basis, codomain: Basis,
+                   col: Callable[[Label, Label], Mapping[Label, Coeff]]) -> "FinMap":
+        """The map on ``domain`` = left (x) right whose column at the merged
+        label of (la, lb) is the coefficient dict ``col(la, lb)``, filled row
+        by row."""
+        pairs = zip(itertools.product(left.labels, right.labels), domain.labels)
+        return FinMap(domain, codomain, {key: FinVec(codomain, e) for (la, lb), key in pairs
+                                         if (e := col(la, lb))})
+
     def column(self, label: Label) -> FinVec:
         return self.columns.get(label) or FinVec.zero(self.codomain)
 
@@ -475,45 +496,135 @@ class FinMap:
         return f"FinMap({self.domain.name} -> {self.codomain.name})"
 
 
-def bilinear(basis: Basis, pair: Callable[[Label, Label], FinVec],
-             a: FinVec, b: FinVec) -> FinVec:
-    """The product of a and b, extended bilinearly from ``pair``.
+_NO_ENTRIES: Mapping[Label, Coeff] = MappingProxyType({})
 
-    ``pair(la, lb)`` is the product of two basis vectors, in ``basis``; it may
-    raise (for example :class:`~rackalg.errors.DegreeCapExceeded`) to refuse
-    a pair.
+
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """A bilinear product on basis labels: the one form every product is read in.
+
+    ``rows[la][lb]`` and ``cols[lb][la]`` are the same coefficient dict, the
+    product of la and lb in ``basis``; an absent pair multiplies to zero.
+    With a ``cap``, a pair whose ``degrees`` (sparse, default 0) sum beyond it
+    is refused with :class:`DegreeCapExceeded`, stored or not.
     """
-    acc: dict[Label, Coeff] = {}
-    for la, ca in a.entries.items():
-        for lb, cb in b.entries.items():
-            v = pair(la, lb)
-            if not v.entries:
-                continue
+
+    basis: Basis
+    rows: Mapping[Label, Mapping[Label, Mapping[Label, Coeff]]]
+    cols: Mapping[Label, Mapping[Label, Mapping[Label, Coeff]]]
+    degrees: Mapping[Label, int] = field(default_factory=dict)
+    cap: int | None = None
+    context: str = "product"
+
+    @staticmethod
+    def build(basis: Basis, columns: Iterable[tuple[Label, Label, FinVec]],
+              left: Basis | None = None, right: Basis | None = None, **kwargs: Any) -> "PairTable":
+        """The table of the (la, lb, la lb) columns, each entry checked once: a
+        column from another space raises ValueError; an inexact coefficient, an
+        entry outside ``basis`` or a key outside ``left`` x ``right`` SchemaError."""
+        rows: dict[Label, dict[Label, Mapping[Label, Coeff]]] = {}
+        cols: dict[Label, dict[Label, Mapping[Label, Coeff]]] = {}
+        for la, lb, v in columns:
+            if left is not None and (la not in left._index or lb not in right._index):
+                raise SchemaError(f"key {(la, lb)!r} is not in {left.name} x {right.name}")
             if v.basis is not basis:
                 _require_basis(basis, v.basis)
-            _accumulate(acc, ca * cb, v.entries.items())
-    return FinVec(basis, acc)
+            for lab, c in v.entries.items():
+                if type(c) is not int and not isinstance(c, (Fraction, SeriesScalar)):
+                    raise SchemaError(f"coefficient {c!r} at {(la, lb)!r} is not exact")
+                if lab not in basis._index:
+                    raise SchemaError(f"entry {lab!r} at {(la, lb)!r} is not in {basis.name}")
+            if v.entries:
+                rows.setdefault(la, {})[lb] = cols.setdefault(lb, {})[la] = v.entries
+        return PairTable(basis, rows, cols, **kwargs)
+
+    @staticmethod
+    def from_map(fmap: FinMap, left: Basis, right: Basis, **kwargs: Any) -> "PairTable":
+        """The table of a map on ``left (x) right``, whose column at the merged
+        label of (la, lb) is the product of la and lb."""
+        dom, cols = fmap.domain, fmap.columns
+        if dom.factors != _flat_factors(left) + _flat_factors(right) or \
+                dom.dim != left.dim * right.dim or not dom._index.keys() >= cols.keys():
+            raise SchemaError(f"columns of {dom.name} are not keyed by "
+                              f"{left.name} (x) {right.name}")
+        # tensor_basis lists the merged labels in the order of the label pairs
+        pairs = zip(itertools.product(left.labels, right.labels), dom.labels)
+        return PairTable.build(fmap.codomain, ((la, lb, cols[key]) for (la, lb), key in pairs
+                                              if key in cols), **kwargs)
+
+    def entry(self, la: Label, lb: Label) -> Mapping[Label, Coeff]:
+        """The product of two basis labels as a coefficient dict."""
+        if self.cap is not None:
+            _refuse(self, la, (lb,))
+        return self.rows.get(la, _NO_ENTRIES).get(lb, _NO_ENTRIES)
+
+    def vector(self, la: Label, lb: Label) -> FinVec:
+        return FinVec(self.basis, self.entry(la, lb))
+
+    def opposite(self) -> "PairTable":
+        """The product lb la: rows and columns swapped."""
+        return PairTable(self.basis, self.cols, self.rows, self.degrees, self.cap, self.context)
 
 
-def times_label(pair: Callable[[Label, Label], FinVec], v: Mapping[Label, Coeff], label: Label,
+def _refuse(t: PairTable, label: Label, v: Iterable[Label]) -> None:
+    """Raise as reading label with each l of ``v``, on either side, does."""
+    d = t.degrees.get(label, 0)
+    for lab in v:
+        if d + t.degrees.get(lab, 0) > t.cap:
+            raise DegreeCapExceeded(d + t.degrees.get(lab, 0), t.cap, t.context)
+
+
+def bilinear(t: PairTable, a: FinVec, b: FinVec) -> FinVec:
+    """The product of a and b, extended bilinearly from the table ``t``."""
+    acc: dict[Label, Coeff] = {}
+    for la, ca in a.entries.items():
+        _read(t, t.rows, la, b.entries, acc, ca)
+    return FinVec(t.basis, acc)
+
+
+def times_label(t: PairTable, v: Mapping[Label, Coeff], label: Label,
                 acc: dict[Label, Coeff] | None = None, c: Coeff = ONE) -> dict[Label, Coeff]:
-    """v . label = sum_l v_l pair(l, label) for coefficients ``v``, read from the
-    columns ``pair`` returns; added c times into ``acc`` (a new dict by default)."""
-    acc = {} if acc is None else acc
+    """v . label = sum_l v_l (l . label) for coefficients ``v``, read from the
+    column of ``label``; added c times into ``acc`` (a new dict by default)."""
+    return _read(t, t.cols, label, v, {} if acc is None else acc, c)
+
+
+def label_times(t: PairTable, label: Label, v: Mapping[Label, Coeff],
+                acc: dict[Label, Coeff] | None = None, c: Coeff = ONE) -> dict[Label, Coeff]:
+    """label . v = sum_m v_m (label . m), read from the row of ``label``; the
+    mirror of :func:`times_label`."""
+    return _read(t, t.rows, label, v, {} if acc is None else acc, c)
+
+
+def _read(t: PairTable, lines: Mapping[Label, Mapping[Label, Mapping[Label, Coeff]]],
+          label: Label, v: Mapping[Label, Coeff], acc: dict[Label, Coeff],
+          c: Coeff) -> dict[Label, Coeff]:
+    """acc += c sum_l v_l lines[label][l]: the innermost loop of every
+    certifier, with the rule of ``_accumulate`` written inline."""
+    if t.cap is not None:
+        _refuse(t, label, v)
+    line = lines.get(label)
+    if not line:
+        return acc
     one = type(c) is int and c == 1
     for lab, cv in v.items():
-        _accumulate(acc, cv if one else c * cv, pair(lab, label).entries.items())
-    return acc
-
-
-def label_times(pair: Callable[[Label, Label], FinVec], label: Label, v: Mapping[Label, Coeff],
-                acc: dict[Label, Coeff] | None = None, c: Coeff = ONE) -> dict[Label, Coeff]:
-    """label . v = sum_m v_m pair(label, m), as a coefficient dict; the mirror
-    of :func:`times_label`."""
-    acc = {} if acc is None else acc
-    one = type(c) is int and c == 1
-    for lab, cv in v.items():
-        _accumulate(acc, cv if one else c * cv, pair(label, lab).entries.items())
+        col = line.get(lab)
+        if col is None:
+            continue
+        w = cv if one else c * cv
+        unit = type(w) is int and w == 1
+        for l, x in col.items():
+            term = x if unit else w * x
+            if not term:
+                continue
+            prev = acc.get(l)
+            s = term if prev is None else prev + term
+            if type(s) is Fraction and s.denominator == 1:
+                s = s.numerator
+            if s:
+                acc[l] = s
+            elif prev is not None:
+                del acc[l]
     return acc
 
 
@@ -566,6 +677,12 @@ def _require_basis(want: Basis | tuple[Basis, ...], got: Basis | tuple[Basis, ..
     """Refuse a term from another space: labels alone may collide."""
     if got is not want and got != want:
         raise ValueError(f"basis mismatch: expected {want!r}, got {got!r}")
+
+
+def _require_degree(degree: Any, what: str = "truncation degree") -> None:
+    """A truncation degree or cap is a nonnegative int (a bool is not)."""
+    if type(degree) is not int or degree < 0:
+        raise SchemaError(f"{what} must be a nonnegative integer, got {degree!r}")
 
 
 def split_label(basis: Basis, label: Label, parts: int = 2) -> tuple[Label, ...]:
@@ -778,7 +895,8 @@ def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:
 
 
 __all__ = [
-    "Basis", "Coeff", "FinMap", "FinVec", "Label", "Rational", "SeriesScalar", "SpanSolver",
+    "Basis", "Coeff", "FinMap", "FinVec", "Label", "PairTable", "Rational", "SeriesScalar",
+    "SpanSolver",
     "bilinear", "div", "format_rational", "kernel_basis", "label_times",
     "linear_sum", "merge_labels", "nullspace", "rank", "rank_of", "rational", "same_entries",
     "scalar_eq", "series_exp", "span_basis",

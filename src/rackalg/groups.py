@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from rackalg.env_hopf import HopfBackend
 from rackalg.errors import AxiomViolation, SchemaError
-from rackalg.exact_core import Basis, FinMap, FinVec, Label, bilinear, tensor_basis
+from rackalg.exact_core import Basis, FinMap, FinVec, Label, PairTable, bilinear, tensor_basis
 from rackalg.symcoalg import Coalgebra
 
 __all__ = [
@@ -145,19 +146,24 @@ class GroupHopf(HopfBackend):
     def fits(self, degree: int) -> bool:
         return True
 
-    def pair(self, x: Label, y: Label) -> FinVec:
-        return FinVec.unit(self.basis, self.group.mul(x, y))
+    @cached_property
+    def table(self) -> PairTable:
+        """The multiplication table: x y on every pair of elements."""
+        basis = self.basis
+        return PairTable.build(basis, ((x, y, FinVec.unit(basis, self.group.mul(x, y)))
+                                       for x in basis.labels for y in basis.labels))
 
     def product(self, a: FinVec, b: FinVec) -> FinVec:
-        return bilinear(self.basis, self.pair, a, b)
+        return bilinear(self.table, a, b)
 
     def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
-        return bilinear(self.basis, lambda g, x: FinVec.unit(
-            self.basis, self.group.conjugate(g, x)), u, v)
+        return FinVec.build(self.basis, ((self.group.conjugate(g, x), cu * cv)
+                                         for g, cu in u.entries.items()
+                                         for x, cv in v.entries.items()))
 
     def mul_map(self) -> FinMap:
         return FinMap.from_function(self.coalgebra.square, self.basis,
-                                    lambda xy: self.pair(*xy))
+                                    lambda xy: self.table.vector(*xy))
 
     def antipode_map(self) -> FinMap:
         return FinMap.from_function(

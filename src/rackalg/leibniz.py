@@ -22,6 +22,7 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    PairTable,
     Rational,
     SpanSolver,
     bilinear,
@@ -38,8 +39,10 @@ from rackalg.exact_core import (
 class LeibnizAlgebra:
     """Bracket table over a labelled basis; missing pairs bracket to zero.
 
-    ``bracket[(j, k)]`` is the vector [e_j, e_k].  Construction validates
-    shapes only; the Leibniz identity itself is checked by
+    ``bracket[(j, k)]`` is the vector [e_j, e_k]; ``table`` is the same
+    product as a :class:`~rackalg.exact_core.PairTable`, built on construction.
+    Construction validates shapes and exact coefficients only; the Leibniz
+    identity itself is checked by
     :func:`check_leibniz`, so intentionally broken tables can be built for
     negative tests.
     """
@@ -48,12 +51,9 @@ class LeibnizAlgebra:
     bracket: Mapping[tuple[Label, Label], FinVec]
 
     def __post_init__(self) -> None:
-        for (j, k), v in self.bracket.items():
-            if j not in self.basis or k not in self.basis:
-                raise ValueError(f"bracket key ({j!r}, {k!r}) not in basis {self.basis.name}")
-            if v.basis is not self.basis and v.basis != self.basis:
-                raise ValueError(f"bracket value for ({j!r}, {k!r}) lives in the wrong space")
-        object.__setattr__(self, "_zero", FinVec.zero(self.basis))
+        object.__setattr__(self, "table", PairTable.build(
+            self.basis, ((j, k, v) for (j, k), v in self.bracket.items()),
+            self.basis, self.basis, context="bracket"))
 
     @staticmethod
     def from_table(dim: int,
@@ -72,18 +72,15 @@ class LeibnizAlgebra:
     def dim(self) -> int:
         return self.basis.dim
 
-    def bracket_of_labels(self, j: Label, k: Label) -> FinVec:
-        return self.bracket.get((j, k)) or self._zero
-
     def bracket_of(self, x: FinVec, y: FinVec) -> FinVec:
         """Bilinear extension of the bracket table."""
-        return bilinear(self.basis, self.bracket_of_labels, x, y)
+        return bilinear(self.table, x, y)
 
     def ad(self, x: FinVec) -> FinMap:
         """Left adjoint map ad_x = [x, -]."""
         return FinMap.from_function(
             self.basis, self.basis,
-            lambda k: self.bracket_of(x, FinVec.unit(self.basis, k)))
+            lambda k: FinVec(self.basis, times_label(self.table, x.entries, k)))
 
     def is_abelian(self) -> bool:
         return all(v.is_zero for v in self.bracket.values())
@@ -97,11 +94,11 @@ def check_leibniz(h: LeibnizAlgebra) -> None:
     bracket with a basis label on one side is read from the stored columns
     into a coefficient dict; vectors are built only for a violation.
     """
-    pair = h.bracket_of_labels
+    t = h.table
     for j, k, l in itertools.product(h.basis.labels, repeat=3):
-        lhs = label_times(pair, j, pair(k, l).entries)
-        rhs = times_label(pair, pair(j, k).entries, l)
-        label_times(pair, k, pair(j, l).entries, rhs)
+        lhs = label_times(t, j, t.entry(k, l))
+        rhs = times_label(t, t.entry(j, k), l)
+        label_times(t, k, t.entry(j, l), rhs)
         if not same_entries(lhs, rhs):
             raise LeibnizViolation(j, k, l, FinVec(h.basis, lhs), FinVec(h.basis, rhs))
 
@@ -110,7 +107,7 @@ def is_lie(h: LeibnizAlgebra) -> bool:
     """Antisymmetry of the bracket table ([e_j,e_k] = -[e_k,e_j], squares zero)."""
     labs = h.basis.labels
     return all(
-        h.bracket_of_labels(j, k) == -h.bracket_of_labels(k, j)
+        h.table.vector(j, k) == -h.table.vector(k, j)
         for j, k in itertools.product(labs, repeat=2))
 
 
@@ -126,9 +123,9 @@ def squares_ideal(h: LeibnizAlgebra) -> list[FinVec]:
     spanning: list[FinVec] = []
     for i, j in itertools.combinations_with_replacement(labs, 2):
         if i == j:
-            spanning.append(h.bracket_of_labels(i, i))
+            spanning.append(h.table.vector(i, i))
         else:
-            spanning.append(h.bracket_of_labels(i, j) + h.bracket_of_labels(j, i))
+            spanning.append(h.table.vector(i, j) + h.table.vector(j, i))
     return span_basis([v for v in spanning if not v.is_zero])
 
 
@@ -140,7 +137,7 @@ def left_center(h: LeibnizAlgebra) -> list[FinVec]:
     def col(j: Label) -> FinVec:
         items = []
         for k in labs:
-            for i, c in h.bracket_of_labels(j, k).entries.items():
+            for i, c in h.table.entry(j, k).items():
                 items.append(((k, i), c))
         return FinVec.build(stacked, items)
 
@@ -204,7 +201,7 @@ def quotient_lie(h: LeibnizAlgebra, z: Sequence[FinVec] | None = None,
 
     bracket: dict[tuple[Label, Label], FinVec] = {}
     for s, t in itertools.product(rep_labels, repeat=2):
-        w = p(h.bracket_of_labels(s, t))
+        w = p(h.table.vector(s, t))
         if not w.is_zero:
             bracket[(s, t)] = w
     g = LeibnizAlgebra(g_basis, bracket)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from rackalg.env_hopf import HopfBackend, enveloping_hopf, module_action, phi_map
@@ -38,9 +39,12 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    PairTable,
     Rational,
     SpanSolver,
+    _NO_ENTRIES,
     _accumulate,
+    _require_degree,
     bilinear,
     div,
     label_times,
@@ -155,10 +159,19 @@ def conjugation_rack(g: FiniteGroup) -> FiniteRack:
 # ---------------------------------------------------------------------------
 
 
+def _certified(obj, **changes):
+    """A certified copy of a structure; the product tables it has built carry
+    over, since the copy shares the fields they were built from."""
+    out = dataclasses.replace(obj, certified=True, **changes)
+    out.__dict__.update((k, v) for k, v in obj.__dict__.items() if isinstance(v, PairTable))
+    return out
+
+
 @dataclass(frozen=True)
 class RackBialgebra:
     """Coalgebra carrier plus the product mu on the tensor square.
 
+    ``table`` is ``mu`` on label pairs, built from it on first read.
     ``certified`` is set only by :func:`certify`.
     """
 
@@ -170,12 +183,12 @@ class RackBialgebra:
     def basis(self) -> Basis:
         return self.carrier.basis
 
-    def pair(self, la: Label, lb: Label) -> FinVec:
-        """Product of two basis labels: a column of ``mu``."""
-        return self.mu.column(merge_labels(self.basis, la, lb))
+    @cached_property
+    def table(self) -> PairTable:
+        return PairTable.from_map(self.mu, self.basis, self.basis)
 
     def apply(self, a: FinVec, b: FinVec) -> FinVec:
-        return bilinear(self.basis, self.pair, a, b)
+        return bilinear(self.table, a, b)
 
 
 def certify(rb: RackBialgebra) -> RackBialgebra:
@@ -188,7 +201,7 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
     """
     check_coalgebra(rb.carrier)
     _check_product(rb)
-    return dataclasses.replace(rb, certified=True)
+    return _certified(rb)
 
 
 def _violation(basis: Basis, axiom: str, witness: tuple, lhs: Mapping[Label, Coeff],
@@ -212,36 +225,34 @@ def _check_product(rb: RackBialgebra) -> None:
     labels = basis.labels
     if rb.mu.domain != c.square or rb.mu.codomain != basis:
         raise SchemaError(f"product of {basis.name} must map its tensor square to itself")
-    prod = {(la, lb): rb.pair(la, lb) for la in labels for lb in labels}
-
-    def pair(la: Label, lb: Label) -> FinVec:
-        return prod[la, lb]
-
+    t = rb.table
     one = c.unit
-    got = bilinear(basis, pair, one, one)
+    got = bilinear(t, one, one)
     if got != one:
         raise AxiomViolation("unit square", "1", got, one)
     for lab in labels:
         a = FinVec.unit(basis, lab)
-        lhs = FinVec(basis, times_label(pair, one.entries, lab))
+        lhs = FinVec(basis, times_label(t, one.entries, lab))
         if lhs != a:
             raise AxiomViolation("left unit", lab, lhs, a)
-        lhs = FinVec(basis, label_times(pair, lab, one.entries))
+        lhs = FinVec(basis, label_times(t, lab, one.entries))
         rhs = one.scale(c.counit.get(lab, ZERO))
         if lhs != rhs:
             raise AxiomViolation("unit absorption", lab, lhs, rhs)
-    check_multiplicative(c, pair, itertools.product(labels, repeat=2),
+    check_multiplicative(c, t, itertools.product(labels, repeat=2),
                          "coproduct multiplicativity", "counit multiplicativity")
+    rows = t.rows  # a rack product has no cap: every row is read directly
     for la in labels:
         legs = c.legs(la)
         for lb in labels:
-            left = [(l, ca * cl, a2) for a1, a2, ca in legs
-                    for l, cl in prod[a1, lb].entries.items()]
+            left = [(l, ca * cl, rows.get(a2, _NO_ENTRIES)) for a1, a2, ca in legs
+                    for l, cl in rows.get(a1, _NO_ENTRIES).get(lb, _NO_ENTRIES).items()]
+            row_b = rows.get(lb, _NO_ENTRIES)
             for lc in labels:
-                lhs = label_times(pair, la, prod[lb, lc].entries)
+                lhs = label_times(t, la, row_b.get(lc, _NO_ENTRIES))
                 rhs: dict[Label, Coeff] = {}
-                for l, w, a2 in left:
-                    label_times(pair, l, prod[a2, lc].entries, rhs, w)
+                for l, w, row in left:
+                    label_times(t, l, row.get(lc, _NO_ENTRIES), rhs, w)
                 if not same_entries(lhs, rhs):
                     raise _violation(basis, "self-distributivity", (la, lb, lc), lhs, rhs)
 
@@ -254,26 +265,21 @@ def _check_product(rb: RackBialgebra) -> None:
 def trivial(carrier: Coalgebra) -> RackBialgebra:
     """The left-trivial product a |> b = eps(a) b on any coalgebra."""
     basis = carrier.basis
+    counit = carrier.counit
 
-    def col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        e = carrier.counit.get(la, ZERO)
-        return FinVec.unit(basis, lb).scale(e) if e else FinVec.zero(basis)
+    def col(la: Label, lb: Label) -> Mapping[Label, Coeff]:
+        e = counit.get(la, ZERO)
+        return {lb: e} if e else {}
 
-    mu = FinMap.from_function(carrier.square, basis, col)
-    return certify(RackBialgebra(carrier, mu))
+    return certify(RackBialgebra(carrier, FinMap.from_pairs(basis, basis, carrier.square, basis,
+                                                            col)))
 
 
 def rack_group_algebra(x: FiniteRack) -> RackBialgebra:
     """The rack algebra of a finite rack: set-like basis, linearized table."""
     coalg = group_like_coalgebra(f"K[{x.name}]", x.elements, x.unit)
     basis = coalg.basis
-
-    def col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        return FinVec.unit(basis, x.op[(la, lb)])
-
-    mu = FinMap.from_function(coalg.square, basis, col)
+    mu = FinMap.from_pairs(basis, basis, coalg.square, basis, lambda la, lb: {x.op[(la, lb)]: ONE})
     return certify(RackBialgebra(coalg, mu))
 
 
@@ -287,19 +293,17 @@ def ur(h: LeibnizAlgebra) -> RackBialgebra:
     check_leibniz(h)
     carrier = symmetric_coalgebra(h.basis, 1, name=f"UR({h.basis.name})")
     basis = carrier.basis
+    bracket = h.table
 
-    def col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        assert isinstance(la, tuple) and isinstance(lb, tuple)
+    def col(la: Label, lb: Label) -> Mapping[Label, Coeff]:
         if not la:
-            return FinVec.unit(basis, lb)
+            return {lb: ONE}
         if not lb:
-            return FinVec.zero(basis)
-        v = h.bracket_of_labels(la[0], lb[0])
-        return FinVec.build(basis, (((i,), c) for i, c in v.entries.items()))
+            return {}
+        return {(i,): c for i, c in bracket.entry(la[0], lb[0]).items()}
 
-    mu = FinMap.from_function(carrier.square, basis, col)
-    return certify(RackBialgebra(carrier, mu))
+    return certify(RackBialgebra(carrier, FinMap.from_pairs(basis, basis, carrier.square, basis,
+                                                            col)))
 
 
 def gauge(rb: RackBialgebra, f: FinMap) -> RackBialgebra:
@@ -315,18 +319,17 @@ def gauge(rb: RackBialgebra, f: FinMap) -> RackBialgebra:
     if f(c.unit) != c.unit:
         raise AxiomViolation("gauge fixes coaugmentation", "1", f(c.unit), c.unit)
     check_coalgebra_map(c, c, f.column, basis.labels, "gauge")
+    t = rb.table
     for la in basis.labels:
         for lb in basis.labels:
-            lhs = f(rb.pair(la, lb))
-            rhs = FinVec(basis, label_times(rb.pair, la, f.column(lb).entries))
+            lhs = f(t.vector(la, lb))
+            rhs = FinVec(basis, label_times(t, la, f.column(lb).entries))
             if lhs != rhs:
                 raise GaugeEquivarianceViolation(
                     f"f(a |> b) != a |> f(b) at basis pair ({la!r}, {lb!r})")
-    def col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        return FinVec(basis, times_label(rb.pair, f.column(la).entries, lb))
-
-    return certify(RackBialgebra(c, FinMap.from_function(c.square, basis, col)))
+    mu = FinMap.from_pairs(basis, basis, c.square, basis,
+                           lambda la, lb: times_label(t, f.column(la).entries, lb))
+    return certify(RackBialgebra(c, mu))
 
 
 def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
@@ -337,7 +340,8 @@ def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
     ``degree`` or one below the cap, so that every commutator stays
     representable; an uncapped algebra keeps every label.
     """
-    _require_degree(degree)
+    if degree is not None:
+        _require_degree(degree)
     c = hopf.coalgebra
     if hopf.cap is not None:
         k = hopf.cap - 1 if degree is None else degree
@@ -346,20 +350,14 @@ def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
         c = restrict_coalgebra(c, [lab for lab in c.basis.labels if hopf.degree(lab) <= k],
                                f"Ad({hopf.basis.name})<={k}")
     basis = c.basis
+    units = {lab: FinVec.unit(hopf.basis, lab) for lab in basis.labels}
 
-    def col(pair: Label) -> FinVec:
-        wa, wb = split_label(basis, pair)
-        v = hopf.adjoint(FinVec.unit(hopf.basis, wa), FinVec.unit(hopf.basis, wb))
+    def col(wa: Label, wb: Label) -> Mapping[Label, Coeff]:
+        v = hopf.adjoint(units[wa], units[wb])
         assert all(lab in basis for lab in v.entries)
-        return FinVec.build(basis, v.entries)
+        return v.entries
 
-    return certify(RackBialgebra(c, FinMap.from_function(c.square, basis, col)))
-
-
-def _require_degree(degree: int | None) -> None:
-    """A carrier truncation degree is None or a nonnegative int (a bool is not)."""
-    if degree is not None and (type(degree) is not int or degree < 0):
-        raise SchemaError(f"truncation degree must be a nonnegative integer, got {degree!r}")
+    return certify(RackBialgebra(c, FinMap.from_pairs(basis, basis, c.square, basis, col)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,35 +380,17 @@ class AugmentedRackBialgebra:
     action: FinMap
     certified: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_columns", None)
-        object.__setattr__(self, "_zero", FinVec.zero(self.action.codomain))
-
     @property
     def carrier(self) -> Coalgebra:
         return self.rack.carrier
 
-    @property
-    def action_columns(self) -> Mapping[tuple[Label, Label], FinVec]:
-        """The stored columns of ``action`` keyed by the label pair (lh, la),
-        built on first use."""
-        if self._columns is None:
-            hopf_basis, carrier = self.hopf.basis, self.action.codomain
-            cols = self.action.columns
-            pairs = ((lh, la, merge_labels(hopf_basis, lh) + merge_labels(carrier, la))
-                     for lh in hopf_basis.labels for la in carrier.labels)
-            object.__setattr__(self, "_columns", {(lh, la): cols[key]
-                                                  for lh, la, key in pairs if key in cols})
-        return self._columns
-
-    def act_pair(self, lh: Label, la: Label) -> FinVec:
-        """Action of two basis labels: a column of ``action``, read from
-        :attr:`action_columns`."""
-        col = self.action_columns.get((lh, la))
-        return self._zero if col is None else col
+    @cached_property
+    def table(self) -> PairTable:
+        """``action`` on label pairs (lh, la), built from it on first read."""
+        return PairTable.from_map(self.action, self.hopf.basis, self.carrier.basis)
 
     def act(self, u: FinVec, a: FinVec) -> FinVec:
-        return bilinear(self.action.codomain, self.act_pair, u, a)
+        return bilinear(self.table, u, a)
 
 
 def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
@@ -424,11 +404,11 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     hopf = arb.hopf
     hc = hopf.coalgebra
     phi = arb.phi
-    mixed = tensor_basis(hc.basis, bc.basis)
     if phi.domain != bc.basis or phi.codomain != hc.basis:
         raise SchemaError("phi must map the carrier into the Hopf algebra")
-    if arb.action.domain != mixed or arb.action.codomain != bc.basis:
+    if arb.action.codomain != bc.basis:
         raise SchemaError("action must map hopf (x) carrier into the carrier")
+    act = arb.table
     check_coalgebra(bc)
     check_coalgebra(hc)
 
@@ -436,31 +416,31 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     if phi(bc.unit) != hc.unit:
         raise AxiomViolation("augmentation coaugmentation", "1", phi(bc.unit), hc.unit)
 
-    act_pair = arb.act_pair
     for la in bc.basis.labels:
         a = FinVec.unit(bc.basis, la)
-        got = FinVec(bc.basis, times_label(act_pair, hc.unit.entries, la))
+        got = FinVec(bc.basis, times_label(act, hc.unit.entries, la))
         if got != a:
             raise AxiomViolation("action unit", la, got, a)
     for lh in hc.basis.labels:
-        got = FinVec(bc.basis, label_times(act_pair, lh, bc.unit.entries))
+        got = FinVec(bc.basis, label_times(act, lh, bc.unit.entries))
         want = bc.unit.scale(hc.counit.get(lh, ZERO))
         if got != want:
             raise AxiomViolation("action fixes coaugmentation", lh, got, want)
 
     # (uv).a is uv read against a, and u.(v.a) is u read against v.a
+    hopf_t = hopf.table
     for lu in hc.basis.labels:
         for lv in hc.basis.labels:
             if not hopf.fits(hopf.degree(lu) + hopf.degree(lv)):
                 continue
-            uv = hopf.pair(lu, lv).entries
+            uv = hopf_t.entry(lu, lv)
             for la in bc.basis.labels:
-                lhs = times_label(act_pair, uv, la)
-                rhs = label_times(act_pair, lu, act_pair(lv, la).entries)
+                lhs = times_label(act, uv, la)
+                rhs = label_times(act, lu, act.entry(lv, la))
                 if not same_entries(lhs, rhs):
                     raise _violation(bc.basis, "action associativity", (lu, lv, la), lhs, rhs)
 
-    check_multiplicative(bc, act_pair, itertools.product(hc.basis.labels, bc.basis.labels),
+    check_multiplicative(bc, act, itertools.product(hc.basis.labels, bc.basis.labels),
                          "action comultiplicativity", "action counit", left=hc)
 
     for lh in hc.basis.labels:
@@ -469,17 +449,17 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
             pa = phi.column(la)
             if not hopf.fits(max((hopf.degree(w) for w in pa.entries), default=0) + 1):
                 continue
-            lhs = phi(arb.act_pair(lh, la))
+            lhs = phi(act.vector(lh, la))
             rhs = hopf.adjoint(u, pa)
             if lhs != rhs:
                 raise AxiomViolation("augmentation intertwines adjoint", (lh, la), lhs, rhs)
 
-    rack_pair = arb.rack.pair
+    rack_t = arb.rack.table
     for la in bc.basis.labels:
         pa = phi.column(la).entries
         for lb in bc.basis.labels:
-            want = FinVec(bc.basis, times_label(act_pair, pa, lb))
-            got = rack_pair(la, lb)
+            want = FinVec(bc.basis, times_label(act, pa, lb))
+            got = rack_t.vector(la, lb)
             if got != want:
                 raise AxiomViolation("induced product", (la, lb), got, want)
 
@@ -494,17 +474,16 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
             acc1: dict[Label, Coeff] = {}
             acc2: dict[Label, Coeff] = {}
             for a1, a2, ca in legs:
-                label_times(rack_pair, a1, times_label(act_pair, s_phi[a2], lb), acc1, ca)
-                ab = rack_pair(a2, lb).entries
+                label_times(rack_t, a1, times_label(act, s_phi[a2], lb), acc1, ca)
+                ab = rack_t.entry(a2, lb)
                 for w, cw in s_phi[a1].items():
-                    label_times(act_pair, w, ab, acc2, ca * cw)
+                    label_times(act, w, ab, acc2, ca * cw)
             for axiom, got in (("left regularity", acc1), ("left regularity flipped", acc2)):
                 if not same_entries(got, want):
                     raise _violation(bc.basis, axiom, (la, lb), got, want)
 
     _check_product(arb.rack)
-    return dataclasses.replace(arb, rack=dataclasses.replace(arb.rack, certified=True),
-                               certified=True)
+    return _certified(arb, rack=_certified(arb.rack))
 
 
 def augmented_from_action(carrier: Coalgebra, hopf: HopfBackend, phi: FinMap,
@@ -515,15 +494,16 @@ def augmented_from_action(carrier: Coalgebra, hopf: HopfBackend, phi: FinMap,
 
 def _assemble(carrier: Coalgebra, hopf: HopfBackend, phi: FinMap,
               action: FinMap) -> AugmentedRackBialgebra:
-    """The uncertified structure; mu is built column by column as phi(a).b."""
+    """The uncertified structure; mu is filled row by row as phi(a).b, read
+    from the table of ``action``, which the structure keeps as its own."""
     basis = carrier.basis
-
-    def col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        return action(phi.column(la).tensor(FinVec.unit(basis, lb), action.domain))
-
-    mu = FinMap.from_function(carrier.square, basis, col)
-    return AugmentedRackBialgebra(RackBialgebra(carrier, mu), hopf, phi, action)
+    act = PairTable.from_map(action, hopf.basis, basis)
+    phi_cols = {la: phi.column(la).entries for la in basis.labels}
+    mu = FinMap.from_pairs(basis, basis, carrier.square, basis,
+                           lambda la, lb: times_label(act, phi_cols[la], lb))
+    arb = AugmentedRackBialgebra(RackBialgebra(carrier, mu), hopf, phi, action)
+    arb.__dict__["table"] = act
+    return arb
 
 
 def trivial_augmented(carrier: Coalgebra, hopf: HopfBackend,
@@ -540,13 +520,8 @@ def augmented_conjugation(g: FiniteGroup) -> AugmentedRackBialgebra:
     """The group algebra acting on itself by conjugation, phi = id."""
     hopf = group_hopf(g)
     c = hopf.coalgebra
-    domain = tensor_basis(c.basis, c.basis)
-
-    def col(pair: Label) -> FinVec:
-        lg, lx = split_label(c.basis, pair)
-        return FinVec.unit(c.basis, g.conjugate(lg, lx))
-
-    action = FinMap.from_function(domain, c.basis, col)
+    action = FinMap.from_pairs(c.basis, c.basis, c.square, c.basis,
+                               lambda lg, lx: {g.conjugate(lg, lx): ONE})
     return augmented_from_action(c, hopf, FinMap.identity(c.basis), action)
 
 
@@ -561,10 +536,8 @@ def augmented_rack_algebra(x: FiniteRack, g: FiniteGroup,
     hc = hopf.coalgebra
     phi = FinMap.from_function(
         carrier.basis, hc.basis, lambda lab: FinVec.unit(hc.basis, to_group[lab]))
-    domain = tensor_basis(hc.basis, carrier.basis)
-    action = FinMap.from_function(
-        domain, carrier.basis,
-        lambda pair: FinVec.unit(carrier.basis, action_table[(pair[0], pair[1])]))
+    action = FinMap.from_pairs(hc.basis, carrier.basis, tensor_basis(hc.basis, carrier.basis),
+                               carrier.basis, lambda lg, lx: {action_table[(lg, lx)]: ONE})
     return augmented_from_action(carrier, hopf, phi, action)
 
 
@@ -575,14 +548,12 @@ def _uar_build(h: LeibnizAlgebra, k: int, z: Sequence[FinVec] | None,
     q = quotient_lie(h, z=z)
     env = enveloping_hopf(q.algebra, k + 1 if env_cap is None else env_cap)
     ph = phi_map(env, q, sym)
-    domain = tensor_basis(env.basis, sym.basis)
+    def col(word: Label, mono: Label) -> Mapping[Label, Coeff]:
+        return module_action(env, q, sym, FinVec.unit(env.basis, word),
+                             FinVec.unit(sym.basis, mono)).entries
 
-    def col(pair: Label) -> FinVec:
-        word, mono = pair
-        return module_action(env, q, sym,
-                             FinVec.unit(env.basis, word), FinVec.unit(sym.basis, mono))
-
-    action = FinMap.from_function(domain, sym.basis, col)
+    action = FinMap.from_pairs(env.basis, sym.basis, tensor_basis(env.basis, sym.basis),
+                               sym.basis, col)
     return _assemble(sym, env, ph, action)
 
 
@@ -608,10 +579,11 @@ def uar_infinity(h: LeibnizAlgebra, k: int,
     share one carrier.
     """
     check_leibniz(h)
-    if k < 0:
-        raise SchemaError("truncation order must be nonnegative")
-    if env_cap is not None and env_cap < k + 1:
-        raise SchemaError("envelope cap must leave commutator headroom")
+    _require_degree(k, "truncation order")
+    if env_cap is not None:
+        _require_degree(env_cap, "envelope cap")
+        if env_cap < k + 1:
+            raise SchemaError("envelope cap must leave commutator headroom")
     sym = symmetric_coalgebra(h.basis, k)
     if z is not None:
         return certify_augmented(_uar_build(h, k, list(z), env_cap, sym))
@@ -772,11 +744,12 @@ def yang_baxter_check(rb: RackBialgebra) -> CheckReport:
         raise RackalgError("yang_baxter_check needs a cocommutative carrier")
     basis = c.basis
     labels = basis.labels
+    t = rb.table
     r: dict[tuple[Label, Label], dict[tuple[Label, Label], Coeff]] = {}
     for la, lb in itertools.product(labels, repeat=2):
         acc = r[la, lb] = {}
         for b1, b2, cb in c.legs(lb):
-            _accumulate(acc, cb, (((b1, l), w) for l, w in rb.pair(b2, la).entries.items()))
+            _accumulate(acc, cb, (((b1, l), w) for l, w in t.entry(b2, la).items()))
 
     def r_at(i: int, v: Mapping[tuple, Coeff]) -> dict[tuple, Coeff]:
         """R applied at positions (i + 1, i + 2) of every label triple of v."""
@@ -805,7 +778,7 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
 
     Both sides are dicts keyed by (Hopf label, carrier label): the left one
     reads the legs of each term of h.b, the right one the legs of h and b,
-    with h1 phi(b1) S(h3) read through the Hopf algebra's ``pair``.  Pairs
+    with h1 phi(b1) S(h3) read through the Hopf algebra's ``table``.  Pairs
     whose right side needs products beyond a capped envelope's degree budget
     are skipped and counted in the report detail.
     """
@@ -815,6 +788,7 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
     hopf = arb.hopf
     hc = hopf.coalgebra
     phi = {lab: arb.phi.column(lab).entries for lab in bc.basis.labels}
+    act, hopf_t = arb.table, hopf.table
     anti = hopf.antipode_map()
     checked = skipped = 0
     for lh in hc.basis.labels:
@@ -827,17 +801,17 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
                 continue
             checked += 1
             lhs: dict[tuple[Label, Label], Coeff] = {}
-            for v, cv in arb.act_pair(lh, la).entries.items():
+            for v, cv in act.entry(lh, la).items():
                 for v1, v2, w in bc.legs(v):
                     _accumulate(lhs, cv * w, (((p, v2), cp) for p, cp in phi[v1].items()))
             rhs: dict[tuple[Label, Label], Coeff] = {}
             for h1, h2, h3, ch in hsw3:
                 for b1, b2, cb in bsw:
-                    h1b1 = label_times(hopf.pair, h1, phi[b1])
+                    h1b1 = label_times(hopf_t, h1, phi[b1])
                     left: dict[Label, Coeff] = {}
                     for s, cs in anti.column(h3).entries.items():
-                        times_label(hopf.pair, h1b1, s, left, cs)
-                    right = arb.act_pair(h2, b2).entries
+                        times_label(hopf_t, h1b1, s, left, cs)
+                    right = act.entry(h2, b2)
                     for p, cp in left.items():
                         _accumulate(rhs, ch * cb * cp, (((p, q), cq) for q, cq in right.items()))
             if not same_entries(lhs, rhs):
@@ -858,7 +832,7 @@ def filtration_stable(rb: RackBialgebra) -> CheckReport:
         for lab in rb.basis.labels:
             for v in level:
                 checked += 1
-                if not solver.contains(FinVec(rb.basis, label_times(rb.pair, lab, v.entries))):
+                if not solver.contains(FinVec(rb.basis, label_times(rb.table, lab, v.entries))):
                     return CheckReport(False, checked, axiom="filtration stability",
                                        witness=(lab, r))
     return CheckReport(True, checked, axiom="filtration stability")

@@ -45,7 +45,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 from rackalg.env_hopf import HopfBackend
 from rackalg.errors import (
@@ -61,8 +62,11 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    PairTable,
     Rational,
     SpanSolver,
+    _NO_ENTRIES,
+    _require_degree,
     bilinear,
     kernel_basis,
     label_times,
@@ -81,7 +85,7 @@ from rackalg.rack_bialg import (
     AugmentedRackBialgebra,
     CheckReport,
     RackBialgebra,
-    _require_degree,
+    _certified,
     _violation,
     certify,
     uar_infinity,
@@ -134,7 +138,8 @@ class RightHopfAlgebra:
 
     ``side`` is the side of the antipode identity: "right" means the algebra
     is left-unital with sum a1 S(a2) = eps(a) 1; "left" is the mirror, and
-    is checked as the right Hopf algebra of the opposite product.
+    is checked as the right Hopf algebra of the opposite product.  ``table``
+    is ``mul`` on label pairs, built from it on first read.
     ``certified`` is set only by :func:`certify_one_sided`.
     """
 
@@ -152,22 +157,22 @@ class RightHopfAlgebra:
     def unit(self) -> FinVec:
         return self.coalgebra.unit
 
-    def pair(self, la: Label, lb: Label) -> FinVec:
-        """Product of two basis labels: a column of ``mul``."""
-        return self.mul.column(merge_labels(self.basis, la, lb))
+    @cached_property
+    def table(self) -> PairTable:
+        return PairTable.from_map(self.mul, self.basis, self.basis)
 
     def product(self, a: FinVec, b: FinVec) -> FinVec:
-        return bilinear(self.basis, self.pair, a, b)
+        return bilinear(self.table, a, b)
 
-    def _right_product(self) -> Callable[[Label, Label], FinVec]:
-        """Label pairs of the product the antipode is a right antipode for:
-        la lb for side "right", the opposite product lb la for side "left"."""
-        return self.pair if self.side == "right" else lambda la, lb: self.pair(lb, la)
+    def _right_product(self) -> PairTable:
+        """The product the antipode is a right antipode for: la lb for side
+        "right", the opposite product lb la for side "left"."""
+        return self.table if self.side == "right" else self.table.opposite()
 
 
-def _check_right_antipode(c: Coalgebra, pair: Callable[[Label, Label], FinVec], s: FinMap,
+def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
                           lab: Label, defining: str, tag: str) -> None:
-    """The right antipode identities of ``s`` for the product m = ``pair`` at ``lab``.
+    """The right antipode identities of ``s`` for the product m = ``t`` at ``lab``.
 
     In order: the defining identity sum m(a1, S(a2)) = eps(a) 1, raised as
     ``defining``, then, each name followed by ``tag``, the flip identity
@@ -179,24 +184,24 @@ def _check_right_antipode(c: Coalgebra, pair: Callable[[Label, Label], FinVec], 
     one = c.unit
     legs = c.legs(lab)
     want = one.scale(c.counit.get(lab, ZERO))
-    got = linear_sum(basis, ((FinVec(basis, label_times(pair, l1, s.column(l2).entries)), cw)
+    got = linear_sum(basis, ((FinVec(basis, label_times(t, l1, s.column(l2).entries)), cw)
                              for l1, l2, cw in legs))
     if got != want:
         raise AxiomViolation(defining, lab, got, want)
-    flip = linear_sum(basis, ((FinVec(basis, times_label(pair, s.column(l1).entries, l2)), cw)
+    flip = linear_sum(basis, ((FinVec(basis, times_label(t, s.column(l1).entries, l2)), cw)
                               for l1, l2, cw in legs))
-    got = bilinear(basis, pair, flip, one)
+    got = bilinear(t, flip, one)
     if got != want:
         raise AxiomViolation(f"antipode flip identity{tag}", lab, got, want)
-    got = linear_sum(basis, ((bilinear(basis, pair, s.column(l1), s(s.column(l2))), cw)
+    got = linear_sum(basis, ((bilinear(t, s.column(l1), s(s.column(l2))), cw)
                              for l1, l2, cw in legs))
     if got != want:
         raise AxiomViolation(f"antipode convolution square{tag}", lab, got, want)
     sa = s.column(lab)
-    got = FinVec(basis, label_times(pair, lab, one.entries))
+    got = FinVec(basis, label_times(t, lab, one.entries))
     if s(sa) != got:
         raise AxiomViolation(f"double antipode{tag}", lab, s(sa), got)
-    got = bilinear(basis, pair, sa, one)
+    got = bilinear(t, sa, one)
     if got != sa:
         raise AxiomViolation(f"antipode unit absorption{tag}", lab, got, sa)
 
@@ -228,20 +233,21 @@ def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
     labels = basis.labels
     one = c.unit
     s = h.antipode
-    pair = h._right_product()
+    t = h.table
+    rprod = h._right_product()
     for la, lb, lc in itertools.product(labels, repeat=3):
-        lhs = times_label(h.pair, h.pair(la, lb).entries, lc)
-        rhs = label_times(h.pair, la, h.pair(lb, lc).entries)
+        lhs = times_label(t, t.entry(la, lb), lc)
+        rhs = label_times(t, la, t.entry(lb, lc))
         if not same_entries(lhs, rhs):
             raise _violation(basis, "associativity", (la, lb, lc), lhs, rhs)
 
     for lab in labels:
         a = FinVec.unit(basis, lab)
-        got = FinVec(basis, times_label(pair, one.entries, lab))
+        got = FinVec(basis, times_label(rprod, one.entries, lab))
         if got != a:
             raise AxiomViolation("one-sided unit", lab, got, a)
 
-    check_multiplicative(c, h.pair, itertools.product(labels, repeat=2),
+    check_multiplicative(c, t, itertools.product(labels, repeat=2),
                          "product comultiplicativity", "product counit")
     if h.product(one, one) != one:
         raise AxiomViolation("unit idempotent", "1", h.product(one, one), one)
@@ -251,18 +257,18 @@ def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
         raise AxiomViolation("antipode unit", "1", s(one), one)
 
     for lab in labels:
-        _check_right_antipode(c, pair, s, lab, "defining antipode", "")
+        _check_right_antipode(c, rprod, s, lab, "defining antipode", "")
         sa = s.column(lab)
         if s(s(sa)) != sa:
             raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
 
     for la, lb in itertools.product(labels, repeat=2):
-        lhs = s(h.pair(la, lb))
+        lhs = s(t.vector(la, lb))
         rhs = h.product(s.column(lb), s.column(la))
         if lhs != rhs:
             raise AxiomViolation("antipode antihomomorphism", (la, lb), lhs, rhs)
 
-    return dataclasses.replace(h, certified=True)
+    return _certified(h)
 
 
 def from_group_hopf(gh: GroupHopf, side: str = "right") -> RightHopfAlgebra:
@@ -279,15 +285,14 @@ def trivial_one_sided_hopf(c: Coalgebra, side: str = "right") -> RightHopfAlgebr
     Side "left" is the mirror a b = eps(b) a.
     """
     basis = c.basis
-    square = c.square
+    counit = c.counit
 
-    def col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        if side == "right":
-            return FinVec.unit(basis, lb).scale(c.counit.get(la, ZERO))
-        return FinVec.unit(basis, la).scale(c.counit.get(lb, ZERO))
+    def col(la: Label, lb: Label) -> Mapping[Label, Rational]:
+        kept, other = (lb, la) if side == "right" else (la, lb)
+        e = counit.get(other, ZERO)
+        return {kept: e} if e else {}
 
-    mul = FinMap.from_function(square, basis, col)
+    mul = FinMap.from_pairs(basis, basis, c.square, basis, col)
     s = FinMap.from_function(basis, basis,
                              lambda lab: c.unit.scale(c.counit.get(lab, ZERO)))
     return certify_one_sided(RightHopfAlgebra(c, mul, s, side))
@@ -311,13 +316,8 @@ def right_group_hopf(group: FiniteGroup, points: Sequence[str], base: str,
     labels = tuple((g, x) for g in group.elements for x in points)
     c = group_like_coalgebra(f"K[{group.name}xE{len(points)}]", labels, (group.unit, base))
     basis = c.basis
-    square = c.square
-
-    def col(pair: Label) -> FinVec:
-        (g, x), (k, y) = split_label(basis, pair)
-        return FinVec.unit(basis, (group.mul(g, k), y if side == "right" else x))
-
-    mul = FinMap.from_function(square, basis, col)
+    mul = FinMap.from_pairs(basis, basis, c.square, basis, lambda gx, ky: {
+        (group.mul(gx[0], ky[0]), ky[1] if side == "right" else gx[1]): 1})
     s = FinMap.from_function(
         basis, basis, lambda lab: FinVec.unit(basis, (group.inverse(lab[0]), base)))
     return certify_one_sided(RightHopfAlgebra(c, mul, s, side))
@@ -333,10 +333,10 @@ def idempotent_projector(h: RightHopfAlgebra) -> FinMap:
     """
     c = h.coalgebra
     s = h.antipode
-    pair = h._right_product()
+    rprod = h._right_product()
 
     def col(lab: Label) -> FinVec:
-        return linear_sum(c.basis, ((FinVec(c.basis, times_label(pair, s.column(l1).entries, l2)),
+        return linear_sum(c.basis, ((FinVec(c.basis, times_label(rprod, s.column(l1).entries, l2)),
                                      cw) for l1, l2, cw in c.legs(lab)))
 
     return FinMap.from_function(c.basis, c.basis, col)
@@ -350,8 +350,9 @@ def hopf_part_projector(h: RightHopfAlgebra) -> FinMap:
     :func:`certify_one_sided` checks.
     """
     c = h.coalgebra
+    rprod = h._right_product()
     return FinMap.from_function(c.basis, c.basis, lambda lab: FinVec(
-        c.basis, label_times(h._right_product(), lab, c.unit.entries)))
+        c.basis, label_times(rprod, lab, c.unit.entries)))
 
 
 def _tensor_legs(basis: Basis, w: FinVec) -> list[tuple[Label, Label, Rational]]:
@@ -396,7 +397,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     square = c.square
     one = c.unit
     s = h.antipode
-    pair = h._right_product()
+    rprod = h._right_product()
     eps = c.eps_of
 
     iota = idempotent_projector(h)
@@ -416,7 +417,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         if h.mul(c.delta(ev)) != ev:
             raise DecompositionFailure("generalized idempotent", i, h.mul(c.delta(ev)), ev)
         for lab in basis.labels:
-            got = FinVec(basis, times_label(pair, ev.entries, lab))
+            got = FinVec(basis, times_label(rprod, ev.entries, lab))
             want = FinVec.unit(basis, lab, eps(ev))
             if got != want:
                 raise DecompositionFailure("generalized unit", (i, lab), got, want)
@@ -434,7 +435,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         if not h1_solver.contains(s(uv)):
             raise DecompositionFailure("hopf part antipode closure", i, s(uv), None)
         for j, vv in enumerate(h1_basis):
-            uvv = bilinear(basis, pair, uv, vv)
+            uvv = bilinear(rprod, uv, vv)
             if not h1_solver.contains(uvv):
                 raise DecompositionFailure("hopf part closure", (i, j), uvv, None)
         for which, fv, gv in (("right", FinMap.identity(basis), s),
@@ -444,7 +445,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
             if acc != one.scale(eps(uv)):
                 raise DecompositionFailure(f"hopf part {which} antipode", i, acc,
                                            one.scale(eps(uv)))
-        got = bilinear(basis, pair, uv, one)
+        got = bilinear(rprod, uv, one)
         if got != uv:
             raise DecompositionFailure("hopf part unit law", i, got, uv)
 
@@ -454,7 +455,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
 
     def psi_term(l1: Label, l2: Label, l3: Label, cw: Rational
                  ) -> tuple[FinVec, FinVec, Rational]:
-        return rho.column(l1), FinVec(basis, times_label(pair, s.column(l2).entries, l3)), cw
+        return rho.column(l1), FinVec(basis, times_label(rprod, s.column(l2).entries, l3)), cw
 
     def psi_col(lab: Label) -> FinVec:
         legs = c.sweedler3(FinVec.unit(basis, lab))
@@ -466,26 +467,26 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
 
     psi = FinMap.from_function(basis, square, psi_col)
     for lab in basis.labels:
-        got = linear_sum(basis, ((pair(l1, l2), cw)
+        got = linear_sum(basis, ((rprod.vector(l1, l2), cw)
                                  for l1, l2, cw in _tensor_legs(basis, psi.column(lab))))
         if got != FinVec.unit(basis, lab):
             raise DecompositionFailure("psi left inverse", lab, got, FinVec.unit(basis, lab))
     for i, uv in enumerate(h1_basis):
         for j, ev in enumerate(e_basis):
-            got = psi(bilinear(basis, pair, uv, ev))
+            got = psi(bilinear(rprod, uv, ev))
             want = uv.tensor(ev, square)
             if got != want:
                 raise DecompositionFailure("psi factor exchange", (i, j), got, want)
 
     def transfer(va: FinVec, vb: FinVec) -> FinVec:
         # (u (x) c)(u' (x) c') = u.u' (x) eps(c) c'
-        return tensor_sum(square, ((pair(a1, b1), FinVec.unit(basis, b2),
+        return tensor_sum(square, ((rprod.vector(a1, b1), FinVec.unit(basis, b2),
                                     ca * cb * c.counit.get(a2, ZERO))
                                    for a1, a2, ca in _tensor_legs(basis, va)
                                    for b1, b2, cb in _tensor_legs(basis, vb)))
 
     for la, lb in itertools.product(basis.labels, repeat=2):
-        lhs = psi(pair(la, lb))
+        lhs = psi(rprod.vector(la, lb))
         rhs = transfer(psi.column(la), psi.column(lb))
         if lhs != rhs:
             raise DecompositionFailure("psi multiplicative", (la, lb), lhs, rhs)
@@ -518,6 +519,8 @@ class HopfDialgebra:
     Product tables are sparse on label pairs; a missing pair whose degrees
     fit under ``cap`` multiplies to zero, while pairs beyond the cap raise
     :class:`DegreeCapExceeded`.  ``degrees`` is sparse with default 0.
+    ``vdash_table`` and ``dashv_table`` are the two products as tables
+    (:class:`~rackalg.exact_core.PairTable`) with that cap, built on first read.
     """
 
     coalgebra: Coalgebra
@@ -528,9 +531,6 @@ class HopfDialgebra:
     cap: int | None = None
     certified: bool = False
     report: CheckReport | None = dataclasses.field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_zero", FinVec.zero(self.basis))
 
     @property
     def basis(self) -> Basis:
@@ -550,25 +550,26 @@ class HopfDialgebra:
         if not self.fits(degree):
             raise DegreeCapExceeded(degree, self.cap, context)
 
-    def vpair(self, la: Label, lb: Label) -> FinVec:
-        """la |- lb on basis labels: a table read, refused beyond the cap."""
-        if self.cap is not None:
-            self._guard(self.degree(la) + self.degree(lb), "product |-")
-        return self.vdash.get((la, lb), self._zero)
+    def _table(self, products: Mapping[tuple[Label, Label], FinVec], name: str) -> PairTable:
+        return PairTable.build(self.basis, ((la, lb, v) for (la, lb), v in products.items()),
+                               self.basis, self.basis, degrees=self.degrees, cap=self.cap,
+                               context=f"product {name}")
 
-    def dpair(self, la: Label, lb: Label) -> FinVec:
-        """la -| lb on basis labels: a table read, refused beyond the cap."""
-        if self.cap is not None:
-            self._guard(self.degree(la) + self.degree(lb), "product -|")
-        return self.dashv.get((la, lb), self._zero)
+    @cached_property
+    def vdash_table(self) -> PairTable:
+        return self._table(self.vdash, "|-")
+
+    @cached_property
+    def dashv_table(self) -> PairTable:
+        return self._table(self.dashv, "-|")
 
     def vprod(self, a: FinVec, b: FinVec) -> FinVec:
         """a |- b."""
-        return bilinear(self.basis, self.vpair, a, b)
+        return bilinear(self.vdash_table, a, b)
 
     def dprod(self, a: FinVec, b: FinVec) -> FinVec:
         """a -| b."""
-        return bilinear(self.basis, self.dpair, a, b)
+        return bilinear(self.dashv_table, a, b)
 
     def s(self, a: FinVec) -> FinVec:
         """Antipode, guarded: undefined beyond the cap rather than zero."""
@@ -595,8 +596,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     right antipode identities of the opposite product b -| a.  Identities
     touching degrees beyond the cap are skipped and counted in the report.
 
-    A product with a basis label on one side is read from the stored
-    columns through :meth:`HopfDialgebra.vpair` and :meth:`HopfDialgebra.dpair`
+    A product with a basis label on one side is read from the tables
     (:func:`~rackalg.exact_core.times_label`, :func:`~rackalg.exact_core.label_times`),
     so under a cap an entry with a term beyond its degree raises
     :class:`DegreeCapExceeded`; in the triple loop ab is read once per (a, b).
@@ -614,8 +614,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
             raise SchemaError(f"degree of {lab!r} must be a nonnegative integer")
     for name, table in (("|-", d.vdash), ("-|", d.dashv)):
         for (la, lb), val in table.items():
-            if la not in basis or lb not in basis:
-                raise SchemaError(f"{name} table keyed by unknown labels ({la!r}, {lb!r})")
             if val.basis != basis:
                 raise SchemaError(f"{name} table value escapes the carrier at ({la!r}, {lb!r})")
             if not d.fits(d.degree(la) + d.degree(lb)):
@@ -623,6 +621,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     for lab in d.antipode.columns:
         if not d.fits(d.degree(lab)):
             raise SchemaError(f"antipode column {lab!r} beyond the cap")
+    vt, dt = d.vdash_table, d.dashv_table
     check_coalgebra(c)
     check_cocommutative(c)
 
@@ -630,8 +629,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     deg = {lab: d.degree(lab) for lab in labs}
     one = c.unit
     s = d.antipode
-
-    vt, dt = d.vpair, d.dpair
+    dt_op = dt.opposite()
     checked = 0
     skipped_labels = 0
     skipped_pairs = 0
@@ -655,7 +653,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         check_coalgebra_map(c, c, s.column, (lab,), "antipode")
         _check_right_antipode(c, vt, s, lab, "right antipode for |-", " (|-)")
         # S is a left antipode for -|: a right antipode for the opposite product
-        _check_right_antipode(c, lambda x, y: dt(y, x), s, lab, "left antipode for -|", " (-|)")
+        _check_right_antipode(c, dt_op, s, lab, "left antipode for -|", " (-|)")
         sa = s.column(lab)
         if s(s(sa)) != sa:
             raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
@@ -667,33 +665,36 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         if not d.fits(deg[la] + deg[lb]):
             skipped_pairs += 1
             continue
-        for name, pair in (("|-", d.vpair), ("-|", d.dpair)):
-            check_multiplicative(c, pair, ((la, lb),), f"product comultiplicativity ({name})",
+        for name, t in (("|-", vt), ("-|", dt)):
+            check_multiplicative(c, t, ((la, lb),), f"product comultiplicativity ({name})",
                                  f"product counit ({name})")
-        lhs = s(d.vpair(la, lb))
+        lhs = s(vt.vector(la, lb))
         rhs = d.vprod(s.column(lb), s.column(la))
         if lhs != rhs:
             raise AxiomViolation("antipode antihomomorphism (|-)", (la, lb), lhs, rhs)
-        lhs = s(d.dpair(la, lb))
+        lhs = s(dt.vector(la, lb))
         rhs = d.dprod(s.column(lb), s.column(la))
         if lhs != rhs:
             raise AxiomViolation("antipode antihomomorphism (-|)", (la, lb), lhs, rhs)
         checked += 1
 
+    # b c is read from the rows of b: within the cap, as a b c fits
     for la in labs:
         for lb in labs:
             d_ab = deg[la] + deg[lb]
             if not d.fits(d_ab):
                 skipped_triples += len(labs)
                 continue
-            ab_v = vt(la, lb).entries
-            ab_d = dt(la, lb).entries
+            ab_v = vt.entry(la, lb)
+            ab_d = dt.entry(la, lb)
+            row_v = vt.rows.get(lb, _NO_ENTRIES)
+            row_d = dt.rows.get(lb, _NO_ENTRIES)
             for lc in labs:
                 if not d.fits(d_ab + deg[lc]):
                     skipped_triples += 1
                     continue
-                bc_v = vt(lb, lc).entries
-                bc_d = dt(lb, lc).entries
+                bc_v = row_v.get(lc, _NO_ENTRIES)
+                bc_d = row_d.get(lc, _NO_ENTRIES)
                 lhs = times_label(vt, ab_v, lc)
                 rhs = label_times(vt, la, bc_v)
                 if not same_entries(lhs, rhs):
@@ -718,7 +719,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         True, checked,
         detail=(f"labels skipped={skipped_labels}, pairs skipped={skipped_pairs}, "
                 f"triples skipped={skipped_triples}"))
-    return dataclasses.replace(d, certified=True, report=report)
+    return _certified(d, report=report)
 
 
 def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
@@ -726,15 +727,10 @@ def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
     tabulated on every label pair whose degrees fit the cap."""
     if not isinstance(hopf, HopfBackend):
         raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
-    labels = hopf.basis.labels
-    degrees = {lab: hopf.degree(lab) for lab in labels if hopf.degree(lab)}
-    table: dict[tuple[Label, Label], FinVec] = {}
-    for x in labels:
-        for y in labels:
-            if hopf.fits(degrees.get(x, 0) + degrees.get(y, 0)):
-                val = hopf.pair(x, y)
-                if not val.is_zero:
-                    table[(x, y)] = val
+    degrees = {lab: hopf.degree(lab) for lab in hopf.basis.labels if hopf.degree(lab)}
+    # a Hopf table stores the pairs under its cap only
+    rows = hopf.table.rows
+    table = {(x, y): FinVec(hopf.basis, v) for x in rows for y, v in rows[x].items()}
     return certify_dialgebra(HopfDialgebra(
         hopf.coalgebra, table, table, hopf.antipode_map(), degrees, hopf.cap))
 
@@ -763,7 +759,8 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     basis = carrier.basis
     degrees = {lab: _carrier_degree(hopf, lab) for lab in basis.labels
                if _carrier_degree(hopf, lab)}
-    phi_full = {(bl, hl): FinVec(hc.basis, times_label(hopf.pair, arb.phi.column(bl).entries, hl))
+    action, hopf_t = arb.table, hopf.table
+    phi_full = {(bl, hl): FinVec(hc.basis, times_label(hopf_t, arb.phi.column(bl).entries, hl))
                 for bl, hl in basis.labels if hopf.fits(degrees.get((bl, hl), 0))}
 
     s_hopf = hopf.antipode_map()
@@ -774,24 +771,17 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
         if not hopf.fits(dx):
             continue
         sw_x = hc.sweedler(phi_full[x])
-        for y in basis.labels:
-            if not hopf.fits(dx + degrees.get(y, 0)):
-                continue
-            by, hy = y
-            acc = tensor_sum(basis, ((arb.act_pair(u1, by), hopf.pair(u2, hy), cw)
-                                     for u1, u2, cw in sw_x))
-            if not acc.is_zero:
-                vdash[(x, y)] = acc
-    for x in basis.labels:
-        dx = degrees.get(x, 0)
         bx, hx = x
         for y in basis.labels:
             if not hopf.fits(dx + degrees.get(y, 0)):
                 continue
-            val = FinVec.unit(bc.basis, bx).tensor(
-                FinVec(hc.basis, label_times(hopf.pair, hx, phi_full[y].entries)), basis)
-            if not val.is_zero:
-                dashv[(x, y)] = val
+            by, hy = y
+            vdash[x, y] = tensor_sum(basis, ((action.vector(u1, by), hopf_t.vector(u2, hy), cw)
+                                             for u1, u2, cw in sw_x))
+            dashv[x, y] = FinVec.unit(bc.basis, bx).tensor(
+                FinVec(hc.basis, label_times(hopf_t, hx, phi_full[y].entries)), basis)
+    vdash = {xy: v for xy, v in vdash.items() if not v.is_zero}
+    dashv = {xy: v for xy, v in dashv.items() if not v.is_zero}
 
     s_cols: dict[Label, FinVec] = {}
     for lab in basis.labels:
@@ -834,14 +824,15 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
 
 def _rack_pair(d: HopfDialgebra, la: Label, lb: Label) -> FinVec:
     """la |> lb = sum (l1 |- lb) -| S(l2) on basis labels, every read guarded."""
-    basis = d.basis
-    return linear_sum(basis, ((bilinear(basis, d.dpair, d.vpair(l1, lb), d.s_label(l2)), cw)
-                              for l1, l2, cw in d.coalgebra.legs(la)))
+    vt, dt = d.vdash_table, d.dashv_table
+    return linear_sum(d.basis, ((bilinear(dt, vt.vector(l1, lb), d.s_label(l2)), cw)
+                                for l1, l2, cw in d.coalgebra.legs(la)))
 
 
 def dialgebra_rack_product(d: HopfDialgebra, a: FinVec, b: FinVec) -> FinVec:
     """a |> b = sum (a1 |- b) -| S(a2)."""
-    return bilinear(d.basis, lambda la, lb: _rack_pair(d, la, lb), a, b)
+    return linear_sum(d.basis, ((_rack_pair(d, la, lb), ca * cb) for la, ca in a.entries.items()
+                                for lb, cb in b.entries.items()))
 
 
 def dialgebra_leibniz(d: HopfDialgebra) -> LeibnizAlgebra:
@@ -876,10 +867,12 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     is closed.  Module identities tying |> back to both dialgebra products
     are verified on every triple within the cap.
 
-    Label pairs of |> are computed once and read as in :func:`certify_dialgebra`;
-    a |- b, a -| b and the terms of a1 |> b are read once per (a, b).
+    Label pairs of |> within the cap are computed once into a table and read
+    as in :func:`certify_dialgebra`; a |- b, a -| b and the terms of a1 |> b
+    are read once per (a, b).
     """
-    _require_degree(degree)
+    if degree is not None:
+        _require_degree(degree)
     if not d.certified:
         raise RackalgError("hopf_dialgebra_rack needs a certified dialgebra")
     c = d.coalgebra
@@ -892,48 +885,45 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
         keep = [lab for lab in c.basis.labels if d.degree(lab) <= t]
         carrier = restrict_coalgebra(c, keep, f"{c.basis.name} (deg<={t})")
     basis = carrier.basis
+    labs = c.basis.labels
+    deg = {lab: d.degree(lab) for lab in labs}
+    rack = PairTable.build(c.basis, ((la, lb, _rack_pair(d, la, lb))
+                                     for la, lb in itertools.product(labs, repeat=2)
+                                     if d.fits(deg[la] + deg[lb])),
+                           degrees=d.degrees, cap=d.cap, context="product |-")
 
-    rack_tab: dict[tuple[Label, Label], FinVec] = {}
-
-    def rack_pair(la: Label, lb: Label) -> FinVec:
-        col = rack_tab.get((la, lb))
-        if col is None:
-            col = rack_tab[la, lb] = _rack_pair(d, la, lb)
-        return col
-
-    def mu_col(pair: Label) -> FinVec:
-        la, lb = split_label(basis, pair)
-        val = rack_pair(la, lb)
-        for lab in val.entries:
+    def mu_col(la: Label, lb: Label) -> Mapping[Label, Rational]:
+        val = rack.entry(la, lb)
+        for lab in val:
             if lab not in basis:
                 raise DegreeCapExceeded(d.degree(lab), d.cap,
                                         "rack product left the truncated carrier")
-        return FinVec.build(basis, val.entries)
+        return val
 
-    rb = certify(RackBialgebra(carrier, FinMap.from_function(carrier.square, basis, mu_col)))
+    mu = FinMap.from_pairs(basis, basis, carrier.square, basis, mu_col)
+    rb = certify(RackBialgebra(carrier, mu))
 
-    labs = c.basis.labels
-    deg = {lab: d.degree(lab) for lab in labs}
+    vt, dt = d.vdash_table, d.dashv_table
     for la, lb in itertools.product(labs, repeat=2):
         if not d.fits(deg[la] + deg[lb]):  # no c fits, and a |- b is refused
             continue
-        ab = (("module identity (|-)", d.vpair(la, lb).entries),
-              ("module identity (-|)", d.dpair(la, lb).entries))
+        ab = (("module identity (|-)", vt.entry(la, lb)),
+              ("module identity (-|)", dt.entry(la, lb)))
         left = [(l, cw * cl, l2) for l1, l2, cw in c.legs(la)
-                for l, cl in rack_pair(l1, lb).entries.items()]
+                for l, cl in rack.entry(l1, lb).items()]
         for lc in labs:
             if not d.fits(deg[la] + deg[lb] + deg[lc]):
                 continue
-            lhs = label_times(rack_pair, la, rack_pair(lb, lc).entries)
+            lhs = label_times(rack, la, rack.entry(lb, lc))
             for axiom, x in ab:
-                rhs = times_label(rack_pair, x, lc)
+                rhs = times_label(rack, x, lc)
                 if not same_entries(lhs, rhs):
                     raise _violation(c.basis, axiom, (la, lb, lc), lhs, rhs)
-            for name, pair in (("|-", d.vpair), ("-|", d.dpair)):
-                lhs = label_times(rack_pair, la, pair(lb, lc).entries)
+            for name, prod in (("|-", vt), ("-|", dt)):
+                lhs = label_times(rack, la, prod.entry(lb, lc))
                 rhs = {}
                 for l, cl, l2 in left:
-                    label_times(pair, l, rack_pair(l2, lc).entries, rhs, cl)
+                    label_times(prod, l, rack.entry(l2, lc), rhs, cl)
                 if not same_entries(lhs, rhs):
                     raise _violation(c.basis, f"module algebra ({name})", (la, lb, lc), lhs, rhs)
     return rb
@@ -981,6 +971,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     skipped = len(labs) - len(fit_labels)
     units = {lab: FinVec.unit(basis, lab) for lab in labs}
     eps = c.eps_of
+    vt, dt = d.vdash_table, d.dashv_table
 
     def col(cols: dict[Label, FinVec], lab: Label, context: str) -> FinVec:
         got = cols.get(lab)
@@ -992,7 +983,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         return linear_sum(target, ((col(cols, lab, context), cv) for lab, cv in v.entries.items()))
 
     iota_cols = {lab: linear_sum(basis, (
-        (FinVec(basis, label_times(d.dpair, l1, d.s_label(l2).entries)), cw)
+        (FinVec(basis, label_times(dt, l1, d.s_label(l2).entries)), cw)
         for l1, l2, cw in c.legs(lab))) for lab in fit_labels}
 
     def iota(v: FinVec) -> FinVec:
@@ -1013,7 +1004,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         raise DecompositionFailure("idempotent part", "fixed space",
                                    len(fixed), len(e_basis))
     for i, ev in enumerate(e_basis):
-        sweedler_sums = linear_sum(basis, ((d.dpair(l1, l2), cw) for l1, l2, cw in c.sweedler(ev)))
+        sweedler_sums = linear_sum(basis, ((dt.vector(l1, l2), cw)
+                                           for l1, l2, cw in c.sweedler(ev)))
         if sweedler_sums != ev:
             raise DecompositionFailure("generalized idempotent (-|)", i, sweedler_sums, ev)
         if d.s(ev) != one.scale(eps(ev)):
@@ -1025,15 +1017,15 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
                 skipped += 1
                 continue
             want = units[lab].scale(e)
-            got = FinVec(basis, times_label(d.vpair, ev.entries, lab))
+            got = FinVec(basis, times_label(vt, ev.entries, lab))
             if got != want:
                 raise DecompositionFailure("generalized bar-unit (|-)", (i, lab), got, want)
-            got = FinVec(basis, label_times(d.dpair, lab, ev.entries))
+            got = FinVec(basis, label_times(dt, lab, ev.entries))
             if got != want:
                 raise DecompositionFailure("generalized bar-unit (-|)", (i, lab), got, want)
             checked += 1
 
-    pi_cols = {lab: FinVec(basis, times_label(d.dpair, one.entries, lab)) for lab in fit_labels}
+    pi_cols = {lab: FinVec(basis, times_label(dt, one.entries, lab)) for lab in fit_labels}
 
     def pi(v: FinVec) -> FinVec:
         return apply_cols(pi_cols, v, basis, "hopf part projector")
@@ -1069,12 +1061,12 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         if not d.fits(d.degree(la) + d.degree(lb)):
             skipped += 1
             continue
-        merged_v = pi(d.vpair(la, lb))
-        merged_d = pi(d.dpair(la, lb))
+        merged_v = pi(vt.vector(la, lb))
+        merged_d = pi(dt.vector(la, lb))
         if merged_v != merged_d:
             raise DecompositionFailure("projection merges products", (la, lb),
                                        merged_v, merged_d)
-        split = linear_sum(basis, ((FinVec(basis, label_times(d.dpair, l, pi_cols[lb].entries)), cl)
+        split = linear_sum(basis, ((FinVec(basis, label_times(dt, l, pi_cols[lb].entries)), cl)
                                    for l, cl in pi_cols[la].entries.items()))
         if merged_d != split:
             raise DecompositionFailure("projection multiplicative", (la, lb),
@@ -1088,7 +1080,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     for la, lb in itertools.product(fit_labels, repeat=2):
         if not d.fits(d.degree(la) + d.degree(lb)):
             continue
-        g = d.vpair(la, lb) - d.dpair(la, lb)
+        g = vt.vector(la, lb) - dt.vector(la, lb)
         if not g.is_zero:
             ideal_gens.append(g)
     ideal = span_basis(ideal_gens)
@@ -1106,7 +1098,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         return apply_cols(psi_cols, v, square, "psi")
 
     for lab in fit_labels:
-        got = linear_sum(basis, ((d.dpair(l1, l2), cw)
+        got = linear_sum(basis, ((dt.vector(l1, l2), cw)
                                  for l1, l2, cw in _tensor_legs(basis, psi_cols[lab])))
         if got != units[lab]:
             raise DecompositionFailure("psi left inverse", lab, got, units[lab])
@@ -1135,11 +1127,11 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             continue
         try:
             # transferred |-: (c (x) h)(c' (x) h') = eps(c) sum (h1 |> c') (x) (h2 -| h')
-            lhs = psi_apply(d.vpair(la, lb))
+            lhs = psi_apply(vt.vector(la, lb))
             legs_a = _tensor_legs(basis, psi_cols[la])
             legs_b = _tensor_legs(basis, psi_cols[lb])
             rhs = tensor_sum(square, (
-                (_rack_pair(d, h1, b1), d.dpair(h2, b2),
+                (_rack_pair(d, h1, b1), dt.vector(h2, b2),
                  ca * cb * eps_lab[a1] * cw)
                 for a1, a2, ca in legs_a if eps_lab[a1]
                 for b1, b2, cb in legs_b
@@ -1147,8 +1139,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             if lhs != rhs:
                 raise DecompositionFailure("psi multiplicative (|-)", (la, lb), lhs, rhs)
             # transferred -|: (c (x) h)(c' (x) h') = eps(c') c (x) (h -| h')
-            lhs = psi_apply(d.dpair(la, lb))
-            rhs = tensor_sum(square, ((units[a1], d.dpair(a2, b2), ca * cb * eps_lab[b1])
+            lhs = psi_apply(dt.vector(la, lb))
+            rhs = tensor_sum(square, ((units[a1], dt.vector(a2, b2), ca * cb * eps_lab[b1])
                                       for a1, a2, ca in legs_a
                                       for b1, b2, cb in legs_b if eps_lab[b1]))
             if lhs != rhs:
@@ -1246,6 +1238,7 @@ def universal_dialgebra(h: LeibnizAlgebra, cap: int) -> HopfDialgebra:
     under both products, as does the enveloping degree-zero part, and the
     two summands are verified to not leak into each other.
     """
+    _require_degree(cap, "dialgebra cap")
     if cap < 2:
         raise SchemaError("the universal dialgebra needs cap >= 2 for bracket headroom")
     arb = uar_infinity(h, 1, env_cap=cap)
@@ -1260,8 +1253,8 @@ def universal_dialgebra(h: LeibnizAlgebra, cap: int) -> HopfDialgebra:
         for x, y in itertools.product(members, repeat=2):
             if not d.fits(d.degree(x) + d.degree(y)):
                 continue
-            for sym, pair in (("|-", d.vpair), ("-|", d.dpair)):
-                val = pair(x, y)
+            for sym, prod in (("|-", d.vdash_table), ("-|", d.dashv_table)):
+                val = prod.vector(x, y)
                 for lab in val.entries:
                     if part(lab) != want:
                         raise DecompositionFailure(
@@ -1292,7 +1285,7 @@ def universal_property_instance(ud: HopfDialgebra, h: LeibnizAlgebra, phi: FinMa
         if tc.delta(v) != want:
             raise AxiomViolation("primitive image", j, tc.delta(v), want)
     for j, k in itertools.product(h.basis.labels, repeat=2):
-        lhs = phi(h.bracket_of_labels(j, k))
+        lhs = phi(h.table.vector(j, k))
         rhs = target.vprod(phi.column(j), phi.column(k)) - target.dprod(
             phi.column(k), phi.column(j))
         if lhs != rhs:
@@ -1332,8 +1325,8 @@ def universal_property_instance(ud: HopfDialgebra, h: LeibnizAlgebra, phi: FinMa
             continue
         hx = hat_col(x)
         hy = hat_col(y)
-        for sym, src, tgt in (("|-", ud.vpair, target.vprod),
-                              ("-|", ud.dpair, target.dprod)):
+        for sym, src, tgt in (("|-", ud.vdash_table.vector, target.vprod),
+                              ("-|", ud.dashv_table.vector, target.dprod)):
             try:
                 rhs = tgt(hx, hy)
             except DegreeCapExceeded:

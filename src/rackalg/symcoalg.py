@@ -40,10 +40,14 @@ from rackalg.exact_core import (
     FinMap,
     FinVec,
     Label,
+    PairTable,
     Rational,
     SpanSolver,
+    _NO_ENTRIES,
     _flat_factors,
+    _refuse,
     _require_basis,
+    _require_degree,
     kernel_basis,
     merge_labels,
     same_entries,
@@ -176,51 +180,45 @@ def check_cocommutative(c: Coalgebra) -> None:
                                  c.delta.column(lab))
 
 
-def _delta_legs(c: Coalgebra, v: FinVec) -> dict[tuple[Label, Label], Coeff]:
-    """delta(v) as a dict keyed by leg-label pairs, read from the cached legs;
-    refuses a vector from another space, as applying ``c.delta`` does."""
-    if v.basis is not c.basis:
-        _require_basis(c.delta.domain, v.basis)
+def _delta_legs(c: Coalgebra, v: Mapping[Label, Coeff]) -> dict[tuple[Label, Label], Coeff]:
+    """delta of the coefficients ``v`` as a dict keyed by leg-label pairs, read
+    from the cached legs."""
     out: dict[tuple[Label, Label], Coeff] = {}
-    for lab, cv in v.entries.items():
+    for lab, cv in v.items():
         for l1, l2, w in c.legs(lab):
             key = (l1, l2)
             out[key] = out.get(key, ZERO) + cv * w
     return out
 
 
-def _add_tensor(acc: dict[tuple[Label, Label], Coeff], w: Coeff, x: FinVec, y: FinVec,
-                c: Coalgebra) -> None:
-    """acc += w (x (x) y), keyed by label pairs.  x and y must lie in the
-    factors of the codomain of ``c.delta``: a vector over ``c.basis`` is taken
-    as is, any other is checked, since labels alone may collide."""
-    basis = c.basis
-    if x.basis is not basis or y.basis is not basis:
-        _require_basis(c.delta.codomain.factors, _flat_factors(x.basis) + _flat_factors(y.basis))
-    for lx, cx in x.entries.items():
+def _add_tensor(acc: dict[tuple[Label, Label], Coeff], w: Coeff, x: Mapping[Label, Coeff],
+                y: Mapping[Label, Coeff]) -> None:
+    """acc += w (x (x) y), keyed by label pairs."""
+    for lx, cx in x.items():
         wx = w * cx
-        for ly, cy in y.entries.items():
+        for ly, cy in y.items():
             key = (lx, ly)
             acc[key] = acc.get(key, ZERO) + wx * cy
 
 
-def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
-                         pairs: Iterable[tuple[Label, Label]],
+def check_multiplicative(c: Coalgebra, t: PairTable, pairs: Iterable[tuple[Label, Label]],
                          coproduct: str, counit: str, left: Coalgebra | None = None) -> None:
-    """The product given by ``pair`` on basis labels is a coalgebra morphism
-    ``left`` (x) C -> C; ``left`` defaults to C itself.
+    """The product ``t`` is a coalgebra morphism ``left`` (x) C -> C; ``left``
+    defaults to C itself.
 
     For each label pair (a, b), first eps(ab) = eps(a) eps(b), then
     delta(ab) = sum a1 b1 (x) a2 b2, both sides as dicts keyed by leg-label
     pairs: the legs of each label of ab, and the products of the legs of a
-    and b read through ``pair``.  Raises :class:`AxiomViolation` named
+    and b read from the rows of ``t``.  Raises :class:`AxiomViolation` named
     ``counit`` or ``coproduct`` with the pair as witness; the tensor-square
-    vectors are built only for the report.
+    vectors are built only for the report.  Under a cap each read is refused
+    where :meth:`PairTable.entry` refuses it.
     """
     left = c if left is None else left
+    rows, cap = t.rows, t.cap
     for la, lb in pairs:
-        ab = pair(la, lb)
-        got = c.eps_of(ab)
+        ab = t.entry(la, lb)
+        got = c.eps_of(FinVec(c.basis, ab))
         want = left.counit.get(la, ZERO) * c.counit.get(lb, ZERO)
         if not scalar_eq(got, want):
             raise AxiomViolation(counit, (la, lb), got, want)
@@ -228,10 +226,18 @@ def check_multiplicative(c: Coalgebra, pair: Callable[[Label, Label], FinVec],
         rhs: dict[tuple[Label, Label], Coeff] = {}
         legs_b = c.legs(lb)
         for a1, a2, ca in left.legs(la):
+            row1 = rows.get(a1, _NO_ENTRIES)
+            row2 = rows.get(a2, _NO_ENTRIES)
             for b1, b2, cb in legs_b:
-                _add_tensor(rhs, ca * cb, pair(a1, b1), pair(a2, b2), c)
+                if cap is not None:
+                    _refuse(t, a1, (b1,))
+                    _refuse(t, a2, (b2,))
+                x = row1.get(b1)
+                y = row2.get(b2)
+                if x and y:
+                    _add_tensor(rhs, ca * cb, x, y)
         if not same_entries(lhs, rhs):
-            raise AxiomViolation(coproduct, (la, lb), c.delta(ab),
+            raise AxiomViolation(coproduct, (la, lb), c.delta(FinVec(c.basis, ab)),
                                  _tensor_vec(c.delta.codomain, c.basis, rhs))
 
 
@@ -248,12 +254,19 @@ def check_coalgebra_map(source: Coalgebra, target: Coalgebra, f: Callable[[Label
     or "<name> counit" with the label as witness; the tensor-square vectors
     are built only for the report.
     """
+    tbasis = target.basis
     for lab in labels:
         fa = f(lab)
-        lhs = _delta_legs(target, fa)
+        if fa.basis is not tbasis:
+            _require_basis(target.delta.domain, fa.basis)
+        lhs = _delta_legs(target, fa.entries)
         rhs: dict[tuple[Label, Label], Coeff] = {}
         for l1, l2, w in source.legs(lab):
-            _add_tensor(rhs, w, f(l1), f(l2), target)
+            x, y = f(l1), f(l2)
+            if x.basis is not tbasis or y.basis is not tbasis:
+                _require_basis(target.delta.codomain.factors,
+                               _flat_factors(x.basis) + _flat_factors(y.basis))
+            _add_tensor(rhs, w, x.entries, y.entries)
         if not same_entries(lhs, rhs):
             raise error(f"{name} comultiplicativity", lab, target.delta(fa),
                         _tensor_vec(target.delta.codomain, target.basis, rhs))
@@ -401,6 +414,7 @@ def symmetric_coalgebra(source: Basis, cap: int, name: str | None = None) -> Coa
     multiplicities; it preserves total degree, so the truncation is a genuine
     subcoalgebra.  The empty monomial () is the coaugmentation.
     """
+    _require_degree(cap, "symmetric degree cap")
     basis = Basis(name or f"S({source.name})<={cap}", sym_monomials(source, cap))
     square = tensor_basis(basis, basis)
 

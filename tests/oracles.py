@@ -1,6 +1,7 @@
 """Reference maps that the tests compose: tensor products and flips of maps,
 convolution on a coalgebra, the product and functoriality of the truncated
-S(V), and the truncating product of U(g).
+S(V), and the truncating product of U(g); the label formula of tensor bases,
+and the product table of a function given on label pairs.
 
 The package checks every identity by comparing Sweedler legs label by label
 and never composes whole maps.  These are the composed-map forms of the same
@@ -9,8 +10,37 @@ structures, kept as independent oracles for the tests.
 
 from rackalg.env_hopf import EnvelopingHopf
 from rackalg.errors import RackalgError
-from rackalg.exact_core import ZERO, Basis, FinMap, FinVec, Label, split_label, tensor_basis
+import itertools
+
+from rackalg.exact_core import (
+    ZERO,
+    Basis,
+    FinMap,
+    FinVec,
+    Label,
+    PairTable,
+    _label_parts,
+    split_label,
+    tensor_basis,
+)
 from rackalg.symcoalg import Coalgebra, sort_monomial
+
+
+def tensor_basis_labels(*bases: Basis) -> tuple:
+    """The labels of ``tensor_basis(*bases)``: each combination's parts,
+    split per factor and flattened."""
+    return tuple(
+        tuple(itertools.chain.from_iterable(_label_parts(b, lab) for b, lab in zip(bases, combo)))
+        for combo in itertools.product(*(b.labels for b in bases)))
+
+
+def table_of(basis: Basis, pair, left, right=None, **kwargs) -> PairTable:
+    """The table of the product ``pair(la, lb)`` (a vector of ``basis``) on
+    every pair of the labels ``left`` x ``right`` (``right`` defaults to
+    ``left``); keyword arguments go to :meth:`PairTable.build`."""
+    right = left if right is None else right
+    return PairTable.build(basis, ((la, lb, pair(la, lb)) for la in left for lb in right),
+                           **kwargs)
 
 
 def tensor_product_map(f: FinMap, g: FinMap,

@@ -50,7 +50,7 @@ def oracle_straighten(env, word):
     i = spots[-1]
     x, y = word[i], word[i + 1]
     out = oracle_straighten(env, word[:i] + (y, x) + word[i + 2:])
-    for lab, c in env.lie.bracket_of_labels(x, y).entries.items():
+    for lab, c in env.lie.table.vector(x, y).entries.items():
         out = out + oracle_straighten(env, word[:i] + (lab,) + word[i + 2:]).scale(c)
     return out
 
@@ -99,7 +99,7 @@ def test_degree_cap_enforced(env_sl2):
     with pytest.raises(DegreeCapExceeded):
         env_sl2.product(x, x)
     with pytest.raises(DegreeCapExceeded):
-        env_sl2.pair((1, 1), (1, 1))
+        env_sl2.table.vector((1, 1), (1, 1))
     assert [env_sl2.degree(w) for w in ((), (2,), (1, 3))] == [0, 1, 2]
 
 
@@ -114,8 +114,7 @@ def test_hopf_axioms_small_caps():
         env = enveloping_hopf(q.algebra, cap)
         check_coalgebra(env.coalgebra)
         assert is_cocommutative(env.coalgebra)
-        check_hopf(env.coalgebra, env.product, env.antipode_map(),
-                   degree_of=len, cap=cap)
+        check_hopf(env.coalgebra, env.table, env.antipode_map())
 
 
 def test_enveloping_rejects_non_lie_input():
@@ -137,8 +136,7 @@ def test_antipode_frozen_value(env_sl2):
 
 def test_check_hopf_catches_wrong_antipode(env_sl2):
     with pytest.raises(AxiomViolation) as exc:
-        check_hopf(env_sl2.coalgebra, env_sl2.product,
-                   FinMap.identity(env_sl2.basis), degree_of=len, cap=3)
+        check_hopf(env_sl2.coalgebra, env_sl2.table, FinMap.identity(env_sl2.basis))
     assert "antipode" in exc.value.axiom
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackalg
-from oracles import flip_map, tensor_product_map
+from oracles import flip_map, table_of, tensor_product_map
 from rackalg.errors import DegreeCapExceeded
 from rackalg.exact_core import (
     Basis,
@@ -258,7 +258,7 @@ def test_one_pass_sums_match_repeated_addition():
     for la, ca in u:
         for lb, cb in v:
             want = want + table[la, lb].scale(ca * cb)
-    assert bilinear(b, lambda p, q: table[p, q], u, v) == want
+    assert bilinear(table_of(b, lambda p, q: table[p, q], b.labels), u, v) == want
     assert linear_sum(b, [(u, F(2)), (v, F(-1)), (u, F(-2))]) == -v
     assert tensor_sum(sq, [(u, v, F(3)), (v, u, F(-1))]) == \
         u.tensor(v, sq).scale(F(3)) - v.tensor(u, sq)
@@ -267,15 +267,13 @@ def test_one_pass_sums_match_repeated_addition():
 
 def test_bilinear_passes_refusals_through():
     b = Basis("V", ("x", "y"))
+    # y has degree 1 and the cap is 1: only the pair (y, y) is refused
+    pair = table_of(b, lambda p, q: FinVec.unit(b, "x"), b.labels, degrees={"y": 1}, cap=1,
+                    context="test")
 
-    def pair(p, q):
-        if p == q == "y":
-            raise DegreeCapExceeded(2, 1, "test")
-        return FinVec.unit(b, "x")
-
-    assert bilinear(b, pair, FinVec.unit(b, "x"), FinVec.unit(b, "y")) == FinVec.unit(b, "x")
+    assert bilinear(pair, FinVec.unit(b, "x"), FinVec.unit(b, "y")) == FinVec.unit(b, "x")
     with pytest.raises(DegreeCapExceeded):
-        bilinear(b, pair, FinVec.unit(b, "y"), FinVec.unit(b, "y"))
+        bilinear(pair, FinVec.unit(b, "y"), FinVec.unit(b, "y"))
 
 
 def test_vector_basis_mismatch_raises():
@@ -319,7 +317,7 @@ def test_one_pass_sums_reject_terms_from_another_basis():
     with pytest.raises(ValueError):
         tensor_sum(tensor_basis(a, a), [(ua, ub, F(1))])
     with pytest.raises(ValueError):
-        bilinear(a, lambda p, q: FinVec.unit(b, p), ua, ua)
+        bilinear(table_of(a, lambda p, q: FinVec.unit(b, p), a.labels), ua, ua)
     assert tensor_sum(tensor_basis(a, b), [(ua, ub, F(1))]) == ua.tensor(ub)
 
 
@@ -793,7 +791,8 @@ def test_accumulator_entry_points_match_the_item_oracles(kind, data):
         return table[p, q]
 
     for got, want in ((FinVec.build(_V, items), _oracle_build(_V, items)),
-                      (bilinear(_V, pair, u, v), _oracle_bilinear(_V, pair, u, v)),
+                      (bilinear(table_of(_V, pair, _V.labels), u, v),
+                       _oracle_bilinear(_V, pair, u, v)),
                       (linear_sum(_V, terms), _oracle_linear_sum(_V, terms)),
                       (m(u), _oracle_call(m, u)),
                       (u + v, _oracle_add(u, v)),
@@ -817,16 +816,22 @@ def test_label_readers_match_bilinear_over_a_unit(kind, data):
     def pair(p, q):
         return table[p, q]
 
-    for got, want in (
-            (times_label(pair, v.entries, lab), _oracle_bilinear(_V, pair, v, e)),
-            (label_times(pair, lab, v.entries), _oracle_bilinear(_V, pair, e, v)),
-            (times_label(pair, v.entries, lab, dict(u.entries), c),
-             _oracle_linear_sum(_V, [(u, 1), (_oracle_bilinear(_V, pair, v, e), c)])),
-            (label_times(pair, lab, v.entries, dict(u.entries), c),
-             _oracle_linear_sum(_V, [(u, 1), (_oracle_bilinear(_V, pair, e, v), c)]))):
-        got = FinVec(_V, got)
-        assert dict(got.entries) == dict(want.entries)
-        _well_formed(got)
+    def flipped(p, q):
+        return table[q, p]
+
+    t = table_of(_V, pair, _V.labels)
+    for t, pair in ((t, pair), (t.opposite(), flipped)):
+        for got, want in (
+                (times_label(t, v.entries, lab), _oracle_bilinear(_V, pair, v, e)),
+                (label_times(t, lab, v.entries), _oracle_bilinear(_V, pair, e, v)),
+                (times_label(t, v.entries, lab, dict(u.entries), c),
+                 _oracle_linear_sum(_V, [(u, 1), (_oracle_bilinear(_V, pair, v, e), c)])),
+                (label_times(t, lab, v.entries, dict(u.entries), c),
+                 _oracle_linear_sum(_V, [(u, 1), (_oracle_bilinear(_V, pair, e, v), c)])),
+                (bilinear(t, u, v), _oracle_bilinear(_V, pair, u, v))):
+            got = FinVec(_V, got.entries if isinstance(got, FinVec) else got)
+            assert dict(got.entries) == dict(want.entries)
+            _well_formed(got)
 
 
 def test_accumulator_entry_points_refuse_another_basis_with_the_same_labels():
@@ -834,7 +839,7 @@ def test_accumulator_entry_points_refuse_another_basis_with_the_same_labels():
     b = Basis("B", ("x", "y"))
     ua, ub = FinVec.unit(a, "x"), FinVec.unit(b, "x")
     with pytest.raises(ValueError):
-        bilinear(a, lambda p, q: FinVec.unit(b, p), ua, ua)
+        bilinear(table_of(a, lambda p, q: FinVec.unit(b, p), a.labels), ua, ua)
     with pytest.raises(ValueError):
         linear_sum(a, [(ub, 1)])
     with pytest.raises(ValueError):
@@ -848,7 +853,8 @@ def test_accumulator_entry_points_refuse_another_basis_with_the_same_labels():
 def test_sums_keep_the_int_first_rule():
     v = FinVec.build(_V, {"x": F(1, 2)})
     for got in (FinVec.build(_V, [("x", F(1, 2)), ("x", F(1, 2))]), v + v,
-                linear_sum(_V, [(v, 2)]), bilinear(_V, lambda p, q: v, v, v.scale(8)),
+                linear_sum(_V, [(v, 2)]),
+                bilinear(table_of(_V, lambda p, q: v, _V.labels), v, v.scale(8)),
                 FinMap(_V, _V, {"x": v})(v.scale(4)), v.scale(2)):
         assert dict(got.entries) == {"x": 1} and type(got["x"]) is int
     s = SeriesScalar.make(["1/2", "3/2"], 2)

@@ -118,7 +118,7 @@ def test_group_like_coalgebra_needs_unit_element():
 @pytest.mark.parametrize("make", [lambda: cyclic_group(4), lambda: symmetric_group(3)])
 def test_group_hopf_axioms(make):
     h = group_hopf(make())
-    check_hopf(h.coalgebra, h.product, h.antipode_map())
+    check_hopf(h.coalgebra, h.table, h.antipode_map())
 
 
 def test_group_hopf_antipode_is_inversion():
@@ -141,4 +141,4 @@ def test_group_hopf_degrees_are_zero_and_uncapped():
     h = group_hopf(cyclic_group(3))
     assert h.cap is None
     assert all(h.degree(x) == 0 for x in h.basis.labels)
-    assert h.pair("r1", "r2") == FinVec.unit(h.basis, "r0")
+    assert h.table.vector("r1", "r2") == FinVec.unit(h.basis, "r0")

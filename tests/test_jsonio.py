@@ -20,7 +20,7 @@ def _doc(coeff, dim=2):
 ])
 def test_accepted_rationals(coeff, want):
     h = leibniz_from_json(_doc(coeff))
-    assert h.bracket_of_labels(1, 1)[2] == want
+    assert h.table.vector(1, 1)[2] == want
 
 
 @pytest.mark.parametrize("coeff", [
@@ -66,8 +66,8 @@ def test_rejected_indices(key, inner):
 
 def test_accepted_indices():
     h = leibniz_from_json(_keyed(" 10 , 1", " 2 "))
-    assert h.bracket_of_labels(10, 1)[2] == 1
-    assert leibniz_from_json(_keyed("01,1", "02")).bracket_of_labels(1, 1)[2] == 1
+    assert h.table.vector(10, 1)[2] == 1
+    assert leibniz_from_json(_keyed("01,1", "02")).table.vector(1, 1)[2] == 1
     assert leibniz_from_json(_keyed("1,1", "1", dim=MAX_DIM)).dim == MAX_DIM
 
 
@@ -81,5 +81,5 @@ def test_fixture_round_trip(name):
     (2, 2, int), ("4/2", 2, int), ("-6", -6, int), ("1/2", Fraction(1, 2), Fraction),
 ])
 def test_integral_rationals_load_as_int(coeff, want, kind):
-    got = leibniz_from_json(_doc(coeff)).bracket_of_labels(1, 1)[2]
+    got = leibniz_from_json(_doc(coeff)).table.vector(1, 1)[2]
     assert got == want and type(got) is kind

@@ -146,7 +146,7 @@ def test_lie_algebra_is_its_own_quotient(lie2):
     assert q.z_basis == ()
     # same structure constants under the label-preserving section
     for (j, k), v in lie2.bracket.items():
-        assert q.section(q.algebra.bracket_of_labels(j, k)) == v
+        assert q.section(q.algebra.table.vector(j, k)) == v
 
 
 def test_nonlie3_quotients_by_both_sandwich_ends(nonlie3):
@@ -171,7 +171,7 @@ def test_quotient_respects_bracket(nonlie3):
     q = quotient_lie(nonlie3)
     for j in nonlie3.basis.labels:
         for k in nonlie3.basis.labels:
-            lhs = q.p(nonlie3.bracket_of_labels(j, k))
+            lhs = q.p(nonlie3.table.vector(j, k))
             x = q.p(FinVec.unit(nonlie3.basis, j))
             y = q.p(FinVec.unit(nonlie3.basis, k))
             assert lhs == q.algebra.bracket_of(x, y)

@@ -258,13 +258,13 @@ def test_certify_augmented_names_action_comultiplicativity(uar_sq2):
 
 @pytest.mark.parametrize("build", [lambda: uar_infinity(load("sq2"), 1),
                                    lambda: augmented_conjugation(symmetric_group(3))])
-def test_act_pair_is_the_action_on_unit_vectors(build):
+def test_action_table_is_the_action_on_unit_vectors(build):
     arb = build()
     hb, cb = arb.hopf.basis, arb.carrier.basis
     for lh in hb.labels:
         for la in cb.labels:
             uh, ua = FinVec.unit(hb, lh), FinVec.unit(cb, la)
-            got = arb.act_pair(lh, la)
+            got = arb.table.vector(lh, la)
             assert got == arb.act(uh, ua) == arb.action(uh.tensor(ua, arb.action.domain))
 
 
@@ -297,16 +297,17 @@ def test_action_associativity_witness_is_the_vector_action(uar_sq2, key, value, 
     assert (exc.value.axiom, exc.value.witness) == ("action associativity", witness)
     lu, lv, la = witness
     hb, cb = bad.hopf.basis, bad.carrier.basis
-    lhs = bad.act(bad.hopf.pair(lu, lv), FinVec.unit(cb, la))
+    lhs = bad.act(bad.hopf.table.vector(lu, lv), FinVec.unit(cb, la))
     rhs = bad.act(FinVec.unit(hb, lu), bad.act(FinVec.unit(hb, lv), FinVec.unit(cb, la)))
     assert (exc.value.lhs, exc.value.rhs) == (lhs, rhs)
     assert exc.value.lhs.basis == exc.value.rhs.basis == cb
 
 
-def test_action_columns_are_built_once_per_structure(uar_sq2):
-    cols = uar_sq2.action_columns
-    assert uar_sq2.action_columns is cols
-    assert set(cols) == {split for split in itertools.product(
+def test_action_table_is_built_once_per_structure(uar_sq2):
+    table = uar_sq2.table
+    assert uar_sq2.table is table
+    cols = {(lh, la) for lh, row in table.rows.items() for la in row}
+    assert cols == {split for split in itertools.product(
         uar_sq2.hopf.basis.labels, uar_sq2.carrier.basis.labels)
         if merge_labels(uar_sq2.hopf.basis, split[0]) + merge_labels(
             uar_sq2.carrier.basis, split[1]) in uar_sq2.action.columns}
@@ -316,9 +317,9 @@ def test_action_columns_are_built_once_per_structure(uar_sq2):
     changed[key] = FinVec.unit(uar_sq2.carrier.basis, (2,))
     other = dataclasses.replace(uar_sq2, certified=False, action=FinMap(
         uar_sq2.action.domain, uar_sq2.action.codomain, changed))
-    assert other.act_pair((1,), (1,)) == FinVec.unit(uar_sq2.carrier.basis, (2,))
-    assert uar_sq2.act_pair((1,), (1,)) == uar_sq2.action.column(key)
-    assert uar_sq2.act_pair((1, 1), ()).is_zero
+    assert other.table.vector((1,), (1,)) == FinVec.unit(uar_sq2.carrier.basis, (2,))
+    assert uar_sq2.table.vector((1,), (1,)) == uar_sq2.action.column(key)
+    assert uar_sq2.table.vector((1, 1), ()).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +396,7 @@ def test_uar_primitive_product_is_bracket():
         for k in h.basis.labels:
             got = arb.rack.apply(FinVec.unit(basis, (j,)), FinVec.unit(basis, (k,)))
             want = FinVec.build(basis, (((i,), c) for i, c in
-                                        h.bracket_of_labels(j, k).entries.items()))
+                                        h.table.vector(j, k).entries.items()))
             assert got == want
 
 
@@ -643,8 +644,8 @@ def test_primitives_of_uar_recover_structure_constants(name):
     got = primitives_leibniz(uar_infinity(h, 2).rack)
     assert got.dim == h.dim
     for j, k in itertools.product(h.basis.labels, repeat=2):
-        want = h.bracket_of_labels(j, k)
-        have = got.bracket_of_labels(j, k)
+        want = h.table.vector(j, k)
+        have = got.table.vector(j, k)
         assert dict(have.entries) == dict(want.entries)
 
 
@@ -652,8 +653,8 @@ def test_primitives_of_enveloping_adjoint_recover_lie():
     g = load("sl2")
     got = primitives_leibniz(hopf_adjoint(enveloping_hopf(g, 3), degree=2))
     for j, k in itertools.product(g.basis.labels, repeat=2):
-        assert dict(got.bracket_of_labels(j, k).entries) == \
-            dict(g.bracket_of_labels(j, k).entries)
+        assert dict(got.table.vector(j, k).entries) == \
+            dict(g.table.vector(j, k).entries)
 
 
 def test_primitives_require_certification(kx_s3):
@@ -795,10 +796,10 @@ def test_self_distributivity_witness_is_the_vector_product(kx_s3, uar_sq2, sourc
         certify(bad)
     assert (exc.value.axiom, exc.value.witness) == ("self-distributivity", witness)
     a, b, c = witness
-    lhs = bad.apply(FinVec.unit(rb.basis, a), bad.pair(b, c))
+    lhs = bad.apply(FinVec.unit(rb.basis, a), bad.table.vector(b, c))
     rhs = FinVec.zero(rb.basis)
     for a1, a2, ca in rb.carrier.legs(a):
-        rhs = rhs + bad.apply(bad.pair(a1, b), bad.pair(a2, c)).scale(ca)
+        rhs = rhs + bad.apply(bad.table.vector(a1, b), bad.table.vector(a2, c)).scale(ca)
     assert (exc.value.lhs, exc.value.rhs) == (lhs, rhs)
     assert exc.value.lhs.basis == exc.value.rhs.basis == rb.basis
 

@@ -251,7 +251,7 @@ class TestSuschkewitsch:
     def _opposite(h):
         """The opposite product of ``h``, certified as a right Hopf algebra."""
         mul = FinMap.from_function(h.coalgebra.square, h.basis,
-                                   lambda pair: h.pair(*split_label(h.basis, pair)[::-1]))
+                                   lambda pair: h.table.vector(*split_label(h.basis, pair)[::-1]))
         return certify_one_sided(RightHopfAlgebra(h.coalgebra, mul, h.antipode, "right"))
 
     @pytest.mark.parametrize("make", [
@@ -382,8 +382,8 @@ class TestHopfDialgebra:
             prims = primitives(d.coalgebra)
             assert [tuple(p.entries) for p in prims] == [((j,),) for j in h.basis.labels]
             for j, k in itertools.product(h.basis.labels, repeat=2):
-                want = h.bracket_of_labels(j, k)
-                got = lz.bracket_of_labels(j, k)
+                want = h.table.vector(j, k)
+                got = lz.table.vector(j, k)
                 assert dict(got.entries) == dict(want.entries)
 
     def test_non_cocommutative_carrier_is_rejected(self, function_coalgebra_s3):
@@ -534,12 +534,13 @@ class TestHopfDialgebra:
         la, lb, lc = witness
         a, c = FinVec.unit(d.basis, la), FinVec.unit(d.basis, lc)
         v, w = bad.vprod, bad.dprod
+        vt, dt = bad.vdash_table.vector, bad.dashv_table.vector
         oracle = {
-            "associativity (|-)": (v(bad.vpair(la, lb), c), v(a, bad.vpair(lb, lc))),
-            "left products agree": (v(bad.dpair(la, lb), c), v(bad.vpair(la, lb), c)),
-            "associativity (-|)": (w(bad.dpair(la, lb), c), w(a, bad.dpair(lb, lc))),
-            "right products agree": (w(a, bad.vpair(lb, lc)), w(a, bad.dpair(lb, lc))),
-            "inner associativity": (w(bad.vpair(la, lb), c), v(a, bad.dpair(lb, lc))),
+            "associativity (|-)": (v(vt(la, lb), c), v(a, vt(lb, lc))),
+            "left products agree": (v(dt(la, lb), c), v(vt(la, lb), c)),
+            "associativity (-|)": (w(dt(la, lb), c), w(a, dt(lb, lc))),
+            "right products agree": (w(a, vt(lb, lc)), w(a, dt(lb, lc))),
+            "inner associativity": (w(vt(la, lb), c), v(a, dt(lb, lc))),
         }
         lhs, rhs = oracle[axiom]
         assert exc.value.lhs.basis == exc.value.rhs.basis == d.basis

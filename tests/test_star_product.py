@@ -285,7 +285,7 @@ def ad_tilde_by_partials(h, i, f):
     """Reference oracle: sum_j hat([e_i, e_j]) * df/dalpha_j with the polynomial product."""
     out = PolyFunction.zero(h.dim, f.order)
     for j in h.basis.labels:
-        out = out + hat_function(h, h.bracket_of_labels(i, j), f.order) * f.partial(
+        out = out + hat_function(h, h.table.vector(i, j), f.order) * f.partial(
             h.basis.index(j))
     return out
 

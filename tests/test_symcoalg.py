@@ -21,6 +21,7 @@ from oracles import (
     convolution_unit,
     flip_map,
     sym_product_map,
+    table_of,
     tensor_product_map,
 )
 from rackalg.errors import AxiomViolation, RackalgError, SchemaError
@@ -296,14 +297,15 @@ def test_multiplicative_checker_names_the_failing_identity():
         return FinVec.unit(c.basis, table[p, q])
 
     pairs = [(p, q) for p in c.basis.labels for q in c.basis.labels]
-    check_multiplicative(c, pair, pairs, "coproduct", "counit")
+    labels = c.basis.labels
+    check_multiplicative(c, table_of(c.basis, pair, labels), pairs, "coproduct", "counit")
     with pytest.raises(AxiomViolation) as exc:
-        check_multiplicative(c, lambda p, q: pair(p, q).scale(F(2)), pairs,
-                             "coproduct", "counit")
+        check_multiplicative(c, table_of(c.basis, lambda p, q: pair(p, q).scale(F(2)), labels),
+                             pairs, "coproduct", "counit")
     assert (exc.value.axiom, exc.value.witness) == ("counit", ("e", "e"))
     with pytest.raises(AxiomViolation) as exc:
-        check_multiplicative(c, lambda p, q: pair(p, q) + FinVec.unit(c.basis, "a")
-                             - FinVec.unit(c.basis, "e"), pairs, "coproduct", "counit")
+        check_multiplicative(c, table_of(c.basis, lambda p, q: pair(p, q) + FinVec.unit(
+            c.basis, "a") - FinVec.unit(c.basis, "e"), labels), pairs, "coproduct", "counit")
     # e e = a is still group-like; e a = 2a - e is not
     assert (exc.value.axiom, exc.value.witness) == ("coproduct", ("e", "a"))
 
@@ -313,11 +315,12 @@ def test_multiplicative_checker_takes_the_acting_coalgebra():
     g = group_like_coalgebra(("e", "a"), "e")
     c = symmetric_coalgebra(Basis("V", (1,)), 1)
     pairs = [(p, q) for p in g.basis.labels for q in c.basis.labels]
-    check_multiplicative(c, lambda p, q: FinVec.unit(c.basis, q), pairs,
-                         "coproduct", "counit", left=g)
+    labels = (g.basis.labels, c.basis.labels)
+    check_multiplicative(c, table_of(c.basis, lambda p, q: FinVec.unit(c.basis, q), *labels),
+                         pairs, "coproduct", "counit", left=g)
     with pytest.raises(AxiomViolation) as exc:
-        check_multiplicative(c, lambda p, q: FinVec.unit(c.basis, q).scale(1 if p == "e" else 0),
-                             pairs, "coproduct", "counit", left=g)
+        check_multiplicative(c, table_of(c.basis, lambda p, q: FinVec.unit(c.basis, q).scale(
+            1 if p == "e" else 0), *labels), pairs, "coproduct", "counit", left=g)
     assert (exc.value.axiom, exc.value.witness) == ("counit", ("a", ()))
 
 

@@ -59,14 +59,14 @@ from rackalg.symcoalg import Coalgebra, check_multiplicative, sort_monomial, sym
 class HopfBackend(Protocol):
     """A cocommutative Hopf algebra on a labelled basis.
 
-    Every label has a filtration ``degree``; ``fits`` says whether a degree
-    lies under ``cap`` (``None`` when uncapped), and ``table`` is the product
-    on basis labels, refusing pairs that do not fit.  ``adjoint(u, v)`` is
-    ad_u(v) = sum u1 v S(u2).  The basis and unit are the coalgebra's.
+    ``table`` is the product on basis labels.  It holds the filtration
+    degrees and the cap (``None`` when uncapped): ``table.degree`` and
+    ``table.fits`` decide what lies under the cap, and reads of pairs beyond
+    it are refused.  ``adjoint(u, v)`` is ad_u(v) = sum u1 v S(u2).  The basis
+    and unit are the coalgebra's.
     """
 
     coalgebra: Coalgebra
-    cap: int | None
 
     @property
     def basis(self) -> Basis:
@@ -76,8 +76,6 @@ class HopfBackend(Protocol):
     def unit(self) -> FinVec:
         return self.coalgebra.unit
 
-    def degree(self, label: Label) -> int: ...
-    def fits(self, degree: int) -> bool: ...
     @property
     def table(self) -> PairTable: ...
     def product(self, a: FinVec, b: FinVec) -> FinVec: ...
@@ -93,14 +91,6 @@ class EnvelopingHopf(HopfBackend):
     cap: int
     coalgebra: Coalgebra
     _memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def degree(self, label: Label) -> int:
-        """Filtration degree of a PBW word: its length."""
-        return len(label)
-
-    def fits(self, degree: int) -> bool:
-        """Whether an element of this degree lies under the cap."""
-        return degree <= self.cap
 
     def embed(self, x: FinVec) -> FinVec:
         """Inclusion g -> U(g) as length-one words."""
@@ -133,7 +123,8 @@ class EnvelopingHopf(HopfBackend):
     @cached_property
     def table(self) -> PairTable:
         """Products of two PBW words, every pair under the cap straightened
-        once; a pair beyond the cap is refused."""
+        once; the degree of a word is its length, and a pair beyond the cap
+        is refused."""
         words = self.basis.labels
         return PairTable.build(
             self.basis, ((wa, wb, self.straighten(wa + wb)) for wa in words for wb in words
@@ -193,26 +184,23 @@ def check_hopf(coalg: Coalgebra, t: PairTable, antipode: FinMap) -> None:
     """
     basis = coalg.basis
     unit = coalg.unit
-
-    def fits(*labels: Label) -> bool:
-        return t.cap is None or sum(t.degrees.get(l, 0) for l in labels) <= t.cap
-
+    deg = t.degree
     for a in basis.labels:
-        if fits(a):
+        if t.fits(deg(a)):
             e = FinVec.unit(basis, a)
             for axiom, got in (("left unit", times_label(t, unit.entries, a)),
                                ("right unit", label_times(t, a, unit.entries))):
                 if FinVec(basis, got) != e:
                     raise AxiomViolation(axiom, a, FinVec(basis, got), e)
     for a, b, c in itertools.product(basis.labels, repeat=3):
-        if fits(a, b, c):
+        if t.fits(deg(a) + deg(b) + deg(c)):
             lhs = times_label(t, t.entry(a, b), c)
             rhs = label_times(t, a, t.entry(b, c))
             if not same_entries(lhs, rhs):
                 raise AxiomViolation("associativity", (a, b, c), FinVec(basis, lhs),
                                      FinVec(basis, rhs))
     check_multiplicative(coalg, t, [(a, b) for a, b in itertools.product(basis.labels, repeat=2)
-                                    if fits(a, b)],
+                                    if t.fits(deg(a) + deg(b))],
                          "coproduct multiplicativity", "counit multiplicativity")
     for a in basis.labels:
         left: dict[Label, Coeff] = {}

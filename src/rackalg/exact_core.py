@@ -14,11 +14,13 @@ values: ints, strings, tuples of labels for tensor factors).  Tensor-product
 bases flatten their labels, so ``(A (x) B) (x) C`` and ``A (x) (B (x) C)``
 agree on the nose.
 
-Every product of the package is stored once, as a :class:`PairTable`: its
-columns keyed by basis-label pairs, held both as rows {la: {lb: column}} and as
-columns {lb: {la: column}}, validated once when the table is built (exact
-coefficients, keys in the domain, entries in the codomain) and, for a capped
-algebra, refusing the pairs whose degrees sum beyond the cap.  A product with
+Every product is read through one :class:`PairTable` built from its public
+field (``mu``, ``action``, ``mul``, ``vdash``/``dashv``, ``bracket``): its
+columns keyed by basis-label pairs, held as rows {la: {lb: column}} and as
+columns {lb: {la: column}}, validated once (exact coefficients, keys in the
+domain, entries in the codomain, nonnegative int degrees and cap).  The table
+alone holds the degrees and the cap of a truncated algebra: it says which
+degrees fit and refuses the pairs beyond the cap.  A product with
 a basis label on one side is read by :func:`times_label` (v . l) and
 :func:`label_times` (l . v), and two vectors are multiplied by
 :func:`bilinear`; each adds the stored columns inside its own loop, so a term
@@ -506,7 +508,8 @@ class PairTable:
     ``rows[la][lb]`` and ``cols[lb][la]`` are the same coefficient dict, the
     product of la and lb in ``basis``; an absent pair multiplies to zero.
     With a ``cap``, a pair whose ``degrees`` (sparse, default 0) sum beyond it
-    is refused with :class:`DegreeCapExceeded`, stored or not.
+    is refused with :class:`DegreeCapExceeded`, stored or not.  Every capped
+    check of the package asks the table which degrees fit.
     """
 
     basis: Basis
@@ -518,10 +521,20 @@ class PairTable:
 
     @staticmethod
     def build(basis: Basis, columns: Iterable[tuple[Label, Label, FinVec]],
-              left: Basis | None = None, right: Basis | None = None, **kwargs: Any) -> "PairTable":
+              left: Basis | None = None, right: Basis | None = None,
+              degrees: Mapping[Label, int] = MappingProxyType({}), cap: int | None = None,
+              context: str = "product") -> "PairTable":
         """The table of the (la, lb, la lb) columns, each entry checked once: a
         column from another space raises ValueError; an inexact coefficient, an
-        entry outside ``basis`` or a key outside ``left`` x ``right`` SchemaError."""
+        entry outside ``basis``, a key outside ``left`` x ``right``, a degree of
+        a label outside ``basis`` or a degree or cap that is not a nonnegative
+        int SchemaError."""
+        if cap is not None:
+            _require_degree(cap, "degree cap")
+        for lab, dg in degrees.items():
+            if lab not in basis._index:
+                raise SchemaError(f"degree assigned to unknown label {lab!r}")
+            _require_degree(dg, f"degree of {lab!r}")
         rows: dict[Label, dict[Label, Mapping[Label, Coeff]]] = {}
         cols: dict[Label, dict[Label, Mapping[Label, Coeff]]] = {}
         for la, lb, v in columns:
@@ -536,7 +549,7 @@ class PairTable:
                     raise SchemaError(f"entry {lab!r} at {(la, lb)!r} is not in {basis.name}")
             if v.entries:
                 rows.setdefault(la, {})[lb] = cols.setdefault(lb, {})[la] = v.entries
-        return PairTable(basis, rows, cols, **kwargs)
+        return PairTable(basis, rows, cols, degrees, cap, context)
 
     @staticmethod
     def from_map(fmap: FinMap, left: Basis, right: Basis, **kwargs: Any) -> "PairTable":
@@ -551,6 +564,14 @@ class PairTable:
         pairs = zip(itertools.product(left.labels, right.labels), dom.labels)
         return PairTable.build(fmap.codomain, ((la, lb, cols[key]) for (la, lb), key in pairs
                                               if key in cols), **kwargs)
+
+    def degree(self, label: Label) -> int:
+        """The filtration degree of a basis label."""
+        return self.degrees.get(label, 0)
+
+    def fits(self, degree: int) -> bool:
+        """Whether an element of this degree lies under the cap."""
+        return self.cap is None or degree <= self.cap
 
     def entry(self, la: Label, lb: Label) -> Mapping[Label, Coeff]:
         """The product of two basis labels as a coefficient dict."""

@@ -138,17 +138,11 @@ class GroupHopf(HopfBackend):
 
     group: FiniteGroup
     coalgebra: Coalgebra
-    cap = None
-
-    def degree(self, label: Label) -> int:
-        return 0
-
-    def fits(self, degree: int) -> bool:
-        return True
 
     @cached_property
     def table(self) -> PairTable:
-        """The multiplication table: x y on every pair of elements."""
+        """The multiplication table: x y on every pair of elements, all of
+        degree 0 and uncapped."""
         basis = self.basis
         return PairTable.build(basis, ((x, y, FinVec.unit(basis, self.group.mul(x, y)))
                                        for x in basis.labels for y in basis.labels))

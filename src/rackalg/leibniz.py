@@ -83,7 +83,7 @@ class LeibnizAlgebra:
             lambda k: FinVec(self.basis, times_label(self.table, x.entries, k)))
 
     def is_abelian(self) -> bool:
-        return all(v.is_zero for v in self.bracket.values())
+        return not self.table.rows
 
 
 def check_leibniz(h: LeibnizAlgebra) -> None:

@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from rackalg.env_hopf import HopfBackend, enveloping_hopf, module_action, phi_map
 from rackalg.errors import (
@@ -215,10 +215,9 @@ def _check_product(rb: RackBialgebra) -> None:
 
     Every product with a basis label on one side is read from the stored
     columns into a plain dict (:func:`~rackalg.exact_core.label_times`,
-    :func:`~rackalg.exact_core.times_label`); in the self-distributivity loop
-    (a1 |> b) |> (a2 |> c) = sum_l (a1 |> b)_l (l |> (a2 |> c)), with the
-    terms of a1 |> b listed once per (a, b).  Vectors are built only to
-    compare with a unit and for a failure's witness.
+    :func:`~rackalg.exact_core.times_label`), self-distributivity by
+    :func:`_first_selfdist_failure`.  Vectors are built only to compare with
+    a unit and for a failure's witness.
     """
     c = rb.carrier
     basis = c.basis
@@ -241,9 +240,23 @@ def _check_product(rb: RackBialgebra) -> None:
             raise AxiomViolation("unit absorption", lab, lhs, rhs)
     check_multiplicative(c, t, itertools.product(labels, repeat=2),
                          "coproduct multiplicativity", "counit multiplicativity")
-    rows = t.rows  # a rack product has no cap: every row is read directly
+    triple, lhs, rhs, _ = _first_selfdist_failure(t, c.legs, labels)
+    if triple is not None:
+        raise _violation(basis, "self-distributivity", triple, lhs, rhs)
+
+
+def _first_selfdist_failure(t: PairTable, legs_of: Callable[[Label], list],
+                            labels: Sequence[Label]) -> tuple[tuple | None, dict, dict, int]:
+    """The first basis triple, in ``itertools.product`` order, with a |> (b |> c)
+    != sum (a1 |> b) |> (a2 |> c) for the uncapped ``t`` and coproduct legs
+    ``legs_of(a)``, both sides as dicts and the number of triples that held
+    before it; (None, {}, {}, n) when all n hold.  The right side is read as
+    sum_l (a1 |> b)_l (l |> (a2 |> c)), the terms of a1 |> b listed once per (a, b).
+    """
+    rows = t.rows  # an uncapped product: every row is read directly
+    checked = 0
     for la in labels:
-        legs = c.legs(la)
+        legs = legs_of(la)
         for lb in labels:
             left = [(l, ca * cl, rows.get(a2, _NO_ENTRIES)) for a1, a2, ca in legs
                     for l, cl in rows.get(a1, _NO_ENTRIES).get(lb, _NO_ENTRIES).items()]
@@ -254,7 +267,9 @@ def _check_product(rb: RackBialgebra) -> None:
                 for l, w, row in left:
                     label_times(t, l, row.get(lc, _NO_ENTRIES), rhs, w)
                 if not same_entries(lhs, rhs):
-                    raise _violation(basis, "self-distributivity", (la, lb, lc), lhs, rhs)
+                    return (la, lb, lc), lhs, rhs, checked
+                checked += 1
+    return None, {}, {}, checked
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +358,12 @@ def hopf_adjoint(hopf: HopfBackend, degree: int | None = None) -> RackBialgebra:
     if degree is not None:
         _require_degree(degree)
     c = hopf.coalgebra
-    if hopf.cap is not None:
-        k = hopf.cap - 1 if degree is None else degree
-        if k + 1 > hopf.cap:
-            raise DegreeCapExceeded(k + 1, hopf.cap, "adjoint rack needs one degree of headroom")
-        c = restrict_coalgebra(c, [lab for lab in c.basis.labels if hopf.degree(lab) <= k],
+    t = hopf.table
+    if t.cap is not None:
+        k = t.cap - 1 if degree is None else degree
+        if k + 1 > t.cap:
+            raise DegreeCapExceeded(k + 1, t.cap, "adjoint rack needs one degree of headroom")
+        c = restrict_coalgebra(c, [lab for lab in c.basis.labels if t.degree(lab) <= k],
                                f"Ad({hopf.basis.name})<={k}")
     basis = c.basis
     units = {lab: FinVec.unit(hopf.basis, lab) for lab in basis.labels}
@@ -431,7 +447,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     hopf_t = hopf.table
     for lu in hc.basis.labels:
         for lv in hc.basis.labels:
-            if not hopf.fits(hopf.degree(lu) + hopf.degree(lv)):
+            if not hopf_t.fits(hopf_t.degree(lu) + hopf_t.degree(lv)):
                 continue
             uv = hopf_t.entry(lu, lv)
             for la in bc.basis.labels:
@@ -447,7 +463,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
         u = FinVec.unit(hc.basis, lh)
         for la in bc.basis.labels:
             pa = phi.column(la)
-            if not hopf.fits(max((hopf.degree(w) for w in pa.entries), default=0) + 1):
+            if not hopf_t.fits(max(map(hopf_t.degree, pa.entries), default=0) + 1):
                 continue
             lhs = phi(act.vector(lh, la))
             rhs = hopf.adjoint(u, pa)
@@ -607,17 +623,25 @@ def primitives_leibniz(rb: RackBialgebra) -> LeibnizAlgebra:
     restriction a Leibniz bracket, which is verified on the result."""
     if not rb.certified:
         raise RackalgError("primitives_leibniz needs a certified rack bialgebra")
-    prims = primitives(rb.carrier)
+    return _primitive_leibniz(rb.carrier, rb.apply, f"Prim({rb.basis.name})",
+                              "product of primitives left the primitive subspace")
+
+
+def _primitive_leibniz(c: Coalgebra, bracket: Callable[[FinVec, FinVec], FinVec],
+                       name: str, escaped: str) -> LeibnizAlgebra:
+    """The Leibniz algebra ``name`` of ``bracket`` on the primitives of ``c``:
+    each bracket of two primitives is solved in their span (``escaped`` is the
+    error when it leaves it), and the Leibniz identity is verified."""
+    prims = primitives(c)
     solver = SpanSolver(prims)
     entries: dict[tuple[int, int], dict[int, Rational]] = {}
     for j, x in enumerate(prims, start=1):
         for k, y in enumerate(prims, start=1):
-            v = rb.apply(x, y)
-            coords = solver.coordinates(v)
+            coords = solver.coordinates(bracket(x, y))
             if coords is None:
-                raise RackalgError("product of primitives left the primitive subspace")
-            entries[(j, k)] = {i: c for i, c in enumerate(coords, start=1) if c}
-    h = LeibnizAlgebra.from_table(len(prims), entries, name=f"Prim({rb.basis.name})")
+                raise RackalgError(escaped)
+            entries[(j, k)] = {i: cv for i, cv in enumerate(coords, start=1) if cv}
+    h = LeibnizAlgebra.from_table(len(prims), entries, name=name)
     check_leibniz(h)
     return h
 
@@ -795,8 +819,8 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
         hsw3 = hc.sweedler3(FinVec.unit(hc.basis, lh))
         for la in bc.basis.labels:
             bsw = bc.legs(la)
-            worst = max((hopf.degree(w) for b1, _, _ in bsw for w in phi[b1]), default=0)
-            if not hopf.fits(hopf.degree(lh) + worst):
+            worst = max((hopf_t.degree(w) for b1, _, _ in bsw for w in phi[b1]), default=0)
+            if not hopf_t.fits(hopf_t.degree(lh) + worst):
                 skipped += 1
                 continue
             checked += 1

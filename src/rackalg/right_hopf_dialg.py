@@ -80,12 +80,13 @@ from rackalg.exact_core import (
     times_label,
 )
 from rackalg.groups import FiniteGroup, GroupHopf, group_like_coalgebra
-from rackalg.leibniz import LeibnizAlgebra, check_leibniz, quotient_lie
+from rackalg.leibniz import LeibnizAlgebra, quotient_lie
 from rackalg.rack_bialg import (
     AugmentedRackBialgebra,
     CheckReport,
     RackBialgebra,
     _certified,
+    _primitive_leibniz,
     _violation,
     certify,
     uar_infinity,
@@ -520,7 +521,9 @@ class HopfDialgebra:
     fit under ``cap`` multiplies to zero, while pairs beyond the cap raise
     :class:`DegreeCapExceeded`.  ``degrees`` is sparse with default 0.
     ``vdash_table`` and ``dashv_table`` are the two products as tables
-    (:class:`~rackalg.exact_core.PairTable`) with that cap, built on first read.
+    (:class:`~rackalg.exact_core.PairTable`), built on first read; they check
+    ``degrees`` and ``cap`` and own them from then on, so every capped check
+    asks ``vdash_table.degree`` and ``vdash_table.fits``.
     """
 
     coalgebra: Coalgebra
@@ -539,16 +542,6 @@ class HopfDialgebra:
     @property
     def unit(self) -> FinVec:
         return self.coalgebra.unit
-
-    def degree(self, lab: Label) -> int:
-        return self.degrees.get(lab, 0)
-
-    def fits(self, degree: int) -> bool:
-        return self.cap is None or degree <= self.cap
-
-    def _guard(self, degree: int, context: str) -> None:
-        if not self.fits(degree):
-            raise DegreeCapExceeded(degree, self.cap, context)
 
     def _table(self, products: Mapping[tuple[Label, Label], FinVec], name: str) -> PairTable:
         return PairTable.build(self.basis, ((la, lb, v) for (la, lb), v in products.items()),
@@ -575,13 +568,14 @@ class HopfDialgebra:
         """Antipode, guarded: undefined beyond the cap rather than zero."""
         if self.cap is not None:
             for lab in a.entries:
-                self._guard(self.degree(lab), "antipode")
+                self.s_label(lab)
         return self.antipode(a)
 
     def s_label(self, lab: Label) -> FinVec:
         """S of one basis label: a column of the antipode, guarded as in :meth:`s`."""
-        if self.cap is not None:
-            self._guard(self.degree(lab), "antipode")
+        t = self.vdash_table
+        if not t.fits(t.degree(lab)):
+            raise DegreeCapExceeded(t.degree(lab), t.cap, "antipode")
         return self.antipode.column(lab)
 
 
@@ -605,28 +599,22 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     basis = c.basis
     if d.antipode.domain != basis or d.antipode.codomain != basis:
         raise SchemaError("antipode must be an endomorphism of the carrier")
-    if d.cap is not None and d.cap < 0:
-        raise SchemaError("degree cap must be nonnegative")
-    for lab, dg in d.degrees.items():
-        if lab not in basis:
-            raise SchemaError(f"degree assigned to unknown label {lab!r}")
-        if not isinstance(dg, int) or dg < 0:
-            raise SchemaError(f"degree of {lab!r} must be a nonnegative integer")
-    for name, table in (("|-", d.vdash), ("-|", d.dashv)):
-        for (la, lb), val in table.items():
-            if val.basis != basis:
-                raise SchemaError(f"{name} table value escapes the carrier at ({la!r}, {lb!r})")
-            if not d.fits(d.degree(la) + d.degree(lb)):
-                raise SchemaError(f"{name} table entry ({la!r}, {lb!r}) beyond the cap")
-    for lab in d.antipode.columns:
-        if not d.fits(d.degree(lab)):
-            raise SchemaError(f"antipode column {lab!r} beyond the cap")
     vt, dt = d.vdash_table, d.dashv_table
+    deg = {lab: vt.degree(lab) for lab in basis.labels}
+    # a table refuses reads beyond its cap; a stored entry there is refused here
+    if vt.cap is not None:
+        for name, t in (("|-", vt), ("-|", dt)):
+            for la, row in t.rows.items():
+                for lb in row:
+                    if not vt.fits(deg[la] + deg[lb]):
+                        raise SchemaError(f"{name} table entry ({la!r}, {lb!r}) beyond the cap")
+    for lab in d.antipode.columns:
+        if not vt.fits(vt.degree(lab)):
+            raise SchemaError(f"antipode column {lab!r} beyond the cap")
     check_coalgebra(c)
     check_cocommutative(c)
 
     labs = basis.labels
-    deg = {lab: d.degree(lab) for lab in labs}
     one = c.unit
     s = d.antipode
     dt_op = dt.opposite()
@@ -636,7 +624,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     skipped_triples = 0
 
     for lab in labs:
-        if not d.fits(deg[lab]):
+        if not vt.fits(deg[lab]):
             skipped_labels += 1
             continue
         a = FinVec.unit(basis, lab)
@@ -662,7 +650,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         raise AxiomViolation("antipode unit", "1", s(one), one)
 
     for la, lb in itertools.product(labs, repeat=2):
-        if not d.fits(deg[la] + deg[lb]):
+        if not vt.fits(deg[la] + deg[lb]):
             skipped_pairs += 1
             continue
         for name, t in (("|-", vt), ("-|", dt)):
@@ -682,7 +670,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     for la in labs:
         for lb in labs:
             d_ab = deg[la] + deg[lb]
-            if not d.fits(d_ab):
+            if not vt.fits(d_ab):
                 skipped_triples += len(labs)
                 continue
             ab_v = vt.entry(la, lb)
@@ -690,7 +678,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
             row_v = vt.rows.get(lb, _NO_ENTRIES)
             row_d = dt.rows.get(lb, _NO_ENTRIES)
             for lc in labs:
-                if not d.fits(d_ab + deg[lc]):
+                if not vt.fits(d_ab + deg[lc]):
                     skipped_triples += 1
                     continue
                 bc_v = row_v.get(lc, _NO_ENTRIES)
@@ -727,17 +715,11 @@ def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
     tabulated on every label pair whose degrees fit the cap."""
     if not isinstance(hopf, HopfBackend):
         raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
-    degrees = {lab: hopf.degree(lab) for lab in hopf.basis.labels if hopf.degree(lab)}
     # a Hopf table stores the pairs under its cap only
-    rows = hopf.table.rows
-    table = {(x, y): FinVec(hopf.basis, v) for x in rows for y, v in rows[x].items()}
+    t = hopf.table
+    table = {(x, y): FinVec(hopf.basis, v) for x in t.rows for y, v in t.rows[x].items()}
     return certify_dialgebra(HopfDialgebra(
-        hopf.coalgebra, table, table, hopf.antipode_map(), degrees, hopf.cap))
-
-
-def _carrier_degree(hopf: HopfBackend, lab: Label) -> int:
-    bl, hl = lab
-    return (len(bl) if isinstance(bl, tuple) else 0) + hopf.degree(hl)
+        hopf.coalgebra, table, table, hopf.antipode_map(), t.degrees, t.cap))
 
 
 def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
@@ -757,23 +739,23 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     hc = hopf.coalgebra
     carrier = tensor_coalgebra(bc, hc)
     basis = carrier.basis
-    degrees = {lab: _carrier_degree(hopf, lab) for lab in basis.labels
-               if _carrier_degree(hopf, lab)}
     action, hopf_t = arb.table, hopf.table
+    degrees = {(bl, hl): dg for bl, hl in basis.labels
+               if (dg := (len(bl) if isinstance(bl, tuple) else 0) + hopf_t.degree(hl))}
     phi_full = {(bl, hl): FinVec(hc.basis, times_label(hopf_t, arb.phi.column(bl).entries, hl))
-                for bl, hl in basis.labels if hopf.fits(degrees.get((bl, hl), 0))}
+                for bl, hl in basis.labels if hopf_t.fits(degrees.get((bl, hl), 0))}
 
     s_hopf = hopf.antipode_map()
     vdash: dict[tuple[Label, Label], FinVec] = {}
     dashv: dict[tuple[Label, Label], FinVec] = {}
     for x in basis.labels:
         dx = degrees.get(x, 0)
-        if not hopf.fits(dx):
+        if not hopf_t.fits(dx):
             continue
         sw_x = hc.sweedler(phi_full[x])
         bx, hx = x
         for y in basis.labels:
-            if not hopf.fits(dx + degrees.get(y, 0)):
+            if not hopf_t.fits(dx + degrees.get(y, 0)):
                 continue
             by, hy = y
             vdash[x, y] = tensor_sum(basis, ((action.vector(u1, by), hopf_t.vector(u2, hy), cw)
@@ -785,16 +767,16 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
 
     s_cols: dict[Label, FinVec] = {}
     for lab in basis.labels:
-        if not hopf.fits(degrees.get(lab, 0)):
+        if not hopf_t.fits(degrees.get(lab, 0)):
             continue
         val = bc.unit.tensor(s_hopf(phi_full[lab]), basis)
         if not val.is_zero:
             s_cols[lab] = val
     antipode = FinMap(basis, basis, s_cols)
 
-    d = certify_dialgebra(HopfDialgebra(carrier, vdash, dashv, antipode, degrees, hopf.cap))
+    d = certify_dialgebra(HopfDialgebra(carrier, vdash, dashv, antipode, degrees, hopf_t.cap))
 
-    if hopf.fits(2):
+    if hopf_t.fits(2):
         def emb_b(y: FinVec) -> FinVec:
             return y.tensor(hc.unit, basis)
 
@@ -843,19 +825,9 @@ def dialgebra_leibniz(d: HopfDialgebra) -> LeibnizAlgebra:
     """
     if not d.certified:
         raise RackalgError("dialgebra_leibniz needs a certified dialgebra")
-    prims = primitives(d.coalgebra)
-    solver = SpanSolver(prims)
-    entries: dict[tuple[int, int], dict[int, Rational]] = {}
-    for j, x in enumerate(prims, start=1):
-        for k, y in enumerate(prims, start=1):
-            v = d.vprod(x, y) - d.dprod(y, x)
-            coords = solver.coordinates(v)
-            if coords is None:
-                raise RackalgError("dialgebra bracket of primitives left the primitive subspace")
-            entries[(j, k)] = {i: cv for i, cv in enumerate(coords, start=1) if cv}
-    h = LeibnizAlgebra.from_table(len(prims), entries, name=f"Leibniz({d.basis.name})")
-    check_leibniz(h)
-    return h
+    return _primitive_leibniz(d.coalgebra, lambda x, y: d.vprod(x, y) - d.dprod(y, x),
+                              f"Leibniz({d.basis.name})",
+                              "dialgebra bracket of primitives left the primitive subspace")
 
 
 def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBialgebra:
@@ -876,43 +848,43 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     if not d.certified:
         raise RackalgError("hopf_dialgebra_rack needs a certified dialgebra")
     c = d.coalgebra
+    vt, dt = d.vdash_table, d.dashv_table
     if d.cap is None:
         carrier = c
     else:
         t = d.cap // 2 if degree is None else degree
         if 2 * t > d.cap:
             raise DegreeCapExceeded(2 * t, d.cap, "rack products need pairs inside the cap")
-        keep = [lab for lab in c.basis.labels if d.degree(lab) <= t]
+        keep = [lab for lab in c.basis.labels if vt.degree(lab) <= t]
         carrier = restrict_coalgebra(c, keep, f"{c.basis.name} (deg<={t})")
     basis = carrier.basis
     labs = c.basis.labels
-    deg = {lab: d.degree(lab) for lab in labs}
+    deg = {lab: vt.degree(lab) for lab in labs}
     rack = PairTable.build(c.basis, ((la, lb, _rack_pair(d, la, lb))
                                      for la, lb in itertools.product(labs, repeat=2)
-                                     if d.fits(deg[la] + deg[lb])),
+                                     if vt.fits(deg[la] + deg[lb])),
                            degrees=d.degrees, cap=d.cap, context="product |-")
 
     def mu_col(la: Label, lb: Label) -> Mapping[Label, Rational]:
         val = rack.entry(la, lb)
         for lab in val:
             if lab not in basis:
-                raise DegreeCapExceeded(d.degree(lab), d.cap,
+                raise DegreeCapExceeded(vt.degree(lab), d.cap,
                                         "rack product left the truncated carrier")
         return val
 
     mu = FinMap.from_pairs(basis, basis, carrier.square, basis, mu_col)
     rb = certify(RackBialgebra(carrier, mu))
 
-    vt, dt = d.vdash_table, d.dashv_table
     for la, lb in itertools.product(labs, repeat=2):
-        if not d.fits(deg[la] + deg[lb]):  # no c fits, and a |- b is refused
+        if not vt.fits(deg[la] + deg[lb]):  # no c fits, and a |- b is refused
             continue
         ab = (("module identity (|-)", vt.entry(la, lb)),
               ("module identity (-|)", dt.entry(la, lb)))
         left = [(l, cw * cl, l2) for l1, l2, cw in c.legs(la)
                 for l, cl in rack.entry(l1, lb).items()]
         for lc in labs:
-            if not d.fits(deg[la] + deg[lb] + deg[lc]):
+            if not vt.fits(deg[la] + deg[lb] + deg[lc]):
                 continue
             lhs = label_times(rack, la, rack.entry(lb, lc))
             for axiom, x in ab:
@@ -966,17 +938,17 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     square = c.square
     one = c.unit
     labs = basis.labels
-    fit_labels = [lab for lab in labs if d.fits(d.degree(lab))]
+    vt, dt = d.vdash_table, d.dashv_table
+    fit_labels = [lab for lab in labs if vt.fits(vt.degree(lab))]
     checked = 0
     skipped = len(labs) - len(fit_labels)
     units = {lab: FinVec.unit(basis, lab) for lab in labs}
     eps = c.eps_of
-    vt, dt = d.vdash_table, d.dashv_table
 
     def col(cols: dict[Label, FinVec], lab: Label, context: str) -> FinVec:
         got = cols.get(lab)
         if got is None:
-            raise DegreeCapExceeded(d.degree(lab), d.cap, context)
+            raise DegreeCapExceeded(vt.degree(lab), d.cap, context)
         return got
 
     def apply_cols(cols: dict[Label, FinVec], v: FinVec, target: Basis, context: str) -> FinVec:
@@ -1010,10 +982,10 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             raise DecompositionFailure("generalized idempotent (-|)", i, sweedler_sums, ev)
         if d.s(ev) != one.scale(eps(ev)):
             raise DecompositionFailure("idempotent antipode", i, d.s(ev), one.scale(eps(ev)))
-        ev_deg = max((d.degree(lab) for lab in ev.entries), default=0)
+        ev_deg = max((vt.degree(lab) for lab in ev.entries), default=0)
         e = eps(ev)
         for lab in fit_labels:
-            if not d.fits(ev_deg + d.degree(lab)):
+            if not vt.fits(ev_deg + vt.degree(lab)):
                 skipped += 1
                 continue
             want = units[lab].scale(e)
@@ -1040,13 +1012,13 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         raise DecompositionFailure("hopf part unit", "1", one, None)
 
     def vec_deg(v: FinVec) -> int:
-        return max((d.degree(lab) for lab in v.entries), default=0)
+        return max((vt.degree(lab) for lab in v.entries), default=0)
 
     for i, uv in enumerate(h_basis):
         if not h_solver.contains(d.s(uv)):
             raise DecompositionFailure("hopf part antipode closure", i, d.s(uv), None)
         for j, vv in enumerate(h_basis):
-            if not d.fits(vec_deg(uv) + vec_deg(vv)):
+            if not vt.fits(vec_deg(uv) + vec_deg(vv)):
                 skipped += 1
                 continue
             left = d.vprod(uv, vv)
@@ -1058,7 +1030,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             checked += 1
 
     for la, lb in itertools.product(fit_labels, repeat=2):
-        if not d.fits(d.degree(la) + d.degree(lb)):
+        if not vt.fits(vt.degree(la) + vt.degree(lb)):
             skipped += 1
             continue
         merged_v = pi(vt.vector(la, lb))
@@ -1078,7 +1050,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     pi_kernel = [FinVec.build(basis, v.entries) for v in kernel_basis(pi_map)]
     ideal_gens = []
     for la, lb in itertools.product(fit_labels, repeat=2):
-        if not d.fits(d.degree(la) + d.degree(lb)):
+        if not vt.fits(vt.degree(la) + vt.degree(lb)):
             continue
         g = vt.vector(la, lb) - dt.vector(la, lb)
         if not g.is_zero:
@@ -1106,7 +1078,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
 
     for i, ev in enumerate(e_basis):
         for j, uv in enumerate(h_basis):
-            if not d.fits(vec_deg(ev) + vec_deg(uv)):
+            if not vt.fits(vec_deg(ev) + vec_deg(uv)):
                 skipped += 1
                 continue
             w = d.dprod(ev, uv)
@@ -1122,7 +1094,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
 
     eps_lab = {lab: c.counit.get(lab, ZERO) for lab in labs}
     for la, lb in itertools.product(fit_labels, repeat=2):
-        if not d.fits(d.degree(la) + d.degree(lb)):
+        if not vt.fits(vt.degree(la) + vt.degree(lb)):
             skipped += 1
             continue
         try:
@@ -1182,7 +1154,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     ph_solver = SpanSolver(ph)
     for i, z in enumerate(pe):
         for j, w in enumerate(pe + ph):
-            if not d.fits(vec_deg(z) + vec_deg(w)):
+            if not vt.fits(vec_deg(z) + vec_deg(w)):
                 skipped += 1
                 continue
             got = bracket(z, w)
@@ -1191,7 +1163,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             checked += 1
     for i, xi in enumerate(ph):
         for j, z in enumerate(pe):
-            if not d.fits(vec_deg(xi) + vec_deg(z)):
+            if not vt.fits(vec_deg(xi) + vec_deg(z)):
                 skipped += 1
                 continue
             got = bracket(xi, z)
@@ -1200,7 +1172,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
                 raise DecompositionFailure("mixed bracket is the action", (i, j), got, want)
             checked += 1
         for j, eta in enumerate(ph):
-            if not d.fits(vec_deg(xi) + vec_deg(eta)):
+            if not vt.fits(vec_deg(xi) + vec_deg(eta)):
                 skipped += 1
                 continue
             if not ph_solver.contains(bracket(xi, eta)):
@@ -1244,6 +1216,7 @@ def universal_dialgebra(h: LeibnizAlgebra, cap: int) -> HopfDialgebra:
     arb = uar_infinity(h, 1, env_cap=cap)
     d = dialgebra_from_augmented(arb)
     basis = d.basis
+    vt = d.vdash_table
 
     def part(lab: Label) -> int:
         return len(lab[0])
@@ -1251,9 +1224,9 @@ def universal_dialgebra(h: LeibnizAlgebra, cap: int) -> HopfDialgebra:
     for pname, want in (("enveloping", 0), ("dialgebra", 1)):
         members = [lab for lab in basis.labels if part(lab) == want]
         for x, y in itertools.product(members, repeat=2):
-            if not d.fits(d.degree(x) + d.degree(y)):
+            if not vt.fits(vt.degree(x) + vt.degree(y)):
                 continue
-            for sym, prod in (("|-", d.vdash_table), ("-|", d.dashv_table)):
+            for sym, prod in (("|-", vt), ("-|", d.dashv_table)):
                 val = prod.vector(x, y)
                 for lab in val.entries:
                     if part(lab) != want:
@@ -1295,9 +1268,10 @@ def universal_property_instance(ud: HopfDialgebra, h: LeibnizAlgebra, phi: FinMa
     barred = {lab: target.dprod(t_one, phi(q.section.column(lab)))
               for lab in q.algebra.basis.labels}
     basis = ud.basis
+    ut = ud.vdash_table
 
     def hat_col(lab: Label) -> FinVec:
-        if not ud.fits(ud.degree(lab)):
+        if not ut.fits(ut.degree(lab)):
             return FinVec.zero(tc.basis)
         bl, wl = lab
         acc = t_one
@@ -1321,7 +1295,7 @@ def universal_property_instance(ud: HopfDialgebra, h: LeibnizAlgebra, phi: FinMa
                                        hat_col(lab), phi.column(j))
 
     for x, y in itertools.product(basis.labels, repeat=2):
-        if not ud.fits(ud.degree(x) + ud.degree(y)):
+        if not ut.fits(ut.degree(x) + ut.degree(y)):
             continue
         hx = hat_col(x)
         hy = hat_col(y)

@@ -334,11 +334,9 @@ def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
     if f.nvars != h.dim:
         raise SchemaError("polynomial does not live on the dual of the algebra")
     index = h.basis.index
-    row = []
-    for j in h.basis.labels:
-        v = h.bracket.get((i, j))
-        if v is not None and v.entries:
-            row.append((index(j), [(index(k), c) for k, c in v.entries.items()]))
+    line = h.table.rows.get(i, {})
+    row = [(index(j), [(index(k), c) for k, c in line[j].items()])
+           for j in h.basis.labels if j in line]
     rows: dict[Exponents, Row] = {}
     for m, s in f.terms.items():
         for pj, column in row:

@@ -169,7 +169,7 @@ def truncating_mul_map(env: EnvelopingHopf) -> FinMap:
     """
     def col(pair: Label) -> FinVec:
         wa, wb = split_label(env.basis, pair)
-        if not env.fits(len(wa) + len(wb)):
+        if not env.table.fits(len(wa) + len(wb)):
             return FinVec.zero(env.basis)
         return env.straighten(wa + wb)
 

@@ -100,7 +100,7 @@ def test_degree_cap_enforced(env_sl2):
         env_sl2.product(x, x)
     with pytest.raises(DegreeCapExceeded):
         env_sl2.table.vector((1, 1), (1, 1))
-    assert [env_sl2.degree(w) for w in ((), (2,), (1, 3))] == [0, 1, 2]
+    assert [env_sl2.table.degree(w) for w in ((), (2,), (1, 3))] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

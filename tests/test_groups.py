@@ -139,6 +139,6 @@ def test_group_hopf_product_bilinear():
 
 def test_group_hopf_degrees_are_zero_and_uncapped():
     h = group_hopf(cyclic_group(3))
-    assert h.cap is None
-    assert all(h.degree(x) == 0 for x in h.basis.labels)
+    assert h.table.cap is None
+    assert all(h.table.degree(x) == 0 for x in h.basis.labels)
     assert h.table.vector("r1", "r2") == FinVec.unit(h.basis, "r0")

@@ -433,9 +433,9 @@ def reference_yetter_drinfeld(arb):
         hsw3 = hc.sweedler3(FinVec.unit(hc.basis, lh))
         for la in bc.basis.labels:
             bsw = bc.legs(la)
-            worst = max((hopf.degree(w) for b1, _, _ in bsw for w in arb.phi.column(b1).entries),
-                        default=0)
-            if not hopf.fits(hopf.degree(lh) + worst):
+            worst = max((hopf.table.degree(w) for b1, _, _ in bsw
+                         for w in arb.phi.column(b1).entries), default=0)
+            if not hopf.table.fits(hopf.table.degree(lh) + worst):
                 skipped += 1
                 continue
             checked += 1

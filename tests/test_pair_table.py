@@ -222,7 +222,17 @@ DEGREE_CALLS = {
     "hopf_adjoint degree": lambda v: hopf_adjoint(enveloping_hopf(load("lie2"), 3), v),
     "hopf_dialgebra_rack degree": lambda v: hopf_dialgebra_rack(
         hopf_as_dialgebra(group_hopf(cyclic_group(2))), v),
+    "certify_dialgebra cap": lambda v: certify_dialgebra(
+        dataclasses.replace(_lie2_dialgebra(), cap=v)),
+    "certify_dialgebra degree": lambda v: certify_dialgebra(
+        dataclasses.replace(_lie2_dialgebra(), degrees={(1,): v})),
+    "PairTable.build cap": lambda v: PairTable.build(Basis("V", ("x",)), (), cap=v),
+    "PairTable.build degree": lambda v: PairTable.build(Basis("V", ("x",)), (), degrees={"x": v}),
 }
+
+
+def _lie2_dialgebra():
+    return hopf_as_dialgebra(enveloping_hopf(load("lie2"), 2))
 
 
 @pytest.mark.parametrize("value", [True, 1.5, -1, "2"])
@@ -230,6 +240,21 @@ DEGREE_CALLS = {
 def test_degrees_and_caps_are_nonnegative_ints(call, value):
     with pytest.raises(SchemaError):
         DEGREE_CALLS[call](value)
+
+
+def test_a_degree_outside_the_basis_is_refused():
+    with pytest.raises(SchemaError):
+        PairTable.build(Basis("V", ("x",)), (), degrees={"y": 1})
+    d = _lie2_dialgebra()
+    with pytest.raises(SchemaError):
+        certify_dialgebra(dataclasses.replace(d, degrees={**d.degrees, (9,): 1}))
+
+
+def test_a_table_owns_the_degrees_and_the_cap():
+    t = enveloping_hopf(load("lie2"), 2).table
+    assert [t.degree(w) for w in ((), (1,), (1, 2))] == [0, 1, 2]
+    assert [t.fits(n) for n in (0, 2, 3)] == [True, True, False]
+    assert group_hopf(cyclic_group(2)).table.fits(10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +276,7 @@ def test_a_capped_dialgebra_refuses_exactly_the_pairs_beyond_its_cap():
     labels = d.basis.labels
     refusals = 0
     for la, lb in itertools.product(labels, repeat=2):
-        need = d.degree(la) + d.degree(lb)
+        need = d.vdash_table.degree(la) + d.vdash_table.degree(lb)
         for sign, t, prod in (("|-", d.vdash_table, d.vprod), ("-|", d.dashv_table, d.dprod)):
             want = None if need <= d.cap else (
                 need, d.cap, f"operation needs filtration degree {need} but the cap is "
@@ -432,7 +457,7 @@ def per_term_calls(tree, owner):
 GUARDED = {
     exact_core: ["label_times", "times_label", "bilinear"],
     symcoalg: ["check_multiplicative", "_delta_legs", "_add_tensor"],
-    rack_bialg: ["_check_product"],
+    rack_bialg: ["_check_product", "_first_selfdist_failure"],
     right_hopf_dialg: ["certify_dialgebra"],
 }
 
@@ -472,3 +497,54 @@ def test_no_label_pair_callable_is_left_in_the_package():
                 names.add(node.attr)
     assert names & {"pair", "vpair", "dpair", "act_pair", "action_columns",
                     "bracket_of_labels"} == set()
+
+
+# ---------------------------------------------------------------------------
+# the guard: one place decides what fits under a cap
+# ---------------------------------------------------------------------------
+
+
+CAP_RULE = {"fits", "degree"}
+
+
+def cap_rule_copies(tree):
+    """The functions and methods named ``fits`` or ``degree`` in a module, and
+    the members ``cap``, ``degree`` and ``fits`` of a ``HopfBackend`` class.
+    A ``degree`` property is the degree of the object itself (a polynomial's),
+    not a rule on labels, and is not counted."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in CAP_RULE and not any(
+                isinstance(dec, ast.Name) and dec.id == "property" for dec in node.decorator_list):
+            out.add(node.name)
+        if isinstance(node, ast.ClassDef) and node.name == "HopfBackend":
+            for member in node.body:
+                target = getattr(member, "target", None)
+                name = target.id if isinstance(target, ast.Name) else getattr(member, "name", None)
+                if name in CAP_RULE | {"cap"}:
+                    out.add(f"HopfBackend.{name}")
+    return out
+
+
+def test_only_the_pair_table_decides_what_fits():
+    package = pathlib.Path(exact_core.__file__).parent
+    found = {path.name: cap_rule_copies(ast.parse(path.read_text(), str(path)))
+             for path in sorted(package.rglob("*.py"))}
+    assert found.pop("exact_core.py") == CAP_RULE
+    assert {name: copies for name, copies in found.items() if copies} == {}
+
+
+def test_the_cap_rule_guard_sees_methods_and_protocol_members():
+    snippet = ("class HopfBackend(Protocol):\n"
+               " cap: int | None\n"
+               " def table(self): ...\n"
+               "class Env:\n"
+               " def fits(self, degree):\n"
+               "  def degree(label):\n"
+               "   return 0\n"
+               "  return True\n"
+               "class Poly:\n"
+               " @property\n"
+               " def degree(self):\n"
+               "  return 0\n")
+    assert cap_rule_copies(ast.parse(snippet)) == {"HopfBackend.cap", "fits", "degree"}

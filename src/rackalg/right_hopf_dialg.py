@@ -14,23 +14,22 @@ one-sided identity is written once, for a right antipode, and a left
 structure (a left Hopf algebra, or the half (A, -|, S) of a Hopf dialgebra)
 is checked through its opposite product.
 
-Every right Hopf algebra splits: the projector rho(a) = a 1 cuts out an
-honest Hopf algebra H1, the projector iota(a) = sum S(a1) a2 cuts out the
-coalgebra E of generalized units, and
-
-    Psi(a) = sum (a1 1) (x) (S(a2) a3)
-
-is a linear isomorphism H ~ H1 (x) E inverted by multiplication.  E is the
-fixed space of iota; every element of E also satisfies mu(Delta(c)) = c,
-but the converse containment fails already for K[S3], so the fixed-space
-description is the one used throughout.
+Every right Hopf algebra splits (the Suschkewitsch splitting): the
+projector rho(a) = a 1 cuts out an honest Hopf algebra H1, the projector
+iota(a) = sum S(a1) a2 cuts out the coalgebra E of generalized units, and
+Psi(a) = sum (a1 1) (x) (S(a2) a3) is a linear isomorphism H ~ H1 (x) E
+inverted by multiplication; a left Hopf algebra splits mirrored, as
+E (x) H1.  E is the fixed space of iota; every element of E also satisfies
+mu(Delta(c)) = c, but the converse containment fails already for K[S3], so
+the fixed-space description is the one used throughout.
 
 A *Hopf dialgebra* carries two associative products |- and -| sharing a
 bar-unit (1 |- a = a = a -| 1), balanced (a |- 1 = 1 -| a), compatible in
 the dialgebra sense, and an antipode making (A, |-) a right and (A, -|) a
-left Hopf algebra.  Such structures produce Leibniz brackets on
-primitives, rack products a |> b = sum (a1 |- b) -| S(a2), and a mirror of
-the unit/idempotent decomposition.  The main source of examples is an
+left Hopf algebra.  Such structures produce Leibniz brackets on primitives
+and rack products a |> b = sum (a1 |- b) -| S(a2).  Their decomposition
+A ~ E (x) H is the Suschkewitsch splitting of the left Hopf algebra
+(A, -|, S) plus the identities of |-.  The main source of examples is an
 augmented rack bialgebra: the carrier tensored with its Hopf algebra is a
 Hopf dialgebra, and applying this to the universal augmented structure of
 a Leibniz algebra yields its universal enveloping dialgebra.
@@ -46,7 +45,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from rackalg.env_hopf import HopfBackend
 from rackalg.errors import (
@@ -168,7 +167,11 @@ class RightHopfAlgebra:
     def _right_product(self) -> PairTable:
         """The product the antipode is a right antipode for: la lb for side
         "right", the opposite product lb la for side "left"."""
-        return self.table if self.side == "right" else self.table.opposite()
+        if self.side == "right":
+            return self.table
+        if self.side == "left":
+            return self.table.opposite()
+        raise SchemaError(f"antipode side must be 'right' or 'left', got {self.side!r}")
 
 
 def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
@@ -324,41 +327,204 @@ def right_group_hopf(group: FiniteGroup, points: Sequence[str], base: str,
     return certify_one_sided(RightHopfAlgebra(c, mul, s, side))
 
 
+def _iota_column(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
+                 lab: Label) -> FinVec:
+    """iota(a) = sum S(a1) a2 in the product ``r`` S is a right antipode for."""
+    return linear_sum(c.basis, ((FinVec(c.basis, times_label(r, s_col(l1).entries, l2)), cw)
+                                for l1, l2, cw in c.legs(lab)))
+
+
+def _rho_column(c: Coalgebra, r: PairTable, lab: Label) -> FinVec:
+    """rho(a) = a 1 in the product ``r``."""
+    return FinVec(c.basis, label_times(r, lab, c.unit.entries))
+
+
 def idempotent_projector(h: RightHopfAlgebra) -> FinMap:
-    """iota(a) = sum S(a1) a2 (side right) or sum a1 S(a2) (side left); its
-    image is E.
-
-    Both are sum S(a1) a2 in the product the antipode is a right antipode
-    for: that needs the coproduct to be cocommutative, which
-    :func:`certify_one_sided` checks.
-    """
-    c = h.coalgebra
-    s = h.antipode
-    rprod = h._right_product()
-
-    def col(lab: Label) -> FinVec:
-        return linear_sum(c.basis, ((FinVec(c.basis, times_label(rprod, s.column(l1).entries, l2)),
-                                     cw) for l1, l2, cw in c.legs(lab)))
-
-    return FinMap.from_function(c.basis, c.basis, col)
+    """iota(a) = sum S(a1) a2 (side right) or sum a1 S(a2) (side left), with
+    image E: both are sum S(a1) a2 in the product the antipode is a right
+    antipode for, as the coproduct is cocommutative."""
+    r = h._right_product()
+    return FinMap.from_function(h.basis, h.basis, lambda lab: _iota_column(
+        h.coalgebra, r, h.antipode.column, lab))
 
 
 def hopf_part_projector(h: RightHopfAlgebra) -> FinMap:
-    """rho(a) = a 1 (side right) or 1 a (side left); its image is H1.
+    """rho(a) = a 1 (side right) or 1 a (side left), with image H1: both are
+    a 1 in the product the antipode is a right antipode for."""
+    r = h._right_product()
+    return FinMap.from_function(h.basis, h.basis, lambda lab: _rho_column(h.coalgebra, r, lab))
 
-    Both are a 1 in the product the antipode is a right antipode for, which
-    is a right Hopf algebra only over a cocommutative coalgebra, as
-    :func:`certify_one_sided` checks.
+
+def _degree(t: PairTable, v: FinVec) -> int:
+    """The largest degree of a label of v."""
+    return max((t.degree(lab) for lab in v.entries), default=0)
+
+
+def _apply(m: FinMap, v: FinVec, t: PairTable, context: str) -> FinVec:
+    """m(v), refused for a label of v beyond the cap of ``t``."""
+    for lab in v.entries:
+        if not t.fits(t.degree(lab)):
+            raise DegreeCapExceeded(t.degree(lab), t.cap, context)
+    return m(v)
+
+
+@dataclass(frozen=True)
+class _Splitting:
+    """What :func:`_split` built (the label pairs under the cap, iota, rho, Psi
+    and the legs of its columns, E and H) and how many identities it checked
+    and skipped."""
+
+    pairs: list[tuple[Label, Label]]
+    iota: FinMap
+    rho: FinMap
+    psi: FinMap
+    psi_legs: dict[Label, list[tuple[Label, Label, Rational]]]
+    e: SpanSolver
+    h: SpanSolver
+    checked: int
+    skipped: int
+
+
+def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
+           labels: Sequence[Label], unit: str, tag: str) -> _Splitting:
+    """The Suschkewitsch splitting A ~ E (x) H, checked identity by identity.
+
+    ``r`` is the product the antipode is a right antipode for, so a.b = r(b, a)
+    is a left Hopf algebra ((A, -|, S) for a dialgebra), and the splitting is
+    written as that algebra's: a witness pair (a, b) names a.b.  E is the
+    image (equivalently fixed space) of iota(a) = sum a1.S(a2) = sum
+    r(S(a1), a2), H that of rho(a) = 1.a = r(a, 1), and Psi(a) =
+    sum iota(a1) (x) rho(a2).  ``s_col`` reads the antipode at a label,
+    ``labels`` are the labels under the cap of ``r``, and identities beyond
+    the cap are skipped and counted.  ``unit`` names the generalized unit
+    identity; ``tag`` ends its name and the names of the generalized
+    idempotent and psi multiplicative identities.  Once iota passes the
+    projector check its image is its fixed space, so the idempotent part
+    identity re-checks only the two eliminations.
     """
-    c = h.coalgebra
-    rprod = h._right_product()
-    return FinMap.from_function(c.basis, c.basis, lambda lab: FinVec(
-        c.basis, label_times(rprod, lab, c.unit.entries)))
+    basis = c.basis
+    square = c.square
+    one = c.unit
+    eps = c.eps_of
+    eps_lab = {lab: c.counit.get(lab, ZERO) for lab in basis.labels}
+    units = {lab: FinVec.unit(basis, lab) for lab in basis.labels}
+    pairs = [(la, lb) for la, lb in itertools.product(labels, repeat=2)
+             if r.fits(r.degree(la) + r.degree(lb))]
+    checked = 0
+    # labels beyond the cap, and the pairs beyond it in the two pair loops
+    skipped = basis.dim - len(labels) + 2 * (len(labels) ** 2 - len(pairs))
 
+    def s(v: FinVec) -> FinVec:
+        return linear_sum(basis, ((s_col(lab), cv) for lab, cv in v.entries.items()))
 
-def _tensor_legs(basis: Basis, w: FinVec) -> list[tuple[Label, Label, Rational]]:
-    """Terms (l1, l2, coefficient) of a vector of the tensor square of ``basis``."""
-    return [split_label(basis, pair) + (cw,) for pair, cw in w.entries.items()]
+    iota = FinMap(basis, basis, {lab: v for lab in labels
+                                 if not (v := _iota_column(c, r, s_col, lab)).is_zero})
+    for lab in labels:
+        got = _apply(iota, iota.column(lab), r, "idempotent projector")
+        if got != iota.column(lab):
+            raise DecompositionFailure("idempotent projector", lab, got, iota.column(lab))
+        checked += 1
+    e = SpanSolver([iota.column(lab) for lab in labels])
+    e_basis = e.vectors
+    moved = FinMap(Basis(f"{basis.name} (within cap)", tuple(labels)), basis, {
+        lab: v for lab in labels if not (v := iota.column(lab) - units[lab]).is_zero})
+    fixed = [FinVec.build(basis, v.entries) for v in kernel_basis(moved)]
+    if span_basis(fixed) != e_basis:
+        raise DecompositionFailure("idempotent part", "fixed space", len(fixed), len(e_basis))
+    for i, ev in enumerate(e_basis):
+        got = linear_sum(basis, ((r.vector(l1, l2), cw) for l1, l2, cw in c.sweedler(ev)))
+        if got != ev:
+            raise DecompositionFailure(f"generalized idempotent{tag}", i, got, ev)
+        if s(ev) != one.scale(eps(ev)):
+            raise DecompositionFailure("idempotent antipode", i, s(ev), one.scale(eps(ev)))
+        ev_deg = _degree(r, ev)
+        for lab in labels:
+            if not r.fits(ev_deg + r.degree(lab)):
+                skipped += 1
+                continue
+            # lab.e = eps(e) lab
+            want = units[lab].scale(eps(ev))
+            got = FinVec(basis, times_label(r, ev.entries, lab))
+            if got != want:
+                raise DecompositionFailure(f"{unit}{tag}", (i, lab), got, want)
+            checked += 1
+
+    rho = FinMap(basis, basis, {lab: v for lab in labels
+                                if not (v := _rho_column(c, r, lab)).is_zero})
+    for lab in labels:
+        got = _apply(rho, rho.column(lab), r, "hopf part projector")
+        if got != rho.column(lab):
+            raise DecompositionFailure("hopf part projector", lab, got, rho.column(lab))
+    h = SpanSolver([rho.column(lab) for lab in labels])
+    h_basis = h.vectors
+    if not h.contains(one):
+        raise DecompositionFailure("hopf part unit", "1", one, None)
+    for i, uv in enumerate(h_basis):
+        if not h.contains(s(uv)):
+            raise DecompositionFailure("hopf part antipode closure", i, s(uv), None)
+        for j, vv in enumerate(h_basis):
+            if not r.fits(_degree(r, uv) + _degree(r, vv)):
+                skipped += 1
+                continue
+            got = bilinear(r, vv, uv)
+            if not h.contains(got):
+                raise DecompositionFailure("hopf part closure", (i, j), got, None)
+            checked += 1
+    for la, lb in pairs:
+        # rho(a.b) = rho(a).rho(b), the right side read term by term of rho(a)
+        got = _apply(rho, r.vector(lb, la), r, "hopf part projector")
+        want = linear_sum(basis, ((FinVec(basis, times_label(r, rho.column(lb).entries, l)), cl)
+                                  for l, cl in rho.column(la).entries.items()))
+        if got != want:
+            raise DecompositionFailure("projection multiplicative", (la, lb), got, want)
+        checked += 1
+
+    psi = FinMap(basis, square, {lab: tensor_sum(square, (
+        (iota.column(l1), rho.column(l2), cw) for l1, l2, cw in c.legs(lab))) for lab in labels})
+    psi_legs = {lab: [split_label(basis, pair) + (cw,) for pair, cw in col.entries.items()]
+                for lab, col in psi.columns.items()}
+    for lab in labels:
+        got = linear_sum(basis, ((r.vector(l2, l1), cw) for l1, l2, cw in psi_legs[lab]))
+        if got != units[lab]:
+            raise DecompositionFailure("psi left inverse", lab, got, units[lab])
+        checked += 1
+    for i, ev in enumerate(e_basis):
+        for j, uv in enumerate(h_basis):
+            if not r.fits(_degree(r, ev) + _degree(r, uv)):
+                skipped += 1
+                continue
+            got = _apply(psi, bilinear(r, uv, ev), r, "psi")
+            if got != ev.tensor(uv, square):
+                raise DecompositionFailure("psi factor exchange", (i, j), got,
+                                           ev.tensor(uv, square))
+            checked += 1
+    if r.cap is None and basis.dim != len(e_basis) * len(h_basis):
+        raise DecompositionFailure("dimension product", basis.name,
+                                   basis.dim, len(e_basis) * len(h_basis))
+    for la, lb in pairs:
+        try:
+            # (c (x) h).(c' (x) h') = eps(c') c (x) h.h'
+            lhs = _apply(psi, r.vector(lb, la), r, "psi")
+            rhs = tensor_sum(square, ((units[a1], r.vector(b2, a2), ca * cb * eps_lab[b1])
+                                      for a1, a2, ca in psi_legs[la]
+                                      for b1, b2, cb in psi_legs[lb] if eps_lab[b1]))
+            if lhs != rhs:
+                raise DecompositionFailure(f"psi multiplicative{tag}", (la, lb), lhs, rhs)
+            checked += 1
+        except DegreeCapExceeded:
+            skipped += 1
+    for lab in labels:
+        try:
+            # Psi(S(a)) = sum eps(c) 1 (x) S(h) over Psi(a) = sum c (x) h
+            lhs = _apply(psi, s_col(lab), r, "psi")
+            rhs = tensor_sum(square, ((one, s_col(l2), cw * eps_lab[l1])
+                                      for l1, l2, cw in psi_legs[lab]))
+            if lhs != rhs:
+                raise DecompositionFailure("psi antipode", lab, lhs, rhs)
+            checked += 1
+        except DegreeCapExceeded:
+            skipped += 1
+    return _Splitting(pairs, iota, rho, psi, psi_legs, e, h, checked, skipped)
 
 
 @dataclass(frozen=True)
@@ -381,15 +547,16 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     """Split a one-sided Hopf algebra into its Hopf part and its
     generalized units, verifying every structural identity on the way.
 
-    The splitting is computed and checked for the product a.b the antipode
-    is a right antipode for: a.b = a b for side "right" and a.b = b a for
-    side "left" (only the antipode laws of the Hopf part are checked on both
-    sides of the algebra's own product).  A witness pair (a, b) names a.b,
-    so for a left algebra it names the product b a.  Psi is built for a.b,
-    with the Hopf leg first, and flipped once at the end for side "left".
-
-    Raises :class:`DecompositionFailure` with the first failing identity
-    and a basis witness.
+    The splitting is :func:`_split` of the product the antipode is a right
+    antipode for (a b for side "right", b a for side "left"), so a witness
+    pair (a, b) names a b for a left algebra and b a for a right one; Psi,
+    built idempotent leg first, is flipped for side "right".  On top of it
+    iota is a coalgebra map, S is two-sided on H1 with unit 1, and Psi does
+    not depend on the order of the coproduct legs.  Raises
+    :class:`DecompositionFailure` with the first failing identity and its
+    witness: a basis label or label pair, an index into the basis of E or
+    H1 (or a pair of them), or for a whole-space identity its name ("fixed
+    space", "1", the carrier's name).
     """
     if not h.certified:
         raise RackalgError("suschkewitsch needs a certified one-sided Hopf algebra")
@@ -401,44 +568,11 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     rprod = h._right_product()
     eps = c.eps_of
 
-    iota = idempotent_projector(h)
-    if iota.compose(iota) != iota:
-        raise DecompositionFailure("idempotent projector", "iota", iota.compose(iota), iota)
-    check_coalgebra_map(c, c, iota.column, basis.labels, "idempotent", DecompositionFailure)
-
-    e_basis = span_basis([iota.column(lab) for lab in basis.labels])
-    fixed = kernel_basis(iota - FinMap.identity(basis))
-    if span_basis(fixed) != e_basis:
-        raise DecompositionFailure("idempotent part", "fixed space",
-                                   len(fixed), len(e_basis))
-    for i, ev in enumerate(e_basis):
-        if iota(ev) != ev:
-            raise DecompositionFailure("idempotent fixed", i, iota(ev), ev)
-        # one-way containment: generalized idempotents include E, never conversely
-        if h.mul(c.delta(ev)) != ev:
-            raise DecompositionFailure("generalized idempotent", i, h.mul(c.delta(ev)), ev)
-        for lab in basis.labels:
-            got = FinVec(basis, times_label(rprod, ev.entries, lab))
-            want = FinVec.unit(basis, lab, eps(ev))
-            if got != want:
-                raise DecompositionFailure("generalized unit", (i, lab), got, want)
-        if s(ev) != one.scale(eps(ev)):
-            raise DecompositionFailure("idempotent antipode", i, s(ev), one.scale(eps(ev)))
-
-    rho = hopf_part_projector(h)
-    if rho.compose(rho) != rho:
-        raise DecompositionFailure("hopf part projector", "rho", rho.compose(rho), rho)
-    h1_solver = SpanSolver([rho.column(lab) for lab in basis.labels])
-    h1_basis = h1_solver.vectors
-    if not h1_solver.contains(one):
-        raise DecompositionFailure("hopf part unit", "1", one, None)
+    sp = _split(c, rprod, s.column, basis.labels, "generalized unit", "")
+    check_coalgebra_map(c, c, sp.iota.column, basis.labels, "idempotent",
+                        DecompositionFailure)
+    h1_basis = sp.h.vectors
     for i, uv in enumerate(h1_basis):
-        if not h1_solver.contains(s(uv)):
-            raise DecompositionFailure("hopf part antipode closure", i, s(uv), None)
-        for j, vv in enumerate(h1_basis):
-            uvv = bilinear(rprod, uv, vv)
-            if not h1_solver.contains(uvv):
-                raise DecompositionFailure("hopf part closure", (i, j), uvv, None)
         for which, fv, gv in (("right", FinMap.identity(basis), s),
                               ("left", s, FinMap.identity(basis))):
             acc = linear_sum(basis, ((h.product(fv.column(l1), gv.column(l2)), cw)
@@ -449,62 +583,19 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         got = bilinear(rprod, uv, one)
         if got != uv:
             raise DecompositionFailure("hopf part unit law", i, got, uv)
-
-    if basis.dim != len(h1_basis) * len(e_basis):
-        raise DecompositionFailure("dimension product", basis.name,
-                                   basis.dim, len(h1_basis) * len(e_basis))
-
-    def psi_term(l1: Label, l2: Label, l3: Label, cw: Rational
-                 ) -> tuple[FinVec, FinVec, Rational]:
-        return rho.column(l1), FinVec(basis, times_label(rprod, s.column(l2).entries, l3)), cw
-
-    def psi_col(lab: Label) -> FinVec:
-        legs = c.sweedler3(FinVec.unit(basis, lab))
-        out = tensor_sum(square, (psi_term(l1, l2, l3, cw) for l1, l2, l3, cw in legs))
-        alt = tensor_sum(square, (psi_term(l1, l3, l2, cw) for l1, l2, l3, cw in legs))
-        if out != alt:
-            raise DecompositionFailure("coproduct ordering", lab, out, alt)
-        return out
-
-    psi = FinMap.from_function(basis, square, psi_col)
     for lab in basis.labels:
-        got = linear_sum(basis, ((rprod.vector(l1, l2), cw)
-                                 for l1, l2, cw in _tensor_legs(basis, psi.column(lab))))
-        if got != FinVec.unit(basis, lab):
-            raise DecompositionFailure("psi left inverse", lab, got, FinVec.unit(basis, lab))
-    for i, uv in enumerate(h1_basis):
-        for j, ev in enumerate(e_basis):
-            got = psi(bilinear(rprod, uv, ev))
-            want = uv.tensor(ev, square)
-            if got != want:
-                raise DecompositionFailure("psi factor exchange", (i, j), got, want)
+        # Psi(a) = sum S(a1) a2 (x) a3 1, here with the first two legs swapped
+        got = tensor_sum(square, ((FinVec(basis, times_label(rprod, s.column(l2).entries, l1)),
+                                   sp.rho.column(l3), cw)
+                                  for l1, l2, l3, cw in c.sweedler3(FinVec.unit(basis, lab))))
+        if got != sp.psi.column(lab):
+            raise DecompositionFailure("coproduct ordering", lab, sp.psi.column(lab), got)
 
-    def transfer(va: FinVec, vb: FinVec) -> FinVec:
-        # (u (x) c)(u' (x) c') = u.u' (x) eps(c) c'
-        return tensor_sum(square, ((rprod.vector(a1, b1), FinVec.unit(basis, b2),
-                                    ca * cb * c.counit.get(a2, ZERO))
-                                   for a1, a2, ca in _tensor_legs(basis, va)
-                                   for b1, b2, cb in _tensor_legs(basis, vb)))
-
-    for la, lb in itertools.product(basis.labels, repeat=2):
-        lhs = psi(rprod.vector(la, lb))
-        rhs = transfer(psi.column(la), psi.column(lb))
-        if lhs != rhs:
-            raise DecompositionFailure("psi multiplicative", (la, lb), lhs, rhs)
-    for lab in basis.labels:
-        # S (x) eps 1, leg by leg
-        lhs = psi(s.column(lab))
-        rhs = tensor_sum(square, ((s.column(l1), one, cw * c.counit.get(l2, ZERO))
-                                  for l1, l2, cw in _tensor_legs(basis, psi.column(lab))))
-        if lhs != rhs:
-            raise DecompositionFailure("psi antipode", lab, lhs, rhs)
-
-    if h.side == "left":
-        psi = FinMap(basis, square, {
-            lab: FinVec.build(square, ((merge_labels(basis, l2, l1), cw)
-                                       for l1, l2, cw in _tensor_legs(basis, col)))
-            for lab, col in psi.columns.items()})
-    return SuschkewitschDecomposition(h, tuple(h1_basis), tuple(e_basis), psi, h.mul)
+    psi = sp.psi
+    if h.side == "right":
+        psi = FinMap.from_function(basis, square, lambda lab: FinVec.build(square, (
+            (merge_labels(basis, l2, l1), cw) for l1, l2, cw in sp.psi_legs[lab])))
+    return SuschkewitschDecomposition(h, tuple(h1_basis), tuple(sp.e.vectors), psi, h.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +999,9 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
 
 @dataclass(frozen=True)
 class DialgebraDecomposition:
-    """A ~ E (x) H: -| idempotents, the associative quotient image 1 -| A,
-    and the splitting Psi(a) = sum (a1 -| S(a2)) (x) (1 -| a3)."""
+    """A ~ E (x) H: the Suschkewitsch splitting of the left Hopf algebra
+    (A, -|, S) into -| idempotents and the associative quotient image
+    1 -| A, with Psi(a) = sum (a1 -| S(a2)) (x) (1 -| a3)."""
 
     dialgebra: HopfDialgebra
     idempotent_part: tuple[FinVec, ...]
@@ -921,213 +1013,77 @@ class DialgebraDecomposition:
 def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     """Split a Hopf dialgebra into generalized bar-units and its Hopf part.
 
-    E is the image (equivalently fixed space) of iota(a) = sum a1 -| S(a2);
-    H is the image of pi(a) = 1 -| a, on which both products agree and
-    which absorbs the associativity defect: ker pi is exactly the span of
-    the differences x |- y - x -| y.  The transferred products on E (x) H,
-    the antipode exchange, and the splitting of primitives into a central
-    ideal and a Leibniz-closed Hopf summand are all verified.
-
-    Products with a basis label on one side are read from the stored
-    columns, and pi(a) -| pi(b) term by term of pi(a).
+    The splitting is the Suschkewitsch splitting of the left Hopf algebra
+    (A, -|, S), :func:`_split` of b -| a: E is the image of
+    iota(a) = sum a1 -| S(a2), H that of pi(a) = 1 -| a.  On top of it the
+    |- identities hold: E is made of |- bar-units too, both products agree
+    on H and pi merges them, ker pi is spanned by the differences
+    x |- y - x -| y, Psi transfers |-, and the primitives split into a
+    central ideal and a Leibniz-closed Hopf summand.  Products with a basis
+    label on one side are read from the stored columns.
     """
     if not d.certified:
         raise RackalgError("structure_decomposition needs a certified dialgebra")
     c = d.coalgebra
     basis = c.basis
     square = c.square
-    one = c.unit
     labs = basis.labels
     vt, dt = d.vdash_table, d.dashv_table
     fit_labels = [lab for lab in labs if vt.fits(vt.degree(lab))]
-    checked = 0
-    skipped = len(labs) - len(fit_labels)
-    units = {lab: FinVec.unit(basis, lab) for lab in labs}
+    sp = _split(c, dt.opposite(), d.s_label, fit_labels, "generalized bar-unit", " (-|)")
+    e_basis, h_basis = sp.e.vectors, sp.h.vectors
+    checked, skipped = sp.checked, sp.skipped
     eps = c.eps_of
 
-    def col(cols: dict[Label, FinVec], lab: Label, context: str) -> FinVec:
-        got = cols.get(lab)
-        if got is None:
-            raise DegreeCapExceeded(vt.degree(lab), d.cap, context)
-        return got
-
-    def apply_cols(cols: dict[Label, FinVec], v: FinVec, target: Basis, context: str) -> FinVec:
-        return linear_sum(target, ((col(cols, lab, context), cv) for lab, cv in v.entries.items()))
-
-    iota_cols = {lab: linear_sum(basis, (
-        (FinVec(basis, label_times(dt, l1, d.s_label(l2).entries)), cw)
-        for l1, l2, cw in c.legs(lab))) for lab in fit_labels}
-
-    def iota(v: FinVec) -> FinVec:
-        return apply_cols(iota_cols, v, basis, "idempotent projector")
-
-    for lab in fit_labels:
-        v = iota_cols[lab]
-        if iota(v) != v:
-            raise DecompositionFailure("idempotent projector", lab, iota(v), v)
-        checked += 1
-    e_solver = SpanSolver(list(iota_cols.values()))
-    e_basis = e_solver.vectors
-    fit_basis = Basis(f"{basis.name} (within cap)", tuple(fit_labels))
-    moved = {lab: iota_cols[lab] - units[lab] for lab in fit_labels}
-    delta_map = FinMap(fit_basis, basis, {lab: v for lab, v in moved.items() if not v.is_zero})
-    fixed = [FinVec.build(basis, v.entries) for v in kernel_basis(delta_map)]
-    if span_basis(fixed) != e_basis:
-        raise DecompositionFailure("idempotent part", "fixed space",
-                                   len(fixed), len(e_basis))
     for i, ev in enumerate(e_basis):
-        sweedler_sums = linear_sum(basis, ((dt.vector(l1, l2), cw)
-                                           for l1, l2, cw in c.sweedler(ev)))
-        if sweedler_sums != ev:
-            raise DecompositionFailure("generalized idempotent (-|)", i, sweedler_sums, ev)
-        if d.s(ev) != one.scale(eps(ev)):
-            raise DecompositionFailure("idempotent antipode", i, d.s(ev), one.scale(eps(ev)))
-        ev_deg = max((vt.degree(lab) for lab in ev.entries), default=0)
-        e = eps(ev)
+        ev_deg = _degree(vt, ev)
         for lab in fit_labels:
             if not vt.fits(ev_deg + vt.degree(lab)):
-                skipped += 1
                 continue
-            want = units[lab].scale(e)
+            want = FinVec.unit(basis, lab, eps(ev))
             got = FinVec(basis, times_label(vt, ev.entries, lab))
             if got != want:
                 raise DecompositionFailure("generalized bar-unit (|-)", (i, lab), got, want)
-            got = FinVec(basis, label_times(dt, lab, ev.entries))
-            if got != want:
-                raise DecompositionFailure("generalized bar-unit (-|)", (i, lab), got, want)
-            checked += 1
-
-    pi_cols = {lab: FinVec(basis, times_label(dt, one.entries, lab)) for lab in fit_labels}
-
-    def pi(v: FinVec) -> FinVec:
-        return apply_cols(pi_cols, v, basis, "hopf part projector")
-
-    for lab in fit_labels:
-        if pi(pi_cols[lab]) != pi_cols[lab]:
-            raise DecompositionFailure("hopf part projector", lab,
-                                       pi(pi_cols[lab]), pi_cols[lab])
-    h_solver = SpanSolver(list(pi_cols.values()))
-    h_basis = h_solver.vectors
-    if not h_solver.contains(one):
-        raise DecompositionFailure("hopf part unit", "1", one, None)
-
-    def vec_deg(v: FinVec) -> int:
-        return max((vt.degree(lab) for lab in v.entries), default=0)
 
     for i, uv in enumerate(h_basis):
-        if not h_solver.contains(d.s(uv)):
-            raise DecompositionFailure("hopf part antipode closure", i, d.s(uv), None)
         for j, vv in enumerate(h_basis):
-            if not vt.fits(vec_deg(uv) + vec_deg(vv)):
-                skipped += 1
+            if not vt.fits(_degree(vt, uv) + _degree(vt, vv)):
                 continue
-            left = d.vprod(uv, vv)
-            right = d.dprod(uv, vv)
-            if left != right:
-                raise DecompositionFailure("hopf part products agree", (i, j), left, right)
-            if not h_solver.contains(right):
-                raise DecompositionFailure("hopf part closure", (i, j), right, None)
-            checked += 1
+            if d.vprod(uv, vv) != d.dprod(uv, vv):
+                raise DecompositionFailure("hopf part products agree", (i, j),
+                                           d.vprod(uv, vv), d.dprod(uv, vv))
 
-    for la, lb in itertools.product(fit_labels, repeat=2):
-        if not vt.fits(vt.degree(la) + vt.degree(lb)):
-            skipped += 1
-            continue
-        merged_v = pi(vt.vector(la, lb))
-        merged_d = pi(dt.vector(la, lb))
-        if merged_v != merged_d:
-            raise DecompositionFailure("projection merges products", (la, lb),
-                                       merged_v, merged_d)
-        split = linear_sum(basis, ((FinVec(basis, label_times(dt, l, pi_cols[lb].entries)), cl)
-                                   for l, cl in pi_cols[la].entries.items()))
-        if merged_d != split:
-            raise DecompositionFailure("projection multiplicative", (la, lb),
-                                       merged_d, split)
-        checked += 1
+    def pi(v: FinVec) -> FinVec:
+        return _apply(sp.rho, v, vt, "projection merges products")
 
-    pi_map = FinMap(fit_basis, basis,
-                    {lab: pi_cols[lab] for lab in fit_labels if not pi_cols[lab].is_zero})
-    pi_kernel = [FinVec.build(basis, v.entries) for v in kernel_basis(pi_map)]
     ideal_gens = []
-    for la, lb in itertools.product(fit_labels, repeat=2):
-        if not vt.fits(vt.degree(la) + vt.degree(lb)):
-            continue
+    for la, lb in sp.pairs:
         g = vt.vector(la, lb) - dt.vector(la, lb)
+        if not pi(g).is_zero:
+            raise DecompositionFailure("projection merges products", (la, lb),
+                                       pi(vt.vector(la, lb)), pi(dt.vector(la, lb)))
         if not g.is_zero:
             ideal_gens.append(g)
+    fit_basis = Basis(f"{basis.name} (within cap)", tuple(fit_labels))
+    pi_kernel = [FinVec.build(basis, v.entries)
+                 for v in kernel_basis(FinMap(fit_basis, basis, sp.rho.columns))]
     ideal = span_basis(ideal_gens)
     if span_basis(pi_kernel) != ideal:
         raise DecompositionFailure("associativity ideal", "kernel",
                                    len(pi_kernel), len(ideal))
 
-    # sum (a1 -| S(a2)) (x) (1 -| a3) = sum iota(a1) (x) pi(a2)
-    psi_cols = {lab: tensor_sum(square, (
-        (col(iota_cols, l1, "idempotent projector"), col(pi_cols, l2, "hopf part projector"), cw)
-        for l1, l2, cw in c.legs(lab))) for lab in fit_labels}
-    psi = FinMap(basis, square, {lab: v for lab, v in psi_cols.items() if not v.is_zero})
-
-    def psi_apply(v: FinVec) -> FinVec:
-        return apply_cols(psi_cols, v, square, "psi")
-
-    for lab in fit_labels:
-        got = linear_sum(basis, ((dt.vector(l1, l2), cw)
-                                 for l1, l2, cw in _tensor_legs(basis, psi_cols[lab])))
-        if got != units[lab]:
-            raise DecompositionFailure("psi left inverse", lab, got, units[lab])
-        checked += 1
-
-    for i, ev in enumerate(e_basis):
-        for j, uv in enumerate(h_basis):
-            if not vt.fits(vec_deg(ev) + vec_deg(uv)):
-                skipped += 1
-                continue
-            w = d.dprod(ev, uv)
-            got = psi_apply(w)
-            want = ev.tensor(uv, square)
-            if got != want:
-                raise DecompositionFailure("psi factor exchange", (i, j), got, want)
-            checked += 1
-
-    if d.cap is None and basis.dim != len(e_basis) * len(h_basis):
-        raise DecompositionFailure("dimension product", basis.name,
-                                   basis.dim, len(e_basis) * len(h_basis))
-
     eps_lab = {lab: c.counit.get(lab, ZERO) for lab in labs}
-    for la, lb in itertools.product(fit_labels, repeat=2):
-        if not vt.fits(vt.degree(la) + vt.degree(lb)):
-            skipped += 1
-            continue
+    for la, lb in sp.pairs:
         try:
             # transferred |-: (c (x) h)(c' (x) h') = eps(c) sum (h1 |> c') (x) (h2 -| h')
-            lhs = psi_apply(vt.vector(la, lb))
-            legs_a = _tensor_legs(basis, psi_cols[la])
-            legs_b = _tensor_legs(basis, psi_cols[lb])
+            lhs = _apply(sp.psi, vt.vector(la, lb), vt, "psi")
             rhs = tensor_sum(square, (
-                (_rack_pair(d, h1, b1), dt.vector(h2, b2),
-                 ca * cb * eps_lab[a1] * cw)
-                for a1, a2, ca in legs_a if eps_lab[a1]
-                for b1, b2, cb in legs_b
+                (_rack_pair(d, h1, b1), dt.vector(h2, b2), ca * cb * eps_lab[a1] * cw)
+                for a1, a2, ca in sp.psi_legs[la] if eps_lab[a1]
+                for b1, b2, cb in sp.psi_legs[lb]
                 for h1, h2, cw in c.legs(a2)))
             if lhs != rhs:
                 raise DecompositionFailure("psi multiplicative (|-)", (la, lb), lhs, rhs)
-            # transferred -|: (c (x) h)(c' (x) h') = eps(c') c (x) (h -| h')
-            lhs = psi_apply(dt.vector(la, lb))
-            rhs = tensor_sum(square, ((units[a1], dt.vector(a2, b2), ca * cb * eps_lab[b1])
-                                      for a1, a2, ca in legs_a
-                                      for b1, b2, cb in legs_b if eps_lab[b1]))
-            if lhs != rhs:
-                raise DecompositionFailure("psi multiplicative (-|)", (la, lb), lhs, rhs)
-            checked += 1
-        except DegreeCapExceeded:
-            skipped += 1
-    for lab in fit_labels:
-        try:
-            lhs = psi_apply(d.s_label(lab))
-            rhs = tensor_sum(square, ((one, d.s_label(l2), ca * eps_lab[l1])
-                                      for l1, l2, ca in _tensor_legs(basis, psi_cols[lab])))
-            if lhs != rhs:
-                raise DecompositionFailure("psi antipode", lab, lhs, rhs)
-            checked += 1
         except DegreeCapExceeded:
             skipped += 1
 
@@ -1141,8 +1097,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         combos = nullspace(rows.values(), len(prims))
         return [linear_sum(basis, ((prims[i], cv) for i, cv in combo.items())) for combo in combos]
 
-    pe = intersect(e_solver)
-    ph = intersect(h_solver)
+    pe = intersect(sp.e)
+    ph = intersect(sp.h)
     prim_solver = SpanSolver(pe + ph)
     if len(pe) + len(ph) != len(prims) or not all(prim_solver.contains(p) for p in prims):
         raise DecompositionFailure("primitive splitting", "dimension",
@@ -1154,7 +1110,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     ph_solver = SpanSolver(ph)
     for i, z in enumerate(pe):
         for j, w in enumerate(pe + ph):
-            if not vt.fits(vec_deg(z) + vec_deg(w)):
+            if not vt.fits(_degree(vt, z) + _degree(vt, w)):
                 skipped += 1
                 continue
             got = bracket(z, w)
@@ -1163,7 +1119,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             checked += 1
     for i, xi in enumerate(ph):
         for j, z in enumerate(pe):
-            if not vt.fits(vec_deg(xi) + vec_deg(z)):
+            if not vt.fits(_degree(vt, xi) + _degree(vt, z)):
                 skipped += 1
                 continue
             got = bracket(xi, z)
@@ -1172,7 +1128,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
                 raise DecompositionFailure("mixed bracket is the action", (i, j), got, want)
             checked += 1
         for j, eta in enumerate(ph):
-            if not vt.fits(vec_deg(xi) + vec_deg(eta)):
+            if not vt.fits(_degree(vt, xi) + _degree(vt, eta)):
                 skipped += 1
                 continue
             if not ph_solver.contains(bracket(xi, eta)):
@@ -1181,7 +1137,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             checked += 1
 
     report = CheckReport(True, checked, detail=f"skipped={skipped}")
-    return DialgebraDecomposition(d, tuple(e_basis), tuple(h_basis), psi, report)
+    return DialgebraDecomposition(d, tuple(e_basis), tuple(h_basis), sp.psi, report)
 
 
 def augmented_idempotent_basis(arb: AugmentedRackBialgebra) -> list[FinVec]:

@@ -105,11 +105,15 @@ def ud_sq2():
     return universal_dialgebra(load("sq2"), 2)
 
 
-def perturbation_census(obj, tables, certify):
-    """The identities ``certify`` names, counted over every replacement of one
+def perturbation_census(obj, tables, check, certified=False, stored=False):
+    """The failures ``check`` raises, counted over every replacement of one
     column of one of ``tables`` by a unit vector other than its value.
 
-    A table is a ``FinMap`` or a dict of columns keyed by label pairs.
+    A table is a ``FinMap`` or a dict of columns keyed by label pairs: every
+    label pair, or with ``stored`` only the stored keys.  The perturbed copy
+    is marked ``certified`` as given.  A failure counts under the axiom or
+    identity it names, any other package error under its type name, and a
+    replacement that passes fails the test.
     """
     basis = obj.basis
     fired = collections.Counter()
@@ -118,7 +122,8 @@ def perturbation_census(obj, tables, certify):
         if isinstance(cols, FinMap):
             keys, current = cols.domain.labels, dict(cols.columns)
         else:
-            keys, current = list(itertools.product(basis.labels, repeat=2)), dict(cols)
+            keys = list(cols) if stored else list(itertools.product(basis.labels, repeat=2))
+            current = dict(cols)
         for key in keys:
             for target in basis.labels:
                 v = FinVec.unit(basis, target)
@@ -128,9 +133,13 @@ def perturbation_census(obj, tables, certify):
                 changed[key] = v
                 if isinstance(cols, FinMap):
                     changed = FinMap(cols.domain, cols.codomain, changed)
-                with pytest.raises(AxiomViolation) as exc:
-                    certify(dataclasses.replace(obj, certified=False, **{table: changed}))
-                fired[exc.value.axiom] += 1
+                with pytest.raises(RackalgError) as exc:
+                    check(dataclasses.replace(obj, certified=certified, **{table: changed}))
+                err = exc.value
+                name = (err.axiom if isinstance(err, AxiomViolation) else
+                        err.identity if isinstance(err, DecompositionFailure) else
+                        type(err).__name__)
+                fired[name] += 1
     return fired
 
 
@@ -312,6 +321,25 @@ class TestSuschkewitsch:
         broken = dataclasses.replace(rg_z2, mul=FinMap(square, rg_z2.basis, cols))
         with pytest.raises(DecompositionFailure):
             suschkewitsch(broken)
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_every_single_entry_perturbation_fails_the_splitting(self, side):
+        # still marked certified: the splitting's own checks must catch it
+        h = right_group_hopf(cyclic_group(2), ("p", "q"), "p", side=side)
+        fired = perturbation_census(h, ("mul", "antipode"), suschkewitsch, certified=True)
+        assert fired == {
+            "idempotent projector": 12, "generalized idempotent": 8, "idempotent antipode": 3,
+            "generalized unit": 15, "hopf part projector": 4, "hopf part antipode closure": 1,
+            "hopf part closure": 2, "projection multiplicative": 9, "psi left inverse": 2,
+            "psi multiplicative": 3, "psi antipode": 1}
+
+    @pytest.mark.parametrize("side", ["middle", "Left"])
+    def test_projectors_refuse_an_unknown_side(self, ks3, side):
+        h = RightHopfAlgebra(ks3.coalgebra, ks3.mul_map(), ks3.antipode_map(), side=side)
+        with pytest.raises(SchemaError):
+            idempotent_projector(h)
+        with pytest.raises(SchemaError):
+            hopf_part_projector(h)
 
     def test_fixed_space_of_mu_delta_is_strictly_larger(self, ks3):
         # the image of iota is 1-dimensional, yet mu(Delta(c)) = c has a
@@ -624,6 +652,55 @@ class TestAugmentedDialgebra:
             structure_decomposition(bad)
         assert (exc.value.identity, exc.value.witness) == (identity, witness)
 
+    @pytest.mark.parametrize("source,table,census", [
+        ("z2", "vdash", {"generalized bar-unit (|-)": 24, "hopf part products agree": 6,
+                         "projection merges products": 12, "psi multiplicative (|-)": 6}),
+        ("z2", "dashv", {"idempotent projector": 8, "idempotent antipode": 1,
+                         "generalized idempotent (-|)": 4, "generalized bar-unit (-|)": 15,
+                         "hopf part projector": 4, "hopf part closure": 2,
+                         "projection multiplicative": 9, "psi left inverse": 2,
+                         "psi multiplicative (-|)": 3}),
+        ("z3", "vdash", {"generalized bar-unit (|-)": 6, "hopf part products agree": 12}),
+        ("z3", "dashv", {"idempotent projector": 4, "generalized idempotent (-|)": 2,
+                         "generalized bar-unit (-|)": 4, "hopf part antipode closure": 4,
+                         "hopf part products agree": 4}),
+        ("sq2", "vdash", {"DegreeCapExceeded": 2, "generalized bar-unit (|-)": 122,
+                          "hopf part products agree": 8, "projection merges products": 5,
+                          "psi multiplicative (|-)": 1}),
+        ("sq2", "dashv", {"DegreeCapExceeded": 26, "idempotent projector": 58,
+                          "idempotent antipode": 2, "generalized idempotent (-|)": 12,
+                          "generalized bar-unit (-|)": 31, "hopf part projector": 4,
+                          "projection multiplicative": 3}),
+    ])
+    def test_every_single_entry_perturbation_fails_decomposition(self, ud_sq2, source, table,
+                                                                 census):
+        # z2 and z3 over every label pair, the capped sq2 over its stored keys; the
+        # splitting of (A, -|, S) is checked before the |- identities, so a -|
+        # perturbation is caught by it first
+        d = {"z2": lambda: dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))),
+             "sq2": lambda: ud_sq2,
+             "z3": lambda: hopf_as_dialgebra(group_hopf(cyclic_group(3)))}[source]()
+        fired = perturbation_census(d, (table,), structure_decomposition, certified=True,
+                                    stored=source == "sq2")
+        assert fired == census
+
+    @pytest.mark.parametrize("make", [
+        lambda: dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))),
+        lambda: hopf_as_dialgebra(group_hopf(symmetric_group(3))),
+        None,
+    ], ids=["Z2-augmented", "K[S3]", "S3-augmented"])
+    def test_decomposition_is_the_splitting_of_the_left_algebra(self, d36, make):
+        # (A, -|, S) is a left Hopf algebra, and the dialgebra splits as it does
+        d = d36 if make is None else make()
+        dashv = FinMap.from_function(
+            d.coalgebra.square, d.basis,
+            lambda pair: d.dashv_table.vector(*split_label(d.basis, pair)))
+        left = certify_one_sided(RightHopfAlgebra(d.coalgebra, dashv, d.antipode, "left"))
+        dec, sus = structure_decomposition(d), suschkewitsch(left)
+        assert span_basis(list(dec.idempotent_part)) == span_basis(list(sus.idempotent_part))
+        assert span_basis(list(dec.hopf_part)) == span_basis(list(sus.hopf_part))
+        assert dec.psi == sus.psi
+
     def test_dialgebra_needs_certified_augmented_structure(self, s3):
         arb = augmented_conjugation(s3)
         with pytest.raises(RackalgError):
@@ -866,6 +943,36 @@ def test_the_antipode_side_is_read_in_three_places_only():
     assert readers == {"RightHopfAlgebra._right_product", "certify_one_sided", "suschkewitsch"}
     snippet = "class A:\n def f(self):\n  def g(): return self.side\nx = h.side\ny.side = 1"
     assert _side_readers(ast.parse(snippet)) == {"A.f", "<module>"}
+
+
+SHARED_IDENTITIES = ("idempotent projector", "hopf part projector", "idempotent part",
+                     "hopf part unit", "hopf part antipode closure", "hopf part closure",
+                     "psi left inverse", "psi factor exchange", "dimension product",
+                     "psi antipode")
+
+
+def _constant_owners(tree, names):
+    """For each of ``names``, the top-level functions of ``tree`` in which it
+    occurs as a string constant, nested functions and f-string parts included."""
+    owners = {name: set() for name in names}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Constant) and n.value in owners:
+                    owners[n.value].add(fn.name)
+    return owners
+
+
+def test_the_splitting_identities_are_checked_in_one_function():
+    path = pathlib.Path(right_hopf_dialg.__file__)
+    owners = _constant_owners(ast.parse(path.read_text(), str(path)), SHARED_IDENTITIES)
+    assert owners == {name: {"_split"} for name in SHARED_IDENTITIES}
+    snippet = ("def f():\n def g(): raise E('psi antipode')\n"
+               "def h(): return 'psi antipode', f'hopf part unit{1}', 'a hopf part unit'\n"
+               "x = 'dimension product'")
+    assert _constant_owners(ast.parse(snippet), ("psi antipode", "hopf part unit",
+                                                 "dimension product")) == {
+        "psi antipode": {"f", "h"}, "hopf part unit": {"h"}, "dimension product": set()}
 
 
 def _checked_loop(module, function, axiom):

@@ -63,6 +63,7 @@ from rackalg.symcoalg import (
     check_multiplicative,
     coalgebra_filtration,
     is_cocommutative,
+    is_group_like,
     primitives,
     restrict_coalgebra,
     symmetric_coalgebra,
@@ -702,7 +703,7 @@ def set_like_elements(rb: RackBialgebra) -> list[tuple[str, FinVec]]:
     found: list[tuple[str, FinVec]] = []
     for lab in c.basis.labels:
         v = FinVec.unit(c.basis, lab)
-        if c.eps_of(v) == ONE and c.delta(v) == v.tensor(v, c.square):
+        if is_group_like(c, v):
             found.append((str(lab) if isinstance(lab, str) else "", v))
     if c.basis.dim <= 6:
         for v in _solve_set_like_system(c):

@@ -12,7 +12,8 @@ Because the coproduct is cocommutative, a left Hopf algebra is a right Hopf
 algebra for its opposite product b a, with the same antipode; so every
 one-sided identity is written once, for a right antipode, and a left
 structure (a left Hopf algebra, or the half (A, -|, S) of a Hopf dialgebra)
-is checked through its opposite product.
+is checked through its opposite product, by the one function that checks
+a one-sided Hopf algebra and the two halves of a Hopf dialgebra alike.
 
 Every right Hopf algebra splits (the Suschkewitsch splitting): the
 projector rho(a) = a 1 cuts out an honest Hopf algebra H1, the projector
@@ -26,13 +27,14 @@ the fixed-space description is the one used throughout.
 A *Hopf dialgebra* carries two associative products |- and -| sharing a
 bar-unit (1 |- a = a = a -| 1), balanced (a |- 1 = 1 -| a), compatible in
 the dialgebra sense, and an antipode making (A, |-) a right and (A, -|) a
-left Hopf algebra.  Such structures produce Leibniz brackets on primitives
-and rack products a |> b = sum (a1 |- b) -| S(a2).  Their decomposition
-A ~ E (x) H is the Suschkewitsch splitting of the left Hopf algebra
-(A, -|, S) plus the identities of |-.  The main source of examples is an
-augmented rack bialgebra: the carrier tensored with its Hopf algebra is a
-Hopf dialgebra, and applying this to the universal augmented structure of
-a Leibniz algebra yields its universal enveloping dialgebra.
+left Hopf algebra; a Hopf backend is certified as the case |- = -|
+(:func:`hopf_as_dialgebra`).  Such structures produce Leibniz brackets on
+primitives and rack products a |> b = sum (a1 |- b) -| S(a2).  Their
+decomposition A ~ E (x) H is the Suschkewitsch splitting of the left Hopf
+algebra (A, -|, S) plus the identities of |-.  The main source of examples
+is an augmented rack bialgebra: the carrier tensored with its Hopf algebra
+is a Hopf dialgebra, and applying this to the universal augmented structure
+of a Leibniz algebra yields its universal enveloping dialgebra.
 
 Degree-capped instances store sparse product tables with explicit degree
 guards; identities whose evaluation would leave the cap are skipped and
@@ -210,68 +212,99 @@ def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
         raise AxiomViolation(f"antipode unit absorption{tag}", lab, got, sa)
 
 
+def _check_halves(c: Coalgebra, s: FinMap,
+                  halves: Sequence[tuple[PairTable, PairTable, str, str, str]]
+                  ) -> tuple[int, int, int]:
+    """The label and pair identities of one-sided Hopf algebras on ``c`` with
+    the antipode ``s``: one of them, or the two halves of a Hopf dialgebra.
+
+    A half (t, r, unit, defining, tag) has the product ``t`` and the product
+    ``r`` (``t`` or its opposite) that S is a right antipode for.  Per label:
+    each half's r(1, a) = a (``unit``), "balanced" (the halves agree on
+    r(a, 1)), S a coalgebra map, each half's :func:`_check_right_antipode`
+    and S(S(S(a))) = S(a).  Per label pair: each half's comultiplicativity
+    and counit, then each half's S(ab) = S(b) S(a).  Per-half names end in
+    ``tag``.  Returns the number of labels and pairs checked, then of labels
+    and of pairs skipped beyond the cap of the first table.
+    """
+    basis = c.basis
+    one = c.unit
+    capped = halves[0][0]
+    checked = skipped_labels = skipped_pairs = 0
+    for lab in basis.labels:
+        if not capped.fits(capped.degree(lab)):
+            skipped_labels += 1
+            continue
+        a = FinVec.unit(basis, lab)
+        for _, r, unit, _, _ in halves:
+            got = FinVec(basis, times_label(r, one.entries, lab))
+            if got != a:
+                raise AxiomViolation(unit, lab, got, a)
+        for _, r, *_ in halves[1:]:
+            lhs = FinVec(basis, label_times(halves[0][1], lab, one.entries))
+            rhs = FinVec(basis, label_times(r, lab, one.entries))
+            if lhs != rhs:
+                raise AxiomViolation("balanced", lab, lhs, rhs)
+        check_coalgebra_map(c, c, s.column, (lab,), "antipode")
+        for _, r, _, defining, tag in halves:
+            _check_right_antipode(c, r, s, lab, defining, tag)
+        sa = s.column(lab)
+        if s(s(sa)) != sa:
+            raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
+        checked += 1
+
+    for la, lb in itertools.product(basis.labels, repeat=2):
+        if not capped.fits(capped.degree(la) + capped.degree(lb)):
+            skipped_pairs += 1
+            continue
+        for t, _, _, _, tag in halves:
+            check_multiplicative(c, t, ((la, lb),), f"product comultiplicativity{tag}",
+                                 f"product counit{tag}")
+        for t, _, _, _, tag in halves:
+            lhs = s(t.vector(la, lb))
+            rhs = bilinear(t, s.column(lb), s.column(la))
+            if lhs != rhs:
+                raise AxiomViolation(f"antipode antihomomorphism{tag}", (la, lb), lhs, rhs)
+        checked += 1
+    return checked, skipped_labels, skipped_pairs
+
+
 def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
     """Full axiom suite for a one-sided Hopf algebra.
 
-    Checks the carrier coalgebra, cocommutativity, associativity, the
-    one-sided unit law, multiplicativity of the coproduct and counit, that
-    the antipode is a coalgebra endomorphism, the defining convolution
-    identity, and the standard consequences: the flipped convolution
-    against the unit, the convolution square, the double and triple
-    antipode formulas, unit absorption, and antimultiplicativity.  A left
-    algebra is checked through its opposite product, which cocommutativity
-    (checked first) makes a right Hopf algebra.
+    Checks the carrier coalgebra, cocommutativity, associativity, S(1) = 1,
+    and then, through :func:`_check_halves`, the one-sided unit law, that the
+    antipode is a coalgebra endomorphism, the defining convolution identity
+    and its standard consequences (the flipped convolution against the unit,
+    the convolution square, the double and triple antipode formulas, unit
+    absorption), multiplicativity of the coproduct and counit, and
+    antimultiplicativity.  A left algebra is checked through its opposite
+    product, which cocommutativity (checked first) makes a right Hopf
+    algebra.  1 1 = 1 is not checked apart: it is the one-sided unit law at
+    the labels of 1, summed with the coefficients of 1.
     """
     if h.side not in ("right", "left"):
         raise SchemaError(f"antipode side must be 'right' or 'left', got {h.side!r}")
     c = h.coalgebra
     basis = c.basis
-    square = c.square
-    if h.mul.domain != square or h.mul.codomain != basis:
+    if h.mul.domain != c.square or h.mul.codomain != basis:
         raise SchemaError("product must map the tensor square to the carrier")
     if h.antipode.domain != basis or h.antipode.codomain != basis:
         raise SchemaError("antipode must be an endomorphism of the carrier")
     check_coalgebra(c)
     check_cocommutative(c)
 
-    labels = basis.labels
-    one = c.unit
-    s = h.antipode
     t = h.table
-    rprod = h._right_product()
-    for la, lb, lc in itertools.product(labels, repeat=3):
+    for la, lb, lc in itertools.product(basis.labels, repeat=3):
         lhs = times_label(t, t.entry(la, lb), lc)
         rhs = label_times(t, la, t.entry(lb, lc))
         if not same_entries(lhs, rhs):
             raise _violation(basis, "associativity", (la, lb, lc), lhs, rhs)
-
-    for lab in labels:
-        a = FinVec.unit(basis, lab)
-        got = FinVec(basis, times_label(rprod, one.entries, lab))
-        if got != a:
-            raise AxiomViolation("one-sided unit", lab, got, a)
-
-    check_multiplicative(c, t, itertools.product(labels, repeat=2),
-                         "product comultiplicativity", "product counit")
-    if h.product(one, one) != one:
-        raise AxiomViolation("unit idempotent", "1", h.product(one, one), one)
-
-    check_coalgebra_map(c, c, s.column, labels, "antipode")
+    one = c.unit
+    s = h.antipode
     if s(one) != one:
         raise AxiomViolation("antipode unit", "1", s(one), one)
-
-    for lab in labels:
-        _check_right_antipode(c, rprod, s, lab, "defining antipode", "")
-        sa = s.column(lab)
-        if s(s(sa)) != sa:
-            raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
-
-    for la, lb in itertools.product(labels, repeat=2):
-        lhs = s(t.vector(la, lb))
-        rhs = h.product(s.column(lb), s.column(la))
-        if lhs != rhs:
-            raise AxiomViolation("antipode antihomomorphism", (la, lb), lhs, rhs)
-
+    _check_halves(c, s, ((t, h._right_product(), "one-sided unit", "defining antipode", ""),))
     return _certified(h)
 
 
@@ -551,8 +584,13 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     antipode for (a b for side "right", b a for side "left"), so a witness
     pair (a, b) names a b for a left algebra and b a for a right one; Psi,
     built idempotent leg first, is flipped for side "right".  On top of it
-    iota is a coalgebra map, S is two-sided on H1 with unit 1, and Psi does
-    not depend on the order of the coproduct legs.  Raises
+    iota is a coalgebra map, S is an antipode on H1 on the other side too
+    (iota(u) = eps(u) 1), and Psi does not depend on the order of the
+    coproduct legs.  The rest of "S is two-sided on H1 with unit 1" is not
+    checked again: the algebra's own side is the defining identity
+    :func:`certify_one_sided` checked on every label, and u 1 = u in r is
+    rho(u) = u, true on the image of rho once :func:`_split` checked
+    rho(rho(a)) = rho(a) on every label.  Raises
     :class:`DecompositionFailure` with the first failing identity and its
     witness: a basis label or label pair, an index into the basis of E or
     H1 (or a pair of them), or for a whole-space identity its name ("fixed
@@ -571,18 +609,12 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     sp = _split(c, rprod, s.column, basis.labels, "generalized unit", "")
     check_coalgebra_map(c, c, sp.iota.column, basis.labels, "idempotent",
                         DecompositionFailure)
-    h1_basis = sp.h.vectors
-    for i, uv in enumerate(h1_basis):
-        for which, fv, gv in (("right", FinMap.identity(basis), s),
-                              ("left", s, FinMap.identity(basis))):
-            acc = linear_sum(basis, ((h.product(fv.column(l1), gv.column(l2)), cw)
-                                     for l1, l2, cw in c.sweedler(uv)))
-            if acc != one.scale(eps(uv)):
-                raise DecompositionFailure(f"hopf part {which} antipode", i, acc,
-                                           one.scale(eps(uv)))
-        got = bilinear(rprod, uv, one)
-        if got != uv:
-            raise DecompositionFailure("hopf part unit law", i, got, uv)
+    # S is an antipode on the other side too: iota(u) = eps(u) 1 on H1
+    other = "left" if h.side == "right" else "right"
+    for i, uv in enumerate(sp.h.vectors):
+        got = sp.iota(uv)
+        if got != one.scale(eps(uv)):
+            raise DecompositionFailure(f"hopf part {other} antipode", i, got, one.scale(eps(uv)))
     for lab in basis.labels:
         # Psi(a) = sum S(a1) a2 (x) a3 1, here with the first two legs swapped
         got = tensor_sum(square, ((FinVec(basis, times_label(rprod, s.column(l2).entries, l1)),
@@ -595,7 +627,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     if h.side == "right":
         psi = FinMap.from_function(basis, square, lambda lab: FinVec.build(square, (
             (merge_labels(basis, l2, l1), cw) for l1, l2, cw in sp.psi_legs[lab])))
-    return SuschkewitschDecomposition(h, tuple(h1_basis), tuple(sp.e.vectors), psi, h.mul)
+    return SuschkewitschDecomposition(h, tuple(sp.h.vectors), tuple(sp.e.vectors), psi, h.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +705,17 @@ class HopfDialgebra:
 def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     """Full dialgebra axiom suite; returns a certified copy with a report.
 
-    Bar-unit laws, balancedness, associativity of both products, the three
-    mixed dialgebra axioms, multiplicativity of the coproduct and counit
-    for both products, the coalgebra-endomorphism property of the antipode
-    and both one-sided convolution identities, plus their standard
-    consequences.  S is a left antipode for -|, so those identities are the
-    right antipode identities of the opposite product b -| a.  Identities
-    touching degrees beyond the cap are skipped and counted in the report.
+    First the identities of the right Hopf algebra (A, |-, S) and the left
+    one (A, -|, S), by :func:`_check_halves`: bar-unit laws, balancedness,
+    S a coalgebra map, both one-sided convolution identities (for -|, the
+    right antipode identities of the opposite product b -| a) and their
+    standard consequences, multiplicativity of the coproduct and counit,
+    and antimultiplicativity.  Then, per triple, associativity of both
+    products and the three mixed dialgebra axioms.  Identities touching
+    degrees beyond the cap are skipped and counted in the report.  S(1) = 1
+    needs no check of its own: 1 is group-like, so the right antipode
+    identity for |- at 1 reads 1 |- S(1) = 1, whose left side is S(1) by
+    the left bar-unit law.
 
     A product with a basis label on one side is read from the tables
     (:func:`~rackalg.exact_core.times_label`, :func:`~rackalg.exact_core.label_times`),
@@ -705,58 +741,13 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     check_coalgebra(c)
     check_cocommutative(c)
 
+    # S is a left antipode for -|: a right antipode for the opposite product
+    checked, skipped_labels, skipped_pairs = _check_halves(c, d.antipode, (
+        (vt, vt, "bar-unit left", "right antipode for |-", " (|-)"),
+        (dt, dt.opposite(), "bar-unit right", "left antipode for -|", " (-|)")))
+
     labs = basis.labels
-    one = c.unit
-    s = d.antipode
-    dt_op = dt.opposite()
-    checked = 0
-    skipped_labels = 0
-    skipped_pairs = 0
     skipped_triples = 0
-
-    for lab in labs:
-        if not vt.fits(deg[lab]):
-            skipped_labels += 1
-            continue
-        a = FinVec.unit(basis, lab)
-        got = FinVec(basis, times_label(vt, one.entries, lab))
-        if got != a:
-            raise AxiomViolation("bar-unit left", lab, got, a)
-        got = FinVec(basis, label_times(dt, lab, one.entries))
-        if got != a:
-            raise AxiomViolation("bar-unit right", lab, got, a)
-        lhs = FinVec(basis, label_times(vt, lab, one.entries))
-        rhs = FinVec(basis, times_label(dt, one.entries, lab))
-        if lhs != rhs:
-            raise AxiomViolation("balanced", lab, lhs, rhs)
-        check_coalgebra_map(c, c, s.column, (lab,), "antipode")
-        _check_right_antipode(c, vt, s, lab, "right antipode for |-", " (|-)")
-        # S is a left antipode for -|: a right antipode for the opposite product
-        _check_right_antipode(c, dt_op, s, lab, "left antipode for -|", " (-|)")
-        sa = s.column(lab)
-        if s(s(sa)) != sa:
-            raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
-        checked += 1
-    if s(one) != one:
-        raise AxiomViolation("antipode unit", "1", s(one), one)
-
-    for la, lb in itertools.product(labs, repeat=2):
-        if not vt.fits(deg[la] + deg[lb]):
-            skipped_pairs += 1
-            continue
-        for name, t in (("|-", vt), ("-|", dt)):
-            check_multiplicative(c, t, ((la, lb),), f"product comultiplicativity ({name})",
-                                 f"product counit ({name})")
-        lhs = s(vt.vector(la, lb))
-        rhs = d.vprod(s.column(lb), s.column(la))
-        if lhs != rhs:
-            raise AxiomViolation("antipode antihomomorphism (|-)", (la, lb), lhs, rhs)
-        lhs = s(dt.vector(la, lb))
-        rhs = d.dprod(s.column(lb), s.column(la))
-        if lhs != rhs:
-            raise AxiomViolation("antipode antihomomorphism (-|)", (la, lb), lhs, rhs)
-        checked += 1
-
     # b c is read from the rows of b: within the cap, as a b c fits
     for la in labs:
         for lb in labs:
@@ -803,7 +794,8 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
 
 def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
     """A cocommutative Hopf algebra as the dialgebra with |- = -| = product,
-    tabulated on every label pair whose degrees fit the cap."""
+    tabulated on every label pair whose degrees fit the cap; certifying it
+    checks the Hopf axioms of the backend on basis labels."""
     if not isinstance(hopf, HopfBackend):
         raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
     # a Hopf table stores the pairs under its cap only

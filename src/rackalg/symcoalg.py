@@ -301,7 +301,7 @@ def is_cocommutative(c: Coalgebra) -> bool:
 
 
 def is_group_like(c: Coalgebra, v: FinVec) -> bool:
-    return not v.is_zero and c.delta(v) == v.tensor(v, c.square) and scalar_eq(c.eps_of(v), ONE)
+    return not v.is_zero and scalar_eq(c.eps_of(v), ONE) and c.delta(v) == v.tensor(v, c.square)
 
 
 def reduced_delta_map(c: Coalgebra) -> FinMap:

@@ -6,6 +6,7 @@ confluence says both must give the same normal form.
 """
 
 import ast
+import dataclasses
 import itertools
 import pathlib
 from fractions import Fraction
@@ -20,7 +21,6 @@ from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import FinMap, FinVec
 from rackalg.env_hopf import (
     HopfBackend,
-    check_hopf,
     derivation_action,
     enveloping_hopf,
     module_action,
@@ -32,6 +32,7 @@ from rackalg.env_hopf import (
 from rackalg.fixtures import load
 from rackalg.groups import group_hopf, symmetric_group
 from rackalg.leibniz import quotient_lie
+from rackalg.right_hopf_dialg import certify_dialgebra, hopf_as_dialgebra
 from rackalg.symcoalg import (
     check_coalgebra,
     is_cocommutative,
@@ -114,7 +115,7 @@ def test_hopf_axioms_small_caps():
         env = enveloping_hopf(q.algebra, cap)
         check_coalgebra(env.coalgebra)
         assert is_cocommutative(env.coalgebra)
-        check_hopf(env.coalgebra, env.table, env.antipode_map())
+        hopf_as_dialgebra(env)
 
 
 def test_enveloping_rejects_non_lie_input():
@@ -136,7 +137,8 @@ def test_antipode_frozen_value(env_sl2):
 
 def test_check_hopf_catches_wrong_antipode(env_sl2):
     with pytest.raises(AxiomViolation) as exc:
-        check_hopf(env_sl2.coalgebra, env_sl2.table, FinMap.identity(env_sl2.basis))
+        certify_dialgebra(dataclasses.replace(hopf_as_dialgebra(env_sl2), certified=False,
+                                              antipode=FinMap.identity(env_sl2.basis)))
     assert "antipode" in exc.value.axiom
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from rackalg.errors import AxiomViolation, SchemaError
 from rackalg.exact_core import FinVec
-from rackalg.env_hopf import check_hopf
 from rackalg.fixtures import load
 from rackalg.groups import (
     FiniteGroup,
@@ -16,6 +15,7 @@ from rackalg.groups import (
     group_like_coalgebra,
     symmetric_group,
 )
+from rackalg.right_hopf_dialg import hopf_as_dialgebra
 from rackalg.symcoalg import check_coalgebra, is_cocommutative
 
 F = Fraction
@@ -118,7 +118,7 @@ def test_group_like_coalgebra_needs_unit_element():
 @pytest.mark.parametrize("make", [lambda: cyclic_group(4), lambda: symmetric_group(3)])
 def test_group_hopf_axioms(make):
     h = group_hopf(make())
-    check_hopf(h.coalgebra, h.table, h.antipode_map())
+    hopf_as_dialgebra(h)
 
 
 def test_group_hopf_antipode_is_inversion():

@@ -21,10 +21,10 @@ KEPT_PUBLIC = frozenset({
     "rackalg:__version__",
     "fixtures:fixture_names", "fixtures:load_raw",
     "exact_core:series_exp",
-    "symcoalg:filtration_order", "symcoalg:is_connected", "symcoalg:is_group_like",
+    "symcoalg:filtration_order", "symcoalg:is_connected",
     "symcoalg:reduced_delta_map", "symcoalg:sym_monomials",
     "leibniz:squares_ideal",
-    "env_hopf:EnvelopingHopf", "env_hopf:check_hopf", "env_hopf:symmetrize",
+    "env_hopf:EnvelopingHopf", "env_hopf:symmetrize",
     "env_hopf:symmetrize_word",
     "jsonio:leibniz_to_json", "jsonio:rack_to_json",
     "rack_bialg:augmented_rack_algebra", "rack_bialg:certify_augmented",
@@ -117,3 +117,30 @@ def test_the_surface_scan_sees_imports_attributes_and_names():
     assert unused_exports(modules, []) == {"a:k", "c:m"}
     assert module_name(PACKAGE / "fixtures" / "__init__.py") == "fixtures"
     assert module_name(PACKAGE / "__init__.py") == "rackalg"
+
+
+def unused_imports(tree):
+    """The names a module imports (``from __future__`` aside) and neither
+    reads nor lists in ``__all__``."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read - exported(tree)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {f"{module_name(path)}:{name}" for path in sorted(PACKAGE.rglob("*.py"))
+             for name in unused_imports(_tree(path))}
+    assert found == set()
+
+
+def test_the_import_scan_sees_reads_annotations_and_exports():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\nimport a.b as ab\n"
+                     "from m import f, g as h, k, T, E\n__all__ = ['E']\n"
+                     "def run(x: T) -> None: return os.path.join(f(x), ab)\n"
+                     "'k'\n")
+    assert unused_imports(tree) == {"h", "k"}

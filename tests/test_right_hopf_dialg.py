@@ -191,6 +191,22 @@ class TestOneSided:
         fired = perturbation_census(h, ("mul", "antipode"), certify_one_sided)
         assert fired == {"associativity": 48, "defining antipode": 9, "antipode unit": 3}
 
+    @pytest.mark.parametrize("make,sides,census", [
+        (lambda side: right_group_hopf(cyclic_group(2), ("p", "q"), "p", side=side), ("right",),
+         {"associativity": 48, "defining antipode": 9, "antipode unit": 3}),
+        (lambda side: trivial_one_sided_hopf(group_hopf(cyclic_group(3)).coalgebra, side),
+         ("right", "left"), {"associativity": 18, "defining antipode": 4, "antipode unit": 2}),
+        (lambda side: from_group_hopf(group_hopf(cyclic_group(3)), side), ("right", "left"),
+         {"associativity": 18, "antipode convolution square": 2, "antipode unit": 2,
+          "defining antipode": 2}),
+    ], ids=["right-group-Z2", "trivial-Z3", "K[Z3]"])
+    def test_every_single_entry_perturbation_names_a_one_sided_identity(self, make, sides,
+                                                                       census):
+        # the left right group's census is pinned above
+        for side in sides:
+            fired = perturbation_census(make(side), ("mul", "antipode"), certify_one_sided)
+            assert fired == census, side
+
     @pytest.mark.parametrize("side,relabelled", [("right", "left"), ("left", "right")])
     def test_right_group_with_the_other_side_fails_the_unit_law(self, side, relabelled):
         h = right_group_hopf(cyclic_group(2), ("p", "q"), "p", side=side)
@@ -487,6 +503,36 @@ class TestHopfDialgebra:
             "antipode unit absorption (|-)": 2, "antipode unit absorption (-|)": 2,
             "balanced": 4, "bar-unit left": 6, "bar-unit right": 6,
             "left antipode for -|": 2, "right antipode for |-": 6}
+
+    @pytest.mark.parametrize("source,tables,census", [
+        ("z2", ("vdash", "dashv", "antipode"), {
+            "antipode antihomomorphism (-|)": 12, "antipode antihomomorphism (|-)": 12,
+            "antipode flip identity (-|)": 5, "antipode flip identity (|-)": 5,
+            "associativity (-|)": 1, "balanced": 12, "bar-unit left": 12, "bar-unit right": 12,
+            "inner associativity": 6, "left antipode for -|": 6, "left products agree": 7,
+            "right antipode for |-": 18}),
+        ("lie2", ("vdash", "dashv"), {
+            "balanced": 50, "bar-unit left": 30, "bar-unit right": 30,
+            "left antipode for -|": 21, "right antipode for |-": 21}),
+        ("lie2", ("antipode",), {"antipode comultiplicativity": 28, "right antipode for |-": 5}),
+        ("sq2", ("vdash", "dashv"), {
+            "DegreeCapExceeded": 8, "antipode flip identity (-|)": 10,
+            "antipode flip identity (|-)": 10, "balanced": 64, "bar-unit left": 56,
+            "bar-unit right": 56, "left antipode for -|": 16, "left products agree": 2,
+            "product comultiplicativity (-|)": 16, "product comultiplicativity (|-)": 16,
+            "product counit (-|)": 2, "product counit (|-)": 2, "right antipode for |-": 16}),
+        ("sq2", ("antipode",), {"SchemaError": 18, "antipode comultiplicativity": 48,
+                                "right antipode for |-": 12}),
+    ])
+    def test_every_single_entry_perturbation_of_a_larger_dialgebra(self, ud_sq2, source,
+                                                                   tables, census):
+        # the Z2-augmented dialgebra over every label pair, the capped ones over
+        # their stored keys
+        d = {"z2": lambda: dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))),
+             "lie2": lambda: hopf_as_dialgebra(enveloping_hopf(load("lie2"), 2)),
+             "sq2": lambda: ud_sq2}[source]()
+        fired = perturbation_census(d, tables, certify_dialgebra, stored=source != "z2")
+        assert fired == census
 
     def test_schema_rejections(self, ks3):
         d = hopf_as_dialgebra(ks3)
@@ -973,6 +1019,25 @@ def test_the_splitting_identities_are_checked_in_one_function():
     assert _constant_owners(ast.parse(snippet), ("psi antipode", "hopf part unit",
                                                  "dimension product")) == {
         "psi antipode": {"f", "h"}, "hopf part unit": {"h"}, "dimension product": set()}
+
+
+HALF_IDENTITIES = ("balanced", "triple antipode", "product comultiplicativity",
+                   "product counit", "antipode antihomomorphism")
+CONSEQUENCES = ("antipode flip identity", "antipode convolution square", "double antipode",
+                "antipode unit absorption")
+
+
+def test_the_one_sided_identities_are_checked_in_one_function():
+    path = pathlib.Path(right_hopf_dialg.__file__)
+    owners = _constant_owners(ast.parse(path.read_text(), str(path)),
+                              HALF_IDENTITIES + CONSEQUENCES)
+    assert owners == {**{name: {"_check_halves"} for name in HALF_IDENTITIES},
+                      **{name: {"_check_right_antipode"} for name in CONSEQUENCES}}
+    snippet = ("def f(tag):\n for t in ts: g(t, f'product counit{tag}', 'balanced (|-)')\n"
+               "def h(): raise E(f'double antipode{1}', 'balanced')\n")
+    assert _constant_owners(ast.parse(snippet), ("product counit", "balanced",
+                                                 "double antipode")) == {
+        "product counit": {"f"}, "balanced": {"h"}, "double antipode": {"h"}}
 
 
 def _checked_loop(module, function, axiom):

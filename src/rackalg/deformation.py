@@ -30,6 +30,9 @@ of each degree, built once.  Faces, the extra face, d and the coderivation
 condition are read on label tuples: each column is one coefficient dict filled
 from the stored columns of the cochain, of mu^i and of mu.  The dual-number
 checks read mu + hbar*w on label pairs, one series column per pair.
+Each cochain space is eliminated once, and d is read in the solved bases: a
+basis cochain is 1 at its own free unknown and 0 at the others', so d f has
+its values there as coordinates, and rebuilding d f from them checks it.
 """
 
 from __future__ import annotations
@@ -53,13 +56,14 @@ from rackalg.exact_core import (
     PairTable,
     Rational,
     SeriesScalar,
-    SpanSolver,
+    Row,
     _accumulate,
+    _kernel_coordinates,
     _require_degree,
     label_times,
     nullspace,
+    rank,
     same_entries,
-    span_basis,
     tensor_basis,
 )
 from rackalg.leibniz import LeibnizAlgebra
@@ -315,6 +319,13 @@ def _space(faces: _Faces, n: int) -> list[Cochain]:
     return out
 
 
+def _unknowns(faces: _Faces, omega: FinMap) -> Row:
+    """The unknowns of ``_space`` that a cochain sets: its nullspace combination."""
+    basis = faces.basis
+    return {omega.domain.index(t) * basis.dim + basis.index(l): c
+            for t, col in omega.columns.items() for l, c in col.entries.items()}
+
+
 def coderivation_space(rb: RackBialgebra, n: int) -> list[Cochain]:
     """Exact basis of C^n(R;R), the coderivations along mu^n."""
     return _space(_Faces(rb), n)
@@ -347,40 +358,35 @@ class DeformationComplex:
         return len(self.spaces[n - 1])
 
 
-def _flat_vec(omega: FinMap, flat: Basis) -> FinVec:
-    return FinVec.build(flat, (((t, l), c) for t, col in omega.columns.items()
-                               for l, c in col.entries.items()))
-
-
-def _complex(faces: _Faces, max_degree: int) -> DeformationComplex:
+def _complex(faces: _Faces, max_degree: int) -> tuple[DeformationComplex, list[FinMap]]:
+    """The complex, and the images under d of the basis of C^max_degree."""
     _require_degree(max_degree, "max degree")
     if max_degree < 1:
         raise SchemaError("the complex needs max_degree >= 1")
     rb = faces.rb
-    spaces = [_space(faces, n) for n in range(1, max_degree + 2)]
+    spaces = [tuple(_space(faces, n)) for n in range(1, max_degree + 2)]
     cbases = [Basis(f"C^{n + 1}({rb.basis.name})", tuple(range(len(sp))))
               for n, sp in enumerate(spaces)]
     mats = []
     for n in range(1, max_degree + 1):
-        flat = Basis(f"flat{n + 1}({rb.basis.name})",
-                     tuple((t, l) for t in faces.power(n + 1).labels for l in rb.basis.labels))
-        solver = SpanSolver([_flat_vec(f.map, flat) for f in spaces[n]])
+        kernel = [_unknowns(faces, f.map) for f in spaces[n]]
+        images = [faces.differential(f.map) for f in spaces[n - 1]]
         cols: dict[Label, FinVec] = {}
-        for j, f in enumerate(spaces[n - 1]):
-            image = faces.differential(f.map)
+        for j, image in enumerate(images):
             if not image.columns:
                 continue
-            coords = solver.coordinates(_flat_vec(image, flat))
+            # the coordinates of d f are its values at the free unknowns of C^(n+1)
+            coords = _kernel_coordinates(kernel, _unknowns(faces, image))
             if coords is None:
                 raise RackalgError("differential image left the solved cochain space")
             cols[j] = FinVec.build(cbases[n], list(enumerate(coords)))
         mats.append(FinMap(cbases[n - 1], cbases[n], cols))
-    return DeformationComplex(rb, max_degree, tuple(tuple(sp) for sp in spaces), tuple(mats))
+    return DeformationComplex(rb, max_degree, tuple(spaces), tuple(mats)), images
 
 
 def deformation_complex(rb: RackBialgebra, max_degree: int = 2) -> DeformationComplex:
     """Bases of C^1..C^(max_degree+1) and matrices of d between them."""
-    return _complex(_Faces(rb), max_degree)
+    return _complex(_Faces(rb), max_degree)[0]
 
 
 def verify_complex(rb: RackBialgebra, max_n: int = 2) -> CheckReport:
@@ -391,14 +397,14 @@ def verify_complex(rb: RackBialgebra, max_n: int = 2) -> CheckReport:
     zero-map evaluation at the top degree.
     """
     faces = _Faces(rb)
-    cx = _complex(faces, max_n)
+    cx, tops = _complex(faces, max_n)
     checked = 0
     for n in range(1, max_n):
         if cx.differentials[n].compose(cx.differentials[n - 1]).columns:
             return CheckReport(False, checked, axiom="d squared zero", witness=("matrix", n))
         checked += 1
-    for f in cx.spaces[max_n - 1]:
-        if faces.differential(faces.differential(f.map)).columns:
+    for image in tops:
+        if faces.differential(image).columns:
             return CheckReport(False, checked, axiom="d squared zero", witness=("direct", max_n))
         checked += 1
     # the 2n first faces of each basis cochain of degree n, computed once
@@ -440,8 +446,7 @@ def verify_complex(rb: RackBialgebra, max_n: int = 2) -> CheckReport:
 def h2(rb: RackBialgebra) -> dict[str, int]:
     """Exact dimensions of 2-cocycles, 2-coboundaries, and H^2."""
     cx = deformation_complex(rb, 2)
-    b2, rank2 = (len(span_basis([col for col in d.columns.values() if not col.is_zero]))
-                 for d in cx.differentials)
+    b2, rank2 = (rank(d) for d in cx.differentials)
     z2 = cx.dim(2) - rank2
     return {"z2": z2, "b2": b2, "h2": z2 - b2}
 

@@ -34,11 +34,14 @@ readers inline the same rule.
 
 All elimination goes through one private kernel, ``_Echelon``: sparse rows in
 reduced row-echelon form, each keyed by its pivot, the smallest column of the
-row, normalized to 1 there, and zero at every other pivot.  :func:`nullspace`,
-:func:`rank_of`, :func:`kernel_basis`, :func:`rank`, :func:`span_basis` and
-:class:`SpanSolver` read from it.  With one pivot rule the reduced form of a
-span is unique, so every basis they return is the same for every order (and,
-for spans, every nonzero rescaling) of their input.
+row, normalized to 1 there, and zero at every other pivot; it has one mode.
+:func:`nullspace`, :func:`rank_of`, :func:`kernel_basis`, :func:`rank`,
+:func:`span_basis` and :class:`SpanSolver` (membership, no coordinates) read
+from it.  With one pivot rule the reduced form of a span is unique, so every
+basis they return is the same for every order (and, for spans, every nonzero
+rescaling) of their input.  A kernel is never eliminated twice: each of its
+vectors is 1 at its largest column and 0 at the others' largest columns, so
+``_kernel_coordinates`` reads coordinates off those columns.
 """
 
 from __future__ import annotations
@@ -744,54 +747,40 @@ class _Echelon:
 
     ``rows`` maps each pivot column, the smallest column of its row, to that
     row, normalized to 1 at the pivot and zero at every other pivot column.
-    With ``combos`` each row also keeps its sparse combination of the
-    inserted rows, keyed by the tag each was inserted with.
     """
 
-    def __init__(self, rows: Iterable[Row] = (), combos: bool = False) -> None:
+    def __init__(self, rows: Iterable[Row] = ()) -> None:
         self.rows: dict[int, Row] = {}
-        self.combos: dict[int, Row] | None = {} if combos else None
         # rows with the smallest support first: cheap heuristic against fill-in
         for row in sorted(rows, key=len):
             self.insert(row)
 
-    def reduce(self, row: Row) -> tuple[Row, list[tuple[int, Rational]]]:
-        """row minus multiples of the stored rows, and the multiples taken.
+    def reduce(self, row: Row) -> Row:
+        """row minus multiples of the stored rows, zero at every pivot.
 
         The stored rows vanish on each other's pivots, so subtracting one
         never changes the row at another pivot: one sweep over the pivot
         columns of the row clears them all.
         """
         row = {c: v for c, v in row.items() if v}
-        taken = [(j, row[j]) for j in row if j in self.rows]
-        for j, f in taken:
+        for j, f in [(j, row[j]) for j in row if j in self.rows]:
             _sub_multiple(row, f, self.rows[j])
-        return row, taken
+        return row
 
-    def insert(self, row: Row, tag: int = 0) -> bool:
+    def insert(self, row: Row) -> bool:
         """Reduce, and store the row if it is independent.  True if stored."""
-        row, taken = self.reduce(row)
+        row = self.reduce(row)
         if not row:
             return False
         j = min(row)
         p = row[j]
         if p != ONE:
             row = {c: div(v, p) for c, v in row.items()}
-        combo = None
-        if self.combos is not None:
-            combo = {tag: ONE}
-            for pj, f in taken:
-                _sub_multiple(combo, f, self.combos[pj])
-            if p != ONE:
-                combo = {t: div(v, p) for t, v in combo.items()}
-            self.combos[j] = combo
         # back-substitute, so every stored row vanishes on the new pivot
-        for pj, prow in self.rows.items():
+        for prow in self.rows.values():
             f = prow.get(j)
             if f:
                 _sub_multiple(prow, f, row)
-                if combo is not None:
-                    _sub_multiple(self.combos[pj], f, combo)
         self.rows[j] = row
         return True
 
@@ -800,7 +789,8 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Exact basis of the right kernel of the sparse row system.
 
     One vector per free column f, equal to 1 at f and 0 at the other free
-    columns; the basis is the same for every order of the rows.
+    columns; the basis is the same for every order of the rows.  Its other
+    entries sit at pivots, each smaller than f, so f is its largest column.
     """
     pivots = _Echelon(rows).rows
     basis: list[Row] = []
@@ -814,6 +804,17 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
                 vec[pj] = -c
         basis.append(vec)
     return basis
+
+
+def _kernel_coordinates(kernel: Sequence[Row], row: Row) -> list[Rational] | None:
+    """The coordinates of ``row`` in a :func:`nullspace` basis, None outside its
+    span: the row's entries at the vectors' largest columns, if they rebuild it."""
+    coords = [row.get(max(vec), ZERO) for vec in kernel]
+    rebuilt: Row = {}
+    for vec, c in zip(kernel, coords):
+        if c:
+            _accumulate(rebuilt, c, vec.items())
+    return coords if same_entries(rebuilt, row) else None
 
 
 def rank_of(rows: Iterable[Row], ncols: int) -> int:
@@ -835,7 +836,8 @@ def _map_rows(m: FinMap) -> list[Row]:
 
 
 def kernel_basis(m: FinMap) -> list[FinVec]:
-    """Exact basis of the kernel of a linear map between finite bases."""
+    """Exact basis of the kernel of a linear map between finite bases: each
+    vector is 1 at its last label in basis order, 0 at the others' last labels."""
     return [_vector(m.domain, vec) for vec in nullspace(_map_rows(m), m.domain.dim)]
 
 
@@ -852,18 +854,12 @@ def _vector(basis: Basis, row: Row) -> FinVec:
 
 
 class SpanSolver:
-    """Echelonized span of a list of vectors with coordinate recovery.
-
-    ``coordinates(v)`` returns the exact coefficients expressing v in the
-    generating vectors, or None when v is outside the span.
-    """
+    """Echelonized span of a list of vectors, for membership and residues; no
+    coordinates (a solved kernel basis gives those, see ``_kernel_coordinates``)."""
 
     def __init__(self, vectors: Sequence[FinVec]) -> None:
         self.basis: Basis | None = vectors[0].basis if vectors else None
-        self.generators = list(vectors)
-        self._echelon = _Echelon(combos=True)
-        for i, v in enumerate(self.generators):
-            self._echelon.insert(_row(self.basis, v), i)
+        self._echelon = _Echelon(_row(self.basis, v) for v in vectors)
 
     @property
     def dim(self) -> int:
@@ -881,17 +877,6 @@ class SpanSolver:
     def contains(self, v: FinVec) -> bool:
         return self.residue(v).is_zero
 
-    def coordinates(self, v: FinVec) -> list[Rational] | None:
-        if self.basis is None:
-            return None if not v.is_zero else []
-        row, taken = self._echelon.reduce(_row(self.basis, v))
-        if row:
-            return None
-        coords: Row = {}
-        for j, f in taken:
-            _sub_multiple(coords, -f, self._echelon.combos[j])
-        return [coords.get(i, ZERO) for i in range(len(self.generators))]
-
     def residue(self, v: FinVec) -> FinVec:
         """Canonical representative of v modulo the span.
 
@@ -900,7 +885,7 @@ class SpanSolver:
         """
         if self.basis is None:
             return v
-        return _vector(self.basis, self._echelon.reduce(_row(self.basis, v))[0])
+        return _vector(self.basis, self._echelon.reduce(_row(self.basis, v)))
 
 
 def span_basis(vectors: Sequence[FinVec]) -> list[FinVec]:

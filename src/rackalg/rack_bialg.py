@@ -44,7 +44,9 @@ from rackalg.exact_core import (
     SpanSolver,
     _NO_ENTRIES,
     _accumulate,
+    _kernel_coordinates,
     _require_degree,
+    _row,
     bilinear,
     div,
     label_times,
@@ -631,14 +633,15 @@ def primitives_leibniz(rb: RackBialgebra) -> LeibnizAlgebra:
 def _primitive_leibniz(c: Coalgebra, bracket: Callable[[FinVec, FinVec], FinVec],
                        name: str, escaped: str) -> LeibnizAlgebra:
     """The Leibniz algebra ``name`` of ``bracket`` on the primitives of ``c``:
-    each bracket of two primitives is solved in their span (``escaped`` is the
-    error when it leaves it), and the Leibniz identity is verified."""
+    the kernel basis ``primitives(c)`` gives each bracket its entries at the
+    free labels as coordinates, and rebuilding it checks that it stayed in
+    Prim (``escaped`` is the error when not).  The Leibniz identity is verified."""
     prims = primitives(c)
-    solver = SpanSolver(prims)
+    kernel = [_row(c.basis, p) for p in prims]
     entries: dict[tuple[int, int], dict[int, Rational]] = {}
     for j, x in enumerate(prims, start=1):
         for k, y in enumerate(prims, start=1):
-            coords = solver.coordinates(bracket(x, y))
+            coords = _kernel_coordinates(kernel, _row(c.basis, bracket(x, y)))
             if coords is None:
                 raise RackalgError(escaped)
             entries[(j, k)] = {i: cv for i, cv in enumerate(coords, start=1) if cv}

@@ -1091,8 +1091,8 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
 
     pe = intersect(sp.e)
     ph = intersect(sp.h)
-    prim_solver = SpanSolver(pe + ph)
-    if len(pe) + len(ph) != len(prims) or not all(prim_solver.contains(p) for p in prims):
+    # pe and ph lie in Prim, so they split it when they are len(prims) independent vectors
+    if len(pe) + len(ph) != len(prims) or len(span_basis(pe + ph)) != len(prims):
         raise DecompositionFailure("primitive splitting", "dimension",
                                    len(pe) + len(ph), len(prims))
 

@@ -36,7 +36,16 @@ from typing import Iterable, Mapping, Sequence
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, DecompositionFailure, SchemaError
-from rackalg.exact_core import Coeff, FinVec, Label, Rational, SeriesScalar, div, rational
+from rackalg.exact_core import (
+    Coeff,
+    FinVec,
+    Label,
+    Rational,
+    SeriesScalar,
+    _accumulate,
+    div,
+    rational,
+)
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import CheckReport, uar_infinity
 
@@ -90,15 +99,8 @@ class PolyFunction:
         if isinstance(items, Mapping):
             items = items.items()
         acc: dict[Exponents, SeriesScalar] = {}
-        for m, c in items:
-            m = tuple(m)
-            s = c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
-            prev = acc.get(m)
-            s = s if prev is None else prev + s
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+        _accumulate(acc, 1, ((tuple(m), c if isinstance(c, SeriesScalar)
+                                else SeriesScalar.constant(c, order)) for m, c in items))
         return PolyFunction(nvars, order, acc)
 
     @staticmethod
@@ -129,13 +131,7 @@ class PolyFunction:
     def __add__(self, other: "PolyFunction") -> "PolyFunction":
         self._check(other)
         acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m)
-            s = c if s is None else s + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
+        _accumulate(acc, 1, other.terms.items())
         return PolyFunction._trusted(self.nvars, self.order, acc)
 
     def __neg__(self) -> "PolyFunction":
@@ -154,15 +150,8 @@ class PolyFunction:
         self._check(other)
         acc: dict[Exponents, SeriesScalar] = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(a + b for a, b in zip(ma, mb))
-                v = ca * cb
-                prev = acc.get(m)
-                v = v if prev is None else prev + v
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
+            _accumulate(acc, ca, ((tuple(a + b for a, b in zip(ma, mb)), cb)
+                                  for mb, cb in other.terms.items()))
         return PolyFunction._trusted(self.nvars, self.order, acc)
 
     def partial(self, pos: int) -> "PolyFunction":
@@ -298,8 +287,8 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
 Row = list[Rational]
 
 
-def _accumulate(rows: dict[Exponents, Row], m: Exponents, coeffs: Sequence[Rational],
-                w: Rational, shift: int = 0) -> None:
+def _add_row(rows: dict[Exponents, Row], m: Exponents, coeffs: Sequence[Rational],
+             w: Rational, shift: int = 0) -> None:
     """rows[m] += w hbar^shift coeffs, coefficient by coefficient, cut at the order."""
     row = rows.get(m)
     if row is None:
@@ -345,8 +334,8 @@ def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
                 continue
             lowered = m[:pj] + (e - 1,) + m[pj + 1:]
             for pk, c in column:
-                _accumulate(rows, lowered[:pk] + (lowered[pk] + 1,) + lowered[pk + 1:],
-                            s.coeffs, e * c)
+                _add_row(rows, lowered[:pk] + (lowered[pk] + 1,) + lowered[pk + 1:],
+                         s.coeffs, e * c)
     return _poly(f.nvars, f.order, rows)
 
 
@@ -379,7 +368,7 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
                 if e:
                     sub = chain(m[:p] + (e - 1,) + m[p + 1:])
                     for mm, s in ad_tilde(h, h.basis.labels[p], sub).terms.items():
-                        _accumulate(rows, mm, s.coeffs, 1)
+                        _add_row(rows, mm, s.coeffs, 1)
             got = chains[m] = _poly(h.dim, order, rows)
         return got
 
@@ -395,7 +384,7 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
         norm = div(math.prod(math.factorial(e) for e in m), math.factorial(r))
         for mm, v in chain(m).terms.items():
             for shift, w in weights:
-                _accumulate(rows, mm, v.coeffs, w * norm, shift)
+                _add_row(rows, mm, v.coeffs, w * norm, shift)
     return _poly(h.dim, order, rows)
 
 

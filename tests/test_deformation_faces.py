@@ -27,7 +27,7 @@ from rackalg.deformation import (
     tensor_power,
     verify_complex,
 )
-from rackalg.errors import AxiomViolation, BudgetExceeded
+from rackalg.errors import AxiomViolation, BudgetExceeded, RackalgError
 from rackalg.exact_core import FinMap, FinVec, linear_sum
 from rackalg.fixtures import load
 from rackalg.groups import symmetric_group
@@ -226,6 +226,17 @@ def test_a_changed_cochain_entry_fails_every_degree_n_check(ur_sq2, n, t):
     assert (exc.value.axiom, exc.value.witness) == (rep.axiom, rep.witness)
     if n == 1:
         assert equivalence_check(ur_sq2, bad) == rep
+
+
+def test_an_image_outside_the_solved_space_is_refused(ur_sq2, monkeypatch):
+    t = ((1,), (2,))
+    basis = ur_sq2.basis
+    extra = FinMap(tensor_power(basis, 2), basis, {t: FinVec.unit(basis, ())})
+    assert not coderivation_report(ur_sq2, 2, extra).passed
+    d = _Faces.differential
+    monkeypatch.setattr(_Faces, "differential", lambda self, omega: d(self, omega) + extra)
+    with pytest.raises(RackalgError, match="differential image left the solved cochain space"):
+        deformation_complex(ur_sq2, 1)
 
 
 def test_coderivation_space_refuses_before_elimination(ur_sq2, monkeypatch):

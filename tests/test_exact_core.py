@@ -22,6 +22,7 @@ from rackalg.exact_core import (
     FinVec,
     SeriesScalar,
     SpanSolver,
+    _kernel_coordinates,
     bilinear,
     div,
     format_rational,
@@ -433,64 +434,44 @@ def test_rank_of_explicit_map():
 
 
 # ---------------------------------------------------------------------------
-# span solver
+# coordinates in a solved kernel basis
 # ---------------------------------------------------------------------------
+# A kernel basis is independent, so the dependent-generator case of the former
+# SpanSolver coordinates has no counterpart here.
 
 
-def test_span_solver_coordinates_recombine():
-    b = Basis("V", ("1", "2"))
-    v1 = FinVec.build(b, {"1": F(1), "2": F(1)})
-    v2 = FinVec.build(b, {"1": F(1), "2": F(-1)})
-    sp = SpanSolver([v1, v2])
-    target = FinVec.build(b, {"1": F(3), "2": F(1)})
-    coords = sp.coordinates(target)
-    assert coords == [F(2), F(1)]
-    assert sp.dim == 2
-    assert sp.contains(FinVec.zero(b))
+def test_kernel_coordinates_recombine():
+    # x0 + x1 - x2 = 0: free x1, x2 give (-1, 1, 0) and (1, 0, 1)
+    kernel = nullspace([{0: 1, 1: 1, 2: -1}], 3)
+    assert kernel == [{0: -1, 1: 1}, {0: 1, 2: 1}]
+    assert _kernel_coordinates(kernel, {0: 1, 1: 2, 2: 3}) == [2, 3]
+    assert _kernel_coordinates(kernel, {}) == [0, 0]
+    assert _kernel_coordinates([], {}) == []
 
 
-def test_span_solver_detects_outside_vectors():
-    b = Basis("V", ("1", "2", "3"))
-    v1 = FinVec.build(b, {"1": F(1), "2": F(1)})
-    sp = SpanSolver([v1])
-    assert sp.coordinates(FinVec.unit(b, "3")) is None
-    assert sp.coordinates(v1.scale(F(7, 3))) == [F(7, 3)]
-
-
-def test_span_solver_handles_dependent_generators():
-    b = Basis("V", ("1", "2"))
-    v1 = FinVec.build(b, {"1": F(1), "2": F(2)})
-    v2 = v1.scale(F(3))
-    sp = SpanSolver([v1, v2])
-    assert sp.dim == 1
-    coords = sp.coordinates(v1.scale(F(5)))
-    assert coords is not None
-    got = FinVec.zero(b)
-    for c, g in zip(coords, sp.generators):
-        got = got + g.scale(c)
-    assert got == v1.scale(F(5))
+def test_kernel_coordinates_refuse_outside_vectors():
+    kernel = nullspace([{0: 1, 1: 1, 2: -1}], 3)
+    assert _kernel_coordinates(kernel, {0: 1}) is None
+    assert _kernel_coordinates(kernel, {0: 1, 1: 2, 2: 4}) is None
+    assert _kernel_coordinates([], {1: F(1, 2)}) is None
+    assert _kernel_coordinates(kernel, {0: F(7, 3), 2: F(7, 3)}) == [0, F(7, 3)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.data())
-def test_span_solver_random_recombination(n, data):
-    b = Basis("V", tuple(str(i) for i in range(4)))
-    gens = []
-    for _ in range(n):
-        ent = data.draw(st.lists(
-            st.tuples(st.sampled_from(b.labels), small_fracs), max_size=4))
-        gens.append(FinVec.build(b, ent))
-    sp = SpanSolver(gens)
-    weights = data.draw(st.lists(small_fracs, min_size=n, max_size=n))
-    target = FinVec.zero(b)
-    for w, g in zip(weights, gens):
-        target = target + g.scale(w)
-    coords = sp.coordinates(target)
-    assert coords is not None
-    got = FinVec.zero(b)
-    for c, g in zip(coords, gens):
-        got = got + g.scale(c)
-    assert got == target
+def test_kernel_coordinates_random_recombination(nc, data):
+    rows = data.draw(sparse_rows(nc))
+    kernel = nullspace(rows, nc)
+    weights = data.draw(st.lists(small_fracs, min_size=len(kernel), max_size=len(kernel)))
+    target = {}
+    for w, vec in zip(weights, kernel):
+        for j, c in vec.items():
+            target[j] = target.get(j, 0) + w * c
+    assert _kernel_coordinates(kernel, target) == weights
+    # any row gets coordinates exactly when the system annihilates it
+    other = data.draw(st.dictionaries(st.integers(0, nc - 1), nonzero_fracs, max_size=nc))
+    solves = all(sum(c * other.get(j, 0) for j, c in row.items()) == 0 for row in rows)
+    assert (_kernel_coordinates(kernel, other) is not None) == solves
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +546,7 @@ def test_span_solver_vectors_are_the_span_basis():
     assert [dict(v.entries) for v in sp.vectors] == [{"1": F(1), "3": F(-1, 6)},
                                                      {"2": F(1), "3": F(1, 2)}]
     assert sp.pivot_indices == [0, 1] and sp.dim == 2
+    assert sp.contains(FinVec.zero(b)) and not sp.contains(FinVec.unit(b, "3"))
     assert SpanSolver([]).vectors == []
 
 
@@ -637,11 +619,37 @@ def test_elimination_of_int_rows_stays_exact(rows):
     gens = [FinVec.build(b, row) for row in rows]
     for v in span_basis(gens):
         assert all(_exact(c) for _, c in v)
-    solver = SpanSolver(gens)
-    for v in gens:
-        coords = solver.coordinates(v)
-        assert all(_exact(c) for c in coords)
-        assert linear_sum(b, zip(gens, coords)) == v
+    # coordinates read off the solved kernel stay exact and recombine
+    kernel = nullspace(rows, nc)
+    total = {}
+    for i, vec in enumerate(kernel, start=1):
+        for j, c in vec.items():
+            total[j] = total.get(j, 0) + i * c
+    coords = _kernel_coordinates(kernel, total)
+    assert all(_exact(c) for c in coords)
+    assert coords == list(range(1, len(kernel) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_rows)
+def test_kernel_vectors_are_one_at_their_largest_column(rows):
+    nc = 5
+    kernel = nullspace(rows, nc)
+    frees = [max(vec) for vec in kernel]
+    for vec, f in zip(kernel, frees):
+        assert vec[f] == 1 and type(vec[f]) is int
+        assert all(not vec.get(g) for g in frees if g != f)
+    # kernel_basis: the same at the last label of each vector in basis order
+    b = Basis("V", tuple(f"v{j}" for j in range(nc)))
+    cod = Basis("R", tuple(range(len(rows))))
+    m = FinMap.from_function(b, cod, lambda lab: FinVec.build(
+        cod, [(i, row[b.index(lab)]) for i, row in enumerate(rows) if b.index(lab) in row]))
+    basis = kernel_basis(m)
+    lasts = [max(v.entries, key=b.index) for v in basis]
+    assert [b.index(lab) for lab in lasts] == frees
+    for v, last in zip(basis, lasts):
+        assert v[last] == 1
+        assert all(not v[other] for other in lasts if other != last)
 
 
 @settings(max_examples=40, deadline=None)

@@ -657,6 +657,17 @@ def test_primitives_of_enveloping_adjoint_recover_lie():
             dict(g.table.vector(j, k).entries)
 
 
+def test_a_product_of_primitives_outside_prim_is_refused():
+    rb = uar_infinity(load("sq2"), 2).rack
+    pair = ((1,), (2,))
+    cols = dict(rb.mu.columns)
+    cols[pair] = rb.mu.column(pair) + FinVec.unit(rb.basis, ())  # the unit is not primitive
+    broken = dataclasses.replace(rb, mu=FinMap(rb.mu.domain, rb.mu.codomain, cols))
+    assert broken.certified
+    with pytest.raises(RackalgError, match="product of primitives left the primitive subspace"):
+        primitives_leibniz(broken)
+
+
 def test_primitives_require_certification(kx_s3):
     with pytest.raises(RackalgError):
         primitives_leibniz(dataclasses.replace(kx_s3, certified=False))

@@ -32,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 from rackalg.errors import AxiomViolation, DegreeCapExceeded
 from rackalg.exact_core import (
@@ -91,7 +91,9 @@ class EnvelopingHopf(HopfBackend):
     lie: LeibnizAlgebra
     cap: int
     coalgebra: Coalgebra
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
+    # not init fields: a replaced copy (another algebra or cap) starts empty
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _ad_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def embed(self, x: FinVec) -> FinVec:
         """Inclusion g -> U(g) as length-one words."""
@@ -142,22 +144,36 @@ class EnvelopingHopf(HopfBackend):
             lambda w: self.straighten(tuple(reversed(w))).scale((-1) ** len(w)))
 
     def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
-        """A PBW word folds its letters as commutators, rightmost first; each
-        letter needs one degree of headroom, as commutators keep the degree.
-
-        Each commutator x acc - acc x is read from the table into a
-        coefficient dict, so a pair beyond the cap is still refused."""
+        """ad_u(v), word by word of u and label by label of v (:meth:`_ad`);
+        each letter needs one degree of headroom, as commutators keep the
+        degree."""
         if v.basis is not self.basis:
             _require_basis(self.basis, v.basis)
-        t = self.table
         out: dict[Label, Coeff] = {}
         for word, cu in u.entries.items():
-            acc = v.entries
-            for lab in reversed(word):
-                x = (lab,)
-                acc = times_label(t, acc, x, label_times(t, x, acc), -1)
-            _accumulate(out, cu, acc.items())
+            for lab, cv in v.entries.items():
+                _accumulate(out, cu * cv, self._ad(word, lab).items())
         return FinVec(self.basis, out)
+
+    def _ad(self, word: tuple[Label, ...], lab: Label) -> Mapping[Label, Coeff]:
+        """ad_word(lab) as a coefficient dict, memoised by (word, label).
+
+        A letter x gives one commutator x lab - lab x, read from the table, so
+        a pair beyond the cap is refused; a longer word (x,) + w applies it to
+        each label of the memoised ad_w(lab), as ad_(x w) = ad_x o ad_w."""
+        got = self._ad_memo.get((word, lab))
+        if got is None:
+            t = self.table
+            if not word:
+                got = {lab: ONE}
+            elif len(word) == 1:
+                got = times_label(t, {lab: ONE}, word, label_times(t, word, {lab: ONE}), -1)
+            else:
+                got = {}
+                for m, c in self._ad(word[1:], lab).items():
+                    _accumulate(got, c, self._ad(word[:1], m).items())
+            self._ad_memo[word, lab] = got
+        return got
 
 
 def enveloping_hopf(lie: LeibnizAlgebra, cap: int, name: str | None = None) -> EnvelopingHopf:

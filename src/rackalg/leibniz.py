@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from rackalg.errors import IdealSandwichViolation, LeibnizViolation
+from rackalg.errors import IdealSandwichViolation, LeibnizViolation, SchemaError
 from rackalg.exact_core import (
     Basis,
     FinMap,
@@ -168,13 +168,17 @@ def quotient_lie(h: LeibnizAlgebra, z: Sequence[FinVec] | None = None,
     With z in that sandwich the bracket descends ([z,h] = 0 since z is in the
     left center, and [h,z] <= Q(h) <= z by polarization) and the quotient is a
     Lie algebra (squares die).  Defaults to z = Q(h), the smallest choice.
-    Raises :class:`IdealSandwichViolation` when the sandwich fails.
+    Raises :class:`SchemaError` for a vector of z that is not over h's basis,
+    and :class:`IdealSandwichViolation` when the sandwich fails.
     """
     check_leibniz(h)
     squares = squares_ideal(h)
     if z is None:
         z = squares
     z = list(z)
+    for v in z:
+        if v.basis != h.basis or any(lab not in h.basis for lab in v.entries):
+            raise SchemaError(f"requested ideal vector {v!r} is not over {h.basis.name}")
 
     # z <= z(h) when [v, e_k] = 0 for every v in z and every basis label k
     for v in z:

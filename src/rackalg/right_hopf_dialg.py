@@ -224,12 +224,18 @@ def _check_halves(c: Coalgebra, s: FinMap,
     r(a, 1)), S a coalgebra map, each half's :func:`_check_right_antipode`
     and S(S(S(a))) = S(a).  Per label pair: each half's comultiplicativity
     and counit, then each half's S(ab) = S(b) S(a).  Per-half names end in
-    ``tag``.  Returns the number of labels and pairs checked, then of labels
-    and of pairs skipped beyond the cap of the first table.
+    ``tag``.  A product that two halves share (a Hopf algebra seen as a
+    dialgebra) has its pair identities checked once, under the first half's
+    names: they read only ``t``, so the second half would repeat them.  The
+    label identities stay per half: the unit law and the antipode identities
+    of r and of its opposite are different identities on one product.
+    Returns the number of labels and pairs checked, then of labels and of
+    pairs skipped beyond the cap of the first table.
     """
     basis = c.basis
     one = c.unit
     capped = halves[0][0]
+    products = halves[:1] if halves[-1][0] is capped else halves
     checked = skipped_labels = skipped_pairs = 0
     for lab in basis.labels:
         if not capped.fits(capped.degree(lab)):
@@ -257,10 +263,10 @@ def _check_halves(c: Coalgebra, s: FinMap,
         if not capped.fits(capped.degree(la) + capped.degree(lb)):
             skipped_pairs += 1
             continue
-        for t, _, _, _, tag in halves:
+        for t, _, _, _, tag in products:
             check_multiplicative(c, t, ((la, lb),), f"product comultiplicativity{tag}",
                                  f"product counit{tag}")
-        for t, _, _, _, tag in halves:
+        for t, _, _, _, tag in products:
             lhs = s(t.vector(la, lb))
             rhs = bilinear(t, s.column(lb), s.column(la))
             if lhs != rhs:
@@ -646,7 +652,11 @@ class HopfDialgebra:
     ``vdash_table`` and ``dashv_table`` are the two products as tables
     (:class:`~rackalg.exact_core.PairTable`), built on first read; they check
     ``degrees`` and ``cap`` and own them from then on, so every capped check
-    asks ``vdash_table.degree`` and ``vdash_table.fits``.
+    asks ``vdash_table.degree`` and ``vdash_table.fits``.  When ``vdash`` and
+    ``dashv`` are one mapping (a Hopf algebra with |- = -|), one table is
+    built and is both ``vdash_table`` and ``dashv_table``; a read beyond its
+    cap names the product "|- = -|".  :func:`certify_dialgebra` then skips
+    the identities that compare the two products or repeat one of them.
     """
 
     coalgebra: Coalgebra
@@ -673,10 +683,12 @@ class HopfDialgebra:
 
     @cached_property
     def vdash_table(self) -> PairTable:
-        return self._table(self.vdash, "|-")
+        return self._table(self.vdash, "|- = -|" if self.dashv is self.vdash else "|-")
 
     @cached_property
     def dashv_table(self) -> PairTable:
+        if self.dashv is self.vdash:
+            return self.vdash_table
         return self._table(self.dashv, "-|")
 
     def vprod(self, a: FinVec, b: FinVec) -> FinVec:
@@ -721,6 +733,18 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     (:func:`~rackalg.exact_core.times_label`, :func:`~rackalg.exact_core.label_times`),
     so under a cap an entry with a term beyond its degree raises
     :class:`DegreeCapExceeded`; in the triple loop ab is read once per (a, b).
+
+    When |- and -| are one table (``dashv_table is vdash_table``, as
+    :func:`hopf_as_dialgebra` builds them), each identity instance is checked
+    once.  :func:`_check_halves` checks the pair identities of the one
+    product once, and the triple loop checks only "associativity (|-)": with
+    a |- b and a -| b the same dict, "left products agree" and "right
+    products agree" compare a computation with itself, and "associativity
+    (-|)" and "inner associativity" are "associativity (|-)" read again from
+    the same rows and columns.  The label identities stay for both halves,
+    and ``checked`` still counts each label, pair and triple once, so the
+    report is that of the two equal tables.  A replaced or corrupted product
+    is a second table and takes the general path.
     """
     c = d.coalgebra
     basis = c.basis
@@ -747,6 +771,7 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         (dt, dt.opposite(), "bar-unit right", "left antipode for -|", " (-|)")))
 
     labs = basis.labels
+    shared = dt is vt
     skipped_triples = 0
     # b c is read from the rows of b: within the cap, as a b c fits
     for la in labs:
@@ -764,11 +789,14 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
                     skipped_triples += 1
                     continue
                 bc_v = row_v.get(lc, _NO_ENTRIES)
-                bc_d = row_d.get(lc, _NO_ENTRIES)
                 lhs = times_label(vt, ab_v, lc)
                 rhs = label_times(vt, la, bc_v)
                 if not same_entries(lhs, rhs):
                     raise _violation(basis, "associativity (|-)", (la, lb, lc), lhs, rhs)
+                checked += 1
+                if shared:
+                    continue
+                bc_d = row_d.get(lc, _NO_ENTRIES)
                 got = times_label(vt, ab_d, lc)
                 if not same_entries(got, lhs):
                     raise _violation(basis, "left products agree", (la, lb, lc), got, lhs)
@@ -783,7 +811,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
                 rhs = label_times(vt, la, bc_d)
                 if not same_entries(lhs, rhs):
                     raise _violation(basis, "inner associativity", (la, lb, lc), lhs, rhs)
-                checked += 1
 
     report = CheckReport(
         True, checked,
@@ -795,7 +822,13 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
 def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
     """A cocommutative Hopf algebra as the dialgebra with |- = -| = product,
     tabulated on every label pair whose degrees fit the cap; certifying it
-    checks the Hopf axioms of the backend on basis labels."""
+    checks the Hopf axioms of the backend on basis labels.
+
+    Both products are the one dict, so the dialgebra has one table and
+    :func:`certify_dialgebra` checks each identity once: the pair identities
+    and associativity of the product, and the unit law and the antipode
+    identity on each side.  Comparing the two products, and associativity
+    of -| and the mixed one, would repeat associativity of |-."""
     if not isinstance(hopf, HopfBackend):
         raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
     # a Hopf table stores the pairs under its cap only

@@ -93,6 +93,16 @@ def test_straighten_sorted_words_are_fixed(env_sl2):
         assert env_sl2.straighten(word) == FinVec.unit(env_sl2.basis, word)
 
 
+def test_a_replaced_copy_does_not_read_the_old_memos():
+    # lie2 has [e1, e2] = e2, abelian2 no bracket: the word e2 e1 straightens
+    # apart once the lie2 envelope has memoised it
+    env = enveloping_hopf(load("lie2"), 3)
+    b = env.basis
+    assert env.straighten((2, 1)) == FinVec.build(b, {(1, 2): 1, (2,): -1})
+    assert dataclasses.replace(env, lie=load("abelian2")).straighten((2, 1)) == \
+        FinVec.unit(b, (1, 2))
+
+
 def test_degree_cap_enforced(env_sl2):
     with pytest.raises(DegreeCapExceeded):
         env_sl2.straighten((1, 1, 1, 1))

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rackalg.errors import IdealSandwichViolation, LeibnizViolation
-from rackalg.exact_core import FinMap, FinVec, SpanSolver
+from rackalg.errors import IdealSandwichViolation, LeibnizViolation, SchemaError
+from rackalg.exact_core import Basis, FinMap, FinVec, SpanSolver
 from rackalg.fixtures import load
 from rackalg.leibniz import (
     LeibnizAlgebra,
@@ -186,6 +186,21 @@ def test_sandwich_violations(sq2, nonlie3):
         quotient_lie(sq2, z=[vec(sq2, {1: 1}), vec(sq2, {2: 1})])
     with pytest.raises(IdealSandwichViolation):
         quotient_lie(nonlie3, z=[vec(nonlie3, {1: 1}), vec(nonlie3, {3: 1})])
+
+
+@pytest.mark.parametrize("make", [
+    # another basis, with a label that is not one of h's
+    lambda h: FinVec(Basis("X", (9,)), {9: 1}),
+    # another basis whose labels are h's
+    lambda h: FinVec(Basis("X", h.basis.labels), {2: 1}),
+    # h's basis, with a label outside it
+    lambda h: FinVec(h.basis, {2: 1, 9: 1}),
+])
+def test_a_foreign_ideal_vector_is_a_schema_error(sq2, make):
+    with pytest.raises(SchemaError):
+        quotient_lie(sq2, z=[make(sq2)])
+    with pytest.raises(SchemaError):
+        quotient_lie(sq2, z=[vec(sq2, {2: 1}), make(sq2)])
 
 
 def test_quotient_rejects_non_leibniz_input():

@@ -530,6 +530,37 @@ def test_adjoint_letter_fold_matches_convolution_formula():
         assert direct == conv
 
 
+def test_adjoint_of_sums_is_the_letter_fold_and_stays_capped():
+    # ad_x(w) = x w - w x applied rightmost letter first, on sums of words
+    env = enveloping_hopf(load("heis3"), 3)
+    b = env.basis
+
+    def fold(word, v):
+        for lab in reversed(word):
+            x = FinVec.unit(b, (lab,))
+            v = env.product(x, v) - env.product(v, x)
+        return v
+
+    words = [w for w in b.labels if len(w) <= 2]
+    u = FinVec.build(b, {w: F(i + 1, 2) for i, w in enumerate(words)})
+    v = FinVec.build(b, {w: 1 - i for i, w in enumerate(words)})
+    want = FinVec.zero(b)
+    for w, c in u.entries.items():
+        want = want + fold(w, v).scale(c)
+    assert env.adjoint(u, v) == want
+    # the memoised images of shorter words do not lift the cap
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded):
+            env.adjoint(FinVec.unit(b, (1,)), FinVec.unit(b, (1, 2, 3)))
+        assert env.adjoint(FinVec.unit(b, ()), FinVec.unit(b, (1, 2, 3))) == \
+            FinVec.unit(b, (1, 2, 3))
+    # nor does a copy with a lower cap read the images memoised under the old one
+    x, y = FinVec.unit(b, (1,)), FinVec.unit(b, (2, 3))
+    assert not env.adjoint(x, y).is_zero
+    with pytest.raises(DegreeCapExceeded):
+        dataclasses.replace(env, cap=2).adjoint(x, y)
+
+
 def test_adjoint_carrier_is_the_symmetric_truncation():
     h = load("heis3")
     env = enveloping_hopf(h, 3)

@@ -30,6 +30,7 @@ from rackalg.errors import (
     RackalgError,
     SchemaError,
 )
+import rackalg.exact_core as exact_core
 import rackalg.rack_bialg as rack_bialg
 import rackalg.right_hopf_dialg as right_hopf_dialg
 from rackalg.exact_core import (
@@ -42,7 +43,7 @@ from rackalg.exact_core import (
     split_label,
 )
 from rackalg.fixtures import load
-from rackalg.groups import cyclic_group, group_hopf, symmetric_group
+from rackalg.groups import cyclic_group, group_hopf, group_like_coalgebra, symmetric_group
 from rackalg.rack_bialg import augmented_conjugation, hopf_adjoint
 from rackalg.right_hopf_dialg import (
     HopfDialgebra,
@@ -559,10 +560,12 @@ class TestHopfDialgebra:
         assert ud_sq2.vprod(e2, e2).is_zero
         assert ud_sq2.dprod(e2, e2).is_zero
 
-    def test_ungraded_entry_is_refused_in_the_triple_loop(self):
+    @pytest.mark.parametrize("copy,product", [(False, "|- = -|"), (True, "|-")])
+    def test_ungraded_entry_is_refused_in_the_triple_loop(self, copy, product):
         # U(abelian1) regraded so that x x = x^2 lands in degree 3 > 1 + 1:
         # every label and pair identity stays inside the cap, but the triple
-        # (x, x, x) reads (x x) x = x^2 x, which needs degree 4
+        # (x, x, x) reads (x x) x = x^2 x, which needs degree 4; a refused read
+        # of one table shared by both products names both of them
         d = hopf_as_dialgebra(enveloping_hopf(load("abelian1"), 3))
         degrees = {(1,): 1, (1, 1): 3, (1, 1, 1): 4}
 
@@ -572,11 +575,13 @@ class TestHopfDialgebra:
         table = {k: v for k, v in d.vdash.items() if deg(k[0]) + deg(k[1]) <= 3}
         anti = FinMap(d.basis, d.basis,
                       {lab: v for lab, v in d.antipode.columns.items() if deg(lab) <= 3})
-        regraded = HopfDialgebra(d.coalgebra, table, table, anti, degrees, 3)
+        regraded = HopfDialgebra(d.coalgebra, table, dict(table) if copy else table, anti,
+                                 degrees, 3)
+        assert (regraded.dashv_table is regraded.vdash_table) is not copy
         with pytest.raises(DegreeCapExceeded) as exc:
             certify_dialgebra(regraded)
         assert (exc.value.needed, exc.value.cap) == (4, 3)
-        assert str(exc.value).endswith("(product |-)")
+        assert str(exc.value).endswith(f"(product {product})")
         loop, _ = _checked_loop(right_hopf_dialg, "certify_dialgebra", "associativity (|-)")
         frames = [f for f in traceback.extract_tb(exc.value.__traceback__)
                   if f.name == "certify_dialgebra"]
@@ -621,6 +626,113 @@ class TestHopfDialgebra:
         assert (exc.value.lhs, exc.value.rhs) == (lhs, rhs)
         assert dict(exc.value.lhs.entries) == dict(lhs.entries)
         assert dict(exc.value.rhs.entries) == dict(rhs.entries)
+
+
+SHARED_FIXTURES = {
+    "z3": lambda: group_hopf(cyclic_group(3)),
+    "s3": lambda: group_hopf(symmetric_group(3)),
+    "lie2": lambda: enveloping_hopf(load("lie2"), 3),
+    "sl2": lambda: enveloping_hopf(load("sl2"), 3),
+}
+
+
+def _outcome(d):
+    """What certifying ``d`` gives: the report, or the failure's type with the
+    identity it names and its witness (a cap failure: needed degree and cap)."""
+    try:
+        report = certify_dialgebra(d).report
+    except AxiomViolation as err:
+        return "AxiomViolation", err.axiom, err.witness
+    except DegreeCapExceeded as err:
+        return "DegreeCapExceeded", err.needed, err.cap
+    except RackalgError as err:
+        return type(err).__name__, str(err)
+    return report.passed, report.checked, report.detail
+
+
+def _shared_and_copied(d, products):
+    """``d`` with both products the one dict ``products``, and with -| a copy."""
+    return (dataclasses.replace(d, vdash=products, dashv=products, certified=False, report=None),
+            dataclasses.replace(d, vdash=products, dashv=dict(products), certified=False,
+                                report=None))
+
+
+def _steiner_loop_dialgebra():
+    """K[L] for the Steiner loop L of order 10 (e and the nine points of the
+    affine plane over Z3, x x = e, x y the third point -x-y of the line
+    through x and y), with S = id, as a dialgebra with |- = -|.  L is a
+    commutative inverse-property loop of exponent 2, so every label and pair
+    identity holds, but it is not associative."""
+    points = tuple(itertools.product(range(3), repeat=2))
+    labels = ("e",) + points
+    c = group_like_coalgebra("K[Steiner10]", labels, "e")
+
+    def mul(x, y):
+        if x == "e" or y == "e":
+            return y if x == "e" else x
+        return "e" if x == y else tuple(-(i + j) % 3 for i, j in zip(x, y))
+
+    table = {(x, y): FinVec.unit(c.basis, mul(x, y)) for x in labels for y in labels}
+    s = FinMap.from_function(c.basis, c.basis, lambda lab: FinVec.unit(c.basis, lab))
+    return HopfDialgebra(c, table, table, s, {})
+
+
+class TestSharedTable:
+    """A Hopf algebra as a dialgebra has one table for both products, and
+    certify_dialgebra checks each identity once on it; the oracle is the
+    same structure with -| a copy of the dict, which takes the general path."""
+
+    @pytest.mark.parametrize("source", sorted(SHARED_FIXTURES))
+    def test_one_table_serves_both_products(self, source):
+        d = hopf_as_dialgebra(SHARED_FIXTURES[source]())
+        assert d.dashv is d.vdash and d.dashv_table is d.vdash_table
+        shared, copied = _shared_and_copied(d, d.vdash)
+        assert shared.dashv_table is shared.vdash_table
+        assert copied.dashv_table is not copied.vdash_table
+        assert _outcome(shared) == _outcome(copied) == (True, d.report.checked, d.report.detail)
+
+    @pytest.mark.parametrize("source", sorted(SHARED_FIXTURES))
+    def test_every_perturbation_of_the_shared_table_fails_as_on_two_tables(self, source):
+        # every label pair, or under a cap the stored keys, set to each unit
+        # vector other than its value, in the one dict of both products
+        d = hopf_as_dialgebra(SHARED_FIXTURES[source]())
+        labels = d.basis.labels
+        keys = list(d.vdash) if d.cap is not None else list(itertools.product(labels, repeat=2))
+        count = 0
+        for key in keys:
+            for target in labels:
+                v = FinVec.unit(d.basis, target)
+                if d.vdash.get(key) == v:
+                    continue
+                changed = dict(d.vdash)
+                changed[key] = v
+                shared, copied = _shared_and_copied(d, changed)
+                got = _outcome(shared)
+                assert got[0] is not True, (key, target)
+                assert got == _outcome(copied), (key, target)
+                count += 1
+        assert count >= len(keys) * (len(labels) - 1)
+
+    def test_a_non_associative_shared_product_fails_as_on_two_tables(self):
+        d = _steiner_loop_dialgebra()
+        shared, copied = _shared_and_copied(d, d.vdash)
+        got = _outcome(shared)
+        assert got[:2] == ("AxiomViolation", "associativity (|-)")
+        assert got == _outcome(copied)
+        a, b, c = (FinVec.unit(d.basis, lab) for lab in got[2])
+        assert d.vprod(d.vprod(a, b), c) != d.vprod(a, d.vprod(b, c))
+
+    def test_the_shared_path_makes_under_half_the_table_reads(self, ks3, monkeypatch):
+        d = hopf_as_dialgebra(ks3)
+        read = exact_core._read
+        counts = []
+        for bare in _shared_and_copied(d, d.vdash):
+            calls = []
+            monkeypatch.setattr(exact_core, "_read", lambda *args: calls.append(1) or read(*args))
+            certify_dialgebra(bare)
+            counts.append(len(calls))
+        shared, copied = counts
+        assert 0 < 2 * shared < copied
 
 
 class TestAugmentedDialgebra:

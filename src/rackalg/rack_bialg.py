@@ -201,6 +201,13 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
     be a coalgebra morphism, to fix the coaugmentation from the left and
     collapse it from the right, and to be self-distributive on every basis
     triple.
+
+    A linearised finite rack is checked as a set: when every carrier label
+    is group-like, the unit is a label and the uncapped product sends each
+    label pair to one label with the int coefficient 1 (:func:`_label_maps`),
+    every identity is read on the label map, and by the lemma there the
+    two multiplicativity identities hold without being computed.  Any other
+    input takes the generic path; both give the same outcome.
     """
     check_coalgebra(rb.carrier)
     _check_product(rb)
@@ -213,6 +220,84 @@ def _violation(basis: Basis, axiom: str, witness: tuple, lhs: Mapping[Label, Coe
     return AxiomViolation(axiom, witness, FinVec(basis, lhs), FinVec(basis, rhs))
 
 
+def _one_label(v: Mapping[Label, Coeff], basis: Basis) -> Label | None:
+    """The label of ``v`` when it is one label of ``basis`` with the int
+    coefficient 1, else None."""
+    if len(v) == 1:
+        ((lab, x),) = v.items()
+        if type(x) is int and x == 1 and lab in basis._index:
+            return lab
+    return None
+
+
+def _label_maps(coalgebras: Sequence[Coalgebra],
+                structure: Callable[[], tuple[Sequence[tuple[PairTable, Basis]],
+                                              Sequence[FinMap]]]
+                ) -> tuple[list[dict[tuple[Label, Label], Label]], list[dict[Label, Label]]] | None:
+    """The tables and maps of a linearised set structure as label maps, or
+    None: the one choice between the set and the generic path of a certifier.
+
+    The set path is taken when every basis label l of each coalgebra is
+    group-like as stored (its coproduct the one leg l (x) l with coefficient
+    1, and eps(l) = 1), each unit is one label with the int coefficient 1,
+    and then, read from ``structure()`` (called only then), each table
+    (t, left) is uncapped and sends every pair of a ``left`` label and a
+    label of ``t.basis`` to one label with the int coefficient 1, and each
+    map sends every label of its domain to one label of its codomain so.  A
+    table is returned as {(a, b): c}, a map as {a: c}.
+
+    Lemma.  On such a structure every identity the certifiers read on basis
+    labels is the matching set identity.  Each side of an identity is built
+    from basis labels and the unit by products, maps, coproduct legs and the
+    counit; by induction each of these yields one label with coefficient 1:
+    a product or map of such terms is one by hypothesis, a label has the one
+    leg l (x) l, and eps(l) = 1 scales by 1.  Two sides of that form agree
+    exactly when their labels do, which is the set identity.  The coalgebra
+    map identities hold outright: for a map f of this kind and a label l,
+    delta(f(l)) = f(l) (x) f(l) = sum f(l1) (x) f(l2) and eps(f(l)) = 1 =
+    eps(l), and for a product, delta(ab) = ab (x) ab = sum a1 b1 (x) a2 b2 and
+    eps(ab) = 1 = eps(a) eps(b).  So comultiplicativity and counit of a
+    product or an action, S a coalgebra map and the augmentation are counted
+    and not computed on the set path.
+    """
+    for c in coalgebras:
+        if _one_label(c.unit.entries, c.basis) is None:
+            return None
+        counit = c.counit
+        for lab in c.basis.labels:
+            if counit.get(lab) != 1 or c.legs(lab) != [(lab, lab, 1)]:
+                return None
+    tables, maps = structure()
+    label_tables = []
+    for t, left in tables:
+        if t.cap is not None:
+            return None
+        rows, right = t.rows, t.basis.labels
+        m = {}
+        for la in left.labels:
+            row = rows.get(la, _NO_ENTRIES)
+            for lb in right:
+                v = row.get(lb, _NO_ENTRIES)
+                if len(v) != 1:
+                    return None
+                for lab, x in v.items():  # the one entry; its label is in t.basis
+                    if type(x) is not int or x != 1:
+                        return None
+                m[la, lb] = lab
+        label_tables.append(m)
+    label_maps = []
+    for f in maps:
+        m = {}
+        for lab in f.domain.labels:
+            col = f.columns.get(lab)
+            if col is None or col.basis is not f.codomain or \
+                    (image := _one_label(col.entries, f.codomain)) is None:
+                return None
+            m[lab] = image
+        label_maps.append(m)
+    return label_tables, label_maps
+
+
 def _check_product(rb: RackBialgebra) -> None:
     """The product checks of :func:`certify`, on a carrier already checked.
 
@@ -220,7 +305,9 @@ def _check_product(rb: RackBialgebra) -> None:
     columns into a plain dict (:func:`~rackalg.exact_core.label_times`,
     :func:`~rackalg.exact_core.times_label`), self-distributivity by
     :func:`_first_selfdist_failure`.  Vectors are built only to compare with
-    a unit and for a failure's witness.
+    a unit and for a failure's witness.  On a label map (:func:`_label_maps`)
+    the same identities are read on labels, and the two multiplicativity
+    identities hold by its lemma.
     """
     c = rb.carrier
     basis = c.basis
@@ -229,35 +316,61 @@ def _check_product(rb: RackBialgebra) -> None:
         raise SchemaError(f"product of {basis.name} must map its tensor square to itself")
     t = rb.table
     one = c.unit
-    got = bilinear(t, one, one)
-    if got != one:
-        raise AxiomViolation("unit square", "1", got, one)
-    for lab in labels:
-        a = FinVec.unit(basis, lab)
-        lhs = FinVec(basis, times_label(t, one.entries, lab))
-        if lhs != a:
-            raise AxiomViolation("left unit", lab, lhs, a)
-        lhs = FinVec(basis, label_times(t, lab, one.entries))
-        rhs = one.scale(c.counit.get(lab, ZERO))
-        if lhs != rhs:
-            raise AxiomViolation("unit absorption", lab, lhs, rhs)
-    check_multiplicative(c, t, itertools.product(labels, repeat=2),
-                         "coproduct multiplicativity", "counit multiplicativity")
-    triple, lhs, rhs, _ = _first_selfdist_failure(t, c.legs, labels)
+    maps = _label_maps((c,), lambda: (((t, basis),), ()))
+    m = None if maps is None else maps[0][0]
+    if m is None:
+        got = bilinear(t, one, one)
+        if got != one:
+            raise AxiomViolation("unit square", "1", got, one)
+        for lab in labels:
+            a = FinVec.unit(basis, lab)
+            lhs = FinVec(basis, times_label(t, one.entries, lab))
+            if lhs != a:
+                raise AxiomViolation("left unit", lab, lhs, a)
+            lhs = FinVec(basis, label_times(t, lab, one.entries))
+            rhs = one.scale(c.counit.get(lab, ZERO))
+            if lhs != rhs:
+                raise AxiomViolation("unit absorption", lab, lhs, rhs)
+        check_multiplicative(c, t, itertools.product(labels, repeat=2),
+                             "coproduct multiplicativity", "counit multiplicativity")
+    else:
+        (u,) = one.entries
+        if m[u, u] != u:
+            raise _violation(basis, "unit square", "1", {m[u, u]: ONE}, one.entries)
+        for lab in labels:
+            for axiom, got, want in (("left unit", m[u, lab], lab),
+                                     ("unit absorption", m[lab, u], u)):
+                if got != want:
+                    raise _violation(basis, axiom, lab, {got: ONE}, {want: ONE})
+    triple, lhs, rhs, _ = _first_selfdist_failure(t, c.legs, labels, m)
     if triple is not None:
         raise _violation(basis, "self-distributivity", triple, lhs, rhs)
 
 
 def _first_selfdist_failure(t: PairTable, legs_of: Callable[[Label], list],
-                            labels: Sequence[Label]) -> tuple[tuple | None, dict, dict, int]:
+                            labels: Sequence[Label],
+                            m: Mapping[tuple[Label, Label], Label] | None = None
+                            ) -> tuple[tuple | None, dict, dict, int]:
     """The first basis triple, in ``itertools.product`` order, with a |> (b |> c)
     != sum (a1 |> b) |> (a2 |> c) for the uncapped ``t`` and coproduct legs
     ``legs_of(a)``, both sides as dicts and the number of triples that held
     before it; (None, {}, {}, n) when all n hold.  The right side is read as
     sum_l (a1 |> b)_l (l |> (a2 |> c)), the terms of a1 |> b listed once per (a, b).
+    Given ``t`` as the label map ``m`` (:func:`_label_maps`), the identity is
+    read there as a |> (b |> c) = (a |> b) |> (a |> c).
     """
-    rows = t.rows  # an uncapped product: every row is read directly
     checked = 0
+    if m is not None:
+        for la in labels:
+            for lb in labels:
+                ab = m[la, lb]
+                for lc in labels:
+                    lhs, rhs = m[la, m[lb, lc]], m[ab, m[la, lc]]
+                    if lhs != rhs:
+                        return (la, lb, lc), {lhs: ONE}, {rhs: ONE}, checked
+                    checked += 1
+        return None, {}, {}, checked
+    rows = t.rows  # an uncapped product: every row is read directly
     for la in labels:
         legs = legs_of(la)
         for lb in labels:
@@ -418,6 +531,18 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     Identities whose verification would need Hopf products beyond a capped
     envelope's degree budget are restricted to the pairs that fit; all
     carrier-side checks are exhaustive.
+
+    A linearised augmented rack is checked as a set: when the carrier and
+    the Hopf algebra have group-like labels and their units among them, and
+    the action, the Hopf product, phi and the Hopf antipode send each label
+    pair or label to one label with the int coefficient 1
+    (:func:`_label_maps`), every identity is read on the label maps, in the
+    same order and under the same names.  By the lemma there, augmentation
+    and action comultiplicativity and counit hold without being computed.
+    As on the generic path, ad_h(phi(a)) is the backend's ``adjoint`` and
+    the induced product is read from its table; once that has passed, it is
+    the label map a |> b = phi(a).b.  Any other input takes the generic
+    path; both give the same outcome.
     """
     bc = arb.carrier
     hopf = arb.hopf
@@ -430,6 +555,53 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     act = arb.table
     check_coalgebra(bc)
     check_coalgebra(hc)
+
+    sets = _label_maps((bc, hc), lambda: (((act, hc.basis), (hopf.table, hc.basis)),
+                                          (phi, hopf.antipode_map())))
+    if sets is not None:
+        (am, hm), (pm, sm) = sets
+        cb, hb = bc.basis, hc.basis
+        (ub,), (uh,) = bc.unit.entries, hc.unit.entries
+        if pm[ub] != uh:
+            raise _violation(hb, "augmentation coaugmentation", "1", {pm[ub]: ONE}, {uh: ONE})
+        for la in cb.labels:
+            if am[uh, la] != la:
+                raise _violation(cb, "action unit", la, {am[uh, la]: ONE}, {la: ONE})
+        for lh in hb.labels:
+            if am[lh, ub] != ub:
+                raise _violation(cb, "action fixes coaugmentation", lh, {am[lh, ub]: ONE},
+                                 {ub: ONE})
+        for lu in hb.labels:
+            for lv in hb.labels:
+                uv = hm[lu, lv]
+                for la in cb.labels:
+                    lhs, rhs = am[uv, la], am[lu, am[lv, la]]
+                    if lhs != rhs:
+                        raise _violation(cb, "action associativity", (lu, lv, la), {lhs: ONE},
+                                         {rhs: ONE})
+        for lh in hb.labels:
+            u = FinVec.unit(hb, lh)
+            for la in cb.labels:
+                lhs, rhs = {pm[am[lh, la]]: ONE}, hopf.adjoint(u, phi.column(la))
+                if not same_entries(lhs, rhs.entries):
+                    raise AxiomViolation("augmentation intertwines adjoint", (lh, la),
+                                         FinVec(hb, lhs), rhs)
+        rack_t = arb.rack.table
+        for la in cb.labels:
+            for lb in cb.labels:
+                want = {am[pm[la], lb]: ONE}
+                if not same_entries(rack_t.entry(la, lb), want):
+                    raise AxiomViolation("induced product", (la, lb), rack_t.vector(la, lb),
+                                         FinVec(cb, want))
+        for la in cb.labels:
+            pa, spa = pm[la], sm[pm[la]]
+            for lb in cb.labels:
+                for axiom, got in (("left regularity", am[pa, am[spa, lb]]),
+                                   ("left regularity flipped", am[spa, am[pa, lb]])):
+                    if got != lb:
+                        raise _violation(cb, axiom, (la, lb), {got: ONE}, {lb: ONE})
+        _check_product(arb.rack)
+        return _certified(arb, rack=_certified(arb.rack))
 
     check_coalgebra_map(bc, hc, phi.column, bc.basis.labels, "augmentation")
     if phi(bc.unit) != hc.unit:

@@ -58,6 +58,7 @@ from rackalg.errors import (
     SchemaError,
 )
 from rackalg.exact_core import (
+    ONE,
     ZERO,
     Basis,
     FinMap,
@@ -87,6 +88,7 @@ from rackalg.rack_bialg import (
     CheckReport,
     RackBialgebra,
     _certified,
+    _label_maps,
     _primitive_leibniz,
     _violation,
     certify,
@@ -177,17 +179,33 @@ class RightHopfAlgebra:
 
 
 def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
-                          lab: Label, defining: str, tag: str) -> None:
+                          lab: Label, defining: str, tag: str,
+                          sets: tuple[Mapping[tuple[Label, Label], Label],
+                                      Mapping[Label, Label]] | None = None) -> None:
     """The right antipode identities of ``s`` for the product m = ``t`` at ``lab``.
 
     In order: the defining identity sum m(a1, S(a2)) = eps(a) 1, raised as
     ``defining``, then, each name followed by ``tag``, the flip identity
     m(sum m(S(a1), a2), 1) = eps(a) 1, the convolution square
     sum m(S(a1), S(S(a2))) = eps(a) 1, the double antipode S(S(a)) = m(a, 1)
-    and unit absorption m(S(a), 1) = S(a).
+    and unit absorption m(S(a), 1) = S(a).  With ``sets``, m and S as label
+    maps (:func:`~rackalg.rack_bialg._label_maps`), each side is one label
+    and the same identities are read on labels.
     """
     basis = c.basis
     one = c.unit
+    if sets is not None:
+        m, sm = sets
+        (u,) = one.entries
+        sa = sm[lab]
+        for axiom, got, want in ((defining, m[lab, sa], u),
+                                 (f"antipode flip identity{tag}", m[m[sa, lab], u], u),
+                                 (f"antipode convolution square{tag}", m[sa, sm[sa]], u),
+                                 (f"double antipode{tag}", sm[sa], m[lab, u]),
+                                 (f"antipode unit absorption{tag}", m[sa, u], sa)):
+            if got != want:
+                raise _violation(basis, axiom, lab, {got: ONE}, {want: ONE})
+        return
     legs = c.legs(lab)
     want = one.scale(c.counit.get(lab, ZERO))
     got = linear_sum(basis, ((FinVec(basis, label_times(t, l1, s.column(l2).entries)), cw)
@@ -213,7 +231,10 @@ def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
 
 
 def _check_halves(c: Coalgebra, s: FinMap,
-                  halves: Sequence[tuple[PairTable, PairTable, str, str, str]]
+                  halves: Sequence[tuple[PairTable, PairTable, str, str, str]],
+                  sets: tuple[Mapping[Label, Label],
+                              Sequence[tuple[Mapping[tuple[Label, Label], Label],
+                                             Mapping[tuple[Label, Label], Label]]]] | None = None
                   ) -> tuple[int, int, int]:
     """The label and pair identities of one-sided Hopf algebras on ``c`` with
     the antipode ``s``: one of them, or the two halves of a Hopf dialgebra.
@@ -229,14 +250,48 @@ def _check_halves(c: Coalgebra, s: FinMap,
     names: they read only ``t``, so the second half would repeat them.  The
     label identities stay per half: the unit law and the antipode identities
     of r and of its opposite are different identities on one product.
+    "balanced" is checked only between two products: on a shared product
+    t, the two unit laws at a, t(1, a) = a and (the opposite's) t(a, 1) = a,
+    checked just before it, already give t(a, 1) = a = t(1, a).
     Returns the number of labels and pairs checked, then of labels and of
     pairs skipped beyond the cap of the first table.
+
+    ``sets`` is S and, per half, t and r as label maps
+    (:func:`~rackalg.rack_bialg._label_maps`); then the same identities are
+    read on labels, and by its lemma S is a coalgebra map and each product
+    comultiplicative and counital without being computed.  Label maps are
+    uncapped, so nothing is skipped.
     """
     basis = c.basis
     one = c.unit
     capped = halves[0][0]
     products = halves[:1] if halves[-1][0] is capped else halves
     checked = skipped_labels = skipped_pairs = 0
+    if sets is not None:
+        sm, half_maps = sets
+        (u,) = one.entries
+        for lab in basis.labels:
+            for (_, _, unit, _, _), (_, rm) in zip(halves, half_maps):
+                if rm[u, lab] != lab:
+                    raise _violation(basis, unit, lab, {rm[u, lab]: ONE}, {lab: ONE})
+            for _, (_, rm) in zip(products[1:], half_maps[1:]):
+                lhs, rhs = half_maps[0][1][lab, u], rm[lab, u]
+                if lhs != rhs:
+                    raise _violation(basis, "balanced", lab, {lhs: ONE}, {rhs: ONE})
+            for (_, r, _, defining, tag), (_, rm) in zip(halves, half_maps):
+                _check_right_antipode(c, r, s, lab, defining, tag, (rm, sm))
+            if sm[sm[sm[lab]]] != sm[lab]:
+                raise _violation(basis, "triple antipode", lab, {sm[sm[sm[lab]]]: ONE},
+                                 {sm[lab]: ONE})
+            checked += 1
+        for la, lb in itertools.product(basis.labels, repeat=2):
+            for (tm, _), (_, _, _, _, tag) in zip(half_maps, products):
+                lhs, rhs = sm[tm[la, lb]], tm[sm[lb], sm[la]]
+                if lhs != rhs:
+                    raise _violation(basis, f"antipode antihomomorphism{tag}", (la, lb),
+                                     {lhs: ONE}, {rhs: ONE})
+            checked += 1
+        return checked, skipped_labels, skipped_pairs
     for lab in basis.labels:
         if not capped.fits(capped.degree(lab)):
             skipped_labels += 1
@@ -246,7 +301,7 @@ def _check_halves(c: Coalgebra, s: FinMap,
             got = FinVec(basis, times_label(r, one.entries, lab))
             if got != a:
                 raise AxiomViolation(unit, lab, got, a)
-        for _, r, *_ in halves[1:]:
+        for _, r, *_ in products[1:]:
             lhs = FinVec(basis, label_times(halves[0][1], lab, one.entries))
             rhs = FinVec(basis, label_times(r, lab, one.entries))
             if lhs != rhs:
@@ -744,7 +799,18 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     the same rows and columns.  The label identities stay for both halves,
     and ``checked`` still counts each label, pair and triple once, so the
     report is that of the two equal tables.  A replaced or corrupted product
-    is a second table and takes the general path.
+    is a second table and takes the two-table path.
+
+    A linearised set structure (the group algebra of a finite group, or the
+    dialgebra of an augmented finite rack) is checked as a set: when every
+    carrier label is group-like, the unit is a label and the uncapped
+    products and the antipode send each label pair or label to one label
+    with the int coefficient 1 (:func:`~rackalg.rack_bialg._label_maps`),
+    each identity above is read on the label maps, in the same order, under
+    the same names and with the same ``checked``.  By the lemma there each
+    side is one label, and S a coalgebra map and the multiplicativity of
+    both products hold without being computed.  Any other input, a capped
+    one included, takes the generic path; both give the same outcome.
     """
     c = d.coalgebra
     basis = c.basis
@@ -765,52 +831,80 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     check_coalgebra(c)
     check_cocommutative(c)
 
-    # S is a left antipode for -|: a right antipode for the opposite product
-    checked, skipped_labels, skipped_pairs = _check_halves(c, d.antipode, (
-        (vt, vt, "bar-unit left", "right antipode for |-", " (|-)"),
-        (dt, dt.opposite(), "bar-unit right", "left antipode for -|", " (-|)")))
-
     labs = basis.labels
     shared = dt is vt
+    # S is a left antipode for -|: a right antipode for the opposite product
+    halves = ((vt, vt, "bar-unit left", "right antipode for |-", " (|-)"),
+              (dt, dt.opposite(), "bar-unit right", "left antipode for -|", " (-|)"))
+    sets = _label_maps((c,), lambda: (((vt, basis),) if shared else ((vt, basis), (dt, basis)),
+                                      (d.antipode,)))
     skipped_triples = 0
-    # b c is read from the rows of b: within the cap, as a b c fits
-    for la in labs:
-        for lb in labs:
-            d_ab = deg[la] + deg[lb]
-            if not vt.fits(d_ab):
-                skipped_triples += len(labs)
-                continue
-            ab_v = vt.entry(la, lb)
-            ab_d = dt.entry(la, lb)
-            row_v = vt.rows.get(lb, _NO_ENTRIES)
-            row_d = dt.rows.get(lb, _NO_ENTRIES)
-            for lc in labs:
-                if not vt.fits(d_ab + deg[lc]):
-                    skipped_triples += 1
+    if sets is None:
+        checked, skipped_labels, skipped_pairs = _check_halves(c, d.antipode, halves)
+        # b c is read from the rows of b: within the cap, as a b c fits
+        for la in labs:
+            for lb in labs:
+                d_ab = deg[la] + deg[lb]
+                if not vt.fits(d_ab):
+                    skipped_triples += len(labs)
                     continue
-                bc_v = row_v.get(lc, _NO_ENTRIES)
-                lhs = times_label(vt, ab_v, lc)
-                rhs = label_times(vt, la, bc_v)
-                if not same_entries(lhs, rhs):
-                    raise _violation(basis, "associativity (|-)", (la, lb, lc), lhs, rhs)
-                checked += 1
-                if shared:
-                    continue
-                bc_d = row_d.get(lc, _NO_ENTRIES)
-                got = times_label(vt, ab_d, lc)
-                if not same_entries(got, lhs):
-                    raise _violation(basis, "left products agree", (la, lb, lc), got, lhs)
-                lhs = times_label(dt, ab_d, lc)
-                rhs = label_times(dt, la, bc_d)
-                if not same_entries(lhs, rhs):
-                    raise _violation(basis, "associativity (-|)", (la, lb, lc), lhs, rhs)
-                got = label_times(dt, la, bc_v)
-                if not same_entries(got, rhs):
-                    raise _violation(basis, "right products agree", (la, lb, lc), got, rhs)
-                lhs = times_label(dt, ab_v, lc)
-                rhs = label_times(vt, la, bc_d)
-                if not same_entries(lhs, rhs):
-                    raise _violation(basis, "inner associativity", (la, lb, lc), lhs, rhs)
+                ab_v = vt.entry(la, lb)
+                ab_d = dt.entry(la, lb)
+                row_v = vt.rows.get(lb, _NO_ENTRIES)
+                row_d = dt.rows.get(lb, _NO_ENTRIES)
+                for lc in labs:
+                    if not vt.fits(d_ab + deg[lc]):
+                        skipped_triples += 1
+                        continue
+                    bc_v = row_v.get(lc, _NO_ENTRIES)
+                    lhs = times_label(vt, ab_v, lc)
+                    rhs = label_times(vt, la, bc_v)
+                    if not same_entries(lhs, rhs):
+                        raise _violation(basis, "associativity (|-)", (la, lb, lc), lhs, rhs)
+                    checked += 1
+                    if shared:
+                        continue
+                    bc_d = row_d.get(lc, _NO_ENTRIES)
+                    got = times_label(vt, ab_d, lc)
+                    if not same_entries(got, lhs):
+                        raise _violation(basis, "left products agree", (la, lb, lc), got, lhs)
+                    lhs = times_label(dt, ab_d, lc)
+                    rhs = label_times(dt, la, bc_d)
+                    if not same_entries(lhs, rhs):
+                        raise _violation(basis, "associativity (-|)", (la, lb, lc), lhs, rhs)
+                    got = label_times(dt, la, bc_v)
+                    if not same_entries(got, rhs):
+                        raise _violation(basis, "right products agree", (la, lb, lc), got, rhs)
+                    lhs = times_label(dt, ab_v, lc)
+                    rhs = label_times(vt, la, bc_d)
+                    if not same_entries(lhs, rhs):
+                        raise _violation(basis, "inner associativity", (la, lb, lc), lhs, rhs)
+    else:
+        (mv, *others), (sm,) = sets
+        md = others[0] if others else mv
+        md_op = {(lb, la): x for (la, lb), x in md.items()}
+        checked, skipped_labels, skipped_pairs = _check_halves(
+            c, d.antipode, halves, (sm, ((mv, mv), (md, md_op))))
+        for la in labs:
+            for lb in labs:
+                ab_v, ab_d = mv[la, lb], md[la, lb]
+                for lc in labs:
+                    bc_v = mv[lb, lc]
+                    lhs, rhs = mv[ab_v, lc], mv[la, bc_v]
+                    if lhs != rhs:
+                        raise _violation(basis, "associativity (|-)", (la, lb, lc), {lhs: ONE},
+                                         {rhs: ONE})
+                    checked += 1
+                    if shared:
+                        continue
+                    bc_d = md[lb, lc]
+                    for axiom, got, want in (
+                            ("left products agree", mv[ab_d, lc], lhs),
+                            ("associativity (-|)", md[ab_d, lc], md[la, bc_d]),
+                            ("right products agree", md[la, bc_v], md[la, bc_d]),
+                            ("inner associativity", md[ab_v, lc], mv[la, bc_d])):
+                        if got != want:
+                            raise _violation(basis, axiom, (la, lb, lc), {got: ONE}, {want: ONE})
 
     report = CheckReport(
         True, checked,
@@ -828,7 +922,13 @@ def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
     :func:`certify_dialgebra` checks each identity once: the pair identities
     and associativity of the product, and the unit law and the antipode
     identity on each side.  Comparing the two products, and associativity
-    of -| and the mixed one, would repeat associativity of |-."""
+    of -| and the mixed one, would repeat associativity of |-.
+
+    The group algebra of a finite group has group-like labels and a one-label
+    product and antipode, so :func:`certify_dialgebra` checks it as a set:
+    by the lemma of :func:`~rackalg.rack_bialg._label_maps` each identity is
+    the group identity on labels, and the coalgebra map identities hold
+    without being computed.  An envelope is capped and is checked generically."""
     if not isinstance(hopf, HopfBackend):
         raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
     # a Hopf table stores the pairs under its cap only

@@ -1,0 +1,417 @@
+"""The set path of the certifiers.
+
+``certify``, ``certify_augmented`` and ``certify_dialgebra`` read a
+linearised set structure (group-like labels, one-label tables and maps, no
+cap) on label maps, and every other input on coefficient dicts;
+``rack_bialg._label_maps`` is the one choice between the two.  The oracle
+of the set path is the generic path, forced by answering None from that
+choice: on every input both give the same report, or the same failure
+(type, identity, witness and both sides).
+"""
+
+import collections
+import dataclasses
+import itertools
+
+import pytest
+
+import rackalg.rack_bialg as rack_bialg
+import rackalg.right_hopf_dialg as right_hopf_dialg
+from rackalg.errors import AxiomViolation, RackalgError
+from rackalg.exact_core import Basis, FinMap, FinVec, tensor_basis
+from rackalg.fixtures import load
+from rackalg.groups import GroupHopf, cyclic_group, group_hopf, symmetric_group
+from rackalg.rack_bialg import (
+    RackBialgebra,
+    augmented_conjugation,
+    certify,
+    certify_augmented,
+    rack_group_algebra,
+)
+from rackalg.right_hopf_dialg import (
+    HopfDialgebra,
+    certify_dialgebra,
+    dialgebra_from_augmented,
+    hopf_as_dialgebra,
+)
+from rackalg.symcoalg import Coalgebra
+from test_right_hopf_dialg import _steiner_loop_dialgebra
+
+AV = "AxiomViolation"
+SELECTING = (rack_bialg, right_hopf_dialg)
+
+
+def _side(v):
+    """A failure side as comparable data: basis and entries with their types."""
+    if isinstance(v, FinVec):
+        return v.basis, {lab: (type(x), x) for lab, x in v.entries.items()}
+    return type(v), v
+
+
+def _outcome(check, obj):
+    """The report (``(True,)`` for a certifier without one), or the failure."""
+    try:
+        out = check(obj)
+    except AxiomViolation as err:
+        return "AxiomViolation", err.axiom, err.witness, _side(err.lhs), _side(err.rhs)
+    except RackalgError as err:
+        return type(err).__name__, str(err)
+    report = getattr(out, "report", None)
+    return (True,) if report is None else (report.passed, report.checked, report.detail)
+
+
+@pytest.fixture
+def both_paths(monkeypatch):
+    """run(check, obj): the outcome as chosen, the outcome on the generic
+    path, and what each call of the choice answered (True: label maps)."""
+    select = rack_bialg._label_maps
+
+    def run(check, obj):
+        chosen = []
+
+        def spy(*args):
+            out = select(*args)
+            chosen.append(out is not None)
+            return out
+
+        with monkeypatch.context() as m:
+            for module in SELECTING:
+                m.setattr(module, "_label_maps", spy)
+            got = _outcome(check, obj)
+        with monkeypatch.context() as m:
+            for module in SELECTING:
+                m.setattr(module, "_label_maps", lambda *args: None)
+            generic = _outcome(check, obj)
+        return got, generic, chosen
+
+    return run
+
+
+def _bare(d):
+    return dataclasses.replace(d, certified=False, report=None)
+
+
+def _group_dialgebra(n):
+    return _bare(hopf_as_dialgebra(group_hopf(symmetric_group(3) if n == 6 else
+                                              cyclic_group(n))))
+
+
+def _augmented(n):
+    return dataclasses.replace(
+        augmented_conjugation(symmetric_group(3) if n == 6 else cyclic_group(n)),
+        certified=False)
+
+
+def _z2_dialgebra():
+    return _bare(dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))))
+
+
+@dataclasses.dataclass(frozen=True)
+class _IdentityAntipode(GroupHopf):
+    """K[G] whose antipode map is the identity, not x -> x^-1: its adjoint
+    still conjugates, so the two disagree unless every x is an involution."""
+
+    def antipode_map(self):
+        return FinMap.identity(self.basis)
+
+
+def _identity_antipode_z3():
+    # Z3 acts trivially on itself, so left regularity holds whatever S is, and
+    # "augmentation intertwines adjoint" reads the backend's adjoint on both paths
+    arb = _augmented(3)
+    return dataclasses.replace(arb, hopf=_IdentityAntipode(arb.hopf.group, arb.hopf.coalgebra))
+
+
+SET_INPUTS = {
+    "K[Z2]": lambda: (certify_dialgebra, _group_dialgebra(2)),
+    "K[Z3]": lambda: (certify_dialgebra, _group_dialgebra(3)),
+    "K[S3]": lambda: (certify_dialgebra, _group_dialgebra(6)),
+    "Z2 augmented dialgebra": lambda: (certify_dialgebra, _z2_dialgebra()),
+    "S3 augmented dialgebra": lambda: (certify_dialgebra, _bare(dialgebra_from_augmented(
+        augmented_conjugation(symmetric_group(3))))),
+    "augmented_conjugation(Z2)": lambda: (certify_augmented, _augmented(2)),
+    "augmented_conjugation(S3)": lambda: (certify_augmented, _augmented(6)),
+    "conj_s3": lambda: (rack_group_algebra, load("conj_s3")),
+    "conj_z2": lambda: (rack_group_algebra, load("conj_z2")),
+    "corrupt_rack_s3": lambda: (rack_group_algebra, load("corrupt_rack_s3")),
+    "Steiner loop": lambda: (certify_dialgebra, _steiner_loop_dialgebra()),
+    "Z3 with an identity antipode map": lambda: (certify_augmented, _identity_antipode_z3()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SET_INPUTS))
+def test_set_built_inputs_take_the_set_path_and_agree(both_paths, name):
+    check, obj = SET_INPUTS[name]()
+    got, generic, chosen = both_paths(check, obj)
+    assert chosen[0] is True
+    assert got == generic
+    if name in ("corrupt_rack_s3", "Steiner loop"):
+        assert got[:2] == ("AxiomViolation", {"corrupt_rack_s3": "self-distributivity",
+                                              "Steiner loop": "associativity (|-)"}[name])
+    else:
+        assert got[0] is True
+
+
+def _replacements(obj, tables):
+    """(table, key, copy of ``obj``) for every replacement of one column of
+    one of ``tables`` by a basis label other than its value: a dialgebra
+    product over every label pair, a map over its domain labels."""
+    basis = obj.basis
+    for table in tables:
+        cols = getattr(obj, table)
+        if isinstance(cols, FinMap):
+            keys, current = cols.domain.labels, dict(cols.columns)
+        else:
+            keys, current = list(itertools.product(basis.labels, repeat=2)), dict(cols)
+        for key in keys:
+            for target in basis.labels:
+                v = FinVec.unit(basis, target)
+                if current.get(key) == v:
+                    continue
+                changed = dict(current)
+                changed[key] = v
+                if isinstance(cols, FinMap):
+                    changed = FinMap(cols.domain, cols.codomain, changed)
+                yield table, key, dataclasses.replace(obj, **{table: changed})
+
+
+def _augmented_replacements(arb):
+    """Every replacement of one column of ``mu`` or of ``action`` by a
+    carrier label other than its value, as an uncertified structure."""
+    basis = arb.carrier.basis
+    for table, fmap in (("mu", arb.rack.mu), ("action", arb.action)):
+        for key in fmap.domain.labels:
+            for target in basis.labels:
+                v = FinVec.unit(basis, target)
+                if fmap.column(key) == v:
+                    continue
+                cols = dict(fmap.columns)
+                cols[key] = v
+                bad = FinMap(fmap.domain, fmap.codomain, cols)
+                if table == "mu":
+                    yield table, key, dataclasses.replace(
+                        arb, rack=RackBialgebra(arb.carrier, bad), certified=False)
+                else:
+                    yield table, key, dataclasses.replace(arb, action=bad, certified=False)
+
+
+# The identities each census reaches on the set path, and equally on the
+# generic path: every single-entry label replacement fails, and fails there.
+CENSUSES = {
+    "K[Z3]": {
+        "antipode antihomomorphism (-|)": 4, "antipode antihomomorphism (|-)": 4,
+        "antipode convolution square (|-)": 2,
+        "antipode flip identity (-|)": 2, "antipode flip identity (|-)": 2,
+        "antipode unit absorption (-|)": 2, "antipode unit absorption (|-)": 2,
+        "balanced": 4, "bar-unit left": 6, "bar-unit right": 6,
+        "left antipode for -|": 2, "right antipode for |-": 6},
+    "K[S3]": {
+        "antipode antihomomorphism (-|)": 100, "antipode antihomomorphism (|-)": 100,
+        "antipode convolution square (|-)": 5,
+        "antipode flip identity (-|)": 5, "antipode flip identity (|-)": 5,
+        "antipode unit absorption (-|)": 5, "antipode unit absorption (|-)": 5,
+        "balanced": 40, "bar-unit left": 30, "bar-unit right": 30,
+        "left antipode for -|": 20, "right antipode for |-": 45},
+    "Z2 augmented dialgebra": {
+        "antipode antihomomorphism (-|)": 12, "antipode antihomomorphism (|-)": 12,
+        "antipode flip identity (-|)": 5, "antipode flip identity (|-)": 5,
+        "associativity (-|)": 1, "balanced": 12, "bar-unit left": 12, "bar-unit right": 12,
+        "inner associativity": 6, "left antipode for -|": 6, "left products agree": 7,
+        "right antipode for |-": 18},
+    "augmented_conjugation(S3)": {
+        "action associativity": 125, "action fixes coaugmentation": 25, "action unit": 30,
+        "induced product": 180},
+}
+
+
+def _census_inputs(name):
+    if name == "augmented_conjugation(S3)":
+        return certify_augmented, _augmented_replacements(_augmented(6))
+    d = _group_dialgebra(3) if name == "K[Z3]" else (
+        _group_dialgebra(6) if name == "K[S3]" else _z2_dialgebra())
+    return certify_dialgebra, _replacements(d, ("vdash", "dashv", "antipode"))
+
+
+@pytest.mark.parametrize("name", sorted(CENSUSES))
+def test_every_single_label_replacement_fails_alike_on_both_paths(both_paths, name):
+    check, inputs = _census_inputs(name)
+    fired = collections.Counter()
+    for table, key, bad in inputs:
+        got, generic, chosen = both_paths(check, bad)
+        assert chosen[0] is True, (table, key)
+        assert got == generic, (table, key)
+        assert got[0] == "AxiomViolation", (table, key, got)
+        fired[got[1]] += 1
+    assert fired == CENSUSES[name]
+
+
+# ---------------------------------------------------------------------------
+# near misses: one condition of the choice fails, and the generic path runs
+# ---------------------------------------------------------------------------
+
+
+def _changed(cols, key, value, basis):
+    """A copy of the columns ``cols`` with the column at ``key`` set to the
+    coefficients ``value``, or removed for None."""
+    out = dict(cols)
+    if value is None:
+        del out[key]
+    else:
+        out[key] = FinVec(basis, value)
+    return out
+
+
+def _changed_map(fmap, key, value):
+    return FinMap(fmap.domain, fmap.codomain, _changed(fmap.columns, key, value, fmap.codomain))
+
+
+def _dialgebra_with(value, key=("r1", "r1")):
+    d = _group_dialgebra(3)
+    return certify_dialgebra, dataclasses.replace(d, vdash=_changed(d.vdash, key, value, d.basis))
+
+
+def _rack_with(value, key=("r1", "r1")):
+    rb = rack_group_algebra(load("conj_z2"))
+    return certify, RackBialgebra(rb.carrier, _changed_map(rb.mu, key, value))
+
+
+def _action_with(value, key=("r1", "r1")):
+    arb = _augmented(2)
+    return certify_augmented, dataclasses.replace(arb, action=_changed_map(arb.action, key, value))
+
+
+def _mixed_coalgebra():
+    """Group-like e and g and a primitive x: delta(x) = x (x) e + e (x) x."""
+    basis = Basis("K[Z2]+x", ("e", "g", "x"))
+    square = tensor_basis(basis, basis)
+    legs = {"e": {("e", "e"): 1}, "g": {("g", "g"): 1}, "x": {("x", "e"): 1, ("e", "x"): 1}}
+    delta = FinMap.from_function(basis, square, lambda lab: FinVec(square, legs[lab]))
+    return Coalgebra(basis, delta, {"e": 1, "g": 1}, FinVec(basis, {"e": 1}), square)
+
+
+def _primitive_rack():
+    # a |> b = b: one label everywhere, but x |> e = e is not eps(x) e = 0
+    c = _mixed_coalgebra()
+    return certify, RackBialgebra(c, FinMap.from_pairs(c.basis, c.basis, c.square, c.basis,
+                                                       lambda la, lb: {lb: 1}))
+
+
+def _primitive_dialgebra():
+    # Z2 on e, g with x x = e and x acting as g: one label everywhere
+    c = _mixed_coalgebra()
+    basis = c.basis
+    z2 = {"e": 0, "g": 1, "x": 1}
+    table = {(a, b): FinVec.unit(basis, "eg"[(z2[a] + z2[b]) % 2])
+             for a, b in itertools.product(basis.labels, repeat=2)}
+    return certify_dialgebra, HopfDialgebra(c, table, table, FinMap.identity(basis), {})
+
+
+def _capped_dialgebra():
+    d = _group_dialgebra(3)
+    return certify_dialgebra, dataclasses.replace(d, cap=0)
+
+
+def _antipode_with(value):
+    d = _group_dialgebra(3)
+    return certify_dialgebra, dataclasses.replace(d, antipode=_changed_map(d.antipode, "r1", value))
+
+
+def _phi_with(value):
+    arb = _augmented(2)
+    return certify_augmented, dataclasses.replace(arb, phi=_changed_map(arb.phi, "r1", value))
+
+
+def _unit_with(value, check):
+    if check is certify:
+        rb = rack_group_algebra(load("conj_z2"))
+        c = rb.carrier
+        return certify, RackBialgebra(dataclasses.replace(c, unit=FinVec(c.basis, value)),
+                                      rb.mu)
+    d = _group_dialgebra(3)
+    c = d.coalgebra
+    return certify_dialgebra, dataclasses.replace(
+        d, coalgebra=dataclasses.replace(c, unit=FinVec(c.basis, value)))
+
+
+# The outcome each near miss gave before the set path existed: a report
+# (passed, checked, detail), (True,) for a certifier without one, or the
+# failure's type, identity and witness.
+REPORT_Z3 = (True, 39, "labels skipped=0, pairs skipped=0, triples skipped=0")
+NEAR_MISSES = {
+    "coefficient 2 in |-": (lambda: _dialgebra_with({"r2": 2}),
+                            (AV, "product counit (|-)", ("r1", "r1"))),
+    "coefficient -1 in |-": (lambda: _dialgebra_with({"r2": -1}),
+                             (AV, "product counit (|-)", ("r1", "r1"))),
+    "two labels in |-": (lambda: _dialgebra_with({"r2": 1, "r0": 1}),
+                         (AV, "product counit (|-)", ("r1", "r1"))),
+    "absent pair in |-": (lambda: _dialgebra_with(None, ("r1", "r2")),
+                          (AV, "right antipode for |-", "r1")),
+    "coefficient 2 in mu": (lambda: _rack_with({"r1": 2}),
+                            (AV, "counit multiplicativity", ("r1", "r1"))),
+    "coefficient -1 in mu": (lambda: _rack_with({"r1": -1}),
+                             (AV, "counit multiplicativity", ("r1", "r1"))),
+    "two labels in mu": (lambda: _rack_with({"r1": 1, "r0": 1}),
+                         (AV, "counit multiplicativity", ("r1", "r1"))),
+    "absent pair in mu": (lambda: _rack_with(None),
+                          (AV, "counit multiplicativity", ("r1", "r1"))),
+    "coefficient 2 in the action": (lambda: _action_with({"r1": 2}),
+                                    (AV, "action associativity", ("r1", "r1", "r1"))),
+    "coefficient -1 in the action": (lambda: _action_with({"r1": -1}),
+                                     (AV, "action counit", ("r1", "r1"))),
+    "two labels in the action": (lambda: _action_with({"r1": 1, "r0": 1}),
+                                 (AV, "action associativity", ("r1", "r1", "r1"))),
+    "absent pair in the action": (lambda: _action_with(None),
+                                  (AV, "action associativity", ("r1", "r1", "r1"))),
+    "capped table": (_capped_dialgebra, REPORT_Z3),
+    "primitive label, rack": (_primitive_rack, (AV, "unit absorption", "x")),
+    "primitive label, dialgebra": (_primitive_dialgebra, (AV, "bar-unit left", "x")),
+    "antipode of two labels": (lambda: _antipode_with({"r2": 1, "r0": 1}),
+                               (AV, "antipode comultiplicativity", "r1")),
+    "antipode with coefficient 2": (lambda: _antipode_with({"r2": 2}),
+                                    (AV, "antipode comultiplicativity", "r1")),
+    "phi of two labels": (lambda: _phi_with({"r1": 1, "r0": 1}),
+                          (AV, "augmentation comultiplicativity", "r1")),
+    "two-term unit, rack": (lambda: _unit_with({"r0": 1, "r1": 0}, certify), (True,)),
+    "two-term unit, dialgebra": (lambda: _unit_with({"r0": 1, "r1": 0}, certify_dialgebra),
+                                 REPORT_Z3),
+    "two-label unit": (lambda: _unit_with({"r0": 1, "r1": 1}, certify_dialgebra),
+                       (AV, "counit of unit", "1")),
+}
+
+
+def _summary(out):
+    return out[:3] if out[0] == "AxiomViolation" else out
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_MISSES))
+def test_near_misses_take_the_generic_path(both_paths, name):
+    build, before = NEAR_MISSES[name]
+    got, generic, chosen = both_paths(*build())
+    assert True not in chosen
+    assert got == generic
+    assert _summary(got) == before
+
+
+def test_every_two_entry_label_replacement_of_the_z2_dialgebra_fails_alike(both_paths):
+    # two replaced product entries reach identities that no single one does,
+    # among them "associativity (|-)" and "double antipode (|-)" on two tables
+    d = _z2_dialgebra()
+    singles = [(table, key, getattr(bad, table)[key])
+               for table, key, bad in _replacements(d, ("vdash", "dashv"))]
+    fired = collections.Counter()
+    for (t1, k1, v1), (t2, k2, v2) in itertools.combinations(singles, 2):
+        if (t1, k1) == (t2, k2):
+            continue
+        tables = {"vdash": dict(d.vdash), "dashv": dict(d.dashv)}
+        tables[t1][k1] = v1
+        tables[t2][k2] = v2
+        got, generic, chosen = both_paths(certify_dialgebra, dataclasses.replace(d, **tables))
+        assert chosen[0] is True and got == generic, (k1, k2)
+        fired[got[1] if got[0] == AV else got[0]] += 1
+    assert fired == {
+        "antipode antihomomorphism (-|)": 276, "antipode antihomomorphism (|-)": 300,
+        "antipode flip identity (-|)": 221, "antipode flip identity (|-)": 261,
+        "associativity (-|)": 16, "associativity (|-)": 2, "balanced": 846,
+        "bar-unit left": 870, "bar-unit right": 834, "double antipode (|-)": 6,
+        "inner associativity": 12, "left antipode for -|": 363, "left products agree": 61,
+        "right antipode for |-": 396}

@@ -723,16 +723,20 @@ class TestSharedTable:
         assert d.vprod(d.vprod(a, b), c) != d.vprod(a, d.vprod(b, c))
 
     def test_the_shared_path_makes_under_half_the_table_reads(self, ks3, monkeypatch):
-        d = hopf_as_dialgebra(ks3)
+        # U(lie2)<=3 is capped and takes the generic path on either table; K[S3]
+        # is read on its label maps, so certifying it reads no table at all
+        d = hopf_as_dialgebra(SHARED_FIXTURES["lie2"]())
+        group = hopf_as_dialgebra(ks3)
         read = exact_core._read
         counts = []
-        for bare in _shared_and_copied(d, d.vdash):
+        for bare in _shared_and_copied(d, d.vdash) + _shared_and_copied(group, group.vdash):
             calls = []
             monkeypatch.setattr(exact_core, "_read", lambda *args: calls.append(1) or read(*args))
             certify_dialgebra(bare)
             counts.append(len(calls))
-        shared, copied = counts
+        shared, copied, *group_reads = counts
         assert 0 < 2 * shared < copied
+        assert group_reads == [0, 0]
 
 
 class TestAugmentedDialgebra:
@@ -1161,11 +1165,18 @@ def _checked_loop(module, function, axiom):
 
 
 def _loop_in(tree, function, axiom):
+    loops, nested = _loops_in(tree, function, axiom)
+    return loops[0], nested
+
+
+def _loops_in(tree, function, axiom):
+    """Every loop of ``function`` in ``tree`` that names ``axiom`` (every loop
+    for ``None``), outermost first, and the functions nested in it by name."""
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
-    loop = next(n for n in ast.walk(fn) if isinstance(n, ast.For) and (axiom is None or any(
-        isinstance(c, ast.Constant) and c.value == axiom for c in ast.walk(n))))
+    loops = [n for n in ast.walk(fn) if isinstance(n, ast.For) and (axiom is None or any(
+        isinstance(c, ast.Constant) and c.value == axiom for c in ast.walk(n)))]
     nested = {n.name: n for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn}
-    return loop, nested
+    return loops, nested
 
 
 def _called_names(loop, nested):
@@ -1201,7 +1212,11 @@ VECTOR_PRODUCTS = {"bilinear", "vprod", "dprod", "FinVec.unit"}
     (rack_bialg, "certify_augmented", "left regularity"),
 ])
 def test_label_product_loops_read_stored_columns(module, function, axiom):
-    assert _called_names(*_checked_loop(module, function, axiom)) & VECTOR_PRODUCTS == set()
+    # the generic loop and, on a certifier with a set path, the label-map loop
+    path = pathlib.Path(module.__file__)
+    loops, nested = _loops_in(ast.parse(path.read_text(), str(path)), function, axiom)
+    assert loops
+    assert [_called_names(loop, nested) & VECTOR_PRODUCTS for loop in loops] == [set()] * len(loops)
 
 
 def test_the_column_read_guard_sees_through_nested_functions():
@@ -1212,3 +1227,17 @@ def test_the_column_read_guard_sees_through_nested_functions():
                " bilinear(b, b)\n")
     names = _called_names(*_loop_in(ast.parse(snippet), "f", "name"))
     assert names & VECTOR_PRODUCTS == {"FinVec.unit"}
+
+
+def test_the_column_read_guard_sees_every_loop_that_names_the_axiom():
+    snippet = ("def f(b, m):\n"
+               " if m:\n"
+               "  for x in b:\n"
+               "   if m[x] != x: raise E('name')\n"
+               " for x in b:\n"
+               "  if bilinear(b, x) != x: raise E('name')\n"
+               " for x in b:\n"
+               "  FinVec.unit(b, x)\n")
+    loops, nested = _loops_in(ast.parse(snippet), "f", "name")
+    assert [_called_names(loop, nested) & VECTOR_PRODUCTS for loop in loops] == [{"bilinear"},
+                                                                                  set()]

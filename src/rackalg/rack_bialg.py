@@ -215,9 +215,10 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
 
 
 def _violation(basis: Basis, axiom: str, witness: tuple, lhs: Mapping[Label, Coeff],
-               rhs: Mapping[Label, Coeff]) -> AxiomViolation:
-    """A failed identity whose two sides were read into coefficient dicts."""
-    return AxiomViolation(axiom, witness, FinVec(basis, lhs), FinVec(basis, rhs))
+               rhs: Mapping[Label, Coeff] | None, error: type = AxiomViolation) -> RackalgError:
+    """A failed identity whose sides were read into coefficient dicts, raised
+    as ``error``; a membership identity has no right side (None)."""
+    return error(axiom, witness, FinVec(basis, lhs), None if rhs is None else FinVec(basis, rhs))
 
 
 def _one_label(v: Mapping[Label, Coeff], basis: Basis) -> Label | None:
@@ -235,7 +236,8 @@ def _label_maps(coalgebras: Sequence[Coalgebra],
                                               Sequence[FinMap]]]
                 ) -> tuple[list[dict[tuple[Label, Label], Label]], list[dict[Label, Label]]] | None:
     """The tables and maps of a linearised set structure as label maps, or
-    None: the one choice between the set and the generic path of a certifier.
+    None: the one choice between the set and the generic path of a certifier
+    or a splitting.
 
     The set path is taken when every basis label l of each coalgebra is
     group-like as stored (its coproduct the one leg l (x) l with coefficient
@@ -259,6 +261,20 @@ def _label_maps(coalgebras: Sequence[Coalgebra],
     eps(ab) = 1 = eps(a) eps(b).  So comultiplicativity and counit of a
     product or an action, S a coalgebra map and the augmentation are counted
     and not computed on the set path.
+
+    Spans.  A linear map f sending each label to one label spans its image
+    by the unit vectors of the distinct image labels; listed in basis order
+    they are the reduced echelon basis of that image, and a unit vector lies
+    in it exactly when its label is an image label.  When f is idempotent
+    its fixed space is its image.  So the splitting
+    (:func:`~rackalg.right_hopf_dialg._split`) reads its span identities on
+    labels, with no elimination.
+
+    Primitives.  A group-like coalgebra over Q has Prim = 0.  Let
+    x = sum x_g g with delta(x) = x (x) 1 + 1 (x) x.  The coefficient of
+    g (x) g for g != 1 is x_g on the left and 0 on the right, so x_g = 0.
+    The coefficient of 1 (x) 1 is then x_1 on the left and 2 x_1 on the
+    right, so x_1 = 0.
     """
     for c in coalgebras:
         if _one_label(c.unit.entries, c.basis) is None:
@@ -530,7 +546,9 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
 
     Identities whose verification would need Hopf products beyond a capped
     envelope's degree budget are restricted to the pairs that fit; all
-    carrier-side checks are exhaustive.
+    carrier-side checks are exhaustive.  The carrier and the Hopf coalgebra
+    are checked as coalgebras once each, and once in all when they are one
+    object (a Hopf algebra acting on itself).
 
     A linearised augmented rack is checked as a set: when the carrier and
     the Hopf algebra have group-like labels and their units among them, and
@@ -554,7 +572,8 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
         raise SchemaError("action must map hopf (x) carrier into the carrier")
     act = arb.table
     check_coalgebra(bc)
-    check_coalgebra(hc)
+    if hc is not bc:  # a group acting on itself shares one coalgebra
+        check_coalgebra(hc)
 
     sets = _label_maps((bc, hc), lambda: (((act, hc.basis), (hopf.table, hc.basis)),
                                           (phi, hopf.antipode_map())))

@@ -465,7 +465,8 @@ def _apply(m: FinMap, v: FinVec, t: PairTable, context: str) -> FinVec:
 @dataclass(frozen=True)
 class _Splitting:
     """What :func:`_split` built (the label pairs under the cap, iota, rho, Psi
-    and the legs of its columns, E and H) and how many identities it checked
+    and the legs of its columns, the reduced echelon bases of E and H and,
+    on the generic path, their solvers) and how many identities it checked
     and skipped."""
 
     pairs: list[tuple[Label, Label]]
@@ -473,14 +474,24 @@ class _Splitting:
     rho: FinMap
     psi: FinMap
     psi_legs: dict[Label, list[tuple[Label, Label, Rational]]]
-    e: SpanSolver
-    h: SpanSolver
+    e: list[FinVec]
+    h: list[FinVec]
+    spans: tuple[SpanSolver, SpanSolver] | None
     checked: int
     skipped: int
 
 
+def _differ(space: Basis, identity: str, witness, got: Label, want: Label) -> None:
+    """Raise the :class:`DecompositionFailure` of an identity read on labels
+    of ``space`` when its sides, the labels got and want, differ."""
+    if got != want:
+        raise _violation(space, identity, witness, {got: ONE}, {want: ONE}, DecompositionFailure)
+
+
 def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
-           labels: Sequence[Label], unit: str, tag: str) -> _Splitting:
+           labels: Sequence[Label], unit: str, tag: str,
+           sets: tuple[Mapping[tuple[Label, Label], Label], Mapping[Label, Label]] | None = None
+           ) -> _Splitting:
     """The Suschkewitsch splitting A ~ E (x) H, checked identity by identity.
 
     ``r`` is the product the antipode is a right antipode for, so a.b = r(b, a)
@@ -495,6 +506,15 @@ def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
     idempotent and psi multiplicative identities.  Once iota passes the
     projector check its image is its fixed space, so the idempotent part
     identity re-checks only the two eliminations.
+
+    ``sets`` is r and S as label maps (:func:`~rackalg.rack_bialg._label_maps`,
+    whose lemma makes each side one label): then iota(a) = r(S(a), a) and
+    rho(a) = r(a, 1) are labels, E and H are spanned by the unit vectors of
+    their image labels in basis order (its span lemma: the same reduced
+    echelon bases), a membership in H is a label in the image of rho, and
+    the idempotent part identity holds once iota is idempotent.  Every other
+    identity is read on labels in the same order, with the same witnesses
+    and counts; nothing is eliminated and nothing is skipped.
     """
     basis = c.basis
     square = c.square
@@ -507,6 +527,62 @@ def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
     checked = 0
     # labels beyond the cap, and the pairs beyond it in the two pair loops
     skipped = basis.dim - len(labels) + 2 * (len(labels) ** 2 - len(pairs))
+
+    if sets is not None:
+        m, sm = sets
+        (u,) = one.entries
+        im = {a: m[sm[a], a] for a in labels}
+        for a in labels:
+            _differ(basis, "idempotent projector", a, im[im[a]], im[a])
+        e_labs = [a for a in labels if im[a] == a]
+        for i, x in enumerate(e_labs):
+            _differ(basis, f"generalized idempotent{tag}", i, m[x, x], x)
+            _differ(basis, "idempotent antipode", i, sm[x], u)
+            for a in labels:
+                _differ(basis, f"{unit}{tag}", (i, a), m[x, a], a)
+        rm = {a: m[a, u] for a in labels}
+        for a in labels:
+            _differ(basis, "hopf part projector", a, rm[rm[a]], rm[a])
+        h_labs = [a for a in labels if rm[a] == a]
+        in_h = set(h_labs)
+        if u not in in_h:
+            raise DecompositionFailure("hopf part unit", "1", one, None)
+        for i, y in enumerate(h_labs):
+            if sm[y] not in in_h:
+                raise _violation(basis, "hopf part antipode closure", i, {sm[y]: ONE}, None,
+                                 DecompositionFailure)
+            for j, z in enumerate(h_labs):
+                if m[z, y] not in in_h:
+                    raise _violation(basis, "hopf part closure", (i, j), {m[z, y]: ONE}, None,
+                                     DecompositionFailure)
+        for la, lb in pairs:
+            _differ(basis, "projection multiplicative", (la, lb), rm[m[lb, la]], m[rm[lb], rm[la]])
+        pair = {a: merge_labels(basis, im[a], rm[a]) for a in labels}
+        for a in labels:
+            _differ(basis, "psi left inverse", a, m[rm[a], im[a]], a)
+        for i, x in enumerate(e_labs):
+            for j, y in enumerate(h_labs):
+                _differ(square, "psi factor exchange", (i, j), pair[m[y, x]],
+                        merge_labels(basis, x, y))
+        if basis.dim != len(e_labs) * len(h_labs):
+            raise DecompositionFailure("dimension product", basis.name,
+                                       basis.dim, len(e_labs) * len(h_labs))
+        for la, lb in pairs:
+            _differ(square, f"psi multiplicative{tag}", (la, lb), pair[m[lb, la]],
+                    merge_labels(basis, im[la], m[rm[lb], rm[la]]))
+        for a in labels:
+            _differ(square, "psi antipode", a, pair[sm[a]], merge_labels(basis, u, sm[rm[a]]))
+        # per label: projector, psi left inverse, psi antipode and one unit law
+        # per idempotent; per pair: projection and psi multiplicative; per pair
+        # of H and per idempotent with H: closure and factor exchange
+        n = len(labels)
+        checked = n * (3 + len(e_labs) + 2 * n) + len(h_labs) * (len(h_labs) + len(e_labs))
+        return _Splitting(
+            pairs, FinMap(basis, basis, {a: units[im[a]] for a in labels}),
+            FinMap(basis, basis, {a: units[rm[a]] for a in labels}),
+            FinMap(basis, square, {a: FinVec(square, {pair[a]: ONE}) for a in labels}),
+            {a: [(im[a], rm[a], ONE)] for a in labels}, [units[x] for x in e_labs],
+            [units[y] for y in h_labs], None, checked, 0)
 
     def s(v: FinVec) -> FinVec:
         return linear_sum(basis, ((s_col(lab), cv) for lab, cv in v.entries.items()))
@@ -618,7 +694,7 @@ def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
             checked += 1
         except DegreeCapExceeded:
             skipped += 1
-    return _Splitting(pairs, iota, rho, psi, psi_legs, e, h, checked, skipped)
+    return _Splitting(pairs, iota, rho, psi, psi_legs, e_basis, h_basis, (e, h), checked, skipped)
 
 
 @dataclass(frozen=True)
@@ -651,7 +727,10 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     checked again: the algebra's own side is the defining identity
     :func:`certify_one_sided` checked on every label, and u 1 = u in r is
     rho(u) = u, true on the image of rho once :func:`_split` checked
-    rho(rho(a)) = rho(a) on every label.  Raises
+    rho(rho(a)) = rho(a) on every label.  The splitting takes the set path
+    of :func:`_split` when the product and the antipode are label maps
+    (:func:`~rackalg.rack_bialg._label_maps`); the checks on top of it are
+    read generically on its maps.  Raises
     :class:`DecompositionFailure` with the first failing identity and its
     witness: a basis label or label pair, an index into the basis of E or
     H1 (or a pair of them), or for a whole-space identity its name ("fixed
@@ -667,12 +746,14 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     rprod = h._right_product()
     eps = c.eps_of
 
-    sp = _split(c, rprod, s.column, basis.labels, "generalized unit", "")
+    maps = _label_maps((c,), lambda: (((rprod, basis),), (s,)))
+    sp = _split(c, rprod, s.column, basis.labels, "generalized unit", "",
+                None if maps is None else (maps[0][0], maps[1][0]))
     check_coalgebra_map(c, c, sp.iota.column, basis.labels, "idempotent",
                         DecompositionFailure)
     # S is an antipode on the other side too: iota(u) = eps(u) 1 on H1
     other = "left" if h.side == "right" else "right"
-    for i, uv in enumerate(sp.h.vectors):
+    for i, uv in enumerate(sp.h):
         got = sp.iota(uv)
         if got != one.scale(eps(uv)):
             raise DecompositionFailure(f"hopf part {other} antipode", i, got, one.scale(eps(uv)))
@@ -688,7 +769,7 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     if h.side == "right":
         psi = FinMap.from_function(basis, square, lambda lab: FinVec.build(square, (
             (merge_labels(basis, l2, l1), cw) for l1, l2, cw in sp.psi_legs[lab])))
-    return SuschkewitschDecomposition(h, tuple(sp.h.vectors), tuple(sp.e.vectors), psi, h.mul)
+    return SuschkewitschDecomposition(h, tuple(sp.h), tuple(sp.e), psi, h.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1138,10 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
 
     Label pairs of |> within the cap are computed once into a table and read
     as in :func:`certify_dialgebra`; a |- b, a -| b and the terms of a1 |> b
-    are read once per (a, b).
+    are read once per (a, b).  When the coalgebra is group-like and both
+    products and |> are label maps (:func:`~rackalg.rack_bialg._label_maps`),
+    the module identities are read on labels, in the same order: by its
+    lemma a |> (b * c) = (a |> b) * (a |> c) for each product *.
     """
     if degree is not None:
         _require_degree(degree)
@@ -1092,6 +1176,21 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     mu = FinMap.from_pairs(basis, basis, carrier.square, basis, mu_col)
     rb = certify(RackBialgebra(carrier, mu))
 
+    sets = _label_maps((c,), lambda: (((vt, c.basis), (dt, c.basis), (rack, c.basis)), ()))
+    if sets is not None:
+        (mv, md, mr), _ = sets
+        for la, lb in itertools.product(labs, repeat=2):
+            xv, xd, ab = mv[la, lb], md[la, lb], mr[la, lb]
+            for lc in labs:
+                lhs, ac = mr[la, mr[lb, lc]], mr[la, lc]
+                sides = ((lhs, mr[xv, lc]), (lhs, mr[xd, lc]),
+                         (mr[la, mv[lb, lc]], mv[ab, ac]), (mr[la, md[lb, lc]], md[ab, ac]))
+                for axiom, (got, want) in zip(("module identity (|-)", "module identity (-|)",
+                                               "module algebra (|-)", "module algebra (-|)"),
+                                              sides):
+                    if got != want:
+                        raise _violation(c.basis, axiom, (la, lb, lc), {got: ONE}, {want: ONE})
+        return rb
     for la, lb in itertools.product(labs, repeat=2):
         if not vt.fits(deg[la] + deg[lb]):  # no c fits, and a |- b is refused
             continue
@@ -1146,6 +1245,20 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     x |- y - x -| y, Psi transfers |-, and the primitives split into a
     central ideal and a Leibniz-closed Hopf summand.  Products with a basis
     label on one side are read from the stored columns.
+
+    When the coalgebra is group-like and both products and the antipode are
+    uncapped label maps (:func:`~rackalg.rack_bialg._label_maps`), the
+    splitting takes the set path of :func:`_split` and the |- identities
+    are read on labels, in the same order and with the same witnesses.  By
+    the lemmas there the primitives are 0, so the primitive identities hold
+    with nothing to check, and "associativity ideal" says that the pairs
+    (a |- b, a -| b) connect each fibre of pi.  They do, once the identities
+    before it hold: let pi(b) = pi(a) and x = iota(b), a label of E.  By
+    "psi multiplicative (-|)", Psi(x -| a) = iota(x) (x) (pi(x) -| pi(a)),
+    where iota(x) = x, pi(x) = 1 -| x = 1 ("generalized bar-unit (-|)" at 1)
+    and 1 -| pi(a) = pi(a) ("hopf part projector").  So Psi(x -| a) = Psi(b),
+    and x -| a = b as Psi is one-to-one ("psi left inverse"), while
+    x |- a = a ("generalized bar-unit (|-)"): the pair at (x, a) is (a, b).
     """
     if not d.certified:
         raise RackalgError("structure_decomposition needs a certified dialgebra")
@@ -1155,10 +1268,38 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     labs = basis.labels
     vt, dt = d.vdash_table, d.dashv_table
     fit_labels = [lab for lab in labs if vt.fits(vt.degree(lab))]
-    sp = _split(c, dt.opposite(), d.s_label, fit_labels, "generalized bar-unit", " (-|)")
-    e_basis, h_basis = sp.e.vectors, sp.h.vectors
+    sets = _label_maps((c,), lambda: (((vt, basis),) if dt is vt else ((vt, basis), (dt, basis)),
+                                      (d.antipode,)))
+    if sets is not None:
+        (mv, *others), (sm,) = sets
+        md = others[0] if others else mv
+    sp = _split(c, dt.opposite(), d.s_label, fit_labels, "generalized bar-unit", " (-|)",
+                None if sets is None else ({(b, a): x for (a, b), x in md.items()}, sm))
+    e_basis, h_basis = sp.e, sp.h
     checked, skipped = sp.checked, sp.skipped
     eps = c.eps_of
+
+    if sets is not None:
+        (u,) = c.unit.entries
+        im = {a: md[a, sm[a]] for a in labs}
+        rm = {a: md[u, a] for a in labs}
+        e_labs, h_labs = ([lab for v in part for lab in v.entries] for part in (e_basis, h_basis))
+        for i, x in enumerate(e_labs):
+            for a in labs:
+                _differ(basis, "generalized bar-unit (|-)", (i, a), mv[x, a], a)
+        for i, y in enumerate(h_labs):
+            for j, z in enumerate(h_labs):
+                _differ(basis, "hopf part products agree", (i, j), mv[y, z], md[y, z])
+        for la, lb in sp.pairs:
+            _differ(basis, "projection merges products", (la, lb), rm[mv[la, lb]], rm[md[la, lb]])
+        # the associativity ideal holds here, by the argument in the docstring
+        for la, lb in sp.pairs:
+            z, ra = mv[la, lb], rm[la]
+            _differ(square, "psi multiplicative (|-)", (la, lb), merge_labels(basis, im[z], rm[z]),
+                    merge_labels(basis, md[mv[ra, im[lb]], sm[ra]], md[ra, rm[lb]]))
+        # Prim = 0, so "primitive splitting" is 0 = 0 and its loops are empty
+        return DialgebraDecomposition(d, tuple(e_basis), tuple(h_basis), sp.psi,
+                                      CheckReport(True, checked, detail=f"skipped={skipped}"))
 
     for i, ev in enumerate(e_basis):
         ev_deg = _degree(vt, ev)
@@ -1222,8 +1363,9 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
         combos = nullspace(rows.values(), len(prims))
         return [linear_sum(basis, ((prims[i], cv) for i, cv in combo.items())) for combo in combos]
 
-    pe = intersect(sp.e)
-    ph = intersect(sp.h)
+    e_span, h_span = sp.spans
+    pe = intersect(e_span)
+    ph = intersect(h_span)
     # pe and ph lie in Prim, so they split it when they are len(prims) independent vectors
     if len(pe) + len(ph) != len(prims) or len(span_basis(pe + ph)) != len(prims):
         raise DecompositionFailure("primitive splitting", "dimension",

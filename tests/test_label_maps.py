@@ -1,23 +1,26 @@
-"""The set path of the certifiers.
+"""The set path of the certifiers and of the splittings.
 
-``certify``, ``certify_augmented`` and ``certify_dialgebra`` read a
-linearised set structure (group-like labels, one-label tables and maps, no
-cap) on label maps, and every other input on coefficient dicts;
+``certify``, ``certify_augmented``, ``certify_dialgebra``,
+``hopf_dialgebra_rack``, ``structure_decomposition`` and ``suschkewitsch``
+read a linearised set structure (group-like labels, one-label tables and
+maps, no cap) on label maps, and every other input on coefficient dicts;
 ``rack_bialg._label_maps`` is the one choice between the two.  The oracle
 of the set path is the generic path, forced by answering None from that
-choice: on every input both give the same report, or the same failure
-(type, identity, witness and both sides).
+choice: on every input both give the same report or decomposition, or the
+same failure (type, identity, witness and both sides).
 """
 
 import collections
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
 import rackalg.rack_bialg as rack_bialg
 import rackalg.right_hopf_dialg as right_hopf_dialg
-from rackalg.errors import AxiomViolation, RackalgError
+import rackalg.exact_core as exact_core
+from rackalg.errors import AxiomViolation, DecompositionFailure, RackalgError
 from rackalg.exact_core import Basis, FinMap, FinVec, tensor_basis
 from rackalg.fixtures import load
 from rackalg.groups import GroupHopf, cyclic_group, group_hopf, symmetric_group
@@ -29,13 +32,22 @@ from rackalg.rack_bialg import (
     rack_group_algebra,
 )
 from rackalg.right_hopf_dialg import (
+    DialgebraDecomposition,
     HopfDialgebra,
+    RightHopfAlgebra,
     certify_dialgebra,
+    certify_one_sided,
     dialgebra_from_augmented,
     hopf_as_dialgebra,
+    hopf_dialgebra_rack,
+    right_group_hopf,
+    structure_decomposition,
+    suschkewitsch,
+    universal_dialgebra,
 )
 from rackalg.symcoalg import Coalgebra
-from test_right_hopf_dialg import _steiner_loop_dialgebra
+import test_right_hopf_dialg
+from test_right_hopf_dialg import _steiner_loop_dialgebra, perturbation_census
 
 AV = "AxiomViolation"
 SELECTING = (rack_bialg, right_hopf_dialg)
@@ -48,14 +60,29 @@ def _side(v):
     return type(v), v
 
 
+def _decomposition(out):
+    """A splitting as comparable data: dimensions, vectors, Psi and report."""
+    parts = (out.idempotent_part, out.hopf_part)
+    psi = out.psi
+    report = out.report if isinstance(out, DialgebraDecomposition) else None
+    return (True, tuple(map(len, parts)), tuple(tuple(map(_side, vs)) for vs in parts),
+            psi.domain, psi.codomain, {lab: _side(col) for lab, col in psi.columns.items()},
+            report and (report.passed, report.checked, report.detail))
+
+
 def _outcome(check, obj):
-    """The report (``(True,)`` for a certifier without one), or the failure."""
+    """The report (``(True,)`` for a certifier without one), the splitting,
+    or the failure."""
     try:
         out = check(obj)
     except AxiomViolation as err:
         return "AxiomViolation", err.axiom, err.witness, _side(err.lhs), _side(err.rhs)
+    except DecompositionFailure as err:
+        return "DecompositionFailure", err.identity, err.witness, _side(err.lhs), _side(err.rhs)
     except RackalgError as err:
         return type(err).__name__, str(err)
+    if hasattr(out, "psi"):
+        return _decomposition(out)
     report = getattr(out, "report", None)
     return (True,) if report is None else (report.passed, report.checked, report.detail)
 
@@ -380,7 +407,7 @@ NEAR_MISSES = {
 
 
 def _summary(out):
-    return out[:3] if out[0] == "AxiomViolation" else out
+    return out[:3] if out[0] in (AV, "DecompositionFailure") else out
 
 
 @pytest.mark.parametrize("name", sorted(NEAR_MISSES))
@@ -415,3 +442,249 @@ def test_every_two_entry_label_replacement_of_the_z2_dialgebra_fails_alike(both_
         "bar-unit left": 870, "bar-unit right": 834, "double antipode (|-)": 6,
         "inner associativity": 12, "left antipode for -|": 363, "left products agree": 61,
         "right antipode for |-": 396}
+
+
+# ---------------------------------------------------------------------------
+# the splittings: structure_decomposition, suschkewitsch and the rack of a
+# dialgebra on label maps
+# ---------------------------------------------------------------------------
+
+
+def _certified_group_dialgebra(n):
+    return hopf_as_dialgebra(group_hopf(symmetric_group(3) if n == 6 else cyclic_group(n)))
+
+
+def _certified_z2_dialgebra():
+    return dialgebra_from_augmented(augmented_conjugation(cyclic_group(2)))
+
+
+def _left_algebra(d):
+    """(A, -|, S) of a dialgebra as a certified left Hopf algebra."""
+    dashv = FinMap.from_pairs(d.basis, d.basis, d.coalgebra.square, d.basis,
+                              d.dashv_table.entry)
+    return certify_one_sided(RightHopfAlgebra(d.coalgebra, dashv, d.antipode, "left"))
+
+
+SPLIT_INPUTS = {
+    "K[Z2]": lambda: (structure_decomposition, _certified_group_dialgebra(2)),
+    "K[Z3]": lambda: (structure_decomposition, _certified_group_dialgebra(3)),
+    "K[S3]": lambda: (structure_decomposition, _certified_group_dialgebra(6)),
+    "Z2 augmented dialgebra": lambda: (structure_decomposition, _certified_z2_dialgebra()),
+    "S3 augmented dialgebra": lambda: (structure_decomposition, dialgebra_from_augmented(
+        augmented_conjugation(symmetric_group(3)))),
+    "right K[Z2 x E2]": lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p")),
+    "left K[Z2 x E2]": lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p",
+                                                                side="left")),
+    "right K[S3 x E3]": lambda: (suschkewitsch, right_group_hopf(symmetric_group(3), "pqr", "p")),
+    "left K[S3 x E2]": lambda: (suschkewitsch, right_group_hopf(symmetric_group(3), "pq", "p",
+                                                                side="left")),
+    "right K[S3 x E1]": lambda: (suschkewitsch, right_group_hopf(symmetric_group(3), "p", "p")),
+    "left algebra of K[S3]": lambda: (suschkewitsch, _left_algebra(_certified_group_dialgebra(6))),
+    "left algebra of the Z2 dialgebra": lambda: (suschkewitsch,
+                                                 _left_algebra(_certified_z2_dialgebra())),
+    "rack of K[S3]": lambda: (hopf_dialgebra_rack, _certified_group_dialgebra(6)),
+    "rack of the Z2 dialgebra": lambda: (hopf_dialgebra_rack, _certified_z2_dialgebra()),
+    "rack of the S3 dialgebra": lambda: (hopf_dialgebra_rack, dialgebra_from_augmented(
+        augmented_conjugation(symmetric_group(3)))),
+}
+
+# (dim E, dim H) and the report's checked count of each decomposition
+SPLIT_SIZES = {"K[Z2]": ((1, 2), 22), "K[Z3]": ((1, 3), 42), "K[S3]": ((1, 6), 138),
+               "Z2 augmented dialgebra": ((2, 2), 60),
+               "S3 augmented dialgebra": ((6, 6), 2988)}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_set_built_splittings_take_the_set_path_and_agree(both_paths, name):
+    check, obj = SPLIT_INPUTS[name]()
+    got, generic, chosen = both_paths(check, obj)
+    assert chosen[-1] is True
+    assert got == generic
+    assert got[0] is True
+    if name in SPLIT_SIZES:
+        assert (got[1], got[-1][1]) == SPLIT_SIZES[name]
+
+
+def _split_census(both_paths, check, obj, tables):
+    fired = collections.Counter()
+    for table, key, bad in _replacements(obj, tables):
+        got, generic, chosen = both_paths(check, bad)
+        assert chosen[-1] is True, (table, key)
+        assert got == generic, (table, key)
+        fired[got[1] if got[0] in (AV, "DecompositionFailure") else "passed"] += 1
+    return fired
+
+
+# The identities every single-entry label replacement of a certified
+# structure reaches, on both paths; "passed" counts the ones that split.
+SPLIT_CENSUSES = {
+    ("decomposition", "z2"): (
+        lambda: (structure_decomposition, _certified_z2_dialgebra(),
+                 ("vdash", "dashv", "antipode")),
+        {"generalized bar-unit (-|)": 15, "generalized bar-unit (|-)": 24,
+         "generalized idempotent (-|)": 8, "hopf part antipode closure": 1,
+         "hopf part closure": 2, "hopf part products agree": 6, "hopf part projector": 4,
+         "idempotent antipode": 3, "idempotent projector": 12, "projection merges products": 12,
+         "projection multiplicative": 9, "psi antipode": 1, "psi left inverse": 2,
+         "psi multiplicative (-|)": 3, "psi multiplicative (|-)": 6}),
+    ("decomposition", "z3"): (
+        lambda: (structure_decomposition, _certified_group_dialgebra(3),
+                 ("vdash", "dashv", "antipode")),
+        {"generalized bar-unit (-|)": 4, "generalized bar-unit (|-)": 6,
+         "generalized idempotent (-|)": 4, "hopf part antipode closure": 4,
+         "hopf part products agree": 16, "idempotent projector": 8}),
+    ("suschkewitsch", "right z2"): (
+        lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p"), ("mul", "antipode")),
+        {"generalized idempotent": 8, "generalized unit": 15, "hopf part antipode closure": 1,
+         "hopf part closure": 2, "hopf part projector": 4, "idempotent antipode": 3,
+         "idempotent projector": 12, "projection multiplicative": 9, "psi antipode": 1,
+         "psi left inverse": 2, "psi multiplicative": 3}),
+    ("suschkewitsch", "left z2"): (
+        lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p", side="left"),
+                 ("mul", "antipode")),
+        {"generalized idempotent": 8, "generalized unit": 15, "hopf part antipode closure": 1,
+         "hopf part closure": 2, "hopf part projector": 4, "idempotent antipode": 3,
+         "idempotent projector": 12, "projection multiplicative": 9, "psi antipode": 1,
+         "psi left inverse": 2, "psi multiplicative": 3}),
+    # the rack certifies on a copy still marked certified, so some replacements pass
+    ("rack", "z2"): (
+        lambda: (hopf_dialgebra_rack, _certified_z2_dialgebra(), ("vdash", "dashv")),
+        {"left unit": 18, "module algebra (-|)": 5, "module algebra (|-)": 1,
+         "module identity (-|)": 29, "module identity (|-)": 1, "passed": 24,
+         "unit absorption": 12, "unit square": 6}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CENSUSES))
+def test_every_single_label_replacement_splits_alike_on_both_paths(both_paths, name):
+    build, census = SPLIT_CENSUSES[name]
+    assert _split_census(both_paths, *build()) == census
+
+
+def test_every_two_entry_label_replacement_of_the_z2_dialgebra_splits_alike(both_paths):
+    # "associativity ideal" is never reached on label maps: the identities
+    # before it imply it there (see structure_decomposition)
+    d = _certified_z2_dialgebra()
+    singles = [(table, key, getattr(bad, table)[key])
+               for table, key, bad in _replacements(d, ("vdash", "dashv"))]
+    fired = collections.Counter()
+    for (t1, k1, v1), (t2, k2, v2) in itertools.combinations(singles, 2):
+        if (t1, k1) == (t2, k2):
+            continue
+        tables = {"vdash": dict(d.vdash), "dashv": dict(d.dashv)}
+        tables[t1][k1] = v1
+        tables[t2][k2] = v2
+        got, generic, chosen = both_paths(structure_decomposition,
+                                          dataclasses.replace(d, **tables))
+        assert chosen == [True] and got == generic, (k1, k2)
+        fired[got[1]] += 1
+    assert fired == {
+        "generalized bar-unit (-|)": 1143, "generalized bar-unit (|-)": 828,
+        "generalized idempotent (-|)": 310, "hopf part antipode closure": 2,
+        "hopf part closure": 124, "hopf part products agree": 117, "hopf part projector": 255,
+        "idempotent antipode": 84, "idempotent projector": 714, "projection merges products": 120,
+        "projection multiplicative": 501, "psi left inverse": 104, "psi multiplicative (-|)": 147,
+        "psi multiplicative (|-)": 15}
+
+
+DECOMPOSITION_SOURCES = {"z2": _certified_z2_dialgebra,
+                         "z3": lambda: _certified_group_dialgebra(3),
+                         "sq2": lambda: universal_dialgebra(load("sq2"), 2)}
+
+
+AUGMENTED = test_right_hopf_dialg.TestAugmentedDialgebra
+
+
+def _parametrized(test):
+    """The argument values of the parametrize mark of ``test``."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return mark.args[1]
+
+
+@pytest.mark.parametrize(
+    "case", _parametrized(AUGMENTED.test_perturbed_entry_fails_decomposition))
+def test_pinned_decomposition_perturbations_agree_on_both_paths(both_paths, case):
+    # a one-label replacement of a group-like dialgebra takes the set path; an
+    # emptied entry and the capped universal dialgebra of sq2 do not
+    source, table, key, value, identity, witness = case
+    d = DECOMPOSITION_SOURCES[source]()
+    changed = dict(getattr(d, table))
+    changed[key] = FinVec.build(d.basis, {lab: Fraction(c) for lab, c in value.items()})
+    got, generic, chosen = both_paths(structure_decomposition,
+                                      dataclasses.replace(d, **{table: changed}))
+    assert got == generic
+    assert got[:3] == ("DecompositionFailure", identity, witness)
+    assert chosen == [source != "sq2" and len(value) == 1]
+
+
+@pytest.mark.parametrize("source,table,census", _parametrized(
+    AUGMENTED.test_every_single_entry_perturbation_fails_decomposition))
+def test_census_perturbations_take_the_set_path_on_label_maps(monkeypatch, source, table,
+                                                              census):
+    d = DECOMPOSITION_SOURCES[source]()
+    chosen = []
+    select = rack_bialg._label_maps
+    monkeypatch.setattr(right_hopf_dialg, "_label_maps",
+                        lambda *args: chosen.append(select(*args) is not None) or select(*args))
+    fired = perturbation_census(d, (table,), structure_decomposition, certified=True,
+                                stored=source == "sq2")
+    assert fired == census
+    assert chosen == [source != "sq2"] * sum(census.values())
+
+
+def _decomposition_with(table, value):
+    d = _certified_group_dialgebra(3)
+    if table == "antipode":
+        return structure_decomposition, dataclasses.replace(
+            d, antipode=_changed_map(d.antipode, "r1", value))
+    return structure_decomposition, dataclasses.replace(
+        d, **{table: _changed(getattr(d, table), ("r1", "r1"), value, d.basis)})
+
+
+def _splitting_with(table, key, value):
+    h = right_group_hopf(cyclic_group(2), "pq", "p")
+    return suschkewitsch, dataclasses.replace(h, **{table: _changed_map(getattr(h, table), key,
+                                                                          value)})
+
+
+# The outcome each near miss gave before the set path of the splitting existed.
+DF = "DecompositionFailure"
+SPLIT_NEAR_MISSES = {
+    "coefficient 2 in |-": (lambda: _decomposition_with("vdash", {"r2": 2}),
+                            (DF, "hopf part products agree", (1, 1))),
+    "two labels in |-": (lambda: _decomposition_with("vdash", {"r2": 1, "r0": 1}),
+                         (DF, "hopf part products agree", (1, 1))),
+    "coefficient 2 in -|": (lambda: _decomposition_with("dashv", {"r2": 2}),
+                            (DF, "hopf part products agree", (1, 1))),
+    "two labels in -|": (lambda: _decomposition_with("dashv", {"r2": 1, "r0": 1}),
+                         (DF, "hopf part products agree", (1, 1))),
+    "antipode of two labels": (lambda: _decomposition_with("antipode", {"r2": 1, "r0": 1}),
+                               (DF, "idempotent projector", "r1")),
+    "antipode with coefficient 2": (lambda: _decomposition_with("antipode", {"r2": 2}),
+                                    (DF, "psi left inverse", "r1")),
+    "coefficient 2 in a one-sided product": (
+        lambda: _splitting_with("mul", (("r1", "p"), ("r1", "q")), {("r1", "q"): 2}),
+        (DF, "idempotent projector", ("r1", "q"))),
+    "one-sided antipode of two labels": (
+        lambda: _splitting_with("antipode", ("r1", "q"), {("r1", "p"): 1, ("r0", "p"): 1}),
+        (DF, "idempotent projector", ("r1", "q"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_NEAR_MISSES))
+def test_near_miss_splittings_take_the_generic_path(both_paths, name):
+    build, before = SPLIT_NEAR_MISSES[name]
+    got, generic, chosen = both_paths(*build())
+    assert True not in chosen
+    assert got == generic
+    assert _summary(got) == before
+
+
+def test_the_set_path_splits_k_s3_without_table_reads(monkeypatch):
+    d = _certified_group_dialgebra(6)
+    read = exact_core._read
+    calls = []
+    monkeypatch.setattr(exact_core, "_read", lambda *args: calls.append(1) or read(*args))
+    dec = structure_decomposition(d)
+    assert dec.report.checked == 138
+    assert calls == []

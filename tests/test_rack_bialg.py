@@ -256,6 +256,20 @@ def test_certify_augmented_names_action_comultiplicativity(uar_sq2):
     assert (exc.value.axiom, exc.value.witness) == ("action comultiplicativity", ((1,), (1,)))
 
 
+@pytest.mark.parametrize("build,checked", [
+    # K[S3] acts on itself: the carrier is the Hopf coalgebra, checked once
+    (lambda: augmented_conjugation(symmetric_group(3)), ["K[S3]"]),
+    (lambda: uar_infinity(load("sq2"), 1), ["S(sq2)<=1", "U(sq2-mod-z)<=2"]),
+])
+def test_certify_augmented_checks_each_coalgebra_once(monkeypatch, build, checked):
+    seen = []
+    check = rack_bialg.check_coalgebra
+    monkeypatch.setattr(rack_bialg, "check_coalgebra",
+                        lambda c: seen.append(c.basis.name) or check(c))
+    assert build().certified
+    assert seen == checked
+
+
 @pytest.mark.parametrize("build", [lambda: uar_infinity(load("sq2"), 1),
                                    lambda: augmented_conjugation(symmetric_group(3))])
 def test_action_table_is_the_action_on_unit_vectors(build):

@@ -1210,6 +1210,8 @@ VECTOR_PRODUCTS = {"bilinear", "vprod", "dprod", "FinVec.unit"}
     (right_hopf_dialg, "structure_decomposition", "psi multiplicative (|-)"),
     (rack_bialg, "certify_augmented", "action associativity"),
     (rack_bialg, "certify_augmented", "left regularity"),
+    (right_hopf_dialg, "_split", "projection multiplicative"),
+    (right_hopf_dialg, "_split", "psi multiplicative"),
 ])
 def test_label_product_loops_read_stored_columns(module, function, axiom):
     # the generic loop and, on a certifier with a set path, the label-map loop

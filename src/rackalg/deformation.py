@@ -25,6 +25,20 @@ faces to d_{n+1}; all of them are verified on the solved cochain bases as
 exact matrix identities, never assumed.  Coderivation spaces are kernels of
 exact sparse linear systems, so every dimension and rank below is exact.
 
+At n = 2 the five terms of d w (a, b, c), in the order d_{1,1}, d_{1,0},
+d_{2,1}, d_{2,0}, d_3, are
+
+    a |> w(b, c) - w(a1 |> b, a2 |> c) - (a1 |> b) |> w(a2, c)
+        + w(a, b |> c) - w(a1, b) |> (a2 |> c),
+
+term by term the hbar-coefficient of the self-distributivity defect
+a |> (b |> c) - (a1 |> b) |> (a2 |> c) of mu + hbar*w over the dual numbers:
+the hbar^0 terms cancel because mu is self-distributive, and each hbar^1 term
+puts w in one slot.  Nothing here asks w to be a coderivation, so the identity
+holds for every map w: R (x) R -> R, linearly in its (dim R)^3 unknowns.  Z^2
+is therefore the kernel of the coderivation rows of C^2 together with the rows
+of d, one elimination with no C^3, and :func:`h2` reads it so.
+
 Each public call builds one ``_Faces``, which owns the tensor powers and mu^n
 of each degree, built once.  Faces, the extra face, d and the coderivation
 condition are read on label tuples: each column is one coefficient dict filled
@@ -62,7 +76,7 @@ from rackalg.exact_core import (
     _require_degree,
     label_times,
     nullspace,
-    rank,
+    rank_of,
     same_entries,
     tensor_basis,
 )
@@ -242,6 +256,48 @@ class _Faces:
 
         return self._build(n + 1, fill)
 
+    def d2_rows(self) -> dict[int, Row]:
+        """d on every map w: R (x) R -> R, as sparse rows over the unknowns of
+        ``_space(self, 2)``: the row keyed by the unknown ((a, b, c), o) of a
+        degree-3 map (see ``_unknowns``) is the o-coefficient of the five terms
+        of d w (a, b, c) in the module docstring.  Rows that vanish are left out."""
+        labels = self.basis.labels
+        dim = len(labels)
+        at = {l: p for p, l in enumerate(labels)}
+        # the first unknown of w(x, y): w(x, y) at output l is off[x, y] + at[l]
+        off = {t: j * dim for j, t in enumerate(self.power(2).labels)}
+        entry, mu3 = self.table.entry, self.mu(3)
+        rows: dict[int, Row] = {}
+        for k, (a, b, c) in enumerate(self.power(3).labels):
+            # d_{1,0} and d_{2,0}: w(x, y) at output o, the same for every o
+            same: list[tuple[int, Coeff]] = [(off[a, x], cx) for x, cx in entry(b, c).items()]
+            # d_{1,1} and d_{2,1} as (first unknown of w(y, c), vector v, weight),
+            # each w * v |> w(y, c); then d_3, per output o
+            lefts = [(off[b, c], {a: ONE}, ONE)]
+            outs: dict[Label, list[tuple[int, Coeff]]] = {}
+            for a1, a2, w in self.legs(a):
+                ab = entry(a1, b)
+                lefts.append((off[a2, c], ab, -w))
+                for x, cx in ab.items():
+                    for y, cy in entry(a2, c).items():
+                        same.append((off[x, y], -w * cx * cy))
+                first = off[a1, b]
+                for l in labels:
+                    for o, v in _entries(mu3, (l, a2, c)).items():
+                        outs.setdefault(o, []).append((first + at[l], -w * v))
+            for first, vec, w in lefts:
+                for m, cm in vec.items():
+                    for l in labels:
+                        for o, v in entry(m, l).items():
+                            outs.setdefault(o, []).append((first + at[l], w * cm * v))
+            for o in labels:
+                row: Row = {}
+                _accumulate(row, ONE, outs.get(o, ()))
+                _accumulate(row, ONE, ((j + at[o], cj) for j, cj in same))
+                if row:
+                    rows[k * dim + at[o]] = row
+        return rows
+
     def deformed(self, omega: FinMap) -> PairTable:
         """mu + hbar*omega on label pairs over Q[hbar]/hbar^2, one series
         column per pair."""
@@ -280,7 +336,10 @@ def coderivation_report(rb: RackBialgebra, n: int, omega: FinMap) -> CheckReport
     return _report(_Faces(rb), n, omega)
 
 
-def _space(faces: _Faces, n: int) -> list[Cochain]:
+def _coderivation_rows(faces: _Faces, n: int) -> tuple[list[Row], int]:
+    """The coderivation condition on a map R^(x)n -> R as sparse rows over its
+    (dim R)^n * dim R unknowns (numbered as in ``_unknowns``), and that count;
+    refused past the budget before any row is built."""
     basis = faces.basis
     dom = faces.power(n)
     unknowns = dom.dim * basis.dim
@@ -289,7 +348,7 @@ def _space(faces: _Faces, n: int) -> list[Cochain]:
     mu, delta = faces.mu(n), faces.rb.carrier.delta
     var = {(t, l): j * basis.dim + p
            for j, t in enumerate(dom.labels) for p, l in enumerate(basis.labels)}
-    rows: list[dict[int, Rational]] = []
+    rows: list[Row] = []
     for t in dom.labels:
         # the terms of each row, keyed by the label pair of R (x) R it reads
         terms: dict[tuple[Label, Label], list[tuple[int, Rational]]] = {}
@@ -305,12 +364,18 @@ def _space(faces: _Faces, n: int) -> list[Cochain]:
                 for l in basis.labels:
                     terms.setdefault((m, l), []).append((var[rt, l], -w * mc))
         for items in terms.values():
-            row: dict[int, Rational] = {}
+            row: Row = {}
             _accumulate(row, ONE, items)
             if row:
                 rows.append(row)
+    return rows, unknowns
+
+
+def _space(faces: _Faces, n: int) -> list[Cochain]:
+    basis = faces.basis
+    dom = faces.power(n)
     out = []
-    for combo in nullspace(rows, unknowns):
+    for combo in nullspace(*_coderivation_rows(faces, n)):
         cols: dict[Label, dict[Label, Rational]] = {}
         for idx, val in combo.items():
             cols.setdefault(dom.labels[idx // basis.dim], {})[basis.labels[idx % basis.dim]] = val
@@ -353,9 +418,6 @@ class DeformationComplex:
     max_degree: int
     spaces: tuple[tuple[Cochain, ...], ...]
     differentials: tuple[FinMap, ...]
-
-    def dim(self, n: int) -> int:
-        return len(self.spaces[n - 1])
 
 
 def _complex(faces: _Faces, max_degree: int) -> tuple[DeformationComplex, list[FinMap]]:
@@ -444,10 +506,30 @@ def verify_complex(rb: RackBialgebra, max_n: int = 2) -> CheckReport:
 
 
 def h2(rb: RackBialgebra) -> dict[str, int]:
-    """Exact dimensions of 2-cocycles, 2-coboundaries, and H^2."""
-    cx = deformation_complex(rb, 2)
-    b2, rank2 = (rank(d) for d in cx.differentials)
-    z2 = cx.dim(2) - rank2
+    """Exact dimensions of 2-cocycles, 2-coboundaries, and H^2.
+
+    For every map w: R (x) R -> R, coderivation or not, d w (a, b, c) is
+
+        a |> w(b, c) - w(a1 |> b, a2 |> c) - (a1 |> b) |> w(a2, c)
+            + w(a, b |> c) - w(a1, b) |> (a2 |> c),
+
+    the hbar-coefficient of the self-distributivity defect of mu + hbar*w (see
+    the module docstring), linear in the (dim R)^3 unknowns of w.  So Z^2, the
+    coderivations that d sends to zero, is the kernel of the coderivation rows
+    of C^2 together with the rows of d (``_Faces.d2_rows``): one elimination,
+    and no C^3.  B^2 is the rank of the coordinates of d f in that Z^2 basis,
+    over the solved basis of C^1; a d f outside Z^2 is refused.
+    """
+    faces = _Faces(rb)
+    rows, unknowns = _coderivation_rows(faces, 2)
+    cocycles = nullspace(rows + list(faces.d2_rows().values()), unknowns)
+    coords = []
+    for f in _space(faces, 1):
+        image = _kernel_coordinates(cocycles, _unknowns(faces, faces.differential(f.map)))
+        if image is None:
+            raise RackalgError("coboundary left the solved cocycle space")
+        coords.append({j: c for j, c in enumerate(image) if c})
+    z2, b2 = len(cocycles), rank_of(coords, len(cocycles))
     return {"z2": z2, "b2": b2, "h2": z2 - b2}
 
 
@@ -480,7 +562,9 @@ def infinitesimal_selfdist(rb: RackBialgebra, mu1: Cochain | FinMap) -> CheckRep
     """Self-distributivity of mu + hbar*mu1 over the dual numbers, exact in hbar.
 
     Passing is equivalent to d(mu1) = 0: the hbar coefficient of the defect is
-    exactly the five-term cocycle combination, read as in :func:`certify`.
+    exactly the five-term cocycle combination of the module docstring, for
+    every map mu1, read as in :func:`certify`.  :func:`h2` solves the same
+    combination as rows (``_Faces.d2_rows``).
     """
     omega = mu1.map if isinstance(mu1, Cochain) else mu1
     t = _Faces(rb).deformed(omega)

@@ -522,8 +522,9 @@ def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
     eps = c.eps_of
     eps_lab = {lab: c.counit.get(lab, ZERO) for lab in basis.labels}
     units = {lab: FinVec.unit(basis, lab) for lab in basis.labels}
-    pairs = [(la, lb) for la, lb in itertools.product(labels, repeat=2)
-             if r.fits(r.degree(la) + r.degree(lb))]
+    pairs = list(itertools.product(labels, repeat=2))
+    if r.cap is not None:
+        pairs = [(la, lb) for la, lb in pairs if r.fits(r.degree(la) + r.degree(lb))]
     checked = 0
     # labels beyond the cap, and the pairs beyond it in the two pair loops
     skipped = basis.dim - len(labels) + 2 * (len(labels) ** 2 - len(pairs))

@@ -23,8 +23,9 @@ from rackalg.errors import SchemaError
 from rackalg.exact_core import FinMap, FinVec, kernel_basis
 from rackalg.fixtures import load
 from rackalg.groups import symmetric_group
-from rackalg.rack_bialg import conjugation_rack, rack_group_algebra, ur
+from rackalg.rack_bialg import conjugation_rack, rack_group_algebra, trivial, uar_infinity, ur
 from rackalg.star_product import monomial_function, psi_function, star
+from rackalg.symcoalg import symmetric_coalgebra
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +66,30 @@ def complex_heis3(ur_heis3):
 ])
 def test_h2_dimensions(name, want):
     assert h2(ur(load(name))) == want
+
+
+def _truncated_trivial(h):
+    return trivial(symmetric_coalgebra(h.basis, 2))
+
+
+def _uar2(h):
+    return uar_infinity(h, 2).rack
+
+
+@pytest.mark.parametrize("build,name,want", [
+    (ur, "sl2", (6, 6, 0)),
+    (ur, "nonlie3", (14, 5, 9)),
+    (_truncated_trivial, "lie2", (60, 0, 60)),
+    (_uar2, "lie2", (8, 8, 0)),
+    # 10-dim carriers: C^3 would need 10^4 unknowns, past the default budget
+    (_truncated_trivial, "heis3", (270, 0, 270)),
+    (_uar2, "heis3", (59, 18, 41)),
+    (_uar2, "sl2", (24, 24, 0)),
+], ids=["ur-sl2", "ur-nonlie3", "trivial-lie2", "uar2-lie2", "trivial-heis3", "uar2-heis3",
+        "uar2-sl2"])
+def test_h2_needs_no_third_cochain_space(build, name, want, monkeypatch):
+    monkeypatch.delenv("RACKALG_MAX_UNKNOWNS", raising=False)
+    assert h2(build(load(name))) == dict(zip(("z2", "b2", "h2"), want))
 
 
 def test_h2_of_the_s3_conjugation_rack_algebra_vanishes():

@@ -1,6 +1,7 @@
-"""Faces of the deformation complex against the vector formulas, the failure
-paths of the degree-n checks, and a guard that keeps the label-tuple readers
-free of per-term vectors.
+"""Faces of the deformation complex against the vector formulas, the rows of
+d on C^2 against d and the dual-number defect, the failure paths of the
+degree-n checks and of h2, and a guard that keeps the label-tuple readers free
+of per-term vectors.
 
 The oracle below evaluates d_{i,eps} and d_{n+1} as they are written in the
 module docstring: products over unit vectors (``rb.apply``) and the
@@ -11,6 +12,7 @@ import ast
 import hashlib
 import itertools
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,12 @@ from rackalg.deformation import (
     differential,
     equivalence_check,
     h2,
+    infinitesimal_selfdist,
     tensor_power,
     verify_complex,
 )
 from rackalg.errors import AxiomViolation, BudgetExceeded, RackalgError
-from rackalg.exact_core import FinMap, FinVec, linear_sum
+from rackalg.exact_core import FinMap, FinVec, linear_sum, nullspace
 from rackalg.fixtures import load
 from rackalg.groups import symmetric_group
 from rackalg.rack_bialg import conjugation_rack, rack_group_algebra, uar_infinity, ur
@@ -203,6 +206,68 @@ def test_the_cochain_spans_and_matrices_of_sq2_are_pinned(ur_sq2):
 
 
 # ---------------------------------------------------------------------------
+# the rows of d on C^2
+# ---------------------------------------------------------------------------
+
+
+def _apply(rows, unknowns):
+    out = {}
+    for key, row in rows.items():
+        v = sum(c * unknowns.get(j, 0) for j, c in row.items())
+        if v:
+            out[key] = v
+    return out
+
+
+def _map_of(faces, unknowns):
+    """The map R (x) R -> R that sets the given unknowns of ``_space(faces, 2)``."""
+    basis, dom = faces.basis, faces.power(2)
+    cols = {}
+    for j, c in unknowns.items():
+        cols.setdefault(dom.labels[j // basis.dim], []).append((basis.labels[j % basis.dim], c))
+    return FinMap(dom, basis, {t: FinVec.build(basis, items) for t, items in cols.items()})
+
+
+def _random_maps(faces, rows, rng):
+    """Three dense random maps, and two random combinations of the maps that the
+    rows of d annihilate."""
+    basis, dom = faces.basis, faces.power(2)
+    unknowns = dom.dim * basis.dim
+    maps = [_map_of(faces, {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for j in range(unknowns)}) for _ in range(3)]
+    closed = nullspace(list(rows.values()), unknowns)
+    for _ in range(2):
+        combo = {}
+        for vec in closed:
+            c = rng.choice((-2, -1, 1, 2))
+            for j, v in vec.items():
+                combo[j] = combo.get(j, 0) + c * v
+        maps.append(_map_of(faces, {j: v for j, v in combo.items() if v}))
+    return maps
+
+
+@pytest.mark.parametrize("name", ["abelian1", "sq2", "lie2", "heis3", "sl2", "nonlie3"])
+def test_the_rows_of_d_are_the_differential_and_the_selfdist_defect(name):
+    rb = ur(load(name))
+    faces = _Faces(rb)
+    rows = faces.d2_rows()
+    assert all(rows.values())
+    maps = [f.map for f in coderivation_space(rb, 2)]
+    maps += _random_maps(faces, rows, random.Random(name))
+    annihilated = 0
+    for omega in maps:
+        image = _apply(rows, deformation._unknowns(faces, omega))
+        assert image == deformation._unknowns(faces, faces.differential(omega))
+        assert infinitesimal_selfdist(rb, omega).passed == (not image)
+        annihilated += not image
+    assert 2 <= annihilated < len(maps)
+    # on sl2 every map that d annihilates is a coderivation; elsewhere the
+    # random ones are not
+    outside = [not coderivation_report(rb, 2, m).passed for m in maps[-5:]]
+    assert outside == [True] * 3 + [name != "sl2"] * 2
+
+
+# ---------------------------------------------------------------------------
 # failure paths
 # ---------------------------------------------------------------------------
 
@@ -253,6 +318,30 @@ def test_coderivation_space_refuses_before_elimination(ur_sq2, monkeypatch):
     monkeypatch.setenv("RACKALG_MAX_UNKNOWNS", "27")
     with pytest.raises(AssertionError, match="past the budget"):
         coderivation_space(ur_sq2, 2)
+
+
+def test_h2_refuses_before_elimination(ur_sq2, monkeypatch):
+    def no_elimination(rows, ncols):
+        raise AssertionError("eliminated past the budget")
+
+    monkeypatch.setattr(deformation, "nullspace", no_elimination)
+    monkeypatch.setenv("RACKALG_MAX_UNKNOWNS", "26")  # (dim R)^3 - 1
+    with pytest.raises(BudgetExceeded) as exc:
+        h2(ur_sq2)
+    assert (exc.value.what, exc.value.needed, exc.value.budget) == (
+        "coderivation unknowns", 27, 26)
+    monkeypatch.setenv("RACKALG_MAX_UNKNOWNS", "27")
+    with pytest.raises(AssertionError, match="past the budget"):
+        h2(ur_sq2)
+
+
+def test_a_coboundary_outside_the_cocycles_is_refused(ur_sq2, monkeypatch):
+    extra = next(f.map for f in coderivation_space(ur_sq2, 2)
+                 if not infinitesimal_selfdist(ur_sq2, f.map).passed)
+    d = _Faces.differential
+    monkeypatch.setattr(_Faces, "differential", lambda self, omega: d(self, omega) + extra)
+    with pytest.raises(RackalgError, match="coboundary left the solved cocycle space"):
+        h2(ur_sq2)
 
 
 # ---------------------------------------------------------------------------

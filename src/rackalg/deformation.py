@@ -91,7 +91,7 @@ def _max_unknowns() -> int:
     return int(os.environ.get("RACKALG_MAX_UNKNOWNS", "4096"))
 
 
-def tensor_power(basis: Basis, n: int) -> Basis:
+def _tensor_power(basis: Basis, n: int) -> Basis:
     if n < 1:
         raise SchemaError("tensor powers need n >= 1")
     return basis if n == 1 else tensor_basis(*([basis] * n))
@@ -152,7 +152,7 @@ class _Faces:
 
     def power(self, n: int) -> Basis:
         if n not in self._powers:
-            self._powers[n] = tensor_power(self.basis, n)
+            self._powers[n] = _tensor_power(self.basis, n)
         return self._powers[n]
 
     def mu(self, n: int) -> FinMap:
@@ -616,6 +616,5 @@ __all__ = [
     "infinitesimal_selfdist",
     "mu_n",
     "star_mu1",
-    "tensor_power",
     "verify_complex",
 ]

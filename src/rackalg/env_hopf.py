@@ -14,11 +14,10 @@ is shared with :mod:`rackalg.symcoalg`.  The antipode reverses words with a
 parity sign.
 
 :class:`HopfBackend` is the interface the rack and dialgebra constructions
-use for a cocommutative Hopf algebra.  :class:`EnvelopingHopf` implements it
-here and :class:`~rackalg.groups.GroupHopf` in :mod:`rackalg.groups`; no
-caller dispatches on the concrete type.  The Hopf axioms of a backend are
-certified as those of the Hopf dialgebra with |- = -| = its product, by
-:func:`rackalg.right_hopf_dialg.hopf_as_dialgebra`.
+use for a cocommutative Hopf algebra.  :class:`EnvelopingHopf` implements it,
+and so does :class:`HopfAlgebra`, the record of K[G] and of the one-sided
+Hopf algebras; no caller dispatches on the concrete type.  Every backend is
+certified by the record certifier of :mod:`rackalg.right_hopf_dialg`.
 
 The second half of the module is the adjoint machinery for a Leibniz algebra
 h with Lie quotient g = h/z: U(g) acts on the truncated S(h) by bracket
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Protocol, runtime_checkable
 
-from rackalg.errors import AxiomViolation, DegreeCapExceeded
+from rackalg.errors import AxiomViolation, DegreeCapExceeded, SchemaError
 from rackalg.exact_core import (
     ONE,
     Basis,
@@ -63,11 +62,15 @@ class HopfBackend(Protocol):
     ``table`` is the product on basis labels.  It holds the filtration
     degrees and the cap (``None`` when uncapped): ``table.degree`` and
     ``table.fits`` decide what lies under the cap, and reads of pairs beyond
-    it are refused.  ``adjoint(u, v)`` is ad_u(v) = sum u1 v S(u2).  The basis
-    and unit are the coalgebra's.
+    it are refused.  ``antipode`` is S; ``side`` is "two-sided", or "right"
+    or "left" for a one-sided record.  ``adjoint(u, v)`` is ad_u(v) =
+    sum u1 v S(u2).  The basis and unit are the coalgebra's.
     """
 
     coalgebra: Coalgebra
+    table: PairTable
+    antipode: FinMap
+    side: str = "two-sided"
 
     @property
     def basis(self) -> Basis:
@@ -77,11 +80,58 @@ class HopfBackend(Protocol):
     def unit(self) -> FinVec:
         return self.coalgebra.unit
 
-    @property
-    def table(self) -> PairTable: ...
     def product(self, a: FinVec, b: FinVec) -> FinVec: ...
-    def antipode_map(self) -> FinMap: ...
     def adjoint(self, u: FinVec, v: FinVec) -> FinVec: ...
+
+
+def _require_hopf(hopf: object, context: str) -> None:
+    """Refuse, with SchemaError, anything but a Hopf algebra: a one-sided
+    record, or an object that is no Hopf backend at all."""
+    if getattr(hopf, "side", None) != "two-sided":
+        raise SchemaError(f"{context} needs a Hopf algebra, not {type(hopf).__name__} "
+                          f"with side {getattr(hopf, 'side', None)!r}")
+
+
+@dataclass(frozen=True)
+class HopfAlgebra(HopfBackend):
+    """A cocommutative Hopf algebra (side "two-sided"), or a right or left
+    one (:mod:`rackalg.right_hopf_dialg`), as one record.  A side outside the
+    three, or a table or antipode over another basis, raises SchemaError.
+    ``certified`` is set only by
+    :func:`~rackalg.right_hopf_dialg.certify_one_sided`.
+    """
+
+    coalgebra: Coalgebra
+    table: PairTable
+    antipode: FinMap
+    side: str = "two-sided"
+    certified: bool = False
+
+    def __post_init__(self) -> None:
+        basis = self.coalgebra.basis
+        if self.side not in ("two-sided", "right", "left"):
+            raise SchemaError(f"side must be 'two-sided', 'right' or 'left', got {self.side!r}")
+        if self.table.basis != basis:
+            raise SchemaError(f"product table over {self.table.basis.name}, not {basis.name}")
+        if self.antipode.domain != basis or self.antipode.codomain != basis:
+            raise SchemaError("antipode must be an endomorphism of the carrier")
+
+    def product(self, a: FinVec, b: FinVec) -> FinVec:
+        return bilinear(self.table, a, b)
+
+    def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
+        """ad_u(v) = sum u1 v S(u2): u1 v read from the row of u1, then each
+        label of S(u2) from its column."""
+        if v.basis is not self.basis:
+            _require_basis(self.basis, v.basis)
+        t, s = self.table, self.antipode
+        out: dict[Label, Coeff] = {}
+        for lu, cu in u.entries.items():
+            for l1, l2, cw in self.coalgebra.legs(lu):
+                left = label_times(t, l1, v.entries)
+                for m, cm in s.column(l2).entries.items():
+                    times_label(t, left, m, out, cu * cw * cm)
+        return FinVec(self.basis, out)
 
 
 @dataclass(frozen=True)
@@ -137,7 +187,8 @@ class EnvelopingHopf(HopfBackend):
     def product(self, a: FinVec, b: FinVec) -> FinVec:
         return bilinear(self.table, a, b)
 
-    def antipode_map(self) -> FinMap:
+    @cached_property
+    def antipode(self) -> FinMap:
         """Words reverse with a parity sign; reversal then straightens."""
         return FinMap.from_function(
             self.basis, self.basis,
@@ -227,7 +278,7 @@ def module_action(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra,
     return linear_sum(sym.basis, ((act_word(word), cu) for word, cu in u.entries.items()))
 
 
-def symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
+def _symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
     """Average of all orderings of the word, straightened into U(g)."""
     k = len(word)
     if k == 0:
@@ -239,7 +290,8 @@ def symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
 
 def symmetrize(env: EnvelopingHopf, v: FinVec) -> FinVec:
     """Coalgebra isomorphism S(g) -> U(g) on the shared monomial labels."""
-    return linear_sum(env.basis, ((symmetrize_word(env, mono), c) for mono, c in v.entries.items()))
+    return linear_sum(env.basis, ((_symmetrize_word(env, mono), c)
+                                  for mono, c in v.entries.items()))
 
 
 def phi(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra, a: FinVec) -> FinVec:
@@ -251,7 +303,7 @@ def phi(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra, a: FinVec) -> FinVe
                 coeff = cm
                 for _, c in combo:
                     coeff = coeff * c
-                yield symmetrize_word(env, tuple(lab for lab, _ in combo)), coeff
+                yield _symmetrize_word(env, tuple(lab for lab, _ in combo)), coeff
 
     return linear_sum(env.basis, terms())
 
@@ -263,6 +315,6 @@ def phi_map(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra) -> FinMap:
 
 
 __all__ = [
-    "EnvelopingHopf", "HopfBackend", "derivation_action", "enveloping_hopf",
-    "module_action", "phi", "phi_map", "symmetrize", "symmetrize_word",
+    "EnvelopingHopf", "HopfAlgebra", "HopfBackend", "derivation_action", "enveloping_hopf",
+    "module_action", "phi", "phi_map", "symmetrize",
 ]

@@ -1,26 +1,23 @@
 """Finite groups and their group algebras.
 
 K[G] carries the group-like coalgebra, the multiplication table product and
-the inversion antipode.  :class:`GroupHopf` implements the
-:class:`~rackalg.env_hopf.HopfBackend` protocol: with the capped enveloping
-algebra it is one of the two Hopf backends the rack and dialgebra
-constructions run on.
+the inversion antipode.  :func:`group_hopf` builds it as a
+:class:`~rackalg.env_hopf.HopfAlgebra` record, the Hopf backend of every
+finite construction; the capped enveloping algebra is the other backend.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
-from rackalg.env_hopf import HopfBackend
+from rackalg.env_hopf import HopfAlgebra
 from rackalg.errors import AxiomViolation, SchemaError
-from rackalg.exact_core import Basis, FinMap, FinVec, Label, PairTable, bilinear, tensor_basis
+from rackalg.exact_core import Basis, FinMap, FinVec, Label, PairTable, tensor_basis
 from rackalg.symcoalg import Coalgebra
 
 __all__ = [
     "FiniteGroup",
-    "GroupHopf",
     "cyclic_group",
     "symmetric_group",
     "group_like_coalgebra",
@@ -128,43 +125,13 @@ def group_like_coalgebra(name: str, labels: tuple[Label, ...], unit_label: Label
     return Coalgebra(basis, delta, counit, FinVec.unit(basis, unit_label), square)
 
 
-@dataclass(frozen=True)
-class GroupHopf(HopfBackend):
-    """The group algebra K[G] with its Hopf structure.
-
-    Every element has degree 0 and there is no degree cap; group elements
-    act adjointly by conjugation.
-    """
-
-    group: FiniteGroup
-    coalgebra: Coalgebra
-
-    @cached_property
-    def table(self) -> PairTable:
-        """The multiplication table: x y on every pair of elements, all of
-        degree 0 and uncapped."""
-        basis = self.basis
-        return PairTable.build(basis, ((x, y, FinVec.unit(basis, self.group.mul(x, y)))
-                                       for x in basis.labels for y in basis.labels))
-
-    def product(self, a: FinVec, b: FinVec) -> FinVec:
-        return bilinear(self.table, a, b)
-
-    def adjoint(self, u: FinVec, v: FinVec) -> FinVec:
-        return FinVec.build(self.basis, ((self.group.conjugate(g, x), cu * cv)
-                                         for g, cu in u.entries.items()
-                                         for x, cv in v.entries.items()))
-
-    def mul_map(self) -> FinMap:
-        return FinMap.from_function(self.coalgebra.square, self.basis,
-                                    lambda xy: self.table.vector(*xy))
-
-    def antipode_map(self) -> FinMap:
-        return FinMap.from_function(
-            self.basis, self.basis,
-            lambda lab: FinVec.unit(self.basis, self.group.inverse(lab)))
-
-
-def group_hopf(g: FiniteGroup) -> GroupHopf:
-    labels = tuple(g.elements)
-    return GroupHopf(g, group_like_coalgebra(f"K[{g.name}]", labels, g.unit))
+def group_hopf(g: FiniteGroup) -> HopfAlgebra:
+    """K[G]: the multiplication table on the group-like labels, uncapped,
+    with the antipode x -> x^-1."""
+    c = group_like_coalgebra(f"K[{g.name}]", tuple(g.elements), g.unit)
+    basis = c.basis
+    table = PairTable.build(basis, ((x, y, FinVec.unit(basis, g.mul(x, y)))
+                                    for x in basis.labels for y in basis.labels))
+    antipode = FinMap.from_function(basis, basis,
+                                    lambda lab: FinVec.unit(basis, g.inverse(lab)))
+    return HopfAlgebra(c, table, antipode)

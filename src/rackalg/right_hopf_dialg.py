@@ -11,9 +11,11 @@ A *left Hopf algebra* is the mirror (right-unital, sum S(a1) a2 = eps(a) 1).
 Because the coproduct is cocommutative, a left Hopf algebra is a right Hopf
 algebra for its opposite product b a, with the same antipode; so every
 one-sided identity is written once, for a right antipode, and a left
-structure (a left Hopf algebra, or the half (A, -|, S) of a Hopf dialgebra)
-is checked through its opposite product, by the one function that checks
-a one-sided Hopf algebra and the two halves of a Hopf dialgebra alike.
+structure is checked through its opposite product.  One function checks
+the halves of a one-sided Hopf algebra, of a Hopf algebra (S a right
+antipode of the product and of its opposite) and of a Hopf dialgebra.  The
+first two are one record, :class:`~rackalg.env_hopf.HopfAlgebra`, whose
+``side`` chooses its halves for the one certifier :func:`_check_hopf`.
 
 Every right Hopf algebra splits (the Suschkewitsch splitting): the
 projector rho(a) = a 1 cuts out an honest Hopf algebra H1, the projector
@@ -27,14 +29,15 @@ the fixed-space description is the one used throughout.
 A *Hopf dialgebra* carries two associative products |- and -| sharing a
 bar-unit (1 |- a = a = a -| 1), balanced (a |- 1 = 1 -| a), compatible in
 the dialgebra sense, and an antipode making (A, |-) a right and (A, -|) a
-left Hopf algebra; a Hopf backend is certified as the case |- = -|
-(:func:`hopf_as_dialgebra`).  Such structures produce Leibniz brackets on
-primitives and rack products a |> b = sum (a1 |- b) -| S(a2).  Their
-decomposition A ~ E (x) H is the Suschkewitsch splitting of the left Hopf
-algebra (A, -|, S) plus the identities of |-.  The main source of examples
-is an augmented rack bialgebra: the carrier tensored with its Hopf algebra
-is a Hopf dialgebra, and applying this to the universal augmented structure
-of a Leibniz algebra yields its universal enveloping dialgebra.
+left Hopf algebra.  A Hopf algebra is the case |- = -|, certified as a
+two-sided record and then converted (:func:`hopf_as_dialgebra`).  Such
+structures produce Leibniz brackets on primitives and rack products
+a |> b = sum (a1 |- b) -| S(a2).  Their decomposition A ~ E (x) H is the
+Suschkewitsch splitting of the left Hopf algebra (A, -|, S) plus the
+identities of |-.  The main source of examples is an augmented rack
+bialgebra: the carrier tensored with its Hopf algebra is a Hopf dialgebra,
+and applying this to the universal augmented structure of a Leibniz algebra
+yields its universal enveloping dialgebra.
 
 Degree-capped instances store sparse product tables with explicit degree
 guards; identities whose evaluation would leave the cap are skipped and
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
-from rackalg.env_hopf import HopfBackend
+from rackalg.env_hopf import HopfAlgebra, HopfBackend, _require_hopf
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
@@ -81,7 +84,7 @@ from rackalg.exact_core import (
     tensor_sum,
     times_label,
 )
-from rackalg.groups import FiniteGroup, GroupHopf, group_like_coalgebra
+from rackalg.groups import FiniteGroup, group_like_coalgebra
 from rackalg.leibniz import LeibnizAlgebra, quotient_lie
 from rackalg.rack_bialg import (
     AugmentedRackBialgebra,
@@ -109,7 +112,6 @@ from rackalg.symcoalg import (
 __all__ = [
     "DialgebraDecomposition",
     "HopfDialgebra",
-    "RightHopfAlgebra",
     "SuschkewitschDecomposition",
     "augmented_idempotent_basis",
     "certify_dialgebra",
@@ -136,46 +138,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RightHopfAlgebra:
-    """Cocommutative bialgebra with a one-sided unit and one-sided antipode.
-
-    ``side`` is the side of the antipode identity: "right" means the algebra
-    is left-unital with sum a1 S(a2) = eps(a) 1; "left" is the mirror, and
-    is checked as the right Hopf algebra of the opposite product.  ``table``
-    is ``mul`` on label pairs, built from it on first read.
-    ``certified`` is set only by :func:`certify_one_sided`.
-    """
-
-    coalgebra: Coalgebra
-    mul: FinMap
-    antipode: FinMap
-    side: str = "right"
-    certified: bool = False
-
-    @property
-    def basis(self) -> Basis:
-        return self.coalgebra.basis
-
-    @property
-    def unit(self) -> FinVec:
-        return self.coalgebra.unit
-
-    @cached_property
-    def table(self) -> PairTable:
-        return PairTable.from_map(self.mul, self.basis, self.basis)
-
-    def product(self, a: FinVec, b: FinVec) -> FinVec:
-        return bilinear(self.table, a, b)
-
-    def _right_product(self) -> PairTable:
-        """The product the antipode is a right antipode for: la lb for side
-        "right", the opposite product lb la for side "left"."""
-        if self.side == "right":
-            return self.table
-        if self.side == "left":
-            return self.table.opposite()
-        raise SchemaError(f"antipode side must be 'right' or 'left', got {self.side!r}")
+def _right_product(t: PairTable, side: str) -> PairTable:
+    """The product S is a right antipode for: ``t`` for sides "right" and
+    "two-sided", the opposite product lb la for side "left"."""
+    return t.opposite() if side == "left" else t
 
 
 def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
@@ -231,32 +197,30 @@ def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
 
 
 def _check_halves(c: Coalgebra, s: FinMap,
-                  halves: Sequence[tuple[PairTable, PairTable, str, str, str]],
+                  halves: Sequence[tuple[PairTable, PairTable, str, str, str]], products: int,
                   sets: tuple[Mapping[Label, Label],
-                              Sequence[tuple[Mapping[tuple[Label, Label], Label],
-                                             Mapping[tuple[Label, Label], Label]]]] | None = None
+                              Sequence[Mapping[tuple[Label, Label], Label]]] | None = None
                   ) -> tuple[int, int, int]:
     """The label and pair identities of one-sided Hopf algebras on ``c`` with
-    the antipode ``s``: one of them, or the two halves of a Hopf dialgebra.
+    the antipode ``s``: the halves of a one-sided Hopf algebra, a Hopf
+    algebra or a Hopf dialgebra.
 
     A half (t, r, unit, defining, tag) has the product ``t`` and the product
-    ``r`` (``t`` or its opposite) that S is a right antipode for.  Per label:
-    each half's r(1, a) = a (``unit``), "balanced" (the halves agree on
-    r(a, 1)), S a coalgebra map, each half's :func:`_check_right_antipode`
-    and S(S(S(a))) = S(a).  Per label pair: each half's comultiplicativity
-    and counit, then each half's S(ab) = S(b) S(a).  Per-half names end in
-    ``tag``.  A product that two halves share (a Hopf algebra seen as a
-    dialgebra) has its pair identities checked once, under the first half's
-    names: they read only ``t``, so the second half would repeat them.  The
-    label identities stay per half: the unit law and the antipode identities
-    of r and of its opposite are different identities on one product.
-    "balanced" is checked only between two products: on a shared product
-    t, the two unit laws at a, t(1, a) = a and (the opposite's) t(a, 1) = a,
-    checked just before it, already give t(a, 1) = a = t(1, a).
-    Returns the number of labels and pairs checked, then of labels and of
-    pairs skipped beyond the cap of the first table.
+    ``r`` (``t`` or its opposite) that S is a right antipode for; the first
+    ``products`` halves have distinct products (a Hopf algebra has one, its
+    halves S a right antipode of t and of its opposite).  Per label: each
+    half's r(1, a) = a (``unit``), "balanced" (the halves of distinct
+    products agree on r(a, 1)), S a coalgebra map, each half's
+    :func:`_check_right_antipode` and S(S(S(a))) = S(a).  Per label pair:
+    each distinct product's comultiplicativity and counit, then its
+    S(ab) = S(b) S(a).  Per-half names end in ``tag``.  The pair identities
+    read only t, so each product is checked once; "balanced" on one product
+    t is given by the two unit laws at a, t(1, a) = a and t(a, 1) = a,
+    checked just before it.  Returns the number of labels and pairs
+    checked, then of labels and of pairs skipped beyond the cap of the
+    first table.
 
-    ``sets`` is S and, per half, t and r as label maps
+    ``sets`` is S and, per half, t as label maps
     (:func:`~rackalg.rack_bialg._label_maps`); then the same identities are
     read on labels, and by its lemma S is a coalgebra map and each product
     comultiplicative and counital without being computed.  Label maps are
@@ -265,16 +229,19 @@ def _check_halves(c: Coalgebra, s: FinMap,
     basis = c.basis
     one = c.unit
     capped = halves[0][0]
-    products = halves[:1] if halves[-1][0] is capped else halves
+    distinct = halves[:products]
     checked = skipped_labels = skipped_pairs = 0
     if sets is not None:
-        sm, half_maps = sets
+        sm, t_maps = sets
+        # r as a label map: t's own, or t's read backwards for the opposite
+        half_maps = [(tm, tm if r is t else {(lb, la): x for (la, lb), x in tm.items()})
+                     for tm, (t, r, *_) in zip(t_maps, halves)]
         (u,) = one.entries
         for lab in basis.labels:
             for (_, _, unit, _, _), (_, rm) in zip(halves, half_maps):
                 if rm[u, lab] != lab:
                     raise _violation(basis, unit, lab, {rm[u, lab]: ONE}, {lab: ONE})
-            for _, (_, rm) in zip(products[1:], half_maps[1:]):
+            for _, rm in half_maps[1:products]:
                 lhs, rhs = half_maps[0][1][lab, u], rm[lab, u]
                 if lhs != rhs:
                     raise _violation(basis, "balanced", lab, {lhs: ONE}, {rhs: ONE})
@@ -285,7 +252,7 @@ def _check_halves(c: Coalgebra, s: FinMap,
                                  {sm[lab]: ONE})
             checked += 1
         for la, lb in itertools.product(basis.labels, repeat=2):
-            for (tm, _), (_, _, _, _, tag) in zip(half_maps, products):
+            for (tm, _), (_, _, _, _, tag) in zip(half_maps, distinct):
                 lhs, rhs = sm[tm[la, lb]], tm[sm[lb], sm[la]]
                 if lhs != rhs:
                     raise _violation(basis, f"antipode antihomomorphism{tag}", (la, lb),
@@ -301,7 +268,7 @@ def _check_halves(c: Coalgebra, s: FinMap,
             got = FinVec(basis, times_label(r, one.entries, lab))
             if got != a:
                 raise AxiomViolation(unit, lab, got, a)
-        for _, r, *_ in products[1:]:
+        for _, r, *_ in distinct[1:]:
             lhs = FinVec(basis, label_times(halves[0][1], lab, one.entries))
             rhs = FinVec(basis, label_times(r, lab, one.entries))
             if lhs != rhs:
@@ -318,10 +285,10 @@ def _check_halves(c: Coalgebra, s: FinMap,
         if not capped.fits(capped.degree(la) + capped.degree(lb)):
             skipped_pairs += 1
             continue
-        for t, _, _, _, tag in products:
+        for t, _, _, _, tag in distinct:
             check_multiplicative(c, t, ((la, lb),), f"product comultiplicativity{tag}",
                                  f"product counit{tag}")
-        for t, _, _, _, tag in products:
+        for t, _, _, _, tag in distinct:
             lhs = s(t.vector(la, lb))
             rhs = bilinear(t, s.column(lb), s.column(la))
             if lhs != rhs:
@@ -330,52 +297,123 @@ def _check_halves(c: Coalgebra, s: FinMap,
     return checked, skipped_labels, skipped_pairs
 
 
-def certify_one_sided(h: RightHopfAlgebra) -> RightHopfAlgebra:
-    """Full axiom suite for a one-sided Hopf algebra.
+def _refuse_beyond_cap(tables: Sequence[tuple[str, PairTable]], s: FinMap) -> None:
+    """Refuse, with SchemaError, a stored entry of the (name, table)
+    ``tables`` or a column of S beyond the cap of the first table, where no
+    read would check it."""
+    t = tables[0][1]
+    if t.cap is None:
+        return
+    for name, table in tables:
+        for la, row in table.rows.items():
+            for lb in row:
+                if not t.fits(t.degree(la) + t.degree(lb)):
+                    raise SchemaError(f"{name} table entry ({la!r}, {lb!r}) beyond the cap")
+    for lab in s.columns:
+        if not t.fits(t.degree(lab)):
+            raise SchemaError(f"antipode column {lab!r} beyond the cap")
 
-    Checks the carrier coalgebra, cocommutativity, associativity, S(1) = 1,
-    and then, through :func:`_check_halves`, the one-sided unit law, that the
-    antipode is a coalgebra endomorphism, the defining convolution identity
-    and its standard consequences (the flipped convolution against the unit,
-    the convolution square, the double and triple antipode formulas, unit
-    absorption), multiplicativity of the coproduct and counit, and
-    antimultiplicativity.  A left algebra is checked through its opposite
-    product, which cocommutativity (checked first) makes a right Hopf
-    algebra.  1 1 = 1 is not checked apart: it is the one-sided unit law at
-    the labels of 1, summed with the coefficients of 1.
+
+def _check_associative(basis: Basis, t: PairTable, axiom: str,
+                       m: Mapping[tuple[Label, Label], Label] | None) -> tuple[int, int]:
+    """(ab)c = a(bc) on every label triple under the cap of ``t`` (on the
+    label map ``m`` of t when given), raised as ``axiom``; ab is read once per
+    (a, b), bc from the row of b.  Returns the triples checked and skipped."""
+    labs = basis.labels
+    if m is not None:
+        for la, lb, lc in itertools.product(labs, repeat=3):
+            lhs, rhs = m[m[la, lb], lc], m[la, m[lb, lc]]
+            if lhs != rhs:
+                raise _violation(basis, axiom, (la, lb, lc), {lhs: ONE}, {rhs: ONE})
+        return len(labs) ** 3, 0
+    deg = {lab: t.degree(lab) for lab in labs}
+    checked = skipped = 0
+    for la in labs:
+        for lb in labs:
+            d_ab = deg[la] + deg[lb]
+            if not t.fits(d_ab):
+                skipped += len(labs)
+                continue
+            ab = t.entry(la, lb)
+            row = t.rows.get(lb, _NO_ENTRIES)
+            for lc in labs:
+                if not t.fits(d_ab + deg[lc]):
+                    skipped += 1
+                    continue
+                lhs = times_label(t, ab, lc)
+                rhs = label_times(t, la, row.get(lc, _NO_ENTRIES))
+                if not same_entries(lhs, rhs):
+                    raise _violation(basis, axiom, (la, lb, lc), lhs, rhs)
+                checked += 1
+    return checked, skipped
+
+
+def _check_hopf(h: HopfBackend) -> CheckReport:
+    """The one certifier of a Hopf record of any side, or of a Hopf backend
+    (side "two-sided"); returns the report or raises the first failure.
+
+    After the carrier coalgebra and its cocommutativity, the side chooses
+    the halves of :func:`_check_halves`, each checked once, and
+    associativity is checked once per label triple.  Side "right" has one
+    half: 1 a = a ("one-sided unit") and S a right antipode ("defining
+    antipode"); side "left" has it for the opposite product, which
+    cocommutativity makes a right Hopf algebra.  "associativity" and
+    S(1) = 1 ("antipode unit") come first; 1 1 = 1 is the unit law at 1.
+    Side "two-sided" is the Hopf dialgebra with |- = -| = the product, under
+    its names: the halves (A, |-, S) and (A, -|, S), then "associativity
+    (|-)".  Its other triple identities would read that one again, and
+    S(1) = 1 is 1 |- S(1) = 1, the right antipode identity at 1, by the left
+    bar-unit law; so the report and the first failure are those of
+    :func:`certify_dialgebra` on the product as two tables.  Identities
+    beyond the cap are skipped and counted; a linearised set structure is
+    read on its label maps (:func:`~rackalg.rack_bialg._label_maps`).
     """
-    if h.side not in ("right", "left"):
-        raise SchemaError(f"antipode side must be 'right' or 'left', got {h.side!r}")
     c = h.coalgebra
     basis = c.basis
-    if h.mul.domain != c.square or h.mul.codomain != basis:
-        raise SchemaError("product must map the tensor square to the carrier")
-    if h.antipode.domain != basis or h.antipode.codomain != basis:
-        raise SchemaError("antipode must be an endomorphism of the carrier")
+    t, s = h.table, h.antipode
+    _refuse_beyond_cap((("product", t),), s)
     check_coalgebra(c)
     check_cocommutative(c)
+    sets = _label_maps((c,), lambda: (((t, basis),), (s,)))
+    m, sm = (None, None) if sets is None else (sets[0][0], sets[1][0])
+    if h.side == "two-sided":
+        halves = ((t, t, "bar-unit left", "right antipode for |-", " (|-)"),
+                  (t, t.opposite(), "bar-unit right", "left antipode for -|", " (-|)"))
+        checked, skipped_labels, skipped_pairs = _check_halves(
+            c, s, halves, 1, None if m is None else (sm, (m, m)))
+        triples, skipped_triples = _check_associative(basis, t, "associativity (|-)", m)
+    else:
+        triples, skipped_triples = _check_associative(basis, t, "associativity", m)
+        if s(c.unit) != c.unit:
+            raise AxiomViolation("antipode unit", "1", s(c.unit), c.unit)
+        half = (t, _right_product(t, h.side), "one-sided unit", "defining antipode", "")
+        checked, skipped_labels, skipped_pairs = _check_halves(
+            c, s, (half,), 1, None if m is None else (sm, (m,)))
+    return CheckReport(
+        True, checked + triples,
+        detail=(f"labels skipped={skipped_labels}, pairs skipped={skipped_pairs}, "
+                f"triples skipped={skipped_triples}"))
 
-    t = h.table
-    for la, lb, lc in itertools.product(basis.labels, repeat=3):
-        lhs = times_label(t, t.entry(la, lb), lc)
-        rhs = label_times(t, la, t.entry(lb, lc))
-        if not same_entries(lhs, rhs):
-            raise _violation(basis, "associativity", (la, lb, lc), lhs, rhs)
-    one = c.unit
-    s = h.antipode
-    if s(one) != one:
-        raise AxiomViolation("antipode unit", "1", s(one), one)
-    _check_halves(c, s, ((t, h._right_product(), "one-sided unit", "defining antipode", ""),))
+
+def certify_one_sided(h: HopfAlgebra) -> HopfAlgebra:
+    """Full axiom suite for a one-sided Hopf algebra, by :func:`_check_hopf`;
+    returns a certified copy.  A record of side "two-sided" (certified by
+    :func:`hopf_as_dialgebra`) or with a capped table raises SchemaError.
+    """
+    if h.side == "two-sided":
+        raise SchemaError("certify_one_sided needs side 'right' or 'left', got 'two-sided'")
+    if h.table.cap is not None:
+        raise SchemaError("a one-sided Hopf algebra has an uncapped table")
+    _check_hopf(h)
     return _certified(h)
 
 
-def from_group_hopf(gh: GroupHopf, side: str = "right") -> RightHopfAlgebra:
+def from_group_hopf(gh: HopfAlgebra, side: str = "right") -> HopfAlgebra:
     """K[G] viewed one-sidedly; a genuine Hopf algebra satisfies both sides."""
-    return certify_one_sided(
-        RightHopfAlgebra(gh.coalgebra, gh.mul_map(), gh.antipode_map(), side))
+    return certify_one_sided(dataclasses.replace(gh, side=side))
 
 
-def trivial_one_sided_hopf(c: Coalgebra, side: str = "right") -> RightHopfAlgebra:
+def trivial_one_sided_hopf(c: Coalgebra, side: str = "right") -> HopfAlgebra:
     """The one-sidedly trivial product on a cocommutative coalgebra.
 
     Side "right" takes a b = eps(a) b with S = 1 eps; every element is then
@@ -383,21 +421,19 @@ def trivial_one_sided_hopf(c: Coalgebra, side: str = "right") -> RightHopfAlgebr
     Side "left" is the mirror a b = eps(b) a.
     """
     basis = c.basis
-    counit = c.counit
 
-    def col(la: Label, lb: Label) -> Mapping[Label, Rational]:
+    def column(la: Label, lb: Label) -> tuple[Label, Label, FinVec]:
         kept, other = (lb, la) if side == "right" else (la, lb)
-        e = counit.get(other, ZERO)
-        return {kept: e} if e else {}
+        return la, lb, FinVec.build(basis, {kept: c.counit.get(other, ZERO)})
 
-    mul = FinMap.from_pairs(basis, basis, c.square, basis, col)
+    table = PairTable.build(basis, (column(la, lb) for la in basis.labels for lb in basis.labels))
     s = FinMap.from_function(basis, basis,
                              lambda lab: c.unit.scale(c.counit.get(lab, ZERO)))
-    return certify_one_sided(RightHopfAlgebra(c, mul, s, side))
+    return certify_one_sided(HopfAlgebra(c, table, s, side))
 
 
 def right_group_hopf(group: FiniteGroup, points: Sequence[str], base: str,
-                     side: str = "right") -> RightHopfAlgebra:
+                     side: str = "right") -> HopfAlgebra:
     """The algebra of a right group G x E on pair labels (g, x).
 
     The product (g, x)(h, y) = (gh, y) keeps the point of the right factor
@@ -414,11 +450,12 @@ def right_group_hopf(group: FiniteGroup, points: Sequence[str], base: str,
     labels = tuple((g, x) for g in group.elements for x in points)
     c = group_like_coalgebra(f"K[{group.name}xE{len(points)}]", labels, (group.unit, base))
     basis = c.basis
-    mul = FinMap.from_pairs(basis, basis, c.square, basis, lambda gx, ky: {
-        (group.mul(gx[0], ky[0]), ky[1] if side == "right" else gx[1]): 1})
+    table = PairTable.build(basis, (
+        (gx, ky, FinVec.unit(basis, (group.mul(gx[0], ky[0]), ky[1] if side == "right" else gx[1])))
+        for gx in labels for ky in labels))
     s = FinMap.from_function(
         basis, basis, lambda lab: FinVec.unit(basis, (group.inverse(lab[0]), base)))
-    return certify_one_sided(RightHopfAlgebra(c, mul, s, side))
+    return certify_one_sided(HopfAlgebra(c, table, s, side))
 
 
 def _iota_column(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
@@ -433,19 +470,19 @@ def _rho_column(c: Coalgebra, r: PairTable, lab: Label) -> FinVec:
     return FinVec(c.basis, label_times(r, lab, c.unit.entries))
 
 
-def idempotent_projector(h: RightHopfAlgebra) -> FinMap:
+def idempotent_projector(h: HopfAlgebra) -> FinMap:
     """iota(a) = sum S(a1) a2 (side right) or sum a1 S(a2) (side left), with
     image E: both are sum S(a1) a2 in the product the antipode is a right
     antipode for, as the coproduct is cocommutative."""
-    r = h._right_product()
+    r = _right_product(h.table, h.side)
     return FinMap.from_function(h.basis, h.basis, lambda lab: _iota_column(
         h.coalgebra, r, h.antipode.column, lab))
 
 
-def hopf_part_projector(h: RightHopfAlgebra) -> FinMap:
+def hopf_part_projector(h: HopfAlgebra) -> FinMap:
     """rho(a) = a 1 (side right) or 1 a (side left), with image H1: both are
     a 1 in the product the antipode is a right antipode for."""
-    r = h._right_product()
+    r = _right_product(h.table, h.side)
     return FinMap.from_function(h.basis, h.basis, lambda lab: _rho_column(h.coalgebra, r, lab))
 
 
@@ -703,18 +740,19 @@ class SuschkewitschDecomposition:
     """H ~ H1 (x) E: the Hopf part, the generalized units, and the splitting.
 
     A left Hopf algebra is split as the right Hopf algebra of its opposite
-    product.  ``psi_inv`` is the multiplication map; for side "right" the
-    Hopf leg of ``psi`` comes first, for side "left" the idempotent leg does.
+    product.  ``psi_inv`` is the product table, the inverse of Psi by
+    multiplication; for side "right" the Hopf leg of ``psi`` comes first,
+    for side "left" the idempotent leg does.
     """
 
-    hopf: RightHopfAlgebra
+    hopf: HopfAlgebra
     hopf_part: tuple[FinVec, ...]
     idempotent_part: tuple[FinVec, ...]
     psi: FinMap
-    psi_inv: FinMap
+    psi_inv: PairTable
 
 
-def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
+def suschkewitsch(h: HopfAlgebra) -> SuschkewitschDecomposition:
     """Split a one-sided Hopf algebra into its Hopf part and its
     generalized units, verifying every structural identity on the way.
 
@@ -722,16 +760,25 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
     antipode for (a b for side "right", b a for side "left"), so a witness
     pair (a, b) names a b for a left algebra and b a for a right one; Psi,
     built idempotent leg first, is flipped for side "right".  On top of it
-    iota is a coalgebra map, S is an antipode on H1 on the other side too
-    (iota(u) = eps(u) 1), and Psi does not depend on the order of the
-    coproduct legs.  The rest of "S is two-sided on H1 with unit 1" is not
-    checked again: the algebra's own side is the defining identity
-    :func:`certify_one_sided` checked on every label, and u 1 = u in r is
-    rho(u) = u, true on the image of rho once :func:`_split` checked
-    rho(rho(a)) = rho(a) on every label.  The splitting takes the set path
-    of :func:`_split` when the product and the antipode are label maps
-    (:func:`~rackalg.rack_bialg._label_maps`); the checks on top of it are
-    read generically on its maps.  Raises
+    S is an antipode on H1 on the other side too (iota(u) = eps(u) 1).  The
+    rest of "S is two-sided on H1 with unit 1" is not checked again: the
+    algebra's own side is the defining identity :func:`certify_one_sided`
+    checked on every label, and u 1 = u in r is rho(u) = u, true on the
+    image of rho once :func:`_split` checked rho(rho(a)) = rho(a) on every
+    label.  Two more identities are implied by what the certifier checked
+    on the uncapped table of a certified algebra, and are not checked:
+
+    - iota = r o (S (x) id) o Delta is a coalgebra map.  Delta is one on a
+      coassociative, cocommutative carrier; S (x) id is one as S is a
+      coalgebra map; r is one as it is comultiplicative and counital on
+      every label pair; and coalgebra maps compose.
+    - Psi(a) = sum iota(a1) (x) rho(a2) = sum S(a1) a2 (x) a3 1 does not
+      depend on the order of the legs a1, a2, a3: on a coassociative,
+      cocommutative carrier the iterated coproduct is symmetric in them.
+
+    The splitting takes the set path of :func:`_split` when the product and
+    the antipode are label maps (:func:`~rackalg.rack_bialg._label_maps`);
+    the check on top of it is read on the unit vectors of H1.  Raises
     :class:`DecompositionFailure` with the first failing identity and its
     witness: a basis label or label pair, an index into the basis of E or
     H1 (or a pair of them), or for a whole-space identity its name ("fixed
@@ -741,36 +788,27 @@ def suschkewitsch(h: RightHopfAlgebra) -> SuschkewitschDecomposition:
         raise RackalgError("suschkewitsch needs a certified one-sided Hopf algebra")
     c = h.coalgebra
     basis = c.basis
-    square = c.square
-    one = c.unit
     s = h.antipode
-    rprod = h._right_product()
+    rprod = _right_product(h.table, h.side)
     eps = c.eps_of
 
     maps = _label_maps((c,), lambda: (((rprod, basis),), (s,)))
     sp = _split(c, rprod, s.column, basis.labels, "generalized unit", "",
                 None if maps is None else (maps[0][0], maps[1][0]))
-    check_coalgebra_map(c, c, sp.iota.column, basis.labels, "idempotent",
-                        DecompositionFailure)
     # S is an antipode on the other side too: iota(u) = eps(u) 1 on H1
     other = "left" if h.side == "right" else "right"
     for i, uv in enumerate(sp.h):
         got = sp.iota(uv)
-        if got != one.scale(eps(uv)):
-            raise DecompositionFailure(f"hopf part {other} antipode", i, got, one.scale(eps(uv)))
-    for lab in basis.labels:
-        # Psi(a) = sum S(a1) a2 (x) a3 1, here with the first two legs swapped
-        got = tensor_sum(square, ((FinVec(basis, times_label(rprod, s.column(l2).entries, l1)),
-                                   sp.rho.column(l3), cw)
-                                  for l1, l2, l3, cw in c.sweedler3(FinVec.unit(basis, lab))))
-        if got != sp.psi.column(lab):
-            raise DecompositionFailure("coproduct ordering", lab, sp.psi.column(lab), got)
+        if got != c.unit.scale(eps(uv)):
+            raise DecompositionFailure(f"hopf part {other} antipode", i, got,
+                                       c.unit.scale(eps(uv)))
 
     psi = sp.psi
     if h.side == "right":
+        square = c.square
         psi = FinMap.from_function(basis, square, lambda lab: FinVec.build(square, (
             (merge_labels(basis, l2, l1), cw) for l1, l2, cw in sp.psi_legs[lab])))
-    return SuschkewitschDecomposition(h, tuple(sp.h), tuple(sp.e), psi, h.mul)
+    return SuschkewitschDecomposition(h, tuple(sp.h), tuple(sp.e), psi, h.table)
 
 
 # ---------------------------------------------------------------------------
@@ -791,9 +829,9 @@ class HopfDialgebra:
     ``degrees`` and ``cap`` and own them from then on, so every capped check
     asks ``vdash_table.degree`` and ``vdash_table.fits``.  When ``vdash`` and
     ``dashv`` are one mapping (a Hopf algebra with |- = -|), one table is
-    built and is both ``vdash_table`` and ``dashv_table``; a read beyond its
-    cap names the product "|- = -|".  :func:`certify_dialgebra` then skips
-    the identities that compare the two products or repeat one of them.
+    stored as both ``vdash_table`` and ``dashv_table``; a read beyond its
+    cap names the product "|- = -|".  That is storage only: every identity
+    of both products is still checked.
     """
 
     coalgebra: Coalgebra
@@ -871,18 +909,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     so under a cap an entry with a term beyond its degree raises
     :class:`DegreeCapExceeded`; in the triple loop ab is read once per (a, b).
 
-    When |- and -| are one table (``dashv_table is vdash_table``, as
-    :func:`hopf_as_dialgebra` builds them), each identity instance is checked
-    once.  :func:`_check_halves` checks the pair identities of the one
-    product once, and the triple loop checks only "associativity (|-)": with
-    a |- b and a -| b the same dict, "left products agree" and "right
-    products agree" compare a computation with itself, and "associativity
-    (-|)" and "inner associativity" are "associativity (|-)" read again from
-    the same rows and columns.  The label identities stay for both halves,
-    and ``checked`` still counts each label, pair and triple once, so the
-    report is that of the two equal tables.  A replaced or corrupted product
-    is a second table and takes the two-table path.
-
     A linearised set structure (the group algebra of a finite group, or the
     dialgebra of an augmented finite rack) is checked as a set: when every
     carrier label is group-like, the unit is a label and the uncapped
@@ -900,29 +926,18 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
         raise SchemaError("antipode must be an endomorphism of the carrier")
     vt, dt = d.vdash_table, d.dashv_table
     deg = {lab: vt.degree(lab) for lab in basis.labels}
-    # a table refuses reads beyond its cap; a stored entry there is refused here
-    if vt.cap is not None:
-        for name, t in (("|-", vt), ("-|", dt)):
-            for la, row in t.rows.items():
-                for lb in row:
-                    if not vt.fits(deg[la] + deg[lb]):
-                        raise SchemaError(f"{name} table entry ({la!r}, {lb!r}) beyond the cap")
-    for lab in d.antipode.columns:
-        if not vt.fits(vt.degree(lab)):
-            raise SchemaError(f"antipode column {lab!r} beyond the cap")
+    _refuse_beyond_cap((("|-", vt), ("-|", dt)), d.antipode)
     check_coalgebra(c)
     check_cocommutative(c)
 
     labs = basis.labels
-    shared = dt is vt
     # S is a left antipode for -|: a right antipode for the opposite product
     halves = ((vt, vt, "bar-unit left", "right antipode for |-", " (|-)"),
               (dt, dt.opposite(), "bar-unit right", "left antipode for -|", " (-|)"))
-    sets = _label_maps((c,), lambda: (((vt, basis),) if shared else ((vt, basis), (dt, basis)),
-                                      (d.antipode,)))
+    sets = _label_maps((c,), lambda: (((vt, basis), (dt, basis)), (d.antipode,)))
     skipped_triples = 0
     if sets is None:
-        checked, skipped_labels, skipped_pairs = _check_halves(c, d.antipode, halves)
+        checked, skipped_labels, skipped_pairs = _check_halves(c, d.antipode, halves, 2)
         # b c is read from the rows of b: within the cap, as a b c fits
         for la in labs:
             for lb in labs:
@@ -944,8 +959,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
                     if not same_entries(lhs, rhs):
                         raise _violation(basis, "associativity (|-)", (la, lb, lc), lhs, rhs)
                     checked += 1
-                    if shared:
-                        continue
                     bc_d = row_d.get(lc, _NO_ENTRIES)
                     got = times_label(vt, ab_d, lc)
                     if not same_entries(got, lhs):
@@ -962,11 +975,9 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
                     if not same_entries(lhs, rhs):
                         raise _violation(basis, "inner associativity", (la, lb, lc), lhs, rhs)
     else:
-        (mv, *others), (sm,) = sets
-        md = others[0] if others else mv
-        md_op = {(lb, la): x for (la, lb), x in md.items()}
+        (mv, md), (sm,) = sets
         checked, skipped_labels, skipped_pairs = _check_halves(
-            c, d.antipode, halves, (sm, ((mv, mv), (md, md_op))))
+            c, d.antipode, halves, 2, (sm, (mv, md)))
         for la in labs:
             for lb in labs:
                 ab_v, ab_d = mv[la, lb], md[la, lb]
@@ -977,8 +988,6 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
                         raise _violation(basis, "associativity (|-)", (la, lb, lc), {lhs: ONE},
                                          {rhs: ONE})
                     checked += 1
-                    if shared:
-                        continue
                     bc_d = md[lb, lc]
                     for axiom, got, want in (
                             ("left products agree", mv[ab_d, lc], lhs),
@@ -996,28 +1005,25 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
 
 
 def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
-    """A cocommutative Hopf algebra as the dialgebra with |- = -| = product,
-    tabulated on every label pair whose degrees fit the cap; certifying it
-    checks the Hopf axioms of the backend on basis labels.
+    """A cocommutative Hopf algebra, certified, as the Hopf dialgebra with
+    |- = -| = its product.
 
-    Both products are the one dict, so the dialgebra has one table and
-    :func:`certify_dialgebra` checks each identity once: the pair identities
-    and associativity of the product, and the unit law and the antipode
-    identity on each side.  Comparing the two products, and associativity
-    of -| and the mixed one, would repeat associativity of |-.
-
-    The group algebra of a finite group has group-like labels and a one-label
-    product and antipode, so :func:`certify_dialgebra` checks it as a set:
-    by the lemma of :func:`~rackalg.rack_bialg._label_maps` each identity is
-    the group identity on labels, and the coalgebra map identities hold
-    without being computed.  An envelope is capped and is checked generically."""
-    if not isinstance(hopf, HopfBackend):
-        raise SchemaError(f"{type(hopf).__name__} is not a Hopf backend")
-    # a Hopf table stores the pairs under its cap only
+    The backend is certified once, as a record of side "two-sided", by
+    :func:`_check_hopf`, whose report and first failure are those of
+    :func:`certify_dialgebra` on the same product as two tables.  The
+    dialgebra then has one dict, the pairs under the cap, as both products,
+    and carries the backend's table as both of its tables.  Anything but a
+    Hopf algebra (a one-sided record, an object that is no Hopf backend) is
+    refused with SchemaError."""
+    _require_hopf(hopf, "hopf_as_dialgebra")
+    report = _check_hopf(hopf)
     t = hopf.table
     table = {(x, y): FinVec(hopf.basis, v) for x in t.rows for y, v in t.rows[x].items()}
-    return certify_dialgebra(HopfDialgebra(
-        hopf.coalgebra, table, table, hopf.antipode_map(), t.degrees, t.cap))
+    d = HopfDialgebra(hopf.coalgebra, table, table, hopf.antipode, t.degrees, t.cap,
+                      certified=True, report=report)
+    shared = dataclasses.replace(t, context="product |- = -|")
+    d.__dict__.update(vdash_table=shared, dashv_table=shared)
+    return d
 
 
 def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
@@ -1043,7 +1049,7 @@ def dialgebra_from_augmented(arb: AugmentedRackBialgebra) -> HopfDialgebra:
     phi_full = {(bl, hl): FinVec(hc.basis, times_label(hopf_t, arb.phi.column(bl).entries, hl))
                 for bl, hl in basis.labels if hopf_t.fits(degrees.get((bl, hl), 0))}
 
-    s_hopf = hopf.antipode_map()
+    s_hopf = hopf.antipode
     vdash: dict[tuple[Label, Label], FinVec] = {}
     dashv: dict[tuple[Label, Label], FinVec] = {}
     for x in basis.labels:
@@ -1269,11 +1275,9 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     labs = basis.labels
     vt, dt = d.vdash_table, d.dashv_table
     fit_labels = [lab for lab in labs if vt.fits(vt.degree(lab))]
-    sets = _label_maps((c,), lambda: (((vt, basis),) if dt is vt else ((vt, basis), (dt, basis)),
-                                      (d.antipode,)))
+    sets = _label_maps((c,), lambda: (((vt, basis), (dt, basis)), (d.antipode,)))
     if sets is not None:
-        (mv, *others), (sm,) = sets
-        md = others[0] if others else mv
+        (mv, md), (sm,) = sets
     sp = _split(c, dt.opposite(), d.s_label, fit_labels, "generalized bar-unit", " (-|)",
                 None if sets is None else ({(b, a): x for (a, b), x in md.items()}, sm))
     e_basis, h_basis = sp.e, sp.h
@@ -1415,7 +1419,7 @@ def augmented_idempotent_basis(arb: AugmentedRackBialgebra) -> list[FinVec]:
     hopf = arb.hopf
     hc = hopf.coalgebra
     carrier = tensor_coalgebra(bc, hc)
-    s_hopf = hopf.antipode_map()
+    s_hopf = hopf.antipode
     return [tensor_sum(carrier.basis, ((FinVec.unit(bc.basis, b1), s_hopf(arb.phi.column(b2)), cw)
                                        for b1, b2, cw in bc.legs(bl)))
             for bl in bc.basis.labels]

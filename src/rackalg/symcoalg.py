@@ -388,7 +388,7 @@ def tensor_coalgebra(left: Coalgebra, right: Coalgebra, name: str | None = None)
     return Coalgebra(basis, delta, counit, left.unit.tensor(right.unit, basis), square)
 
 
-def sym_monomials(source: Basis, max_degree: int) -> tuple[tuple[Label, ...], ...]:
+def _sym_monomials(source: Basis, max_degree: int) -> tuple[tuple[Label, ...], ...]:
     """Monomial labels of S(V) up to the cap: sorted tuples in basis order."""
     out: list[tuple[Label, ...]] = []
     for k in range(max_degree + 1):
@@ -415,7 +415,7 @@ def symmetric_coalgebra(source: Basis, cap: int, name: str | None = None) -> Coa
     subcoalgebra.  The empty monomial () is the coaugmentation.
     """
     _require_degree(cap, "symmetric degree cap")
-    basis = Basis(name or f"S({source.name})<={cap}", sym_monomials(source, cap))
+    basis = Basis(name or f"S({source.name})<={cap}", _sym_monomials(source, cap))
     square = tensor_basis(basis, basis)
 
     def delta_col(mono: Label) -> FinVec:
@@ -443,5 +443,5 @@ __all__ = [
     "check_multiplicative", "coalgebra_filtration", "filtration_order",
     "is_cocommutative", "is_connected", "is_group_like", "primitives",
     "reduced_delta_map", "restrict_coalgebra", "sort_monomial",
-    "sym_monomials", "symmetric_coalgebra", "tensor_coalgebra",
+    "symmetric_coalgebra", "tensor_coalgebra",
 ]

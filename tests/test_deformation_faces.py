@@ -27,7 +27,7 @@ from rackalg.deformation import (
     equivalence_check,
     h2,
     infinitesimal_selfdist,
-    tensor_power,
+    _tensor_power,
     verify_complex,
 )
 from rackalg.errors import AxiomViolation, BudgetExceeded, RackalgError
@@ -102,7 +102,7 @@ class VectorFaces:
         return linear_sum(omega.codomain, terms)
 
     def _map(self, n, col):
-        return FinMap.from_function(tensor_power(self.basis, n + 1), self.basis,
+        return FinMap.from_function(_tensor_power(self.basis, n + 1), self.basis,
                                     lambda t: col(tuple(t)))
 
     def face(self, omega, n, i, eps):
@@ -158,13 +158,13 @@ def test_faces_match_the_vector_formulas_on_basis_cochains(name, n, ur_sq2, ur_l
 
 
 def _elementary_maps(rb, n):
-    dom = tensor_power(rb.basis, n)
+    dom = _tensor_power(rb.basis, n)
     return [FinMap(dom, rb.basis, {t: FinVec.unit(rb.basis, l)})
             for t in dom.labels for l in rb.basis.labels]
 
 
 def _dense_map(rb, n):
-    dom = tensor_power(rb.basis, n)
+    dom = _tensor_power(rb.basis, n)
     return FinMap(dom, rb.basis, {t: FinVec.build(rb.basis, (
         (l, Fraction(1 + (j * 7 + p * 3) % 5, 1 + p)) for p, l in enumerate(rb.basis.labels)))
         for j, t in enumerate(dom.labels)})
@@ -296,7 +296,7 @@ def test_a_changed_cochain_entry_fails_every_degree_n_check(ur_sq2, n, t):
 def test_an_image_outside_the_solved_space_is_refused(ur_sq2, monkeypatch):
     t = ((1,), (2,))
     basis = ur_sq2.basis
-    extra = FinMap(tensor_power(basis, 2), basis, {t: FinVec.unit(basis, ())})
+    extra = FinMap(_tensor_power(basis, 2), basis, {t: FinVec.unit(basis, ())})
     assert not coderivation_report(ur_sq2, 2, extra).passed
     d = _Faces.differential
     monkeypatch.setattr(_Faces, "differential", lambda self, omega: d(self, omega) + extra)
@@ -373,7 +373,7 @@ def test_every_public_call_builds_one_faces(ur_sq2, monkeypatch, call):
     assert len(built) == 1
 
 
-VECTOR_READS = {"FinVec.unit", "apply", "_lift", "tensor_power", "_eval_multi"}
+VECTOR_READS = {"FinVec.unit", "apply", "_lift", "_tensor_power", "_eval_multi"}
 
 
 def _calls_by_owner(tree):
@@ -408,16 +408,16 @@ def test_faces_and_dual_number_checks_build_no_vectors_per_term():
     assert len(guarded) > 10
     assert {name: calls[name] & VECTOR_READS for name in guarded} == {
         name: set() for name in guarded}
-    assert "tensor_power" in calls["_Faces.power"]
+    assert "_tensor_power" in calls["_Faces.power"]
 
 
 def test_the_vector_read_guard_sees_nested_calls():
     snippet = ("class _Faces:\n"
                " def f(self, rb):\n"
                "  def g(v): return rb.apply(v, FinVec.unit(b, l))\n"
-               "  return tensor_power(b, 2)\n"
+               "  return _tensor_power(b, 2)\n"
                "def equivalence_check(v):\n"
                " return _lift(v, 2)\n")
     calls = _calls_by_owner(ast.parse(snippet))
-    assert calls["_Faces.f"] & VECTOR_READS == {"apply", "FinVec.unit", "tensor_power"}
+    assert calls["_Faces.f"] & VECTOR_READS == {"apply", "FinVec.unit", "_tensor_power"}
     assert calls["equivalence_check"] & VECTOR_READS == {"_lift"}

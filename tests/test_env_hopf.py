@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import rackalg
 from oracles import convolution_inverse, sym_product_map, tensor_product_map, truncating_mul_map
-from rackalg.errors import AxiomViolation, DegreeCapExceeded
+from rackalg.errors import AxiomViolation, DegreeCapExceeded, SchemaError
 from rackalg.exact_core import FinMap, FinVec
 from rackalg.env_hopf import (
     HopfBackend,
@@ -27,12 +27,12 @@ from rackalg.env_hopf import (
     phi,
     phi_map,
     symmetrize,
-    symmetrize_word,
+    _symmetrize_word,
 )
 from rackalg.fixtures import load
-from rackalg.groups import group_hopf, symmetric_group
+from rackalg.groups import cyclic_group, group_hopf, symmetric_group
 from rackalg.leibniz import quotient_lie
-from rackalg.right_hopf_dialg import certify_dialgebra, hopf_as_dialgebra
+from rackalg.right_hopf_dialg import certify_dialgebra, hopf_as_dialgebra, right_group_hopf
 from rackalg.symcoalg import (
     check_coalgebra,
     is_cocommutative,
@@ -136,12 +136,12 @@ def test_enveloping_rejects_non_lie_input():
 def test_antipode_is_convolution_inverse_of_identity(env_sl2):
     inv = convolution_inverse(env_sl2.coalgebra, truncating_mul_map(env_sl2),
                               env_sl2.unit, FinMap.identity(env_sl2.basis))
-    assert inv == env_sl2.antipode_map()
+    assert inv == env_sl2.antipode
 
 
 def test_antipode_frozen_value(env_sl2):
     # S(ef) = fe = ef - h
-    s = env_sl2.antipode_map()(FinVec.unit(env_sl2.basis, (1, 2)))
+    s = env_sl2.antipode(FinVec.unit(env_sl2.basis, (1, 2)))
     assert dict(s.entries) == {(1, 2): F(1), (3,): F(-1)}
 
 
@@ -159,16 +159,16 @@ def test_check_hopf_catches_wrong_antipode(env_sl2):
 
 def test_symmetrize_frozen_value():
     env = enveloping_hopf(load("lie2"), 3)
-    assert dict(symmetrize_word(env, (1, 2)).entries) == {(1, 2): F(1), (2,): F(-1, 2)}
-    assert dict(symmetrize_word(env, (2, 1)).entries) == {(1, 2): F(1), (2,): F(-1, 2)}
-    assert symmetrize_word(env, ()) == env.unit
+    assert dict(_symmetrize_word(env, (1, 2)).entries) == {(1, 2): F(1), (2,): F(-1, 2)}
+    assert dict(_symmetrize_word(env, (2, 1)).entries) == {(1, 2): F(1), (2,): F(-1, 2)}
+    assert _symmetrize_word(env, ()) == env.unit
 
 
 def test_symmetrize_is_coalgebra_morphism(env_sl2):
     # Delta_U o omega = (omega (x) omega) o Delta_S on S(g)
     sym_g = symmetric_coalgebra(env_sl2.lie.basis, env_sl2.cap)
     omega = FinMap.from_function(sym_g.basis, env_sl2.basis,
-                                 lambda m: symmetrize_word(env_sl2, m))
+                                 lambda m: _symmetrize_word(env_sl2, m))
     lhs = env_sl2.coalgebra.delta.compose(omega)
     rhs = tensor_product_map(omega, omega).compose(sym_g.delta)
     assert lhs == rhs
@@ -187,7 +187,7 @@ def test_symmetrize_is_adjoint_equivariant(env_sl2):
                 continue
             acted = derivation_action(g, sym_g, x, FinVec.unit(sym_g.basis, mono))
             lhs = symmetrize(env, acted)
-            om = symmetrize_word(env, mono)
+            om = _symmetrize_word(env, mono)
             rhs = env.product(xu, om) - env.product(om, xu)
             assert lhs == rhs
 
@@ -291,7 +291,7 @@ def _backend_type_checks(tree):
                 and node.func.id == "isinstance" and len(node.args) == 2):
             names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
-            if names & {"GroupHopf", "EnvelopingHopf"}:
+            if names & {"HopfAlgebra", "EnvelopingHopf"}:
                 found.append(node.lineno)
     return found
 
@@ -302,7 +302,23 @@ def test_hopf_backends_are_used_through_the_protocol():
         tree = ast.parse(path.read_text(), str(path))
         found += [f"{path.name}:{line}" for line in _backend_type_checks(tree)]
     assert found == []
-    assert _backend_type_checks(ast.parse("isinstance(h, (GroupHopf, m.EnvelopingHopf))"))
+    assert _backend_type_checks(ast.parse("isinstance(h, (HopfAlgebra, m.EnvelopingHopf))"))
     assert isinstance(group_hopf(symmetric_group(3)), HopfBackend)
+    assert isinstance(right_group_hopf(symmetric_group(3), "pq", "p", "left"), HopfBackend)
     assert isinstance(enveloping_hopf(load("heis3"), 3), HopfBackend)
     assert not isinstance(object(), HopfBackend)
+
+
+@pytest.mark.parametrize("side", ["middle", "Left", "", None])
+def test_the_record_refuses_an_unknown_side(side):
+    with pytest.raises(SchemaError):
+        dataclasses.replace(group_hopf(symmetric_group(3)), side=side)
+
+
+def test_the_record_refuses_a_table_or_antipode_over_another_basis():
+    # K[Z6] has as many labels as K[S3], but its table and antipode are not on K[S3]
+    ks3, kz6 = group_hopf(symmetric_group(3)), group_hopf(cyclic_group(6))
+    with pytest.raises(SchemaError):
+        dataclasses.replace(ks3, table=kz6.table)
+    with pytest.raises(SchemaError):
+        dataclasses.replace(ks3, antipode=kz6.antipode)

@@ -124,7 +124,7 @@ def test_group_hopf_axioms(make):
 def test_group_hopf_antipode_is_inversion():
     g = symmetric_group(3)
     h = group_hopf(g)
-    anti = h.antipode_map()
+    anti = h.antipode
     for lab in h.basis.labels:
         assert anti.column(lab) == FinVec.unit(h.basis, g.inverse(lab))
 

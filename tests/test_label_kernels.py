@@ -253,7 +253,7 @@ def _maps():
     arb = uar_infinity(load("sq2"), 1)
     yield "phi of uar(sq2)", arb.carrier, arb.hopf.coalgebra, arb.phi.column
     kg = group_hopf(symmetric_group(3))
-    yield "antipode of K[S3]", kg.coalgebra, kg.coalgebra, kg.antipode_map().column
+    yield "antipode of K[S3]", kg.coalgebra, kg.coalgebra, kg.antipode.column
     tc = tensor_coalgebra(sym, kg.coalgebra)
     yield "identity of S(V)<=2 (x) K[S3]", tc, tc, FinMap.identity(tc.basis).column
 
@@ -427,7 +427,7 @@ def reference_yetter_drinfeld(arb):
     hc = hopf.coalgebra
     mixed = arb.action.domain
     rho = tensor_product_map(arb.phi, FinMap.identity(bc.basis)).compose(bc.delta)
-    anti = hopf.antipode_map()
+    anti = hopf.antipode
     checked = skipped = 0
     for lh in hc.basis.labels:
         hsw3 = hc.sweedler3(FinVec.unit(hc.basis, lh))

@@ -1,6 +1,7 @@
 """The set path of the certifiers and of the splittings.
 
-``certify``, ``certify_augmented``, ``certify_dialgebra``,
+``certify``, ``certify_augmented``, ``certify_dialgebra``, the Hopf record
+certifier (``certify_one_sided``, ``hopf_as_dialgebra``),
 ``hopf_dialgebra_rack``, ``structure_decomposition`` and ``suschkewitsch``
 read a linearised set structure (group-like labels, one-label tables and
 maps, no cap) on label maps, and every other input on coefficient dicts;
@@ -10,9 +11,11 @@ choice: on every input both give the same report or decomposition, or the
 same failure (type, identity, witness and both sides).
 """
 
+import ast
 import collections
 import dataclasses
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -20,10 +23,11 @@ import pytest
 import rackalg.rack_bialg as rack_bialg
 import rackalg.right_hopf_dialg as right_hopf_dialg
 import rackalg.exact_core as exact_core
+from rackalg.env_hopf import HopfAlgebra
 from rackalg.errors import AxiomViolation, DecompositionFailure, RackalgError
-from rackalg.exact_core import Basis, FinMap, FinVec, tensor_basis
+from rackalg.exact_core import Basis, FinMap, FinVec, PairTable, tensor_basis
 from rackalg.fixtures import load
-from rackalg.groups import GroupHopf, cyclic_group, group_hopf, symmetric_group
+from rackalg.groups import cyclic_group, group_hopf, symmetric_group
 from rackalg.rack_bialg import (
     RackBialgebra,
     augmented_conjugation,
@@ -34,10 +38,10 @@ from rackalg.rack_bialg import (
 from rackalg.right_hopf_dialg import (
     DialgebraDecomposition,
     HopfDialgebra,
-    RightHopfAlgebra,
     certify_dialgebra,
     certify_one_sided,
     dialgebra_from_augmented,
+    from_group_hopf,
     hopf_as_dialgebra,
     hopf_dialgebra_rack,
     right_group_hopf,
@@ -47,7 +51,12 @@ from rackalg.right_hopf_dialg import (
 )
 from rackalg.symcoalg import Coalgebra
 import test_right_hopf_dialg
-from test_right_hopf_dialg import _steiner_loop_dialgebra, perturbation_census
+from test_right_hopf_dialg import (
+    _steiner_loop_dialgebra,
+    pair_columns,
+    perturbation_census,
+    table_with,
+)
 
 AV = "AxiomViolation"
 SELECTING = (rack_bialg, right_hopf_dialg)
@@ -133,20 +142,18 @@ def _z2_dialgebra():
     return _bare(dialgebra_from_augmented(augmented_conjugation(cyclic_group(2))))
 
 
-@dataclasses.dataclass(frozen=True)
-class _IdentityAntipode(GroupHopf):
-    """K[G] whose antipode map is the identity, not x -> x^-1: its adjoint
-    still conjugates, so the two disagree unless every x is an involution."""
-
-    def antipode_map(self):
-        return FinMap.identity(self.basis)
-
-
 def _identity_antipode_z3():
-    # Z3 acts trivially on itself, so left regularity holds whatever S is, and
-    # "augmentation intertwines adjoint" reads the backend's adjoint on both paths
+    # K[Z3] with S = id, not x -> x^-1, acting trivially on itself: left
+    # regularity holds whatever S is, and the adjoint h a S(h) = h a h is not
+    # the trivial action, so both paths fail "augmentation intertwines adjoint"
     arb = _augmented(3)
-    return dataclasses.replace(arb, hopf=_IdentityAntipode(arb.hopf.group, arb.hopf.coalgebra))
+    return dataclasses.replace(arb, hopf=dataclasses.replace(
+        arb.hopf, antipode=FinMap.identity(arb.hopf.basis)))
+
+
+def _steiner_loop_record():
+    d = _steiner_loop_dialgebra()
+    return HopfAlgebra(d.coalgebra, d.vdash_table, d.antipode)
 
 
 SET_INPUTS = {
@@ -162,8 +169,18 @@ SET_INPUTS = {
     "conj_z2": lambda: (rack_group_algebra, load("conj_z2")),
     "corrupt_rack_s3": lambda: (rack_group_algebra, load("corrupt_rack_s3")),
     "Steiner loop": lambda: (certify_dialgebra, _steiner_loop_dialgebra()),
+    "Steiner loop record": lambda: (hopf_as_dialgebra, _steiner_loop_record()),
     "Z3 with an identity antipode map": lambda: (certify_augmented, _identity_antipode_z3()),
+    "K[S3] record": lambda: (hopf_as_dialgebra, group_hopf(symmetric_group(3))),
+    "right K[S3 x E3]": lambda: (certify_one_sided, dataclasses.replace(
+        right_group_hopf(symmetric_group(3), "pqr", "p"), certified=False)),
+    "left K[Z3]": lambda: (certify_one_sided, dataclasses.replace(
+        group_hopf(cyclic_group(3)), side="left")),
 }
+
+SET_FAILURES = {"corrupt_rack_s3": "self-distributivity", "Steiner loop": "associativity (|-)",
+                "Steiner loop record": "associativity (|-)",
+                "Z3 with an identity antipode map": "augmentation intertwines adjoint"}
 
 
 @pytest.mark.parametrize("name", sorted(SET_INPUTS))
@@ -172,9 +189,8 @@ def test_set_built_inputs_take_the_set_path_and_agree(both_paths, name):
     got, generic, chosen = both_paths(check, obj)
     assert chosen[0] is True
     assert got == generic
-    if name in ("corrupt_rack_s3", "Steiner loop"):
-        assert got[:2] == ("AxiomViolation", {"corrupt_rack_s3": "self-distributivity",
-                                              "Steiner loop": "associativity (|-)"}[name])
+    if name in SET_FAILURES:
+        assert got[:2] == ("AxiomViolation", SET_FAILURES[name])
     else:
         assert got[0] is True
 
@@ -182,12 +198,16 @@ def test_set_built_inputs_take_the_set_path_and_agree(both_paths, name):
 def _replacements(obj, tables):
     """(table, key, copy of ``obj``) for every replacement of one column of
     one of ``tables`` by a basis label other than its value: a dialgebra
-    product over every label pair, a map over its domain labels."""
+    product or a record's table over every label pair, a map over its domain
+    labels."""
     basis = obj.basis
     for table in tables:
         cols = getattr(obj, table)
         if isinstance(cols, FinMap):
             keys, current = cols.domain.labels, dict(cols.columns)
+        elif isinstance(cols, PairTable):
+            current = pair_columns(cols)
+            keys = list(current)
         else:
             keys, current = list(itertools.product(basis.labels, repeat=2)), dict(cols)
         for key in keys:
@@ -199,6 +219,8 @@ def _replacements(obj, tables):
                 changed[key] = v
                 if isinstance(cols, FinMap):
                     changed = FinMap(cols.domain, cols.codomain, changed)
+                elif isinstance(cols, PairTable):
+                    changed = table_with(cols, changed)
                 yield table, key, dataclasses.replace(obj, **{table: changed})
 
 
@@ -248,10 +270,34 @@ CENSUSES = {
     "augmented_conjugation(S3)": {
         "action associativity": 125, "action fixes coaugmentation": 25, "action unit": 30,
         "induced product": 180},
+    # the record certifier: each side of a record fails alike, and the Z2 and
+    # Z3 counts are those of the one-sided censuses of test_right_hopf_dialg
+    **{f"{side} K[Z2 x E2]": {"antipode unit": 3, "associativity": 48, "defining antipode": 9}
+       for side in ("right", "left")},
+    **{f"{side} K[S3 x E3]": {"antipode convolution square": 17, "antipode unit": 17,
+                              "associativity": 5508, "defining antipode": 272}
+       for side in ("right", "left")},
+    **{f"{side} K[Z3]": {"antipode convolution square": 2, "antipode unit": 2,
+                         "associativity": 18, "defining antipode": 2}
+       for side in ("right", "left")},
+}
+
+
+# one-sided records, certified by the record certifier
+RECORDS = {
+    "right K[Z2 x E2]": lambda: right_group_hopf(cyclic_group(2), "pq", "p"),
+    "left K[Z2 x E2]": lambda: right_group_hopf(cyclic_group(2), "pq", "p", side="left"),
+    "right K[S3 x E3]": lambda: right_group_hopf(symmetric_group(3), "pqr", "p"),
+    "left K[S3 x E3]": lambda: right_group_hopf(symmetric_group(3), "pqr", "p", side="left"),
+    "right K[Z3]": lambda: from_group_hopf(group_hopf(cyclic_group(3)), "right"),
+    "left K[Z3]": lambda: from_group_hopf(group_hopf(cyclic_group(3)), "left"),
 }
 
 
 def _census_inputs(name):
+    if name in RECORDS:
+        h = dataclasses.replace(RECORDS[name](), certified=False)
+        return certify_one_sided, _replacements(h, ("table", "antipode"))
     if name == "augmented_conjugation(S3)":
         return certify_augmented, _augmented_replacements(_augmented(6))
     d = _group_dialgebra(3) if name == "K[Z3]" else (
@@ -460,9 +506,7 @@ def _certified_z2_dialgebra():
 
 def _left_algebra(d):
     """(A, -|, S) of a dialgebra as a certified left Hopf algebra."""
-    dashv = FinMap.from_pairs(d.basis, d.basis, d.coalgebra.square, d.basis,
-                              d.dashv_table.entry)
-    return certify_one_sided(RightHopfAlgebra(d.coalgebra, dashv, d.antipode, "left"))
+    return certify_one_sided(HopfAlgebra(d.coalgebra, d.dashv_table, d.antipode, "left"))
 
 
 SPLIT_INPUTS = {
@@ -534,14 +578,14 @@ SPLIT_CENSUSES = {
          "generalized idempotent (-|)": 4, "hopf part antipode closure": 4,
          "hopf part products agree": 16, "idempotent projector": 8}),
     ("suschkewitsch", "right z2"): (
-        lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p"), ("mul", "antipode")),
+        lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p"), ("table", "antipode")),
         {"generalized idempotent": 8, "generalized unit": 15, "hopf part antipode closure": 1,
          "hopf part closure": 2, "hopf part projector": 4, "idempotent antipode": 3,
          "idempotent projector": 12, "projection multiplicative": 9, "psi antipode": 1,
          "psi left inverse": 2, "psi multiplicative": 3}),
     ("suschkewitsch", "left z2"): (
         lambda: (suschkewitsch, right_group_hopf(cyclic_group(2), "pq", "p", side="left"),
-                 ("mul", "antipode")),
+                 ("table", "antipode")),
         {"generalized idempotent": 8, "generalized unit": 15, "hopf part antipode closure": 1,
          "hopf part closure": 2, "hopf part projector": 4, "idempotent antipode": 3,
          "idempotent projector": 12, "projection multiplicative": 9, "psi antipode": 1,
@@ -643,8 +687,11 @@ def _decomposition_with(table, value):
 
 def _splitting_with(table, key, value):
     h = right_group_hopf(cyclic_group(2), "pq", "p")
-    return suschkewitsch, dataclasses.replace(h, **{table: _changed_map(getattr(h, table), key,
-                                                                          value)})
+    if table == "table":
+        changed = table_with(h.table, _changed(pair_columns(h.table), key, value, h.basis))
+    else:
+        changed = _changed_map(h.antipode, key, value)
+    return suschkewitsch, dataclasses.replace(h, **{table: changed})
 
 
 # The outcome each near miss gave before the set path of the splitting existed.
@@ -663,7 +710,7 @@ SPLIT_NEAR_MISSES = {
     "antipode with coefficient 2": (lambda: _decomposition_with("antipode", {"r2": 2}),
                                     (DF, "psi left inverse", "r1")),
     "coefficient 2 in a one-sided product": (
-        lambda: _splitting_with("mul", (("r1", "p"), ("r1", "q")), {("r1", "q"): 2}),
+        lambda: _splitting_with("table", (("r1", "p"), ("r1", "q")), {("r1", "q"): 2}),
         (DF, "idempotent projector", ("r1", "q"))),
     "one-sided antipode of two labels": (
         lambda: _splitting_with("antipode", ("r1", "q"), {("r1", "p"): 1, ("r0", "p"): 1}),
@@ -688,3 +735,55 @@ def test_the_set_path_splits_k_s3_without_table_reads(monkeypatch):
     dec = structure_decomposition(d)
     assert dec.report.checked == 138
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the guard: every certifier entry asks the one choice
+# ---------------------------------------------------------------------------
+
+
+# public entry -> the function that checks for it
+ENTRIES = {
+    rack_bialg: {"certify": "_check_product", "certify_augmented": "certify_augmented"},
+    right_hopf_dialg: {"certify_dialgebra": "certify_dialgebra",
+                       "certify_one_sided": "_check_hopf", "hopf_as_dialgebra": "_check_hopf",
+                       "suschkewitsch": "_split", "structure_decomposition": "_split"},
+}
+
+
+def _calls(tree):
+    """The names each top-level function of ``tree`` calls, nested code included."""
+    return {fn.name: {n.func.id for n in ast.walk(fn)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _unconsulted(tree, entries):
+    """The checking functions of ``entries`` that neither call ``_label_maps``
+    nor are called only from functions that do and pass its answer on (as
+    ``_split`` is), and the entries that do not call their checking function."""
+    calls = _calls(tree)
+    out = set()
+    for entry, checker in entries.items():
+        if checker not in calls[entry] | {entry}:
+            out.add(entry)
+        callers = [f for f, names in calls.items() if checker in names]
+        if "_label_maps" not in calls[checker] and not (
+                callers and all("_label_maps" in calls[f] for f in callers)):
+            out.add(checker)
+    return out
+
+
+def test_every_certifier_entry_consults_the_label_map_choice():
+    # a set-built structure can then never take only the generic path unasked
+    for module, entries in ENTRIES.items():
+        path = pathlib.Path(module.__file__)
+        assert _unconsulted(ast.parse(path.read_text(), str(path)), entries) == set()
+    snippet = ("def certify(x): return _check(x)\n"
+               "def _check(x): return x\n"
+               "def split_a(x): return _split(x, _label_maps(x))\n"
+               "def split_b(x): return _split(x, None)\n"
+               "def _split(x, sets): return sets\n"
+               "def other(x): return x\n")
+    assert _unconsulted(ast.parse(snippet), {"certify": "_check", "split_a": "_split",
+                                            "other": "_check"}) == {"_check", "_split", "other"}

@@ -20,7 +20,7 @@ import pytest
 from oracles import table_of, tensor_basis_labels
 from rackalg import exact_core, rack_bialg, right_hopf_dialg, symcoalg
 from rackalg.deformation import deformation_complex, verify_complex
-from rackalg.env_hopf import enveloping_hopf
+from rackalg.env_hopf import HopfAlgebra, enveloping_hopf
 from rackalg.errors import AxiomViolation, DegreeCapExceeded, LeibnizViolation, SchemaError
 from rackalg.exact_core import (
     Basis,
@@ -48,7 +48,6 @@ from rackalg.rack_bialg import (
     ur,
 )
 from rackalg.right_hopf_dialg import (
-    RightHopfAlgebra,
     certify_dialgebra,
     certify_one_sided,
     hopf_as_dialgebra,
@@ -166,11 +165,10 @@ def _float_dialgebra():
 
 def _float_one_sided():
     kg = group_hopf(cyclic_group(2))
-    mul = kg.mul_map()
-    cols = dict(mul.columns)
+    cols = {(a, b): kg.table.vector(a, b) for a in kg.basis.labels for b in kg.basis.labels}
     cols[("r1", "r1")] = FinVec(kg.basis, {"r0": 1.0})
-    return RightHopfAlgebra(kg.coalgebra, FinMap(mul.domain, mul.codomain, cols),
-                            kg.antipode_map())
+    table = PairTable.build(kg.basis, ((a, b, v) for (a, b), v in cols.items()))
+    return HopfAlgebra(kg.coalgebra, table, kg.antipode, "right")
 
 
 def _float_bracket():

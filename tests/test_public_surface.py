@@ -22,10 +22,9 @@ KEPT_PUBLIC = frozenset({
     "fixtures:fixture_names", "fixtures:load_raw",
     "exact_core:series_exp",
     "symcoalg:filtration_order", "symcoalg:is_connected",
-    "symcoalg:reduced_delta_map", "symcoalg:sym_monomials",
+    "symcoalg:reduced_delta_map",
     "leibniz:squares_ideal",
     "env_hopf:EnvelopingHopf", "env_hopf:symmetrize",
-    "env_hopf:symmetrize_word",
     "jsonio:leibniz_to_json", "jsonio:rack_to_json",
     "rack_bialg:augmented_rack_algebra", "rack_bialg:certify_augmented",
     "rack_bialg:check_rack", "rack_bialg:conjugation_rack", "rack_bialg:filtration_stable",
@@ -33,7 +32,7 @@ KEPT_PUBLIC = frozenset({
     "rack_bialg:set_like_elements", "rack_bialg:set_likes", "rack_bialg:trivial_augmented",
     "rack_bialg:yang_baxter_check", "rack_bialg:yetter_drinfeld_check",
     "right_hopf_dialg:DialgebraDecomposition", "right_hopf_dialg:HopfDialgebra",
-    "right_hopf_dialg:RightHopfAlgebra", "right_hopf_dialg:SuschkewitschDecomposition",
+    "right_hopf_dialg:SuschkewitschDecomposition",
     "right_hopf_dialg:augmented_idempotent_basis", "right_hopf_dialg:certify_one_sided",
     "right_hopf_dialg:dialgebra_leibniz", "right_hopf_dialg:dialgebra_rack_product",
     "right_hopf_dialg:from_group_hopf", "right_hopf_dialg:hopf_dialgebra_rack",
@@ -45,7 +44,6 @@ KEPT_PUBLIC = frozenset({
     "deformation:coderivation_report", "deformation:coderivation_space",
     "deformation:differential", "deformation:equivalence_check",
     "deformation:infinitesimal_selfdist", "deformation:mu_n", "deformation:star_mu1",
-    "deformation:tensor_power",
     "star_product:ExpFunction", "star_product:PolyFunction", "star_product:ad_tilde",
     "star_product:check_hat_morphism", "star_product:exp_hat", "star_product:hat_function",
     "star_product:lie_rack_product", "star_product:monomial_function",

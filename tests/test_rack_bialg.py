@@ -482,7 +482,7 @@ def test_uar_ideal_independence_is_guarded(monkeypatch):
 def test_uar_left_regularity_probe(uar_sq2):
     # mu'(a (x) b) = S(phi(a)).b ; for primitive a this is -[a, -]
     sym = uar_sq2.carrier
-    anti = uar_sq2.hopf.antipode_map()
+    anti = uar_sq2.hopf.antipode
     e1 = FinVec.unit(sym.basis, (1,))
     mu_prime = uar_sq2.act(anti(uar_sq2.phi.column((1,))), e1)
     assert mu_prime == FinVec.unit(sym.basis, (2,)).scale(F(-1))
@@ -530,7 +530,7 @@ def test_adjoint_enveloping_ad_oracle():
 
 def test_adjoint_letter_fold_matches_convolution_formula():
     env = enveloping_hopf(load("heis3"), 4)
-    anti = env.antipode_map()
+    anti = env.antipode
     for wa, wb in itertools.product(env.basis.labels, repeat=2):
         if 2 * len(wa) + len(wb) > env.cap:
             continue

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import flip_map
-from rackalg.env_hopf import enveloping_hopf
+from rackalg.env_hopf import HopfAlgebra, enveloping_hopf
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
@@ -36,6 +36,7 @@ import rackalg.right_hopf_dialg as right_hopf_dialg
 from rackalg.exact_core import (
     FinMap,
     FinVec,
+    PairTable,
     SpanSolver,
     kernel_basis,
     linear_sum,
@@ -44,10 +45,9 @@ from rackalg.exact_core import (
 )
 from rackalg.fixtures import load
 from rackalg.groups import cyclic_group, group_hopf, group_like_coalgebra, symmetric_group
-from rackalg.rack_bialg import augmented_conjugation, hopf_adjoint
+from rackalg.rack_bialg import augmented_conjugation, augmented_from_action, hopf_adjoint
 from rackalg.right_hopf_dialg import (
     HopfDialgebra,
-    RightHopfAlgebra,
     augmented_idempotent_basis,
     certify_dialgebra,
     certify_one_sided,
@@ -106,12 +106,26 @@ def ud_sq2():
     return universal_dialgebra(load("sq2"), 2)
 
 
+def table_with(t, changed):
+    """The table ``t`` with its pairs set to the columns of ``changed``, a dict
+    keyed by label pairs; its degrees and cap kept."""
+    return PairTable.build(t.basis, ((la, lb, v) for (la, lb), v in changed.items()),
+                           degrees=t.degrees, cap=t.cap)
+
+
+def pair_columns(t):
+    """The columns of a product table as a dict keyed by every label pair."""
+    return {(la, lb): t.vector(la, lb)
+            for la, lb in itertools.product(t.basis.labels, repeat=2)}
+
+
 def perturbation_census(obj, tables, check, certified=False, stored=False):
     """The failures ``check`` raises, counted over every replacement of one
     column of one of ``tables`` by a unit vector other than its value.
 
-    A table is a ``FinMap`` or a dict of columns keyed by label pairs: every
-    label pair, or with ``stored`` only the stored keys.  The perturbed copy
+    A table is a ``FinMap``, a ``PairTable`` or a dict of columns keyed by
+    label pairs: every label pair, or with ``stored`` only the stored keys
+    of a dict.  The perturbed copy
     is marked ``certified`` as given.  A failure counts under the axiom or
     identity it names, any other package error under its type name, and a
     replacement that passes fails the test.
@@ -122,6 +136,9 @@ def perturbation_census(obj, tables, check, certified=False, stored=False):
         cols = getattr(obj, table)
         if isinstance(cols, FinMap):
             keys, current = cols.domain.labels, dict(cols.columns)
+        elif isinstance(cols, PairTable):
+            current = pair_columns(cols)
+            keys = list(current)
         else:
             keys = list(cols) if stored else list(itertools.product(basis.labels, repeat=2))
             current = dict(cols)
@@ -134,6 +151,8 @@ def perturbation_census(obj, tables, check, certified=False, stored=False):
                 changed[key] = v
                 if isinstance(cols, FinMap):
                     changed = FinMap(cols.domain, cols.codomain, changed)
+                elif isinstance(cols, PairTable):
+                    changed = table_with(cols, changed)
                 with pytest.raises(RackalgError) as exc:
                     check(dataclasses.replace(obj, certified=certified, **{table: changed}))
                 err = exc.value
@@ -159,8 +178,9 @@ class TestOneSided:
 
     def test_side_must_be_right_or_left(self, ks3):
         with pytest.raises(SchemaError):
-            certify_one_sided(RightHopfAlgebra(
-                ks3.coalgebra, ks3.mul_map(), ks3.antipode_map(), side="middle"))
+            certify_one_sided(dataclasses.replace(ks3, side="middle"))
+        with pytest.raises(SchemaError):
+            certify_one_sided(ks3)
 
     def test_corrupted_antipode_is_rejected(self):
         h = right_group_hopf(cyclic_group(2), ("p", "q"), "p")
@@ -170,7 +190,7 @@ class TestOneSided:
         assert exc.value.axiom in ("defining antipode", "double antipode")
 
     @pytest.mark.parametrize("table,key,value,axiom,witness", [
-        ("mul", (("r1", "p"), ("r1", "q")), {("r0", "p"): 1},
+        ("table", (("r1", "p"), ("r1", "q")), {("r0", "p"): 1},
          "associativity", (("r1", "p"), ("r0", "q"), ("r1", "q"))),
         ("antipode", ("r1", "q"), {("r1", "p"): 2}, "antipode comultiplicativity", ("r1", "q")),
         ("antipode", ("r1", "q"), {}, "antipode counit", ("r1", "q")),
@@ -178,18 +198,19 @@ class TestOneSided:
         ("antipode", ("r0", "p"), {("r0", "q"): 1}, "antipode unit", "1"),
     ])
     def test_perturbed_entry_names_the_identity(self, rg_z2, table, key, value, axiom, witness):
-        fmap = getattr(rg_z2, table)
-        cols = dict(fmap.columns)
-        cols[key] = FinVec.build(fmap.codomain, {lab: F(c) for lab, c in value.items()})
-        bad = dataclasses.replace(rg_z2, certified=False,
-                                  **{table: FinMap(fmap.domain, fmap.codomain, cols)})
+        v = FinVec.build(rg_z2.basis, {lab: F(c) for lab, c in value.items()})
+        if table == "table":
+            changed = table_with(rg_z2.table, {**pair_columns(rg_z2.table), key: v})
+        else:
+            changed = FinMap(rg_z2.basis, rg_z2.basis, {**rg_z2.antipode.columns, key: v})
+        bad = dataclasses.replace(rg_z2, certified=False, **{table: changed})
         with pytest.raises(AxiomViolation) as exc:
             certify_one_sided(bad)
         assert (exc.value.axiom, exc.value.witness) == (axiom, witness)
 
     def test_every_single_entry_perturbation_of_a_left_right_group(self):
         h = right_group_hopf(cyclic_group(2), ("p", "q"), "p", side="left")
-        fired = perturbation_census(h, ("mul", "antipode"), certify_one_sided)
+        fired = perturbation_census(h, ("table", "antipode"), certify_one_sided)
         assert fired == {"associativity": 48, "defining antipode": 9, "antipode unit": 3}
 
     @pytest.mark.parametrize("make,sides,census", [
@@ -205,7 +226,7 @@ class TestOneSided:
                                                                        census):
         # the left right group's census is pinned above
         for side in sides:
-            fired = perturbation_census(make(side), ("mul", "antipode"), certify_one_sided)
+            fired = perturbation_census(make(side), ("table", "antipode"), certify_one_sided)
             assert fired == census, side
 
     @pytest.mark.parametrize("side,relabelled", [("right", "left"), ("left", "right")])
@@ -231,13 +252,29 @@ class TestOneSided:
             right_group_hopf(z2, ("p", "q"), "x")
 
     def test_non_cocommutative_carrier_is_rejected(self, ks3, function_coalgebra_s3):
-        h = RightHopfAlgebra(function_coalgebra_s3, ks3.mul_map(), ks3.antipode_map())
+        h = HopfAlgebra(function_coalgebra_s3, ks3.table, ks3.antipode, "right")
         with pytest.raises(AxiomViolation) as exc:
             certify_one_sided(h)
         assert (exc.value.axiom, exc.value.witness) == ("cocommutativity", "s132")
 
+    def test_a_one_sided_record_is_refused_where_a_hopf_algebra_is_needed(self, rg_z2, s3):
+        conj = augmented_conjugation(s3)
+        left = from_group_hopf(group_hopf(s3), "left")
+        for h in (rg_z2, left):
+            with pytest.raises(SchemaError):
+                hopf_as_dialgebra(h)
+            with pytest.raises(SchemaError):
+                hopf_adjoint(h)
+        with pytest.raises(SchemaError):
+            augmented_from_action(conj.carrier, left, conj.phi, conj.action)
+
+    def test_a_capped_one_sided_record_is_refused(self):
+        env = enveloping_hopf(load("lie2"), 2)
+        with pytest.raises(SchemaError):
+            certify_one_sided(HopfAlgebra(env.coalgebra, env.table, env.antipode, "right"))
+
     def test_suschkewitsch_requires_certification(self, ks3):
-        raw = RightHopfAlgebra(ks3.coalgebra, ks3.mul_map(), ks3.antipode_map())
+        raw = dataclasses.replace(ks3, side="right")
         with pytest.raises(RackalgError):
             suschkewitsch(raw)
 
@@ -257,7 +294,7 @@ class TestSuschkewitsch:
             [FinVec.unit(basis, ("r0", "p")), FinVec.unit(basis, ("r1", "p"))])
         assert span_basis(list(dec.idempotent_part)) == span_basis(
             [FinVec.unit(basis, ("r0", "p")), FinVec.unit(basis, ("r0", "q"))])
-        assert dec.psi_inv is rg_z2.mul
+        assert dec.psi_inv is rg_z2.table
 
     def test_right_group_left_side_mirror(self, s3):
         h = right_group_hopf(s3, ("p", "q"), "p", side="left")
@@ -276,9 +313,8 @@ class TestSuschkewitsch:
     @staticmethod
     def _opposite(h):
         """The opposite product of ``h``, certified as a right Hopf algebra."""
-        mul = FinMap.from_function(h.coalgebra.square, h.basis,
-                                   lambda pair: h.table.vector(*split_label(h.basis, pair)[::-1]))
-        return certify_one_sided(RightHopfAlgebra(h.coalgebra, mul, h.antipode, "right"))
+        return certify_one_sided(HopfAlgebra(h.coalgebra, h.table.opposite(), h.antipode,
+                                             "right"))
 
     @pytest.mark.parametrize("make", [
         lambda: from_group_hopf(group_hopf(symmetric_group(3)), "left"),
@@ -296,7 +332,7 @@ class TestSuschkewitsch:
         assert span_basis(list(dec.hopf_part)) == span_basis(list(dec_op.hopf_part))
         assert span_basis(list(dec.idempotent_part)) == span_basis(list(dec_op.idempotent_part))
         assert dec.psi == flip_map(h.basis, h.basis).compose(dec_op.psi)
-        assert dec.psi_inv is h.mul
+        assert dec.psi_inv is h.table
 
     def test_single_point_right_group_is_the_group_algebra(self, s3):
         h = right_group_hopf(s3, ("p",), "p")
@@ -332,10 +368,9 @@ class TestSuschkewitsch:
         assert len(dec_s3.hopf_part) * len(dec_s3.idempotent_part) == rg_s3.basis.dim
 
     def test_corrupted_product_fails_decomposition(self, rg_z2):
-        cols = dict(rg_z2.mul.columns)
-        square = rg_z2.coalgebra.square
+        cols = pair_columns(rg_z2.table)
         del cols[(("r0", "p"), ("r0", "q"))]
-        broken = dataclasses.replace(rg_z2, mul=FinMap(square, rg_z2.basis, cols))
+        broken = dataclasses.replace(rg_z2, table=table_with(rg_z2.table, cols))
         with pytest.raises(DecompositionFailure):
             suschkewitsch(broken)
 
@@ -343,7 +378,7 @@ class TestSuschkewitsch:
     def test_every_single_entry_perturbation_fails_the_splitting(self, side):
         # still marked certified: the splitting's own checks must catch it
         h = right_group_hopf(cyclic_group(2), ("p", "q"), "p", side=side)
-        fired = perturbation_census(h, ("mul", "antipode"), suschkewitsch, certified=True)
+        fired = perturbation_census(h, ("table", "antipode"), suschkewitsch, certified=True)
         assert fired == {
             "idempotent projector": 12, "generalized idempotent": 8, "idempotent antipode": 3,
             "generalized unit": 15, "hopf part projector": 4, "hopf part antipode closure": 1,
@@ -352,11 +387,11 @@ class TestSuschkewitsch:
 
     @pytest.mark.parametrize("side", ["middle", "Left"])
     def test_projectors_refuse_an_unknown_side(self, ks3, side):
-        h = RightHopfAlgebra(ks3.coalgebra, ks3.mul_map(), ks3.antipode_map(), side=side)
+        # the record refuses the side before a projector can read it
         with pytest.raises(SchemaError):
-            idempotent_projector(h)
+            idempotent_projector(dataclasses.replace(ks3, side=side))
         with pytest.raises(SchemaError):
-            hopf_part_projector(h)
+            hopf_part_projector(dataclasses.replace(ks3, side=side))
 
     def test_fixed_space_of_mu_delta_is_strictly_larger(self, ks3):
         # the image of iota is 1-dimensional, yet mu(Delta(c)) = c has a
@@ -365,7 +400,9 @@ class TestSuschkewitsch:
         h = from_group_hopf(ks3, "right")
         iota = idempotent_projector(h)
         image = span_basis([iota.column(lab) for lab in h.basis.labels])
-        mu_delta = h.mul.compose(h.coalgebra.delta)
+        mul = FinMap.from_function(h.coalgebra.square, h.basis,
+                                   lambda pair: h.table.vector(*split_label(h.basis, pair)))
+        mu_delta = mul.compose(h.coalgebra.delta)
         fixed = kernel_basis(mu_delta - FinMap.identity(h.basis))
         assert len(image) == 1
         assert len(fixed) == 2
@@ -396,13 +433,13 @@ class TestSuschkewitsch:
 
 
 class TestHopfDialgebra:
-    def test_group_algebra_as_dialgebra(self, ks3):
+    def test_group_algebra_as_dialgebra(self, s3, ks3):
         d = hopf_as_dialgebra(ks3)
         assert d.certified and d.cap is None
         a = FinVec.unit(d.basis, "s213")
         b = FinVec.unit(d.basis, "s132")
         assert d.vprod(a, b) == d.dprod(a, b)
-        assert d.vprod(a, b) == FinVec.unit(d.basis, ks3.group.mul("s213", "s132"))
+        assert d.vprod(a, b) == FinVec.unit(d.basis, s3.mul("s213", "s132"))
         assert d.report.checked > 0
 
     def test_enveloping_algebra_as_dialgebra(self):
@@ -441,10 +478,10 @@ class TestHopfDialgebra:
     def test_unbalanced_products_are_rejected(self):
         # K[Z2] (x) K[Z2] with b(b1 (x) b2)b' = bb1 (x) b2b' is a dialgebra
         # candidate whose two products share no balanced bar-unit
-        gh = group_hopf(cyclic_group(2))
+        g = cyclic_group(2)
+        gh = group_hopf(g)
         c = tensor_coalgebra(gh.coalgebra, gh.coalgebra)
         basis = c.basis
-        g = gh.group
         vdash = {}
         dashv = {}
         for x in basis.labels:
@@ -636,11 +673,12 @@ SHARED_FIXTURES = {
 }
 
 
-def _outcome(d):
-    """What certifying ``d`` gives: the report, or the failure's type with the
-    identity it names and its witness (a cap failure: needed degree and cap)."""
+def _outcome(check, obj):
+    """What certifying ``obj`` by ``check`` gives: the report, or the failure's
+    type with the identity it names and its witness (a cap failure: needed
+    degree and cap)."""
     try:
-        report = certify_dialgebra(d).report
+        report = check(obj).report
     except AxiomViolation as err:
         return "AxiomViolation", err.axiom, err.witness
     except DegreeCapExceeded as err:
@@ -650,11 +688,12 @@ def _outcome(d):
     return report.passed, report.checked, report.detail
 
 
-def _shared_and_copied(d, products):
-    """``d`` with both products the one dict ``products``, and with -| a copy."""
-    return (dataclasses.replace(d, vdash=products, dashv=products, certified=False, report=None),
-            dataclasses.replace(d, vdash=products, dashv=dict(products), certified=False,
-                                report=None))
+def _record_and_copied(d, products):
+    """The two-sided Hopf record with the product ``products`` and the
+    antipode of ``d``, and ``d`` with |- the dict ``products`` and -| a copy."""
+    record = HopfAlgebra(d.coalgebra, table_with(d.vdash_table, products), d.antipode)
+    return record, dataclasses.replace(d, vdash=products, dashv=dict(products), certified=False,
+                                       report=None)
 
 
 def _steiner_loop_dialgebra():
@@ -678,23 +717,26 @@ def _steiner_loop_dialgebra():
 
 
 class TestSharedTable:
-    """A Hopf algebra as a dialgebra has one table for both products, and
-    certify_dialgebra checks each identity once on it; the oracle is the
-    same structure with -| a copy of the dict, which takes the general path."""
+    """A Hopf algebra is certified once, as a two-sided record, by the record
+    certifier behind hopf_as_dialgebra; the oracle is the same product as a
+    dialgebra with -| a copy of the dict, certified by certify_dialgebra."""
 
     @pytest.mark.parametrize("source", sorted(SHARED_FIXTURES))
     def test_one_table_serves_both_products(self, source):
         d = hopf_as_dialgebra(SHARED_FIXTURES[source]())
         assert d.dashv is d.vdash and d.dashv_table is d.vdash_table
-        shared, copied = _shared_and_copied(d, d.vdash)
+        record, copied = _record_and_copied(d, d.vdash)
+        shared = hopf_as_dialgebra(record)
         assert shared.dashv_table is shared.vdash_table
+        assert shared.vdash_table.rows is record.table.rows
         assert copied.dashv_table is not copied.vdash_table
-        assert _outcome(shared) == _outcome(copied) == (True, d.report.checked, d.report.detail)
+        assert _outcome(hopf_as_dialgebra, record) == _outcome(certify_dialgebra, copied) == (
+            True, d.report.checked, d.report.detail)
 
     @pytest.mark.parametrize("source", sorted(SHARED_FIXTURES))
     def test_every_perturbation_of_the_shared_table_fails_as_on_two_tables(self, source):
         # every label pair, or under a cap the stored keys, set to each unit
-        # vector other than its value, in the one dict of both products
+        # vector other than its value, in the one product of the record
         d = hopf_as_dialgebra(SHARED_FIXTURES[source]())
         labels = d.basis.labels
         keys = list(d.vdash) if d.cap is not None else list(itertools.product(labels, repeat=2))
@@ -706,34 +748,37 @@ class TestSharedTable:
                     continue
                 changed = dict(d.vdash)
                 changed[key] = v
-                shared, copied = _shared_and_copied(d, changed)
-                got = _outcome(shared)
+                record, copied = _record_and_copied(d, changed)
+                got = _outcome(hopf_as_dialgebra, record)
                 assert got[0] is not True, (key, target)
-                assert got == _outcome(copied), (key, target)
+                assert got == _outcome(certify_dialgebra, copied), (key, target)
                 count += 1
         assert count >= len(keys) * (len(labels) - 1)
 
     def test_a_non_associative_shared_product_fails_as_on_two_tables(self):
         d = _steiner_loop_dialgebra()
-        shared, copied = _shared_and_copied(d, d.vdash)
-        got = _outcome(shared)
+        record, copied = _record_and_copied(d, d.vdash)
+        got = _outcome(hopf_as_dialgebra, record)
         assert got[:2] == ("AxiomViolation", "associativity (|-)")
-        assert got == _outcome(copied)
+        assert got == _outcome(certify_dialgebra, copied)
         a, b, c = (FinVec.unit(d.basis, lab) for lab in got[2])
         assert d.vprod(d.vprod(a, b), c) != d.vprod(a, d.vprod(b, c))
 
     def test_the_shared_path_makes_under_half_the_table_reads(self, ks3, monkeypatch):
-        # U(lie2)<=3 is capped and takes the generic path on either table; K[S3]
-        # is read on its label maps, so certifying it reads no table at all
+        # U(lie2)<=3 is capped and takes the generic path either way; K[S3] is
+        # read on its label maps, so certifying it reads no table at all
         d = hopf_as_dialgebra(SHARED_FIXTURES["lie2"]())
         group = hopf_as_dialgebra(ks3)
         read = exact_core._read
         counts = []
-        for bare in _shared_and_copied(d, d.vdash) + _shared_and_copied(group, group.vdash):
-            calls = []
-            monkeypatch.setattr(exact_core, "_read", lambda *args: calls.append(1) or read(*args))
-            certify_dialgebra(bare)
-            counts.append(len(calls))
+        for dialgebra in (d, group):
+            record, copied = _record_and_copied(dialgebra, dialgebra.vdash)
+            for check, bare in ((hopf_as_dialgebra, record), (certify_dialgebra, copied)):
+                calls = []
+                monkeypatch.setattr(exact_core, "_read",
+                                    lambda *args: calls.append(1) or read(*args))
+                check(bare)
+                counts.append(len(calls))
         shared, copied, *group_reads = counts
         assert 0 < 2 * shared < copied
         assert group_reads == [0, 0]
@@ -854,10 +899,7 @@ class TestAugmentedDialgebra:
     def test_decomposition_is_the_splitting_of_the_left_algebra(self, d36, make):
         # (A, -|, S) is a left Hopf algebra, and the dialgebra splits as it does
         d = d36 if make is None else make()
-        dashv = FinMap.from_function(
-            d.coalgebra.square, d.basis,
-            lambda pair: d.dashv_table.vector(*split_label(d.basis, pair)))
-        left = certify_one_sided(RightHopfAlgebra(d.coalgebra, dashv, d.antipode, "left"))
+        left = certify_one_sided(HopfAlgebra(d.coalgebra, d.dashv_table, d.antipode, "left"))
         dec, sus = structure_decomposition(d), suschkewitsch(left)
         assert span_basis(list(dec.idempotent_part)) == span_basis(list(sus.idempotent_part))
         assert span_basis(list(dec.hopf_part)) == span_basis(list(sus.hopf_part))
@@ -1099,10 +1141,12 @@ def _side_readers(tree):
             if isinstance(n, ast.Attribute) and n.attr == "side" and isinstance(n.ctx, ast.Load)}
 
 
-def test_the_antipode_side_is_read_in_three_places_only():
+def test_the_antipode_side_is_read_only_by_the_certifiers_and_the_splitting():
+    # _right_product takes the side as an argument; these pass it or branch on it
     path = pathlib.Path(right_hopf_dialg.__file__)
     readers = _side_readers(ast.parse(path.read_text(), str(path)))
-    assert readers == {"RightHopfAlgebra._right_product", "certify_one_sided", "suschkewitsch"}
+    assert readers == {"_check_hopf", "certify_one_sided", "suschkewitsch",
+                       "idempotent_projector", "hopf_part_projector"}
     snippet = "class A:\n def f(self):\n  def g(): return self.side\nx = h.side\ny.side = 1"
     assert _side_readers(ast.parse(snippet)) == {"A.f", "<module>"}
 
@@ -1204,6 +1248,7 @@ VECTOR_PRODUCTS = {"bilinear", "vprod", "dprod", "FinVec.unit"}
 
 @pytest.mark.parametrize("module,function,axiom", [
     (right_hopf_dialg, "certify_dialgebra", "associativity (|-)"),
+    (right_hopf_dialg, "_check_associative", None),
     (rack_bialg, "_first_selfdist_failure", None),
     (right_hopf_dialg, "hopf_dialgebra_rack", "module identity (|-)"),
     (right_hopf_dialg, "structure_decomposition", "projection merges products"),

@@ -81,7 +81,8 @@ from rackalg.exact_core import (
     tensor_basis,
 )
 from rackalg.leibniz import LeibnizAlgebra
-from rackalg.rack_bialg import CheckReport, RackBialgebra, _first_selfdist_failure, trivial
+from rackalg.rack_bialg import (CheckReport, RackBialgebra, _OnDicts, _first_selfdist_failure,
+                                trivial)
 from rackalg.symcoalg import symmetric_coalgebra
 
 Parts = tuple[Label, ...]
@@ -568,7 +569,7 @@ def infinitesimal_selfdist(rb: RackBialgebra, mu1: Cochain | FinMap) -> CheckRep
     """
     omega = mu1.map if isinstance(mu1, Cochain) else mu1
     t = _Faces(rb).deformed(omega)
-    triple, _, _, checked = _first_selfdist_failure(t, rb.carrier.legs, rb.basis.labels)
+    triple, _, _, checked = _first_selfdist_failure(_OnDicts(((t, rb.basis),), ()), rb.carrier)
     if triple is not None:
         return CheckReport(False, checked, axiom="self-distributivity mod hbar^2",
                            witness=triple)

@@ -20,8 +20,10 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
+from rackalg import exact_core
 from rackalg.env_hopf import HopfBackend, _require_hopf, enveloping_hopf, module_action, phi_map
 from rackalg.errors import (
     AxiomViolation,
@@ -45,13 +47,16 @@ from rackalg.exact_core import (
     _NO_ENTRIES,
     _accumulate,
     _kernel_coordinates,
+    _refuse,
     _require_degree,
     _row,
     bilinear,
     div,
+    kernel_basis,
     label_times,
     merge_labels,
     same_entries,
+    span_basis,
     split_label,
     tensor_basis,
     times_label,
@@ -70,6 +75,10 @@ from rackalg.symcoalg import (
     restrict_coalgebra,
     symmetric_coalgebra,
 )
+
+
+# a value of the coefficient-dict evaluator; every other value is a basis label
+_VALUES = (dict, MappingProxyType)
 
 
 @dataclass(frozen=True)
@@ -202,23 +211,13 @@ def certify(rb: RackBialgebra) -> RackBialgebra:
     collapse it from the right, and to be self-distributive on every basis
     triple.
 
-    A linearised finite rack is checked as a set: when every carrier label
-    is group-like, the unit is a label and the uncapped product sends each
-    label pair to one label with the int coefficient 1 (:func:`_label_maps`),
-    every identity is read on the label map, and by the lemma there the
-    two multiplicativity identities hold without being computed.  Any other
-    input takes the generic path; both give the same outcome.
+    Each identity is read by the evaluator that :func:`_label_maps` chooses:
+    on the label map of a linearised finite rack, where by its lemma the two
+    multiplicativity identities hold, or on coefficient dicts.
     """
     check_coalgebra(rb.carrier)
     _check_product(rb)
     return _certified(rb)
-
-
-def _violation(basis: Basis, axiom: str, witness: tuple, lhs: Mapping[Label, Coeff],
-               rhs: Mapping[Label, Coeff] | None, error: type = AxiomViolation) -> RackalgError:
-    """A failed identity whose sides were read into coefficient dicts, raised
-    as ``error``; a membership identity has no right side (None)."""
-    return error(axiom, witness, FinVec(basis, lhs), None if rhs is None else FinVec(basis, rhs))
 
 
 def _one_label(v: Mapping[Label, Coeff], basis: Basis) -> Label | None:
@@ -231,20 +230,37 @@ def _one_label(v: Mapping[Label, Coeff], basis: Basis) -> Label | None:
     return None
 
 
-def _label_maps(coalgebras: Sequence[Coalgebra],
-                structure: Callable[[], tuple[Sequence[tuple[PairTable, Basis]],
-                                              Sequence[FinMap]]]
-                ) -> tuple[list[dict[tuple[Label, Label], Label]], list[dict[Label, Label]]] | None:
-    """The tables and maps of a linearised set structure as label maps, or
-    None: the one choice between the set and the generic path of a certifier
-    or a splitting.
+def _label_table(t: PairTable, left: Basis) -> dict[tuple[Label, Label], Label] | None:
+    """``t`` as {(a, b): c} on ``left`` x ``t.basis`` labels (see :func:`_label_maps`), or None."""
+    if t.cap is not None:
+        return None
+    rows, right = t.rows, t.basis.labels
+    m = {}
+    for la in left.labels:
+        row = rows.get(la, _NO_ENTRIES)
+        for lb in right:
+            v = row.get(lb, _NO_ENTRIES)
+            if len(v) != 1:
+                return None
+            for lab, x in v.items():  # the one entry; its label is in t.basis
+                if type(x) is not int or x != 1:
+                    return None
+            m[la, lb] = lab
+    return m
 
-    The set path is taken when every basis label l of each coalgebra is
-    group-like as stored (its coproduct the one leg l (x) l with coefficient
-    1, and eps(l) = 1), each unit is one label with the int coefficient 1,
-    and then, read from ``structure()`` (called only then), each table
-    (t, left) is uncapped and sends every pair of a ``left`` label and a
-    label of ``t.basis`` to one label with the int coefficient 1, and each
+
+def _label_maps(coalgebras: Sequence[Coalgebra], tables: Sequence[tuple[PairTable, Basis]],
+                maps: Sequence[FinMap]
+                ) -> tuple[list[dict[tuple[Label, Label], Label]], list[dict[Label, Label]]] | None:
+    """The one choice of evaluator (:func:`_evaluator`) for a certifier or a
+    splitting: the label maps of a linearised set structure, read by
+    :class:`_OnLabels`, or None, and :class:`_OnDicts` reads coefficient dicts.
+
+    Label maps are found when every basis label l of each coalgebra is
+    group-like as stored (the one leg l (x) l with coefficient 1, and
+    eps(l) = 1), each unit is one label with the int coefficient 1, each
+    table (t, left) is uncapped and sends every pair of a ``left`` label and
+    a label of ``t.basis`` to one label with the int coefficient 1, and each
     map sends every label of its domain to one label of its codomain so.  A
     table is returned as {(a, b): c}, a map as {a: c}.
 
@@ -283,23 +299,15 @@ def _label_maps(coalgebras: Sequence[Coalgebra],
         for lab in c.basis.labels:
             if counit.get(lab) != 1 or c.legs(lab) != [(lab, lab, 1)]:
                 return None
-    tables, maps = structure()
     label_tables = []
     for t, left in tables:
-        if t.cap is not None:
+        # a table is scanned once per left basis; the scan is kept on the table
+        seen, m = t.__dict__.get("_label_table", (None, None))
+        if seen is not left:
+            m = _label_table(t, left)
+            t.__dict__["_label_table"] = (left, m)
+        if m is None:
             return None
-        rows, right = t.rows, t.basis.labels
-        m = {}
-        for la in left.labels:
-            row = rows.get(la, _NO_ENTRIES)
-            for lb in right:
-                v = row.get(lb, _NO_ENTRIES)
-                if len(v) != 1:
-                    return None
-                for lab, x in v.items():  # the one entry; its label is in t.basis
-                    if type(x) is not int or x != 1:
-                        return None
-                m[la, lb] = lab
         label_tables.append(m)
     label_maps = []
     for f in maps:
@@ -314,94 +322,336 @@ def _label_maps(coalgebras: Sequence[Coalgebra],
     return label_tables, label_maps
 
 
-def _check_product(rb: RackBialgebra) -> None:
-    """The product checks of :func:`certify`, on a carrier already checked.
+def _entries(v) -> Mapping[Label, Coeff]:
+    """A value of either evaluator as a coefficient dict: a label is that
+    label with coefficient 1."""
+    return v if isinstance(v, _VALUES) else {v: ONE}
 
-    Every product with a basis label on one side is read from the stored
-    columns into a plain dict (:func:`~rackalg.exact_core.label_times`,
-    :func:`~rackalg.exact_core.times_label`), self-distributivity by
-    :func:`_first_selfdist_failure`.  Vectors are built only to compare with
-    a unit and for a failure's witness.  On a label map (:func:`_label_maps`)
-    the same identities are read on labels, and the two multiplicativity
-    identities hold by its lemma.
-    """
+
+def _differ(axiom: str, witness, got, want, space: Basis, error: type = AxiomViolation) -> None:
+    """The one violation builder: raise ``error`` for ``axiom`` at ``witness``
+    unless its sides, values of either evaluator (a membership has no right
+    side), agree in ``space``.  Callers test ``got != want`` first."""
+    got = _entries(got)
+    if want is not None:
+        want = _entries(want)
+        if same_entries(got, want):
+            return
+    raise error(axiom, witness, FinVec(space, got), None if want is None else FinVec(space, want))
+
+
+def _degree(t: PairTable, v) -> int:
+    """The degree under ``t`` of a label, or the largest of the labels of a dict."""
+    if isinstance(v, _VALUES):
+        return max((t.degree(lab) for lab in v), default=0)
+    return t.degree(v)
+
+
+class _Product:
+    """A product table read on coefficient dicts: ``p[x, y]`` for x and y each
+    a basis label or a dict, refused beyond the cap as the table refuses it."""
+
+    __slots__ = ("t", "rows", "cols", "cap")
+
+    def __init__(self, t: PairTable) -> None:
+        self.t, self.rows, self.cols, self.cap = t, t.rows, t.cols, t.cap
+
+    def __getitem__(self, key: tuple) -> Mapping[Label, Coeff]:
+        x, y = key
+        if isinstance(x, _VALUES):
+            if isinstance(y, _VALUES):
+                acc: dict[Label, Coeff] = {}
+                for lab, c in x.items():
+                    exact_core._read(self.t, self.rows, lab, y, acc, c)
+                return acc
+            return exact_core._read(self.t, self.cols, y, x, {}, ONE)
+        if isinstance(y, _VALUES):
+            return exact_core._read(self.t, self.rows, x, y, {}, ONE)
+        if self.cap is not None:
+            _refuse(self.t, x, (y,))
+        return self.rows.get(x, _NO_ENTRIES).get(y, _NO_ENTRIES)
+
+
+class _Row:
+    """The row of the label a in a :class:`_Product`: ``r[y]`` is a y."""
+
+    __slots__ = ("t", "a", "row")
+
+    def __init__(self, p: _Product, a: Label) -> None:
+        self.t, self.a, self.row = p.t, a, p.rows.get(a, _NO_ENTRIES)
+
+    def __getitem__(self, y) -> Mapping[Label, Coeff]:
+        t = self.t
+        if isinstance(y, _VALUES):
+            return exact_core._read(t, t.rows, self.a, y, {}, ONE)
+        if t.cap is not None:
+            _refuse(t, self.a, (y,))
+        return self.row.get(y, _NO_ENTRIES)
+
+
+class _Map:
+    """A map read on coefficient dicts: ``f[x]`` for x a label (its column in
+    ``cols``) or a dict; a label beyond the cap of ``t`` is refused."""
+
+    __slots__ = ("cols", "t", "context")
+
+    def __init__(self, cols: Mapping[Label, Mapping[Label, Coeff]] | _Map,
+                 t: PairTable | None = None, context: str = "") -> None:
+        self.cols, self.context = cols.cols if isinstance(cols, _Map) else cols, context
+        self.t = t if t is not None and t.cap is not None else None
+
+    def __getitem__(self, x) -> Mapping[Label, Coeff]:
+        labels = x if isinstance(x, _VALUES) else (x,)
+        t = self.t
+        if t is not None:
+            for lab in labels:
+                if not t.fits(t.degree(lab)):
+                    raise DegreeCapExceeded(t.degree(lab), t.cap, self.context)
+        if labels is not x:
+            return self.cols.get(x, _NO_ENTRIES)
+        acc: dict[Label, Coeff] = {}
+        for lab, c in x.items():
+            col = self.cols.get(lab)
+            if col:
+                _accumulate(acc, c, col.items())
+        return acc
+
+
+def _legs(c: Coalgebra) -> dict[Label, list]:
+    """The legs of every label of ``c``: on a linearised set, l (x) l alone."""
+    return {lab: c.legs(lab) for lab in c.basis.labels}
+
+
+def _counit(c: Coalgebra) -> dict[Label, Coeff]:
+    """eps of every label of ``c``: on a linearised set, 1."""
+    return {lab: c.counit.get(lab, ZERO) for lab in c.basis.labels}
+
+
+class _OnDicts:
+    """The evaluator on coefficient dicts, the only one that computes what the
+    lemma of :func:`_label_maps` makes free on a set: coalgebra maps,
+    multiplicativity, the eliminations and the primitives."""
+
+    coalgebra_map = staticmethod(check_coalgebra_map)
+    multiplicative = staticmethod(check_multiplicative)
+    primitives = staticmethod(primitives)
+    as_map = _Map
+
+    def __init__(self, tables: Sequence[tuple[PairTable, Basis]], maps: Sequence[FinMap]) -> None:
+        self.products = [_Product(t) for t, _ in tables]
+        self.maps = [_Map({lab: v.entries for lab, v in f.columns.items()}) for f in maps]
+
+    def unit(self, c: Coalgebra) -> Mapping[Label, Coeff]:
+        return c.unit.entries
+
+    def row(self, p: _Product, a: Label, labels: Sequence[Label]) -> _Row:
+        return _Row(p, a)
+
+    def opposite(self, p: _Product) -> _Product:
+        return _Product(p.t.opposite())
+
+    def total(self, terms: Iterable[tuple]) -> dict[Label, Coeff]:
+        """sum w v over the (v, w) of ``terms``."""
+        acc: dict[Label, Coeff] = {}
+        for v, w in terms:
+            _accumulate(acc, w, _entries(v).items())
+        return acc
+
+    def convolve(self, p: _Product, f: _Map | None, g: _Map | None,
+                 legs_a: Sequence[tuple]) -> dict[Label, Coeff]:
+        """sum p(f(a1), g(a2)) over the legs of a; None is the identity."""
+        return self.total([(p[a1 if f is None else f[a1], a2 if g is None else g[a2]], w)
+                           for a1, a2, w in legs_a])
+
+    def tensor_total(self, terms: Iterable[tuple]) -> dict[tuple[Label, Label], Coeff]:
+        """sum w x (x) y over the (x, y, w) of ``terms``."""
+        acc: dict[tuple[Label, Label], Coeff] = {}
+        for x, y, w in terms:
+            ys = _entries(y).items()
+            for l1, c1 in _entries(x).items():
+                _accumulate(acc, w * c1, (((l1, l2), c2) for l2, c2 in ys))
+        return acc
+
+    def spread(self, r: _Product, left: Iterable[tuple]) -> list[tuple]:
+        """The terms (x, w, y) for :meth:`fold`, x by its labels, a label y with its row."""
+        out = []
+        for x, w, y in left:
+            row = None if isinstance(y, _VALUES) else r.rows.get(y, _NO_ENTRIES)
+            for lab, cx in x.items() if isinstance(x, _VALUES) else ((x, ONE),):
+                out.append((lab, w * cx, y, row))
+        return out
+
+    def fold(self, q: _Product, r: _Product, left: Sequence[tuple], c: Label) -> dict[Label, Coeff]:
+        """sum w q(x, r(y, c)) over the terms (x, w, y) of ``left``, spread."""
+        t, rows, read = q.t, q.rows, exact_core._read
+        acc: dict[Label, Coeff] = {}
+        for x, w, y, row in left:
+            if row is None:
+                v = r[y, c]
+            else:
+                if r.cap is not None:
+                    _refuse(r.t, y, (c,))
+                v = row.get(c, _NO_ENTRIES)
+            read(t, rows, x, v, acc, w)
+        return acc
+
+    def adjoint(self, hopf: HopfBackend, hm: _Product, sm: _Map) -> Callable:
+        """ad_h(x) = sum h1 x S(h2) for a label h, by the backend."""
+        hb = hopf.basis
+        units = {h: FinVec.unit(hb, h) for h in hb.labels}
+        return lambda h, x: hopf.adjoint(units[h], FinVec(hb, x)).entries
+
+    def span(self, space: Basis, values: Iterable) -> tuple[list, Callable, SpanSolver]:
+        """The echelon basis of the span of ``values``, its membership test, its solver."""
+        solver = SpanSolver([FinVec(space, _entries(v)) for v in values])
+        return ([v.entries for v in solver.vectors],
+                lambda v: solver.contains(FinVec(space, _entries(v))), solver)
+
+    def fixed_space(self, space: Basis, labels: Sequence[Label], f: Mapping[Label, object],
+                    image: list) -> list:
+        """The echelon basis of the fixed space of the values ``f`` on ``labels``."""
+        moved = {lab: v for lab in labels
+                 if not (v := FinVec(space, _entries(f[lab])) - FinVec.unit(space, lab)).is_zero}
+        return [v.entries for v in _kernel(space, labels, moved)]
+
+    def kernel_and_ideal(self, space: Basis, labels: Sequence[Label], pi: Mapping[Label, dict],
+                         p: _Product, q: _Product, pairs: Iterable[tuple[Label, Label]]
+                         ) -> tuple[list, list]:
+        """The echelon bases of the kernel of the values ``pi`` and of the p - q."""
+        diffs = (FinVec(space, p[la, lb]) - FinVec(space, q[la, lb]) for la, lb in pairs)
+        kernel = _kernel(space, labels, {a: FinVec(space, v) for a, v in pi.items() if v})
+        return kernel, span_basis([g for g in diffs if not g.is_zero])
+
+
+def _kernel(space: Basis, labels: Sequence[Label], columns: Mapping[Label, FinVec]) -> list:
+    """The echelon basis of the kernel of the map with ``columns`` on ``labels``."""
+    within = Basis(f"{space.name} (within cap)", tuple(labels))
+    return span_basis([FinVec.build(space, v.entries)
+                       for v in kernel_basis(FinMap(within, space, columns))])
+
+
+class _OnLabels:
+    """The evaluator on the label maps of :func:`_label_maps`: a value is a
+    label and a tensor a label pair; every sum over the legs l (x) l has one
+    term, a span is spanned by its image labels, and nothing is capped."""
+
+    def __init__(self, label_tables: list[dict], maps: list[dict]) -> None:
+        self.products, self.maps = label_tables, maps
+
+    def coalgebra_map(self, *args, **kwargs) -> None:
+        pass
+
+    multiplicative = coalgebra_map
+
+    def primitives(self, c: Coalgebra) -> list:
+        return []
+
+    def unit(self, c: Coalgebra) -> Label:
+        (u,) = c.unit.entries
+        return u
+
+    def row(self, m: dict, a: Label, labels: Sequence[Label]) -> dict:
+        return {b: m[a, b] for b in labels}
+
+    def opposite(self, m: dict) -> dict:
+        return {(lb, la): x for (la, lb), x in m.items()}
+
+    def as_map(self, cols: dict, *guard) -> dict:
+        return cols
+
+    def total(self, terms: Sequence[tuple]) -> Label:
+        ((v, _),) = terms
+        return v
+
+    def convolve(self, p: dict, f: dict | None, g: dict | None, legs_a: Sequence[tuple]) -> Label:
+        ((a, _, _),) = legs_a
+        return p[a if f is None else f[a], a if g is None else g[a]]
+
+    def tensor_total(self, terms: Sequence[tuple]) -> tuple[Label, Label]:
+        ((x, y, _),) = terms
+        return x, y
+
+    def spread(self, r: dict, left: list[tuple]) -> list[tuple]:
+        return left
+
+    def fold(self, q: dict, r: dict, left: Sequence[tuple], c: Label) -> Label:
+        ((x, _, y),) = left
+        return q[x, r[y, c]]
+
+    def adjoint(self, hopf: HopfBackend, hm: dict, sm: dict) -> Callable:
+        return lambda h, x: hm[hm[h, x], sm[h]]
+
+    def span(self, space: Basis, values: Iterable[Label]) -> tuple[list, Callable, None]:
+        image = set(values)
+        return [lab for lab in space.labels if lab in image], image.__contains__, None
+
+    def fixed_space(self, space: Basis, labels: Sequence[Label], f: dict, image: list) -> list:
+        """The image, which an idempotent label map fixes."""
+        return image
+
+    def kernel_and_ideal(self, *args) -> tuple[list, list]:
+        """Nothing to eliminate (see :func:`~rackalg.right_hopf_dialg.structure_decomposition`)."""
+        return [], []
+
+
+def _evaluator(sets, tables: Sequence[tuple[PairTable, Basis]],
+               maps: Sequence[FinMap]) -> _OnLabels | _OnDicts:
+    """The evaluator on the label maps ``sets`` of ``tables`` and ``maps``, or
+    on their coefficient dicts when :func:`_label_maps` found none."""
+    return _OnDicts(tables, maps) if sets is None else _OnLabels(*sets)
+
+
+def _check_product(rb: RackBialgebra) -> None:
+    """The product checks of :func:`certify` on a checked carrier, read by the
+    evaluator of :func:`_label_maps`: the unit laws, multiplicativity (on
+    dicts only) and self-distributivity (:func:`_first_selfdist_failure`)."""
     c = rb.carrier
     basis = c.basis
-    labels = basis.labels
     if rb.mu.domain != c.square or rb.mu.codomain != basis:
         raise SchemaError(f"product of {basis.name} must map its tensor square to itself")
     t = rb.table
-    one = c.unit
-    maps = _label_maps((c,), lambda: (((t, basis),), ()))
-    m = None if maps is None else maps[0][0]
-    if m is None:
-        got = bilinear(t, one, one)
-        if got != one:
-            raise AxiomViolation("unit square", "1", got, one)
-        for lab in labels:
-            a = FinVec.unit(basis, lab)
-            lhs = FinVec(basis, times_label(t, one.entries, lab))
-            if lhs != a:
-                raise AxiomViolation("left unit", lab, lhs, a)
-            lhs = FinVec(basis, label_times(t, lab, one.entries))
-            rhs = one.scale(c.counit.get(lab, ZERO))
-            if lhs != rhs:
-                raise AxiomViolation("unit absorption", lab, lhs, rhs)
-        check_multiplicative(c, t, itertools.product(labels, repeat=2),
-                             "coproduct multiplicativity", "counit multiplicativity")
-    else:
-        (u,) = one.entries
-        if m[u, u] != u:
-            raise _violation(basis, "unit square", "1", {m[u, u]: ONE}, one.entries)
-        for lab in labels:
-            for axiom, got, want in (("left unit", m[u, lab], lab),
-                                     ("unit absorption", m[lab, u], u)):
-                if got != want:
-                    raise _violation(basis, axiom, lab, {got: ONE}, {want: ONE})
-    triple, lhs, rhs, _ = _first_selfdist_failure(t, c.legs, labels, m)
+    tables = ((t, basis),)
+    ev = _evaluator(_label_maps((c,), tables, ()), tables, ())
+    (m,) = ev.products
+    u = ev.unit(c)
+    eps = _counit(c)
+    if m[u, u] != u:
+        _differ("unit square", "1", m[u, u], u, basis)
+    for lab in basis.labels:
+        for axiom, got, want in (("left unit", m[u, lab], lab),
+                                 ("unit absorption", m[lab, u], ev.total([(u, eps[lab])]))):
+            if got != want:
+                _differ(axiom, lab, got, want, basis)
+    ev.multiplicative(c, t, itertools.product(basis.labels, repeat=2),
+                      "coproduct multiplicativity", "counit multiplicativity")
+    triple, lhs, rhs, _ = _first_selfdist_failure(ev, c)
     if triple is not None:
-        raise _violation(basis, "self-distributivity", triple, lhs, rhs)
+        _differ("self-distributivity", triple, lhs, rhs, basis)
 
 
-def _first_selfdist_failure(t: PairTable, legs_of: Callable[[Label], list],
-                            labels: Sequence[Label],
-                            m: Mapping[tuple[Label, Label], Label] | None = None
-                            ) -> tuple[tuple | None, dict, dict, int]:
-    """The first basis triple, in ``itertools.product`` order, with a |> (b |> c)
-    != sum (a1 |> b) |> (a2 |> c) for the uncapped ``t`` and coproduct legs
-    ``legs_of(a)``, both sides as dicts and the number of triples that held
-    before it; (None, {}, {}, n) when all n hold.  The right side is read as
-    sum_l (a1 |> b)_l (l |> (a2 |> c)), the terms of a1 |> b listed once per (a, b).
-    Given ``t`` as the label map ``m`` (:func:`_label_maps`), the identity is
-    read there as a |> (b |> c) = (a |> b) |> (a |> c).
-    """
+def _first_selfdist_failure(ev: _OnLabels | _OnDicts, c: Coalgebra) -> tuple:
+    """The first basis triple of ``c``, in ``itertools.product`` order, with
+    a |> (b |> c) != sum (a1 |> b) |> (a2 |> c) for the one product of the
+    evaluator ``ev``, both sides as its values and the number of triples
+    that held before it; (None, None, None, n) when all n hold.  Each a1 |> b
+    is read once per (a, b) and, the product being uncapped, b |> c once per
+    (b, c)."""
+    (m,) = ev.products
+    labels = c.basis.labels
+    legs, spread, fold = _legs(c), ev.spread, ev.fold
+    rows = [(lb, [(lc, m[lb, lc]) for lc in labels]) for lb in labels]
+    products = {(lb, lc): x for lb, row in rows for lc, x in row}
     checked = 0
-    if m is not None:
-        for la in labels:
-            for lb in labels:
-                ab = m[la, lb]
-                for lc in labels:
-                    lhs, rhs = m[la, m[lb, lc]], m[ab, m[la, lc]]
-                    if lhs != rhs:
-                        return (la, lb, lc), {lhs: ONE}, {rhs: ONE}, checked
-                    checked += 1
-        return None, {}, {}, checked
-    rows = t.rows  # an uncapped product: every row is read directly
     for la in labels:
-        legs = legs_of(la)
-        for lb in labels:
-            left = [(l, ca * cl, rows.get(a2, _NO_ENTRIES)) for a1, a2, ca in legs
-                    for l, cl in rows.get(a1, _NO_ENTRIES).get(lb, _NO_ENTRIES).items()]
-            row_b = rows.get(lb, _NO_ENTRIES)
-            for lc in labels:
-                lhs = label_times(t, la, row_b.get(lc, _NO_ENTRIES))
-                rhs: dict[Label, Coeff] = {}
-                for l, w, row in left:
-                    label_times(t, l, row.get(lc, _NO_ENTRIES), rhs, w)
-                if not same_entries(lhs, rhs):
+        legs_a, ma = legs[la], ev.row(m, la, labels)
+        for lb, row in rows:
+            left = spread(m, [(products[a1, lb], w, a2) for a1, a2, w in legs_a])
+            for lc, bc in row:
+                lhs, rhs = ma[bc], fold(m, m, left, lc)
+                if lhs != rhs and not same_entries(_entries(lhs), _entries(rhs)):
                     return (la, lb, lc), lhs, rhs, checked
                 checked += 1
-    return None, {}, {}, checked
+    return None, None, None, checked
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +801,11 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     are checked as coalgebras once each, and once in all when they are one
     object (a Hopf algebra acting on itself).
 
-    A linearised augmented rack is checked as a set: when the carrier and
-    the Hopf algebra have group-like labels and their units among them, and
-    the action, the Hopf product, phi and the Hopf antipode send each label
-    pair or label to one label with the int coefficient 1
-    (:func:`_label_maps`), every identity is read on the label maps, in the
-    same order and under the same names.  By the lemma there, augmentation
-    and action comultiplicativity and counit hold without being computed.
-    ad_h(phi(a)) = sum h1 phi(a) S(h2) is then h phi(a) S(h), and the induced
-    product is read from its table; once that has passed, it is the label
-    map a |> b = phi(a).b.  Any other input takes the generic path; both
-    give the same outcome.
+    Each identity is read by the evaluator that :func:`_label_maps` chooses
+    for the action, the Hopf product, phi and the Hopf antipode; on label
+    maps the augmentation and the action comultiplicativity and counit hold
+    by its lemma.  An induced product a1 |> x is read as phi(a1).x once
+    "induced product" has passed.
     """
     bc = arb.carrier
     hopf = arb.hopf
@@ -577,121 +821,70 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     if hc is not bc:  # a group acting on itself shares one coalgebra
         check_coalgebra(hc)
 
-    sets = _label_maps((bc, hc), lambda: (((act, hc.basis), (hopf.table, hc.basis)),
-                                          (phi, hopf.antipode)))
-    if sets is not None:
-        (am, hm), (pm, sm) = sets
-        cb, hb = bc.basis, hc.basis
-        (ub,), (uh,) = bc.unit.entries, hc.unit.entries
-        if pm[ub] != uh:
-            raise _violation(hb, "augmentation coaugmentation", "1", {pm[ub]: ONE}, {uh: ONE})
-        for la in cb.labels:
-            if am[uh, la] != la:
-                raise _violation(cb, "action unit", la, {am[uh, la]: ONE}, {la: ONE})
-        for lh in hb.labels:
-            if am[lh, ub] != ub:
-                raise _violation(cb, "action fixes coaugmentation", lh, {am[lh, ub]: ONE},
-                                 {ub: ONE})
-        for lu in hb.labels:
-            for lv in hb.labels:
-                uv = hm[lu, lv]
-                for la in cb.labels:
-                    lhs, rhs = am[uv, la], am[lu, am[lv, la]]
-                    if lhs != rhs:
-                        raise _violation(cb, "action associativity", (lu, lv, la), {lhs: ONE},
-                                         {rhs: ONE})
-        for lh in hb.labels:
-            for la in cb.labels:
-                lhs, rhs = pm[am[lh, la]], hm[hm[lh, pm[la]], sm[lh]]
-                if lhs != rhs:
-                    raise _violation(hb, "augmentation intertwines adjoint", (lh, la),
-                                     {lhs: ONE}, {rhs: ONE})
-        rack_t = arb.rack.table
-        for la in cb.labels:
-            for lb in cb.labels:
-                want = {am[pm[la], lb]: ONE}
-                if not same_entries(rack_t.entry(la, lb), want):
-                    raise AxiomViolation("induced product", (la, lb), rack_t.vector(la, lb),
-                                         FinVec(cb, want))
-        for la in cb.labels:
-            pa, spa = pm[la], sm[pm[la]]
-            for lb in cb.labels:
-                for axiom, got in (("left regularity", am[pa, am[spa, lb]]),
-                                   ("left regularity flipped", am[spa, am[pa, lb]])):
-                    if got != lb:
-                        raise _violation(cb, axiom, (la, lb), {got: ONE}, {lb: ONE})
-        _check_product(arb.rack)
-        return _certified(arb, rack=_certified(arb.rack))
-
-    check_coalgebra_map(bc, hc, phi.column, bc.basis.labels, "augmentation")
-    if phi(bc.unit) != hc.unit:
-        raise AxiomViolation("augmentation coaugmentation", "1", phi(bc.unit), hc.unit)
-
-    for la in bc.basis.labels:
-        a = FinVec.unit(bc.basis, la)
-        got = FinVec(bc.basis, times_label(act, hc.unit.entries, la))
-        if got != a:
-            raise AxiomViolation("action unit", la, got, a)
-    for lh in hc.basis.labels:
-        got = FinVec(bc.basis, label_times(act, lh, bc.unit.entries))
-        want = bc.unit.scale(hc.counit.get(lh, ZERO))
-        if got != want:
-            raise AxiomViolation("action fixes coaugmentation", lh, got, want)
-
-    # (uv).a is uv read against a, and u.(v.a) is u read against v.a
+    cb, hb = bc.basis, hc.basis
     hopf_t = hopf.table
-    for lu in hc.basis.labels:
-        for lv in hc.basis.labels:
-            if not hopf_t.fits(hopf_t.degree(lu) + hopf_t.degree(lv)):
-                continue
-            uv = hopf_t.entry(lu, lv)
-            for la in bc.basis.labels:
-                lhs = times_label(act, uv, la)
-                rhs = label_times(act, lu, act.entry(lv, la))
-                if not same_entries(lhs, rhs):
-                    raise _violation(bc.basis, "action associativity", (lu, lv, la), lhs, rhs)
+    tables, maps = ((act, hb), (hopf_t, hb)), (phi, hopf.antipode)
+    ev = _evaluator(_label_maps((bc, hc), tables, maps), tables, maps)
+    (am, hm), (pm, sm) = ev.products, ev.maps
+    ub, uh = ev.unit(bc), ev.unit(hc)
+    ev.coalgebra_map(bc, hc, phi.column, cb.labels, "augmentation")
+    if pm[ub] != uh:
+        _differ("augmentation coaugmentation", "1", pm[ub], uh, hb)
+    for la in cb.labels:
+        if am[uh, la] != la:
+            _differ("action unit", la, am[uh, la], la, cb)
+    eps_h = _counit(hc)
+    for lh in hb.labels:
+        got, want = am[lh, ub], ev.total([(ub, eps_h[lh])])
+        if got != want:
+            _differ("action fixes coaugmentation", lh, got, want, cb)
 
-    check_multiplicative(bc, act, itertools.product(hc.basis.labels, bc.basis.labels),
-                         "action comultiplicativity", "action counit", left=hc)
-
-    for lh in hc.basis.labels:
-        u = FinVec.unit(hc.basis, lh)
-        for la in bc.basis.labels:
-            pa = phi.column(la)
-            if not hopf_t.fits(max(map(hopf_t.degree, pa.entries), default=0) + 1):
+    # (uv).a and u.(v.a), v.a read once per (v, a) from the uncapped action
+    capped = hopf_t.cap is not None
+    act_rows = {lv: [(la, am[lv, la]) for la in cb.labels] for lv in hb.labels}
+    for lu in hb.labels:
+        au = ev.row(am, lu, cb.labels)
+        for lv in hb.labels:
+            if capped and not hopf_t.fits(hopf_t.degree(lu) + hopf_t.degree(lv)):
                 continue
-            lhs = phi(act.vector(lh, la))
-            rhs = hopf.adjoint(u, pa)
+            uv = hm[lu, lv]
+            for la, va in act_rows[lv]:
+                lhs, rhs = am[uv, la], au[va]
+                if lhs != rhs:
+                    _differ("action associativity", (lu, lv, la), lhs, rhs, cb)
+
+    ev.multiplicative(bc, act, itertools.product(hb.labels, cb.labels),
+                      "action comultiplicativity", "action counit", left=hc)
+
+    ad = ev.adjoint(hopf, hm, sm)
+    for lh in hb.labels:
+        for la in cb.labels:
+            pa = pm[la]
+            if capped and not hopf_t.fits(_degree(hopf_t, pa) + 1):
+                continue
+            lhs, rhs = pm[am[lh, la]], ad(lh, pa)
             if lhs != rhs:
-                raise AxiomViolation("augmentation intertwines adjoint", (lh, la), lhs, rhs)
+                _differ("augmentation intertwines adjoint", (lh, la), lhs, rhs, hb)
 
-    rack_t = arb.rack.table
-    for la in bc.basis.labels:
-        pa = phi.column(la).entries
-        for lb in bc.basis.labels:
-            want = FinVec(bc.basis, times_label(act, pa, lb))
-            got = rack_t.vector(la, lb)
+    rack_rows = arb.rack.table.rows
+    for la in cb.labels:
+        row, pa = rack_rows.get(la, _NO_ENTRIES), pm[la]
+        for lb in cb.labels:
+            got, want = row.get(lb, _NO_ENTRIES), _entries(am[pa, lb])
             if got != want:
-                raise AxiomViolation("induced product", (la, lb), got, want)
+                _differ("induced product", (la, lb), got, want, cb)
 
-    # sum a1 |> (S(phi(a2)).b), and sum S(phi(a1)).(a2 |> b) term by term of S(phi(a1))
-    anti = hopf.antipode
-    s_phi = {lab: anti(phi.column(lab)).entries for lab in bc.basis.labels}
-    for la in bc.basis.labels:
-        legs = bc.legs(la)
-        eps_a = bc.counit.get(la, ZERO)
-        for lb in bc.basis.labels:
-            want = {lb: eps_a} if eps_a else {}
-            acc1: dict[Label, Coeff] = {}
-            acc2: dict[Label, Coeff] = {}
-            for a1, a2, ca in legs:
-                label_times(rack_t, a1, times_label(act, s_phi[a2], lb), acc1, ca)
-                ab = rack_t.entry(a2, lb)
-                for w, cw in s_phi[a1].items():
-                    label_times(act, w, ab, acc2, ca * cw)
-            for axiom, got in (("left regularity", acc1), ("left regularity flipped", acc2)):
-                if not same_entries(got, want):
-                    raise _violation(bc.basis, axiom, (la, lb), got, want)
+    # sum a1 |> (S(phi(a2)).b) and sum S(phi(a1)).(a2 |> b), a1 |> x read as phi(a1).x
+    legs, eps_b, fold = _legs(bc), _counit(bc), ev.fold
+    for la in cb.labels:
+        regular = ev.spread(am, [(pm[a1], w, sm[pm[a2]]) for a1, a2, w in legs[la]])
+        flipped = ev.spread(am, [(sm[pm[a1]], w, pm[a2]) for a1, a2, w in legs[la]])
+        for lb in cb.labels:
+            want = ev.total([(lb, eps_b[la])])
+            for axiom, got in (("left regularity", fold(am, am, regular, lb)),
+                               ("left regularity flipped", fold(am, am, flipped, lb))):
+                if got != want:
+                    _differ(axiom, (la, lb), got, want, cb)
 
     _check_product(arb.rack)
     return _certified(arb, rack=_certified(arb.rack))
@@ -978,14 +1171,14 @@ def yang_baxter_check(rb: RackBialgebra) -> CheckReport:
             _accumulate(out, w, ((t[:i] + pq + t[i + 2:], x) for pq, x in r[t[i:i + 2]].items()))
         return out
 
-    checked = 0
+    checked, witness = 0, ()
     for triple in itertools.product(labels, repeat=3):
         checked += 1
         e = {triple: ONE}
         if not same_entries(r_at(0, r_at(1, r_at(0, e))), r_at(1, r_at(0, r_at(1, e)))):
-            return CheckReport(False, checked, axiom="braid relation",
-                               witness=(merge_labels(basis, *triple),))
-    return CheckReport(True, checked, axiom="braid relation")
+            witness = (merge_labels(basis, *triple),)
+            break
+    return CheckReport(not witness, checked, axiom="braid relation", witness=witness)
 
 
 def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
@@ -1011,6 +1204,7 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
     act, hopf_t = arb.table, hopf.table
     anti = hopf.antipode
     checked = skipped = 0
+    witness = ()
     for lh in hc.basis.labels:
         hsw3 = hc.sweedler3(FinVec.unit(hc.basis, lh))
         for la in bc.basis.labels:
@@ -1035,27 +1229,29 @@ def yetter_drinfeld_check(arb: AugmentedRackBialgebra) -> CheckReport:
                     for p, cp in left.items():
                         _accumulate(rhs, ch * cb * cp, (((p, q), cq) for q, cq in right.items()))
             if not same_entries(lhs, rhs):
-                return CheckReport(False, checked, axiom="yetter-drinfeld compatibility",
-                                   witness=(lh, la),
-                                   detail=f"{skipped} pairs beyond the degree cap skipped")
-    return CheckReport(True, checked, axiom="yetter-drinfeld compatibility",
-                       detail=f"{skipped} pairs beyond the degree cap skipped")
+                witness = (lh, la)
+                break
+        if witness:
+            break
+    return CheckReport(not witness, checked, axiom="yetter-drinfeld compatibility",
+                       witness=witness, detail=f"{skipped} pairs beyond the degree cap skipped")
 
 
 def filtration_stable(rb: RackBialgebra) -> CheckReport:
     """Left multiplications preserve every coalgebra filtration level."""
     if not rb.certified:
         raise RackalgError("filtration_stable needs a certified rack bialgebra")
-    checked = 0
+    checked, witness = 0, ()
     for r, level in enumerate(coalgebra_filtration(rb.carrier)):
         solver = SpanSolver(level)
-        for lab in rb.basis.labels:
-            for v in level:
-                checked += 1
-                if not solver.contains(FinVec(rb.basis, label_times(rb.table, lab, v.entries))):
-                    return CheckReport(False, checked, axiom="filtration stability",
-                                       witness=(lab, r))
-    return CheckReport(True, checked, axiom="filtration stability")
+        for lab, v in itertools.product(rb.basis.labels, level):
+            checked += 1
+            if not solver.contains(FinVec(rb.basis, label_times(rb.table, lab, v.entries))):
+                witness = (lab, r)
+                break
+        if witness:
+            break
+    return CheckReport(not witness, checked, axiom="filtration stability", witness=witness)
 
 
 __all__ = [

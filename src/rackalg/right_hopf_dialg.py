@@ -42,6 +42,11 @@ yields its universal enveloping dialgebra.
 Degree-capped instances store sparse product tables with explicit degree
 guards; identities whose evaluation would leave the cap are skipped and
 counted, never silently truncated.
+
+Each identity is stated once and read by the evaluator that
+:func:`~rackalg.rack_bialg._label_maps` chooses: on the label maps of a
+linearised set structure (group algebras, the dialgebra of an augmented
+finite rack), else on coefficient dicts, which alone know the cap.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, Sequence
 
 from rackalg.env_hopf import HopfAlgebra, HopfBackend, _require_hopf
@@ -70,17 +75,13 @@ from rackalg.exact_core import (
     PairTable,
     Rational,
     SpanSolver,
-    _NO_ENTRIES,
     _require_degree,
     bilinear,
-    kernel_basis,
     label_times,
     linear_sum,
     merge_labels,
     nullspace,
-    same_entries,
     span_basis,
-    split_label,
     tensor_sum,
     times_label,
 )
@@ -91,18 +92,21 @@ from rackalg.rack_bialg import (
     CheckReport,
     RackBialgebra,
     _certified,
+    _counit,
+    _degree,
+    _differ,
+    _entries,
+    _evaluator,
     _label_maps,
+    _legs,
     _primitive_leibniz,
-    _violation,
     certify,
     uar_infinity,
 )
 from rackalg.symcoalg import (
     Coalgebra,
     check_coalgebra,
-    check_coalgebra_map,
     check_cocommutative,
-    check_multiplicative,
     primitives,
     restrict_coalgebra,
     tensor_coalgebra,
@@ -144,157 +148,117 @@ def _right_product(t: PairTable, side: str) -> PairTable:
     return t.opposite() if side == "left" else t
 
 
-def _check_right_antipode(c: Coalgebra, t: PairTable, s: FinMap,
-                          lab: Label, defining: str, tag: str,
-                          sets: tuple[Mapping[tuple[Label, Label], Label],
-                                      Mapping[Label, Label]] | None = None) -> None:
-    """The right antipode identities of ``s`` for the product m = ``t`` at ``lab``.
+def _check_right_antipode(ev, basis: Basis, r, s, ss, u, lab: Label, legs_a: Sequence[tuple],
+                          want, defining: str, tag: str) -> None:
+    """The right antipode identities of ``s`` for the product m = ``r`` at
+    ``lab``, read by the evaluator ``ev``: ``r``, ``s`` and ``ss`` (S o S)
+    are its readers, ``u`` its unit, ``legs_a`` the legs of lab and ``want``
+    = eps(a) 1.
 
     In order: the defining identity sum m(a1, S(a2)) = eps(a) 1, raised as
     ``defining``, then, each name followed by ``tag``, the flip identity
     m(sum m(S(a1), a2), 1) = eps(a) 1, the convolution square
     sum m(S(a1), S(S(a2))) = eps(a) 1, the double antipode S(S(a)) = m(a, 1)
-    and unit absorption m(S(a), 1) = S(a).  With ``sets``, m and S as label
-    maps (:func:`~rackalg.rack_bialg._label_maps`), each side is one label
-    and the same identities are read on labels.
+    and unit absorption m(S(a), 1) = S(a).
     """
-    basis = c.basis
-    one = c.unit
-    if sets is not None:
-        m, sm = sets
-        (u,) = one.entries
-        sa = sm[lab]
-        for axiom, got, want in ((defining, m[lab, sa], u),
-                                 (f"antipode flip identity{tag}", m[m[sa, lab], u], u),
-                                 (f"antipode convolution square{tag}", m[sa, sm[sa]], u),
-                                 (f"double antipode{tag}", sm[sa], m[lab, u]),
-                                 (f"antipode unit absorption{tag}", m[sa, u], sa)):
-            if got != want:
-                raise _violation(basis, axiom, lab, {got: ONE}, {want: ONE})
-        return
-    legs = c.legs(lab)
-    want = one.scale(c.counit.get(lab, ZERO))
-    got = linear_sum(basis, ((FinVec(basis, label_times(t, l1, s.column(l2).entries)), cw)
-                             for l1, l2, cw in legs))
+    convolve = ev.convolve
+    got = convolve(r, None, s, legs_a)
     if got != want:
-        raise AxiomViolation(defining, lab, got, want)
-    flip = linear_sum(basis, ((FinVec(basis, times_label(t, s.column(l1).entries, l2)), cw)
-                              for l1, l2, cw in legs))
-    got = bilinear(t, flip, one)
+        _differ(defining, lab, got, want, basis)
+    got = r[convolve(r, s, None, legs_a), u]
     if got != want:
-        raise AxiomViolation(f"antipode flip identity{tag}", lab, got, want)
-    got = linear_sum(basis, ((bilinear(t, s.column(l1), s(s.column(l2))), cw)
-                             for l1, l2, cw in legs))
+        _differ(f"antipode flip identity{tag}", lab, got, want, basis)
+    got = convolve(r, s, ss, legs_a)
     if got != want:
-        raise AxiomViolation(f"antipode convolution square{tag}", lab, got, want)
-    sa = s.column(lab)
-    got = FinVec(basis, label_times(t, lab, one.entries))
-    if s(sa) != got:
-        raise AxiomViolation(f"double antipode{tag}", lab, s(sa), got)
-    got = bilinear(t, sa, one)
+        _differ(f"antipode convolution square{tag}", lab, got, want, basis)
+    sa = s[lab]
+    got, rhs = s[sa], r[lab, u]
+    if got != rhs:
+        _differ(f"double antipode{tag}", lab, got, rhs, basis)
+    got = r[sa, u]
     if got != sa:
-        raise AxiomViolation(f"antipode unit absorption{tag}", lab, got, sa)
+        _differ(f"antipode unit absorption{tag}", lab, got, sa, basis)
 
 
-def _check_halves(c: Coalgebra, s: FinMap,
-                  halves: Sequence[tuple[PairTable, PairTable, str, str, str]], products: int,
-                  sets: tuple[Mapping[Label, Label],
-                              Sequence[Mapping[tuple[Label, Label], Label]]] | None = None
-                  ) -> tuple[int, int, int]:
+def _dialgebra_halves(vt: PairTable, mv, dt: PairTable, md) -> tuple[tuple, tuple]:
+    """The halves (A, |-, S) and (A, -|, S) of a Hopf dialgebra, its tables
+    with their readers; S is a left antipode for -|, a right one for the
+    opposite product."""
+    return ((vt, mv, "bar-unit left", "right antipode for |-", " (|-)", False),
+            (dt, md, "bar-unit right", "left antipode for -|", " (-|)", True))
+
+
+def _check_halves(c: Coalgebra, ev, s_map: FinMap, halves: Sequence[tuple],
+                  products: int) -> tuple[int, int, int]:
     """The label and pair identities of one-sided Hopf algebras on ``c`` with
-    the antipode ``s``: the halves of a one-sided Hopf algebra, a Hopf
-    algebra or a Hopf dialgebra.
+    the antipode ``s_map``, read by the evaluator ``ev``: the halves of a
+    one-sided Hopf algebra, a Hopf algebra or a Hopf dialgebra.
 
-    A half (t, r, unit, defining, tag) has the product ``t`` and the product
-    ``r`` (``t`` or its opposite) that S is a right antipode for; the first
-    ``products`` halves have distinct products (a Hopf algebra has one, its
-    halves S a right antipode of t and of its opposite).  Per label: each
-    half's r(1, a) = a (``unit``), "balanced" (the halves of distinct
-    products agree on r(a, 1)), S a coalgebra map, each half's
-    :func:`_check_right_antipode` and S(S(S(a))) = S(a).  Per label pair:
-    each distinct product's comultiplicativity and counit, then its
-    S(ab) = S(b) S(a).  Per-half names end in ``tag``.  The pair identities
-    read only t, so each product is checked once; "balanced" on one product
-    t is given by the two unit laws at a, t(1, a) = a and t(a, 1) = a,
-    checked just before it.  Returns the number of labels and pairs
-    checked, then of labels and of pairs skipped beyond the cap of the
+    A half (t, p, unit, defining, tag, opposite) has the product ``t``, its
+    reader ``p`` and the product r S is a right antipode for: ``t``, or its
+    opposite when ``opposite``.  The first ``products`` halves have distinct products (a
+    Hopf algebra has one, its halves S a right antipode of t and of its
+    opposite).  Per label: each half's r(1, a) = a (``unit``), "balanced"
+    (the halves of distinct products agree on r(a, 1)), S a coalgebra map,
+    each half's :func:`_check_right_antipode` and S(S(S(a))) = S(a).  Per
+    label pair: each distinct product's comultiplicativity and counit, then
+    its S(ab) = S(b) S(a).  Per-half names end in ``tag``.  The pair
+    identities read only t, so each product is checked once; "balanced" on
+    one product t is given by the two unit laws at a, t(1, a) = a and
+    t(a, 1) = a, checked just before it.  Returns the number of labels and
+    pairs checked, then of labels and of pairs skipped beyond the cap of the
     first table.
-
-    ``sets`` is S and, per half, t as label maps
-    (:func:`~rackalg.rack_bialg._label_maps`); then the same identities are
-    read on labels, and by its lemma S is a coalgebra map and each product
-    comultiplicative and counital without being computed.  Label maps are
-    uncapped, so nothing is skipped.
     """
     basis = c.basis
-    one = c.unit
     capped = halves[0][0]
-    distinct = halves[:products]
+    (s,) = ev.maps
+    u = ev.unit(c)
+    legs, eps = _legs(c), _counit(c)
+    ss = ev.as_map({lab: s[s[lab]] for lab in basis.labels})
+    readers = [(p, ev.opposite(p) if opposite else p) for _, p, *_, opposite in halves]
+    r0 = readers[0][1]
     checked = skipped_labels = skipped_pairs = 0
-    if sets is not None:
-        sm, t_maps = sets
-        # r as a label map: t's own, or t's read backwards for the opposite
-        half_maps = [(tm, tm if r is t else {(lb, la): x for (la, lb), x in tm.items()})
-                     for tm, (t, r, *_) in zip(t_maps, halves)]
-        (u,) = one.entries
-        for lab in basis.labels:
-            for (_, _, unit, _, _), (_, rm) in zip(halves, half_maps):
-                if rm[u, lab] != lab:
-                    raise _violation(basis, unit, lab, {rm[u, lab]: ONE}, {lab: ONE})
-            for _, rm in half_maps[1:products]:
-                lhs, rhs = half_maps[0][1][lab, u], rm[lab, u]
-                if lhs != rhs:
-                    raise _violation(basis, "balanced", lab, {lhs: ONE}, {rhs: ONE})
-            for (_, r, _, defining, tag), (_, rm) in zip(halves, half_maps):
-                _check_right_antipode(c, r, s, lab, defining, tag, (rm, sm))
-            if sm[sm[sm[lab]]] != sm[lab]:
-                raise _violation(basis, "triple antipode", lab, {sm[sm[sm[lab]]]: ONE},
-                                 {sm[lab]: ONE})
-            checked += 1
-        for la, lb in itertools.product(basis.labels, repeat=2):
-            for (tm, _), (_, _, _, _, tag) in zip(half_maps, distinct):
-                lhs, rhs = sm[tm[la, lb]], tm[sm[lb], sm[la]]
-                if lhs != rhs:
-                    raise _violation(basis, f"antipode antihomomorphism{tag}", (la, lb),
-                                     {lhs: ONE}, {rhs: ONE})
-            checked += 1
-        return checked, skipped_labels, skipped_pairs
     for lab in basis.labels:
-        if not capped.fits(capped.degree(lab)):
+        if capped.cap is not None and not capped.fits(capped.degree(lab)):
             skipped_labels += 1
             continue
-        a = FinVec.unit(basis, lab)
-        for _, r, unit, _, _ in halves:
-            got = FinVec(basis, times_label(r, one.entries, lab))
-            if got != a:
-                raise AxiomViolation(unit, lab, got, a)
-        for _, r, *_ in distinct[1:]:
-            lhs = FinVec(basis, label_times(halves[0][1], lab, one.entries))
-            rhs = FinVec(basis, label_times(r, lab, one.entries))
-            if lhs != rhs:
-                raise AxiomViolation("balanced", lab, lhs, rhs)
-        check_coalgebra_map(c, c, s.column, (lab,), "antipode")
-        for _, r, _, defining, tag in halves:
-            _check_right_antipode(c, r, s, lab, defining, tag)
-        sa = s.column(lab)
-        if s(s(sa)) != sa:
-            raise AxiomViolation("triple antipode", lab, s(s(sa)), sa)
+        for (_, _, unit, *_), (_, r) in zip(halves, readers):
+            if r[u, lab] != lab:
+                _differ(unit, lab, r[u, lab], lab, basis)
+        for _, r in readers[1:products]:
+            if r0[lab, u] != r[lab, u]:
+                _differ("balanced", lab, r0[lab, u], r[lab, u], basis)
+        ev.coalgebra_map(c, c, s_map.column, (lab,), "antipode")
+        want = ev.total([(u, eps[lab])])
+        for (*_, defining, tag, _), (_, r) in zip(halves, readers):
+            _check_right_antipode(ev, basis, r, s, ss, u, lab, legs[lab], want, defining, tag)
+        sa = s[lab]
+        if s[s[sa]] != sa:
+            _differ("triple antipode", lab, s[s[sa]], sa, basis)
         checked += 1
 
+    distinct = [(t, p, f"product comultiplicativity{tag}", f"product counit{tag}",
+                 f"antipode antihomomorphism{tag}")
+                for (t, p, *_, tag, _) in halves[:products]]
     for la, lb in itertools.product(basis.labels, repeat=2):
-        if not capped.fits(capped.degree(la) + capped.degree(lb)):
+        if capped.cap is not None and not capped.fits(capped.degree(la) + capped.degree(lb)):
             skipped_pairs += 1
             continue
-        for t, _, _, _, tag in distinct:
-            check_multiplicative(c, t, ((la, lb),), f"product comultiplicativity{tag}",
-                                 f"product counit{tag}")
-        for t, _, _, _, tag in distinct:
-            lhs = s(t.vector(la, lb))
-            rhs = bilinear(t, s.column(lb), s.column(la))
+        for t, _, comultiplicativity, counit, _ in distinct:
+            ev.multiplicative(c, t, ((la, lb),), comultiplicativity, counit)
+        for _, p, _, _, antihomomorphism in distinct:
+            lhs, rhs = s[p[la, lb]], p[s[lb], s[la]]
             if lhs != rhs:
-                raise AxiomViolation(f"antipode antihomomorphism{tag}", (la, lb), lhs, rhs)
+                _differ(antihomomorphism, (la, lb), lhs, rhs, basis)
         checked += 1
     return checked, skipped_labels, skipped_pairs
+
+
+def _report(halves: tuple[int, int, int], triples: tuple[int, int]) -> CheckReport:
+    """The report from the counts of :func:`_check_halves` and of the triples."""
+    (checked, labels, pairs), (n, skipped) = halves, triples
+    return CheckReport(True, checked + n, detail=(
+        f"labels skipped={labels}, pairs skipped={pairs}, triples skipped={skipped}"))
 
 
 def _refuse_beyond_cap(tables: Sequence[tuple[str, PairTable]], s: FinMap) -> None:
@@ -314,36 +278,30 @@ def _refuse_beyond_cap(tables: Sequence[tuple[str, PairTable]], s: FinMap) -> No
             raise SchemaError(f"antipode column {lab!r} beyond the cap")
 
 
-def _check_associative(basis: Basis, t: PairTable, axiom: str,
-                       m: Mapping[tuple[Label, Label], Label] | None) -> tuple[int, int]:
-    """(ab)c = a(bc) on every label triple under the cap of ``t`` (on the
-    label map ``m`` of t when given), raised as ``axiom``; ab is read once per
-    (a, b), bc from the row of b.  Returns the triples checked and skipped."""
+def _check_associative(ev, basis: Basis, p, t: PairTable, axiom: str) -> tuple[int, int]:
+    """(ab)c = a(bc) on every label triple under the cap of ``t``, read by its
+    reader ``p`` of ``ev`` and raised as ``axiom``.  Returns the triples
+    checked and skipped."""
     labs = basis.labels
-    if m is not None:
-        for la, lb, lc in itertools.product(labs, repeat=3):
-            lhs, rhs = m[m[la, lb], lc], m[la, m[lb, lc]]
-            if lhs != rhs:
-                raise _violation(basis, axiom, (la, lb, lc), {lhs: ONE}, {rhs: ONE})
-        return len(labs) ** 3, 0
+    cap = t.cap
     deg = {lab: t.degree(lab) for lab in labs}
+    rows = {lab: ev.row(p, lab, labs) for lab in labs}
     checked = skipped = 0
     for la in labs:
+        pa = rows[la]
         for lb in labs:
             d_ab = deg[la] + deg[lb]
-            if not t.fits(d_ab):
+            if cap is not None and d_ab > cap:
                 skipped += len(labs)
                 continue
-            ab = t.entry(la, lb)
-            row = t.rows.get(lb, _NO_ENTRIES)
+            ab, pb = pa[lb], rows[lb]
             for lc in labs:
-                if not t.fits(d_ab + deg[lc]):
+                if cap is not None and d_ab + deg[lc] > cap:
                     skipped += 1
                     continue
-                lhs = times_label(t, ab, lc)
-                rhs = label_times(t, la, row.get(lc, _NO_ENTRIES))
-                if not same_entries(lhs, rhs):
-                    raise _violation(basis, axiom, (la, lb, lc), lhs, rhs)
+                lhs, rhs = p[ab, lc], pa[pb[lc]]
+                if lhs != rhs:
+                    _differ(axiom, (la, lb, lc), lhs, rhs, basis)
                 checked += 1
     return checked, skipped
 
@@ -365,8 +323,7 @@ def _check_hopf(h: HopfBackend) -> CheckReport:
     S(1) = 1 is 1 |- S(1) = 1, the right antipode identity at 1, by the left
     bar-unit law; so the report and the first failure are those of
     :func:`certify_dialgebra` on the product as two tables.  Identities
-    beyond the cap are skipped and counted; a linearised set structure is
-    read on its label maps (:func:`~rackalg.rack_bialg._label_maps`).
+    beyond the cap are skipped and counted.
     """
     c = h.coalgebra
     basis = c.basis
@@ -374,25 +331,19 @@ def _check_hopf(h: HopfBackend) -> CheckReport:
     _refuse_beyond_cap((("product", t),), s)
     check_coalgebra(c)
     check_cocommutative(c)
-    sets = _label_maps((c,), lambda: (((t, basis),), (s,)))
-    m, sm = (None, None) if sets is None else (sets[0][0], sets[1][0])
-    if h.side == "two-sided":
-        halves = ((t, t, "bar-unit left", "right antipode for |-", " (|-)"),
-                  (t, t.opposite(), "bar-unit right", "left antipode for -|", " (-|)"))
-        checked, skipped_labels, skipped_pairs = _check_halves(
-            c, s, halves, 1, None if m is None else (sm, (m, m)))
-        triples, skipped_triples = _check_associative(basis, t, "associativity (|-)", m)
-    else:
-        triples, skipped_triples = _check_associative(basis, t, "associativity", m)
-        if s(c.unit) != c.unit:
-            raise AxiomViolation("antipode unit", "1", s(c.unit), c.unit)
-        half = (t, _right_product(t, h.side), "one-sided unit", "defining antipode", "")
-        checked, skipped_labels, skipped_pairs = _check_halves(
-            c, s, (half,), 1, None if m is None else (sm, (m,)))
-    return CheckReport(
-        True, checked + triples,
-        detail=(f"labels skipped={skipped_labels}, pairs skipped={skipped_pairs}, "
-                f"triples skipped={skipped_triples}"))
+    tables, maps = ((t, basis),), (s,)
+    ev = _evaluator(_label_maps((c,), tables, maps), tables, maps)
+    (p,), (sm,) = ev.products, ev.maps
+    if h.side == "two-sided":  # associativity of |-, named by the tag of its half
+        halves = _dialgebra_halves(t, p, t, p)
+        counts = _check_halves(c, ev, s, halves, 1)
+        return _report(counts, _check_associative(ev, basis, p, t, f"associativity{halves[0][4]}"))
+    triples = _check_associative(ev, basis, p, t, "associativity")
+    u = ev.unit(c)
+    if sm[u] != u:
+        _differ("antipode unit", "1", sm[u], u, basis)
+    half = (t, p, "one-sided unit", "defining antipode", "", h.side == "left")
+    return _report(_check_halves(c, ev, s, (half,), 1), triples)
 
 
 def certify_one_sided(h: HopfAlgebra) -> HopfAlgebra:
@@ -486,253 +437,178 @@ def hopf_part_projector(h: HopfAlgebra) -> FinMap:
     return FinMap.from_function(h.basis, h.basis, lambda lab: _rho_column(h.coalgebra, r, lab))
 
 
-def _degree(t: PairTable, v: FinVec) -> int:
-    """The largest degree of a label of v."""
-    return max((t.degree(lab) for lab in v.entries), default=0)
-
-
-def _apply(m: FinMap, v: FinVec, t: PairTable, context: str) -> FinVec:
-    """m(v), refused for a label of v beyond the cap of ``t``."""
-    for lab in v.entries:
-        if not t.fits(t.degree(lab)):
-            raise DegreeCapExceeded(t.degree(lab), t.cap, context)
-    return m(v)
-
-
 @dataclass(frozen=True)
 class _Splitting:
-    """What :func:`_split` built (the label pairs under the cap, iota, rho, Psi
-    and the legs of its columns, the reduced echelon bases of E and H and,
-    on the generic path, their solvers) and how many identities it checked
-    and skipped."""
+    """What :func:`_split` built (pairs under the cap, iota and rho as values,
+    Psi and its legs, E and H as vectors and values, the readers of rho and
+    Psi, on dicts the solvers of E and H) and the identities it counted."""
 
     pairs: list[tuple[Label, Label]]
-    iota: FinMap
-    rho: FinMap
+    iota: dict[Label, object]
+    rho: dict[Label, object]
     psi: FinMap
     psi_legs: dict[Label, list[tuple[Label, Label, Rational]]]
     e: list[FinVec]
     h: list[FinVec]
-    spans: tuple[SpanSolver, SpanSolver] | None
+    values: tuple[list, list]
+    readers: tuple
+    spans: tuple[SpanSolver | None, SpanSolver | None]
     checked: int
     skipped: int
 
 
-def _differ(space: Basis, identity: str, witness, got: Label, want: Label) -> None:
-    """Raise the :class:`DecompositionFailure` of an identity read on labels
-    of ``space`` when its sides, the labels got and want, differ."""
-    if got != want:
-        raise _violation(space, identity, witness, {got: ONE}, {want: ONE}, DecompositionFailure)
+def _merged(basis: Basis, v):
+    """A tensor value (a label pair, or a dict keyed by them) on merged labels."""
+    if isinstance(v, tuple):
+        return merge_labels(basis, *v)
+    return {merge_labels(basis, x, y): w for (x, y), w in v.items()}
 
 
-def _split(c: Coalgebra, r: PairTable, s_col: Callable[[Label], FinVec],
-           labels: Sequence[Label], unit: str, tag: str,
-           sets: tuple[Mapping[tuple[Label, Label], Label], Mapping[Label, Label]] | None = None
-           ) -> _Splitting:
+def _finmap(domain: Basis, codomain: Basis, values: Mapping[Label, object]) -> FinMap:
+    """The map with the nonzero evaluator values ``values`` as its columns."""
+    return FinMap(domain, codomain, {a: FinVec(codomain, v) for a, x in values.items()
+                                     if (v := _entries(x))})
+
+
+def _split(c: Coalgebra, ev, r, s, t: PairTable, labels: Sequence[Label], unit: str,
+           tag: str) -> _Splitting:
     """The Suschkewitsch splitting A ~ E (x) H, checked identity by identity.
 
-    ``r`` is the product the antipode is a right antipode for, so a.b = r(b, a)
-    is a left Hopf algebra ((A, -|, S) for a dialgebra), and the splitting is
-    written as that algebra's: a witness pair (a, b) names a.b.  E is the
-    image (equivalently fixed space) of iota(a) = sum a1.S(a2) = sum
-    r(S(a1), a2), H that of rho(a) = 1.a = r(a, 1), and Psi(a) =
-    sum iota(a1) (x) rho(a2).  ``s_col`` reads the antipode at a label,
-    ``labels`` are the labels under the cap of ``r``, and identities beyond
-    the cap are skipped and counted.  ``unit`` names the generalized unit
-    identity; ``tag`` ends its name and the names of the generalized
-    idempotent and psi multiplicative identities.  Once iota passes the
-    projector check its image is its fixed space, so the idempotent part
-    identity re-checks only the two eliminations.
+    ``r`` is the evaluator's reader of the product the antipode is a right
+    antipode for, so a.b = r(b, a) is a left Hopf algebra ((A, -|, S) for a
+    dialgebra), and the splitting is written as that algebra's: a witness
+    pair (a, b) names a.b.  E is the image (equivalently fixed space) of
+    iota(a) = sum a1.S(a2) = sum r(S(a1), a2), H that of rho(a) = 1.a =
+    r(a, 1), and Psi(a) = sum iota(a1) (x) rho(a2).  ``s`` reads the
+    antipode, ``t`` is the table of r, whose cap the ``labels`` are under,
+    and identities beyond the cap are skipped and counted.  ``unit`` names
+    the generalized unit identity; ``tag`` ends its name and the names of
+    the generalized idempotent and psi multiplicative identities.  Once iota
+    passes the projector check its image is its fixed space, so the
+    idempotent part identity re-checks only the two eliminations.
 
-    ``sets`` is r and S as label maps (:func:`~rackalg.rack_bialg._label_maps`,
-    whose lemma makes each side one label): then iota(a) = r(S(a), a) and
-    rho(a) = r(a, 1) are labels, E and H are spanned by the unit vectors of
-    their image labels in basis order (its span lemma: the same reduced
-    echelon bases), a membership in H is a label in the image of rho, and
-    the idempotent part identity holds once iota is idempotent.  Every other
-    identity is read on labels in the same order, with the same witnesses
-    and counts; nothing is eliminated and nothing is skipped.
+    Each identity is read by the evaluator ``ev``; on label maps E and H are
+    spanned by their image labels (the span lemma of
+    :func:`~rackalg.rack_bialg._label_maps`), so nothing is eliminated.
     """
     basis = c.basis
     square = c.square
-    one = c.unit
-    eps = c.eps_of
-    eps_lab = {lab: c.counit.get(lab, ZERO) for lab in basis.labels}
-    units = {lab: FinVec.unit(basis, lab) for lab in basis.labels}
+    u = ev.unit(c)
+    legs, eps = _legs(c), _counit(c)
+    total, tensor_total = ev.total, ev.tensor_total
+    capped = t.cap is not None
     pairs = list(itertools.product(labels, repeat=2))
-    if r.cap is not None:
-        pairs = [(la, lb) for la, lb in pairs if r.fits(r.degree(la) + r.degree(lb))]
+    if capped:
+        pairs = [(la, lb) for la, lb in pairs if t.fits(t.degree(la) + t.degree(lb))]
     checked = 0
     # labels beyond the cap, and the pairs beyond it in the two pair loops
     skipped = basis.dim - len(labels) + 2 * (len(labels) ** 2 - len(pairs))
 
-    if sets is not None:
-        m, sm = sets
-        (u,) = one.entries
-        im = {a: m[sm[a], a] for a in labels}
-        for a in labels:
-            _differ(basis, "idempotent projector", a, im[im[a]], im[a])
-        e_labs = [a for a in labels if im[a] == a]
-        for i, x in enumerate(e_labs):
-            _differ(basis, f"generalized idempotent{tag}", i, m[x, x], x)
-            _differ(basis, "idempotent antipode", i, sm[x], u)
-            for a in labels:
-                _differ(basis, f"{unit}{tag}", (i, a), m[x, a], a)
-        rm = {a: m[a, u] for a in labels}
-        for a in labels:
-            _differ(basis, "hopf part projector", a, rm[rm[a]], rm[a])
-        h_labs = [a for a in labels if rm[a] == a]
-        in_h = set(h_labs)
-        if u not in in_h:
-            raise DecompositionFailure("hopf part unit", "1", one, None)
-        for i, y in enumerate(h_labs):
-            if sm[y] not in in_h:
-                raise _violation(basis, "hopf part antipode closure", i, {sm[y]: ONE}, None,
-                                 DecompositionFailure)
-            for j, z in enumerate(h_labs):
-                if m[z, y] not in in_h:
-                    raise _violation(basis, "hopf part closure", (i, j), {m[z, y]: ONE}, None,
-                                     DecompositionFailure)
-        for la, lb in pairs:
-            _differ(basis, "projection multiplicative", (la, lb), rm[m[lb, la]], m[rm[lb], rm[la]])
-        pair = {a: merge_labels(basis, im[a], rm[a]) for a in labels}
-        for a in labels:
-            _differ(basis, "psi left inverse", a, m[rm[a], im[a]], a)
-        for i, x in enumerate(e_labs):
-            for j, y in enumerate(h_labs):
-                _differ(square, "psi factor exchange", (i, j), pair[m[y, x]],
-                        merge_labels(basis, x, y))
-        if basis.dim != len(e_labs) * len(h_labs):
-            raise DecompositionFailure("dimension product", basis.name,
-                                       basis.dim, len(e_labs) * len(h_labs))
-        for la, lb in pairs:
-            _differ(square, f"psi multiplicative{tag}", (la, lb), pair[m[lb, la]],
-                    merge_labels(basis, im[la], m[rm[lb], rm[la]]))
-        for a in labels:
-            _differ(square, "psi antipode", a, pair[sm[a]], merge_labels(basis, u, sm[rm[a]]))
-        # per label: projector, psi left inverse, psi antipode and one unit law
-        # per idempotent; per pair: projection and psi multiplicative; per pair
-        # of H and per idempotent with H: closure and factor exchange
-        n = len(labels)
-        checked = n * (3 + len(e_labs) + 2 * n) + len(h_labs) * (len(h_labs) + len(e_labs))
-        return _Splitting(
-            pairs, FinMap(basis, basis, {a: units[im[a]] for a in labels}),
-            FinMap(basis, basis, {a: units[rm[a]] for a in labels}),
-            FinMap(basis, square, {a: FinVec(square, {pair[a]: ONE}) for a in labels}),
-            {a: [(im[a], rm[a], ONE)] for a in labels}, [units[x] for x in e_labs],
-            [units[y] for y in h_labs], None, checked, 0)
-
-    def s(v: FinVec) -> FinVec:
-        return linear_sum(basis, ((s_col(lab), cv) for lab, cv in v.entries.items()))
-
-    iota = FinMap(basis, basis, {lab: v for lab in labels
-                                 if not (v := _iota_column(c, r, s_col, lab)).is_zero})
-    for lab in labels:
-        got = _apply(iota, iota.column(lab), r, "idempotent projector")
-        if got != iota.column(lab):
-            raise DecompositionFailure("idempotent projector", lab, got, iota.column(lab))
+    iota = {a: ev.convolve(r, s, None, legs[a]) for a in labels}
+    im = ev.as_map(iota, t, "iota")
+    for a in labels:
+        if im[iota[a]] != iota[a]:
+            _differ("idempotent projector", a, im[iota[a]], iota[a], basis, DecompositionFailure)
         checked += 1
-    e = SpanSolver([iota.column(lab) for lab in labels])
-    e_basis = e.vectors
-    moved = FinMap(Basis(f"{basis.name} (within cap)", tuple(labels)), basis, {
-        lab: v for lab in labels if not (v := iota.column(lab) - units[lab]).is_zero})
-    fixed = [FinVec.build(basis, v.entries) for v in kernel_basis(moved)]
-    if span_basis(fixed) != e_basis:
-        raise DecompositionFailure("idempotent part", "fixed space", len(fixed), len(e_basis))
-    for i, ev in enumerate(e_basis):
-        got = linear_sum(basis, ((r.vector(l1, l2), cw) for l1, l2, cw in c.sweedler(ev)))
-        if got != ev:
-            raise DecompositionFailure(f"generalized idempotent{tag}", i, got, ev)
-        if s(ev) != one.scale(eps(ev)):
-            raise DecompositionFailure("idempotent antipode", i, s(ev), one.scale(eps(ev)))
-        ev_deg = _degree(r, ev)
-        for lab in labels:
-            if not r.fits(ev_deg + r.degree(lab)):
+    e_vals, _, e_span = ev.span(basis, iota.values())
+    fixed = ev.fixed_space(basis, labels, iota, e_vals)
+    if fixed != e_vals:
+        raise DecompositionFailure("idempotent part", "fixed space", len(fixed), len(e_vals))
+    for i, x in enumerate(e_vals):
+        terms = _entries(x).items()
+        got = total([(r[x1, x2], w * cw) for l, w in terms for x1, x2, cw in legs[l]])
+        if got != x:
+            _differ(f"generalized idempotent{tag}", i, got, x, basis, DecompositionFailure)
+        eps_x = sum(w * eps[l] for l, w in terms)
+        got, want = s[x], ev.total([(u, eps_x)])
+        if got != want:
+            _differ("idempotent antipode", i, got, want, basis, DecompositionFailure)
+        x_deg = capped and _degree(t, x)
+        for a in labels:
+            if capped and not t.fits(x_deg + t.degree(a)):
                 skipped += 1
                 continue
-            # lab.e = eps(e) lab
-            want = units[lab].scale(eps(ev))
-            got = FinVec(basis, times_label(r, ev.entries, lab))
+            # a.x = eps(x) a
+            got, want = r[x, a], ev.total([(a, eps_x)])
             if got != want:
-                raise DecompositionFailure(f"{unit}{tag}", (i, lab), got, want)
+                _differ(f"{unit}{tag}", (i, a), got, want, basis, DecompositionFailure)
             checked += 1
 
-    rho = FinMap(basis, basis, {lab: v for lab in labels
-                                if not (v := _rho_column(c, r, lab)).is_zero})
-    for lab in labels:
-        got = _apply(rho, rho.column(lab), r, "hopf part projector")
-        if got != rho.column(lab):
-            raise DecompositionFailure("hopf part projector", lab, got, rho.column(lab))
-    h = SpanSolver([rho.column(lab) for lab in labels])
-    h_basis = h.vectors
-    if not h.contains(one):
-        raise DecompositionFailure("hopf part unit", "1", one, None)
-    for i, uv in enumerate(h_basis):
-        if not h.contains(s(uv)):
-            raise DecompositionFailure("hopf part antipode closure", i, s(uv), None)
-        for j, vv in enumerate(h_basis):
-            if not r.fits(_degree(r, uv) + _degree(r, vv)):
+    rho = {a: r[a, u] for a in labels}
+    rm = ev.as_map(rho, t, "rho")
+    for a in labels:
+        if rm[rho[a]] != rho[a]:
+            _differ("hopf part projector", a, rm[rho[a]], rho[a], basis, DecompositionFailure)
+    h_vals, in_h, h_span = ev.span(basis, rho.values())
+    if not in_h(u):
+        raise DecompositionFailure("hopf part unit", "1", c.unit, None)
+    for i, y in enumerate(h_vals):
+        if not in_h(s[y]):
+            _differ("hopf part antipode closure", i, s[y], None, basis, DecompositionFailure)
+        for j, z in enumerate(h_vals):
+            if capped and not t.fits(_degree(t, y) + _degree(t, z)):
                 skipped += 1
                 continue
-            got = bilinear(r, vv, uv)
-            if not h.contains(got):
-                raise DecompositionFailure("hopf part closure", (i, j), got, None)
+            if not in_h(r[z, y]):
+                _differ("hopf part closure", (i, j), r[z, y], None, basis, DecompositionFailure)
             checked += 1
     for la, lb in pairs:
-        # rho(a.b) = rho(a).rho(b), the right side read term by term of rho(a)
-        got = _apply(rho, r.vector(lb, la), r, "hopf part projector")
-        want = linear_sum(basis, ((FinVec(basis, times_label(r, rho.column(lb).entries, l)), cl)
-                                  for l, cl in rho.column(la).entries.items()))
+        # rho(a.b) = rho(a).rho(b)
+        got, want = rm[r[lb, la]], r[rho[lb], rho[la]]
         if got != want:
-            raise DecompositionFailure("projection multiplicative", (la, lb), got, want)
+            _differ("projection multiplicative", (la, lb), got, want, basis, DecompositionFailure)
         checked += 1
 
-    psi = FinMap(basis, square, {lab: tensor_sum(square, (
-        (iota.column(l1), rho.column(l2), cw) for l1, l2, cw in c.legs(lab))) for lab in labels})
-    psi_legs = {lab: [split_label(basis, pair) + (cw,) for pair, cw in col.entries.items()]
-                for lab, col in psi.columns.items()}
-    for lab in labels:
-        got = linear_sum(basis, ((r.vector(l2, l1), cw) for l1, l2, cw in psi_legs[lab]))
-        if got != units[lab]:
-            raise DecompositionFailure("psi left inverse", lab, got, units[lab])
+    psi = {a: tensor_total([(im[a1], rm[a2], w) for a1, a2, w in legs[a]]) for a in labels}
+    psi_legs = {a: [(x, y, w) for (x, y), w in _entries(psi[a]).items()] for a in labels}
+    pm = ev.as_map(psi, t, "psi")
+    for a in labels:
+        got = total([(r[y, x], w) for x, y, w in psi_legs[a]])
+        if got != a:
+            _differ("psi left inverse", a, got, a, basis, DecompositionFailure)
         checked += 1
-    for i, ev in enumerate(e_basis):
-        for j, uv in enumerate(h_basis):
-            if not r.fits(_degree(r, ev) + _degree(r, uv)):
+    for i, x in enumerate(e_vals):
+        for j, y in enumerate(h_vals):
+            if capped and not t.fits(_degree(t, x) + _degree(t, y)):
                 skipped += 1
                 continue
-            got = _apply(psi, bilinear(r, uv, ev), r, "psi")
-            if got != ev.tensor(uv, square):
-                raise DecompositionFailure("psi factor exchange", (i, j), got,
-                                           ev.tensor(uv, square))
+            got, want = pm[r[y, x]], tensor_total([(x, y, ONE)])
+            if got != want:
+                _differ("psi factor exchange", (i, j), _merged(basis, got), _merged(basis, want),
+                        square, DecompositionFailure)
             checked += 1
-    if r.cap is None and basis.dim != len(e_basis) * len(h_basis):
+    if not capped and basis.dim != len(e_vals) * len(h_vals):
         raise DecompositionFailure("dimension product", basis.name,
-                                   basis.dim, len(e_basis) * len(h_basis))
+                                   basis.dim, len(e_vals) * len(h_vals))
+    # sum eps(c') h' over the terms c' (x) h' of Psi(b)
+    tails = {b: total([(y, w * eps[x]) for x, y, w in psi_legs[b]]) for b in labels}
     for la, lb in pairs:
         try:
             # (c (x) h).(c' (x) h') = eps(c') c (x) h.h'
-            lhs = _apply(psi, r.vector(lb, la), r, "psi")
-            rhs = tensor_sum(square, ((units[a1], r.vector(b2, a2), ca * cb * eps_lab[b1])
-                                      for a1, a2, ca in psi_legs[la]
-                                      for b1, b2, cb in psi_legs[lb] if eps_lab[b1]))
-            if lhs != rhs:
-                raise DecompositionFailure(f"psi multiplicative{tag}", (la, lb), lhs, rhs)
+            got = pm[r[lb, la]]
+            want = tensor_total([(x, r[tails[lb], y], w) for x, y, w in psi_legs[la]])
+            if got != want:
+                _differ(f"psi multiplicative{tag}", (la, lb), _merged(basis, got),
+                        _merged(basis, want), square, DecompositionFailure)
             checked += 1
         except DegreeCapExceeded:
             skipped += 1
-    for lab in labels:
+    for a in labels:
         try:
             # Psi(S(a)) = sum eps(c) 1 (x) S(h) over Psi(a) = sum c (x) h
-            lhs = _apply(psi, s_col(lab), r, "psi")
-            rhs = tensor_sum(square, ((one, s_col(l2), cw * eps_lab[l1])
-                                      for l1, l2, cw in psi_legs[lab]))
-            if lhs != rhs:
-                raise DecompositionFailure("psi antipode", lab, lhs, rhs)
+            got = pm[s[a]]
+            want = tensor_total([(u, s[y], w * eps[x]) for x, y, w in psi_legs[a]])
+            if got != want:
+                _differ("psi antipode", a, _merged(basis, got), _merged(basis, want), square,
+                        DecompositionFailure)
             checked += 1
         except DegreeCapExceeded:
             skipped += 1
-    return _Splitting(pairs, iota, rho, psi, psi_legs, e_basis, h_basis, (e, h), checked, skipped)
+    return _Splitting(
+        pairs, iota, rho, _finmap(basis, square, {a: _merged(basis, v) for a, v in psi.items()}),
+        psi_legs,
+        [FinVec(basis, _entries(x)) for x in e_vals], [FinVec(basis, _entries(y)) for y in h_vals],
+        (e_vals, h_vals), (rm, pm), (e_span, h_span), checked, skipped)
 
 
 @dataclass(frozen=True)
@@ -776,9 +652,9 @@ def suschkewitsch(h: HopfAlgebra) -> SuschkewitschDecomposition:
       depend on the order of the legs a1, a2, a3: on a coassociative,
       cocommutative carrier the iterated coproduct is symmetric in them.
 
-    The splitting takes the set path of :func:`_split` when the product and
-    the antipode are label maps (:func:`~rackalg.rack_bialg._label_maps`);
-    the check on top of it is read on the unit vectors of H1.  Raises
+    The splitting is read by the evaluator of
+    :func:`~rackalg.rack_bialg._label_maps`; the check on top of it is read
+    on the vectors of H1.  Raises
     :class:`DecompositionFailure` with the first failing identity and its
     witness: a basis label or label pair, an index into the basis of E or
     H1 (or a pair of them), or for a whole-space identity its name ("fixed
@@ -792,13 +668,15 @@ def suschkewitsch(h: HopfAlgebra) -> SuschkewitschDecomposition:
     rprod = _right_product(h.table, h.side)
     eps = c.eps_of
 
-    maps = _label_maps((c,), lambda: (((rprod, basis),), (s,)))
-    sp = _split(c, rprod, s.column, basis.labels, "generalized unit", "",
-                None if maps is None else (maps[0][0], maps[1][0]))
+    tables, maps = ((rprod, basis),), (s,)
+    ev = _evaluator(_label_maps((c,), tables, maps), tables, maps)
+    (r,), (sm,) = ev.products, ev.maps
+    sp = _split(c, ev, r, sm, rprod, basis.labels, "generalized unit", "")
     # S is an antipode on the other side too: iota(u) = eps(u) 1 on H1
     other = "left" if h.side == "right" else "right"
+    iota = _finmap(basis, basis, sp.iota)
     for i, uv in enumerate(sp.h):
-        got = sp.iota(uv)
+        got = iota(uv)
         if got != c.unit.scale(eps(uv)):
             raise DecompositionFailure(f"hopf part {other} antipode", i, got,
                                        c.unit.scale(eps(uv)))
@@ -904,104 +782,61 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     identity for |- at 1 reads 1 |- S(1) = 1, whose left side is S(1) by
     the left bar-unit law.
 
-    A product with a basis label on one side is read from the tables
-    (:func:`~rackalg.exact_core.times_label`, :func:`~rackalg.exact_core.label_times`),
-    so under a cap an entry with a term beyond its degree raises
-    :class:`DegreeCapExceeded`; in the triple loop ab is read once per (a, b).
-
-    A linearised set structure (the group algebra of a finite group, or the
-    dialgebra of an augmented finite rack) is checked as a set: when every
-    carrier label is group-like, the unit is a label and the uncapped
-    products and the antipode send each label pair or label to one label
-    with the int coefficient 1 (:func:`~rackalg.rack_bialg._label_maps`),
-    each identity above is read on the label maps, in the same order, under
-    the same names and with the same ``checked``.  By the lemma there each
-    side is one label, and S a coalgebra map and the multiplicativity of
-    both products hold without being computed.  Any other input, a capped
-    one included, takes the generic path; both give the same outcome.
+    Each identity is read by the evaluator of
+    :func:`~rackalg.rack_bialg._label_maps`; on coefficient dicts a product
+    with a basis label on one side is read from the tables, so under a cap
+    an entry with a term beyond its degree raises :class:`DegreeCapExceeded`.
     """
     c = d.coalgebra
     basis = c.basis
     if d.antipode.domain != basis or d.antipode.codomain != basis:
         raise SchemaError("antipode must be an endomorphism of the carrier")
     vt, dt = d.vdash_table, d.dashv_table
-    deg = {lab: vt.degree(lab) for lab in basis.labels}
     _refuse_beyond_cap((("|-", vt), ("-|", dt)), d.antipode)
     check_coalgebra(c)
     check_cocommutative(c)
 
+    tables, maps = ((vt, basis), (dt, basis)), (d.antipode,)
+    ev = _evaluator(_label_maps((c,), tables, maps), tables, maps)
+    (mv, md), _ = ev.products, ev.maps
+    halves = _check_halves(c, ev, d.antipode, _dialgebra_halves(vt, mv, dt, md), 2)
     labs = basis.labels
-    # S is a left antipode for -|: a right antipode for the opposite product
-    halves = ((vt, vt, "bar-unit left", "right antipode for |-", " (|-)"),
-              (dt, dt.opposite(), "bar-unit right", "left antipode for -|", " (-|)"))
-    sets = _label_maps((c,), lambda: (((vt, basis), (dt, basis)), (d.antipode,)))
-    skipped_triples = 0
-    if sets is None:
-        checked, skipped_labels, skipped_pairs = _check_halves(c, d.antipode, halves, 2)
-        # b c is read from the rows of b: within the cap, as a b c fits
-        for la in labs:
-            for lb in labs:
-                d_ab = deg[la] + deg[lb]
-                if not vt.fits(d_ab):
-                    skipped_triples += len(labs)
+    cap = vt.cap
+    deg = {lab: vt.degree(lab) for lab in labs}
+    row = ev.row
+    rows = {lb: (row(mv, lb, labs), row(md, lb, labs)) for lb in labs}
+    checked = skipped = 0
+    for la in labs:
+        va, da = rows[la]
+        for lb in labs:
+            d_ab = deg[la] + deg[lb]
+            if cap is not None and d_ab > cap:
+                skipped += len(labs)
+                continue
+            ab_v, ab_d = va[lb], da[lb]
+            vb, db = rows[lb]
+            for lc in labs:
+                if cap is not None and d_ab + deg[lc] > cap:
+                    skipped += 1
                     continue
-                ab_v = vt.entry(la, lb)
-                ab_d = dt.entry(la, lb)
-                row_v = vt.rows.get(lb, _NO_ENTRIES)
-                row_d = dt.rows.get(lb, _NO_ENTRIES)
-                for lc in labs:
-                    if not vt.fits(d_ab + deg[lc]):
-                        skipped_triples += 1
-                        continue
-                    bc_v = row_v.get(lc, _NO_ENTRIES)
-                    lhs = times_label(vt, ab_v, lc)
-                    rhs = label_times(vt, la, bc_v)
-                    if not same_entries(lhs, rhs):
-                        raise _violation(basis, "associativity (|-)", (la, lb, lc), lhs, rhs)
-                    checked += 1
-                    bc_d = row_d.get(lc, _NO_ENTRIES)
-                    got = times_label(vt, ab_d, lc)
-                    if not same_entries(got, lhs):
-                        raise _violation(basis, "left products agree", (la, lb, lc), got, lhs)
-                    lhs = times_label(dt, ab_d, lc)
-                    rhs = label_times(dt, la, bc_d)
-                    if not same_entries(lhs, rhs):
-                        raise _violation(basis, "associativity (-|)", (la, lb, lc), lhs, rhs)
-                    got = label_times(dt, la, bc_v)
-                    if not same_entries(got, rhs):
-                        raise _violation(basis, "right products agree", (la, lb, lc), got, rhs)
-                    lhs = times_label(dt, ab_v, lc)
-                    rhs = label_times(vt, la, bc_d)
-                    if not same_entries(lhs, rhs):
-                        raise _violation(basis, "inner associativity", (la, lb, lc), lhs, rhs)
-    else:
-        (mv, md), (sm,) = sets
-        checked, skipped_labels, skipped_pairs = _check_halves(
-            c, d.antipode, halves, 2, (sm, (mv, md)))
-        for la in labs:
-            for lb in labs:
-                ab_v, ab_d = mv[la, lb], md[la, lb]
-                for lc in labs:
-                    bc_v = mv[lb, lc]
-                    lhs, rhs = mv[ab_v, lc], mv[la, bc_v]
-                    if lhs != rhs:
-                        raise _violation(basis, "associativity (|-)", (la, lb, lc), {lhs: ONE},
-                                         {rhs: ONE})
-                    checked += 1
-                    bc_d = md[lb, lc]
-                    for axiom, got, want in (
-                            ("left products agree", mv[ab_d, lc], lhs),
-                            ("associativity (-|)", md[ab_d, lc], md[la, bc_d]),
-                            ("right products agree", md[la, bc_v], md[la, bc_d]),
-                            ("inner associativity", md[ab_v, lc], mv[la, bc_d])):
-                        if got != want:
-                            raise _violation(basis, axiom, (la, lb, lc), {got: ONE}, {want: ONE})
-
-    report = CheckReport(
-        True, checked,
-        detail=(f"labels skipped={skipped_labels}, pairs skipped={skipped_pairs}, "
-                f"triples skipped={skipped_triples}"))
-    return _certified(d, report=report)
+                bc_v, bc_d = vb[lc], db[lc]
+                lhs, rhs = mv[ab_v, lc], va[bc_v]
+                if lhs != rhs:
+                    _differ("associativity (|-)", (la, lb, lc), lhs, rhs, basis)
+                checked += 1
+                got = mv[ab_d, lc]
+                if got != lhs:
+                    _differ("left products agree", (la, lb, lc), got, lhs, basis)
+                lhs, rhs = md[ab_d, lc], da[bc_d]
+                if lhs != rhs:
+                    _differ("associativity (-|)", (la, lb, lc), lhs, rhs, basis)
+                got = da[bc_v]
+                if got != rhs:
+                    _differ("right products agree", (la, lb, lc), got, rhs, basis)
+                lhs, rhs = md[ab_v, lc], va[bc_d]
+                if lhs != rhs:
+                    _differ("inner associativity", (la, lb, lc), lhs, rhs, basis)
+    return _certified(d, report=_report(halves, (checked, skipped)))
 
 
 def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
@@ -1143,12 +978,9 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     is closed.  Module identities tying |> back to both dialgebra products
     are verified on every triple within the cap.
 
-    Label pairs of |> within the cap are computed once into a table and read
-    as in :func:`certify_dialgebra`; a |- b, a -| b and the terms of a1 |> b
-    are read once per (a, b).  When the coalgebra is group-like and both
-    products and |> are label maps (:func:`~rackalg.rack_bialg._label_maps`),
-    the module identities are read on labels, in the same order: by its
-    lemma a |> (b * c) = (a |> b) * (a |> c) for each product *.
+    Label pairs of |> within the cap are computed once into a table, and
+    both products and |> are read by the evaluator of
+    :func:`~rackalg.rack_bialg._label_maps`.
     """
     if degree is not None:
         _require_degree(degree)
@@ -1183,43 +1015,33 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     mu = FinMap.from_pairs(basis, basis, carrier.square, basis, mu_col)
     rb = certify(RackBialgebra(carrier, mu))
 
-    sets = _label_maps((c,), lambda: (((vt, c.basis), (dt, c.basis), (rack, c.basis)), ()))
-    if sets is not None:
-        (mv, md, mr), _ = sets
-        for la, lb in itertools.product(labs, repeat=2):
-            xv, xd, ab = mv[la, lb], md[la, lb], mr[la, lb]
-            for lc in labs:
-                lhs, ac = mr[la, mr[lb, lc]], mr[la, lc]
-                sides = ((lhs, mr[xv, lc]), (lhs, mr[xd, lc]),
-                         (mr[la, mv[lb, lc]], mv[ab, ac]), (mr[la, md[lb, lc]], md[ab, ac]))
-                for axiom, (got, want) in zip(("module identity (|-)", "module identity (-|)",
-                                               "module algebra (|-)", "module algebra (-|)"),
-                                              sides):
-                    if got != want:
-                        raise _violation(c.basis, axiom, (la, lb, lc), {got: ONE}, {want: ONE})
-        return rb
-    for la, lb in itertools.product(labs, repeat=2):
-        if not vt.fits(deg[la] + deg[lb]):  # no c fits, and a |- b is refused
-            continue
-        ab = (("module identity (|-)", vt.entry(la, lb)),
-              ("module identity (-|)", dt.entry(la, lb)))
-        left = [(l, cw * cl, l2) for l1, l2, cw in c.legs(la)
-                for l, cl in rack.entry(l1, lb).items()]
-        for lc in labs:
-            if not vt.fits(deg[la] + deg[lb] + deg[lc]):
+    tables = ((vt, c.basis), (dt, c.basis), (rack, c.basis))
+    ev = _evaluator(_label_maps((c,), tables, ()), tables, ())
+    (mv, md, mr), legs, fold = ev.products, _legs(c), ev.fold
+    rows = {lb: [ev.row(p, lb, labs) for p in (mr, mv, md)] for lb in labs}
+    cap = d.cap
+    for la in labs:
+        ra = rows[la][0]
+        for lb in labs:
+            d_ab = deg[la] + deg[lb]
+            if cap is not None and d_ab > cap:  # no c fits, and a |- b is refused
                 continue
-            lhs = label_times(rack, la, rack.entry(lb, lc))
-            for axiom, x in ab:
-                rhs = times_label(rack, x, lc)
-                if not same_entries(lhs, rhs):
-                    raise _violation(c.basis, axiom, (la, lb, lc), lhs, rhs)
-            for name, prod in (("|-", vt), ("-|", dt)):
-                lhs = label_times(rack, la, prod.entry(lb, lc))
-                rhs = {}
-                for l, cl, l2 in left:
-                    label_times(prod, l, rack.entry(l2, lc), rhs, cl)
-                if not same_entries(lhs, rhs):
-                    raise _violation(c.basis, f"module algebra ({name})", (la, lb, lc), lhs, rhs)
+            r_b, v_b, d_b = rows[lb]
+            halves = (("module identity (|-)", "module algebra (|-)", mv, v_b, mv[la, lb]),
+                      ("module identity (-|)", "module algebra (-|)", md, d_b, md[la, lb]))
+            left = ev.spread(mr, [(mr[a1, lb], w, a2) for a1, a2, w in legs[la]])
+            for lc in labs:
+                if cap is not None and d_ab + deg[lc] > cap:
+                    continue
+                lhs = ra[r_b[lc]]
+                for identity, _, _, _, ab in halves:
+                    rhs = mr[ab, lc]
+                    if lhs != rhs:
+                        _differ(identity, (la, lb, lc), lhs, rhs, c.basis)
+                for _, algebra, p, p_b, _ in halves:
+                    got, want = ra[p_b[lc]], fold(p, mr, left, lc)
+                    if got != want:
+                        _differ(algebra, (la, lb, lc), got, want, c.basis)
     return rb
 
 
@@ -1253,12 +1075,10 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     central ideal and a Leibniz-closed Hopf summand.  Products with a basis
     label on one side are read from the stored columns.
 
-    When the coalgebra is group-like and both products and the antipode are
-    uncapped label maps (:func:`~rackalg.rack_bialg._label_maps`), the
-    splitting takes the set path of :func:`_split` and the |- identities
-    are read on labels, in the same order and with the same witnesses.  By
-    the lemmas there the primitives are 0, so the primitive identities hold
-    with nothing to check, and "associativity ideal" says that the pairs
+    The splitting and the |- identities are read by the evaluator of
+    :func:`~rackalg.rack_bialg._label_maps`.  On label maps, by the lemmas
+    there, the primitives are 0, so the primitive identities hold with
+    nothing to check, and "associativity ideal" says that the pairs
     (a |- b, a -| b) connect each fibre of pi.  They do, once the identities
     before it hold: let pi(b) = pi(a) and x = iota(b), a label of E.  By
     "psi multiplicative (-|)", Psi(x -| a) = iota(x) (x) (pi(x) -| pi(a)),
@@ -1275,90 +1095,69 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     labs = basis.labels
     vt, dt = d.vdash_table, d.dashv_table
     fit_labels = [lab for lab in labs if vt.fits(vt.degree(lab))]
-    sets = _label_maps((c,), lambda: (((vt, basis), (dt, basis)), (d.antipode,)))
-    if sets is not None:
-        (mv, md), (sm,) = sets
-    sp = _split(c, dt.opposite(), d.s_label, fit_labels, "generalized bar-unit", " (-|)",
-                None if sets is None else ({(b, a): x for (a, b), x in md.items()}, sm))
-    e_basis, h_basis = sp.e, sp.h
+    tables, maps = ((vt, basis), (dt, basis)), (d.antipode,)
+    ev = _evaluator(_label_maps((c,), tables, maps), tables, maps)
+    (mv, md), (sm,) = ev.products, ev.maps
+    s = ev.as_map(sm, vt, "antipode")
+    sp = _split(c, ev, ev.opposite(md), s, dt, fit_labels, "generalized bar-unit", " (-|)")
     checked, skipped = sp.checked, sp.skipped
-    eps = c.eps_of
+    (e_vals, h_vals), (rho, psi) = sp.values, sp.readers
+    capped = vt.cap is not None
 
-    if sets is not None:
-        (u,) = c.unit.entries
-        im = {a: md[a, sm[a]] for a in labs}
-        rm = {a: md[u, a] for a in labs}
-        e_labs, h_labs = ([lab for v in part for lab in v.entries] for part in (e_basis, h_basis))
-        for i, x in enumerate(e_labs):
-            for a in labs:
-                _differ(basis, "generalized bar-unit (|-)", (i, a), mv[x, a], a)
-        for i, y in enumerate(h_labs):
-            for j, z in enumerate(h_labs):
-                _differ(basis, "hopf part products agree", (i, j), mv[y, z], md[y, z])
-        for la, lb in sp.pairs:
-            _differ(basis, "projection merges products", (la, lb), rm[mv[la, lb]], rm[md[la, lb]])
-        # the associativity ideal holds here, by the argument in the docstring
-        for la, lb in sp.pairs:
-            z, ra = mv[la, lb], rm[la]
-            _differ(square, "psi multiplicative (|-)", (la, lb), merge_labels(basis, im[z], rm[z]),
-                    merge_labels(basis, md[mv[ra, im[lb]], sm[ra]], md[ra, rm[lb]]))
-        # Prim = 0, so "primitive splitting" is 0 = 0 and its loops are empty
-        return DialgebraDecomposition(d, tuple(e_basis), tuple(h_basis), sp.psi,
-                                      CheckReport(True, checked, detail=f"skipped={skipped}"))
-
-    for i, ev in enumerate(e_basis):
-        ev_deg = _degree(vt, ev)
-        for lab in fit_labels:
-            if not vt.fits(ev_deg + vt.degree(lab)):
+    eps = _counit(c)
+    for i, x in enumerate(e_vals):
+        eps_x = sum(w * eps[l] for l, w in _entries(x).items())
+        x_deg = capped and _degree(vt, x)
+        for a in fit_labels:
+            if capped and not vt.fits(x_deg + vt.degree(a)):
                 continue
-            want = FinVec.unit(basis, lab, eps(ev))
-            got = FinVec(basis, times_label(vt, ev.entries, lab))
+            got, want = mv[x, a], ev.total([(a, eps_x)])
             if got != want:
-                raise DecompositionFailure("generalized bar-unit (|-)", (i, lab), got, want)
+                _differ("generalized bar-unit (|-)", (i, a), got, want, basis,
+                        DecompositionFailure)
 
-    for i, uv in enumerate(h_basis):
-        for j, vv in enumerate(h_basis):
-            if not vt.fits(_degree(vt, uv) + _degree(vt, vv)):
+    for i, y in enumerate(h_vals):
+        for j, z in enumerate(h_vals):
+            if capped and not vt.fits(_degree(vt, y) + _degree(vt, z)):
                 continue
-            if d.vprod(uv, vv) != d.dprod(uv, vv):
-                raise DecompositionFailure("hopf part products agree", (i, j),
-                                           d.vprod(uv, vv), d.dprod(uv, vv))
+            if mv[y, z] != md[y, z]:
+                _differ("hopf part products agree", (i, j), mv[y, z], md[y, z], basis,
+                        DecompositionFailure)
 
-    def pi(v: FinVec) -> FinVec:
-        return _apply(sp.rho, v, vt, "projection merges products")
-
-    ideal_gens = []
     for la, lb in sp.pairs:
-        g = vt.vector(la, lb) - dt.vector(la, lb)
-        if not pi(g).is_zero:
-            raise DecompositionFailure("projection merges products", (la, lb),
-                                       pi(vt.vector(la, lb)), pi(dt.vector(la, lb)))
-        if not g.is_zero:
-            ideal_gens.append(g)
-    fit_basis = Basis(f"{basis.name} (within cap)", tuple(fit_labels))
-    pi_kernel = [FinVec.build(basis, v.entries)
-                 for v in kernel_basis(FinMap(fit_basis, basis, sp.rho.columns))]
-    ideal = span_basis(ideal_gens)
-    if span_basis(pi_kernel) != ideal:
-        raise DecompositionFailure("associativity ideal", "kernel",
-                                   len(pi_kernel), len(ideal))
+        got, want = rho[mv[la, lb]], rho[md[la, lb]]
+        if got != want:
+            _differ("projection merges products", (la, lb), got, want, basis,
+                    DecompositionFailure)
+    kernel, ideal = ev.kernel_and_ideal(basis, fit_labels, sp.rho, mv, md, sp.pairs)
+    if kernel != ideal:
+        raise DecompositionFailure("associativity ideal", "kernel", len(kernel), len(ideal))
 
-    eps_lab = {lab: c.counit.get(lab, ZERO) for lab in labs}
+    legs, total = _legs(c), ev.total
+
+    @cache
+    def rack(x: Label, y: Label):
+        """x |> y = sum (x1 |- y) -| S(x2)."""
+        return total([(md[mv[x1, y], s[x2]], w) for x1, x2, w in legs[x]])
+
+    # the legs of sum eps(c) h over the terms c (x) h of Psi(a)
+    heads = {}
+    for a in fit_labels:
+        h_part = total([(h, w * eps[x]) for x, h, w in sp.psi_legs[a]])
+        heads[a] = [(h1, h2, w * cw) for h, w in _entries(h_part).items() for h1, h2, cw in legs[h]]
     for la, lb in sp.pairs:
         try:
             # transferred |-: (c (x) h)(c' (x) h') = eps(c) sum (h1 |> c') (x) (h2 -| h')
-            lhs = _apply(sp.psi, vt.vector(la, lb), vt, "psi")
-            rhs = tensor_sum(square, (
-                (_rack_pair(d, h1, b1), dt.vector(h2, b2), ca * cb * eps_lab[a1] * cw)
-                for a1, a2, ca in sp.psi_legs[la] if eps_lab[a1]
-                for b1, b2, cb in sp.psi_legs[lb]
-                for h1, h2, cw in c.legs(a2)))
-            if lhs != rhs:
-                raise DecompositionFailure("psi multiplicative (|-)", (la, lb), lhs, rhs)
+            got = psi[mv[la, lb]]
+            want = ev.tensor_total([(rack(h1, b1), md[h2, b2], w * cb) for h1, h2, w in heads[la]
+                                    for b1, b2, cb in sp.psi_legs[lb]])
+            if got != want:
+                _differ("psi multiplicative (|-)", (la, lb), _merged(basis, got),
+                        _merged(basis, want), square, DecompositionFailure)
         except DegreeCapExceeded:
             skipped += 1
 
-    prims = primitives(c)
+    prims = ev.primitives(c)
 
     def intersect(solver: SpanSolver) -> list[FinVec]:
         rows: dict[Label, dict[int, Rational]] = {}
@@ -1382,7 +1181,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
     ph_solver = SpanSolver(ph)
     for i, z in enumerate(pe):
         for j, w in enumerate(pe + ph):
-            if not vt.fits(_degree(vt, z) + _degree(vt, w)):
+            if not vt.fits(_degree(vt, z.entries) + _degree(vt, w.entries)):
                 skipped += 1
                 continue
             got = bracket(z, w)
@@ -1391,7 +1190,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             checked += 1
     for i, xi in enumerate(ph):
         for j, z in enumerate(pe):
-            if not vt.fits(_degree(vt, xi) + _degree(vt, z)):
+            if not vt.fits(_degree(vt, xi.entries) + _degree(vt, z.entries)):
                 skipped += 1
                 continue
             got = bracket(xi, z)
@@ -1400,7 +1199,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
                 raise DecompositionFailure("mixed bracket is the action", (i, j), got, want)
             checked += 1
         for j, eta in enumerate(ph):
-            if not vt.fits(_degree(vt, xi) + _degree(vt, eta)):
+            if not vt.fits(_degree(vt, xi.entries) + _degree(vt, eta.entries)):
                 skipped += 1
                 continue
             if not ph_solver.contains(bracket(xi, eta)):
@@ -1409,7 +1208,7 @@ def structure_decomposition(d: HopfDialgebra) -> DialgebraDecomposition:
             checked += 1
 
     report = CheckReport(True, checked, detail=f"skipped={skipped}")
-    return DialgebraDecomposition(d, tuple(e_basis), tuple(h_basis), sp.psi, report)
+    return DialgebraDecomposition(d, tuple(sp.e), tuple(sp.h), sp.psi, report)
 
 
 def augmented_idempotent_basis(arb: AugmentedRackBialgebra) -> list[FinVec]:

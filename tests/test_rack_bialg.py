@@ -895,6 +895,31 @@ def test_augmented_conjugation_certifies(s3):
     assert arb.certified and arb.rack.certified
 
 
+@pytest.mark.parametrize("evaluator", ["label maps", "coefficient dicts"])
+def test_an_augmentation_moving_the_unit_is_refused(monkeypatch, evaluator):
+    # K[Z2] on itself by conjugation, phi translation by r1: a coalgebra map with
+    # phi(1) = r1, so the first identity to fail is phi(1) = 1
+    z2 = cyclic_group(2)
+    hopf = group_hopf(z2)
+    c = hopf.coalgebra
+    action = FinMap.from_pairs(c.basis, c.basis, c.square, c.basis,
+                               lambda g, x: {z2.conjugate(g, x): 1})
+    phi = FinMap.from_function(c.basis, c.basis, lambda g: FinVec.unit(c.basis, z2.mul("r1", g)))
+    choose, chosen = rack_bialg._label_maps, []
+
+    def choice(*args):
+        chosen.append(choose(*args) if evaluator == "label maps" else None)
+        return chosen[-1]
+
+    monkeypatch.setattr(rack_bialg, "_label_maps", choice)
+    with pytest.raises(AxiomViolation) as exc:
+        rack_bialg.augmented_from_action(c, hopf, phi, action)
+    assert (chosen[0] is not None) == (evaluator == "label maps")
+    assert (exc.value.axiom, exc.value.witness) == ("augmentation coaugmentation", "1")
+    assert exc.value.lhs == FinVec.unit(c.basis, "r1")
+    assert exc.value.rhs == FinVec.unit(c.basis, "r0")
+
+
 def test_augmented_rack_algebra_transpositions(s3):
     elements = ("s123", "s213", "s132", "s321")  # unit and the transpositions
     op = {(a, b): s3.conjugate(a, b) for a in elements for b in elements}

@@ -1200,6 +1200,61 @@ def test_the_one_sided_identities_are_checked_in_one_function():
         "product counit": {"f"}, "balanced": {"h"}, "double antipode": {"h"}}
 
 
+VIOLATION_BUILDERS = {"AxiomViolation", "DecompositionFailure", "_differ"}
+
+
+def _name_of(node):
+    """A string constant, or the leading text of an f-string; else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr) and node.values and isinstance(node.values[0], ast.Constant):
+        return node.values[0].value
+    return None
+
+
+def _identity_statements(tree):
+    """For each identity name of ``tree``, the number of statements in which it
+    occurs as a string (a constant, or the leading text of an f-string).  An
+    identity name is the first argument of a violation builder or ``axiom=`` of
+    ``CheckReport``."""
+    names = set()
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            f = call.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called in VIOLATION_BUILDERS and call.args:
+                names.add(_name_of(call.args[0]))
+            elif called == "CheckReport":
+                names.update(_name_of(kw.value) for kw in call.keywords if kw.arg == "axiom")
+    names.discard(None)
+    statements = {name: set() for name in names}
+
+    def visit(node, statement):
+        statement = node if isinstance(node, ast.stmt) else statement
+        if _name_of(node) in statements:
+            statements[_name_of(node)].add(statement)
+        if not isinstance(node, ast.JoinedStr):  # its parts are counted with it
+            for child in ast.iter_child_nodes(node):
+                visit(child, statement)
+
+    visit(tree, None)
+    return {name: len(found) for name, found in statements.items()}
+
+
+@pytest.mark.parametrize("module", [rack_bialg, right_hopf_dialg])
+def test_every_identity_is_named_in_one_statement(module):
+    path = pathlib.Path(module.__file__)
+    counts = _identity_statements(ast.parse(path.read_text(), str(path)))
+    assert counts
+    assert {name: n for name, n in counts.items() if n != 1} == {}
+    snippet = ("def f(m, tag):\n"
+               " if m[1] != 1: _differ('unit law', 1, m[1], 1, b)\n"
+               " for axiom, got in (('unit law', m[2]), ('flip', m[3])):\n"
+               "  raise AxiomViolation(f'flip{tag}', 2, got, 1)\n"
+               " return CheckReport(True, 1, axiom='braid'), g('x', axiom='no name')\n")
+    assert _identity_statements(ast.parse(snippet)) == {"unit law": 2, "flip": 2, "braid": 1}
+
+
 def _checked_loop(module, function, axiom):
     """The outermost loop of ``module.function`` that raises ``axiom`` (any
     loop for ``None``), and the functions nested in ``function`` by name."""

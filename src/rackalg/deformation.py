@@ -119,11 +119,6 @@ def _series(const: Mapping[Label, Coeff], lin: Mapping[Label, Coeff]) -> dict[La
             for l in {**const, **lin}}
 
 
-def mu_n(rb: RackBialgebra, n: int) -> FinMap:
-    """The iterated right-nested product r_1 |> (r_2 |> (.. |> r_n))."""
-    return _Faces(rb).mu(n)
-
-
 @dataclass(frozen=True)
 class Cochain:
     """A coderivation R^(x)degree -> R along the iterated product."""
@@ -159,7 +154,7 @@ class _Faces:
     def mu(self, n: int) -> FinMap:
         """mu^n, read as r_1 |> mu^(n-1)(r_2..r_n)."""
         if n < 1:
-            raise SchemaError("mu_n needs n >= 1")
+            raise SchemaError("mu^n needs n >= 1")
         if n not in self._mu:
             prev = self.mu(n - 1)
             self._mu[n] = self._build(n, lambda parts, acc: label_times(
@@ -615,7 +610,6 @@ __all__ = [
     "equivalence_check",
     "h2",
     "infinitesimal_selfdist",
-    "mu_n",
     "star_mu1",
     "verify_complex",
 ]

@@ -41,12 +41,15 @@ from it.  With one pivot rule the reduced form of a span is unique, so every
 basis they return is the same for every order (and, for spans, every nonzero
 rescaling) of their input.  A kernel is never eliminated twice: each of its
 vectors is 1 at its largest column and 0 at the others' largest columns, so
-``_kernel_coordinates`` reads coordinates off those columns.
+``_kernel_coordinates`` reads coordinates off those columns.  The rational
+eigenvalues of a square matrix (``_rational_eigenvalues``) are read off its
+characteristic polynomial in integer arithmetic, with no elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -804,6 +807,97 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
                 vec[pj] = -c
         basis.append(vec)
     return basis
+
+
+def _horner(p: Sequence[int], x: int) -> int:
+    """The polynomial with coefficients ``p``, highest degree first, at x."""
+    y = 0
+    for c in p:
+        y = y * x + c
+    return y
+
+
+def _integer_roots(p: list[int]) -> list[int]:
+    """The integer roots of a monic integer polynomial, highest degree first.
+
+    No half-integer is a root, so the Sturm sequence of p counts its distinct
+    real roots between two half-integers exactly.  Bisecting from the Cauchy
+    bound down to intervals holding one integer k each, and keeping k when
+    p(k) = 0, takes O(deg p * log(bound)) counts; no float is used and
+    nothing is factored.  Each member of the sequence is kept as a primitive
+    integer polynomial q of degree d (a positive multiple: the signs are
+    kept), and its sign at k + 1/2 is that of 2^d q((2k + 1) / 2), an integer.
+    """
+    n = len(p) - 1
+    chain = [p, [(n - i) * c for i, c in enumerate(p[:-1])]]
+    while len(chain[-1]) > 1:
+        r, lead = list(chain[-2]), chain[-1]
+        while len(r) >= len(lead):
+            f = div(r[0], lead[0])
+            for i, c in enumerate(lead):
+                r[i] -= f * c
+            r.pop(0)
+        while r and not r[0]:
+            r.pop(0)
+        if not r:
+            break
+        den = math.lcm(*(c.denominator for c in r))
+        r = [int(c * den) for c in r]
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+    doubled = [[c << i for i, c in enumerate(q)] for q in chain]
+
+    def changes(k: int) -> int:
+        """Sign changes along the sequence at k + 1/2."""
+        signs = [y > 0 for q in doubled if (y := _horner(q, 2 * k + 1))]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    roots = []
+    bound = 1 + max(map(abs, p))
+    # (lo, hi, changes at lo - 1/2, changes at hi + 1/2) over integer intervals
+    todo = [(-bound, bound, changes(-bound - 1), changes(bound))]
+    while todo:
+        lo, hi, at_lo, at_hi = todo.pop()
+        if at_lo == at_hi:
+            continue
+        if lo == hi:
+            if not _horner(p, lo):
+                roots.append(lo)
+            continue
+        mid = (lo + hi) // 2
+        at_mid = changes(mid)
+        todo += [(lo, mid, at_lo, at_mid), (mid + 1, hi, at_mid, at_hi)]
+    return sorted(roots)
+
+
+def _rational_eigenvalues(rows: Mapping[int, Row], n: int) -> list[Rational]:
+    """The rational eigenvalues of the n x n matrix A with sparse ``rows``
+    (or columns: A and its transpose have the same eigenvalues).
+
+    With D the least common denominator of the entries, DA is an integer
+    matrix, and its characteristic polynomial is monic with integer
+    coefficients, here by Faddeev-LeVerrier (M_1 = I, c_k = -tr(DA M_k) / k,
+    an exact division, and M_(k+1) = DA M_k + c_k I).  A rational root of a
+    monic integer polynomial is an integer, so the eigenvalues are r / D for
+    the integer roots r of that polynomial (:func:`_integer_roots`).
+    """
+    scale = math.lcm(1, *(v.denominator for row in rows.values() for v in row.values()))
+    a = [(i, [(j, int(v * scale)) for j, v in row.items()]) for i, row in rows.items()]
+    p = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[0] * n for _ in range(n)]
+        for i, row in a:
+            out = am[i]
+            for j, v in row:
+                mj = m[j]
+                for col in range(n):
+                    out[col] += v * mj[col]
+        p.append(-sum(am[i][i] for i in range(n)) // k)
+        m = am
+        for i in range(n):
+            m[i][i] += p[-1]
+    return [div(r, scale) for r in _integer_roots(p)]
 
 
 def _kernel_coordinates(kernel: Sequence[Row], row: Row) -> list[Rational] | None:

@@ -51,13 +51,11 @@ from rackalg.exact_core import (
     _require_degree,
     _row,
     bilinear,
-    div,
     kernel_basis,
     label_times,
     merge_labels,
     same_entries,
     span_basis,
-    split_label,
     tensor_basis,
     times_label,
 )
@@ -69,8 +67,8 @@ from rackalg.symcoalg import (
     check_coalgebra_map,
     check_multiplicative,
     coalgebra_filtration,
+    group_likes,
     is_cocommutative,
-    is_group_like,
     primitives,
     restrict_coalgebra,
     symmetric_coalgebra,
@@ -1035,72 +1033,21 @@ def _primitive_leibniz(c: Coalgebra, bracket: Callable[[FinVec, FinVec], FinVec]
     return h
 
 
-def _solve_set_like_system(c: Coalgebra) -> list[FinVec]:
-    """All rational solutions of delta(a) = a (x) a, eps(a) = 1, found by an
-    exact quadratic solve.  Parametric and irrational branches are dropped."""
-    import sympy
-
-    n = c.basis.dim
-    syms = list(sympy.symbols(f"c0:{n}"))
-
-    def to_sym(q: Rational):
-        return sympy.Rational(q.numerator, q.denominator)
-
-    delta_rows: dict[Label, object] = {}
-    for i, lab in enumerate(c.basis.labels):
-        for sq_lab, coeff in c.delta.column(lab).entries.items():
-            delta_rows[sq_lab] = delta_rows.get(sq_lab, sympy.Integer(0)) + to_sym(coeff) * syms[i]
-    eqs = []
-    for sq_lab in c.square.labels:
-        l1, l2 = split_label(c.basis, sq_lab)
-        lhs = delta_rows.get(sq_lab, sympy.Integer(0))
-        eqs.append(sympy.Eq(lhs, syms[c.basis.index(l1)] * syms[c.basis.index(l2)]))
-    eps_expr = sympy.Integer(0)
-    for i, lab in enumerate(c.basis.labels):
-        e = c.counit.get(lab)
-        if e:
-            eps_expr += to_sym(e) * syms[i]
-    eqs.append(sympy.Eq(eps_expr, 1))
-    solutions = sympy.solve(eqs, syms, dict=True)
-    out: list[FinVec] = []
-    for sol in solutions:
-        if len(sol) < n:
-            continue
-        vals = [sol[s] for s in syms]
-        if any(getattr(v, "free_symbols", None) for v in vals):
-            continue
-        try:
-            fracs = [div(int(sympy.Rational(v).p), int(sympy.Rational(v).q)) for v in vals]
-        except (TypeError, ValueError):
-            continue
-        v = FinVec.build(c.basis, zip(c.basis.labels, fracs))
-        if all(v != w for w in out):
-            out.append(v)
-    return out
-
-
 def set_like_elements(rb: RackBialgebra) -> list[tuple[str, FinVec]]:
-    """Named set-like elements of the carrier.
+    """Every set-like element of the carrier over Q, named.
 
-    Basis vectors are always scanned; carriers of dimension at most 6 get
-    the full exact quadratic solve, so every rational set-like is found
-    there.  Larger carriers may have undetected set-likes outside the
-    basis, which the callers of this function accept.
+    They are the group-likes of the carrier (:func:`~rackalg.symcoalg.group_likes`):
+    the group-like basis labels first, named by their labels when these are
+    strings, then the others, as common eigenvector lines of the hit
+    operators.  A set-like that is not a string label is named "1" when it
+    is the coaugmentation and g1, g2, ... otherwise.
     """
     c = rb.carrier
-    found: list[tuple[str, FinVec]] = []
-    for lab in c.basis.labels:
-        v = FinVec.unit(c.basis, lab)
-        if is_group_like(c, v):
-            found.append((str(lab) if isinstance(lab, str) else "", v))
-    if c.basis.dim <= 6:
-        for v in _solve_set_like_system(c):
-            if all(v != w for _, w in found):
-                found.append(("", v))
     named: list[tuple[str, FinVec]] = []
     counter = 0
-    for name, v in found:
-        if not name:
+    for v in group_likes(c):
+        name = _one_label(v.entries, c.basis)
+        if not isinstance(name, str):
             if v == c.unit:
                 name = "1"
             else:
@@ -1111,7 +1058,8 @@ def set_like_elements(rb: RackBialgebra) -> list[tuple[str, FinVec]]:
 
 
 def set_likes(rb: RackBialgebra) -> FiniteRack:
-    """The finite rack of detected set-like elements under the product."""
+    """The finite rack of the set-like elements under the product: the
+    set-like functor, under which K[X] gives X back."""
     if not rb.certified:
         raise RackalgError("set_likes needs a certified rack bialgebra")
     named = set_like_elements(rb)

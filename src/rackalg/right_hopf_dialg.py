@@ -847,16 +847,18 @@ def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
     :func:`_check_hopf`, whose report and first failure are those of
     :func:`certify_dialgebra` on the same product as two tables.  The
     dialgebra then has one dict, the pairs under the cap, as both products,
-    and carries the backend's table as both of its tables.  Anything but a
-    Hopf algebra (a one-sided record, an object that is no Hopf backend) is
-    refused with SchemaError."""
+    and carries the backend's table as both of its tables: the table itself
+    when uncapped, so its label-map scan is kept, and under a cap a copy
+    whose refusals name the product "|- = -|".  Anything but a Hopf algebra
+    (a one-sided record, an object that is no Hopf backend) is refused with
+    SchemaError."""
     _require_hopf(hopf, "hopf_as_dialgebra")
     report = _check_hopf(hopf)
     t = hopf.table
     table = {(x, y): FinVec(hopf.basis, v) for x in t.rows for y, v in t.rows[x].items()}
     d = HopfDialgebra(hopf.coalgebra, table, table, hopf.antipode, t.degrees, t.cap,
                       certified=True, report=report)
-    shared = dataclasses.replace(t, context="product |- = -|")
+    shared = t if t.cap is None else dataclasses.replace(t, context="product |- = -|")
     d.__dict__.update(vdash_table=shared, dashv_table=shared)
     return d
 

@@ -6,8 +6,9 @@ module provides the axiom checker, the primitive filtration
 
     C_(0) = K 1,   C_(k+1) = { x : delta(x) - x (x) 1 - 1 (x) x in C_(k) (x) C_(k) },
 
-the tensor product of two coalgebras, and the truncated symmetric coalgebra
-S(V) with its binomial coproduct.
+the tensor product of two coalgebras, the truncated symmetric coalgebra
+S(V) with its binomial coproduct, and :func:`group_likes`, every group-like
+element over Q, found without any size cutoff by the lemma in its docstring.
 
 It holds the one copy of each coalgebra identity the certifiers check.
 :func:`check_coalgebra` (coassociativity, counit laws, group-like unit) and
@@ -42,14 +43,19 @@ from rackalg.exact_core import (
     Label,
     PairTable,
     Rational,
+    Row,
     SpanSolver,
     _NO_ENTRIES,
     _flat_factors,
+    _rational_eigenvalues,
     _refuse,
     _require_basis,
     _require_degree,
+    _vector,
+    div,
     kernel_basis,
     merge_labels,
+    nullspace,
     same_entries,
     scalar_eq,
     split_label,
@@ -304,7 +310,7 @@ def is_group_like(c: Coalgebra, v: FinVec) -> bool:
     return not v.is_zero and scalar_eq(c.eps_of(v), ONE) and c.delta(v) == v.tensor(v, c.square)
 
 
-def reduced_delta_map(c: Coalgebra) -> FinMap:
+def _reduced_delta_map(c: Coalgebra) -> FinMap:
     """x -> delta(x) - x (x) 1 - 1 (x) x, whose kernel is the primitives."""
     square = c.square
 
@@ -317,7 +323,71 @@ def reduced_delta_map(c: Coalgebra) -> FinMap:
 
 def primitives(c: Coalgebra) -> list[FinVec]:
     """Basis of Prim(C) = { x : delta(x) = x (x) 1 + 1 (x) x }."""
-    return kernel_basis(reduced_delta_map(c))
+    return kernel_basis(_reduced_delta_map(c))
+
+
+def group_likes(c: Coalgebra) -> list[FinVec]:
+    """Every group-like element g of C over Q: delta(g) = g (x) g, eps(g) = 1.
+
+    First the basis labels that are group-like as stored, in basis order;
+    then the others, found as common eigenvector lines of the hit operators.
+
+    Lemma.  Let T_a(v) = sum e^a(v1) v2 for each basis label a, e^a the dual
+    basis.  Then delta(v) = sum_a a (x) T_a(v).  If T_a v = l_a v for every
+    a, then delta(v) = w (x) v with w = sum_a l_a a.  The counit laws give
+    v = (eps (x) id) delta(v) = eps(w) v, so eps(w) = 1, and
+    v = (id (x) eps) delta(v) = eps(v) w, so eps(v) != 0 and v / eps(v) = w
+    is group-like.  Conversely T_a g = g_a g for a group-like g.  So every
+    nonzero common eigenspace is one line, spanned by the group-like whose
+    coordinates are its eigenvalues; no cocommutativity is needed.
+
+    Group-likes are linearly independent, so when every basis label is one
+    there is no other and no eigenproblem is solved.  Otherwise the space is
+    split label by label.  A part is a common eigenspace of the labels read
+    so far, the :func:`~rackalg.exact_core.nullspace` of their equations
+    (T_b - l_b) v = 0.  Label a cuts it by the equations of T_a - l for each
+    rational eigenvalue l of T_a
+    (:func:`~rackalg.exact_core._rational_eigenvalues`); a line is set aside
+    and a zero part dropped.  A group-like lies in exactly one part at every
+    step, so it ends up as the normalised vector of a line, and a line is
+    kept when that vector is group-like.  Group-likes with irrational
+    coordinates are not over Q and are not returned.
+    """
+    basis, n = c.basis, c.basis.dim
+    found = [FinVec.unit(basis, lab) for lab in basis.labels
+             if c.legs(lab) == [(lab, lab, ONE)] and c.counit.get(lab) == ONE]
+    if len(found) == n:
+        return found
+    hits: dict[Label, dict[int, Row]] = {}  # the rows of each T_a, over basis indices
+    for j, lab in enumerate(basis.labels):
+        for l1, l2, w in c.legs(lab):
+            hits.setdefault(l1, {}).setdefault(basis.index(l2), {})[j] = w
+    parts: list[list[Row]] = [[]]  # each part is the kernel of its equations
+    lines = []
+    for lab in basis.labels:
+        if not parts:
+            break
+        t = hits.get(lab, {})
+        cut = []
+        for value in _rational_eigenvalues(t, n):
+            shifted = [{**t.get(i, _NO_ENTRIES), i: t.get(i, _NO_ENTRIES).get(i, ZERO) - value}
+                       for i in range(n)]
+            for equations in parts:
+                sub = equations + shifted
+                kernel = nullspace(sub, n)
+                if len(kernel) == 1:
+                    lines.append(kernel[0])
+                elif kernel:
+                    cut.append(sub)
+        parts = cut
+    for row in lines:
+        v = _vector(basis, row)
+        e = c.eps_of(v)
+        if e:
+            g = FinVec(basis, {lab: div(x, e) for lab, x in v.entries.items()})
+            if is_group_like(c, g) and g not in found:
+                found.append(g)
+    return found
 
 
 def coalgebra_filtration(c: Coalgebra) -> list[list[FinVec]]:
@@ -325,7 +395,7 @@ def coalgebra_filtration(c: Coalgebra) -> list[list[FinVec]]:
 
     The last level equals the whole space iff the coalgebra is connected.
     """
-    reduced = reduced_delta_map(c)
+    reduced = _reduced_delta_map(c)
     levels: list[list[FinVec]] = [[c.unit]]
     while True:
         current = levels[-1]
@@ -441,7 +511,7 @@ def symmetric_coalgebra(source: Basis, cap: int, name: str | None = None) -> Coa
 __all__ = [
     "Coalgebra", "check_coalgebra", "check_coalgebra_map", "check_cocommutative",
     "check_multiplicative", "coalgebra_filtration", "filtration_order",
-    "is_cocommutative", "is_connected", "is_group_like", "primitives",
-    "reduced_delta_map", "restrict_coalgebra", "sort_monomial",
+    "group_likes", "is_cocommutative", "is_connected", "is_group_like", "primitives",
+    "restrict_coalgebra", "sort_monomial",
     "symmetric_coalgebra", "tensor_coalgebra",
 ]

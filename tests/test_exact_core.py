@@ -22,7 +22,9 @@ from rackalg.exact_core import (
     FinVec,
     SeriesScalar,
     SpanSolver,
+    _integer_roots,
     _kernel_coordinates,
+    _rational_eigenvalues,
     bilinear,
     div,
     format_rational,
@@ -472,6 +474,34 @@ def test_kernel_coordinates_random_recombination(nc, data):
     other = data.draw(st.dictionaries(st.integers(0, nc - 1), nonzero_fracs, max_size=nc))
     solves = all(sum(c * other.get(j, 0) for j, c in row.items()) == 0 for row in rows)
     assert (_kernel_coordinates(kernel, other) is not None) == solves
+
+
+# ---------------------------------------------------------------------------
+# rational eigenvalues: integer roots of a monic integer polynomial
+# ---------------------------------------------------------------------------
+
+
+def expand(roots, factor):
+    """prod (x - r) over ``roots`` times ``factor``, highest degree first."""
+    p = list(factor)
+    for r in roots:
+        p = [a - r * b for a, b in zip(p + [0], [0] + p)]
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=5),
+       st.sampled_from([(1,), (1, 0, -2), (1, 1, 1), (1, 0, 0, -3)]))
+def test_integer_roots_are_isolated_among_irrational_and_complex_ones(roots, factor):
+    # roots up to 10^12 in size: the count bisects, it never walks the candidates
+    assert _integer_roots(expand(roots, factor)) == sorted(set(roots))
+
+
+def test_rational_eigenvalues_of_a_triangular_block_and_a_sqrt2_block():
+    rows = {0: {0: F(1, 2), 1: 5}, 1: {1: F(1, 2), 2: F(2, 3)}, 2: {2: -3},
+            3: {4: 1}, 4: {3: 2}}
+    assert _rational_eigenvalues(rows, 5) == [-3, F(1, 2)]
+    assert _rational_eigenvalues({}, 2) == [0]
 
 
 # ---------------------------------------------------------------------------

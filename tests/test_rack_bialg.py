@@ -26,6 +26,7 @@ from rackalg.errors import (
     SchemaError,
 )
 from rackalg.exact_core import (
+    Basis,
     FinMap,
     FinVec,
     SeriesScalar,
@@ -59,7 +60,7 @@ from rackalg.rack_bialg import (
     yang_baxter_check,
     yetter_drinfeld_check,
 )
-from rackalg.symcoalg import symmetric_coalgebra
+from rackalg.symcoalg import Coalgebra, is_group_like, symmetric_coalgebra
 
 F = Fraction
 
@@ -777,6 +778,133 @@ def test_adjunction_instance_counts_match(kx_s3, conj_s3):
 
     # commuting pairs in S3: 6 elements x centralizer sizes 6,2,2,2,3,3
     assert count_rack == count_linear == 18
+
+
+def mixing(n):
+    """A unimodular integer matrix M = A B (A lower, B upper bidiagonal, ones
+    on both diagonals), whose every row has two nonzero entries, and its
+    inverse, (M^-1)_ij = (-1)^(i+j) (n - max(i, j))."""
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for k in (i - 1, i):
+            for j in (k, k + 1):
+                if 0 <= k and j < n:
+                    m[i][j] += 1
+    inv = [[(-1) ** (i + j) * (n - max(i, j)) for j in range(n)] for i in range(n)]
+    assert all(sum(m[i][k] * inv[k][j] for k in range(n)) == (i == j)
+               for i in range(n) for j in range(n))
+    return m, inv
+
+
+def rebased(rb):
+    """rb on the basis b0, b1, .. with old label l_i = sum_j M_ij b_j: coproduct,
+    counit, unit and product moved together, then certified, and the map from
+    new coordinates back to the old ones.  No old label is a new basis vector."""
+    c, old = rb.carrier, rb.basis
+    n = old.dim
+    m, inv = mixing(n)
+    new = Basis(f"M({old.name})", tuple(f"b{j}" for j in range(n)))
+    square = tensor_basis(new, new)
+
+    def in_new(entries):
+        return {f"b{j}": x * m[old.index(lab)][j] for lab, x in entries.items() for j in range(n)}
+
+    def in_old(lab):
+        j = int(lab[1:])
+        return {old.labels[i]: inv[j][i] for i in range(n) if inv[j][i]}
+
+    def delta(lab):
+        return FinVec.build(square, (((p, q), x * w * y * z)
+                                     for i, x in in_old(lab).items()
+                                     for l1, l2, w in c.legs(i)
+                                     for p, y in in_new({l1: 1}).items()
+                                     for q, z in in_new({l2: 1}).items()))
+
+    def product(la, lb):
+        return FinVec.build(new, ((p, x * y * z * u)
+                                  for i, x in in_old(la).items() for k, y in in_old(lb).items()
+                                  for lab, z in rb.table.entry(i, k).items()
+                                  for p, u in in_new({lab: 1}).items())).entries
+
+    counit = {lab: e for lab in new.labels
+              if (e := sum(x * c.counit.get(i, 0) for i, x in in_old(lab).items()))}
+    carrier = Coalgebra(new, FinMap.from_function(new, square, delta), counit,
+                        FinVec.build(new, in_new(c.unit.entries)), square)
+    back = FinMap.from_function(new, old, lambda lab: FinVec.build(old, in_old(lab)))
+    return certify(RackBialgebra(carrier, FinMap.from_pairs(new, new, square, new, product))), back
+
+
+def dihedral_conjugation_rack():
+    """Conjugation on the dihedral group of order 8 inside S4, generated by
+    the 4-cycle s2341 and the reflection s4321."""
+    s4 = symmetric_group(4)
+    elements = {s4.unit, "s2341", "s4321"}
+    while len(grown := {s4.mul(a, b) for a in elements for b in elements}) > len(elements):
+        elements = grown
+    op = {(a, b): s4.conjugate(a, b) for a in elements for b in elements}
+    rack = FiniteRack.build("Conj(D8)", sorted(elements), s4.unit, op)
+    check_rack(rack)
+    return rack
+
+
+@pytest.mark.parametrize("make", [dihedral_conjugation_rack,
+                                  lambda: conjugation_rack(cyclic_group(8))],
+                         ids=["Conj(D8)", "Z8"])
+def test_set_likes_of_a_rebased_rack_algebra_recover_the_rack(make):
+    # no set-like is a basis vector, so every one is found as an eigenvector line
+    x = make()
+    rb, back = rebased(rack_group_algebra(x))
+    named = set_like_elements(rb)
+    assert len(named) == 8
+    assert all(is_group_like(rb.carrier, v) and len(v.entries) > 1 for _, v in named)
+    # each set-like is the image of one element of X, and the rack maps onto X
+    iso = {}
+    for name, v in named:
+        ((lab, coeff),) = back(v).entries.items()
+        assert coeff == 1
+        iso[name] = lab
+    rack = set_likes(rb)
+    assert sorted(iso.values()) == sorted(x.elements) and iso[rack.unit] == x.unit
+    assert all(iso[rack.apply(a, b)] == x.apply(iso[a], iso[b])
+               for a in rack.elements for b in rack.elements)
+
+
+def sqrt2_coalgebra():
+    """Q 1 (+) (Q[t]/(t^2 - 2))*: the dual basis f0, f1 of 1, t has
+    delta f0 = f0 (x) f0 + 2 f1 (x) f1 and delta f1 = f0 (x) f1 + f1 (x) f0, so
+    its group-likes f0 +- sqrt(2) f1 are the irrational characters."""
+    basis = Basis("Q+A*", ("u", "f0", "f1"))
+    square = tensor_basis(basis, basis)
+    legs = {"u": {("u", "u"): 1}, "f0": {("f0", "f0"): 1, ("f1", "f1"): 2},
+            "f1": {("f0", "f1"): 1, ("f1", "f0"): 1}}
+    return Coalgebra(basis, FinMap.from_function(basis, square,
+                                                 lambda lab: FinVec.build(square, legs[lab])),
+                     {"u": 1, "f0": 1}, FinVec.unit(basis, "u"), square)
+
+
+def upper_triangular_dual():
+    """The dual of the upper-triangular 2 x 2 matrices on the dual basis of
+    E11, E12, E22: not cocommutative, group-likes f11 and f22, pointed at f11."""
+    basis = Basis("UT2*", ("f11", "f12", "f22"))
+    square = tensor_basis(basis, basis)
+    legs = {"f11": {("f11", "f11"): 1}, "f22": {("f22", "f22"): 1},
+            "f12": {("f11", "f12"): 1, ("f12", "f22"): 1}}
+    return Coalgebra(basis, FinMap.from_function(basis, square,
+                                                 lambda lab: FinVec.build(square, legs[lab])),
+                     {"f11": 1, "f22": 1}, FinVec.unit(basis, "f11"), square)
+
+
+@pytest.mark.parametrize("make,want", [
+    (lambda: trivial(sqrt2_coalgebra()), ["u"]),
+    (lambda: trivial(symmetric_coalgebra(Basis("h", (1, 2)), 2)), ["1"]),
+    (lambda: rebased(trivial(upper_triangular_dual()))[0], ["g1", "1"]),
+], ids=["sqrt2", "S(h)<=2", "UT2*-rebased"])
+def test_set_likes_where_the_basis_scan_is_incomplete(make, want):
+    rb = make()
+    named = set_like_elements(rb)
+    assert [name for name, _ in named] == want
+    assert all(is_group_like(rb.carrier, v) for _, v in named)
+    assert dict(named)[set_likes(rb).unit] == rb.carrier.unit
 
 
 # ---------------------------------------------------------------------------

@@ -905,6 +905,21 @@ class TestAugmentedDialgebra:
         assert span_basis(list(dec.hopf_part)) == span_basis(list(sus.hopf_part))
         assert dec.psi == sus.psi
 
+    def test_a_hopf_algebra_decomposes_on_one_label_map_scan(self, monkeypatch):
+        # the uncapped product of K[S3] is scanned once, when the Hopf record is
+        # certified; the dialgebra carries that table, and its scan, as both products
+        scanned = collections.Counter()
+        scan = rack_bialg._label_table
+
+        def counted(t, left):
+            scanned[id(t)] += 1
+            return scan(t, left)
+
+        monkeypatch.setattr(rack_bialg, "_label_table", counted)
+        hopf = group_hopf(symmetric_group(3))
+        structure_decomposition(hopf_as_dialgebra(hopf))
+        assert scanned == {id(hopf.table): 1}
+
     def test_dialgebra_needs_certified_augmented_structure(self, s3):
         arb = augmented_conjugation(s3)
         with pytest.raises(RackalgError):

@@ -1064,17 +1064,16 @@ def set_likes(rb: RackBialgebra) -> FiniteRack:
         raise RackalgError("set_likes needs a certified rack bialgebra")
     named = set_like_elements(rb)
     names = [name for name, _ in named]
-    unit_name = None
-    for name, v in named:
-        if v == rb.carrier.unit:
-            unit_name = name
+    # A vector's normalised entries (no zeros, integral values as ints) are
+    # its canonical key, so each product is found by one dict lookup.
+    by_entries = {frozenset(v.entries.items()): name for name, v in named}
+    unit_name = by_entries.get(frozenset(rb.carrier.unit.entries.items()))
     if unit_name is None:
         raise RackalgError("coaugmentation not detected among set-likes")
     op: dict[tuple[str, str], str] = {}
     for na, va in named:
         for nb, vb in named:
-            w = rb.apply(va, vb)
-            target = next((nc for nc, vc in named if vc == w), None)
+            target = by_entries.get(frozenset(rb.apply(va, vb).entries.items()))
             if target is None:
                 raise RackalgError(
                     f"product of set-likes {na!r} |> {nb!r} escapes the detected set")

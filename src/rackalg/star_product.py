@@ -26,13 +26,19 @@ loses nothing: on exponentials the product obeys
 
 and the right side inherits self-distributivity from the vector level, where
 exp(hbar ad_x) is a bracket automorphism by the left Leibniz identity.
+
+ad~ and |> run on integer coefficient rows {exponents: [c_0 .. c_(N-1)]}:
+``_rows`` and ``_lines`` clear the denominators of a polynomial and of the
+structure constants on entry, ``_ad_rows`` is the one ad~ kernel, and
+``_poly`` divides a result by its one common denominator as it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, Mapping
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, DecompositionFailure, SchemaError
@@ -75,13 +81,8 @@ class PolyFunction:
 
     @staticmethod
     def _trusted(nvars: int, order: int, terms: dict[Exponents, SeriesScalar]) -> "PolyFunction":
-        """Wrap terms built in this module from valid ones, without re-validation.
-
-        Only for results of the module's own operations: every exponent tuple
-        already fits ``nvars`` and every coefficient is a nonzero series of
-        ``order``.  Outside input goes through the public constructor or
-        ``build``, which validate.
-        """
+        """Wrap terms that the module's own operations built valid and nonzero,
+        without re-validation; outside input goes through the constructor or ``build``."""
         p = object.__new__(PolyFunction)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "order", order)
@@ -219,12 +220,8 @@ def hat_function(h: LeibnizAlgebra, x: FinVec, order: int) -> PolyFunction:
     """The linear coordinate hat(x) = sum_i x_i alpha_i of a vector x in h."""
     if x.basis != h.basis:
         raise SchemaError("vector does not live in the given algebra")
-    items = []
-    for lab, c in x.entries.items():
-        m = [0] * h.dim
-        m[h.basis.index(lab)] = 1
-        items.append((tuple(m), c))
-    return PolyFunction.build(h.dim, order, items)
+    return PolyFunction.linear_sum(h.dim, order, ((monomial_function(h, (lab,), order), c)
+                                                  for lab, c in x.entries.items()))
 
 
 def monomial_function(h: LeibnizAlgebra, mono: tuple[Label, ...], order: int) -> PolyFunction:
@@ -245,10 +242,7 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
     """exp(hat(x)) cut at polynomial degree ``degree``, in closed form.
 
     exp(hat x) = prod_p exp(x_p alpha_p), so the multinomial expansion gives
-    the coefficient of alpha^m as
-
-        prod_p x_p^(m_p) / m_p!        for |m| <= degree.
-
+    the coefficient of alpha^m as prod_p x_p^(m_p) / m_p!, for |m| <= degree.
     The coordinates x_p are rationals or series of the same ``order`` (such
     as the output of ``lie_rack_product``); a power that vanishes modulo
     hbar^order ends its variable's expansion.  Degree N - 1 is lossless
@@ -284,59 +278,65 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
         for m, v in terms.items()})
 
 
-Row = list[Rational]
+Row = list[int]
+Line = list[tuple[int, list[tuple[int, int]]]]
 
 
-def _add_row(rows: dict[Exponents, Row], m: Exponents, coeffs: Sequence[Rational],
-             w: Rational, shift: int = 0) -> None:
-    """rows[m] += w hbar^shift coeffs, coefficient by coefficient, cut at the order."""
-    row = rows.get(m)
-    if row is None:
-        rows[m] = [0] * shift + [w * c if c else 0 for c in coeffs[:len(coeffs) - shift]]
-        return
-    for t in range(len(coeffs) - shift):
-        c = coeffs[t]
-        if c:
-            row[t + shift] += w * c
+def _rows(f: PolyFunction) -> tuple[dict[Exponents, Row], int]:
+    """f as integer coefficient rows over one common denominator: f = rows / den."""
+    den = math.lcm(*{c.denominator for s in f.terms.values() for c in s.coeffs})
+    return {m: [c.numerator * (den // c.denominator) for c in s.coeffs]
+            for m, s in f.terms.items()}, den
 
 
-def _poly(nvars: int, order: int, rows: Mapping[Exponents, Row]) -> PolyFunction:
-    """The polynomial of accumulated coefficient rows; rows that cancelled are
-    dropped, and an integral coefficient is stored as an int."""
-    return PolyFunction._trusted(nvars, order, {m: SeriesScalar(tuple(map(rational, r)))
-                                                for m, r in rows.items() if any(r)})
+def _lines(h: LeibnizAlgebra) -> tuple[dict[Label, Line], int]:
+    """Each letter's row of the bracket table by positions, (j, [(k, d c_ij^k)]),
+    with the structure constants cleared by their common denominator d."""
+    index, rows = h.basis.index, h.table.rows
+    d = math.lcm(*{c.denominator for line in rows.values() for col in line.values()
+                   for c in col.values()})
+    return {i: [(index(j), [(index(k), c.numerator * (d // c.denominator))
+                            for k, c in col.items()])
+                for j, col in line.items()]
+            for i, line in rows.items()}, d
+
+
+def _ad_rows(line: Line, rows: Mapping[Exponents, Row], out: dict[Exponents, Row]) -> None:
+    """out += ad~_i(rows) for the letter i of ``line``: the one ad~ kernel,
+    ad~_i(alpha^m) = sum_j m_j sum_k c_ij^k alpha^(m - e_j + e_k), which only
+    scales each row of hbar coefficients by m_j times a cleared constant d c_ij^k."""
+    for m, row in rows.items():
+        for pj, column in line:
+            e = m[pj]
+            if e:
+                lowered = m[:pj] + (e - 1,) + m[pj + 1:]
+                for pk, c in column:
+                    t = lowered[:pk] + (lowered[pk] + 1,) + lowered[pk + 1:]
+                    w, acc = e * c, out.get(t)
+                    out[t] = ([w * v for v in row] if acc is None
+                              else [a + w * v for a, v in zip(acc, row)])
+
+
+def _poly(nvars: int, order: int, rows: Mapping[Exponents, Row], den: int) -> PolyFunction:
+    """The polynomial rows / den, the one division: rows that cancelled are
+    dropped, and a coefficient is an int when integral."""
+    return PolyFunction._trusted(nvars, order, {
+        m: SeriesScalar(tuple(r) if den == 1 else
+                        tuple(c // den if c % den == 0 else Fraction(c, den) for c in r))
+        for m, r in rows.items() if any(r)})
 
 
 def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
-    """The vector field sum_j hat([e_i, e_j]) d/dalpha_j applied to f.
-
-    This is the unique degree-preserving derivation with
-    ad~_i(hat(y)) = hat([e_i, y]).  Its coefficients are constant, so with
-    [e_i, e_j] = sum_k c_ij^k e_k it acts on monomials through the
-    structure constants alone:
-
-        ad~_i(alpha^m) = sum_j m_j sum_k c_ij^k alpha^(m - e_j + e_k).
-
-    The row of the bracket table at i is read once per call; every series
-    coefficient of f is only scaled by the rational m_j c_ij^k.
-    """
+    """The vector field sum_j hat([e_i, e_j]) d/dalpha_j applied to f: the
+    unique degree-preserving derivation with ad~_i(hat(y)) = hat([e_i, y]),
+    run by the row kernel of ``star`` between one conversion in and one out."""
     if f.nvars != h.dim:
         raise SchemaError("polynomial does not live on the dual of the algebra")
-    index = h.basis.index
-    line = h.table.rows.get(i, {})
-    row = [(index(j), [(index(k), c) for k, c in line[j].items()])
-           for j in h.basis.labels if j in line]
-    rows: dict[Exponents, Row] = {}
-    for m, s in f.terms.items():
-        for pj, column in row:
-            e = m[pj]
-            if not e:
-                continue
-            lowered = m[:pj] + (e - 1,) + m[pj + 1:]
-            for pk, c in column:
-                _add_row(rows, lowered[:pk] + (lowered[pk] + 1,) + lowered[pk + 1:],
-                         s.coeffs, e * c)
-    return _poly(f.nvars, f.order, rows)
+    rows, den = _rows(f)
+    lines, d = _lines(h)
+    out: dict[Exponents, Row] = {}
+    _ad_rows(lines.get(i, []), rows, out)
+    return _poly(f.nvars, f.order, out, den * d)
 
 
 def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
@@ -350,56 +350,58 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
         S(0) = g,    S(m) = sum_{p: m_p > 0} ad~_p(S(m - e_p)),
 
     memoized over sub-multisets: ad~ runs once per (sub-multiset, letter)
-    pair, polynomially many in the jet degree.  Each S(m) and the jet sum are
-    accumulated as coefficient rows, and the hbar^r weight of a jet is a
-    shift of those rows.
+    pair.  On integer rows: g is scaled by the lcm D_g of its denominators and
+    the structure constants by theirs, d, so S(m) is d^|m| D_g times the chain;
+    the jet weights w (prod m_p!) / (r! d^r) of f are scaled by the lcm D_f of
+    theirs, and the hbar^r of a jet shifts rows.  Chains and jet sum add ints
+    only; the result is divided by D_f D_g once.
     """
     if f.nvars != h.dim or g.nvars != h.dim:
         raise SchemaError("polynomials do not live on the dual of the algebra")
     f._check(g)
     order = f.order
-    chains: dict[Exponents, PolyFunction] = {(0,) * h.dim: g}
+    lines, d = _lines(h)
+    letters = [lines.get(i, []) for i in h.basis.labels]
+    rows, den = _rows(g)
+    chains: dict[Exponents, dict[Exponents, Row]] = {(0,) * h.dim: rows}
 
-    def chain(m: Exponents) -> PolyFunction:
+    def chain(m: Exponents) -> dict[Exponents, Row]:
         got = chains.get(m)
         if got is None:
-            rows: dict[Exponents, Row] = {}
+            got = chains[m] = {}
             for p, e in enumerate(m):
                 if e:
-                    sub = chain(m[:p] + (e - 1,) + m[p + 1:])
-                    for mm, s in ad_tilde(h, h.basis.labels[p], sub).terms.items():
-                        _add_row(rows, mm, s.coeffs, 1)
-            got = chains[m] = _poly(h.dim, order, rows)
+                    _ad_rows(letters[p], chain(m[:p] + (e - 1,) + m[p + 1:]), got)
         return got
 
-    rows: dict[Exponents, Row] = {}
+    jets = []
     for m, c in f.terms.items():
         r = sum(m)
-        if r >= order:
-            continue
-        weights = [(r + s, w) for s, w in enumerate(c.coeffs[:order - r]) if w]
-        if not weights:
-            continue
-        # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
-        norm = div(math.prod(math.factorial(e) for e in m), math.factorial(r))
-        for mm, v in chain(m).terms.items():
-            for shift, w in weights:
-                _add_row(rows, mm, v.coeffs, w * norm, shift)
-    return _poly(h.dim, order, rows)
+        if r < order:
+            # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
+            norm = Fraction(math.prod(math.factorial(e) for e in m), math.factorial(r) * d ** r)
+            jets += [(m, r + s, w * norm) for s, w in enumerate(c.coeffs[:order - r]) if w]
+    scale = math.lcm(*{w.denominator for _, _, w in jets})
+    out: dict[Exponents, Row] = {}
+    for m, shift, w in jets:
+        w = w.numerator * (scale // w.denominator)
+        for mm, row in chain(m).items():
+            acc = out[mm] = out.get(mm) or [0] * order
+            for s in range(order - shift):
+                if row[s]:
+                    acc[s + shift] += w * row[s]
+    return _poly(h.dim, order, out, den * scale)
 
 
 def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> FinVec:
     """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order).
 
-    The r-th term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale.
-    ad_x is formed once, as its columns j -> [x, e_j].
-    """
-
-    def lift(c: Coeff) -> SeriesScalar:
-        return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
-
+    The r-th term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale;
+    ad_x is formed once, as its columns j -> [x, e_j]."""
     ad_x = h.ad(x)
-    term = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in y.entries.items()))
+    term = FinVec.build(h.basis, ((lab, c if isinstance(c, SeriesScalar)
+                                   else SeriesScalar.constant(c, order))
+                                  for lab, c in y.entries.items()))
     terms = [term]
     for r in range(1, order):
         step = div(1, r)
@@ -422,6 +424,13 @@ def _first_hbar_difference(a: PolyFunction, b: PolyFunction,
     return -1, {}, {}
 
 
+def _require_equal(identity: str, witness: tuple, lhs: PolyFunction, rhs: PolyFunction) -> None:
+    """Raise DecompositionFailure at the lowest hbar power where the sides differ."""
+    if lhs != rhs:
+        power, row_l, row_r = _first_hbar_difference(lhs, rhs)
+        raise DecompositionFailure(identity, witness + (f"hbar^{power}",), row_l, row_r)
+
+
 def star_exp(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int,
              degree: int | None = None) -> PolyFunction:
     """exp(hat x) |> exp(hat y), checked against exp(hat(x |>_hbar y)).
@@ -436,22 +445,15 @@ def star_exp(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int,
     g = exp_hat(h, y, order, degree)
     lhs = star(h, f, g)
     rhs = exp_hat(h, lie_rack_product(h, x, y, order), order, degree)
-    if lhs != rhs:
-        power, row_l, row_r = _first_hbar_difference(lhs, rhs)
-        raise DecompositionFailure("exponential rack identity",
-                                   (dict(x.entries), dict(y.entries), f"hbar^{power}"),
-                                   row_l, row_r)
+    _require_equal("exponential rack identity", (dict(x.entries), dict(y.entries)), lhs, rhs)
     return lhs
 
 
 def star_rack_selfdist_check(h: LeibnizAlgebra, x: FinVec, y: FinVec, z: FinVec,
                              order: int, degree: int | None = None) -> CheckReport:
-    """Self-distributivity of |>_hbar on vectors and on exponential functions.
-
-    The function-level check nests deformed products of exponentials
-    directly, so it does not assume the exponential identity that
-    ``star_exp`` verifies.
-    """
+    """Self-distributivity of |>_hbar on vectors and on exponential functions;
+    the function-level check nests deformed products of exponentials directly,
+    so it does not assume the exponential identity that ``star_exp`` verifies."""
     if degree is None:
         degree = order - 1
     lhs_v = lie_rack_product(h, x, lie_rack_product(h, y, z, order), order)
@@ -466,12 +468,8 @@ def star_rack_selfdist_check(h: LeibnizAlgebra, x: FinVec, y: FinVec, z: FinVec,
     g_z = exp_hat(h, z, order, degree)
     lhs = star(h, f_x, star(h, f_y, g_z))
     rhs = star(h, star(h, f_x, f_y), star(h, f_x, g_z))
-    if lhs != rhs:
-        power, row_l, row_r = _first_hbar_difference(lhs, rhs)
-        raise DecompositionFailure("exponential self-distributivity",
-                                   (dict(x.entries), dict(y.entries), dict(z.entries),
-                                    f"hbar^{power}"),
-                                   row_l, row_r)
+    _require_equal("exponential self-distributivity",
+                   (dict(x.entries), dict(y.entries), dict(z.entries)), lhs, rhs)
     return CheckReport(True, checked=2, detail=f"order={order} degree={degree}")
 
 

@@ -11,7 +11,8 @@ The product is in general neither associative nor unital.  An augmented
 structure factors it through a Hopf algebra acting on the carrier,
 ``a |> b = phi(a).b``, which upgrades self-distributivity to genuine
 module identities.  Certification is exhaustive over basis labels; by
-multilinearity that is equivalent to the identities holding everywhere.
+multilinearity that is equivalent to the identities holding everywhere;
+self-distributivity is read per pair as L_a o L_b = sum L_(a1 |> b) o L_(a2).
 """
 
 from __future__ import annotations
@@ -493,6 +494,26 @@ class _OnDicts:
             read(t, rows, x, v, acc, w)
         return acc
 
+    def composed(self, m: _Product, labels: Sequence[Label]) -> dict[Label, dict]:
+        """after[y][x] = {(c, l): coefficient} of x |> (y |> c) for every c; m is uncapped."""
+        after, rows, read = {}, m.rows, exact_core._read
+        for y in labels:
+            after[y] = {x: {(c, l): v for c, yc in rows.get(y, _NO_ENTRIES).items()
+                            for l, v in read(m.t, rows, x, yc, {}, ONE).items()} for x in labels}
+        return after
+
+    def distribute(self, m: _Product, after: dict, legs_a: Sequence[tuple], b: Label) -> dict:
+        """sum (a1 |> b) |> (a2 |> c) for every c: after[a2] read on a1 |> b."""
+        acc: dict[tuple[Label, Label], Coeff] = {}
+        for a1, a2, w in legs_a:
+            if v := m.rows.get(a1, _NO_ENTRIES).get(b):
+                exact_core._read(m.t, after, a2, v, acc, w)
+        return acc
+
+    def at(self, v: dict, i: int, c: Label) -> dict[Label, Coeff]:
+        """The part at c, the i-th label, of a value of :meth:`composed`."""
+        return {l: x for (lc, l), x in v.items() if lc == c}
+
     def adjoint(self, hopf: HopfBackend, hm: _Product, sm: _Map) -> Callable:
         """ad_h(x) = sum h1 x S(h2) for a label h, by the backend."""
         hb = hopf.basis
@@ -576,6 +597,16 @@ class _OnLabels:
         ((x, _, y),) = left
         return q[x, r[y, c]]
 
+    def composed(self, m: dict, labels: Sequence[Label]) -> dict[Label, dict]:
+        return {y: {x: tuple([m[x, m[y, c]] for c in labels]) for x in labels} for y in labels}
+
+    def distribute(self, m: dict, after: dict, legs_a: Sequence[tuple], b: Label) -> tuple:
+        ((a, _, _),) = legs_a
+        return after[a][m[a, b]]
+
+    def at(self, v: tuple, i: int, c: Label) -> Label:
+        return v[i]
+
     def adjoint(self, hopf: HopfBackend, hm: dict, sm: dict) -> Callable:
         return lambda h, x: hm[hm[h, x], sm[h]]
 
@@ -631,24 +662,28 @@ def _first_selfdist_failure(ev: _OnLabels | _OnDicts, c: Coalgebra) -> tuple:
     """The first basis triple of ``c``, in ``itertools.product`` order, with
     a |> (b |> c) != sum (a1 |> b) |> (a2 |> c) for the one product of the
     evaluator ``ev``, both sides as its values and the number of triples
-    that held before it; (None, None, None, n) when all n hold.  Each a1 |> b
-    is read once per (a, b) and, the product being uncapped, b |> c once per
-    (b, c)."""
-    (m,) = ev.products
-    labels = c.basis.labels
-    legs, spread, fold = _legs(c), ev.spread, ev.fold
-    rows = [(lb, [(lc, m[lb, lc]) for lc in labels]) for lb in labels]
-    products = {(lb, lc): x for lb, row in rows for lc, x in row}
+    that held before it; (None, None, None, n) when all n hold.
+
+    Per pair (a, b) it compares the operators L_a o L_b and
+    sum L_(a1 |> b) o L_(a2) on every c at once.  ``after[y][x]`` holds
+    x |> (y |> c) for every c (``ev.composed``; the product is uncapped), so
+    after[b][a] is the left side; |> is linear on the left, so the right side
+    is after[a2] read on a1 |> b, summed over the legs of a (``ev.distribute``).
+    Each side holds the value at c of every triple (a, b, c), so they agree
+    exactly when these triples all hold.  The first c is the first label whose
+    parts (``ev.at``) differ, after dim (index of (a, b)) + (index of c) triples."""
+    (m,), labels, legs = ev.products, c.basis.labels, _legs(c)
+    after, at = ev.composed(m, labels), ev.at
     checked = 0
     for la in labels:
-        legs_a, ma = legs[la], ev.row(m, la, labels)
-        for lb, row in rows:
-            left = spread(m, [(products[a1, lb], w, a2) for a1, a2, w in legs_a])
-            for lc, bc in row:
-                lhs, rhs = ma[bc], fold(m, m, left, lc)
-                if lhs != rhs and not same_entries(_entries(lhs), _entries(rhs)):
-                    return (la, lb, lc), lhs, rhs, checked
-                checked += 1
+        for lb in labels:
+            lhs, rhs = after[lb][la], ev.distribute(m, after, legs[la], lb)
+            if lhs != rhs:
+                for i, lc in enumerate(labels):
+                    x, y = at(lhs, i, lc), at(rhs, i, lc)
+                    if x != y and not same_entries(_entries(x), _entries(y)):
+                        return (la, lb, lc), x, y, checked + i
+            checked += len(labels)
     return None, None, None, checked
 
 

@@ -206,8 +206,7 @@ class ExpFunction:
         return ExpFunction(self.vector + other.vector, self.order)
 
     def expand(self, h: LeibnizAlgebra, degree: int | None = None) -> PolyFunction:
-        return exp_hat(h, self.vector, self.order,
-                       self.order - 1 if degree is None else degree)
+        return exp_hat(h, self.vector, self.order, self.order - 1 if degree is None else degree)
 
 
 def rack_exp(h: LeibnizAlgebra, a: ExpFunction, b: ExpFunction) -> ExpFunction:
@@ -258,11 +257,8 @@ def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFuncti
             c = rational(c)
         elif c.order != order:
             raise SchemaError(f"coordinate {lab!r} is not a series of order {order}")
-        powers: list[Coeff] = [1]  # x_p^e / e!
-        for e in range(1, degree + 1):
-            power = powers[-1] * c * div(1, e)
-            if not power:
-                break
+        powers: list[Coeff] = [1]  # x_p^e / e! for e = 0, 1, .. until one vanishes
+        while len(powers) <= degree and (power := powers[-1] * c * div(1, len(powers))):
             powers.append(power)
         p = h.basis.index(lab)
         grown: dict[Exponents, Coeff] = {}
@@ -332,15 +328,24 @@ def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
     run by the row kernel of ``star`` between one conversion in and one out."""
     if f.nvars != h.dim:
         raise SchemaError("polynomial does not live on the dual of the algebra")
-    rows, den = _rows(f)
-    lines, d = _lines(h)
+    return _ad_tilde(_lines(h), i, f)
+
+
+def _ad_tilde(bracket: tuple, i: Label, f: PolyFunction) -> PolyFunction:
+    """:func:`ad_tilde` on the ``bracket`` lines of :func:`_lines`."""
+    (lines, d), (rows, den) = bracket, _rows(f)
     out: dict[Exponents, Row] = {}
     _ad_rows(lines.get(i, []), rows, out)
     return _poly(f.nvars, f.order, out, den * d)
 
 
 def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-    """Deformed product f |> g of polynomial functions on h*.
+    """Deformed product f |> g of polynomial functions on h* (see :func:`_star`)."""
+    return _star(h, _lines(h), f, g)
+
+
+def _star(h: LeibnizAlgebra, bracket: tuple, f: PolyFunction, g: PolyFunction) -> PolyFunction:
+    """:func:`star` on the ``bracket`` lines of :func:`_lines`, built once per call.
 
     The jet sum stops at deg f, and r >= order contributes nothing since it
     carries hbar^r.  For an exponent tuple m, S(m) is the sum of the ad~
@@ -360,7 +365,7 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
         raise SchemaError("polynomials do not live on the dual of the algebra")
     f._check(g)
     order = f.order
-    lines, d = _lines(h)
+    lines, d = bracket
     letters = [lines.get(i, []) for i in h.basis.labels]
     rows, den = _rows(g)
     chains: dict[Exponents, dict[Exponents, Row]] = {(0,) * h.dim: rows}
@@ -394,19 +399,20 @@ def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
 
 
 def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> FinVec:
-    """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order).
+    """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order)."""
+    return _exp_ad(h, h.ad(x), y, order)
 
-    The r-th term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale;
-    ad_x is formed once, as its columns j -> [x, e_j]."""
-    ad_x = h.ad(x)
-    term = FinVec.build(h.basis, ((lab, c if isinstance(c, SeriesScalar)
-                                   else SeriesScalar.constant(c, order))
-                                  for lab, c in y.entries.items()))
-    terms = [term]
+
+def _exp_ad(h: LeibnizAlgebra, ad_x, y: FinVec, order: int) -> FinVec:
+    """exp(hbar ad_x)(y) for ad_x = ``h.ad(x)``, formed once per x; the r-th
+    term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale."""
+    terms = [FinVec.build(h.basis, ((lab, c if isinstance(c, SeriesScalar)
+                                     else SeriesScalar.constant(c, order))
+                                    for lab, c in y.entries.items()))]
     for r in range(1, order):
         step = div(1, r)
         term = FinVec.build(h.basis, ((lab, c.shift(1) * step)
-                                      for lab, c in ad_x(term).entries.items()))
+                                      for lab, c in ad_x(terms[-1]).entries.items()))
         if term.is_zero:
             break
         terms.append(term)
@@ -441,9 +447,7 @@ def star_exp(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int,
     """
     if degree is None:
         degree = order - 1
-    f = exp_hat(h, x, order, order - 1)
-    g = exp_hat(h, y, order, degree)
-    lhs = star(h, f, g)
+    lhs = star(h, exp_hat(h, x, order, order - 1), exp_hat(h, y, order, degree))
     rhs = exp_hat(h, lie_rack_product(h, x, y, order), order, degree)
     _require_equal("exponential rack identity", (dict(x.entries), dict(y.entries)), lhs, rhs)
     return lhs
@@ -456,20 +460,17 @@ def star_rack_selfdist_check(h: LeibnizAlgebra, x: FinVec, y: FinVec, z: FinVec,
     so it does not assume the exponential identity that ``star_exp`` verifies."""
     if degree is None:
         degree = order - 1
-    lhs_v = lie_rack_product(h, x, lie_rack_product(h, y, z, order), order)
-    rhs_v = lie_rack_product(h, lie_rack_product(h, x, y, order),
-                             lie_rack_product(h, x, z, order), order)
+    ad_x, bracket = h.ad(x), _lines(h)
+    witness = (dict(x.entries), dict(y.entries), dict(z.entries))
+    lhs_v = _exp_ad(h, ad_x, lie_rack_product(h, y, z, order), order)
+    rhs_v = lie_rack_product(h, _exp_ad(h, ad_x, y, order), _exp_ad(h, ad_x, z, order), order)
     if lhs_v != rhs_v:
-        raise DecompositionFailure("rack self-distributivity",
-                                   (dict(x.entries), dict(y.entries), dict(z.entries)),
-                                   lhs_v, rhs_v)
-    f_x = exp_hat(h, x, order, order - 1)
-    f_y = exp_hat(h, y, order, order - 1)
+        raise DecompositionFailure("rack self-distributivity", witness, lhs_v, rhs_v)
+    f_x, f_y = (exp_hat(h, v, order, order - 1) for v in (x, y))
     g_z = exp_hat(h, z, order, degree)
-    lhs = star(h, f_x, star(h, f_y, g_z))
-    rhs = star(h, star(h, f_x, f_y), star(h, f_x, g_z))
-    _require_equal("exponential self-distributivity",
-                   (dict(x.entries), dict(y.entries), dict(z.entries)), lhs, rhs)
+    lhs = _star(h, bracket, f_x, _star(h, bracket, f_y, g_z))
+    rhs = _star(h, bracket, _star(h, bracket, f_x, f_y), _star(h, bracket, f_x, g_z))
+    _require_equal("exponential self-distributivity", witness, lhs, rhs)
     return CheckReport(True, checked=2, detail=f"order={order} degree={degree}")
 
 
@@ -483,7 +484,7 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
     """
     if order is None:
         order = k + 2
-    arb = uar_infinity(h, k)
+    arb, bracket = uar_infinity(h, k), _lines(h)
     sym = arb.carrier
     monos: list[tuple[Label, ...]] = [m for m in sym.basis.labels if isinstance(m, tuple)]
     images = {m: monomial_function(h, m, order) for m in monos}
@@ -492,14 +493,13 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
         for b in monos:
             if len(a) + len(b) <= k:
                 prod = tuple(sorted(a + b, key=h.basis.index))
-                if images[a] * images[b] != images[prod]:
-                    raise AxiomViolation("hat algebra morphism", (a, b),
-                                         images[a] * images[b], images[prod])
+                if (ab := images[a] * images[b]) != images[prod]:
+                    raise AxiomViolation("hat algebra morphism", (a, b), ab, images[prod])
                 checked += 1
     for i in h.basis.labels:
         e_i = FinVec.unit(h.basis, i)
         for a in monos:
-            lhs = ad_tilde(h, i, images[a])
+            lhs = _ad_tilde(bracket, i, images[a])
             rhs = psi_function(h, derivation_action(h, sym, e_i, FinVec.unit(sym.basis, a)),
                                order)
             if lhs != rhs:
@@ -508,7 +508,7 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
     for a in monos:
         shift = SeriesScalar.one(order).shift(len(a))
         for b in monos:
-            lhs = star(h, images[a], images[b])
+            lhs = _star(h, bracket, images[a], images[b])
             rhs = psi_function(h, arb.rack.apply(FinVec.unit(sym.basis, a),
                                                  FinVec.unit(sym.basis, b)),
                                order).scale(shift)

@@ -1,7 +1,8 @@
 """Reference maps that the tests compose: tensor products and flips of maps,
 convolution on a coalgebra, the product and functoriality of the truncated
 S(V), and the truncating product of U(g); the label formula of tensor bases,
-and the product table of a function given on label pairs.
+the product table of a function given on label pairs, and self-distributivity
+read one basis triple at a time.
 
 The package checks every identity by comparing Sweedler legs label by label
 and never composes whole maps.  These are the composed-map forms of the same
@@ -20,9 +21,11 @@ from rackalg.exact_core import (
     Label,
     PairTable,
     _label_parts,
+    same_entries,
     split_label,
     tensor_basis,
 )
+from rackalg.rack_bialg import _entries, _legs
 from rackalg.symcoalg import Coalgebra, sort_monomial
 
 
@@ -174,3 +177,30 @@ def truncating_mul_map(env: EnvelopingHopf) -> FinMap:
         return env.straighten(wa + wb)
 
     return FinMap.from_function(env.coalgebra.square, env.basis, col)
+
+
+# ---------------------------------------------------------------------------
+# self-distributivity, triple by triple
+# ---------------------------------------------------------------------------
+
+
+def first_selfdist_failure_by_triples(ev, c: Coalgebra) -> tuple:
+    """``rack_bialg._first_selfdist_failure`` read one basis triple at a time,
+    in ``itertools.product`` order, through the evaluator's ``spread`` and
+    ``fold``: a |> (b |> c) against sum (a1 |> b) |> (a2 |> c) per c."""
+    (m,) = ev.products
+    labels = c.basis.labels
+    legs, spread, fold = _legs(c), ev.spread, ev.fold
+    rows = [(lb, [(lc, m[lb, lc]) for lc in labels]) for lb in labels]
+    products = {(lb, lc): x for lb, row in rows for lc, x in row}
+    checked = 0
+    for la in labels:
+        legs_a, ma = legs[la], ev.row(m, la, labels)
+        for lb, row in rows:
+            left = spread(m, [(products[a1, lb], w, a2) for a1, a2, w in legs_a])
+            for lc, bc in row:
+                lhs, rhs = ma[bc], fold(m, m, left, lc)
+                if lhs != rhs and not same_entries(_entries(lhs), _entries(rhs)):
+                    return (la, lb, lc), lhs, rhs, checked
+                checked += 1
+    return None, None, None, checked

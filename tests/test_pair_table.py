@@ -420,7 +420,7 @@ def _iterates_terms(it):
     name bound to legs."""
     if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute):
         return it.func.attr in TERM_ITERS
-    return isinstance(it, ast.Name) and it.id in {"legs", "legs_b", "left"}
+    return isinstance(it, ast.Name) and it.id in {"legs", "legs_a", "legs_b", "left"}
 
 
 def _called(nodes):
@@ -455,7 +455,8 @@ def per_term_calls(tree, owner):
 GUARDED = {
     exact_core: ["label_times", "times_label", "bilinear"],
     symcoalg: ["check_multiplicative", "_delta_legs", "_add_tensor"],
-    rack_bialg: ["_check_product", "_first_selfdist_failure"],
+    rack_bialg: ["_check_product", "_first_selfdist_failure", "_OnDicts.composed",
+                 "_OnDicts.distribute"],
     right_hopf_dialg: ["certify_dialgebra"],
 }
 

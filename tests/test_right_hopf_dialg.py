@@ -1286,7 +1286,10 @@ def _loop_in(tree, function, axiom):
 def _loops_in(tree, function, axiom):
     """Every loop of ``function`` in ``tree`` that names ``axiom`` (every loop
     for ``None``), outermost first, and the functions nested in it by name."""
-    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    fn = tree
+    for name in function.split("."):  # a method is named "Class.method"
+        fn = next(n for n in fn.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                  and n.name == name)
     loops = [n for n in ast.walk(fn) if isinstance(n, ast.For) and (axiom is None or any(
         isinstance(c, ast.Constant) and c.value == axiom for c in ast.walk(n)))]
     nested = {n.name: n for n in ast.walk(fn) if isinstance(n, ast.FunctionDef) and n is not fn}
@@ -1320,6 +1323,8 @@ VECTOR_PRODUCTS = {"bilinear", "vprod", "dprod", "FinVec.unit"}
     (right_hopf_dialg, "certify_dialgebra", "associativity (|-)"),
     (right_hopf_dialg, "_check_associative", None),
     (rack_bialg, "_first_selfdist_failure", None),
+    (rack_bialg, "_OnDicts.composed", None),
+    (rack_bialg, "_OnDicts.distribute", None),
     (right_hopf_dialg, "hopf_dialgebra_rack", "module identity (|-)"),
     (right_hopf_dialg, "structure_decomposition", "projection merges products"),
     (right_hopf_dialg, "structure_decomposition", "psi multiplicative (|-)"),

@@ -27,10 +27,10 @@ loses nothing: on exponentials the product obeys
 and the right side inherits self-distributivity from the vector level, where
 exp(hbar ad_x) is a bracket automorphism by the left Leibniz identity.
 
-ad~ and |> run on integer coefficient rows {exponents: [c_0 .. c_(N-1)]}:
-``_rows`` and ``_lines`` clear the denominators of a polynomial and of the
-structure constants on entry, ``_ad_rows`` is the one ad~ kernel, and
-``_poly`` divides a result by its one common denominator as it is built.
+ad~, |>, exp(hat x) and exp(hbar ad_x) run on integer rows {key: [c_0 .. c_(N-1)]}
+over one common denominator, keyed by exponent tuples or, for vectors, basis
+positions: ``_rows``, ``_vec_rows`` and ``_lines`` clear denominators on entry,
+the kernels add and convolve ints only, and ``_poly`` and ``_vec`` divide once.
 """
 
 from __future__ import annotations
@@ -42,16 +42,7 @@ from typing import Iterable, Mapping
 
 from rackalg.env_hopf import derivation_action
 from rackalg.errors import AxiomViolation, DecompositionFailure, SchemaError
-from rackalg.exact_core import (
-    Coeff,
-    FinVec,
-    Label,
-    Rational,
-    SeriesScalar,
-    _accumulate,
-    div,
-    rational,
-)
+from rackalg.exact_core import Coeff, FinVec, Label, SeriesScalar, _accumulate
 from rackalg.leibniz import LeibnizAlgebra
 from rackalg.rack_bialg import CheckReport, uar_infinity
 
@@ -84,9 +75,7 @@ class PolyFunction:
         """Wrap terms that the module's own operations built valid and nonzero,
         without re-validation; outside input goes through the constructor or ``build``."""
         p = object.__new__(PolyFunction)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "order", order)
-        object.__setattr__(p, "terms", terms)
+        p.__dict__.update(nvars=nvars, order=order, terms=terms)
         return p
 
     @staticmethod
@@ -157,12 +146,9 @@ class PolyFunction:
 
     def partial(self, pos: int) -> "PolyFunction":
         """Derivative with respect to the coordinate at 0-based position ``pos``."""
-        acc: dict[Exponents, SeriesScalar] = {}
-        for m, c in self.terms.items():
-            e = m[pos]
-            if e:
-                acc[m[:pos] + (e - 1,) + m[pos + 1:]] = c * e
-        return PolyFunction._trusted(self.nvars, self.order, acc)
+        return PolyFunction._trusted(self.nvars, self.order, {
+            m[:pos] + (m[pos] - 1,) + m[pos + 1:]: c * m[pos]
+            for m, c in self.terms.items() if m[pos]})
 
     def at_zero(self) -> SeriesScalar:
         return self.terms.get((0,) * self.nvars, SeriesScalar.zero(self.order))
@@ -172,14 +158,10 @@ class PolyFunction:
                                      {m: c for m, c in self.terms.items() if sum(m) <= degree})
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "PolyFunction(0)"
-        parts = []
-        for m in sorted(self.terms):
-            mono = "*".join(f"a{p + 1}^{e}" if e > 1 else f"a{p + 1}"
-                            for p, e in enumerate(m) if e) or "1"
-            parts.append(f"({self.terms[m]!r})*{mono}")
-        return " + ".join(parts)
+        monos = {m: "*".join(f"a{p + 1}^{e}" if e > 1 else f"a{p + 1}"
+                             for p, e in enumerate(m) if e) or "1" for m in self.terms}
+        return " + ".join(f"({self.terms[m]!r})*{monos[m]}"
+                          for m in sorted(monos)) or "PolyFunction(0)"
 
 
 @dataclass(frozen=True)
@@ -195,6 +177,9 @@ class ExpFunction:
     vector: FinVec
     order: int
 
+    def __post_init__(self) -> None:
+        _cut(self.order)
+
     def _check(self, other: "ExpFunction") -> None:
         if self.vector.basis != other.vector.basis:
             raise SchemaError("exponential functions live on different spaces")
@@ -206,7 +191,7 @@ class ExpFunction:
         return ExpFunction(self.vector + other.vector, self.order)
 
     def expand(self, h: LeibnizAlgebra, degree: int | None = None) -> PolyFunction:
-        return exp_hat(h, self.vector, self.order, self.order - 1 if degree is None else degree)
+        return exp_hat(h, self.vector, self.order, _cut(self.order, degree))
 
 
 def rack_exp(h: LeibnizAlgebra, a: ExpFunction, b: ExpFunction) -> ExpFunction:
@@ -238,66 +223,172 @@ def psi_function(h: LeibnizAlgebra, a: FinVec, order: int) -> PolyFunction:
 
 
 def exp_hat(h: LeibnizAlgebra, x: FinVec, order: int, degree: int) -> PolyFunction:
-    """exp(hat(x)) cut at polynomial degree ``degree``, in closed form.
-
-    exp(hat x) = prod_p exp(x_p alpha_p), so the multinomial expansion gives
-    the coefficient of alpha^m as prod_p x_p^(m_p) / m_p!, for |m| <= degree.
-    The coordinates x_p are rationals or series of the same ``order`` (such
-    as the output of ``lie_rack_product``); a power that vanishes modulo
-    hbar^order ends its variable's expansion.  Degree N - 1 is lossless
-    modulo hbar^N against the deformed product: the dropped jets of the left
-    factor carry hbar^N, and the right factor is only ever hit by
-    degree-preserving operators.
-    """
-    if x.basis != h.basis:
-        raise SchemaError("vector does not live in the given algebra")
-    terms: dict[Exponents, Coeff] = {(0,) * h.dim: 1}
-    for lab, c in x.entries.items():
-        if not isinstance(c, SeriesScalar):
-            c = rational(c)
-        elif c.order != order:
-            raise SchemaError(f"coordinate {lab!r} is not a series of order {order}")
-        powers: list[Coeff] = [1]  # x_p^e / e! for e = 0, 1, .. until one vanishes
-        while len(powers) <= degree and (power := powers[-1] * c * div(1, len(powers))):
-            powers.append(power)
-        p = h.basis.index(lab)
-        grown: dict[Exponents, Coeff] = {}
-        for m, v in terms.items():
-            for e, w in enumerate(powers[:max(degree - sum(m), 0) + 1]):
-                vw = v * w
-                if vw:
-                    grown[m[:p] + (e,) + m[p + 1:]] = vw
-        terms = grown
-    pad = (0,) * (order - 1)
-    return PolyFunction._trusted(h.dim, order, {
-        m: v if isinstance(v, SeriesScalar) else SeriesScalar((rational(v),) + pad)
-        for m, v in terms.items()})
+    """exp(hat(x)) cut at polynomial degree ``degree`` (see :func:`_exp_rows`);
+    the x_p are rationals or series of ``order``, as ``lie_rack_product`` gives.
+    Degree N - 1 is lossless modulo hbar^N against the deformed product: the
+    dropped jets of a left factor carry hbar^N, and a right factor only meets
+    degree-preserving ad~."""
+    _cut(order, degree)
+    return _poly(h.dim, order, _exp_rows(h.dim, _vec_rows(h, x, order), order, degree))
 
 
 Row = list[int]
 Line = list[tuple[int, list[tuple[int, int]]]]
+Rows = tuple[dict, int]  # ({exponent tuple or basis position: Row}, common denominator)
 
 
-def _rows(f: PolyFunction) -> tuple[dict[Exponents, Row], int]:
-    """f as integer coefficient rows over one common denominator: f = rows / den."""
-    den = math.lcm(*{c.denominator for s in f.terms.values() for c in s.coeffs})
-    return {m: [c.numerator * (den // c.denominator) for c in s.coeffs]
-            for m, s in f.terms.items()}, den
+def _cut(order: int, degree: int | None = None) -> int:
+    """The degree cap, order - 1 by default, of a truncation that keeps an hbar power."""
+    degree = order - 1 if degree is None else degree
+    if order < 1 or degree < 0:
+        raise SchemaError(f"need hbar order >= 1 and degree >= 0, not {order} and {degree}")
+    return degree
 
 
-def _lines(h: LeibnizAlgebra) -> tuple[dict[Label, Line], int]:
+def _rows(terms: Mapping) -> Rows:
+    """Series coefficients as integer rows over one common denominator: rows / den."""
+    den = math.lcm(*{c.denominator for s in terms.values() for c in s.coeffs})
+    return {key: [c.numerator * (den // c.denominator) for c in s.coeffs]
+            for key, s in terms.items()}, den
+
+
+def _vec_rows(h: LeibnizAlgebra, x: FinVec, order: int) -> Rows:
+    """The coordinates of x, rationals or series of ``order``, as rows by basis position."""
+    if x.basis != h.basis or any(isinstance(c, SeriesScalar) and c.order != order
+                                 for c in x.entries.values()):
+        raise SchemaError(f"vector is not over the algebra in coordinates of hbar order {order}")
+    return _rows({h.basis.index(lab): c if isinstance(c, SeriesScalar)
+                  else SeriesScalar.constant(c, order) for lab, c in x.entries.items()})
+
+
+def _series(f: Rows) -> dict:
+    """rows / den, the one division: cancelled rows are dropped, integral values are ints."""
+    rows, den = f
+    return {key: SeriesScalar(tuple(r) if den == 1 else tuple(
+        c // den if c % den == 0 else Fraction(c, den) for c in r))
+        for key, r in rows.items() if any(r)}
+
+
+def _poly(nvars: int, order: int, f: Rows) -> PolyFunction:
+    return PolyFunction._trusted(nvars, order, _series(f))
+
+
+def _vec(h: LeibnizAlgebra, v: Rows) -> FinVec:
+    return FinVec(h.basis, {h.basis.labels[p]: s for p, s in _series(v).items()})
+
+
+def _lines(h: LeibnizAlgebra) -> tuple[list[Line], int]:
     """Each letter's row of the bracket table by positions, (j, [(k, d c_ij^k)]),
     with the structure constants cleared by their common denominator d."""
     index, rows = h.basis.index, h.table.rows
     d = math.lcm(*{c.denominator for line in rows.values() for col in line.values()
                    for c in col.values()})
-    return {i: [(index(j), [(index(k), c.numerator * (d // c.denominator))
-                            for k, c in col.items()])
-                for j, col in line.items()]
-            for i, line in rows.items()}, d
+    return [[(index(j), [(index(k), c.numerator * (d // c.denominator)) for k, c in col.items()])
+             for j, col in rows.get(i, {}).items()]
+            for i in h.basis.labels], d
 
 
-def _ad_rows(line: Line, rows: Mapping[Exponents, Row], out: dict[Exponents, Row]) -> None:
+def _conv(a: Row, b: Row) -> Row:
+    """a b in Z[hbar]/(hbar^N) for rows of length N."""
+    out = [0] * len(b)
+    for s, c in enumerate(a):
+        if c:
+            for t in range(len(b) - s):
+                out[s + t] += c * b[t]
+    return out
+
+
+def _exp_rows(nvars: int, x: Rows, order: int, degree: int) -> Rows:
+    """exp(hat x) cut at degree ``degree``, for x = X / D on rows by position:
+    exp(hat x) = prod_p exp(x_p alpha_p) gives alpha^m, |m| <= deg, the
+    coefficient prod_p x_p^(m_p) / m_p!, over deg! D^deg the integer row
+    prod_p X_p^(m_p) (deg! / prod_p m_p!) D^(deg - |m|).  A power that
+    vanishes modulo hbar^order ends its variable's expansion."""
+    (xs, den), one = x, [1] + [0] * (order - 1)
+    terms = {(0,) * nvars: one}
+    for p, xp in xs.items():
+        powers = [one]  # X_p^e for e = 0, 1, .. until one vanishes
+        while len(powers) <= degree and any(power := _conv(powers[-1], xp)):
+            powers.append(power)
+        terms = {m[:p] + (e,) + m[p + 1:]: t for m, v in terms.items()
+                 for e in range(min(len(powers), degree - sum(m) + 1))
+                 if any(t := _conv(v, powers[e]) if e else v)}
+    fact, out = [math.factorial(e) for e in range(degree + 1)], {}
+    for m, v in terms.items():
+        w = fact[degree] // math.prod(fact[e] for e in m) * den ** (degree - sum(m))
+        out[m] = [c * w for c in v]
+    return out, fact[degree] * den ** degree
+
+
+def _exp_ad_rows(bracket: tuple, x: Rows, y: Rows, order: int) -> Rows:
+    """exp(hbar ad_x)(y) for x = X / D_x and y on rows by position.  Term r is
+    (hbar / r) [x, term_(r-1)]: a bracket step sum_i X_i d c_ij^k on the cleared
+    constants (X_i may be a series) and one hbar shift.  Horner's rule folds
+    the step's r D_x d into the sum so far, so all terms share one denominator."""
+    (letters, d), (xs, dx), (term, den) = bracket, x, y
+    out, zero = term, [0] * order
+    for r in range(1, order):
+        step: dict[int, Row] = {}
+        for i, xi in xs.items():
+            for pj, column in letters[i]:
+                if (v := term.get(pj)) and any(v):
+                    xv = [0] + _conv(xi, v)[:-1]
+                    for pk, c in column:
+                        step[pk] = [a + c * b for a, b in zip(step.get(pk, zero), xv)]
+        if not any(any(row) for row in step.values()):
+            break
+        w, den, term = r * dx * d, den * r * dx * d, step
+        out = {pk: [w * a + b for a, b in zip(out.get(pk, zero), step.get(pk, zero))]
+               for pk in out.keys() | step.keys()}
+    return out, den
+
+
+def _star(bracket: tuple, f: Rows, g: Rows, order: int) -> Rows:
+    """The deformed product f |> g on rows.  The jet sum stops at deg f, and
+    r >= order carries hbar^r.  S(m), the sum of the ad~ chains into g over the
+    distinct orderings of the letters of m, starts with a letter p, so
+
+        S(0) = g,    S(m) = sum_{p: m_p > 0} ad~_p(S(m - e_p)),
+
+    memoized: ad~ runs once per (sub-multiset, letter), and S(m) carries d^|m|.
+    The jet weight (prod m_p!) / (r! d^r) is an int over R! d^R, R the top jet
+    degree, so the result is an int sum over D_f D_g R! d^R."""
+    (letters, d), (frows, fden), (grows, gden) = bracket, f, g
+    chains: dict[Exponents, dict[Exponents, Row]] = {(0,) * len(letters): grows}
+
+    def chain(m: Exponents) -> dict[Exponents, Row]:
+        got = chains.get(m)
+        if got is None:
+            got = chains[m] = {}
+            for p, e in enumerate(m):
+                if e:
+                    _ad_rows(letters[p], chain(m[:p] + (e - 1,) + m[p + 1:]), got)
+        return got
+
+    top = max((r for m in frows if (r := sum(m)) < order), default=0)
+    fact = [math.factorial(e) for e in range(top + 1)]
+    out: dict[Exponents, Row] = {}
+    for m, c in frows.items():
+        if (r := sum(m)) < order:
+            # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
+            norm = math.prod(fact[e] for e in m) * (fact[top] // fact[r]) * d ** (top - r)
+            jets = [(r + s, w * norm) for s, w in enumerate(c[:order - r]) if w]
+            for mm, row in (chain(m).items() if jets else ()):
+                acc = out.setdefault(mm, [0] * order)
+                for shift, w in jets:
+                    for s in range(order - shift):
+                        if row[s]:
+                            acc[s + shift] += w * row[s]
+    return out, fden * gden * fact[top] * d ** top
+
+
+def _same(a: Rows, b: Rows) -> bool:
+    """a == b exactly: each side's rows times the other side's denominator."""
+    return ({key: [c * b[1] for c in r] for key, r in a[0].items() if any(r)}
+            == {key: [c * a[1] for c in r] for key, r in b[0].items() if any(r)})
+
+
+def _ad_rows(line: Line, rows: Mapping[Exponents, Row], out: dict[Exponents, Row]) -> dict:
     """out += ad~_i(rows) for the letter i of ``line``: the one ad~ kernel,
     ad~_i(alpha^m) = sum_j m_j sum_k c_ij^k alpha^(m - e_j + e_k), which only
     scales each row of hbar coefficients by m_j times a cleared constant d c_ij^k."""
@@ -311,166 +402,88 @@ def _ad_rows(line: Line, rows: Mapping[Exponents, Row], out: dict[Exponents, Row
                     w, acc = e * c, out.get(t)
                     out[t] = ([w * v for v in row] if acc is None
                               else [a + w * v for a, v in zip(acc, row)])
-
-
-def _poly(nvars: int, order: int, rows: Mapping[Exponents, Row], den: int) -> PolyFunction:
-    """The polynomial rows / den, the one division: rows that cancelled are
-    dropped, and a coefficient is an int when integral."""
-    return PolyFunction._trusted(nvars, order, {
-        m: SeriesScalar(tuple(r) if den == 1 else
-                        tuple(c // den if c % den == 0 else Fraction(c, den) for c in r))
-        for m, r in rows.items() if any(r)})
+    return out
 
 
 def ad_tilde(h: LeibnizAlgebra, i: Label, f: PolyFunction) -> PolyFunction:
     """The vector field sum_j hat([e_i, e_j]) d/dalpha_j applied to f: the
     unique degree-preserving derivation with ad~_i(hat(y)) = hat([e_i, y]),
     run by the row kernel of ``star`` between one conversion in and one out."""
-    if f.nvars != h.dim:
-        raise SchemaError("polynomial does not live on the dual of the algebra")
-    return _ad_tilde(_lines(h), i, f)
-
-
-def _ad_tilde(bracket: tuple, i: Label, f: PolyFunction) -> PolyFunction:
-    """:func:`ad_tilde` on the ``bracket`` lines of :func:`_lines`."""
-    (lines, d), (rows, den) = bracket, _rows(f)
-    out: dict[Exponents, Row] = {}
-    _ad_rows(lines.get(i, []), rows, out)
-    return _poly(f.nvars, f.order, out, den * d)
+    if f.nvars != h.dim or i not in h.basis:
+        raise SchemaError("polynomial or letter does not live on the algebra")
+    (letters, d), (rows, den) = _lines(h), _rows(f.terms)
+    return _poly(f.nvars, f.order, (_ad_rows(letters[h.basis.index(i)], rows, {}), den * d))
 
 
 def star(h: LeibnizAlgebra, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-    """Deformed product f |> g of polynomial functions on h* (see :func:`_star`)."""
-    return _star(h, _lines(h), f, g)
-
-
-def _star(h: LeibnizAlgebra, bracket: tuple, f: PolyFunction, g: PolyFunction) -> PolyFunction:
-    """:func:`star` on the ``bracket`` lines of :func:`_lines`, built once per call.
-
-    The jet sum stops at deg f, and r >= order contributes nothing since it
-    carries hbar^r.  For an exponent tuple m, S(m) is the sum of the ad~
-    chains into g over the distinct orderings of the letters of m.  Every
-    ordering starts with one letter p followed by an ordering of m - e_p, so
-
-        S(0) = g,    S(m) = sum_{p: m_p > 0} ad~_p(S(m - e_p)),
-
-    memoized over sub-multisets: ad~ runs once per (sub-multiset, letter)
-    pair.  On integer rows: g is scaled by the lcm D_g of its denominators and
-    the structure constants by theirs, d, so S(m) is d^|m| D_g times the chain;
-    the jet weights w (prod m_p!) / (r! d^r) of f are scaled by the lcm D_f of
-    theirs, and the hbar^r of a jet shifts rows.  Chains and jet sum add ints
-    only; the result is divided by D_f D_g once.
-    """
+    """Deformed product f |> g of polynomial functions on h*, by :func:`_star`."""
     if f.nvars != h.dim or g.nvars != h.dim:
         raise SchemaError("polynomials do not live on the dual of the algebra")
     f._check(g)
-    order = f.order
-    lines, d = bracket
-    letters = [lines.get(i, []) for i in h.basis.labels]
-    rows, den = _rows(g)
-    chains: dict[Exponents, dict[Exponents, Row]] = {(0,) * h.dim: rows}
-
-    def chain(m: Exponents) -> dict[Exponents, Row]:
-        got = chains.get(m)
-        if got is None:
-            got = chains[m] = {}
-            for p, e in enumerate(m):
-                if e:
-                    _ad_rows(letters[p], chain(m[:p] + (e - 1,) + m[p + 1:]), got)
-        return got
-
-    jets = []
-    for m, c in f.terms.items():
-        r = sum(m)
-        if r < order:
-            # (1/r!) sum over all r! orderings = (prod m_p! / r!) sum over distinct ones.
-            norm = Fraction(math.prod(math.factorial(e) for e in m), math.factorial(r) * d ** r)
-            jets += [(m, r + s, w * norm) for s, w in enumerate(c.coeffs[:order - r]) if w]
-    scale = math.lcm(*{w.denominator for _, _, w in jets})
-    out: dict[Exponents, Row] = {}
-    for m, shift, w in jets:
-        w = w.numerator * (scale // w.denominator)
-        for mm, row in chain(m).items():
-            acc = out[mm] = out.get(mm) or [0] * order
-            for s in range(order - shift):
-                if row[s]:
-                    acc[s + shift] += w * row[s]
-    return _poly(h.dim, order, out, den * scale)
+    return _poly(h.dim, f.order, _star(_lines(h), _rows(f.terms), _rows(g.terms), f.order))
 
 
 def lie_rack_product(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int) -> FinVec:
     """x |>_hbar y = exp(hbar ad_x)(y), coordinates in Q[hbar]/(hbar^order)."""
-    return _exp_ad(h, h.ad(x), y, order)
+    _cut(order)
+    return _vec(h, _exp_ad_rows(_lines(h), _vec_rows(h, x, order), _vec_rows(h, y, order), order))
 
 
-def _exp_ad(h: LeibnizAlgebra, ad_x, y: FinVec, order: int) -> FinVec:
-    """exp(hbar ad_x)(y) for ad_x = ``h.ad(x)``, formed once per x; the r-th
-    term is (hbar / r) [x, term_(r-1)]: a shift and a rational scale."""
-    terms = [FinVec.build(h.basis, ((lab, c if isinstance(c, SeriesScalar)
-                                     else SeriesScalar.constant(c, order))
-                                    for lab, c in y.entries.items()))]
-    for r in range(1, order):
-        step = div(1, r)
-        term = FinVec.build(h.basis, ((lab, c.shift(1) * step)
-                                      for lab, c in ad_x(terms[-1]).entries.items()))
-        if term.is_zero:
-            break
-        terms.append(term)
-    return FinVec.build(h.basis, (item for t in terms for item in t.entries.items()))
-
-
-def _first_hbar_difference(a: PolyFunction, b: PolyFunction,
-                           ) -> tuple[int, dict[Exponents, Rational], dict[Exponents, Rational]]:
+def _first_hbar_difference(a: PolyFunction, b: PolyFunction) -> tuple[int, dict, dict]:
     """Lowest hbar power whose coefficient polynomials differ, with both rows."""
     for p in range(a.order):
-        row_a = {m: c.coeffs[p] for m, c in a.terms.items() if c.coeffs[p]}
-        row_b = {m: c.coeffs[p] for m, c in b.terms.items() if c.coeffs[p]}
+        row_a, row_b = ({m: c.coeffs[p] for m, c in f.terms.items() if c.coeffs[p]} for f in (a, b))
         if row_a != row_b:
             return p, row_a, row_b
     return -1, {}, {}
 
 
-def _require_equal(identity: str, witness: tuple, lhs: PolyFunction, rhs: PolyFunction) -> None:
+def _require_equal(identity: str, witness: tuple, nvars: int, order: int,
+                   lhs: Rows, rhs: Rows) -> None:
     """Raise DecompositionFailure at the lowest hbar power where the sides differ."""
-    if lhs != rhs:
-        power, row_l, row_r = _first_hbar_difference(lhs, rhs)
+    if not _same(lhs, rhs):
+        power, row_l, row_r = _first_hbar_difference(*(_poly(nvars, order, f) for f in (lhs, rhs)))
         raise DecompositionFailure(identity, witness + (f"hbar^{power}",), row_l, row_r)
 
 
 def star_exp(h: LeibnizAlgebra, x: FinVec, y: FinVec, order: int,
              degree: int | None = None) -> PolyFunction:
-    """exp(hat x) |> exp(hat y), checked against exp(hat(x |>_hbar y)).
-
-    ``degree`` caps the polynomial degree of the right factor and of the
-    comparison exponential; the default order - 1 is exact modulo
-    hbar^order, and any lower cap compares the matching jets only.
-    """
-    if degree is None:
-        degree = order - 1
-    lhs = star(h, exp_hat(h, x, order, order - 1), exp_hat(h, y, order, degree))
-    rhs = exp_hat(h, lie_rack_product(h, x, y, order), order, degree)
-    _require_equal("exponential rack identity", (dict(x.entries), dict(y.entries)), lhs, rhs)
-    return lhs
+    """exp(hat x) |> exp(hat y), checked against exp(hat(x |>_hbar y)): a
+    cross-check of the ad~ chains of :func:`_star` on the jets of exp(hat x)
+    against the vector exp(hbar ad_x) of :func:`_exp_ad_rows`.  ``degree``
+    caps the degree of the right factor and of the comparison exponential;
+    the default order - 1 is exact modulo hbar^order, and any lower cap
+    compares the matching jets only."""
+    degree = _cut(order, degree)
+    bracket, xs, ys = _lines(h), _vec_rows(h, x, order), _vec_rows(h, y, order)
+    lhs = _star(bracket, _exp_rows(h.dim, xs, order, order - 1),
+                _exp_rows(h.dim, ys, order, degree), order)
+    rhs = _exp_rows(h.dim, _exp_ad_rows(bracket, xs, ys, order), order, degree)
+    _require_equal("exponential rack identity", (dict(x.entries), dict(y.entries)),
+                   h.dim, order, lhs, rhs)
+    return _poly(h.dim, order, lhs)
 
 
 def star_rack_selfdist_check(h: LeibnizAlgebra, x: FinVec, y: FinVec, z: FinVec,
                              order: int, degree: int | None = None) -> CheckReport:
-    """Self-distributivity of |>_hbar on vectors and on exponential functions;
-    the function-level check nests deformed products of exponentials directly,
-    so it does not assume the exponential identity that ``star_exp`` verifies."""
-    if degree is None:
-        degree = order - 1
-    ad_x, bracket = h.ad(x), _lines(h)
-    witness = (dict(x.entries), dict(y.entries), dict(z.entries))
-    lhs_v = _exp_ad(h, ad_x, lie_rack_product(h, y, z, order), order)
-    rhs_v = lie_rack_product(h, _exp_ad(h, ad_x, y, order), _exp_ad(h, ad_x, z, order), order)
-    if lhs_v != rhs_v:
-        raise DecompositionFailure("rack self-distributivity", witness, lhs_v, rhs_v)
-    f_x, f_y = (exp_hat(h, v, order, order - 1) for v in (x, y))
-    g_z = exp_hat(h, z, order, degree)
-    lhs = _star(h, bracket, f_x, _star(h, bracket, f_y, g_z))
-    rhs = _star(h, bracket, _star(h, bracket, f_x, f_y), _star(h, bracket, f_x, g_z))
-    _require_equal("exponential self-distributivity", witness, lhs, rhs)
+    """Self-distributivity of |>_hbar on vectors, by the kernel of
+    :func:`_exp_ad_rows`, and on exponential functions, by nesting the ad~
+    chains of :func:`_star` directly: the two cross-check each other, and
+    neither assumes the exponential identity that ``star_exp`` verifies."""
+    degree = _cut(order, degree)
+    bracket, witness = _lines(h), (dict(x.entries), dict(y.entries), dict(z.entries))
+    xs, ys, zs = (_vec_rows(h, v, order) for v in (x, y, z))
+    lhs_v = _exp_ad_rows(bracket, xs, _exp_ad_rows(bracket, ys, zs, order), order)
+    rhs_v = _exp_ad_rows(bracket, _exp_ad_rows(bracket, xs, ys, order),
+                         _exp_ad_rows(bracket, xs, zs, order), order)
+    if not _same(lhs_v, rhs_v):
+        raise DecompositionFailure("rack self-distributivity", witness, _vec(h, lhs_v),
+                                   _vec(h, rhs_v))
+    f_x, f_y, g_z = (_exp_rows(h.dim, v, order, c) for v, c in
+                     ((xs, order - 1), (ys, order - 1), (zs, degree)))
+    lhs = _star(bracket, f_x, _star(bracket, f_y, g_z, order), order)
+    rhs = _star(bracket, _star(bracket, f_x, f_y, order), _star(bracket, f_x, g_z, order), order)
+    _require_equal("exponential self-distributivity", witness, h.dim, order, lhs, rhs)
     return CheckReport(True, checked=2, detail=f"order={order} degree={degree}")
 
 
@@ -482,13 +495,12 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
     intertwines ad~_i with the derivation action, and the deformed product
     of two images is hbar^(deg a) times the image of the bialgebra product.
     """
-    if order is None:
-        order = k + 2
-    arb, bracket = uar_infinity(h, k), _lines(h)
-    sym = arb.carrier
+    order = k + 2 if order is None else order
+    arb, (letters, d) = uar_infinity(h, k), _lines(h)
+    sym, bracket = arb.carrier, (letters, d)
     monos: list[tuple[Label, ...]] = [m for m in sym.basis.labels if isinstance(m, tuple)]
     images = {m: monomial_function(h, m, order) for m in monos}
-    checked = 0
+    rows, checked = {m: _rows(f.terms) for m, f in images.items()}, 0
     for a in monos:
         for b in monos:
             if len(a) + len(b) <= k:
@@ -496,10 +508,10 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
                 if (ab := images[a] * images[b]) != images[prod]:
                     raise AxiomViolation("hat algebra morphism", (a, b), ab, images[prod])
                 checked += 1
-    for i in h.basis.labels:
+    for p, i in enumerate(h.basis.labels):
         e_i = FinVec.unit(h.basis, i)
         for a in monos:
-            lhs = _ad_tilde(bracket, i, images[a])
+            lhs = _poly(h.dim, order, (_ad_rows(letters[p], rows[a][0], {}), rows[a][1] * d))
             rhs = psi_function(h, derivation_action(h, sym, e_i, FinVec.unit(sym.basis, a)),
                                order)
             if lhs != rhs:
@@ -508,7 +520,7 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
     for a in monos:
         shift = SeriesScalar.one(order).shift(len(a))
         for b in monos:
-            lhs = _star(h, bracket, images[a], images[b])
+            lhs = _poly(h.dim, order, _star(bracket, rows[a], rows[b], order))
             rhs = psi_function(h, arb.rack.apply(FinVec.unit(sym.basis, a),
                                                  FinVec.unit(sym.basis, b)),
                                order).scale(shift)
@@ -518,18 +530,6 @@ def check_hat_morphism(h: LeibnizAlgebra, k: int = 3, order: int | None = None) 
     return CheckReport(True, checked, detail=f"degree cap {k}, hbar order {order}")
 
 
-__all__ = [
-    "ExpFunction",
-    "PolyFunction",
-    "ad_tilde",
-    "check_hat_morphism",
-    "exp_hat",
-    "hat_function",
-    "lie_rack_product",
-    "monomial_function",
-    "psi_function",
-    "rack_exp",
-    "star",
-    "star_exp",
-    "star_rack_selfdist_check",
-]
+__all__ = ["ExpFunction", "PolyFunction", "ad_tilde", "check_hat_morphism", "exp_hat",
+           "hat_function", "lie_rack_product", "monomial_function", "psi_function", "rack_exp",
+           "star", "star_exp", "star_rack_selfdist_check"]

@@ -1,17 +1,21 @@
 """Reference maps that the tests compose: tensor products and flips of maps,
 convolution on a coalgebra, the product and functoriality of the truncated
 S(V), and the truncating product of U(g); the label formula of tensor bases,
-the product table of a function given on label pairs, and self-distributivity
-read one basis triple at a time.
+the product table of a function given on label pairs, self-distributivity
+read one basis triple at a time, and exp(hbar ad_x) and exp(hat x) as their
+defining series, term by term.
 
 The package checks every identity by comparing Sweedler legs label by label
 and never composes whole maps.  These are the composed-map forms of the same
 structures, kept as independent oracles for the tests.
 """
 
+import itertools
+import math
+from fractions import Fraction
+
 from rackalg.env_hopf import EnvelopingHopf
 from rackalg.errors import RackalgError
-import itertools
 
 from rackalg.exact_core import (
     ZERO,
@@ -20,12 +24,14 @@ from rackalg.exact_core import (
     FinVec,
     Label,
     PairTable,
+    SeriesScalar,
     _label_parts,
     same_entries,
     split_label,
     tensor_basis,
 )
 from rackalg.rack_bialg import _entries, _legs
+from rackalg.star_product import PolyFunction, hat_function
 from rackalg.symcoalg import Coalgebra, sort_monomial
 
 
@@ -204,3 +210,35 @@ def first_selfdist_failure_by_triples(ev, c: Coalgebra) -> tuple:
                     return (la, lb, lc), lhs, rhs, checked
                 checked += 1
     return None, None, None, checked
+
+
+# ---------------------------------------------------------------------------
+# exponentials, term by term
+# ---------------------------------------------------------------------------
+
+
+def lie_rack_product_by_steps(h, x: FinVec, y: FinVec, order: int) -> FinVec:
+    """exp(hbar ad_x)(y) = sum_r hbar^r / r! ad_x^r(y): each step brackets x
+    against the previous term with ``h.bracket_of``, shifts by one hbar power
+    and divides by r.  The coordinates of x and y may be rationals or series."""
+    def lift(c):
+        return c if isinstance(c, SeriesScalar) else SeriesScalar.constant(c, order)
+
+    term = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in y.entries.items()))
+    x = FinVec.build(h.basis, ((lab, lift(c)) for lab, c in x.entries.items()))
+    total = term
+    for r in range(1, order):
+        term = FinVec.build(h.basis, ((lab, c.shift(1) * Fraction(1, r))
+                                      for lab, c in h.bracket_of(x, term).entries.items()))
+        total = total + term
+    return total
+
+
+def exp_hat_by_powers(h, x: FinVec, order: int, degree: int) -> PolyFunction:
+    """sum_{r <= degree} hat(x)^r / r! with the polynomial product."""
+    base = hat_function(h, x, order)
+    power = out = PolyFunction.constant(1, h.dim, order)
+    for r in range(1, degree + 1):
+        power = power * base
+        out = out + power.scale(Fraction(1, math.factorial(r)))
+    return out

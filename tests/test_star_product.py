@@ -1,5 +1,6 @@
 """Deformed products on polynomial functions and the exponential rack identities."""
 
+import ast
 import itertools
 import math
 import os
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exp_hat_by_powers, lie_rack_product_by_steps
 
 from rackalg.errors import DecompositionFailure, LeibnizViolation, SchemaError
 from rackalg.exact_core import FinVec, SeriesScalar, series_exp
@@ -35,7 +37,7 @@ from rackalg.star_product import (
 )
 
 N = 5
-CORPUS = ("abelian1", "abelian2", "abelian3", "sq2", "lie2", "heis3", "sl2")
+CORPUS = ("abelian1", "abelian2", "abelian3", "sq2", "lie2", "heis3", "sl2", "nonlie3")
 
 
 def vec(h, coords):
@@ -175,6 +177,13 @@ class TestAdTilde:
         for i in h.basis.labels:
             assert ad_tilde(h, i, f * g) == ad_tilde(h, i, f) * g + f * ad_tilde(h, i, g)
 
+    def test_schema_rejections(self):
+        h = load("sl2")
+        with pytest.raises(SchemaError):
+            ad_tilde(h, 4, monomial_function(h, (1,), N))
+        with pytest.raises(SchemaError):
+            ad_tilde(h, 1, PolyFunction.constant(1, 2, N))
+
     def test_preserves_polynomial_degree(self):
         h = load("sl2")
         f = monomial_function(h, (1, 2, 3), N)
@@ -292,16 +301,6 @@ def ad_tilde_by_partials(h, i, f):
     for j in h.basis.labels:
         out = out + hat_function(h, h.table.vector(i, j), f.order) * f.partial(
             h.basis.index(j))
-    return out
-
-
-def exp_hat_by_powers(h, x, order, degree):
-    """Reference oracle: sum_{r <= degree} hat(x)^r / r! with the polynomial product."""
-    base = hat_function(h, x, order)
-    power = out = PolyFunction.constant(1, h.dim, order)
-    for r in range(1, degree + 1):
-        power = power * base
-        out = out + power.scale(Fraction(1, math.factorial(r)))
     return out
 
 
@@ -494,20 +493,9 @@ class TestLieRackProduct:
     def test_matches_the_bracket_at_every_step(self, name, order):
         # oracle: each step brackets x against the previous term directly
         h = load(name)
-
-        def oracle(x, y):
-            term = FinVec.build(h.basis, ((lab, SeriesScalar.constant(c, order))
-                                          for lab, c in y.entries.items()))
-            total = term
-            for r in range(1, order):
-                term = FinVec.build(h.basis, ((lab, c.shift(1) * Fraction(1, r))
-                                              for lab, c in h.bracket_of(x, term).entries.items()))
-                total = total + term
-            return total
-
         for seed in (1, 2, 3):
             x, y = small_vec(h, seed), small_vec(h, seed + 10)
-            assert lie_rack_product(h, x, y, order) == oracle(x, y)
+            assert lie_rack_product(h, x, y, order) == lie_rack_product_by_steps(h, x, y, order)
 
 
 class TestStarExp:
@@ -587,7 +575,7 @@ class TestSelfDistributivity:
             assert rep.passed and rep.checked == 2
 
     def test_remaining_fixtures_one_triple_each(self):
-        for name in ("lie2", "heis3"):
+        for name in ("lie2", "heis3", "nonlie3"):
             h = load(name)
             assert star_rack_selfdist_check(h, small_vec(h, 4), small_vec(h, 6),
                                             small_vec(h, 10), N).passed
@@ -630,3 +618,205 @@ class TestHatMorphism:
 
     def test_sl2(self):
         assert check_hat_morphism(load("sl2"), 2).passed
+
+    def test_non_lie_leibniz(self):
+        # nonlie3, [e1, e1] = [e1, e2] = e3: left Leibniz but not Lie, the paper's case.
+        rep = check_hat_morphism(load("nonlie3"), 3)
+        assert rep.passed and rep.checked == 544
+
+
+class TestTruncationRejections:
+    """An hbar order below 1 or a negative polynomial degree is refused with
+    a SchemaError at every entry point, before any arithmetic."""
+
+    def test_exp_hat(self):
+        h = load("sl2")
+        for order, degree in ((0, 0), (-1, 2), (3, -1)):
+            with pytest.raises(SchemaError):
+                exp_hat(h, small_vec(h, 1), order, degree)
+
+    def test_lie_rack_product(self):
+        h = load("sl2")
+        for order in (0, -2):
+            with pytest.raises(SchemaError):
+                lie_rack_product(h, small_vec(h, 1), small_vec(h, 2), order)
+
+    def test_star_exp(self):
+        h = load("sl2")
+        for order, degree in ((0, None), (0, 0), (3, -2)):
+            with pytest.raises(SchemaError):
+                star_exp(h, small_vec(h, 1), small_vec(h, 2), order, degree=degree)
+
+    def test_star_rack_selfdist_check(self):
+        h = load("sl2")
+        x, y, z = small_vec(h, 1), small_vec(h, 2), small_vec(h, 3)
+        for order, degree in ((0, None), (0, 0), (3, -1)):
+            with pytest.raises(SchemaError):
+                star_rack_selfdist_check(h, x, y, z, order, degree)
+
+    def test_exp_function(self):
+        h = load("sl2")
+        for order in (0, -1):
+            with pytest.raises(SchemaError):
+                ExpFunction(small_vec(h, 1), order)
+        with pytest.raises(SchemaError):
+            ExpFunction(small_vec(h, 1), 3).expand(h, -1)
+
+
+# Every hbar order 1-5 with every polynomial degree 0 .. order - 1.
+CUTS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n - 1)))
+KINDS = st.sampled_from(["int", "fraction", "series"])
+
+
+@st.composite
+def vectors(draw, h, order, kind):
+    """A vector of h in int, Fraction or series coordinates; a series has a
+    drawn constant term and rational higher terms."""
+    values = draw(st.lists(small_coeff, min_size=h.dim, max_size=h.dim))
+    if kind == "fraction":
+        den = draw(st.integers(min_value=2, max_value=4))
+        values = [Fraction(v, den) for v in values]
+    elif kind == "series":
+        tail = st.builds(Fraction, small_coeff, st.integers(min_value=1, max_value=3))
+        values = [SeriesScalar.make([v] + draw(st.lists(tail, min_size=order - 1,
+                                                         max_size=order - 1)), order)
+                  for v in values]
+    return FinVec.build(h.basis, dict(zip(h.basis.labels, values)))
+
+
+def assert_trusted_vector(v, order):
+    """Coordinates are nonzero series of ``order`` that store integral values as ints."""
+    assert all(isinstance(c, SeriesScalar) and c.order == order and c for c in v.entries.values())
+    assert not [q for c in v.entries.values() for q in c.coeffs
+                if type(q) is Fraction and q.denominator == 1]
+
+
+def corpus_algebra(name, s):
+    return load(name) if s == 1 else rescaled(load(name), s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("name", CORPUS)
+class TestExponentialKernelOracles:
+    """The integer-row kernels of exp(hat x) and exp(hbar ad_x) against their
+    defining series (tests/oracles.py), on every fixture of the corpus in its
+    own basis and in the bases e_i / 2 and e_i / 3."""
+
+    def test_exp_hat_matches_the_powers(self, name, s):
+        h = corpus_algebra(name, s)
+
+        @given(CUTS, KINDS, st.data())
+        @settings(max_examples=8, deadline=None)
+        def check(cut, kind, data):
+            order, degree = cut
+            x = data.draw(vectors(h, order, kind))
+            got = exp_hat(h, x, order, degree)
+            assert got == exp_hat_by_powers(h, x, order, degree)
+            assert_trusted(got)
+
+        check()
+
+    def test_lie_rack_product_matches_the_steps(self, name, s):
+        h = corpus_algebra(name, s)
+
+        @given(CUTS, KINDS, KINDS, st.data())
+        @settings(max_examples=8, deadline=None)
+        def check(cut, kind_x, kind_y, data):
+            order = cut[0]
+            x, y = data.draw(vectors(h, order, kind_x)), data.draw(vectors(h, order, kind_y))
+            got = lie_rack_product(h, x, y, order)
+            assert got == lie_rack_product_by_steps(h, x, y, order)
+            assert_trusted_vector(got, order)
+
+        check()
+
+    def test_star_exp_matches_both_sides_by_the_oracles(self, name, s):
+        h = corpus_algebra(name, s)
+
+        @given(CUTS, KINDS, KINDS, st.data())
+        @settings(max_examples=6, deadline=None)
+        def check(cut, kind_x, kind_y, data):
+            order, degree = cut
+            x, y = data.draw(vectors(h, order, kind_x)), data.draw(vectors(h, order, kind_y))
+            got = star_exp(h, x, y, order, degree)
+            assert got == star(h, exp_hat_by_powers(h, x, order, order - 1),
+                               exp_hat_by_powers(h, y, order, degree))
+            assert got == exp_hat_by_powers(h, lie_rack_product_by_steps(h, x, y, order),
+                                            order, degree)
+            assert_trusted(got)
+
+        check()
+
+
+def drop_half_of_degree_two(kernel):
+    """``_exp_rows`` with the 1/2! of its degree-2 coefficients dropped."""
+    def broken(*args):
+        rows, den = kernel(*args)
+        return {m: [2 * c for c in r] if sum(m) == 2 else r for m, r in rows.items()}, den
+    return broken
+
+
+class TestExponentialIdentityFailures:
+    """For scalar x, exp(hbar D_x) with D_x = sum x_i ad~_i is the exponential of
+    a derivation, hence an automorphism, for any bilinear bracket, so no
+    bracket reaches these two identities: a broken exponential kernel does."""
+
+    def test_exponential_rack_identity(self, monkeypatch):
+        h = load("sl2")
+        x, y = small_vec(h, 3), small_vec(h, 9)
+        monkeypatch.setattr(star_product, "_exp_rows", drop_half_of_degree_two(
+            star_product._exp_rows))
+        with pytest.raises(DecompositionFailure) as exc:
+            star_exp(h, x, y, 4)
+        power, row_l, row_r = _first_hbar_difference(
+            star(h, exp_hat(h, x, 4, 3), exp_hat(h, y, 4, 3)),
+            exp_hat(h, lie_rack_product(h, x, y, 4), 4, 3))
+        assert power == 2
+        assert exc.value.identity == "exponential rack identity"
+        assert exc.value.witness == (dict(x.entries), dict(y.entries), "hbar^2")
+        assert (exc.value.lhs, exc.value.rhs) == (row_l, row_r)
+
+    def test_exponential_self_distributivity(self, monkeypatch):
+        h = load("sl2")
+        x, y, z = small_vec(h, 3), small_vec(h, 9), small_vec(h, 15)
+        monkeypatch.setattr(star_product, "_exp_rows", drop_half_of_degree_two(
+            star_product._exp_rows))
+        with pytest.raises(DecompositionFailure) as exc:
+            star_rack_selfdist_check(h, x, y, z, 4)
+        f_x, f_y, g_z = (exp_hat(h, v, 4, 3) for v in (x, y, z))
+        power, row_l, row_r = _first_hbar_difference(
+            star(h, f_x, star(h, f_y, g_z)), star(h, star(h, f_x, f_y), star(h, f_x, g_z)))
+        assert power == 3
+        assert exc.value.identity == "exponential self-distributivity"
+        assert exc.value.witness == (dict(x.entries), dict(y.entries), dict(z.entries),
+                                     "hbar^3")
+        assert (exc.value.lhs, exc.value.rhs) == (row_l, row_r)
+
+
+ROW_KERNELS = ("_ad_rows", "_star", "_exp_rows", "_exp_ad_rows", "_conv", "_same")
+ROW_ENTRY_POINTS = ("exp_hat", "lie_rack_product", "star_exp", "star_rack_selfdist_check")
+BOXED = {"SeriesScalar", "PolyFunction", "FinVec"}
+
+
+def names_in_body(name):
+    """Names and attributes read in the body of a module-level function of
+    star_product, annotations left out."""
+    tree = ast.parse(pathlib.Path(star_product.__file__).read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+    return ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+
+
+@pytest.mark.parametrize("name", ROW_KERNELS)
+def test_row_kernels_name_no_series_polynomial_or_vector(name):
+    assert names_in_body(name) & BOXED == set()
+
+
+@pytest.mark.parametrize("name", ROW_ENTRY_POINTS)
+def test_row_entry_points_convert_only_through_the_boundary_helpers(name):
+    # _vec_rows converts on the way in, _poly and _vec on the way out.
+    names = names_in_body(name)
+    assert names & BOXED == set()
+    assert "_vec_rows" in names and names & {"_poly", "_vec"}

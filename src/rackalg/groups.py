@@ -56,11 +56,12 @@ class FiniteGroup:
         for x in self.elements:
             if self.table[(self.unit, x)] != x or self.table[(x, self.unit)] != x:
                 raise AxiomViolation("unit law", (x,), self.table[(self.unit, x)], x)
-        for x, y, z in itertools.product(self.elements, repeat=3):
-            lhs = self.table[(self.table[(x, y)], z)]
-            rhs = self.table[(x, self.table[(y, z)])]
+        rows = {x: {z: self.table[(x, z)] for z in self.elements} for x in self.elements}
+        for x, y in itertools.product(self.elements, repeat=2):  # (xy)z = x(yz) per pair of rows
+            lhs, rhs = tuple(rows[rows[x][y]].values()), tuple(map(rows[x].get, rows[y].values()))
             if lhs != rhs:
-                raise AxiomViolation("associativity", (x, y, z), lhs, rhs)
+                k = next(k for k, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                raise AxiomViolation("associativity", (x, y, self.elements[k]), lhs[k], rhs[k])
         inv: dict[str, str] = {}
         for x in self.elements:
             for y in self.elements:

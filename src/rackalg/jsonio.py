@@ -29,6 +29,14 @@ def _require(doc: Mapping[str, Any], key: str, kind: str) -> Any:
     return doc[key]
 
 
+def _string(doc: Mapping[str, Any], key: str, kind: str, default: str | None = None) -> str:
+    """The string at ``key``, required unless it has a ``default``."""
+    value = _require(doc, key, kind) if default is None else doc.get(key, default)
+    if not isinstance(value, str):
+        raise SchemaError(f"'{key}' must be a string, got {value!r}")
+    return value
+
+
 # Longer strings and larger dimensions are refused before parsing, so
 # oversized input fails fast.
 MAX_RATIONAL_CHARS = 200
@@ -51,10 +59,7 @@ def _as_rational(value: Any, where: str) -> Rational:
 
 
 def document_kind(doc: Mapping[str, Any]) -> str:
-    kind = _require(doc, "kind", "input")
-    if not isinstance(kind, str):
-        raise SchemaError(f"'kind' must be a string, got {kind!r}")
-    return kind
+    return _string(doc, "kind", "input")
 
 
 def _parse_index(text: str, dim: int, where: str) -> int:
@@ -81,9 +86,7 @@ def leibniz_from_json(doc: Mapping[str, Any]) -> LeibnizAlgebra:
         raise SchemaError(f"'dim' must be a positive integer, got {dim!r:.80}")
     if dim > MAX_DIM:
         raise SchemaError(f"'dim' is larger than {MAX_DIM}")
-    name = doc.get("name", "h")
-    if not isinstance(name, str):
-        raise SchemaError(f"'name' must be a string, got {name!r}")
+    name = _string(doc, "name", KIND_LEIBNIZ, "h")
     raw = _require(doc, "bracket", KIND_LEIBNIZ)
     if not isinstance(raw, Mapping):
         raise SchemaError("'bracket' must be an object keyed by 'j,k' pairs")
@@ -163,9 +166,7 @@ def rack_from_json(doc: Mapping[str, Any]) -> FiniteRack:
     """
     if document_kind(doc) != KIND_RACK:
         raise SchemaError(f"expected kind {KIND_RACK!r}, got {doc.get('kind')!r}")
-    name = doc.get("name", "X")
-    if not isinstance(name, str):
-        raise SchemaError(f"'name' must be a string, got {name!r}")
+    name = _string(doc, "name", KIND_RACK, "X")
     elements = _string_list(doc, "elements", KIND_RACK)
     unit = _require(doc, "unit", KIND_RACK)
     if unit not in elements:
@@ -192,11 +193,9 @@ def group_from_json(doc: Mapping[str, Any]) -> FiniteGroup:
     """
     if document_kind(doc) != KIND_GROUP:
         raise SchemaError(f"expected kind {KIND_GROUP!r}, got {doc.get('kind')!r}")
-    name = doc.get("name", "G")
-    if not isinstance(name, str):
-        raise SchemaError(f"'name' must be a string, got {name!r}")
+    name = _string(doc, "name", KIND_GROUP, "G")
     elements = _string_list(doc, "elements", KIND_GROUP)
-    unit = _require(doc, "unit", KIND_GROUP)
+    unit = _string(doc, "unit", KIND_GROUP)
     table = _binary_table(doc, "table", elements, KIND_GROUP)
     return FiniteGroup(name, elements, unit, table)
 

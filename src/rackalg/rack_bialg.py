@@ -11,8 +11,18 @@ The product is in general neither associative nor unital.  An augmented
 structure factors it through a Hopf algebra acting on the carrier,
 ``a |> b = phi(a).b``, which upgrades self-distributivity to genuine
 module identities.  Certification is exhaustive over basis labels; by
-multilinearity that is equivalent to the identities holding everywhere;
-self-distributivity is read per pair as L_a o L_b = sum L_(a1 |> b) o L_(a2).
+multilinearity that is equivalent to the identities holding everywhere.
+
+Every identity on basis triples (a, b, c), here and in
+:mod:`~rackalg.right_hopf_dialg`, is read by the one walker :func:`_walk` per
+pair (a, b) as an equation of operators in c, each L_(a.b): c -> p(q(a, b), c),
+L_a o L'_b: c -> p(a, q(b, c)) or sum L_(a1 . b) o L'_(a2) over the legs of a:
+associativity is L_(ab) = L_a o L_b, self-distributivity
+L_a o L_b = sum L_(a1 |> b) o L_(a2).  A pair whose sides differ is read again
+one c at a time, in label order, for the first failing triple, its sides and
+the count before it.  Under a degree cap a pair with deg a + deg b > cap skips
+its dim triples; else c runs over the labels of degree <= cap - deg a - deg b,
+the others skipped and counted, and a read refused there raises from the re-read.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -144,17 +155,15 @@ class FiniteRack:
 
 
 def check_rack(x: FiniteRack) -> None:
-    """Unit laws and self-distributivity on every triple."""
+    """Unit laws, then self-distributivity by the walker on label maps."""
     for y in x.elements:
         if x.apply(x.unit, y) != y:
             raise AxiomViolation("rack left unit", (y,), x.apply(x.unit, y), y)
         if x.apply(y, x.unit) != x.unit:
             raise AxiomViolation("rack unit absorption", (y,), x.apply(y, x.unit), x.unit)
-    for a, b, c in itertools.product(x.elements, repeat=3):
-        lhs = x.apply(a, x.apply(b, c))
-        rhs = x.apply(x.apply(a, b), x.apply(a, c))
-        if lhs != rhs:
-            raise AxiomViolation("rack self-distributivity", (a, b, c), lhs, rhs)
+    legs = {a: [(a, a, 1)] for a in x.elements}
+    if (failure := _walk(_OnLabels([x.op], []), _selfdistributivity(x.op), x.elements, legs)[0]):
+        raise AxiomViolation("rack self-distributivity", *failure[1:])
 
 
 def conjugation_rack(g: FiniteGroup) -> FiniteRack:
@@ -371,21 +380,7 @@ class _Product:
         return self.rows.get(x, _NO_ENTRIES).get(y, _NO_ENTRIES)
 
 
-class _Row:
-    """The row of the label a in a :class:`_Product`: ``r[y]`` is a y."""
-
-    __slots__ = ("t", "a", "row")
-
-    def __init__(self, p: _Product, a: Label) -> None:
-        self.t, self.a, self.row = p.t, a, p.rows.get(a, _NO_ENTRIES)
-
-    def __getitem__(self, y) -> Mapping[Label, Coeff]:
-        t = self.t
-        if isinstance(y, _VALUES):
-            return exact_core._read(t, t.rows, self.a, y, {}, ONE)
-        if t.cap is not None:
-            _refuse(t, self.a, (y,))
-        return self.row.get(y, _NO_ENTRIES)
+_FREE = PairTable(Basis("operators", ()), {}, {})  # the lines of operator sums, never capped
 
 
 class _Map:
@@ -443,9 +438,6 @@ class _OnDicts:
     def unit(self, c: Coalgebra) -> Mapping[Label, Coeff]:
         return c.unit.entries
 
-    def row(self, p: _Product, a: Label, labels: Sequence[Label]) -> _Row:
-        return _Row(p, a)
-
     def opposite(self, p: _Product) -> _Product:
         return _Product(p.t.opposite())
 
@@ -494,25 +486,53 @@ class _OnDicts:
             read(t, rows, x, v, acc, w)
         return acc
 
-    def composed(self, m: _Product, labels: Sequence[Label]) -> dict[Label, dict]:
-        """after[y][x] = {(c, l): coefficient} of x |> (y |> c) for every c; m is uncapped."""
-        after, rows, read = {}, m.rows, exact_core._read
-        for y in labels:
-            after[y] = {x: {(c, l): v for c, yc in rows.get(y, _NO_ENTRIES).items()
-                            for l, v in read(m.t, rows, x, yc, {}, ONE).items()} for x in labels}
-        return after
+    def sides(self, legs: Mapping[Label, list] | None, within: Mapping) -> Callable:
+        """The sides of :func:`_walk` on the c of ``within[r]``: dicts {(c, l): x}
+        read as a loop over triples reads them; a distribution sums the rows
+        after[p, q, r][x][y] of y . (x . c) (built on first read, or all at once
+        uncapped) by ``_read``, with them as its lines."""
+        read, after = exact_core._read, {}
+        inside = {r: None if r is None else set(cs) for r, cs in within.items()}
 
-    def distribute(self, m: _Product, after: dict, legs_a: Sequence[tuple], b: Label) -> dict:
-        """sum (a1 |> b) |> (a2 |> c) for every c: after[a2] read on a1 |> b."""
-        acc: dict[tuple[Label, Label], Coeff] = {}
-        for a1, a2, w in legs_a:
-            if v := m.rows.get(a1, _NO_ENTRIES).get(b):
-                exact_core._read(m.t, after, a2, v, acc, w)
-        return acc
+        def touch(p: _Product, q: _Product, r, x: Label, ys: Iterable[Label]) -> dict:
+            m = after.setdefault((p, q, r), {})
+            if x not in m:
+                if q.cap is not None:
+                    _refuse(q.t, x, within[r])
+                m[x] = {}
+            col, row, ins = m[x], q.rows.get(x, _NO_ENTRIES), inside[r]
+            for y in ys:
+                if y not in col:
+                    col[y] = {(c, l): v for c, xc in row.items() if ins is None or c in ins
+                              for l, v in read(p.t, p.rows, y, xc, {}, ONE).items()}
+            return col
 
-    def at(self, v: dict, i: int, c: Label) -> dict[Label, Coeff]:
-        """The part at c, the i-th label, of a value of :meth:`composed`."""
-        return {l: x for (lc, l), x in v.items() if lc == c}
+        def side(spec: tuple, r) -> Callable:
+            form, p, q = spec
+            if form == "product":
+                cs = within[r]
+                return lambda a, b: {(c, l): v for x in (q[a, b],) for c in cs
+                                     for l, v in read(p.t, p.cols, c, x, {}, ONE).items()}
+            m = after.setdefault((p, q, r), {})
+            if form == "compose":
+                return lambda a, b: (m[b] if b in m and a in m[b] else touch(p, q, r, b, (a,)))[a]
+            capped = p.cap is not None or q.cap is not None
+            for x in within[r] if not capped else ():
+                touch(p, q, r, x, within[r])
+
+            def distribution(a: Label, b: Label) -> dict:
+                acc: dict[tuple[Label, Label], Coeff] = {}
+                for a1, a2, w in legs[a]:
+                    if q.cap is not None:
+                        _refuse(q.t, a1, (b,))
+                    if v := q.rows.get(a1, _NO_ENTRIES).get(b):
+                        if capped:
+                            touch(p, q, r, a2, v)
+                        read(_FREE, m, a2, v, acc, w)
+                return acc
+            return distribution
+
+        return side
 
     def adjoint(self, hopf: HopfBackend, hm: _Product, sm: _Map) -> Callable:
         """ad_h(x) = sum h1 x S(h2) for a label h, by the backend."""
@@ -569,9 +589,6 @@ class _OnLabels:
         (u,) = c.unit.entries
         return u
 
-    def row(self, m: dict, a: Label, labels: Sequence[Label]) -> dict:
-        return {b: m[a, b] for b in labels}
-
     def opposite(self, m: dict) -> dict:
         return {(lb, la): x for (la, lb), x in m.items()}
 
@@ -597,15 +614,30 @@ class _OnLabels:
         ((x, _, y),) = left
         return q[x, r[y, c]]
 
-    def composed(self, m: dict, labels: Sequence[Label]) -> dict[Label, dict]:
-        return {y: {x: tuple([m[x, m[y, c]] for c in labels]) for x in labels} for y in labels}
+    def sides(self, legs, within: Mapping) -> Callable:
+        """The sides of :func:`_walk` on every c: L_x the tuple of the positions of
+        x . c, v o L_x one itemgetter call (a bare label on a 1-label basis)."""
+        (labels,) = within.values()
+        pos, lines = {lab: i for i, lab in enumerate(labels)}, {}
 
-    def distribute(self, m: dict, after: dict, legs_a: Sequence[tuple], b: Label) -> tuple:
-        ((a, _, _),) = legs_a
-        return after[a][m[a, b]]
+        def line(p: dict) -> tuple[dict, dict]:
+            if id(p) not in lines:
+                rows = {x: tuple([pos[p[x, c]] for c in labels])
+                        for x in dict.fromkeys(x for x, _ in p)}
+                lines[id(p)] = rows, {x: itemgetter(*row) for x, row in rows.items()}
+            return lines[id(p)]
 
-    def at(self, v: tuple, i: int, c: Label) -> Label:
-        return v[i]
+        def side(spec: tuple, r) -> Callable:
+            form, p, q = spec
+            lp = line(p)[0]
+            if form == "product":
+                return lambda a, b: lp[q[a, b]]
+            gq = line(q)[1]
+            if form == "compose":
+                return lambda a, b: gq[b](lp[a])
+            return lambda a, b: gq[a](lp[q[a, b]])
+
+        return side
 
     def adjoint(self, hopf: HopfBackend, hm: dict, sm: dict) -> Callable:
         return lambda h, x: hm[hm[h, x], sm[h]]
@@ -633,7 +665,7 @@ def _evaluator(sets, tables: Sequence[tuple[PairTable, Basis]],
 def _check_product(rb: RackBialgebra) -> None:
     """The product checks of :func:`certify` on a checked carrier, read by the
     evaluator of :func:`_label_maps`: the unit laws, multiplicativity (on
-    dicts only) and self-distributivity (:func:`_first_selfdist_failure`)."""
+    dicts only) and self-distributivity (:func:`_selfdistributivity`)."""
     c = rb.carrier
     basis = c.basis
     if rb.mu.domain != c.square or rb.mu.codomain != basis:
@@ -653,38 +685,93 @@ def _check_product(rb: RackBialgebra) -> None:
                 _differ(axiom, lab, got, want, basis)
     ev.multiplicative(c, t, itertools.product(basis.labels, repeat=2),
                       "coproduct multiplicativity", "counit multiplicativity")
-    triple, lhs, rhs, _ = _first_selfdist_failure(ev, c)
-    if triple is not None:
-        _differ("self-distributivity", triple, lhs, rhs, basis)
+    _hold(ev, _selfdistributivity(m), basis, _legs(c))
+
+
+def _selfdistributivity(m) -> tuple:
+    """a |> (b |> c) = sum (a1 |> b) |> (a2 |> c) for :func:`_walk`."""
+    return (("self-distributivity", ("compose", m, m), ("distribute", m, m)),)
 
 
 def _first_selfdist_failure(ev: _OnLabels | _OnDicts, c: Coalgebra) -> tuple:
-    """The first basis triple of ``c``, in ``itertools.product`` order, with
-    a |> (b |> c) != sum (a1 |> b) |> (a2 |> c) for the one product of the
-    evaluator ``ev``, both sides as its values and the number of triples
-    that held before it; (None, None, None, n) when all n hold.
+    """The first triple of ``c`` failing self-distributivity for the product
+    of ``ev``, both sides and the triples held before it, or (None, None, None, n)."""
+    (m,) = ev.products
+    failure, checked, _ = _walk(ev, _selfdistributivity(m), c.basis.labels, _legs(c))
+    return (None, None, None, checked) if failure is None else (*failure[1:], checked)
 
-    Per pair (a, b) it compares the operators L_a o L_b and
-    sum L_(a1 |> b) o L_(a2) on every c at once.  ``after[y][x]`` holds
-    x |> (y |> c) for every c (``ev.composed``; the product is uncapped), so
-    after[b][a] is the left side; |> is linear on the left, so the right side
-    is after[a2] read on a1 |> b, summed over the legs of a (``ev.distribute``).
-    Each side holds the value at c of every triple (a, b, c), so they agree
-    exactly when these triples all hold.  The first c is the first label whose
-    parts (``ev.at``) differ, after dim (index of (a, b)) + (index of c) triples."""
-    (m,), labels, legs = ev.products, c.basis.labels, _legs(c)
-    after, at = ev.composed(m, labels), ev.at
-    checked = 0
-    for la in labels:
-        for lb in labels:
-            lhs, rhs = after[lb][la], ev.distribute(m, after, legs[la], lb)
-            if lhs != rhs:
-                for i, lc in enumerate(labels):
-                    x, y = at(lhs, i, lc), at(rhs, i, lc)
-                    if x != y and not same_entries(_entries(x), _entries(y)):
-                        return (la, lb, lc), x, y, checked + i
-            checked += len(labels)
-    return None, None, None, checked
+
+def _walk(ev: _OnLabels | _OnDicts, identities: Sequence[tuple], labels: Sequence[Label],
+          legs=None, t: PairTable | None = None, left: Sequence[Label] | None = None) -> tuple:
+    """The one walker (module docstring): the first failure (name, (a, b, c),
+    got, want) of ``identities`` (name, got, want), a side (form, p, q) being
+    "product" L_(a.b), "compose" L_a o L'_b or "distribute" (over ``legs``),
+    or None, and the triples checked and skipped before it.  a, b run over
+    ``left`` (c then of degree 0) or ``labels``, c over ``labels``, under the
+    cap of ``t``; a pair that differs or refuses a read goes to :func:`_first_triple`."""
+    same, left = left is None, labels if left is None else left
+    n, cap = len(labels), None if t is None else t.cap
+    deg = {} if cap is None else {lab: t.degree(lab) for lab in left}
+    within = {None: labels} if cap is None or not same else {
+        r: [c for c in labels if deg[c] <= r] for r in range(cap + 1)}
+    side = ev.sides(legs, within)
+    operators = {r: [(side(got, r), side(want, r)) for _, got, want in identities] for r in within}
+    checked = skipped = 0
+    for a in left:
+        for b in left:
+            r = None
+            if cap is not None:
+                r = cap - deg[a] - deg[b]
+                if r < 0:
+                    skipped += n
+                    continue
+                r = r if same else None
+            cs = within[r]
+            held = True
+            try:
+                for f, g in operators[r]:
+                    if f(a, b) != g(a, b):
+                        held = False
+                        break
+            except DegreeCapExceeded:
+                held = False
+            if not held and (failure := _first_triple(ev, identities, legs, a, b, cs)):
+                i, c = failure[4], failure[1][2]
+                return failure[:4], checked + i, skipped + labels.index(c) - i
+            checked += len(cs)
+            skipped += n - len(cs)
+    return None, checked, skipped
+
+
+def _first_triple(ev: _OnLabels | _OnDicts, identities: Sequence[tuple], legs, a: Label,
+                  b: Label, cs: Sequence[Label]) -> tuple | None:
+    """The first failure of ``identities`` at (a, b, c), c in ``cs``, and the
+    index of c, or None, read as a loop over triples: the pair's values first."""
+    fixed = {(form, id(q)): q[a, b] if form == "product" else
+             ev.spread(q, [(q[a1, b], w, a2) for a1, a2, w in legs[a]])
+             for _, *pair in identities for form, _, q in pair if form != "compose"}
+
+    def at(spec: tuple, c: Label):
+        form, p, q = spec
+        if form == "compose":
+            return p[a, q[b, c]]
+        if form == "product":
+            return p[fixed[form, id(q)], c]
+        return ev.fold(p, q, fixed[form, id(q)], c)
+
+    for i, c in enumerate(cs):
+        for name, got, want in identities:
+            x, y = at(got, c), at(want, c)
+            if x != y and not same_entries(_entries(x), _entries(y)):
+                return name, (a, b, c), x, y, i
+
+
+def _hold(ev, identities: Sequence[tuple], space: Basis, legs=None, t=None, left=None) -> tuple:
+    """:func:`_walk` on the labels of ``space``, raising its failure there."""
+    failure, checked, skipped = _walk(ev, identities, space.labels, legs, t, left)
+    if failure is not None:
+        _differ(*failure, space)
+    return checked, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -872,24 +959,13 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
         if got != want:
             _differ("action fixes coaugmentation", lh, got, want, cb)
 
-    # (uv).a and u.(v.a), v.a read once per (v, a) from the uncapped action
-    capped = hopf_t.cap is not None
-    act_rows = {lv: [(la, am[lv, la]) for la in cb.labels] for lv in hb.labels}
-    for lu in hb.labels:
-        au = ev.row(am, lu, cb.labels)
-        for lv in hb.labels:
-            if capped and not hopf_t.fits(hopf_t.degree(lu) + hopf_t.degree(lv)):
-                continue
-            uv = hm[lu, lv]
-            for la, va in act_rows[lv]:
-                lhs, rhs = am[uv, la], au[va]
-                if lhs != rhs:
-                    _differ("action associativity", (lu, lv, la), lhs, rhs, cb)
+    _hold(ev, (("action associativity", ("product", am, hm), ("compose", am, am)),), cb,
+          t=hopf_t, left=hb.labels)
 
     ev.multiplicative(bc, act, itertools.product(hb.labels, cb.labels),
                       "action comultiplicativity", "action counit", left=hc)
 
-    ad = ev.adjoint(hopf, hm, sm)
+    ad, capped = ev.adjoint(hopf, hm, sm), hopf_t.cap is not None
     for lh in hb.labels:
         for la in cb.labels:
             pa = pm[la]
@@ -1094,7 +1170,12 @@ def set_like_elements(rb: RackBialgebra) -> list[tuple[str, FinVec]]:
 
 def set_likes(rb: RackBialgebra) -> FiniteRack:
     """The finite rack of the set-like elements under the product: the
-    set-like functor, under which K[X] gives X back."""
+    set-like functor, under which K[X] gives X back.
+
+    The rack laws are not checked again: the set-likes are group-likes of a
+    certified rack bialgebra, closed under the product (the lookup checks
+    it), whose unit laws and self-distributivity are, on group-likes, the
+    rack laws.  ``FiniteRack.build`` checks bijectivity."""
     if not rb.certified:
         raise RackalgError("set_likes needs a certified rack bialgebra")
     named = set_like_elements(rb)
@@ -1113,9 +1194,7 @@ def set_likes(rb: RackBialgebra) -> FiniteRack:
                 raise RackalgError(
                     f"product of set-likes {na!r} |> {nb!r} escapes the detected set")
             op[(na, nb)] = target
-    rack = FiniteRack.build(f"Slike({rb.basis.name})", names, unit_name, op)
-    check_rack(rack)
-    return rack
+    return FiniteRack.build(f"Slike({rb.basis.name})", names, unit_name, op)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,7 @@ from rackalg.rack_bialg import (
     _differ,
     _entries,
     _evaluator,
+    _hold,
     _label_maps,
     _legs,
     _primitive_leibniz,
@@ -278,52 +279,24 @@ def _refuse_beyond_cap(tables: Sequence[tuple[str, PairTable]], s: FinMap) -> No
             raise SchemaError(f"antipode column {lab!r} beyond the cap")
 
 
-def _check_associative(ev, basis: Basis, p, t: PairTable, axiom: str) -> tuple[int, int]:
-    """(ab)c = a(bc) on every label triple under the cap of ``t``, read by its
-    reader ``p`` of ``ev`` and raised as ``axiom``.  Returns the triples
-    checked and skipped."""
-    labs = basis.labels
-    cap = t.cap
-    deg = {lab: t.degree(lab) for lab in labs}
-    rows = {lab: ev.row(p, lab, labs) for lab in labs}
-    checked = skipped = 0
-    for la in labs:
-        pa = rows[la]
-        for lb in labs:
-            d_ab = deg[la] + deg[lb]
-            if cap is not None and d_ab > cap:
-                skipped += len(labs)
-                continue
-            ab, pb = pa[lb], rows[lb]
-            for lc in labs:
-                if cap is not None and d_ab + deg[lc] > cap:
-                    skipped += 1
-                    continue
-                lhs, rhs = p[ab, lc], pa[pb[lc]]
-                if lhs != rhs:
-                    _differ(axiom, (la, lb, lc), lhs, rhs, basis)
-                checked += 1
-    return checked, skipped
-
-
 def _check_hopf(h: HopfBackend) -> CheckReport:
     """The one certifier of a Hopf record of any side, or of a Hopf backend
     (side "two-sided"); returns the report or raises the first failure.
 
     After the carrier coalgebra and its cocommutativity, the side chooses
-    the halves of :func:`_check_halves`, each checked once, and
-    associativity is checked once per label triple.  Side "right" has one
-    half: 1 a = a ("one-sided unit") and S a right antipode ("defining
-    antipode"); side "left" has it for the opposite product, which
-    cocommutativity makes a right Hopf algebra.  "associativity" and
+    the halves of :func:`_check_halves`, each checked once, and the triple
+    walker (see :mod:`~rackalg.rack_bialg`) reads associativity as
+    L_(ab) = L_a o L_b.  Side "right" has one half: 1 a = a ("one-sided
+    unit") and S a right antipode ("defining antipode"); side "left" has it
+    for the opposite product, which cocommutativity makes a right Hopf
+    algebra.  "associativity" and
     S(1) = 1 ("antipode unit") come first; 1 1 = 1 is the unit law at 1.
     Side "two-sided" is the Hopf dialgebra with |- = -| = the product, under
     its names: the halves (A, |-, S) and (A, -|, S), then "associativity
     (|-)".  Its other triple identities would read that one again, and
     S(1) = 1 is 1 |- S(1) = 1, the right antipode identity at 1, by the left
     bar-unit law; so the report and the first failure are those of
-    :func:`certify_dialgebra` on the product as two tables.  Identities
-    beyond the cap are skipped and counted.
+    :func:`certify_dialgebra` on the product as two tables.
     """
     c = h.coalgebra
     basis = c.basis
@@ -334,16 +307,17 @@ def _check_hopf(h: HopfBackend) -> CheckReport:
     tables, maps = ((t, basis),), (s,)
     ev = _evaluator(_label_maps((c,), tables, maps), tables, maps)
     (p,), (sm,) = ev.products, ev.maps
-    if h.side == "two-sided":  # associativity of |-, named by the tag of its half
-        halves = _dialgebra_halves(t, p, t, p)
+    halves = _dialgebra_halves(t, p, t, p) if h.side == "two-sided" else (
+        (t, p, "one-sided unit", "defining antipode", "", h.side == "left"),)
+    associativity = ((f"associativity{halves[0][4]}", ("product", p, p), ("compose", p, p)),)
+    if h.side == "two-sided":
         counts = _check_halves(c, ev, s, halves, 1)
-        return _report(counts, _check_associative(ev, basis, p, t, f"associativity{halves[0][4]}"))
-    triples = _check_associative(ev, basis, p, t, "associativity")
+        return _report(counts, _hold(ev, associativity, basis, t=t))
+    triples = _hold(ev, associativity, basis, t=t)
     u = ev.unit(c)
     if sm[u] != u:
         _differ("antipode unit", "1", sm[u], u, basis)
-    half = (t, p, "one-sided unit", "defining antipode", "", h.side == "left")
-    return _report(_check_halves(c, ev, s, (half,), 1), triples)
+    return _report(_check_halves(c, ev, s, halves, 1), triples)
 
 
 def certify_one_sided(h: HopfAlgebra) -> HopfAlgebra:
@@ -775,17 +749,14 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
     S a coalgebra map, both one-sided convolution identities (for -|, the
     right antipode identities of the opposite product b -| a) and their
     standard consequences, multiplicativity of the coproduct and counit,
-    and antimultiplicativity.  Then, per triple, associativity of both
-    products and the three mixed dialgebra axioms.  Identities touching
-    degrees beyond the cap are skipped and counted in the report.  S(1) = 1
-    needs no check of its own: 1 is group-like, so the right antipode
-    identity for |- at 1 reads 1 |- S(1) = 1, whose left side is S(1) by
-    the left bar-unit law.
-
-    Each identity is read by the evaluator of
-    :func:`~rackalg.rack_bialg._label_maps`; on coefficient dicts a product
-    with a basis label on one side is read from the tables, so under a cap
-    an entry with a term beyond its degree raises :class:`DegreeCapExceeded`.
+    and antimultiplicativity.  Then associativity of both products and the
+    three mixed dialgebra axioms, read by the triple walker under its cap
+    rule (see :mod:`~rackalg.rack_bialg`), the triples skipped counted in
+    the report.  S(1) = 1 needs no check of its own: 1 is group-like, so the
+    right antipode identity for |- at 1 reads 1 |- S(1) = 1, whose left side
+    is S(1) by the left bar-unit law.  Each identity is read by the evaluator
+    of :func:`~rackalg.rack_bialg._label_maps`; under a cap a table entry
+    with a term beyond its degree raises :class:`DegreeCapExceeded`.
     """
     c = d.coalgebra
     basis = c.basis
@@ -798,45 +769,15 @@ def certify_dialgebra(d: HopfDialgebra) -> HopfDialgebra:
 
     tables, maps = ((vt, basis), (dt, basis)), (d.antipode,)
     ev = _evaluator(_label_maps((c,), tables, maps), tables, maps)
-    (mv, md), _ = ev.products, ev.maps
+    mv, md = ev.products
     halves = _check_halves(c, ev, d.antipode, _dialgebra_halves(vt, mv, dt, md), 2)
-    labs = basis.labels
-    cap = vt.cap
-    deg = {lab: vt.degree(lab) for lab in labs}
-    row = ev.row
-    rows = {lb: (row(mv, lb, labs), row(md, lb, labs)) for lb in labs}
-    checked = skipped = 0
-    for la in labs:
-        va, da = rows[la]
-        for lb in labs:
-            d_ab = deg[la] + deg[lb]
-            if cap is not None and d_ab > cap:
-                skipped += len(labs)
-                continue
-            ab_v, ab_d = va[lb], da[lb]
-            vb, db = rows[lb]
-            for lc in labs:
-                if cap is not None and d_ab + deg[lc] > cap:
-                    skipped += 1
-                    continue
-                bc_v, bc_d = vb[lc], db[lc]
-                lhs, rhs = mv[ab_v, lc], va[bc_v]
-                if lhs != rhs:
-                    _differ("associativity (|-)", (la, lb, lc), lhs, rhs, basis)
-                checked += 1
-                got = mv[ab_d, lc]
-                if got != lhs:
-                    _differ("left products agree", (la, lb, lc), got, lhs, basis)
-                lhs, rhs = md[ab_d, lc], da[bc_d]
-                if lhs != rhs:
-                    _differ("associativity (-|)", (la, lb, lc), lhs, rhs, basis)
-                got = da[bc_v]
-                if got != rhs:
-                    _differ("right products agree", (la, lb, lc), got, rhs, basis)
-                lhs, rhs = md[ab_v, lc], va[bc_d]
-                if lhs != rhs:
-                    _differ("inner associativity", (la, lb, lc), lhs, rhs, basis)
-    return _certified(d, report=_report(halves, (checked, skipped)))
+    triples = _hold(ev, (
+        ("associativity (|-)", ("product", mv, mv), ("compose", mv, mv)),
+        ("left products agree", ("product", mv, md), ("product", mv, mv)),
+        ("associativity (-|)", ("product", md, md), ("compose", md, md)),
+        ("right products agree", ("compose", md, mv), ("compose", md, md)),
+        ("inner associativity", ("product", md, mv), ("compose", mv, md))), basis, t=vt)
+    return _certified(d, report=_report(halves, triples))
 
 
 def hopf_as_dialgebra(hopf: HopfBackend) -> HopfDialgebra:
@@ -977,11 +918,11 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
     A capped dialgebra restricts the carrier to degrees <= cap // 2 (or to
     the requested ``degree``) so that every product pair fits; the rack
     product preserves the degree of its second argument, so the truncation
-    is closed.  Module identities tying |> back to both dialgebra products
-    are verified on every triple within the cap.
-
-    Label pairs of |> within the cap are computed once into a table, and
-    both products and |> are read by the evaluator of
+    is closed.  The module identities tying |> back to both products,
+    L_a o L_b = L_(a |- b) = L_(a -| b) and L_a o L^|-_b =
+    sum L^|-_(a1 |> b) o L_(a2) (and for -|), are read by the triple walker
+    under its cap rule (see :mod:`~rackalg.rack_bialg`), on a table of the
+    pairs of |> within the cap, by the evaluator of
     :func:`~rackalg.rack_bialg._label_maps`.
     """
     if degree is not None:
@@ -999,11 +940,9 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
         keep = [lab for lab in c.basis.labels if vt.degree(lab) <= t]
         carrier = restrict_coalgebra(c, keep, f"{c.basis.name} (deg<={t})")
     basis = carrier.basis
-    labs = c.basis.labels
-    deg = {lab: vt.degree(lab) for lab in labs}
     rack = PairTable.build(c.basis, ((la, lb, _rack_pair(d, la, lb))
-                                     for la, lb in itertools.product(labs, repeat=2)
-                                     if vt.fits(deg[la] + deg[lb])),
+                                     for la, lb in itertools.product(c.basis.labels, repeat=2)
+                                     if vt.fits(vt.degree(la) + vt.degree(lb))),
                            degrees=d.degrees, cap=d.cap, context="product |-")
 
     def mu_col(la: Label, lb: Label) -> Mapping[Label, Rational]:
@@ -1019,31 +958,12 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
 
     tables = ((vt, c.basis), (dt, c.basis), (rack, c.basis))
     ev = _evaluator(_label_maps((c,), tables, ()), tables, ())
-    (mv, md, mr), legs, fold = ev.products, _legs(c), ev.fold
-    rows = {lb: [ev.row(p, lb, labs) for p in (mr, mv, md)] for lb in labs}
-    cap = d.cap
-    for la in labs:
-        ra = rows[la][0]
-        for lb in labs:
-            d_ab = deg[la] + deg[lb]
-            if cap is not None and d_ab > cap:  # no c fits, and a |- b is refused
-                continue
-            r_b, v_b, d_b = rows[lb]
-            halves = (("module identity (|-)", "module algebra (|-)", mv, v_b, mv[la, lb]),
-                      ("module identity (-|)", "module algebra (-|)", md, d_b, md[la, lb]))
-            left = ev.spread(mr, [(mr[a1, lb], w, a2) for a1, a2, w in legs[la]])
-            for lc in labs:
-                if cap is not None and d_ab + deg[lc] > cap:
-                    continue
-                lhs = ra[r_b[lc]]
-                for identity, _, _, _, ab in halves:
-                    rhs = mr[ab, lc]
-                    if lhs != rhs:
-                        _differ(identity, (la, lb, lc), lhs, rhs, c.basis)
-                for _, algebra, p, p_b, _ in halves:
-                    got, want = ra[p_b[lc]], fold(p, mr, left, lc)
-                    if got != want:
-                        _differ(algebra, (la, lb, lc), got, want, c.basis)
+    mv, md, mr = ev.products
+    _hold(ev, (("module identity (|-)", ("compose", mr, mr), ("product", mr, mv)),
+               ("module identity (-|)", ("compose", mr, mr), ("product", mr, md)),
+               ("module algebra (|-)", ("compose", mr, mv), ("distribute", mv, mr)),
+               ("module algebra (-|)", ("compose", mr, md), ("distribute", md, mr))),
+          c.basis, _legs(c), vt)
     return rb
 
 

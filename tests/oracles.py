@@ -1,9 +1,11 @@
 """Reference maps that the tests compose: tensor products and flips of maps,
 convolution on a coalgebra, the product and functoriality of the truncated
 S(V), and the truncating product of U(g); the label formula of tensor bases,
-the product table of a function given on label pairs, self-distributivity
-read one basis triple at a time, and exp(hbar ad_x) and exp(hat x) as their
-defining series, term by term.
+the product table of a function given on label pairs, the triple identities
+of the certifiers (self-distributivity, associativity, the dialgebra laws,
+the module identities of a dialgebra's rack, action associativity) read one
+basis triple at a time, and exp(hbar ad_x) and exp(hat x) as their defining
+series, term by term.
 
 The package checks every identity by comparing Sweedler legs label by label
 and never composes whole maps.  These are the composed-map forms of the same
@@ -186,30 +188,169 @@ def truncating_mul_map(env: EnvelopingHopf) -> FinMap:
 
 
 # ---------------------------------------------------------------------------
-# self-distributivity, triple by triple
+# the triple identities, triple by triple
 # ---------------------------------------------------------------------------
 
 
+def _fails(got, want) -> bool:
+    """Two values of an evaluator differ, as ``rack_bialg._differ`` tests it."""
+    return got != want and not same_entries(_entries(got), _entries(want))
+
+
 def first_selfdist_failure_by_triples(ev, c: Coalgebra) -> tuple:
-    """``rack_bialg._first_selfdist_failure`` read one basis triple at a time,
-    in ``itertools.product`` order, through the evaluator's ``spread`` and
-    ``fold``: a |> (b |> c) against sum (a1 |> b) |> (a2 |> c) per c."""
+    """``rack_bialg._first_selfdist_failure`` read one basis triple at a time:
+    the triple, both sides and the triples that held before it, or
+    (None, None, None, n)."""
+    failure, checked, _ = selfdist_by_triples(ev, c.basis.labels, _legs(c))
+    return (None, None, None, checked) if failure is None else (*failure[1:], checked)
+
+
+def selfdist_by_triples(ev, labels, legs) -> tuple:
+    """Self-distributivity of the one product of ``ev``, in
+    ``itertools.product`` order, through the evaluator's ``spread`` and
+    ``fold``: a |> (b |> c) against sum (a1 |> b) |> (a2 |> c) per c; the
+    first failure ("self-distributivity", triple, lhs, rhs) or None, and the
+    triples checked and skipped (none) before it."""
     (m,) = ev.products
-    labels = c.basis.labels
-    legs, spread, fold = _legs(c), ev.spread, ev.fold
+    spread, fold = ev.spread, ev.fold
     rows = [(lb, [(lc, m[lb, lc]) for lc in labels]) for lb in labels]
     products = {(lb, lc): x for lb, row in rows for lc, x in row}
     checked = 0
     for la in labels:
-        legs_a, ma = legs[la], ev.row(m, la, labels)
+        legs_a = legs[la]
         for lb, row in rows:
             left = spread(m, [(products[a1, lb], w, a2) for a1, a2, w in legs_a])
             for lc, bc in row:
-                lhs, rhs = ma[bc], fold(m, m, left, lc)
-                if lhs != rhs and not same_entries(_entries(lhs), _entries(rhs)):
-                    return (la, lb, lc), lhs, rhs, checked
+                lhs, rhs = m[la, bc], fold(m, m, left, lc)
+                if _fails(lhs, rhs):
+                    return ("self-distributivity", (la, lb, lc), lhs, rhs), checked, 0
                 checked += 1
-    return None, None, None, checked
+    return None, checked, 0
+
+
+def _triples(labels, t):
+    """The pairs (a, b) and the triples (a, b, c) of ``labels`` under the cap
+    of ``t``, in ``itertools.product`` order, as a loop over triples skips
+    them: yields (a, b, c) for a triple to read, (a, b, None) first for each
+    pair to read, and None for each triple skipped (dim of them for a pair
+    beyond the cap)."""
+    cap = None if t is None else t.cap
+    deg = {lab: 0 if t is None else t.degree(lab) for lab in labels}
+    for la in labels:
+        for lb in labels:
+            d_ab = deg[la] + deg[lb]
+            if cap is not None and d_ab > cap:
+                yield from [None] * len(labels)
+                continue
+            yield la, lb, None
+            for lc in labels:
+                yield None if cap is not None and d_ab + deg[lc] > cap else (la, lb, lc)
+
+
+def associativity_by_triples(ev, labels, t, axiom: str) -> tuple:
+    """``right_hopf_dialg``'s former ``_check_associative``: (ab)c = a(bc) for
+    the one product of ``ev`` on every triple under the cap of ``t``, read
+    one triple at a time; the first failure (``axiom``, triple, lhs, rhs) or
+    None, and the triples checked and skipped before it."""
+    (p,) = ev.products
+    checked = skipped = 0
+    for triple in _triples(labels, t):
+        if triple is None:
+            skipped += 1
+            continue
+        la, lb, lc = triple
+        if lc is None:
+            ab = p[la, lb]
+            continue
+        lhs, rhs = p[ab, lc], p[la, p[lb, lc]]
+        if _fails(lhs, rhs):
+            return (axiom, triple, lhs, rhs), checked, skipped
+        checked += 1
+    return None, checked, skipped
+
+
+def dialgebra_identities_by_triples(ev, labels, t) -> tuple:
+    """``certify_dialgebra``'s former triple loop: associativity of |- and -|
+    and the three mixed dialgebra laws, in its order, for the products
+    (|-, -|) of ``ev`` on every triple under the cap of ``t``."""
+    mv, md = ev.products
+    checked = skipped = 0
+    for triple in _triples(labels, t):
+        if triple is None:
+            skipped += 1
+            continue
+        la, lb, lc = triple
+        if lc is None:
+            ab_v, ab_d = mv[la, lb], md[la, lb]
+            continue
+        bc_v, bc_d = mv[lb, lc], md[lb, lc]
+        lhs, rhs = mv[ab_v, lc], mv[la, bc_v]
+        if _fails(lhs, rhs):
+            return ("associativity (|-)", triple, lhs, rhs), checked, skipped
+        got = mv[ab_d, lc]
+        if _fails(got, lhs):
+            return ("left products agree", triple, got, lhs), checked, skipped
+        lhs, rhs = md[ab_d, lc], md[la, bc_d]
+        if _fails(lhs, rhs):
+            return ("associativity (-|)", triple, lhs, rhs), checked, skipped
+        got = md[la, bc_v]
+        if _fails(got, rhs):
+            return ("right products agree", triple, got, rhs), checked, skipped
+        lhs, rhs = md[ab_v, lc], mv[la, bc_d]
+        if _fails(lhs, rhs):
+            return ("inner associativity", triple, lhs, rhs), checked, skipped
+        checked += 1
+    return None, checked, skipped
+
+
+def module_identities_by_triples(ev, labels, legs, t) -> tuple:
+    """``hopf_dialgebra_rack``'s former triple loop: a |> (b |> c) against
+    (a |- b) |> c and (a -| b) |> c, and a |> (b |- c) against
+    sum (a1 |> b) |- (a2 |> c) (and for -|), for the products (|-, -|, |>)
+    of ``ev`` on every triple under the cap of ``t``."""
+    mv, md, mr = ev.products
+    checked = skipped = 0
+    for triple in _triples(labels, t):
+        if triple is None:
+            skipped += 1
+            continue
+        la, lb, lc = triple
+        if lc is None:
+            halves = (("module identity (|-)", "module algebra (|-)", mv, mv[la, lb]),
+                      ("module identity (-|)", "module algebra (-|)", md, md[la, lb]))
+            left = ev.spread(mr, [(mr[a1, lb], w, a2) for a1, a2, w in legs[la]])
+            continue
+        lhs = mr[la, mr[lb, lc]]
+        for identity, _, _, ab in halves:
+            rhs = mr[ab, lc]
+            if _fails(lhs, rhs):
+                return (identity, triple, lhs, rhs), checked, skipped
+        for _, algebra, p, _ in halves:
+            got, want = mr[la, p[lb, lc]], ev.fold(p, mr, left, lc)
+            if _fails(got, want):
+                return (algebra, triple, got, want), checked, skipped
+        checked += 1
+    return None, checked, skipped
+
+
+def action_associativity_by_triples(ev, labels, t, left) -> tuple:
+    """``certify_augmented``'s former "action associativity" loop:
+    (uv).a = u.(v.a) for the action and the Hopf product of ``ev``, u and v
+    in ``left`` with deg u + deg v under the cap of ``t``, a in ``labels``."""
+    am, hm = ev.products
+    checked = skipped = 0
+    for lu in left:
+        for lv in left:
+            if not t.fits(t.degree(lu) + t.degree(lv)):
+                skipped += len(labels)
+                continue
+            uv = hm[lu, lv]
+            for la in labels:
+                lhs, rhs = am[uv, la], am[lu, am[lv, la]]
+                if _fails(lhs, rhs):
+                    return ("action associativity", (lu, lv, la), lhs, rhs), checked, skipped
+                checked += 1
+    return None, checked, skipped
 
 
 # ---------------------------------------------------------------------------

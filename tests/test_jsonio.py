@@ -1,4 +1,5 @@
-"""Input grammar of the JSON documents: rationals and dimensions."""
+"""Input grammar of the JSON documents: rationals, dimensions and the unit
+of a group."""
 
 import time
 from fractions import Fraction
@@ -7,7 +8,14 @@ import pytest
 
 from rackalg.errors import SchemaError
 from rackalg.fixtures import load_raw
-from rackalg.jsonio import MAX_DIM, MAX_RATIONAL_CHARS, leibniz_from_json, leibniz_to_json
+from rackalg.jsonio import (
+    MAX_DIM,
+    MAX_RATIONAL_CHARS,
+    group_from_json,
+    leibniz_from_json,
+    leibniz_to_json,
+    right_group_from_json,
+)
 
 
 def _doc(coeff, dim=2):
@@ -83,3 +91,15 @@ def test_fixture_round_trip(name):
 def test_integral_rationals_load_as_int(coeff, want, kind):
     got = leibniz_from_json(_doc(coeff)).table.vector(1, 1)[2]
     assert got == want and type(got) is kind
+
+
+@pytest.mark.parametrize("unit", [["e"], {"e": "e"}, 1, None])
+def test_a_group_unit_that_is_not_a_string_is_a_schema_error(unit):
+    # a list or a dict unit used to escape as TypeError (unhashable type)
+    # from FiniteGroup, both directly and inside a right group
+    doc = dict(load_raw("s3"), unit=unit)
+    with pytest.raises(SchemaError, match="'unit' must be a string"):
+        group_from_json(doc)
+    outer = load_raw("rg_z2e2")
+    with pytest.raises(SchemaError, match="'unit' must be a string"):
+        right_group_from_json(dict(outer, group=dict(outer["group"], unit=unit)))

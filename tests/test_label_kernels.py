@@ -573,6 +573,7 @@ GUARDED = {
     leibniz: ["check_leibniz"],
     symcoalg: ["check_multiplicative", "check_coalgebra_map", "_delta_legs", "_add_tensor"],
     env_hopf: ["EnvelopingHopf.adjoint"],
+    rack_bialg: ["_walk", "_first_triple", "_OnDicts.sides", "_OnLabels.sides"],
 }
 
 

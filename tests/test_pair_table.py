@@ -455,9 +455,8 @@ def per_term_calls(tree, owner):
 GUARDED = {
     exact_core: ["label_times", "times_label", "bilinear"],
     symcoalg: ["check_multiplicative", "_delta_legs", "_add_tensor"],
-    rack_bialg: ["_check_product", "_first_selfdist_failure", "_OnDicts.composed",
-                 "_OnDicts.distribute"],
-    right_hopf_dialg: ["certify_dialgebra"],
+    rack_bialg: ["_check_product", "_walk", "_first_triple", "_OnDicts.sides"],
+    right_hopf_dialg: ["certify_dialgebra", "hopf_dialgebra_rack"],
 }
 
 

@@ -21,7 +21,6 @@ groups and racks find the first failing triple per pair of rows.
 
 import ast
 import collections
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -31,7 +30,7 @@ import pytest
 
 import rackalg.rack_bialg as rack_bialg
 import rackalg.right_hopf_dialg as right_hopf_dialg
-from rackalg.env_hopf import HopfAlgebra, enveloping_hopf
+from rackalg.env_hopf import enveloping_hopf
 from rackalg.errors import AxiomViolation, DegreeCapExceeded, RackalgError
 from rackalg.exact_core import FinMap, FinVec
 from rackalg.fixtures import load
@@ -53,12 +52,7 @@ from oracles import (
     module_identities_by_triples,
     selfdist_by_triples,
 )
-from test_right_hopf_dialg import (
-    SHARED_FIXTURES,
-    _record_and_copied,
-    _steiner_loop_dialgebra,
-    perturbation_census,
-)
+from test_right_hopf_dialg import SHARED_FIXTURES, _record_and_copied, perturbation_census
 
 SELECTING = (rack_bialg, right_hopf_dialg)
 

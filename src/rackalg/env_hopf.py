@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, runtime_checkable
 
 from rackalg.errors import AxiomViolation, DegreeCapExceeded, SchemaError
 from rackalg.exact_core import (
@@ -234,6 +234,12 @@ def enveloping_hopf(lie: LeibnizAlgebra, cap: int, name: str | None = None) -> E
     if not is_lie(lie):
         raise AxiomViolation("antisymmetry", lie.basis.name,
                              "bracket table", "its opposite negated")
+    return _envelope(lie, cap, name)
+
+
+def _envelope(lie: LeibnizAlgebra, cap: int, name: str | None = None) -> EnvelopingHopf:
+    """:func:`enveloping_hopf` of a Lie algebra the caller has checked, such
+    as a quotient just built by :func:`~rackalg.leibniz.quotient_lie`."""
     coalg = symmetric_coalgebra(lie.basis, cap, name=name or f"U({lie.basis.name})<={cap}")
     return EnvelopingHopf(lie=lie, cap=cap, coalgebra=coalg)
 
@@ -261,21 +267,24 @@ def derivation_action(h: LeibnizAlgebra, sym: Coalgebra, x: FinVec, m: FinVec) -
         for lab, c in ad[letter].items()))
 
 
-def module_action(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra,
-                  u: FinVec, m: FinVec) -> FinVec:
-    """Left U(g)-action on S(h): a word acts by its letters, rightmost first.
-
-    A letter is a g-basis label; it acts through the bracket with its
+def _word_action(q: QuotientLie, sym: Coalgebra) -> Callable[[tuple, Label], dict]:
+    """act(w, m), the left U(g)-action on S(h) of a word w on a monomial m, as
+    coefficient dicts memoised by (w, m) for one build.  A word acts by its
+    letters, rightmost first: act(w, m) = x.act(w', m) for w = (x,) + w'.  A
+    letter, a g-basis label, acts by :func:`derivation_action` of its
     representative in h, which is independent of the choice because the
-    quotient kernel sits inside the left center.
-    """
-    def act_word(word: tuple[Label, ...]) -> FinVec:
-        acc = m
-        for letter in reversed(word):
-            acc = derivation_action(q.source, sym, q.section.column(letter), acc)
-        return acc
+    quotient kernel sits inside the left center."""
+    memo: dict[tuple, dict[Label, Coeff]] = {}
 
-    return linear_sum(sym.basis, ((act_word(word), cu) for word, cu in u.entries.items()))
+    def act(word: tuple[Label, ...], mono: Label) -> dict[Label, Coeff]:
+        got = memo.get((word, mono))
+        if got is None:
+            got = memo[word, mono] = {mono: ONE} if not word else derivation_action(
+                q.source, sym, q.section.column(word[0]),
+                FinVec(sym.basis, act(word[1:], mono))).entries
+        return got
+
+    return act
 
 
 def _symmetrize_word(env: EnvelopingHopf, word: tuple[Label, ...]) -> FinVec:
@@ -316,5 +325,5 @@ def phi_map(env: EnvelopingHopf, q: QuotientLie, sym: Coalgebra) -> FinMap:
 
 __all__ = [
     "EnvelopingHopf", "HopfAlgebra", "HopfBackend", "derivation_action", "enveloping_hopf",
-    "module_action", "phi", "phi_map", "symmetrize",
+    "phi", "phi_map", "symmetrize",
 ]

@@ -165,13 +165,26 @@ def quotient_lie(h: LeibnizAlgebra, z: Sequence[FinVec] | None = None,
                  name: str | None = None) -> QuotientLie:
     """Quotient of h by an ideal z with Q(h) <= z <= z(h).
 
-    With z in that sandwich the bracket descends ([z,h] = 0 since z is in the
-    left center, and [h,z] <= Q(h) <= z by polarization) and the quotient is a
-    Lie algebra (squares die).  Defaults to z = Q(h), the smallest choice.
-    Raises :class:`SchemaError` for a vector of z that is not over h's basis,
-    and :class:`IdealSandwichViolation` when the sandwich fails.
+    Defaults to z = Q(h), the smallest choice.  Raises
+    :class:`LeibnizViolation` when h is not a Leibniz algebra,
+    :class:`SchemaError` for a vector of z that is not over h's basis, and
+    :class:`IdealSandwichViolation` when the sandwich fails.
+
+    The quotient is a Lie algebra with no check of its own.  Once h is
+    Leibniz and z <= z(h), Q(h) <= z hold, z is a two-sided ideal: [z, h] = 0,
+    and [x, v] = ([x, v] + [v, x]) - [v, x] lies in Q(h) for v in z.  So
+    p: h -> g = h/z is an onto homomorphism for the bracket p[s, t] stored on
+    representative labels, and maps each Leibniz triple of h to one of g.
+    Antisymmetry: [p x, p x] = p[x, x] lies in p(Q(h)) = 0; polarize.
     """
     check_leibniz(h)
+    return _quotient(h, z, name)
+
+
+def _quotient(h: LeibnizAlgebra, z: Sequence[FinVec] | None,
+              name: str | None = None) -> QuotientLie:
+    """:func:`quotient_lie` of an h whose Leibniz identity the caller has
+    checked: the sandwich checks and the quotient, and nothing else."""
     squares = squares_ideal(h)
     if z is None:
         z = squares
@@ -208,12 +221,8 @@ def quotient_lie(h: LeibnizAlgebra, z: Sequence[FinVec] | None = None,
         w = p(h.table.vector(s, t))
         if not w.is_zero:
             bracket[(s, t)] = w
-    g = LeibnizAlgebra(g_basis, bracket)
-    check_leibniz(g)
-    if not is_lie(g):
-        raise IdealSandwichViolation("quotient bracket is not antisymmetric")
-    return QuotientLie(source=h, algebra=g, z_basis=tuple(z_span.vectors),
-                       p=p, section=section)
+    return QuotientLie(source=h, algebra=LeibnizAlgebra(g_basis, bracket),
+                       z_basis=tuple(z_span.vectors), p=p, section=section)
 
 
 __all__ = [

@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from rackalg import exact_core
-from rackalg.env_hopf import HopfBackend, _require_hopf, enveloping_hopf, module_action, phi_map
+from rackalg.env_hopf import HopfBackend, _envelope, _require_hopf, _word_action, phi_map
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
@@ -72,7 +72,7 @@ from rackalg.exact_core import (
     times_label,
 )
 from rackalg.groups import FiniteGroup, group_hopf, group_like_coalgebra
-from rackalg.leibniz import LeibnizAlgebra, check_leibniz, left_center, quotient_lie
+from rackalg.leibniz import LeibnizAlgebra, QuotientLie, _quotient, check_leibniz, left_center
 from rackalg.symcoalg import (
     Coalgebra,
     check_coalgebra,
@@ -662,10 +662,12 @@ def _evaluator(sets, tables: Sequence[tuple[PairTable, Basis]],
     return _OnDicts(tables, maps) if sets is None else _OnLabels(*sets)
 
 
-def _check_product(rb: RackBialgebra) -> None:
+def _check_product(rb: RackBialgebra, induced: bool = False) -> None:
     """The product checks of :func:`certify` on a checked carrier, read by the
     evaluator of :func:`_label_maps`: the unit laws, multiplicativity (on
-    dicts only) and self-distributivity (:func:`_selfdistributivity`)."""
+    dicts only) and self-distributivity (:func:`_selfdistributivity`).  An
+    ``induced`` product, which :func:`certify_augmented` has just compared
+    with phi(a).b entry by entry, is read for self-distributivity alone."""
     c = rb.carrier
     basis = c.basis
     if rb.mu.domain != c.square or rb.mu.codomain != basis:
@@ -674,17 +676,18 @@ def _check_product(rb: RackBialgebra) -> None:
     tables = ((t, basis),)
     ev = _evaluator(_label_maps((c,), tables, ()), tables, ())
     (m,) = ev.products
-    u = ev.unit(c)
-    eps = _counit(c)
-    if m[u, u] != u:
-        _differ("unit square", "1", m[u, u], u, basis)
-    for lab in basis.labels:
-        for axiom, got, want in (("left unit", m[u, lab], lab),
-                                 ("unit absorption", m[lab, u], ev.total([(u, eps[lab])]))):
-            if got != want:
-                _differ(axiom, lab, got, want, basis)
-    ev.multiplicative(c, t, itertools.product(basis.labels, repeat=2),
-                      "coproduct multiplicativity", "counit multiplicativity")
+    if not induced:
+        u = ev.unit(c)
+        eps = _counit(c)
+        if m[u, u] != u:
+            _differ("unit square", "1", m[u, u], u, basis)
+        for lab in basis.labels:
+            for axiom, got, want in (("left unit", m[u, lab], lab),
+                                     ("unit absorption", m[lab, u], ev.total([(u, eps[lab])]))):
+                if got != want:
+                    _differ(axiom, lab, got, want, basis)
+        ev.multiplicative(c, t, itertools.product(basis.labels, repeat=2),
+                          "coproduct multiplicativity", "counit multiplicativity")
     _hold(ev, _selfdistributivity(m), basis, _legs(c))
 
 
@@ -926,6 +929,16 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
     maps the augmentation and the action comultiplicativity and counit hold
     by its lemma.  An induced product a1 |> x is read as phi(a1).x once
     "induced product" has passed.
+
+    Of the rack's own identities only self-distributivity is read, on every
+    triple, since caps skip some adjoint and associativity instances.  Its
+    unit laws and multiplicativity follow from the induced product and the
+    exhaustive checks on the uncapped action table: the action unit and
+    phi(1) = 1 give 1 |> b = b; the action fixing the coaugmentation and
+    eps(phi(a)) = eps(a) give a |> 1 = eps(a) 1; action comultiplicativity,
+    phi a coalgebra map, give delta(phi(a).b) = sum phi(a1).b1 (x) phi(a2).b2,
+    and the action counit eps(phi(a).b) = eps(a) eps(b).  :func:`certify`
+    still reads them all.
     """
     bc = arb.carrier
     hopf = arb.hopf
@@ -995,7 +1008,7 @@ def certify_augmented(arb: AugmentedRackBialgebra) -> AugmentedRackBialgebra:
                 if got != want:
                     _differ(axiom, (la, lb), got, want, cb)
 
-    _check_product(arb.rack)
+    _check_product(arb.rack, induced=True)
     return _certified(arb, rack=_certified(arb.rack))
 
 
@@ -1054,20 +1067,29 @@ def augmented_rack_algebra(x: FiniteRack, g: FiniteGroup,
     return augmented_from_action(carrier, hopf, phi, action)
 
 
-def _uar_build(h: LeibnizAlgebra, k: int, z: Sequence[FinVec] | None,
-               env_cap: int | None, sym: Coalgebra) -> AugmentedRackBialgebra:
+def _uar_build(q: QuotientLie, cap: int, sym: Coalgebra) -> AugmentedRackBialgebra:
     """The uncertified structure on the carrier ``sym`` = S(h)<=k, over the
-    envelope of h modulo z (the squares ideal when z is None)."""
-    q = quotient_lie(h, z=z)
-    env = enveloping_hopf(q.algebra, k + 1 if env_cap is None else env_cap)
-    ph = phi_map(env, q, sym)
-    def col(word: Label, mono: Label) -> Mapping[Label, Coeff]:
-        return module_action(env, q, sym, FinVec.unit(env.basis, word),
-                             FinVec.unit(sym.basis, mono)).entries
-
+    envelope of the quotient ``q`` capped at ``cap``; the action is filled
+    from one word memo (:func:`~rackalg.env_hopf._word_action`)."""
+    env = _envelope(q.algebra, cap)
     action = FinMap.from_pairs(env.basis, sym.basis, tensor_basis(env.basis, sym.basis),
-                               sym.basis, col)
-    return _assemble(sym, env, ph, action)
+                               sym.basis, _word_action(q, sym))
+    return _assemble(sym, env, phi_map(env, q, sym), action)
+
+
+def _induced_product(q: QuotientLie, k: int, sym: Coalgebra) -> FinMap:
+    """mu(a, b) = phi(a).b over the quotient ``q`` on ``sym`` = S(h)<=k, with
+    nothing else of the structure: phi(a) has words of length <= k, so its
+    envelope is capped at k, and each word acts through the word memo."""
+    ph, act = phi_map(_envelope(q.algebra, k), q, sym), _word_action(q, sym)
+
+    def col(la: Label, lb: Label) -> dict[Label, Coeff]:
+        out: dict[Label, Coeff] = {}
+        for word, c in ph.column(la).entries.items():
+            _accumulate(out, c, act(word, lb).items())
+        return out
+
+    return FinMap.from_pairs(sym.basis, sym.basis, sym.square, sym.basis, col)
 
 
 def uar_infinity(h: LeibnizAlgebra, k: int,
@@ -1079,17 +1101,17 @@ def uar_infinity(h: LeibnizAlgebra, k: int,
     The carrier is S(h) in degrees <= k; the Hopf algebra is the enveloping
     algebra of h modulo a sandwich ideal, capped at k + 1 for commutator
     headroom.  A word of generators acts letterwise by bracket derivations,
-    and phi symmetrizes monomials into the envelope.
+    and phi symmetrizes monomials into the envelope.  h is checked once, here,
+    and its quotient and the quotient's envelope not again (see
+    :func:`~rackalg.leibniz.quotient_lie`); the action is filled from one
+    word memo.
 
-    With ``z`` unspecified the construction runs twice, over the squares
-    ideal and over the left center, and the two products are compared
-    column by column; the result is independent of the choice, so a
-    mismatch means a bug.  Only the squares-ideal build is certified and
-    returned.  The left-center build is a guard, not a result: its product
-    must equal the certified one entry for entry, which carries every rack
-    identity over, and its envelope, phi and action are discarded, so
-    certifying it would check the same table a second time.  Both builds
-    share one carrier.
+    With ``z`` unspecified the structure is built over the squares ideal,
+    certified and returned, and its product is compared column by column with
+    the product over the left center; the result is independent of the
+    choice, so a mismatch means a bug.  The guard builds that product alone,
+    mu(a, b) = phi(a).b (:func:`_induced_product`): equal entry for entry,
+    it carries every rack identity over.  Both share one carrier.
     """
     check_leibniz(h)
     _require_degree(k, "truncation order")
@@ -1097,12 +1119,13 @@ def uar_infinity(h: LeibnizAlgebra, k: int,
         _require_degree(env_cap, "envelope cap")
         if env_cap < k + 1:
             raise SchemaError("envelope cap must leave commutator headroom")
+    cap = k + 1 if env_cap is None else env_cap
     sym = symmetric_coalgebra(h.basis, k)
     if z is not None:
-        return certify_augmented(_uar_build(h, k, list(z), env_cap, sym))
-    built_sq = certify_augmented(_uar_build(h, k, None, env_cap, sym))
+        return certify_augmented(_uar_build(_quotient(h, list(z)), cap, sym))
+    built_sq = certify_augmented(_uar_build(_quotient(h, None), cap, sym))
     mu_sq = built_sq.rack.mu
-    mu_zc = _uar_build(h, k, left_center(h), env_cap, sym).rack.mu
+    mu_zc = _induced_product(_quotient(h, left_center(h)), k, sym)
     for pair in mu_sq.domain.labels:
         if mu_sq.column(pair) != mu_zc.column(pair):
             raise DecompositionFailure("sandwich ideal independence", pair,

@@ -953,8 +953,11 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
                                         "rack product left the truncated carrier")
         return val
 
-    mu = FinMap.from_pairs(basis, basis, carrier.square, basis, mu_col)
-    rb = certify(RackBialgebra(carrier, mu))
+    rb = RackBialgebra(carrier, FinMap.from_pairs(basis, basis, carrier.square, basis,
+                                                  rack.entry if d.cap is None else mu_col))
+    if d.cap is None:  # the carrier is c, and ``rack`` is the table of mu
+        rb.__dict__["table"] = rack
+    rb = certify(rb)
 
     tables = ((vt, c.basis), (dt, c.basis), (rack, c.basis))
     ev = _evaluator(_label_maps((c,), tables, ()), tables, ())

@@ -4,8 +4,9 @@ S(V), and the truncating product of U(g); the label formula of tensor bases,
 the product table of a function given on label pairs, the triple identities
 of the certifiers (self-distributivity, associativity, the dialgebra laws,
 the module identities of a dialgebra's rack, action associativity) read one
-basis triple at a time, and exp(hbar ad_x) and exp(hat x) as their defining
-series, term by term.
+basis triple at a time, exp(hbar ad_x) and exp(hat x) as their defining
+series, term by term, the U(g)-action on S(h) applied letter by letter, and
+the product of the full left-center build of UAR(h).
 
 The package checks every identity by comparing Sweedler legs label by label
 and never composes whole maps.  These are the composed-map forms of the same
@@ -16,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from rackalg.env_hopf import EnvelopingHopf
+from rackalg.env_hopf import EnvelopingHopf, derivation_action, enveloping_hopf, phi_map
 from rackalg.errors import RackalgError
 
 from rackalg.exact_core import (
@@ -28,13 +29,16 @@ from rackalg.exact_core import (
     PairTable,
     SeriesScalar,
     _label_parts,
+    linear_sum,
     same_entries,
     split_label,
     tensor_basis,
+    times_label,
 )
+from rackalg.leibniz import left_center, quotient_lie
 from rackalg.rack_bialg import _entries, _legs
 from rackalg.star_product import PolyFunction, hat_function
-from rackalg.symcoalg import Coalgebra, sort_monomial
+from rackalg.symcoalg import Coalgebra, sort_monomial, symmetric_coalgebra
 
 
 def tensor_basis_labels(*bases: Basis) -> tuple:
@@ -383,3 +387,34 @@ def exp_hat_by_powers(h, x: FinVec, order: int, degree: int) -> PolyFunction:
         power = power * base
         out = out + power.scale(Fraction(1, math.factorial(r)))
     return out
+
+
+def module_action(env: EnvelopingHopf, q, sym: Coalgebra, u: FinVec, m: FinVec) -> FinVec:
+    """Left U(g)-action on S(h): each word of u acts on the vector m by its
+    letters, rightmost first, each letter by ``derivation_action`` of its
+    representative in h."""
+    def act_word(word: tuple) -> FinVec:
+        acc = m
+        for letter in reversed(word):
+            acc = derivation_action(q.source, sym, q.section.column(letter), acc)
+        return acc
+
+    return linear_sum(sym.basis, ((act_word(word), cu) for word, cu in u.entries.items()))
+
+
+def left_center_build_mu(h, k: int, env_cap: int | None = None) -> FinMap:
+    """mu of the full build of UAR(h) over the left center, on S(h)<=k: the
+    envelope capped at ``env_cap`` (k + 1 by default), every PBW word acting
+    on every monomial through :func:`module_action` as the columns of an
+    action map, its table, and mu(a, b) = phi(a).b read from that table."""
+    q = quotient_lie(h, z=left_center(h))
+    env = enveloping_hopf(q.algebra, k + 1 if env_cap is None else env_cap)
+    sym = symmetric_coalgebra(h.basis, k)
+    action = FinMap.from_pairs(
+        env.basis, sym.basis, tensor_basis(env.basis, sym.basis), sym.basis,
+        lambda w, m: module_action(env, q, sym, FinVec.unit(env.basis, w),
+                                   FinVec.unit(sym.basis, m)).entries)
+    act = PairTable.from_map(action, env.basis, sym.basis)
+    ph = phi_map(env, q, sym)
+    return FinMap.from_pairs(sym.basis, sym.basis, sym.square, sym.basis,
+                             lambda la, lb: times_label(act, ph.column(la).entries, lb))

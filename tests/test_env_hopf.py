@@ -16,18 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rackalg
-from oracles import convolution_inverse, sym_product_map, tensor_product_map, truncating_mul_map
+from oracles import (
+    convolution_inverse,
+    module_action,
+    sym_product_map,
+    tensor_product_map,
+    truncating_mul_map,
+)
 from rackalg.errors import AxiomViolation, DegreeCapExceeded, SchemaError
 from rackalg.exact_core import FinMap, FinVec
 from rackalg.env_hopf import (
     HopfBackend,
     derivation_action,
     enveloping_hopf,
-    module_action,
     phi,
     phi_map,
     symmetrize,
     _symmetrize_word,
+    _word_action,
 )
 from rackalg.fixtures import load
 from rackalg.groups import cyclic_group, group_hopf, symmetric_group
@@ -238,6 +244,21 @@ def test_module_action_respects_products():
     bracket = q.algebra.bracket_of(FinVec.unit(q.algebra.basis, 3),
                                    FinVec.unit(q.algebra.basis, 1))
     assert commutator_action == module_action(env, q, sym, env.embed(bracket), m)
+
+
+@pytest.mark.parametrize("name,k", [("sq2", 2), ("heis3", 2), ("sl2", 2), ("nonlie3", 2),
+                                    ("lie2", 3)])
+def test_the_word_memo_acts_as_the_letterwise_oracle(name, k):
+    h = load(name)
+    q = quotient_lie(h)
+    env = enveloping_hopf(q.algebra, k + 1)
+    sym = symmetric_coalgebra(h.basis, k)
+    act = _word_action(q, sym)
+    for word in env.basis.labels:
+        u = FinVec.unit(env.basis, word)
+        for mono in sym.basis.labels:
+            want = module_action(env, q, sym, u, FinVec.unit(sym.basis, mono))
+            assert FinVec(sym.basis, act(word, mono)) == want
 
 
 def test_module_action_kills_quotient_kernel():

@@ -158,6 +158,17 @@ def test_nonlie3_quotients_by_both_sandwich_ends(nonlie3):
     assert by_center.algebra.is_abelian()
 
 
+@pytest.mark.parametrize("name", ["abelian1", "abelian2", "abelian3", "sq2", "lie2",
+                                  "nonlie3", "heis3", "sl2"])
+@pytest.mark.parametrize("end", [squares_ideal, left_center])
+def test_both_sandwich_quotients_are_lie_algebras(name, end):
+    # quotient_lie checks neither; its docstring proves both from the sandwich
+    h = load(name)
+    g = quotient_lie(h, z=end(h)).algebra
+    check_leibniz(g)
+    assert is_lie(g)
+
+
 def test_quotient_projection_kills_exactly_z(nonlie3):
     q = quotient_lie(nonlie3)
     z_span = SpanSolver(list(q.z_basis))

@@ -14,14 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sys
+
 import rackalg.rack_bialg as rack_bialg
-from oracles import sym_algebra_map, tensor_product_map
+from oracles import left_center_build_mu, sym_algebra_map, tensor_product_map
 from rackalg.env_hopf import derivation_action, enveloping_hopf
 from rackalg.errors import (
     AxiomViolation,
     DecompositionFailure,
     DegreeCapExceeded,
     GaugeEquivarianceViolation,
+    LeibnizViolation,
     RackalgError,
     SchemaError,
 )
@@ -36,7 +39,7 @@ from rackalg.exact_core import (
 from rackalg.fixtures import load
 from rackalg.groups import cyclic_group, group_hopf, group_like_coalgebra, symmetric_group
 from rackalg.jsonio import rack_from_json, rack_to_json
-from rackalg.leibniz import left_center, squares_ideal
+from rackalg.leibniz import _quotient, check_leibniz, left_center, quotient_lie, squares_ideal
 from rackalg.rack_bialg import (
     FiniteRack,
     RackBialgebra,
@@ -461,23 +464,79 @@ def test_uar_certifies_only_the_squares_ideal_build(monkeypatch):
 
 
 def test_uar_ideal_independence_is_guarded(monkeypatch):
-    build = rack_bialg._uar_build
+    product = rack_bialg._induced_product
     key = ((1,), (1,))
 
-    def left_center_build_off_by_one_column(h, k, z, env_cap, sym):
-        arb = build(h, k, z, env_cap, sym)
-        if z is None:
-            return arb
-        mu = arb.rack.mu
+    def left_center_product_off_by_one_column(q, k, sym):
+        mu = product(q, k, sym)
         cols = dict(mu.columns)
         cols[key] = mu.column(key) + FinVec.unit(mu.codomain, (2,))
-        return dataclasses.replace(arb, rack=RackBialgebra(
-            arb.carrier, FinMap(mu.domain, mu.codomain, cols)))
+        return FinMap(mu.domain, mu.codomain, cols)
 
-    monkeypatch.setattr(rack_bialg, "_uar_build", left_center_build_off_by_one_column)
+    monkeypatch.setattr(rack_bialg, "_induced_product", left_center_product_off_by_one_column)
     with pytest.raises(DecompositionFailure) as exc:
         uar_infinity(load("sq2"), 1)
     assert (exc.value.identity, exc.value.witness) == ("sandwich ideal independence", key)
+
+
+LEIBNIZ_CORPUS = CORPUS + ["nonlie3"]
+
+
+@pytest.mark.parametrize("name", LEIBNIZ_CORPUS)
+def test_the_guard_product_is_the_full_left_center_build(name):
+    h = load(name)
+    for k in (0, 1, 2):
+        sym = symmetric_coalgebra(h.basis, k)
+        got = rack_bialg._induced_product(_quotient(h, left_center(h)), k, sym)
+        for env_cap in (None, k + 2):
+            assert got == left_center_build_mu(h, k, env_cap), (k, env_cap)
+
+
+def test_uar_checks_each_algebra_once(monkeypatch):
+    seen = []
+
+    def counting(h):
+        seen.append(h)
+        return check_leibniz(h)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("rackalg") and \
+                getattr(mod, "check_leibniz", None) is check_leibniz:
+            monkeypatch.setattr(mod, "check_leibniz", counting)
+    for name, k in (("heis3", 1), ("sq2", 1), ("nonlie3", 2)):
+        h = load(name)
+        seen.clear()
+        uar_infinity(h, k)
+        assert len({id(g) for g in seen}) == len(seen) and any(g is h for g in seen)
+
+
+@pytest.mark.parametrize("call", [
+    lambda h: uar_infinity(h, 1),
+    ur,
+    quotient_lie,
+    lambda h: enveloping_hopf(h, 2),
+])
+def test_a_non_leibniz_algebra_is_refused_by_the_public_call(call):
+    h = load("neg_leibniz")
+    with pytest.raises(LeibnizViolation) as want:
+        check_leibniz(h)
+    with pytest.raises(LeibnizViolation) as exc:
+        call(h)
+    assert (exc.value.j, exc.value.k, exc.value.l) == (want.value.j, want.value.k, want.value.l)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda name=name, k=k: uar_infinity(load(name), k)
+      for name in LEIBNIZ_CORPUS for k in (1, 2)),
+    lambda: uar_infinity(load("heis3"), 2, z=left_center(load("heis3"))),
+    lambda: uar_infinity(load("sq2"), 1, env_cap=3),
+    lambda: augmented_conjugation(symmetric_group(3)),
+    lambda: augmented_conjugation(cyclic_group(4)),
+])
+def test_the_rack_of_a_certified_augmented_structure_certifies_alone(build):
+    arb = build()
+    assert arb.certified
+    assert certify(arb.rack).certified
 
 
 def test_uar_left_regularity_probe(uar_sq2):

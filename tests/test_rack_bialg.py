@@ -8,13 +8,12 @@ formula for the letterwise adjoint fold.
 
 import dataclasses
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import sys
 
 import rackalg.rack_bialg as rack_bialg
 from oracles import left_center_build_mu, sym_algebra_map, tensor_product_map

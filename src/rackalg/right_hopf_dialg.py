@@ -953,8 +953,7 @@ def hopf_dialgebra_rack(d: HopfDialgebra, degree: int | None = None) -> RackBial
                                         "rack product left the truncated carrier")
         return val
 
-    rb = RackBialgebra(carrier, FinMap.from_pairs(basis, basis, carrier.square, basis,
-                                                  rack.entry if d.cap is None else mu_col))
+    rb = RackBialgebra(carrier, FinMap.from_pairs(basis, basis, carrier.square, basis, mu_col))
     if d.cap is None:  # the carrier is c, and ``rack`` is the table of mu
         rb.__dict__["table"] = rack
     rb = certify(rb)
